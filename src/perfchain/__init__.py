@@ -69,7 +69,6 @@ from .modules import (
     PiModule,
     PiModuleMap,
     free_cover,
-    has_equivariant_section,
     is_free,
     is_projective,
     kernel_of_map,

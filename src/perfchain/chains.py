@@ -234,9 +234,11 @@ class ChainComplex:
                 raise DimensionMismatchError(
                     f"boundary {i} is {b.rows}x{b.cols}, expected {ranks[i]}x{ranks[i+1]}"
                 )
+        # d o d is equivariant, so it vanishes iff it vanishes on the basis
         l = group.prime_l
+        basis = slice(group.identity, None, group.order)
         for i in range(len(boundaries) - 1):
-            prod = (boundaries[i].expand() @ boundaries[i + 1].expand()) % l
+            prod = (boundaries[i].expand() @ boundaries[i + 1].expand()[:, basis]) % l
             if prod.any():
                 raise BoundarySquareNonzeroError(
                     f"d_{bottom + i + 1} o d_{bottom + i + 2} != 0"
@@ -340,12 +342,17 @@ class ChainMap:
                                      self.source.rank_at(q))
 
     def _validate(self):
-        l = self.source.group.prime_l
+        # both sides are equivariant, so comparing them on the basis suffices
+        G = self.source.group
+        l = G.prime_l
+        basis = slice(G.identity, None, G.order)
         lo = min(self.source.bottom, self.target.bottom)
         hi = max(self.source.top, self.target.top) + 1
         for q in range(lo, hi + 1):
-            lhs = (self.target.boundary_at(q).expand() @ self.component_at(q).expand()) % l
-            rhs = (self.component_at(q - 1).expand() @ self.source.boundary_at(q).expand()) % l
+            lhs = (self.target.boundary_at(q).expand()
+                   @ self.component_at(q).expand()[:, basis]) % l
+            rhs = (self.component_at(q - 1).expand()
+                   @ self.source.boundary_at(q).expand()[:, basis]) % l
             if not np.array_equal(lhs, rhs):
                 raise DimensionMismatchError(f"map does not commute with d at degree {q}")
 
@@ -476,17 +483,15 @@ def minimalize(C: ChainComplex) -> MinimalizeResult:
     """
     G = C.group
     l = G.prime_l
-    o = G.order
 
-    def conv(a, b):
-        out = np.zeros(o, dtype=np.int64)
-        np.add.at(out, G.mult.ravel(), np.outer(a, b).ravel())
-        return out % l
+    def mul(a, b):
+        """Group-ring products a*b, batched over the broadcast leading axes."""
+        return np.einsum("...g,...gk->...k", a, b[..., G.ldiv]) % l
 
     ranks = list(C.ranks)
-    bnds = [b.data.copy() for b in C.boundaries]
+    bnds = [b.data for b in C.boundaries]
     # witness[i]: (original rank_i) x (current rank_i) group-ring data
-    wit = [GroupRingMatrix.identity(G, r).data.copy() for r in ranks]
+    wit = [GroupRingMatrix.identity(G, r).data for r in ranks]
 
     while True:
         pivot = None
@@ -500,33 +505,20 @@ def minimalize(C: ChainComplex) -> MinimalizeResult:
             break
         i, p, j = pivot
         A = bnds[i]
-        u = GroupRingElement(A[p, j], l)
-        u_inv = ga_inverse(u, G).coeffs
+        u_inv = ga_inverse(GroupRingElement(A[p, j], l), G).coeffs
         rows = [r for r in range(A.shape[0]) if r != p]
         cols = [c for c in range(A.shape[1]) if c != j]
         # x_m = A[p, m] * u^{-1}; new[r, m] = A[r, m] - x_m * A[r, j]
-        x = {m: conv(A[p, m], u_inv) for m in cols}
-        newA = np.zeros((len(rows), len(cols), o), dtype=np.int64)
-        for ri, r in enumerate(rows):
-            for ci, m in enumerate(cols):
-                newA[ri, ci] = (A[r, m] - conv(x[m], A[r, j])) % l
-        bnds[i] = newA
+        x = mul(A[p, cols], u_inv)
+        bnds[i] = (A[np.ix_(rows, cols)] - mul(x, A[rows, j][:, None])) % l
         if i + 1 < len(bnds):
             bnds[i + 1] = bnds[i + 1][cols, :, :]    # drop row j (source side)
         if i - 1 >= 0:
             bnds[i - 1] = bnds[i - 1][:, rows, :]    # drop column p (target side)
-        # basis change witness for the source degree (index i+1)
-        step_src = np.zeros((ranks[i + 1], len(cols), o), dtype=np.int64)
-        for ci, m in enumerate(cols):
-            step_src[m, ci, G.identity] = 1
-            step_src[j, ci] = (-x[m]) % l
-        step_tgt = np.zeros((ranks[i], len(rows), o), dtype=np.int64)
-        for ri, r in enumerate(rows):
-            step_tgt[r, ri, G.identity] = 1
-        wit[i + 1] = grm_compose(GroupRingMatrix(G, wit[i + 1]),
-                                 GroupRingMatrix(G, step_src)).data
-        wit[i] = grm_compose(GroupRingMatrix(G, wit[i]),
-                             GroupRingMatrix(G, step_tgt)).data
+        # the same column operation on the witness of the source degree
+        W = wit[i + 1]
+        wit[i + 1] = (W[:, cols] - mul(x, W[:, j][:, None])) % l
+        wit[i] = wit[i][:, rows]
         ranks[i + 1] -= 1
         ranks[i] -= 1
 

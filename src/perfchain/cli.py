@@ -23,7 +23,8 @@ from .cellular import chains_of_cover, lens_complex
 from .chains import euler_characteristic, homology, minimalize
 from .errors import ParseError, PerfchainError
 from .finiteness import decide_perfect, wall_class
-from .towers import limit_complex, pro_decide_perfect
+from .modules import minimal_generators
+from .towers import limit_complex
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -55,17 +56,18 @@ def _emit_cert(args, cert: dict) -> None:
             fh.write(text)
 
 
+def _verdict_line(verdict) -> str:
+    if verdict.perfect:
+        return (f"perfect; euler_class={verdict.euler_class}; "
+                f"replacement ranks {verdict.replacement.ranks}")
+    return (f"not perfect; obstruction dim={verdict.top_obstruction.dim}; "
+            f"minimal generators={minimal_generators(verdict.top_obstruction)}")
+
+
 def _perfect_one(path: str):
     C = serialize.read_complex(_read(path))
     verdict = decide_perfect(C)
-    if verdict.perfect:
-        line = (f"perfect; euler_class={verdict.euler_class}; "
-                f"replacement ranks {verdict.replacement.ranks}")
-    else:
-        from .modules import minimal_generators
-        line = (f"not perfect; obstruction dim={verdict.top_obstruction.dim}; "
-                f"minimal generators={minimal_generators(verdict.top_obstruction)}")
-    return C, verdict, line
+    return C, verdict, _verdict_line(verdict)
 
 
 def cmd_perfect(args) -> int:
@@ -128,13 +130,7 @@ def cmd_tower_perfect(args) -> int:
     T = serialize.read_tower(_read(args.file))
     limit = limit_complex(T, args.horizon)
     verdict = decide_perfect(limit)
-    if verdict.perfect:
-        print(f"perfect; euler_class={verdict.euler_class}; "
-              f"replacement ranks {verdict.replacement.ranks}")
-    else:
-        from .modules import minimal_generators
-        print(f"not perfect; obstruction dim={verdict.top_obstruction.dim}; "
-              f"minimal generators={minimal_generators(verdict.top_obstruction)}")
+    print(_verdict_line(verdict))
     _emit_cert(args, certificates.tower_perfectness_certificate(
         T, args.horizon, limit, verdict))
     return EXIT_OK if verdict.perfect else EXIT_NEGATIVE

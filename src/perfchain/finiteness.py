@@ -1,16 +1,18 @@
 """Perfectness decision and finite free replacements.
 
-The decision procedure builds, degree by degree, a bounded free complex F
-with a map into the input whose cone is acyclic below the top homology
-degree m: each step adjoins free generators hitting minimal generators of
-the cone's defect homology.  The input is perfect exactly when the cone's
-top homology P is free; in that case adjoining a free basis of P in
-degree m makes the cone acyclic, and minimalizing F yields the canonical
-replacement together with a quasi-isomorphism witness.
+Levelwise-free inputs (`ChainComplex`) are always perfect: cancelling unit
+boundary entries (`minimalize`) reaches their minimal model, which is the
+replacement, and the cancellation witness is the quasi-isomorphism.
 
-Inputs may be levelwise-free complexes (always perfect, with an explicit
-witness) or arbitrary bounded complexes of PiModules, where the negative
-verdict is possible; tower limits arrive through the latter door.
+Other bounded complexes of PiModules (`ModuleComplex`, which is how tower
+limits arrive) go through an approximation that builds, degree by degree,
+a bounded free complex F with a map into the input whose cone is acyclic
+below the top homology degree m: each step adjoins free generators
+hitting minimal generators of the cone's defect homology.  The input is
+perfect exactly when the cone's top homology P is free; in that case
+adjoining a free basis of P in degree m makes the cone acyclic, and
+minimalizing F yields the canonical replacement together with a
+quasi-isomorphism witness.  Only this path can give a negative verdict.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .chains import (
     ChainMap,
     ModuleComplex,
     ModuleComplexMap,
-    compose_chain_maps,
     euler_characteristic,
     minimalize,
     module_mapping_cone,
@@ -37,6 +38,7 @@ from .modules import (
     is_free,
     minimal_generator_lifts,
     minimal_generators,
+    regular_module,
     zero_module,
 )
 
@@ -45,10 +47,15 @@ from .modules import (
 class PerfectnessVerdict:
     """Outcome of the perfectness decision.
 
-    `top_obstruction` is the top homology of the approximation cone; it is
-    free iff the input is perfect, in which case `replacement` is a minimal
-    bounded free complex and `witness` a quasi-isomorphism from it to the
-    input (a ChainMap for free inputs, a ModuleComplexMap otherwise).
+    When the verdict is positive, `replacement` is a minimal bounded free
+    complex and `witness` a quasi-isomorphism from it to the input (a
+    ChainMap for free inputs, a ModuleComplexMap otherwise).
+
+    `top_obstruction` is a module isomorphic to the top homology of the
+    cone of the approximation (see the module docstring); it is free iff
+    the input is perfect.  For free inputs it is the free module of the
+    replacement's top rank, and the zero module when the replacement is
+    zero.
     """
 
     perfect: bool
@@ -145,10 +152,6 @@ def free_approximation(C: ChainComplex, m: int, reverse: bool = False) -> ChainM
     if top is not None and top > m:
         raise UnboundedHomologyError(f"homology in degree {top} exceeds m={m}")
     approx = _approximate(target, m - 1, reverse)
-    return _as_chain_map(approx, C)
-
-
-def _as_chain_map(approx: _Approximation, C: ChainComplex) -> ChainMap:
     G = C.group
     F = approx.free_complex()
     comps = {}
@@ -163,24 +166,31 @@ def decide_perfect(C, max_degree: int | None = None,
                    reverse: bool = False) -> PerfectnessVerdict:
     """Decide perfectness and construct the minimal free replacement.
 
-    Accepts a ChainComplex (levelwise free; the verdict is then always
-    positive) or a ModuleComplex, where a non-free obstruction module can
-    make the verdict negative.
+    A ChainComplex (levelwise free) is always perfect; its replacement and
+    witness come from `minimalize`.  A ModuleComplex goes through the
+    approximation, where a non-free obstruction module makes the verdict
+    negative; `reverse` flips the generator choices made there and has no
+    effect on ChainComplex inputs.  MaxDegreeError is raised when the top
+    homology degree exceeds `max_degree`.
     """
-    chain_input = isinstance(C, ChainComplex)
-    target = C.expanded() if chain_input else C
-    G = target.group
+    G = C.group
+    if isinstance(C, ChainComplex):
+        minimal, witness = minimalize(C)
+        if minimal.ranks and max_degree is not None and minimal.top > max_degree:
+            raise MaxDegreeError(
+                f"top homology degree {minimal.top} exceeds cap {max_degree}")
+        P = regular_module(G, minimal.rank_at(minimal.top))
+        return PerfectnessVerdict(True, P, euler_characteristic(minimal), minimal, witness)
 
-    m = _homology_top(target)
+    m = _homology_top(C)
     if m is None:
         repl = zero_complex(G)
-        witness = (ChainMap(repl, C, {}) if chain_input
-                   else ModuleComplexMap(repl.expanded(), target, {}, validate=False))
+        witness = ModuleComplexMap(repl.expanded(), C, {}, validate=False)
         return PerfectnessVerdict(True, zero_module(G), 0, repl, witness)
     if max_degree is not None and m > max_degree:
         raise MaxDegreeError(f"top homology degree {m} exceeds cap {max_degree}")
 
-    approx = _approximate(target, m - 1, reverse)
+    approx = _approximate(C, m - 1, reverse)
     cone = approx.cone()
     data = cone.homology_data(m)
     P = data.module
@@ -197,20 +207,15 @@ def decide_perfect(C, max_degree: int | None = None,
     if not final_cone.is_acyclic():
         raise AssertionError("free extension failed to make the cone acyclic")
 
-    F = approx.free_complex()
-    minimal, incl = minimalize(F)
-    if chain_input:
-        f = _as_chain_map(approx, C)
-        witness = compose_chain_maps(f, incl)
-    else:
-        l = G.prime_l
-        comps = {}
-        for q in range(minimal.bottom, minimal.top + 1):
-            blk = approx.blocks.get(q)
-            if blk is None or not minimal.rank_at(q):
-                continue
-            comps[q] = (blk @ incl.component_at(q).expand()) % l
-        witness = ModuleComplexMap(minimal.expanded(), target, comps)
+    minimal, incl = minimalize(approx.free_complex())
+    l = G.prime_l
+    comps = {}
+    for q in range(minimal.bottom, minimal.top + 1):
+        blk = approx.blocks.get(q)
+        if blk is None or not minimal.rank_at(q):
+            continue
+        comps[q] = (blk @ incl.component_at(q).expand()) % l
+    witness = ModuleComplexMap(minimal.expanded(), C, comps)
     return PerfectnessVerdict(True, P, euler_characteristic(minimal), minimal, witness)
 
 

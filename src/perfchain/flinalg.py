@@ -15,11 +15,6 @@ def asfield(a, l: int) -> np.ndarray:
     return np.asarray(a, dtype=np.int64) % l
 
 
-def zeros(shape, l: int) -> np.ndarray:
-    del l
-    return np.zeros(shape, dtype=np.int64)
-
-
 def identity(n: int, l: int) -> np.ndarray:
     del l
     return np.eye(n, dtype=np.int64)
@@ -122,21 +117,6 @@ def solve_matrix(A, B, l: int):
     return X
 
 
-def in_column_space(A, v, l: int) -> bool:
-    return solve_matrix(A, v, l) is not None
-
-
-def matrix_inverse(A, l: int) -> np.ndarray:
-    A = asfield(A, l)
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError("matrix_inverse requires a square matrix")
-    X = solve_matrix(A, identity(n, l), l)
-    if X is None or rank(A, l) != n:
-        raise ValueError("matrix is singular over F_l")
-    return X
-
-
 def complete_basis(W, V, l: int) -> np.ndarray:
     """Columns of V extending a basis of col(W) to a basis of col([W V]).
 
@@ -185,35 +165,3 @@ class QuotientSpace:
             coords = X[self.sub.shape[1]:]
         return coords[:, 0] if one_dim else coords
 
-
-def batched_rank(mats: np.ndarray, l: int) -> np.ndarray:
-    """Ranks of a stack of matrices (N, rows, cols) over F_l, vectorized
-    across the batch.  Used by exhaustive test sweeps."""
-    B = (np.asarray(mats, dtype=np.int64) % l).copy()
-    N, rows, cols = B.shape
-    inv = inverse_table(l)
-    ranks = np.zeros(N, dtype=np.int64)
-    top = np.zeros(N, dtype=np.int64)  # next pivot row per matrix
-    for c in range(cols):
-        colvals = B[:, :, c]
-        rows_idx = np.arange(rows)[None, :]
-        eligible = (rows_idx >= top[:, None]) & (colvals != 0)
-        has = eligible.any(axis=1)
-        if not has.any():
-            continue
-        pivot_row = np.where(has, np.argmax(eligible, axis=1), 0)
-        sel = np.nonzero(has)[0]
-        pr = pivot_row[sel]
-        tr = top[sel]
-        # swap pivot row up to the current top row
-        tmp = B[sel, pr].copy()
-        B[sel, pr] = B[sel, tr]
-        B[sel, tr] = tmp
-        piv = B[sel, tr, c]
-        B[sel, tr] = (B[sel, tr] * inv[piv][:, None]) % l
-        below = B[sel][:, :, c].copy()
-        below[np.arange(sel.size), tr] = 0
-        B[sel] = (B[sel] - below[:, :, None] * B[sel, tr][:, None, :]) % l
-        top[sel] += 1
-        ranks[sel] += 1
-    return ranks

@@ -233,12 +233,6 @@ def ga_one(G: GroupTable) -> GroupRingElement:
     return GroupRingElement(c, G.prime_l)
 
 
-def ga_basis(G: GroupTable, index: int) -> GroupRingElement:
-    c = np.zeros(G.order, dtype=np.int64)
-    c[index] = 1
-    return GroupRingElement(c, G.prime_l)
-
-
 def norm_element(G: GroupTable) -> GroupRingElement:
     """The sum of all group elements."""
     return GroupRingElement(np.ones(G.order, dtype=np.int64), G.prime_l)
@@ -451,40 +445,6 @@ def grm_compose(second: GroupRingMatrix, first: GroupRingMatrix) -> GroupRingMat
     E = (second.expand() @ first.expand()) % second.group.prime_l
     return GroupRingMatrix.from_expanded(second.group, E, second.rows, first.cols,
                                          validate=False)
-
-
-def grm_block(group: GroupTable, blocks) -> GroupRingMatrix:
-    """Assemble a block matrix; None entries are zero blocks.
-
-    Every block row/column must contain at least one concrete matrix to
-    fix its size.
-    """
-    nbr = len(blocks)
-    nbc = len(blocks[0]) if nbr else 0
-    row_sizes = [None] * nbr
-    col_sizes = [None] * nbc
-    for i in range(nbr):
-        for j in range(nbc):
-            b = blocks[i][j]
-            if b is None:
-                continue
-            row_sizes[i] = b.rows
-            col_sizes[j] = b.cols
-    if any(s is None for s in row_sizes) or any(s is None for s in col_sizes):
-        raise DimensionMismatchError("block row/column with no concrete matrix")
-    data = np.zeros((sum(row_sizes), sum(col_sizes), group.order), dtype=np.int64)
-    r0 = 0
-    for i in range(nbr):
-        c0 = 0
-        for j in range(nbc):
-            b = blocks[i][j]
-            if b is not None:
-                if b.rows != row_sizes[i] or b.cols != col_sizes[j]:
-                    raise DimensionMismatchError("inconsistent block sizes")
-                data[r0:r0 + row_sizes[i], c0:c0 + col_sizes[j]] = b.data
-            c0 += col_sizes[j]
-        r0 += row_sizes[i]
-    return GroupRingMatrix(group, data)
 
 
 def regular_action_matrices(G: GroupTable, rank: int) -> list[np.ndarray]:

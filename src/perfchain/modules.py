@@ -211,30 +211,6 @@ def is_projective(M: PiModule) -> bool:
     return is_free(M)[0]
 
 
-def has_equivariant_section(f: PiModuleMap) -> bool:
-    """Splitting oracle: does f admit an equivariant right inverse?
-
-    Solves the finite linear system f @ s = id, s equivariant, over F_l.
-    Kept independent of is_free/is_projective so tests can compare the
-    two routes.
-    """
-    G = f.source.group
-    l = G.prime_l
-    sdim, tdim = f.source.dim, f.target.dim
-    if tdim == 0:
-        return True
-    eye_s = flinalg.identity(sdim, l)
-    eye_t = flinalg.identity(tdim, l)
-    rows = [np.kron(eye_t, f.matrix)]
-    rhs = [flinalg.identity(tdim, l).T.reshape(-1)]
-    for g in range(G.order):
-        rows.append(np.kron(f.target.action[g].T, eye_s) - np.kron(eye_t, f.source.action[g]))
-        rhs.append(np.zeros(sdim * tdim, dtype=np.int64))
-    A = np.vstack(rows) % l
-    b = np.concatenate(rhs) % l
-    return flinalg.solve_matrix(A, b, l) is not None
-
-
 def submodule_span(M: PiModule, vectors) -> np.ndarray:
     """Basis of the submodule generated by the given columns.
 

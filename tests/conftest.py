@@ -21,6 +21,7 @@ from perfchain import (
     mapping_cone,
     norm_element,
 )
+from perfchain import flinalg
 from perfchain.chains import compose_chain_maps
 from perfchain.groups import grm_compose
 
@@ -191,6 +192,68 @@ SMALL_GROUPS = {
     "D4": dihedral(4),
     "Q8": generalized_quaternion(2),
 }
+
+
+# ----------------------------------------------------------------------
+# test-only oracles
+
+
+def batched_rank(mats: np.ndarray, l: int) -> np.ndarray:
+    """Ranks of a stack of matrices (N, rows, cols) over F_l, vectorized
+    across the batch.  Used by exhaustive test sweeps."""
+    B = (np.asarray(mats, dtype=np.int64) % l).copy()
+    N, rows, cols = B.shape
+    inv = flinalg.inverse_table(l)
+    ranks = np.zeros(N, dtype=np.int64)
+    top = np.zeros(N, dtype=np.int64)  # next pivot row per matrix
+    for c in range(cols):
+        colvals = B[:, :, c]
+        rows_idx = np.arange(rows)[None, :]
+        eligible = (rows_idx >= top[:, None]) & (colvals != 0)
+        has = eligible.any(axis=1)
+        if not has.any():
+            continue
+        pivot_row = np.where(has, np.argmax(eligible, axis=1), 0)
+        sel = np.nonzero(has)[0]
+        pr = pivot_row[sel]
+        tr = top[sel]
+        # swap pivot row up to the current top row
+        tmp = B[sel, pr].copy()
+        B[sel, pr] = B[sel, tr]
+        B[sel, tr] = tmp
+        piv = B[sel, tr, c]
+        B[sel, tr] = (B[sel, tr] * inv[piv][:, None]) % l
+        below = B[sel][:, :, c].copy()
+        below[np.arange(sel.size), tr] = 0
+        B[sel] = (B[sel] - below[:, :, None] * B[sel, tr][:, None, :]) % l
+        top[sel] += 1
+        ranks[sel] += 1
+    return ranks
+
+
+def has_equivariant_section(f) -> bool:
+    """Splitting oracle: does the PiModuleMap f admit an equivariant right
+    inverse?
+
+    Solves the finite linear system f @ s = id, s equivariant, over F_l.
+    Kept independent of is_free/is_projective so tests can compare the
+    two routes.
+    """
+    G = f.source.group
+    l = G.prime_l
+    sdim, tdim = f.source.dim, f.target.dim
+    if tdim == 0:
+        return True
+    eye_s = flinalg.identity(sdim, l)
+    eye_t = flinalg.identity(tdim, l)
+    rows = [np.kron(eye_t, f.matrix)]
+    rhs = [flinalg.identity(tdim, l).T.reshape(-1)]
+    for g in range(G.order):
+        rows.append(np.kron(f.target.action[g].T, eye_s) - np.kron(eye_t, f.source.action[g]))
+        rhs.append(np.zeros(sdim * tdim, dtype=np.int64))
+    A = np.vstack(rows) % l
+    b = np.concatenate(rhs) % l
+    return flinalg.solve_matrix(A, b, l) is not None
 
 
 @pytest.fixture

@@ -28,7 +28,6 @@ from perfchain import (
     decide_perfect,
     euler_characteristic,
     free_cover,
-    has_equivariant_section,
     homology,
     identity_chain_map,
     is_free,
@@ -41,14 +40,15 @@ from perfchain import (
     quotient_module,
     regular_module,
 )
-from perfchain import flinalg
 from perfchain.cli import main
 from perfchain.modules import submodule_span
 from perfchain.serialize import read_complex, read_tower, write_complex, write_tower
 
 from conftest import (
     SMALL_GROUPS,
+    batched_rank,
     conjugate_complex,
+    has_equivariant_section,
     homology_image_dims,
     pad_with_identity_cones,
     random_minimal_complex,
@@ -139,7 +139,7 @@ def batch_operator_ranks(E: np.ndarray, table: np.ndarray, l: int) -> np.ndarray
     for start in range(0, n, chunk):
         block = E[start:start + chunk]
         mats = block[:, table]
-        ranks[start:start + chunk] = flinalg.batched_rank(mats, l)
+        ranks[start:start + chunk] = batched_rank(mats, l)
     return ranks
 
 

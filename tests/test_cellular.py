@@ -6,6 +6,7 @@ import pytest
 from perfchain import (
     BoundarySquareNonzeroError,
     EquivariantCellComplex,
+    GroupMismatchError,
     GroupRingMatrix,
     base_homology,
     chains_of_cover,
@@ -125,6 +126,12 @@ def test_chains_of_cover_rejects_bad_boundaries():
     X = EquivariantCellComplex(G, [1, 1, 1], [ident, ident])
     with pytest.raises(BoundarySquareNonzeroError):
         chains_of_cover(X)
+    # other construction errors keep their own code
+    wrong_group = GroupRingMatrix.identity(SMALL_GROUPS["C4"], 1)
+    X = EquivariantCellComplex(G, [1, 1], [wrong_group])
+    with pytest.raises(GroupMismatchError) as info:
+        chains_of_cover(X)
+    assert info.value.code == "E_GROUP_MISMATCH"
 
 
 def test_base_homology_examples():

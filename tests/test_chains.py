@@ -9,6 +9,7 @@ from perfchain import (
     BoundarySquareNonzeroError,
     ChainComplex,
     ChainMap,
+    DimensionMismatchError,
     GroupMismatchError,
     GroupRingMatrix,
     direct_sum,
@@ -28,6 +29,7 @@ from conftest import (
     conjugate_complex,
     pad_with_identity_cones,
     random_minimal_complex,
+    two_group_zoo,
 )
 
 
@@ -198,3 +200,70 @@ def test_compose_chain_maps_witnesses(rng):
     m2 = minimalize(m1.complex)
     comp = compose_chain_maps(m1.witness, m2.witness)
     assert is_quasi_iso(comp)
+
+
+def random_entries(G, rng, rows, cols, kind):
+    """Group-ring data of one kind: "norm" (scalar multiples of the norm
+    element), "radical" (augmentation zero) or "any"."""
+    l, o = G.prime_l, G.order
+    data = np.array([[[rng.randrange(l) for _ in range(o)] for _ in range(cols)]
+                     for _ in range(rows)], dtype=np.int64).reshape(rows, cols, o)
+    if kind == "norm":
+        data[:] = data[:, :, :1]
+    elif kind == "radical":
+        data[:, :, G.identity] -= data.sum(axis=2)
+    if rng.random() < 0.5:
+        data[:, 0] = 0  # a defect, if any, then shows only past the first column
+    return GroupRingMatrix(G, data % l)
+
+
+# norm * radical = 0, radical * radical may or may not vanish, and random
+# entries rarely compose to zero
+KINDS = [("norm", "radical"), ("radical", "radical"), ("any", "any")]
+
+
+def test_d_squared_check_matches_full_expansion():
+    """d o d = 0 is checked on basis columns only; a complex is accepted
+    exactly when the full expanded product vanishes."""
+    rng = random.Random(41)
+    seen = set()
+    for _, G in two_group_zoo():
+        for k1, k2 in KINDS * 2:
+            a, b, c = (rng.randint(1, 2) for _ in range(3))
+            d1 = random_entries(G, rng, a, b, k1)
+            d2 = random_entries(G, rng, b, c, k2)
+            full_zero = not ((d1.expand() @ d2.expand()) % G.prime_l).any()
+            try:
+                ChainComplex(G, 0, [a, b, c], [d1, d2])
+                accepted = True
+            except BoundarySquareNonzeroError:
+                accepted = False
+            assert accepted == full_zero
+            seen.add(full_zero)
+    assert seen == {True, False}
+
+
+def test_chain_map_check_matches_full_expansion():
+    """Commutation with d is checked on basis columns only; a chain map is
+    accepted exactly when the full expanded squares commute."""
+    rng = random.Random(43)
+    seen = set()
+    for _, G in two_group_zoo():
+        l = G.prime_l
+        for kd, kf in KINDS * 2:
+            a, b, c, e = (rng.randint(1, 2) for _ in range(4))
+            S = ChainComplex(G, 0, [a, b], [random_entries(G, rng, a, b, kd)])
+            T = ChainComplex(G, 0, [c, e], [random_entries(G, rng, c, e, kd)])
+            f0 = random_entries(G, rng, c, a, kf)
+            f1 = random_entries(G, rng, e, b, kf)
+            lhs = T.boundary_at(1).expand() @ f1.expand()
+            rhs = f0.expand() @ S.boundary_at(1).expand()
+            commutes = not ((lhs - rhs) % l).any()
+            try:
+                ChainMap(S, T, {0: f0, 1: f1})
+                accepted = True
+            except DimensionMismatchError:
+                accepted = False
+            assert accepted == commutes
+            seen.add(commutes)
+    assert seen == {True, False}

@@ -1,6 +1,8 @@
 """CLI subcommands: outputs, exit codes, certificates, determinism."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -17,7 +19,13 @@ from perfchain import (
 )
 from perfchain.serialize import write_complex, write_tower
 
-from conftest import SMALL_GROUPS
+from conftest import (
+    SMALL_GROUPS,
+    conjugate_complex,
+    heisenberg_27,
+    pad_with_identity_cones,
+    random_minimal_complex,
+)
 
 
 @pytest.fixture
@@ -65,6 +73,22 @@ def test_minimalize_subcommand(capsys, lens_path, tmp_path):
     assert out.startswith("minimal ranks [1, 1, 1]")
     assert out_path.read_text() == write_complex(
         chains_of_cover(lens_complex(2, 1, 2)))
+
+
+def test_minimalize_json_bytes_pinned(capsys, tmp_path):
+    """The minimal complex and witness of a scrambled Heis27 complex with
+    four cancellations, pinned byte for byte through the certificate."""
+    rng = random.Random(0)
+    core = random_minimal_complex(heisenberg_27(), rng)
+    C = conjugate_complex(pad_with_identity_cones(core, rng, 3), rng)
+    path = tmp_path / "heis27.cplx"
+    path.write_text(write_complex(C))
+    code, out, _ = run(capsys, "minimalize", str(path), "--json")
+    assert code == 0
+    assert (C.ranks, core.ranks) == ([2, 4, 4, 4, 2], [1, 2, 3, 2])
+    assert out.startswith("minimal ranks [1, 2, 3, 2]; bottom 1\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "59247a7697fbe8d7166fcaaf04b61e8856fc94711666e690544ef04e1a7d1467")
 
 
 def test_wall_subcommand(capsys, lens_path):

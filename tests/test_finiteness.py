@@ -27,8 +27,8 @@ from perfchain import (
 )
 from perfchain.chains import module_mapping_cone
 
-from conftest import SMALL_GROUPS, conjugate_complex, pad_with_identity_cones, \
-    random_minimal_complex
+from conftest import SMALL_GROUPS, conjugate_complex, heisenberg_27, pad_with_identity_cones, \
+    random_minimal_complex, three_group_zoo, two_group_zoo
 
 
 def one_plus_t(G):
@@ -107,13 +107,14 @@ def test_max_degree_cap():
 
 def test_verdict_choice_independence(rng):
     """Generator-lift choices do not affect the verdict or the obstruction
-    module's numerical data."""
+    module's numerical data.  Free inputs are expanded so that the choices
+    are made (a ChainComplex is decided by cancellation alone)."""
     for name in ["C2", "C3", "C2xC2"]:
         G = SMALL_GROUPS[name]
         for _ in range(4):
             C, core = pad_and_scramble(G, rng)
-            a = decide_perfect(C, reverse=False)
-            b = decide_perfect(C, reverse=True)
+            a = decide_perfect(C.expanded(), reverse=False)
+            b = decide_perfect(C.expanded(), reverse=True)
             assert a.perfect == b.perfect
             assert a.euler_class == b.euler_class
             assert a.top_obstruction.dim == b.top_obstruction.dim
@@ -131,6 +132,22 @@ def test_verdict_choice_independence(rng):
 def pad_and_scramble(G, rng):
     core = random_minimal_complex(G, rng)
     return conjugate_complex(pad_with_identity_cones(core, rng, 2), rng), core
+
+
+def test_cancellation_agrees_with_approximation(rng):
+    """A free input decided by cancellation and its expansion decided by
+    the approximation give the same verdict, replacement, euler class and
+    obstruction size, and the replacement is the core of the input."""
+    groups = [G for _, G in two_group_zoo() + three_group_zoo() if G.order <= 16]
+    for G in groups + [heisenberg_27()]:
+        C, core = pad_and_scramble(G, rng)
+        a = decide_perfect(C)
+        b = decide_perfect(C.expanded())
+        assert a.perfect and b.perfect
+        assert a.replacement.ranks == b.replacement.ranks == core.ranks
+        assert a.replacement.bottom == b.replacement.bottom == core.bottom
+        assert a.euler_class == b.euler_class == euler_characteristic(core)
+        assert a.top_obstruction.dim == b.top_obstruction.dim
 
 
 def test_trivial_group_matches_plain_linear_algebra(rng):

@@ -10,7 +10,6 @@ from perfchain import (
     PiModule,
     PiModuleMap,
     free_cover,
-    has_equivariant_section,
     is_free,
     is_projective,
     kernel_of_map,
@@ -22,7 +21,7 @@ from perfchain import (
 )
 from perfchain.modules import direct_sum_modules, submodule_span
 
-from conftest import SMALL_GROUPS
+from conftest import SMALL_GROUPS, has_equivariant_section
 
 
 def test_regular_module_c2():
