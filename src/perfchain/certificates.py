@@ -17,7 +17,7 @@ from .chains import ChainComplex, is_quasi_iso, module_mapping_cone
 from .errors import ParseError
 from .finiteness import PerfectnessVerdict
 from .modules import PiModuleMap, free_cover, minimal_generators, regular_module
-from .towers import Tower
+from .towers import Tower, limit_complex
 
 FORMAT = "perfchain-cert-v1"
 
@@ -101,10 +101,9 @@ def check_perfectness(cert: dict) -> None:
     C = serialize.complex_from_json(cert["input"])
     if cert["digest"] != serialize.digest_text(serialize.write_complex(C)):
         raise VerificationFailure("input digest mismatch")
-    if cert["verdict"]["perfect"]:
-        _check_positive_witness(cert, C)
-    else:
-        _check_nonfree(cert["witness"], C.group)
+    if not cert["verdict"]["perfect"]:
+        raise VerificationFailure("a bounded complex of free modules is always perfect")
+    _check_positive_witness(cert, C)
 
 
 def _check_positive_witness(cert: dict, C) -> None:
@@ -157,18 +156,22 @@ def limit_certificate(T: Tower, horizon: int, limit) -> dict:
     return cert
 
 
+def _recomputed_limit(T: Tower, horizon, recorded: dict):
+    """The limit of T at the horizon, which must match the recorded one."""
+    try:
+        limit = limit_complex(T, horizon)
+    except Exception as e:
+        raise VerificationFailure(f"limit could not be recomputed: {e}")
+    if serialize.module_complex_to_json(limit) != recorded:
+        raise VerificationFailure("recorded limit does not match the stable images")
+    return limit
+
+
 def check_limit(cert: dict) -> None:
-    from .towers import limit_complex
     T = serialize.read_tower(cert["input"]["tower"])
     if cert["digest"] != serialize.digest_text(serialize.write_tower(T)):
         raise VerificationFailure("input digest mismatch")
-    h = cert["horizon"]
-    try:
-        recomputed = limit_complex(T, h)
-    except Exception as e:
-        raise VerificationFailure(f"limit could not be recomputed: {e}")
-    if serialize.module_complex_to_json(recomputed) != cert["limit"]:
-        raise VerificationFailure("recorded limit does not match the stable images")
+    _recomputed_limit(T, cert["horizon"], cert["limit"])
 
 
 def tower_perfectness_certificate(T: Tower, horizon: int, limit,
@@ -192,7 +195,7 @@ def check_tower_perfectness(cert: dict) -> None:
     T = serialize.read_tower(cert["input"]["tower"])
     if cert["digest"] != serialize.digest_text(serialize.write_tower(T)):
         raise VerificationFailure("input digest mismatch")
-    limit = serialize.module_complex_from_json(cert["limit"])
+    limit = _recomputed_limit(T, cert["input"]["horizon"], cert["limit"])
     if cert["verdict"]["perfect"]:
         R = serialize.complex_from_json(cert["witness"]["replacement"])
         if not R.is_minimal():

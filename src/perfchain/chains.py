@@ -32,7 +32,15 @@ from .groups import (
     ga_inverse,
     grm_compose,
 )
-from .modules import PiModule, PiModuleMap, direct_sum_modules, regular_module, zero_module
+from .modules import (
+    PiModule,
+    PiModuleMap,
+    direct_sum_modules,
+    induced_action,
+    is_equivariant,
+    regular_module,
+    zero_module,
+)
 
 
 class ModuleComplex:
@@ -53,11 +61,8 @@ class ModuleComplex:
             d.flags.writeable = False
         if validate:
             for i, d in enumerate(diffs):
-                for g in range(group.order):
-                    lhs = (mods[i].action[g] @ d) % l
-                    rhs = (d @ mods[i + 1].action[g]) % l
-                    if not np.array_equal(lhs, rhs):
-                        raise DimensionMismatchError("differential is not equivariant")
+                if not is_equivariant(mods[i + 1], mods[i], d):
+                    raise DimensionMismatchError("differential is not equivariant")
             for i in range(len(diffs) - 1):
                 if ((diffs[i] @ diffs[i + 1]) % l).any():
                     raise BoundarySquareNonzeroError(
@@ -137,9 +142,7 @@ def _homology_data(C: ModuleComplex, q: int) -> HomologyData:
     K = flinalg.kernel_basis(C.diff_at(q), l)
     Im = flinalg.column_space_basis(C.diff_at(q + 1), l)
     quo = flinalg.QuotientSpace(K, Im, l)
-    action = [quo.project((M.action[g] @ quo.reps) % l) for g in range(G.order)]
-    H = PiModule(G, quo.dim, action, validate=False)
-    return HomologyData(H, quo.reps, quo)
+    return HomologyData(induced_action(M, quo.reps, quo.project), quo.reps, quo)
 
 
 class ModuleComplexMap:
@@ -170,12 +173,9 @@ class ModuleComplexMap:
 
     def _validate(self):
         l = self.source.group.prime_l
-        for g in range(self.source.group.order):
-            for q, m in self.components.items():
-                lhs = (self.target.module_at(q).action[g] @ m) % l
-                rhs = (m @ self.source.module_at(q).action[g]) % l
-                if not np.array_equal(lhs, rhs):
-                    raise DimensionMismatchError("map component not equivariant")
+        for q, m in self.components.items():
+            if not is_equivariant(self.source.module_at(q), self.target.module_at(q), m):
+                raise DimensionMismatchError("map component not equivariant")
         lo = min(self.source.bottom, self.target.bottom)
         hi = max(self.source.top, self.target.top) + 1
         for q in range(lo, hi + 1):

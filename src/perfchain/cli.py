@@ -20,7 +20,7 @@ import sys
 
 from . import abelian, certificates, serialize
 from .cellular import chains_of_cover, lens_complex
-from .chains import euler_characteristic, homology, minimalize
+from .chains import homology, minimalize
 from .errors import ParseError, PerfchainError
 from .finiteness import decide_perfect, wall_class
 from .modules import minimal_generators

@@ -20,19 +20,10 @@ def identity(n: int, l: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def inverse_table(l: int) -> np.ndarray:
-    """inv[x] for x in 1..l-1 (inv[0] unused)."""
-    inv = np.zeros(l, dtype=np.int64)
-    for x in range(1, l):
-        inv[x] = pow(x, l - 2, l)
-    return inv
-
-
 def rref(A, l: int):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
     R = asfield(A, l).copy()
     rows, cols = R.shape
-    inv = inverse_table(l)
     pivots = []
     r = 0
     for c in range(cols):
@@ -44,7 +35,7 @@ def rref(A, l: int):
         p = r + int(nz[0])
         if p != r:
             R[[r, p]] = R[[p, r]]
-        R[r] = (R[r] * inv[R[r, c]]) % l
+        R[r] = (R[r] * pow(int(R[r, c]), l - 2, l)) % l
         other = np.nonzero(R[:, c])[0]
         other = other[other != r]
         if other.size:

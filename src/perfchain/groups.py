@@ -43,8 +43,10 @@ def _is_power_of(n: int, p: int) -> bool:
 class GroupTable:
     """A finite l-group given by its full multiplication table.
 
-    mult[a, b] is the index of the product; validation is brute force
-    (orders in scope never exceed a few dozen).
+    mult[a, b] is the index of the product.  `generators` is a
+    deterministic generating set S (greedy in index order, so
+    |S| <= log_l |pi|; empty for the trivial group).  Associativity is
+    checked by Light's test on S, in O(|pi|^2 |S|).
     """
 
     def __init__(self, mult, identity: int, prime_l: int, descriptor: str | None = None):
@@ -68,9 +70,12 @@ class GroupTable:
             if right.size != 1 or mult[right[0], a] != identity:
                 raise NotAGroupError(f"element {a} has no two-sided inverse")
             inv[a] = right[0]
-        # associativity: (ab)c == a(bc) for all triples
-        if not np.array_equal(mult[mult, :], mult[:, mult]):
-            raise NotAGroupError("multiplication table is not associative")
+        generators = _greedy_generators(mult, identity)
+        # Light's test: the a with (xa)y == x(ay) for all x, y are closed
+        # under products, so checking a in S covers everything S generates
+        for s in generators:
+            if not np.array_equal(mult[mult[:, s], :], mult[:, mult[s, :]]):
+                raise NotAGroupError("multiplication table is not associative")
         if not _is_prime(prime_l):
             raise NotAnLGroupError(f"{prime_l} is not prime")
         if not _is_power_of(order, prime_l):
@@ -81,6 +86,7 @@ class GroupTable:
         self.prime_l = int(prime_l)
         self.mult = mult
         self.inv = inv
+        self.generators = generators
         # ldiv[s, k] = index of g_s^{-1} g_k; drives matrix expansion
         self.ldiv = mult[inv, :]
         self.descriptor = descriptor or table_descriptor(mult, identity)
@@ -100,6 +106,25 @@ class GroupTable:
 
     def __repr__(self):
         return f"GroupTable({self.descriptor!r}, l={self.prime_l})"
+
+
+def _greedy_generators(mult: np.ndarray, identity: int) -> tuple[int, ...]:
+    """Adjoin each element not yet reached, in index order, and close the
+    reached set under the product after every adjunction."""
+    reached = np.zeros(mult.shape[0], dtype=bool)
+    reached[identity] = True
+    gens = []
+    for g in range(mult.shape[0]):
+        if reached[g]:
+            continue
+        gens.append(g)
+        reached[g] = True
+        while True:
+            idx = np.flatnonzero(reached)
+            reached[mult[np.ix_(idx, idx)]] = True
+            if reached.sum() == idx.size:
+                break
+    return tuple(gens)
 
 
 def table_descriptor(mult, identity: int) -> str:

@@ -18,8 +18,10 @@ from .groups import GroupTable, regular_action_matrices
 class PiModule:
     """A finite-dimensional F_l space with a left pi-action.
 
-    `action[g]` acts on column vectors; action(g) @ action(h) == action(gh)
-    is validated at construction (which also forces invertibility).
+    `action[g]` acts on column vectors, one dense matrix per group element.
+    Validation checks action(e) == 1 and action(g) @ action(s) == action(gs)
+    for g in pi and s in the group's generators, which gives the same for
+    every pair of elements (and so forces invertibility).
     """
 
     __slots__ = ("group", "dim", "action")
@@ -36,11 +38,12 @@ class PiModule:
         if validate:
             if not np.array_equal(action[group.identity], flinalg.identity(dim, l)):
                 raise DimensionMismatchError("identity must act as the identity matrix")
-            for g in range(group.order):
-                for h in range(group.order):
-                    gh = group.mult[g, h]
-                    if not np.array_equal((action[g] @ action[h]) % l, action[gh]):
-                        raise DimensionMismatchError("action is not a homomorphism")
+            # By induction on the word length of h = h's (s in S), the check gives
+            # rho(g) rho(h) = rho(g) rho(h') rho(s) = rho(gh') rho(s) = rho(gh).
+            stacked = np.stack(action)
+            for s in group.generators:
+                if not np.array_equal((stacked @ action[s]) % l, stacked[group.mult[:, s]]):
+                    raise DimensionMismatchError("action is not a homomorphism")
         self.group = group
         self.dim = int(dim)
         self.action = action
@@ -75,18 +78,55 @@ class PiModuleMap:
                 f"matrix shape {matrix.shape} != ({target.dim}, {source.dim})"
             )
         matrix.flags.writeable = False
-        if validate:
-            for g in range(source.group.order):
-                lhs = (target.action[g] @ matrix) % l
-                rhs = (matrix @ source.action[g]) % l
-                if not np.array_equal(lhs, rhs):
-                    raise DimensionMismatchError("matrix does not commute with the action")
+        if validate and not is_equivariant(source, target, matrix):
+            raise DimensionMismatchError("matrix does not commute with the action")
         self.source = source
         self.target = target
         self.matrix = matrix
 
     def __repr__(self):
         return f"PiModuleMap({self.source.dim} -> {self.target.dim})"
+
+
+def is_equivariant(source: PiModule, target: PiModule, matrix) -> bool:
+    """Does matrix: source -> target commute with the action?
+
+    Checked on the generators only: commuting with rho(g) and rho(h)
+    means commuting with rho(g) rho(h) = rho(gh).
+    """
+    l = source.group.prime_l
+    return all(np.array_equal((target.action[s] @ matrix) % l,
+                              (matrix @ source.action[s]) % l)
+               for s in source.group.generators)
+
+
+def induced_action(M: PiModule, V, solve) -> PiModule:
+    """The action of M on an invariant subspace or subquotient with basis
+    the columns of V; `solve(B)` gives the unique coordinates of the
+    columns of B, or None when some column has none.
+
+    One solve covers the generators; rho(gs) = rho(g) rho(s) then fills in
+    the other elements along a breadth-first walk of the Cayley graph.
+    """
+    G = M.group
+    l = G.prime_l
+    k = V.shape[1]
+    if k == 0:
+        return zero_module(G)
+    gens = G.generators
+    X = solve(np.hstack([M.action[s] @ V for s in gens]) % l) if gens else None
+    if gens and X is None:
+        raise AssertionError("subspace is not action-invariant")
+    action = [None] * G.order
+    action[G.identity] = flinalg.identity(k, l)
+    queue = [G.identity]
+    for g in queue:
+        for i, s in enumerate(gens):
+            gs = int(G.mult[g, s])
+            if action[gs] is None:
+                action[gs] = (action[g] @ X[:, i * k:(i + 1) * k]) % l
+                queue.append(gs)
+    return PiModule(G, k, action, validate=False)
 
 
 def zero_module(G: GroupTable) -> PiModule:
@@ -125,12 +165,17 @@ def direct_sum_modules(*mods: PiModule) -> PiModule:
 
 
 def radical_basis(M: PiModule) -> np.ndarray:
-    """Basis (columns) of rad * M = span{(g - 1) m}."""
+    """Basis (columns) of rad * M = span{(g - 1) m}.
+
+    Spanned by im(s - 1) over the generators s alone, since
+    (gh - 1) m = (g - 1)(h m) + (h - 1) m.
+    """
     l = M.group.prime_l
     if M.dim == 0:
         return np.zeros((0, 0), dtype=np.int64)
     eye = flinalg.identity(M.dim, l)
-    blocks = [(M.action[g] - eye) % l for g in range(M.group.order)]
+    blocks = [np.zeros((M.dim, 0), dtype=np.int64)]
+    blocks += [(M.action[s] - eye) % l for s in M.group.generators]
     return flinalg.column_space_basis(np.hstack(blocks), l)
 
 
@@ -170,20 +215,9 @@ def free_cover(M: PiModule, reverse: bool = False) -> PiModuleMap:
 
 def kernel_of_map(f: PiModuleMap) -> tuple[PiModule, PiModuleMap]:
     """Kernel with its inclusion; the pi-action restricts exactly."""
-    G = f.source.group
-    l = G.prime_l
+    l = f.source.group.prime_l
     K = flinalg.kernel_basis(f.matrix, l)
-    kdim = K.shape[1]
-    action = []
-    for g in range(G.order):
-        if kdim == 0:
-            action.append(np.zeros((0, 0), dtype=np.int64))
-            continue
-        X = flinalg.solve_matrix(K, (f.source.action[g] @ K) % l, l)
-        if X is None:
-            raise AssertionError("kernel not action-invariant")
-        action.append(X)
-    ker = PiModule(G, kdim, action, validate=False)
+    ker = induced_action(f.source, K, lambda B: flinalg.solve_matrix(K, B, l))
     incl = PiModuleMap(ker, f.source, K, validate=False)
     return ker, incl
 
@@ -232,12 +266,11 @@ def quotient_module(M: PiModule, sub_basis) -> tuple[PiModule, PiModuleMap]:
     G = M.group
     l = G.prime_l
     W = flinalg.asfield(sub_basis, l)
-    for g in range(G.order):
-        img = (M.action[g] @ W) % l
+    for s in G.generators:
+        img = (M.action[s] @ W) % l
         if W.size and not flinalg.same_column_space(np.hstack([W, img]), W, l):
             raise DimensionMismatchError("subspace is not action-invariant")
     quo = flinalg.QuotientSpace(flinalg.identity(M.dim, l), W, l)
-    action = [quo.project((M.action[g] @ quo.reps) % l) for g in range(G.order)]
-    Q = PiModule(G, quo.dim, action, validate=False)
+    Q = induced_action(M, quo.reps, quo.project)
     proj = PiModuleMap(M, Q, quo.project(flinalg.identity(M.dim, l)), validate=False)
     return Q, proj

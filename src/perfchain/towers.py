@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flinalg
-from .chains import ChainComplex, ChainMap, ModuleComplex
+from .chains import ChainComplex, ModuleComplex
 from .errors import DimensionMismatchError, GroupMismatchError, HorizonExhaustedError
 from .finiteness import PerfectnessVerdict, decide_perfect
-from .modules import PiModule
+from .modules import induced_action
 
 
 class Tower:
@@ -126,14 +126,8 @@ def limit_complex(T: Tower, horizon: int, level: int = 0) -> ModuleComplex:
     diffs = []
     for q in range(base.bottom, base.top + 1):
         V = bases[q]
-        k = V.shape[1]
-        action = []
-        for g in range(G.order):
-            X = flinalg.solve_matrix(V, (E.module_at(q).action[g] @ V) % l, l)
-            if X is None:
-                raise AssertionError("stable image not action-invariant")
-            action.append(X if k else np.zeros((0, 0), dtype=np.int64))
-        mods.append(PiModule(G, k, action, validate=False))
+        mods.append(induced_action(E.module_at(q), V,
+                                   lambda B: flinalg.solve_matrix(V, B, l)))
         if q > base.bottom:
             W = bases[q - 1]
             D = flinalg.solve_matrix(W, (E.diff_at(q) @ V) % l, l)

@@ -198,12 +198,20 @@ SMALL_GROUPS = {
 # test-only oracles
 
 
+def inverse_table(l: int) -> np.ndarray:
+    """inv[x] for x in 1..l-1 (inv[0] unused)."""
+    inv = np.zeros(l, dtype=np.int64)
+    for x in range(1, l):
+        inv[x] = pow(x, l - 2, l)
+    return inv
+
+
 def batched_rank(mats: np.ndarray, l: int) -> np.ndarray:
     """Ranks of a stack of matrices (N, rows, cols) over F_l, vectorized
     across the batch.  Used by exhaustive test sweeps."""
     B = (np.asarray(mats, dtype=np.int64) % l).copy()
     N, rows, cols = B.shape
-    inv = flinalg.inverse_table(l)
+    inv = inverse_table(l)
     ranks = np.zeros(N, dtype=np.int64)
     top = np.zeros(N, dtype=np.int64)  # next pivot row per matrix
     for c in range(cols):
@@ -229,6 +237,77 @@ def batched_rank(mats: np.ndarray, l: int) -> np.ndarray:
         top[sel] += 1
         ranks[sel] += 1
     return ranks
+
+
+def is_group_brute(mult, identity: int) -> bool:
+    """Group axioms by literal scan: a neutral identity, two-sided
+    inverses, and (ab)c == a(bc) for every triple."""
+    mult = np.asarray(mult)
+    n = len(mult)
+    rng_ = range(n)
+    if any(mult[identity, a] != a or mult[a, identity] != a for a in rng_):
+        return False
+    for a in rng_:
+        if not any(mult[a, b] == identity and mult[b, a] == identity for b in rng_):
+            return False
+    return all(mult[mult[a, b], c] == mult[a, mult[b, c]]
+               for a in rng_ for b in rng_ for c in rng_)
+
+
+def closure_brute(G: GroupTable, gens) -> set[int]:
+    """Elements reached from the identity by right multiplication by gens."""
+    reached = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        g = frontier.pop()
+        for s in gens:
+            gs = int(G.mult[g, s])
+            if gs not in reached:
+                reached.add(gs)
+                frontier.append(gs)
+    return reached
+
+
+def action_is_homomorphism_brute(M) -> bool:
+    """rho(e) == 1 and rho(g) rho(h) == rho(gh) for every pair g, h."""
+    G = M.group
+    l = G.prime_l
+    if not np.array_equal(M.action[G.identity], np.eye(M.dim, dtype=np.int64)):
+        return False
+    return all(np.array_equal((M.action[g] @ M.action[h]) % l, M.action[G.mult[g, h]])
+               for g in range(G.order) for h in range(G.order))
+
+
+def is_equivariant_brute(source, target, matrix) -> bool:
+    """matrix @ rho_source(g) == rho_target(g) @ matrix for every g."""
+    l = source.group.prime_l
+    return all(np.array_equal((target.action[g] @ matrix) % l,
+                              (matrix @ source.action[g]) % l)
+               for g in range(source.group.order))
+
+
+def right_multiplication_matrix(G: GroupTable, rng) -> np.ndarray:
+    """The equivariant endomorphism x -> x a of F_l[pi], for a random a,
+    on coordinates indexed by group elements."""
+    a = np.array([rng.randrange(G.prime_l) for _ in range(G.order)], dtype=np.int64)
+    return GroupRingMatrix(G, a[None, None, :]).expand()
+
+
+def first_generator_projection(G: GroupTable) -> np.ndarray:
+    """Identity on the coordinates of the cyclic subgroup of the first
+    generator, zero elsewhere.  On F_l[pi] it commutes with the action of
+    that generator, and with no generator outside the subgroup."""
+    inside = closure_brute(G, G.generators[:1])
+    return np.diag([1 if g in inside else 0 for g in range(G.order)]).astype(np.int64)
+
+
+def per_element_action(M, V, solve) -> list[np.ndarray]:
+    """The induced action by one solve per group element."""
+    l = M.group.prime_l
+    k = V.shape[1]
+    if k == 0:
+        return [np.zeros((0, 0), dtype=np.int64)] * M.group.order
+    return [solve((M.action[g] @ V) % l) for g in range(M.group.order)]
 
 
 def has_equivariant_section(f) -> bool:

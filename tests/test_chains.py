@@ -12,6 +12,8 @@ from perfchain import (
     DimensionMismatchError,
     GroupMismatchError,
     GroupRingMatrix,
+    ModuleComplex,
+    ModuleComplexMap,
     direct_sum,
     euler_characteristic,
     homology,
@@ -19,6 +21,7 @@ from perfchain import (
     is_quasi_iso,
     mapping_cone,
     minimalize,
+    regular_module,
     shift,
     zero_complex,
 )
@@ -27,8 +30,13 @@ from perfchain.chains import compose_chain_maps
 from conftest import (
     SMALL_GROUPS,
     conjugate_complex,
+    first_generator_projection,
+    is_equivariant_brute,
     pad_with_identity_cones,
+    per_element_action,
     random_minimal_complex,
+    right_multiplication_matrix,
+    three_group_zoo,
     two_group_zoo,
 )
 
@@ -267,3 +275,42 @@ def test_chain_map_check_matches_full_expansion():
             assert accepted == commutes
             seen.add(commutes)
     assert seen == {True, False}
+
+
+def test_differential_and_map_checks_on_generators_match_all_elements():
+    """An equivariant map of free modules is fixed by its values on the
+    basis h e; changing it at any h is rejected as a differential and as a
+    chain-map component, in agreement with the all-elements scan."""
+    rng = random.Random(53)
+    for name, G in two_group_zoo() + three_group_zoo():
+        if G.order == 1:
+            continue  # every linear map is equivariant
+        R = regular_module(G, 1)
+        point = ModuleComplex(G, 0, [R], [])
+        f = right_multiplication_matrix(G, rng)
+        ModuleComplex(G, 0, [R, R], [f])
+        ModuleComplexMap(point, point, {0: f})
+        for h in range(G.order):
+            bad = f.copy()
+            bad[0, h] = (bad[0, h] + 1) % G.prime_l
+            assert not is_equivariant_brute(R, R, bad), (name, h)
+            with pytest.raises(DimensionMismatchError):
+                ModuleComplex(G, 0, [R, R], [bad])
+            with pytest.raises(DimensionMismatchError):
+                ModuleComplexMap(point, point, {0: bad})
+        if len(G.generators) > 1:
+            P = first_generator_projection(G)
+            assert not is_equivariant_brute(R, R, P), name
+            with pytest.raises(DimensionMismatchError):
+                ModuleComplex(G, 0, [R, R], [P])
+            with pytest.raises(DimensionMismatchError):
+                ModuleComplexMap(point, point, {0: P})
+
+
+def test_homology_action_matches_per_element_solve(rng):
+    for name, G in two_group_zoo() + three_group_zoo():
+        C = random_minimal_complex(G, rng).expanded()
+        for q in range(C.bottom, C.top + 1):
+            data = C.homology_data(q)
+            expected = per_element_action(C.module_at(q), data.reps, data.quotient.project)
+            assert all(np.array_equal(a, b) for a, b in zip(data.module.action, expected)), name

@@ -193,3 +193,44 @@ def test_batch_perfect_ordering(capsys, tmp_path):
     assert lines[0].startswith(paths[0]) and lines[2].startswith(paths[2])
     code2, out2, _ = run(capsys, "perfect", *paths, "--jobs", "2")
     assert out2 == out and code2 == code
+
+
+def test_tower_certificate_bound_to_its_tower(capsys, norm_tower_path, tmp_path):
+    """The perfect limit and witness of another tower, put under the norm
+    tower's input and digest, must not verify."""
+    G = SMALL_GROUPS["C2"]
+    L = ChainComplex(G, 0, [1], [])
+    const_path = tmp_path / "const.twr"
+    const_path.write_text(write_tower(Tower([L] * 3, [identity_chain_map(L)] * 2)))
+    certs = {}
+    for name, path in (("const", str(const_path)), ("norm", norm_tower_path)):
+        certs[name] = tmp_path / f"{name}.json"
+        main(["tower-perfect", path, "--horizon", "2", "--cert", str(certs[name])])
+    capsys.readouterr()
+    forged = json.loads(certs["const"].read_text())
+    norm = json.loads(certs["norm"].read_text())
+    assert forged["verdict"]["perfect"] and not norm["verdict"]["perfect"]
+    forged["input"], forged["digest"] = norm["input"], norm["digest"]
+    certs["const"].write_text(json.dumps(forged))
+    code, out, _ = run(capsys, "verify", str(certs["const"]))
+    assert code == 1
+    assert out.startswith("certificate INVALID")
+
+
+def test_negative_verdict_on_free_complex_rejected(capsys, norm_tower_path, tmp_path):
+    """A bounded complex of free modules is perfect, whatever non-free
+    obstruction a certificate attaches to it."""
+    free_path = tmp_path / "free.cplx"
+    free_path.write_text("group cyclic:2\nprime 2\nbottom 0\nranks 1\n")
+    cert_path = tmp_path / "free.json"
+    norm_cert = tmp_path / "norm.json"
+    main(["perfect", str(free_path), "--cert", str(cert_path)])
+    main(["tower-perfect", norm_tower_path, "--horizon", "2", "--cert", str(norm_cert)])
+    capsys.readouterr()
+    cert = json.loads(cert_path.read_text())
+    cert["verdict"] = {"perfect": False}
+    cert["witness"] = json.loads(norm_cert.read_text())["witness"]
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert out.startswith("certificate INVALID")

@@ -10,6 +10,7 @@ from perfchain import (
     DimensionMismatchError,
     GroupRingElement,
     GroupRingMatrix,
+    GroupTable,
     NotAGroupError,
     NotAnLGroupError,
     NotAUnitError,
@@ -26,7 +27,15 @@ from perfchain import (
 )
 from perfchain.groups import grm_compose, regular_action_matrices
 
-from conftest import SMALL_GROUPS, dihedral, generalized_quaternion, two_group_zoo
+from conftest import (
+    SMALL_GROUPS,
+    closure_brute,
+    dihedral,
+    generalized_quaternion,
+    is_group_brute,
+    three_group_zoo,
+    two_group_zoo,
+)
 
 
 def elt(coeffs, l):
@@ -68,6 +77,57 @@ def test_bad_tables_rejected():
         build_group("table:{order:2;identity:1;mult:0,1|1,0}", 2)
     with pytest.raises(ParseError):
         build_group("rubbish:3", 2)
+
+
+def test_non_associative_loop_rejected():
+    """A loop of order 5 (identity 0, every element its own inverse) passes
+    the identity and inverse checks and fails only associativity.  So does
+    its product with C2, whose first generator (1, e) associates with
+    everything."""
+    rows = ["0,1,2,3,4", "1,0,3,4,2", "2,4,0,1,3", "3,2,4,0,1", "4,3,1,2,0"]
+    loop = [[int(x) for x in r.split(",")] for r in rows]
+    assert not is_group_brute(loop, 0)
+    with pytest.raises(NotAGroupError, match="associative"):
+        build_group("table:{order:5;identity:0;mult:" + "|".join(rows) + "}", 5)
+    # element 2b + a is (a, b) in C2 x loop
+    product = [[2 * loop[x // 2][y // 2] + (x ^ y) % 2 for y in range(10)] for x in range(10)]
+    assert not is_group_brute(product, 0)
+    with pytest.raises(NotAGroupError, match="associative"):
+        GroupTable(product, 0, 2)
+
+
+def test_generators_generate_within_log_bound():
+    for name, G in two_group_zoo() + three_group_zoo():
+        assert closure_brute(G, G.generators) == set(range(G.order)), name
+        assert G.prime_l ** len(G.generators) <= G.order, name
+        assert G.identity not in G.generators
+    assert cyclic_group(1, 2).generators == ()
+    assert build_group("product:cyclic:4,cyclic:4,cyclic:4", 2).generators == (1, 4, 16)
+
+
+def test_group_check_matches_brute_force_on_perturbed_tables():
+    """Swapping two entries of one column keeps the identity row and column
+    and often the inverses; the verdict must match the literal scan."""
+    rng = random.Random(31)
+    reasons = set()
+    for name, G in two_group_zoo() + three_group_zoo():
+        assert is_group_brute(G.mult, G.identity), name
+        others = [x for x in range(G.order) if x != G.identity]
+        if len(others) < 2:
+            continue
+        for _ in range(4):
+            a, b = rng.sample(others, 2)
+            c = rng.choice(others)
+            mult = G.mult.copy()
+            mult[[a, b], c] = mult[[b, a], c]
+            try:
+                GroupTable(mult, G.identity, G.prime_l)
+                accepted = True
+            except NotAGroupError as e:
+                accepted = False
+                reasons.add(str(e))
+            assert accepted == is_group_brute(mult, G.identity), name
+    assert "multiplication table is not associative" in reasons
 
 
 def test_ga_mul_examples():

@@ -7,7 +7,9 @@ import pytest
 
 from perfchain import (
     DimensionMismatchError,
+    GroupRingMatrix,
     PiModule,
+    build_group,
     PiModuleMap,
     free_cover,
     is_free,
@@ -19,9 +21,20 @@ from perfchain import (
     trivial_module,
     zero_module,
 )
-from perfchain.modules import direct_sum_modules, submodule_span
+from perfchain import flinalg
+from perfchain.modules import direct_sum_modules, is_equivariant, radical_basis, submodule_span
 
-from conftest import SMALL_GROUPS, has_equivariant_section
+from conftest import (
+    SMALL_GROUPS,
+    action_is_homomorphism_brute,
+    has_equivariant_section,
+    is_equivariant_brute,
+    first_generator_projection,
+    per_element_action,
+    right_multiplication_matrix,
+    three_group_zoo,
+    two_group_zoo,
+)
 
 
 def test_regular_module_c2():
@@ -175,3 +188,102 @@ def test_equivariance_enforced_on_maps():
     R = regular_module(G, 1)
     with pytest.raises(DimensionMismatchError):
         PiModuleMap(R, R, np.array([[1, 0], [0, 0]]))
+
+
+ZOO = two_group_zoo() + three_group_zoo()
+
+
+def _perturbed_at(M, h):
+    action = [a.copy() for a in M.action]
+    action[h][0, 0] = (action[h][0, 0] + 1) % M.group.prime_l
+    return action
+
+
+def test_action_check_on_generators_matches_all_pairs():
+    """Changing the action at any one element, generators or not, is
+    rejected, and the generator check agrees with the all-pairs scan."""
+    for name, G in ZOO:
+        M = direct_sum_modules(regular_module(G, 1), trivial_module(G))
+        assert action_is_homomorphism_brute(M), name
+        PiModule(G, M.dim, M.action)
+        for h in range(G.order):
+            bad = PiModule(G, M.dim, _perturbed_at(M, h), validate=False)
+            assert not action_is_homomorphism_brute(bad), (name, h)
+            with pytest.raises(DimensionMismatchError):
+                PiModule(G, M.dim, bad.action)
+
+
+def test_map_check_on_generators_matches_all_elements():
+    """A map of free modules is fixed by its values on the basis h e; a
+    change at any h is rejected, and the generator check agrees with the
+    all-elements scan."""
+    rng = random.Random(41)
+    for name, G in ZOO:
+        if G.order == 1:
+            continue  # every linear map is equivariant
+        R = regular_module(G, 1)
+        f = right_multiplication_matrix(G, rng)
+        assert is_equivariant(R, R, f) and is_equivariant_brute(R, R, f), name
+        PiModuleMap(R, R, f)
+        for h in range(G.order):
+            bad = f.copy()
+            bad[0, h] = (bad[0, h] + 1) % G.prime_l
+            assert not is_equivariant_brute(R, R, bad), (name, h)
+            with pytest.raises(DimensionMismatchError):
+                PiModuleMap(R, R, bad)
+        if len(G.generators) > 1:
+            P = first_generator_projection(G)
+            assert not is_equivariant_brute(R, R, P), name
+            with pytest.raises(DimensionMismatchError):
+                PiModuleMap(R, R, P)
+
+
+TWISTED = [("product:cyclic:2,cyclic:2", 2), ("product:cyclic:4,cyclic:2", 2),
+           ("product:cyclic:2,cyclic:2,cyclic:2", 2), ("product:cyclic:4,cyclic:4,cyclic:4", 2),
+           ("product:cyclic:3,cyclic:3", 3), ("product:cyclic:9,cyclic:3", 3),
+           ("product:cyclic:3,cyclic:3,cyclic:3", 3)]
+
+
+@pytest.mark.parametrize("spec,l", TWISTED)
+def test_action_check_uses_every_generator(spec, l):
+    """rho(g) = Q^j for g = (j, ...) in C_n x ..., with Q^n != 1, passes the
+    check for every generator except the last one, which moves j."""
+    G = build_group(spec, l)
+    n = int(spec.split(",")[0].split(":")[-1])
+    Q = np.array([[0, 1], [1, 1]]) if l == 2 else np.array([[2]])
+    powers = [np.linalg.matrix_power(Q, j) % l for j in range(n)]
+    action = [powers[g // (G.order // n)] for g in range(G.order)]
+    assert not action_is_homomorphism_brute(PiModule(G, len(Q), action, validate=False))
+    with pytest.raises(DimensionMismatchError):
+        PiModule(G, len(Q), action)
+
+
+def test_induced_action_matches_per_element_solve_for_kernels_and_quotients():
+    rng = random.Random(43)
+    for name, G in ZOO:
+        l = G.prime_l
+        R2 = regular_module(G, 2)
+        data = np.array([[[rng.randrange(l) for _ in range(G.order)] for _ in range(2)]])
+        f = PiModuleMap(R2, regular_module(G, 1), GroupRingMatrix(G, data).expand())
+        ker, incl = kernel_of_map(f)
+        K = incl.matrix
+        expected = per_element_action(R2, K, lambda B: flinalg.solve_matrix(K, B, l))
+        assert all(np.array_equal(a, b) for a, b in zip(ker.action, expected)), name
+
+        W = submodule_span(R2, K[:, :1]) if K.shape[1] else K
+        Q, _ = quotient_module(R2, W)
+        quo = flinalg.QuotientSpace(flinalg.identity(R2.dim, l), W, l)
+        expected = per_element_action(R2, quo.reps, quo.project)
+        assert all(np.array_equal(a, b) for a, b in zip(Q.action, expected)), name
+
+
+def test_radical_basis_spans_all_group_elements():
+    rng = random.Random(47)
+    for name, G in ZOO:
+        l = G.prime_l
+        M = _random_quotient(G, rng)
+        if not M.dim:
+            continue
+        eye = np.eye(M.dim, dtype=np.int64)
+        every = np.hstack([(M.action[g] - eye) % l for g in range(G.order)])
+        assert flinalg.same_column_space(radical_basis(M), every, l), name

@@ -18,9 +18,17 @@ from perfchain import (
     pro_decide_perfect,
     stable_images,
 )
+from perfchain import flinalg
 from perfchain.serialize import module_complex_to_json
 
-from conftest import SMALL_GROUPS, homology_image_dims, random_stabilizing_tower
+from conftest import (
+    SMALL_GROUPS,
+    homology_image_dims,
+    per_element_action,
+    random_stabilizing_tower,
+    three_group_zoo,
+    two_group_zoo,
+)
 
 
 def one_plus_t(G):
@@ -182,3 +190,17 @@ def test_reindexing_invariance_on_collapsing_towers(rng):
             a = decide_perfect(lim)
             b = decide_perfect(lim_dropped)
             assert a.perfect == b.perfect and a.euler_class == b.euler_class
+
+
+def test_limit_action_matches_per_element_solve(rng):
+    for name, G in two_group_zoo() + three_group_zoo():
+        l = G.prime_l
+        T, _ = random_stabilizing_tower(G, rng, n_levels=3)
+        lim = limit_complex(T, 2)
+        E = T.levels[0].expanded()
+        for q in range(lim.bottom, lim.top + 1):
+            V = stable_images(T, q, 0, 2).value
+            expected = per_element_action(E.module_at(q), V,
+                                          lambda B: flinalg.solve_matrix(V, B, l))
+            actual = lim.module_at(q).action
+            assert all(np.array_equal(a, b) for a, b in zip(actual, expected)), name
