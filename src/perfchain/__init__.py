@@ -39,6 +39,7 @@ from .errors import (
     DimensionMismatchError,
     GroupMismatchError,
     HorizonExhaustedError,
+    LimitError,
     MaxDegreeError,
     NotAGroupError,
     NotAnLGroupError,

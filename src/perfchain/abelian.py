@@ -1,21 +1,30 @@
 """Finitely generated abelian groups, Smith normal form, and l-completion.
 
-All integer arithmetic uses Python ints (arbitrary precision); pivots are
-chosen with minimal absolute value to control entry growth.  The l-adic
-integers are handled symbolically: a completed module is a free rank plus
-a multiset of l-power torsion orders, and "over Z_l" questions reduce to
-l-valuations of integer Smith data.
+All integer arithmetic uses Python ints (arbitrary precision).  Smith
+normal forms come from Kannan-Bachem echelon passes that keep the entries
+off the diagonal reduced modulo the diagonal, so the transforms U and V
+stay near the size of the determinant (see `smith_normal_form`).  The
+l-adic integers are handled symbolically: a completed module is a free
+rank plus a multiset of l-power torsion orders, and "over Z_l" questions
+reduce to l-valuations of integer Smith data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import DimensionMismatchError, NotExactIntegrallyError
 
 
 def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    zero = [0] * n
+    out = []
+    for i in range(n):
+        row = zero[:]
+        row[i] = 1
+        out.append(row)
+    return out
 
 
 def mat_mul(A, B) -> list[list[int]]:
@@ -40,10 +49,6 @@ def mat_vec(A, v) -> list[int]:
     return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
-def _copy_matrix(M) -> list[list[int]]:
-    return [[int(x) for x in row] for row in M]
-
-
 @dataclass(frozen=True)
 class SNFResult:
     """U @ M @ V == diag(d) with U, V unimodular and d_1 | d_2 | ...
@@ -62,98 +67,162 @@ class SNFResult:
         return sum(1 for d in self.diag if d)
 
 
-def smith_normal_form(M) -> SNFResult:
-    """Smith normal form with transformation witnesses."""
-    A = _copy_matrix(M)
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    U = _identity(rows)
-    Uinv = _identity(rows)
-    V = _identity(cols)
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b > 0, for a, b not both 0.
 
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
+    Euclid's cofactors, so |s| <= |b|/g and |t| <= |a|/g.
+    """
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
-    def col_swap(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
 
-    def row_add(i, j, q):
-        # row i += q * row j
-        A[i] = [a + q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        for r in Uinv:
-            r[j] -= q * r[i]
+def _echelon(A, T, Tinv, S, Sinv) -> int:
+    """Column Hermite form of A, given as its list of columns, in place.
 
-    def col_add(i, j, q):
-        # col i += q * col j
-        for r in A:
-            r[i] += q * r[j]
-        for r in V:
-            r[i] += q * r[j]
-
-    def row_negate(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
-
-    n = min(rows, cols)
-    for k in range(n):
-        while True:
-            pivot = None
-            best = None
-            for i in range(k, rows):
-                for j in range(k, cols):
-                    a = abs(A[i][j])
-                    if a and (best is None or a < best):
-                        best, pivot = a, (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != k:
-                row_swap(k, pi)
-            if pj != k:
-                col_swap(k, pj)
-            dirty = False
-            for i in range(k + 1, rows):
-                if A[i][k]:
-                    q = A[i][k] // A[k][k]
-                    if q:
-                        row_add(i, k, -q)
-                    if A[i][k]:
-                        dirty = True
-            for j in range(k + 1, cols):
-                if A[k][j]:
-                    q = A[k][j] // A[k][k]
-                    if q:
-                        col_add(j, k, -q)
-                    if A[k][j]:
-                        dirty = True
-            if dirty:
+    Returns the rank r.  Afterwards columns r.. are zero, and rows and
+    columns 0..r-1 hold a lower-triangular block with positive diagonal in
+    which every entry left of the diagonal lies in [0, diagonal of its row).
+    Each column is cleared in the pivot rows found so far by 2x2 Bezout
+    column operations; a column that stays nonzero swaps a row up as the
+    next pivot row.  Column operations are applied to the columns of T and,
+    inverted, to the rows of Tinv; row swaps to the rows of S and the
+    columns of Sinv (Tinv, Sinv may be None).
+    """
+    m = len(A[0])
+    r = 0
+    for j in range(len(A)):
+        col = A[j]
+        changed = False
+        for k in range(r):
+            b = col[k]
+            if not b:
                 continue
-            # pivot must divide the rest of the block
-            fix = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if A[i][j] % A[k][k]:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
-            if fix is None:
+            pk = A[k]
+            a = pk[k]
+            q, rem = divmod(b, a)
+            if not rem:
+                A[j] = col = [y - q * x for x, y in zip(pk, col)]
+                T[j] = [y - q * x for x, y in zip(T[k], T[j])]
+                if Tinv is not None:
+                    Tinv[k] = [x + q * y for x, y in zip(Tinv[k], Tinv[j])]
+                continue
+            g, s, t = _xgcd(a, b)
+            a //= g
+            b //= g
+            A[k] = [s * x + t * y for x, y in zip(pk, col)]
+            A[j] = col = [a * y - b * x for x, y in zip(pk, col)]
+            tk, tj = T[k], T[j]
+            T[k] = [s * x + t * y for x, y in zip(tk, tj)]
+            T[j] = [a * y - b * x for x, y in zip(tk, tj)]
+            if Tinv is not None:
+                tk, tj = Tinv[k], Tinv[j]
+                Tinv[k] = [a * x + b * y for x, y in zip(tk, tj)]
+                Tinv[j] = [s * y - t * x for x, y in zip(tk, tj)]
+            changed = True
+        p = -1
+        for i in range(r, m):
+            v = col[i]
+            if v and (p < 0 or abs(v) < best):
+                p, best = i, abs(v)
+        if p >= 0:
+            if j != r:
+                A[r], A[j] = col, A[r]
+                T[r], T[j] = T[j], T[r]
+                if Tinv is not None:
+                    Tinv[r], Tinv[j] = Tinv[j], Tinv[r]
+            if p != r:
+                for c in A:
+                    c[r], c[p] = c[p], c[r]
+                S[r], S[p] = S[p], S[r]
+                if Sinv is not None:
+                    Sinv[r], Sinv[p] = Sinv[p], Sinv[r]
+            if col[r] < 0:
+                A[r] = [-x for x in col]
+                T[r] = [-x for x in T[r]]
+                if Tinv is not None:
+                    Tinv[r] = [-x for x in Tinv[r]]
+            r += 1
+        elif not changed:
+            continue
+        if r < 2:
+            continue
+        # reduce left of the diagonal: every row after a change to a pivot
+        # column, else only the new pivot row
+        for i in range(1, r) if changed else (r - 1,):
+            ci, di, ti = A[i], A[i][i], T[i]
+            for k in range(i):
+                q = A[k][i] // di
+                if q:
+                    A[k] = [x - q * y for x, y in zip(A[k], ci)]
+                    T[k] = [x - q * y for x, y in zip(T[k], ti)]
+                    if Tinv is not None:
+                        Tinv[i] = [x + q * y for x, y in zip(Tinv[i], Tinv[k])]
+    return r
+
+
+def smith_normal_form(M) -> SNFResult:
+    """Smith normal form with transformation witnesses (Kannan-Bachem).
+
+    Column echelon passes (`_echelon`) alternate with the same pass on the
+    transpose, which acts on rows, until the matrix is diagonal; then 2x2
+    steps diag(a, b) -> diag(gcd, lcm) give d_1 | d_2 | ... .  Each pass
+    keeps the entries left of its diagonal reduced modulo that diagonal,
+    which bounds every intermediate entry polynomially in the size of M
+    (Kannan & Bachem, SIAM J. Comput. 8, 1979).  The tests hold the entries
+    of U and V for dense square inputs to at most 3x the decimal digits of
+    the Hadamard bound of M.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    if len(set(map(len, M))) > 1:
+        raise DimensionMismatchError("integer matrix rows differ in length")
+    A = [list(map(int, c)) for c in zip(*M)]    # columns
+    U = _identity(m)        # rows of U
+    Uinv = _identity(m)     # columns of U^-1
+    V = _identity(n)        # columns of V
+    r = 0
+    if n:
+        on_rows = False
+        while True:
+            if on_rows:
+                r = _echelon(A, U, Uinv, V, None)
+            else:
+                r = _echelon(A, V, None, U, Uinv)
+            # diagonal: no pivot column has a nonzero entry off its pivot
+            if sum(map(list.count, A[:r], repeat(0, r))) == r * (len(A[0]) - 1):
                 break
-            row_add(k, fix, 1)
-        if A[k][k] < 0:
-            row_negate(k)
-    diag = tuple(A[k][k] for k in range(n))
-    return SNFResult(diag, tuple(map(tuple, U)), tuple(map(tuple, V)),
-                     tuple(map(tuple, Uinv)))
+            A = list(map(list, zip(*A)))
+            on_rows = not on_rows
+        d = [A[i][i] for i in range(r)]
+    else:
+        d = []
+    # d_1 | d_2 | ... by 2x2 steps diag(a, b) -> diag(gcd, lcm), needed
+    # only when some factor fails to divide the next
+    if r > 1 and any(b % a for a, b in zip(d, d[1:])):
+        for i in range(r):
+            for j in range(i + 1, r):
+                a, b = d[i], d[j]
+                if b % a:
+                    g, s, t = _xgcd(a, b)
+                    a1, b1 = a // g, b // g
+                    ui, uj = U[i], U[j]
+                    U[i] = [s * x + t * y for x, y in zip(ui, uj)]
+                    U[j] = [a1 * y - b1 * x for x, y in zip(ui, uj)]
+                    wi, wj = Uinv[i], Uinv[j]
+                    Uinv[i] = [a1 * x + b1 * y for x, y in zip(wi, wj)]
+                    Uinv[j] = [s * y - t * x for x, y in zip(wi, wj)]
+                    vi, vj = V[i], V[j]
+                    s, t = s * a1, t * b1
+                    V[i] = [x + y for x, y in zip(vi, vj)]
+                    V[j] = [s * y - t * x for x, y in zip(vi, vj)]
+                    d[i], d[j] = g, a * b1
+    diag = tuple(d) + (0,) * (min(m, n) - r)
+    return SNFResult(diag, tuple(map(tuple, U)), tuple(zip(*V)), tuple(zip(*Uinv)))
 
 
 def invariant_factors(M) -> tuple:

@@ -14,7 +14,7 @@ import json
 from . import flinalg, serialize
 from .abelian import FGAbelian, SNFResult, mat_mul
 from .chains import ChainComplex, is_quasi_iso, module_mapping_cone
-from .errors import ParseError
+from .errors import LimitError, ParseError
 from .finiteness import PerfectnessVerdict
 from .modules import PiModuleMap, free_cover, minimal_generators, regular_module
 from .towers import Tower, limit_complex
@@ -31,6 +31,8 @@ def loads(text: str) -> dict:
         cert = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad certificate JSON: {e}")
+    except ValueError as e:     # an integer past Python's digit limit
+        raise LimitError(f"certificate integer too long: {e}") from None
     if not isinstance(cert, dict) or cert.get("format") != FORMAT:
         raise ParseError("not a perfchain certificate")
     return cert
@@ -249,6 +251,41 @@ def snf_certificate(M, result: SNFResult) -> dict:
     return cert
 
 
+def _field(obj, key: str):
+    """obj[key] from certificate JSON, else ParseError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ParseError(f"certificate has no {key!r}")
+    return obj[key]
+
+
+def _int_matrix(value, name: str, rows: int | None = None, cols: int | None = None) -> list:
+    """value as a list of integer rows of one length (rows x cols when
+    given), else ParseError; checked before any arithmetic touches it."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ParseError(f"{name} is not a list of rows")
+    if rows is not None and len(value) != rows:
+        raise ParseError(f"{name} has {len(value)} rows, expected {rows}")
+    if cols is None:
+        cols = len(value[0]) if value else 0
+    for row in value:
+        if len(row) != cols or any(type(x) is not int for x in row):
+            raise ParseError(f"{name} is not an integer matrix with {cols} columns")
+    return value
+
+
+def _snf_witness(M, cert: dict) -> dict:
+    """The witness of an snf or completion certificate for the integer
+    matrix M, after checking that U, V and diag are integer matrices of
+    the sizes M needs; ParseError otherwise."""
+    witness = _field(cert, "witness")
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    _int_matrix(_field(witness, "U"), "U", rows, rows)
+    _int_matrix(_field(witness, "V"), "V", cols, cols)
+    _int_matrix([_field(witness, "diag")], "diag", 1, min(rows, cols))
+    return witness
+
+
 def _check_snf_witness(M, witness: dict) -> None:
     U, V, diag = witness["U"], witness["V"], witness["diag"]
     rows = len(M)
@@ -269,10 +306,10 @@ def _check_snf_witness(M, witness: dict) -> None:
 
 
 def check_snf(cert: dict) -> None:
-    M = cert["input"]["matrix"]
-    if cert["digest"] != serialize.digest_text(serialize.write_int_matrix(M)):
+    M = _int_matrix(_field(_field(cert, "input"), "matrix"), "input matrix")
+    if _field(cert, "digest") != serialize.digest_text(serialize.write_int_matrix(M)):
         raise VerificationFailure("input digest mismatch")
-    _check_snf_witness(M, cert["witness"])
+    _check_snf_witness(M, _snf_witness(M, cert))
 
 
 def completion_certificate(A: FGAbelian, l: int, result) -> dict:
@@ -291,12 +328,15 @@ def completion_certificate(A: FGAbelian, l: int, result) -> dict:
 
 
 def check_completion(cert: dict) -> None:
-    n = cert["input"]["generators"]
-    rel = cert["input"]["relations"]
-    l = cert["input"]["prime"]
+    inp, verdict = _field(cert, "input"), _field(cert, "verdict")
+    n, l = _field(inp, "generators"), _field(inp, "prime")
+    rel = _int_matrix(_field(inp, "relations"), "relations")
+    _int_matrix([_field(verdict, "torsion")], "torsion", 1)
+    if any(type(x) is not int for x in (n, l, _field(verdict, "rank"))) or n < 0 or l < 2:
+        raise ParseError("completion needs integer generators >= 0, prime >= 2 and rank")
     if len(rel) != n:
         raise VerificationFailure("relations do not match generator count")
-    _check_snf_witness(rel, cert["witness"])
+    _check_snf_witness(rel, _snf_witness(rel, cert))
     diag = cert["witness"]["diag"]
     rank = n - sum(1 for d in diag if d)
     torsion = []

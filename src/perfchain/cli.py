@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import re
 import sys
 
 from . import abelian, certificates, serialize
 from .cellular import chains_of_cover, lens_complex
 from .chains import homology, minimalize
-from .errors import ParseError, PerfchainError
+from .errors import LimitError, ParseError, PerfchainError
 from .finiteness import decide_perfect, wall_class
 from .modules import minimal_generators
 from .towers import limit_complex
@@ -46,14 +47,35 @@ def _write_output(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _emit_cert(args, cert: dict) -> None:
-    text = certificates.dumps(cert)
+def _cert_text(args, cert: dict) -> str | None:
+    """The certificate as text, when --json or --cert asks for it."""
+    if getattr(args, "json", False) or getattr(args, "cert", None):
+        return certificates.dumps(cert)
+    return None
+
+
+def _write_cert(args, text: str | None) -> None:
     if getattr(args, "json", False):
         sys.stdout.write(text)
     cert_path = getattr(args, "cert", None)
     if cert_path:
         with open(cert_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _emit_cert(args, cert: dict) -> None:
+    _write_cert(args, _cert_text(args, cert))
+
+
+@contextlib.contextmanager
+def _printable():
+    """Format integer answers inside this block, before printing any of
+    them: str() of an integer past Python's digit limit raises ValueError,
+    which becomes an E_LIMIT error with nothing printed."""
+    try:
+        yield
+    except ValueError as e:
+        raise LimitError(f"answer too long to print: {e}") from None
 
 
 def _verdict_line(verdict) -> str:
@@ -163,16 +185,22 @@ def cmd_complete(args) -> int:
     else:
         raise ParseError("complete needs --group or --presentation")
     result = abelian.l_complete(A, args.l)
-    print(result)
-    _emit_cert(args, certificates.completion_certificate(A, args.l, result))
+    with _printable():
+        line = str(result)
+        text = _cert_text(args, certificates.completion_certificate(A, args.l, result))
+    print(line)
+    _write_cert(args, text)
     return EXIT_OK
 
 
 def cmd_snf(args) -> int:
     M = serialize.read_int_matrix(_read(args.file))
     result = abelian.smith_normal_form(M)
-    print("invariant factors: " + " ".join(str(d) for d in result.diag))
-    _emit_cert(args, certificates.snf_certificate(M, result))
+    with _printable():
+        line = "invariant factors: " + " ".join(str(d) for d in result.diag)
+        text = _cert_text(args, certificates.snf_certificate(M, result))
+    print(line)
+    _write_cert(args, text)
     return EXIT_OK
 
 

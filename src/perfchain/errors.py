@@ -73,6 +73,12 @@ class NotExactIntegrallyError(PerfchainError):
     code = "E_NOT_EXACT"
 
 
+class LimitError(PerfchainError):
+    """An answer or input exceeds a size the program can handle."""
+
+    code = "E_LIMIT"
+
+
 class ParseError(PerfchainError):
     """Malformed input text; carries a 1-based line number when known."""
 

@@ -22,6 +22,7 @@ from perfchain import (
     norm_element,
 )
 from perfchain import flinalg
+from perfchain.abelian import SNFResult
 from perfchain.chains import compose_chain_maps
 from perfchain.groups import grm_compose
 
@@ -333,6 +334,104 @@ def has_equivariant_section(f) -> bool:
     A = np.vstack(rows) % l
     b = np.concatenate(rhs) % l
     return flinalg.solve_matrix(A, b, l) is not None
+
+
+def smith_normal_form_reference(M) -> SNFResult:
+    """Smith normal form by the min-|a| pivot loop: pick the nonzero entry
+    of least absolute value in the trailing block, clear its row and column
+    by division with remainder, and add a row when the pivot fails to
+    divide the rest of the block.  Simple and slow, with unbounded entry
+    growth in U and V; kept as the oracle for `smith_normal_form`."""
+    A = [[int(x) for x in row] for row in M]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    Uinv = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+        for r in Uinv:
+            r[i], r[j] = r[j], r[i]
+
+    def col_swap(i, j):
+        for r in A:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+
+    def row_add(i, j, q):
+        # row i += q * row j
+        A[i] = [a + q * b for a, b in zip(A[i], A[j])]
+        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+        for r in Uinv:
+            r[j] -= q * r[i]
+
+    def col_add(i, j, q):
+        # col i += q * col j
+        for r in A:
+            r[i] += q * r[j]
+        for r in V:
+            r[i] += q * r[j]
+
+    def row_negate(i):
+        A[i] = [-a for a in A[i]]
+        U[i] = [-a for a in U[i]]
+        for r in Uinv:
+            r[i] = -r[i]
+
+    n = min(rows, cols)
+    for k in range(n):
+        while True:
+            pivot = None
+            best = None
+            for i in range(k, rows):
+                for j in range(k, cols):
+                    a = abs(A[i][j])
+                    if a and (best is None or a < best):
+                        best, pivot = a, (i, j)
+            if pivot is None:
+                break
+            pi, pj = pivot
+            if pi != k:
+                row_swap(k, pi)
+            if pj != k:
+                col_swap(k, pj)
+            dirty = False
+            for i in range(k + 1, rows):
+                if A[i][k]:
+                    q = A[i][k] // A[k][k]
+                    if q:
+                        row_add(i, k, -q)
+                    if A[i][k]:
+                        dirty = True
+            for j in range(k + 1, cols):
+                if A[k][j]:
+                    q = A[k][j] // A[k][k]
+                    if q:
+                        col_add(j, k, -q)
+                    if A[k][j]:
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide the rest of the block
+            fix = None
+            for i in range(k + 1, rows):
+                for j in range(k + 1, cols):
+                    if A[i][j] % A[k][k]:
+                        fix = i
+                        break
+                if fix is not None:
+                    break
+            if fix is None:
+                break
+            row_add(k, fix, 1)
+        if A[k][k] < 0:
+            row_negate(k)
+    diag = tuple(A[k][k] for k in range(n))
+    return SNFResult(diag, tuple(map(tuple, U)), tuple(map(tuple, V)),
+                     tuple(map(tuple, Uinv)))
 
 
 @pytest.fixture

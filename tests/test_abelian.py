@@ -16,8 +16,10 @@ from perfchain import (
     l_complete,
     smith_normal_form,
 )
-from perfchain.abelian import Lattice, mat_mul
-from perfchain.certificates import _int_det
+from perfchain.abelian import Lattice, integer_kernel_columns, mat_mul
+from perfchain.certificates import _check_snf_witness, _int_det
+
+from conftest import smith_normal_form_reference
 
 
 def minor_gcd_oracle(M):
@@ -77,6 +79,69 @@ def test_snf_against_minor_gcd_oracle():
         cols = rng.randint(1, 4)
         M = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         assert invariant_factors(M) == minor_gcd_oracle(M)
+
+
+def snf_shape_zoo(rng):
+    """200 seeded integer matrices up to 12 x 12: dense, 1 x n and n x 1,
+    with zero rows and columns, zero, and of planted rank r < min(m, n)
+    (an m x r times an r x n product)."""
+    mats = []
+    for k in range(200):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        kind = k % 5
+        if kind == 1:
+            m, n = (1, n) if k % 2 else (m, 1)
+        M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if kind == 2:
+            for i in rng.sample(range(m), rng.randint(1, m)):
+                M[i] = [0] * n
+            for j in rng.sample(range(n), rng.randint(0, n - 1)):
+                for row in M:
+                    row[j] = 0
+        elif kind == 3:
+            r = rng.randint(0, min(m, n) - 1)
+            X = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(m)]
+            Y = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+            M = mat_mul(X, Y) if r else [[0] * n for _ in range(m)]
+        elif kind == 4 and k % 4 == 0:
+            M = [[0] * n for _ in range(m)]
+        mats.append(M)
+    return mats
+
+
+def test_snf_matches_reference_on_shape_zoo():
+    for M in snf_shape_zoo(random.Random(2506)):
+        rows, cols = len(M), len(M[0])
+        s = smith_normal_form(M)
+        assert s.diag == smith_normal_form_reference(M).diag
+        _check_snf_witness(M, {"U": [list(r) for r in s.U], "V": [list(r) for r in s.V],
+                               "diag": list(s.diag)})
+        assert mat_mul([list(r) for r in s.U], [list(r) for r in s.u_inv]) == \
+            [[int(i == j) for j in range(rows)] for i in range(rows)]
+        K = integer_kernel_columns(M)
+        assert len(K) == cols and all(len(row) == cols - s.rank for row in K)
+        assert mat_mul(M, K) == [[0] * (cols - s.rank) for _ in range(rows)]
+
+
+def hadamard_digits(M) -> int:
+    """Decimal digits of the Hadamard bound of M, the product of the
+    Euclidean lengths of its columns."""
+    square = 1
+    for col in zip(*M):
+        square *= sum(x * x for x in col)
+    return len(str(math.isqrt(square) + 1))
+
+
+def test_snf_transforms_stay_within_hadamard_digits():
+    """Reduced echelon steps keep U and V near det size: every entry has at
+    most 3x the digits of the Hadamard bound of M (dense 48 x 48, entries
+    in [-9, 9])."""
+    for seed in range(3):
+        rng = random.Random(f"snf-growth:{seed}")
+        M = [[rng.randint(-9, 9) for _ in range(48)] for _ in range(48)]
+        s = smith_normal_form(M)
+        digits = max(len(str(abs(x))) for T in (s.U, s.V) for row in T for x in row)
+        assert digits <= 3 * hadamard_digits(M)
 
 
 def test_fg_abelian_canonical_form():

@@ -234,3 +234,66 @@ def test_negative_verdict_on_free_complex_rejected(capsys, norm_tower_path, tmp_
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 1
     assert out.startswith("certificate INVALID")
+
+
+def test_snf_certificate_of_dense_60x60_matrix(capsys, tmp_path):
+    """U and V stay small enough to print: the certificate of a dense
+    60 x 60 matrix is written and verifies."""
+    rng = random.Random(60)
+    path = tmp_path / "m60.txt"
+    path.write_text("".join(" ".join(str(rng.randint(-9, 9)) for _ in range(60)) + "\n"
+                            for _ in range(60)))
+    cert_path = tmp_path / "m60.json"
+    code, out, err = run(capsys, "snf", str(path), "--cert", str(cert_path))
+    assert code == 0 and out.startswith("invariant factors: 1 1 "), err
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert code == 0 and out.startswith("certificate valid")
+
+
+def test_answer_too_long_to_print_is_a_limit_error(capsys, tmp_path):
+    """diag(a, b) with coprime 3000-digit a, b has the 6000-digit factor ab;
+    nothing is printed, not even the part of the answer that fits."""
+    path = tmp_path / "big.txt"
+    path.write_text(f"{10**2999 + 7} 0\n0 {10**2999 + 9}\n")
+    for argv in (["snf", str(path)],
+                 ["complete", "--presentation", str(path), "--l", "2", "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error[E_LIMIT]")
+
+
+@pytest.mark.parametrize("command", [["snf"], ["complete", "--l", "2", "--presentation"]])
+@pytest.mark.parametrize("key, value", [("U", None), ("U", [[1, 0], [0]]),
+                                        ("V", [[1, "0"], [0, 1]]), ("diag", [2])])
+def test_malformed_smith_witness_is_a_parse_error(capsys, tmp_path, command, key, value):
+    """A witness entry that is missing, ragged, not an integer or of the
+    wrong length is rejected before any arithmetic, with a coded error."""
+    path = tmp_path / "m.txt"
+    path.write_text("2 4\n6 8\n")
+    cert_path = tmp_path / "c.json"
+    assert main([*command, str(path), "--cert", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    if value is None:
+        del cert["witness"][key]
+    else:
+        cert["witness"][key] = value
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error[E_PARSE]")
+
+
+def test_completion_certificate_with_prime_one_is_a_parse_error(capsys, tmp_path):
+    """Counting factors of 1 in the Smith data never ends; the checker
+    refuses a prime below 2 first."""
+    path = tmp_path / "m.txt"
+    path.write_text("2 4\n6 8\n")
+    cert_path = tmp_path / "c.json"
+    main(["complete", "--presentation", str(path), "--l", "2", "--cert", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    cert["input"]["prime"] = 1
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 2 and err.startswith("error[E_PARSE]")
