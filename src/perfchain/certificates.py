@@ -313,8 +313,7 @@ def check_snf(cert: dict) -> None:
 
 
 def completion_certificate(A: FGAbelian, l: int, result) -> dict:
-    text = serialize.write_int_matrix(A.relations) if A.n else "\n"
-    cert = _base("completion", text)
+    cert = _base("completion", serialize.write_int_matrix(A.relations))
     snf = A.snf()
     cert["input"] = {"generators": A.n, "relations": [list(r) for r in A.relations],
                      "prime": l}
@@ -336,6 +335,8 @@ def check_completion(cert: dict) -> None:
         raise ParseError("completion needs integer generators >= 0, prime >= 2 and rank")
     if len(rel) != n:
         raise VerificationFailure("relations do not match generator count")
+    if _field(cert, "digest") != serialize.digest_text(serialize.write_int_matrix(rel)):
+        raise VerificationFailure("input digest mismatch")
     _check_snf_witness(rel, _snf_witness(rel, cert))
     diag = cert["witness"]["diag"]
     rank = n - sum(1 for d in diag if d)

@@ -38,6 +38,7 @@ from .modules import (
     is_free,
     minimal_generator_lifts,
     minimal_generators,
+    orbit,
     regular_module,
     zero_module,
 )
@@ -109,10 +110,7 @@ class _Approximation:
         for t in range(k):
             data[:, t, :] = (-X[:, t]).reshape(prev_rank, o) % l
         tmod = self.target.module_at(q)
-        block = np.zeros((tmod.dim, k * o), dtype=np.int64)
-        for t in range(k):
-            for s in range(o):
-                block[:, t * o + s] = (tmod.action[s] @ Y[:, t]) % l
+        block = np.stack(orbit(tmod, Y), axis=2).reshape(tmod.dim, k * o)
         if self.ranks:
             self.bnds.append(GroupRingMatrix(G, data))
         self.ranks.append(k)

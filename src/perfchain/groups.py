@@ -471,20 +471,3 @@ def grm_compose(second: GroupRingMatrix, first: GroupRingMatrix) -> GroupRingMat
     return GroupRingMatrix.from_expanded(second.group, E, second.rows, first.cols,
                                          validate=False)
 
-
-def regular_action_matrices(G: GroupTable, rank: int) -> list[np.ndarray]:
-    """Left-multiplication permutation matrices of F_l[pi]^rank, one per
-    group element, on coordinates (i, s) -> i*order + s."""
-    o = G.order
-    mats = []
-    for g in range(o):
-        P = np.zeros((o, o), dtype=np.int64)
-        P[G.mult[g], np.arange(o)] = 1
-        if rank == 1:
-            mats.append(P)
-        else:
-            big = np.zeros((rank * o, rank * o), dtype=np.int64)
-            for i in range(rank):
-                big[i * o:(i + 1) * o, i * o:(i + 1) * o] = P
-            mats.append(big)
-    return mats

@@ -1,5 +1,9 @@
 """Finitely generated F_l[pi]-modules as F_l spaces with pi-action.
 
+A module stores one action matrix per generator in S, and the checks,
+radicals and induced actions read only those; per-element matrices are
+built from them by a Cayley-graph walk when first read.
+
 Every predicate here reduces to exact finite linear algebra.  The freeness
 test uses the minimal-cover criterion, valid because F_l[pi] is local:
 a module is free iff the cover by lifted minimal generators has zero
@@ -12,30 +16,40 @@ import numpy as np
 
 from . import flinalg
 from .errors import DimensionMismatchError, GroupMismatchError
-from .groups import GroupTable, regular_action_matrices
+from .groups import GroupTable
 
 
 class PiModule:
     """A finite-dimensional F_l space with a left pi-action.
 
-    `action[g]` acts on column vectors, one dense matrix per group element.
+    `gens[i]` is the matrix of `group.generators[i]` on column vectors.
+    Give either `action`, one matrix per group element (kept as given), or
+    `gens`.  `action` is the read-only per-element list, built from `gens`
+    when first read and cached.
+
     Validation checks action(e) == 1 and action(g) @ action(s) == action(gs)
     for g in pi and s in the group's generators, which gives the same for
     every pair of elements (and so forces invertibility).
     """
 
-    __slots__ = ("group", "dim", "action")
+    __slots__ = ("group", "dim", "gens", "_action")
 
-    def __init__(self, group: GroupTable, dim: int, action, validate: bool = True):
+    def __init__(self, group: GroupTable, dim: int, action=None, validate: bool = True, *,
+                 gens=None):
         l = group.prime_l
-        action = [flinalg.asfield(a, l) for a in action]
-        if len(action) != group.order:
+        mats = [flinalg.asfield(a, l) for a in (gens if action is None else action)]
+        if len(mats) != (len(group.generators) if action is None else group.order):
             raise DimensionMismatchError("need one action matrix per group element")
-        for a in action:
+        for a in mats:
             if a.shape != (dim, dim):
                 raise DimensionMismatchError("action matrix shape mismatch")
             a.flags.writeable = False
+        self.group = group
+        self.dim = int(dim)
+        self._action = None if action is None else mats
+        self.gens = tuple(mats) if action is None else tuple(mats[s] for s in group.generators)
         if validate:
+            action = self.action  # built from gens when not given
             if not np.array_equal(action[group.identity], flinalg.identity(dim, l)):
                 raise DimensionMismatchError("identity must act as the identity matrix")
             # By induction on the word length of h = h's (s in S), the check gives
@@ -44,9 +58,14 @@ class PiModule:
             for s in group.generators:
                 if not np.array_equal((stacked @ action[s]) % l, stacked[group.mult[:, s]]):
                     raise DimensionMismatchError("action is not a homomorphism")
-        self.group = group
-        self.dim = int(dim)
-        self.action = action
+
+    @property
+    def action(self) -> list[np.ndarray]:
+        if self._action is None:
+            self._action = orbit(self, flinalg.identity(self.dim, self.group.prime_l))
+            for a in self._action:
+                a.flags.writeable = False
+        return self._action
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -56,11 +75,28 @@ class PiModule:
             isinstance(other, PiModule)
             and self.group == other.group
             and self.dim == other.dim
-            and all(np.array_equal(a, b) for a, b in zip(self.action, other.action))
+            and all(np.array_equal(a, b) for a, b in zip(self.gens, other.gens))
         )
 
     def __repr__(self):
         return f"PiModule(dim={self.dim} over {self.group.descriptor})"
+
+
+def orbit(M: PiModule, V) -> list[np.ndarray]:
+    """rho(g) V for every group element g, indexed by g: a breadth-first
+    walk of the left Cayley graph, rho(sg) V = rho(s) (rho(g) V)."""
+    G = M.group
+    l = G.prime_l
+    out = [None] * G.order
+    out[G.identity] = flinalg.asfield(V, l)
+    queue = [G.identity]
+    for g in queue:
+        for s, rho in zip(G.generators, M.gens):
+            sg = int(G.mult[s, g])
+            if out[sg] is None:
+                out[sg] = (rho @ out[g]) % l
+                queue.append(sg)
+    return out
 
 
 class PiModuleMap:
@@ -95,9 +131,8 @@ def is_equivariant(source: PiModule, target: PiModule, matrix) -> bool:
     means commuting with rho(g) rho(h) = rho(gh).
     """
     l = source.group.prime_l
-    return all(np.array_equal((target.action[s] @ matrix) % l,
-                              (matrix @ source.action[s]) % l)
-               for s in source.group.generators)
+    return all(np.array_equal((t @ matrix) % l, (matrix @ s) % l)
+               for s, t in zip(source.gens, target.gens))
 
 
 def induced_action(M: PiModule, V, solve) -> PiModule:
@@ -105,44 +140,35 @@ def induced_action(M: PiModule, V, solve) -> PiModule:
     the columns of V; `solve(B)` gives the unique coordinates of the
     columns of B, or None when some column has none.
 
-    One solve covers the generators; rho(gs) = rho(g) rho(s) then fills in
-    the other elements along a breadth-first walk of the Cayley graph.
+    One solve over the generator blocks gives the whole action.
     """
     G = M.group
     l = G.prime_l
     k = V.shape[1]
-    if k == 0:
-        return zero_module(G)
-    gens = G.generators
-    X = solve(np.hstack([M.action[s] @ V for s in gens]) % l) if gens else None
-    if gens and X is None:
+    if k == 0 or not M.gens:
+        return trivial_module(G, k)
+    X = solve(np.hstack([rho @ V for rho in M.gens]) % l)
+    if X is None:
         raise AssertionError("subspace is not action-invariant")
-    action = [None] * G.order
-    action[G.identity] = flinalg.identity(k, l)
-    queue = [G.identity]
-    for g in queue:
-        for i, s in enumerate(gens):
-            gs = int(G.mult[g, s])
-            if action[gs] is None:
-                action[gs] = (action[g] @ X[:, i * k:(i + 1) * k]) % l
-                queue.append(gs)
-    return PiModule(G, k, action, validate=False)
+    return PiModule(G, k, gens=np.hsplit(X, len(M.gens)), validate=False)
 
 
 def zero_module(G: GroupTable) -> PiModule:
-    return PiModule(G, 0, [np.zeros((0, 0), dtype=np.int64)] * G.order, validate=False)
+    return trivial_module(G, 0)
 
 
 def trivial_module(G: GroupTable, dim: int = 1) -> PiModule:
     eye = flinalg.identity(dim, G.prime_l)
-    return PiModule(G, dim, [eye] * G.order, validate=False)
+    return PiModule(G, dim, gens=[eye] * len(G.generators), validate=False)
 
 
 def regular_module(G: GroupTable, rank: int) -> PiModule:
-    """The free module F_l[pi]^rank with its left translation action."""
-    if rank == 0:
-        return zero_module(G)
-    return PiModule(G, rank * G.order, regular_action_matrices(G, rank), validate=False)
+    """The free module F_l[pi]^rank with its left translation action:
+    generator s sends basis vector (i, h) to (i, sh), coordinates
+    (i, h) -> i*order + h."""
+    perm = np.eye(G.order, dtype=np.int64)
+    gens = [np.kron(np.eye(rank, dtype=np.int64), perm[:, G.mult[s]]) for s in G.generators]
+    return PiModule(G, rank * G.order, gens=gens, validate=False)
 
 
 def direct_sum_modules(*mods: PiModule) -> PiModule:
@@ -153,15 +179,13 @@ def direct_sum_modules(*mods: PiModule) -> PiModule:
         if m.group != G:
             raise GroupMismatchError("direct sum over different groups")
     dim = sum(m.dim for m in mods)
-    action = []
-    for g in range(G.order):
-        big = np.zeros((dim, dim), dtype=np.int64)
-        off = 0
-        for m in mods:
-            big[off:off + m.dim, off:off + m.dim] = m.action[g]
-            off += m.dim
-        action.append(big)
-    return PiModule(G, dim, action, validate=False)
+    gens = [np.zeros((dim, dim), dtype=np.int64) for _ in G.generators]
+    off = 0
+    for m in mods:
+        for big, rho in zip(gens, m.gens):
+            big[off:off + m.dim, off:off + m.dim] = rho
+        off += m.dim
+    return PiModule(G, dim, gens=gens, validate=False)
 
 
 def radical_basis(M: PiModule) -> np.ndarray:
@@ -175,7 +199,7 @@ def radical_basis(M: PiModule) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     eye = flinalg.identity(M.dim, l)
     blocks = [np.zeros((M.dim, 0), dtype=np.int64)]
-    blocks += [(M.action[s] - eye) % l for s in M.group.generators]
+    blocks += [(rho - eye) % l for rho in M.gens]
     return flinalg.column_space_basis(np.hstack(blocks), l)
 
 
@@ -201,16 +225,11 @@ def minimal_generator_lifts(M: PiModule, reverse: bool = False) -> np.ndarray:
 def free_cover(M: PiModule, reverse: bool = False) -> PiModuleMap:
     """The minimal surjection F_l[pi]^k -> M, k = minimal_generators(M)."""
     G = M.group
-    l = G.prime_l
     gens = minimal_generator_lifts(M, reverse=reverse)
     k = gens.shape[1]
-    F = regular_module(G, k)
-    o = G.order
-    mat = np.zeros((M.dim, k * o), dtype=np.int64)
-    for t in range(k):
-        for s in range(o):
-            mat[:, t * o + s] = (M.action[s] @ gens[:, t]) % l
-    return PiModuleMap(F, M, mat, validate=False)
+    # column t*order + g is rho(g) applied to the t-th lift
+    mat = np.stack(orbit(M, gens), axis=2).reshape(M.dim, k * G.order)
+    return PiModuleMap(regular_module(G, k), M, mat, validate=False)
 
 
 def kernel_of_map(f: PiModuleMap) -> tuple[PiModule, PiModuleMap]:
@@ -248,8 +267,8 @@ def is_projective(M: PiModule) -> bool:
 def submodule_span(M: PiModule, vectors) -> np.ndarray:
     """Basis of the submodule generated by the given columns.
 
-    One pass over all group elements suffices because the action matrices
-    form a group.
+    One pass over the orbit suffices because the action matrices form a
+    group.
     """
     l = M.group.prime_l
     V = flinalg.asfield(vectors, l)
@@ -257,8 +276,7 @@ def submodule_span(M: PiModule, vectors) -> np.ndarray:
         V = V[:, None]
     if V.shape[1] == 0:
         return np.zeros((M.dim, 0), dtype=np.int64)
-    blocks = [(M.action[g] @ V) % l for g in range(M.group.order)]
-    return flinalg.column_space_basis(np.hstack(blocks), l)
+    return flinalg.column_space_basis(np.hstack(orbit(M, V)), l)
 
 
 def quotient_module(M: PiModule, sub_basis) -> tuple[PiModule, PiModuleMap]:
@@ -266,8 +284,8 @@ def quotient_module(M: PiModule, sub_basis) -> tuple[PiModule, PiModuleMap]:
     G = M.group
     l = G.prime_l
     W = flinalg.asfield(sub_basis, l)
-    for s in G.generators:
-        img = (M.action[s] @ W) % l
+    for rho in M.gens:
+        img = (rho @ W) % l
         if W.size and not flinalg.same_column_space(np.hstack([W, img]), W, l):
             raise DimensionMismatchError("subspace is not action-invariant")
     quo = flinalg.QuotientSpace(flinalg.identity(M.dim, l), W, l)

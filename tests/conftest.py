@@ -302,6 +302,24 @@ def first_generator_projection(G: GroupTable) -> np.ndarray:
     return np.diag([1 if g in inside else 0 for g in range(G.order)]).astype(np.int64)
 
 
+def regular_action_matrices(G: GroupTable, rank: int) -> list[np.ndarray]:
+    """Left-multiplication permutation matrices of F_l[pi]^rank, one per
+    group element, on coordinates (i, s) -> i*order + s."""
+    o = G.order
+    mats = []
+    for g in range(o):
+        P = np.zeros((o, o), dtype=np.int64)
+        P[G.mult[g], np.arange(o)] = 1
+        if rank == 1:
+            mats.append(P)
+        else:
+            big = np.zeros((rank * o, rank * o), dtype=np.int64)
+            for i in range(rank):
+                big[i * o:(i + 1) * o, i * o:(i + 1) * o] = P
+            mats.append(big)
+    return mats
+
+
 def per_element_action(M, V, solve) -> list[np.ndarray]:
     """The induced action by one solve per group element."""
     l = M.group.prime_l

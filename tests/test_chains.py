@@ -1,6 +1,7 @@
 """Chain complexes: homology, cones, quasi-isomorphisms, minimalization."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from perfchain import (
     GroupRingMatrix,
     ModuleComplex,
     ModuleComplexMap,
+    build_group,
     direct_sum,
     euler_characteristic,
     homology,
@@ -21,6 +23,7 @@ from perfchain import (
     is_quasi_iso,
     mapping_cone,
     minimalize,
+    norm_element,
     regular_module,
     shift,
     zero_complex,
@@ -314,3 +317,24 @@ def test_homology_action_matches_per_element_solve(rng):
             data = C.homology_data(q)
             expected = per_element_action(C.module_at(q), data.reps, data.quotient.project)
             assert all(np.array_equal(a, b) for a, b in zip(data.module.action, expected)), name
+
+
+def test_expanded_free_complex_allocates_generator_actions_only():
+    """The regular modules of an expansion hold one matrix per generator:
+    over cyclic:81 that is one 324 x 324 matrix per degree, where one
+    matrix per element would take 81 of them (68 MB) per degree."""
+    G = build_group("cyclic:81", 3)
+    x = np.zeros(G.order, dtype=np.int64)
+    x[G.generators[0]], x[G.identity] = 1, 2
+    eye = np.eye(4, dtype=np.int64)[:, :, None]
+    d1 = GroupRingMatrix(G, eye * x)                              # (g - 1) I
+    d2 = GroupRingMatrix(G, eye * norm_element(G).coeffs)         # N I
+    C = ChainComplex(G, 0, [4, 4, 4], [d1, d2])
+    tracemalloc.start()
+    try:
+        E = C.expanded()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [M.dim for M in E.modules] == [324] * 3
+    assert peak < 8_000_000

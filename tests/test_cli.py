@@ -12,6 +12,7 @@ from perfchain import (
     ChainMap,
     GroupRingMatrix,
     Tower,
+    build_group,
     chains_of_cover,
     identity_chain_map,
     lens_complex,
@@ -25,6 +26,7 @@ from conftest import (
     heisenberg_27,
     pad_with_identity_cones,
     random_minimal_complex,
+    random_stabilizing_tower,
 )
 
 
@@ -89,6 +91,29 @@ def test_minimalize_json_bytes_pinned(capsys, tmp_path):
     assert out.startswith("minimal ranks [1, 2, 3, 2]; bottom 1\n")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "59247a7697fbe8d7166fcaaf04b61e8856fc94711666e690544ef04e1a7d1467")
+
+
+def test_tower_certificate_bytes_pinned(capsys, tmp_path):
+    """Tower certificates over C4^3 embed per-element module actions (the
+    limit's modules, the obstruction); pinned byte for byte."""
+    G = build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)
+    stable, core = random_stabilizing_tower(G, random.Random(1), n_levels=3)
+    L = ChainComplex(G, 0, [1], [])
+    N = GroupRingMatrix.from_entries(G, [[norm_element(G)]])
+    norm = Tower([L] * 3, [ChainMap(L, L, {0: N}), identity_chain_map(L)])
+    expected = {
+        "stable": (0, "495785b6c6d2960b537248613e1ea81e8fd1178bd288d0b7b0f61782eab6b296"),
+        "norm": (1, "3074a237b92d45b4488581d477e81e2248134e7c17cfb44a08a42bb56c8ef897"),
+    }
+    assert (stable.levels[0].ranks, core.ranks) == ([2, 3], [1])
+    for name, T in (("stable", stable), ("norm", norm)):
+        path = tmp_path / f"{name}.twr"
+        path.write_text(write_tower(T))
+        cert_path = tmp_path / f"{name}.json"
+        code, _, _ = run(capsys, "tower-perfect", str(path), "--horizon", "2",
+                         "--cert", str(cert_path))
+        digest = hashlib.sha256(cert_path.read_bytes()).hexdigest()
+        assert (code, digest) == expected[name], name
 
 
 def test_wall_subcommand(capsys, lens_path):
@@ -297,3 +322,16 @@ def test_completion_certificate_with_prime_one_is_a_parse_error(capsys, tmp_path
     capsys.readouterr()
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 2 and err.startswith("error[E_PARSE]")
+
+
+def test_completion_certificate_bound_to_its_input(capsys, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2 4\n6 8\n")
+    cert_path = tmp_path / "c.json"
+    main(["complete", "--presentation", str(path), "--l", "2", "--cert", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    cert["digest"] = "0" * 64
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert code == 1 and "INVALID" in out

@@ -25,7 +25,7 @@ from perfchain import (
     is_unit,
     norm_element,
 )
-from perfchain.groups import grm_compose, regular_action_matrices
+from perfchain.groups import grm_compose
 
 from conftest import (
     SMALL_GROUPS,
@@ -33,6 +33,7 @@ from conftest import (
     dihedral,
     generalized_quaternion,
     is_group_brute,
+    regular_action_matrices,
     three_group_zoo,
     two_group_zoo,
 )

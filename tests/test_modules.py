@@ -22,7 +22,14 @@ from perfchain import (
     zero_module,
 )
 from perfchain import flinalg
-from perfchain.modules import direct_sum_modules, is_equivariant, radical_basis, submodule_span
+from perfchain.modules import (
+    direct_sum_modules,
+    is_equivariant,
+    minimal_generator_lifts,
+    orbit,
+    radical_basis,
+    submodule_span,
+)
 
 from conftest import (
     SMALL_GROUPS,
@@ -31,6 +38,7 @@ from conftest import (
     is_equivariant_brute,
     first_generator_projection,
     per_element_action,
+    regular_action_matrices,
     right_multiplication_matrix,
     three_group_zoo,
     two_group_zoo,
@@ -287,3 +295,87 @@ def test_radical_basis_spans_all_group_elements():
         eye = np.eye(M.dim, dtype=np.int64)
         every = np.hstack([(M.action[g] - eye) % l for g in range(G.order)])
         assert flinalg.same_column_space(radical_basis(M), every, l), name
+
+
+def _same(actions, expected) -> bool:
+    return len(actions) == len(expected) and all(
+        np.array_equal(a, b) for a, b in zip(actions, expected))
+
+
+def _dense_sum(*actions) -> list[np.ndarray]:
+    """Per-element block-diagonal matrices of a direct sum."""
+    out = []
+    for blocks in zip(*actions):
+        n = sum(len(b) for b in blocks)
+        big = np.zeros((n, n), dtype=np.int64)
+        off = 0
+        for b in blocks:
+            big[off:off + len(b), off:off + len(b)] = b
+            off += len(b)
+        out.append(big)
+    return out
+
+
+def test_generator_modules_materialize_the_dense_actions():
+    """The per-element view of each constructor that stores generators only
+    equals the dense matrices built element by element."""
+    for name, G in two_group_zoo():
+        eye = [np.eye(2, dtype=np.int64)] * G.order
+        for r in (1, 2):
+            assert _same(regular_module(G, r).action, regular_action_matrices(G, r)), (name, r)
+        assert _same(trivial_module(G, 2).action, eye), name
+        assert _same(zero_module(G).action, [np.zeros((0, 0), dtype=np.int64)] * G.order)
+        M = direct_sum_modules(regular_module(G, 1), trivial_module(G, 2), regular_module(G, 2))
+        expected = _dense_sum(regular_action_matrices(G, 1), eye, regular_action_matrices(G, 2))
+        assert _same(M.action, expected), name
+        assert M == PiModule(G, M.dim, expected), name
+
+
+def test_induced_action_on_a_direct_sum_matches_per_element_solve():
+    rng = random.Random(53)
+    for name, G in two_group_zoo():
+        l, o = G.prime_l, G.order
+        S = direct_sum_modules(regular_module(G, 1), trivial_module(G))
+        dense = _dense_sum(regular_action_matrices(G, 1), [np.eye(1, dtype=np.int64)] * o)
+        # augmentation on F_l[pi] plus c on the trivial summand is equivariant
+        f = PiModuleMap(S, trivial_module(G), [[1] * o + [rng.randrange(l)]])
+        ker, incl = kernel_of_map(f)
+        K = incl.matrix
+        expected = [flinalg.solve_matrix(K, (a @ K) % l, l) for a in dense]
+        assert _same(ker.action, expected), name
+
+        W = submodule_span(S, K[:, :1]) if K.shape[1] else K
+        Q, _ = quotient_module(S, W)
+        quo = flinalg.QuotientSpace(flinalg.identity(S.dim, l), W, l)
+        expected = [quo.project((a @ quo.reps) % l) for a in dense]
+        assert _same(Q.action, expected), name
+
+
+def test_orbit_matches_dense_products():
+    rng = random.Random(59)
+    for name, G in two_group_zoo():
+        l = G.prime_l
+        dense = _dense_sum(regular_action_matrices(G, 1), regular_action_matrices(G, 2))
+        M = PiModule(G, 3 * G.order, dense)
+        V = np.array([[rng.randrange(l) for _ in range(2)] for _ in range(M.dim)])
+        assert _same(orbit(M, V), [(a @ V) % l for a in dense]), name
+
+
+def test_free_cover_matches_per_element_loop():
+    """The cover's columns rho(g) x_t, against one product per element and
+    lift, for quotients of F_l[pi]^2 given densely and by generators."""
+    rng = random.Random(61)
+    for name, G in two_group_zoo():
+        l, o = G.prime_l, G.order
+        R = PiModule(G, 2 * o, regular_action_matrices(G, 2))
+        vec = np.array([[rng.randrange(l)] for _ in range(R.dim)])
+        W = submodule_span(R, vec)
+        quo = flinalg.QuotientSpace(flinalg.identity(R.dim, l), W, l)
+        dense = [quo.project((a @ quo.reps) % l) for a in R.action]
+        for Q in (PiModule(G, quo.dim, dense), quotient_module(R, W)[0]):
+            lifts = minimal_generator_lifts(Q)
+            expected = np.zeros((Q.dim, lifts.shape[1] * o), dtype=np.int64)
+            for t in range(lifts.shape[1]):
+                for g in range(o):
+                    expected[:, t * o + g] = (dense[g] @ lifts[:, t]) % l
+            assert np.array_equal(free_cover(Q).matrix, expected), name
