@@ -6,7 +6,12 @@ off the diagonal reduced modulo the diagonal, so the transforms U and V
 stay near the size of the determinant (see `smith_normal_form`).  The
 l-adic integers are handled symbolically: a completed module is a free
 rank plus a multiset of l-power torsion orders, and "over Z_l" questions
-reduce to l-valuations of integer Smith data.
+reduce to l-valuations of integer Smith data.  With U R V = diag(d), v lies
+in the column lattice of R over Z iff each (U v)_i is divisible by d_i, and
+over Z_l iff it is divisible by the l-part of d_i; `Lattice.contains` is
+that one test for both rings, and `check_exactness` runs the same lattice
+conditions once over Z and once over Z_l.  Each `FGAbelian` owns the
+lattice of its relations, so its Smith form is computed once.
 """
 
 from __future__ import annotations
@@ -28,9 +33,11 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def mat_mul(A, B) -> list[list[int]]:
-    n, k = len(A), len(A[0]) if A else 0
+    # k from B: a matrix with no rows keeps no column count, and its
+    # product with anything is the matrix with no rows
+    n, k = len(A), len(B)
     m = len(B[0]) if B else 0
-    if len(B) != k:
+    if A and len(A[0]) != k:
         raise DimensionMismatchError("integer matrix shapes do not compose")
     out = [[0] * m for _ in range(n)]
     for i in range(n):
@@ -230,7 +237,8 @@ def invariant_factors(M) -> tuple:
 
 
 class Lattice:
-    """The column lattice of an integer matrix, with exact membership tests."""
+    """The column lattice of an integer matrix, with exact membership tests
+    over Z and over the l-adic integers Z_l."""
 
     def __init__(self, matrix, ambient_dim: int | None = None):
         matrix = [list(map(int, row)) for row in matrix]
@@ -242,7 +250,6 @@ class Lattice:
         if len(matrix) != ambient_dim:
             raise DimensionMismatchError("lattice generators have wrong length")
         self.matrix = matrix
-        self.ncols = len(matrix[0]) if matrix else 0
         self._snf = None
 
     def snf(self) -> SNFResult:
@@ -250,36 +257,21 @@ class Lattice:
             self._snf = smith_normal_form(self.matrix)
         return self._snf
 
-    def _reduced_rhs(self, v):
+    def _moduli(self, l: int | None) -> list[int]:
+        """What coordinate i of U v must be divisible by for v to lie in the
+        span, where U R V = diag(d): d_i over Z (l None), and over Z_l the
+        l-part of d_i, since the integers prime to l are units there.
+        Past the rank the modulus is 0, which asks for (U v)_i = 0."""
         s = self.snf()
-        return mat_vec(s.U, list(map(int, v)))
+        moduli = [d if l is None or not d else _l_part(d, l) for d in s.diag]
+        return moduli + [0] * (self.ambient_dim - len(moduli))
 
-    def contains(self, v) -> bool:
-        """Is v an integer combination of the columns?"""
-        s = self.snf()
-        c = self._reduced_rhs(v)
-        for i, ci in enumerate(c):
-            d = s.diag[i] if i < len(s.diag) else 0
-            if d == 0:
-                if ci != 0:
-                    return False
-            elif ci % d:
-                return False
-        return True
+    def contains(self, v, l: int | None = None) -> bool:
+        """Is v in the span of the columns over Z, or over Z_l when l is
+        given?  One Smith-form test for both (see `_moduli`)."""
+        c = mat_vec(self.snf().U, list(map(int, v)))
+        return all(ci % m == 0 if m else ci == 0 for ci, m in zip(c, self._moduli(l)))
 
-    def contains_l_locally(self, v, l: int) -> bool:
-        """Is v in the Z_l-span of the columns?  Decided on l-valuations."""
-        s = self.snf()
-        c = self._reduced_rhs(v)
-        for i, ci in enumerate(c):
-            d = s.diag[i] if i < len(s.diag) else 0
-            if d == 0:
-                if ci != 0:
-                    return False
-            else:
-                if ci % _l_part(d, l):
-                    return False
-        return True
 
 def _l_part(d: int, l: int) -> int:
     d = abs(d)
@@ -302,16 +294,28 @@ def integer_kernel_columns(M) -> list[list[int]]:
     return [[s.V[i][j] for j in range(r, cols)] for i in range(cols)]
 
 
-def hstack_int(*mats) -> list[list[int]]:
-    mats = [m for m in mats if m and len(m[0]) >= 0]
-    rows = len(mats[0])
-    out = [[] for _ in range(rows)]
-    for m in mats:
-        if len(m) != rows:
-            raise DimensionMismatchError("hstack row mismatch")
-        for i in range(rows):
-            out[i] = out[i] + list(map(int, m[i]))
-    return out
+def _preimage(M, tgt: Lattice, l: int | None, n: int) -> list[list[int]]:
+    """Generators, as the columns of an n-row matrix, of {x in Z^n : M x
+    lies in the span of tgt over Z (l None) or over Z_l}.
+
+    With U R V = diag(d) for the matrix R of tgt, M x lies in the span iff
+    each coordinate of c = U M x is divisible by its modulus (see
+    `Lattice._moduli`); a modulus of 1 asks nothing.  So x is the first n
+    coordinates of the integer kernel of [U M | D], where D holds one
+    column per nonzero modulus m, with m in that modulus's row.
+    """
+    rows = [(row, m) for row, m in zip(mat_mul(tgt.snf().U, M), tgt._moduli(l)) if m != 1]
+    if not rows:
+        return _identity(n)
+    k = sum(1 for _, m in rows if m)
+    mat, j = [], n
+    for row, m in rows:
+        row = row + [0] * k
+        if m:
+            row[j] = m
+            j += 1
+        mat.append(row)
+    return integer_kernel_columns(mat)[:n]
 
 
 # ----------------------------------------------------------------------
@@ -319,19 +323,25 @@ def hstack_int(*mats) -> list[list[int]]:
 
 
 class FGAbelian:
-    """Z^n modulo the column lattice of a presentation matrix."""
+    """Z^n modulo the column lattice of a presentation matrix.
+
+    The group owns that relation `Lattice`, so its Smith form is computed
+    once and shared by `snf`, map validation and `check_exactness`.
+    """
 
     def __init__(self, n_generators: int, relations=None):
         self.n = int(n_generators)
-        if relations is None or (len(relations) == 0):
-            relations = [[] for _ in range(self.n)]
-        relations = [list(map(int, row)) for row in relations]
-        if len(relations) != self.n:
+        if relations is None:
+            relations = []
+        if len(relations) and len(relations) != self.n:
             raise DimensionMismatchError(
                 f"presentation has {len(relations)} rows for {self.n} generators"
             )
-        self.relations = relations
-        self._snf = None
+        self.lattice = Lattice(relations, self.n)
+
+    @property
+    def relations(self) -> list[list[int]]:
+        return self.lattice.matrix
 
     @staticmethod
     def from_invariants(free_rank: int, torsion=()) -> "FGAbelian":
@@ -344,9 +354,7 @@ class FGAbelian:
         return FGAbelian(n, rel)
 
     def snf(self) -> SNFResult:
-        if self._snf is None:
-            self._snf = smith_normal_form(self.relations)
-        return self._snf
+        return self.lattice.snf()
 
     @property
     def free_rank(self) -> int:
@@ -388,16 +396,9 @@ class FGAbelianMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if validate:
-            tgt = Lattice(target.relations, target.n)
-            img = mat_mul(matrix, source.relations) if source.relations and len(
-                source.relations[0]) else None
-            if img is not None:
-                for j in range(len(img[0])):
-                    if not tgt.contains([img[i][j] for i in range(target.n)]):
-                        raise DimensionMismatchError(
-                            "matrix does not send relations into relations"
-                        )
+        if validate and not all(target.lattice.contains(mat_vec(matrix, r))
+                                for r in zip(*source.relations)):
+            raise DimensionMismatchError("matrix does not send relations into relations")
 
     def __repr__(self):
         return f"FGAbelianMap({self.source} -> {self.target})"
@@ -447,105 +448,40 @@ def l_complete(A: FGAbelian, l: int) -> FGZlModule:
     return FGZlModule(l, A.free_rank, tuple(sorted(torsion, reverse=True)))
 
 
-def _preimage_lattice(M, tgt: Lattice) -> list[list[int]]:
-    """Generators of {x : M x lies in tgt}, as columns."""
-    rows = len(M)
-    n = len(M[0]) if rows else 0
-    big = hstack_int(M, [[-v for v in row] for row in tgt.matrix]) if tgt.ncols else M
-    ker = integer_kernel_columns(big)
-    if not ker or not ker[0]:
-        return [[] for _ in range(n)]
-    return [ker[i] for i in range(n)]
+def _within(M, big: Lattice, l: int | None) -> bool:
+    """Does every column of M lie in `big`, over Z (l None) or over Z_l?"""
+    return all(big.contains(v, l) for v in zip(*M))
 
 
-def _preimage_lattice_l_local(M, tgt: Lattice, l: int) -> list[list[int]]:
-    """Generators of {x : M x lies in the Z_l-span of tgt}.
-
-    Conditions come from the Smith form of the target lattice: with
-    U R V = diag(d), the requirement on c = U M x is c_i = 0 beyond the
-    rank and c_i divisible by the l-part of d_i otherwise.
-    """
-    rows = len(M)
-    n = len(M[0]) if rows else 0
-    s = tgt.snf()
-    UM = mat_mul(list(map(list, s.U)), M) if rows else []
-    r = s.rank
-    stacked = []
-    pad = 0
-    for i in range(rows):
-        d = s.diag[i] if i < len(s.diag) else 0
-        if d == 0:
-            stacked.append((list(UM[i]), None))
-        else:
-            stacked.append((list(UM[i]), _l_part(d, l)))
-            pad += 1
-    mat = []
-    k = 0
-    for row, modulus in stacked:
-        extra = [0] * pad
-        if modulus is not None:
-            extra[k] = modulus
-            k += 1
-        mat.append(row + extra)
-    ker = integer_kernel_columns(mat)
-    if not ker or not ker[0]:
-        return [[] for _ in range(n)]
-    return [ker[i] for i in range(n)]
-
-
-def _sublattice_of(generators, big: Lattice, l: int | None) -> bool:
-    """Is every generator column in `big` (integrally, or l-locally)?"""
-    if not generators or not generators[0]:
-        return True
-    ncols = len(generators[0])
-    for j in range(ncols):
-        v = [generators[i][j] for i in range(len(generators))]
-        ok = big.contains_l_locally(v, l) if l else big.contains(v)
-        if not ok:
-            return False
-    return True
-
-
-def _exact_at_all_spots(f: FGAbelianMap, g: FGAbelianMap, l: int | None) -> bool:
-    """Exactness of 0 -> A -> B -> C -> 0, integrally (l=None) or after
-    l-completion (decided on l-parts)."""
+def _short_exact(f: FGAbelianMap, g: FGAbelianMap, im_f: Lattice, im_g: Lattice,
+                 l: int | None) -> bool:
+    """Exactness of 0 -> A -> B -> C -> 0 over Z (l None) or over Z_l,
+    given the lattices im f + rel B and im g + rel C: f^-1(rel B) lies in
+    rel A (injective), g^-1(rel C) in im f + rel B (exact at B), and every
+    generator of C in im g + rel C (surjective)."""
     A, B, C = f.source, f.target, g.target
-    rel_a = Lattice(A.relations, A.n)
-    rel_b = Lattice(B.relations, B.n)
-    im_f_rel_b = Lattice(hstack_int(f.matrix, B.relations), B.n)
-    im_g_rel_c = Lattice(hstack_int(g.matrix, C.relations), C.n)
-    pre = _preimage_lattice_l_local if l else _preimage_lattice
-
-    # injectivity of A -> B: preimage of rel_B under f lies in rel_A
-    ker_f = pre(f.matrix, rel_b, l) if l else _preimage_lattice(f.matrix, rel_b)
-    if not _sublattice_of(ker_f, rel_a, l):
-        return False
-    # exactness at B: preimage of rel_C under g lies in im(f) + rel_B
-    ker_g = pre(g.matrix, Lattice(C.relations, C.n), l) if l else _preimage_lattice(
-        g.matrix, Lattice(C.relations, C.n))
-    if not _sublattice_of(ker_g, im_f_rel_b, l):
-        return False
-    # surjectivity of B -> C: every generator of C is hit
-    eye = _identity(C.n)
-    if not _sublattice_of(eye, im_g_rel_c, l):
-        return False
-    return True
+    return (_within(_preimage(f.matrix, B.lattice, l, A.n), A.lattice, l)
+            and _within(_preimage(g.matrix, C.lattice, l, B.n), im_f, l)
+            and _within(_identity(C.n), im_g, l))
 
 
 def check_exactness(f: FGAbelianMap, g: FGAbelianMap, l: int) -> bool:
     """Does 0 -> A_l -> B_l -> C_l -> 0 stay exact after l-completion?
 
-    Validates that g o f = 0 and that the integral sequence is a short
-    exact sequence (NotExactIntegrallyError otherwise), then decides the
-    completed sequence by independent l-local lattice computations.
+    Checks that g o f = 0 and that the integral sequence is short exact
+    (NotExactIntegrallyError otherwise), then decides the completed
+    sequence by the same three lattice conditions over Z_l, on the same
+    five lattices: the relations of A, B and C, im f + rel B and
+    im g + rel C.  The l-local pass is an independent decision; it does
+    not appeal to the flatness of Z_l over Z.
     """
     if f.target is not g.source and f.target.n != g.source.n:
         raise DimensionMismatchError("maps do not compose")
-    comp = mat_mul(g.matrix, f.matrix)
-    rel_c = Lattice(g.target.relations, g.target.n)
-    for j in range(f.source.n):
-        if not rel_c.contains([comp[i][j] for i in range(g.target.n)]):
-            raise NotExactIntegrallyError("g o f is not zero")
-    if not _exact_at_all_spots(f, g, None):
+    B, C = f.target, g.target
+    if not all(C.lattice.contains(mat_vec(g.matrix, v)) for v in zip(*f.matrix)):
+        raise NotExactIntegrallyError("g o f is not zero")
+    im_f = Lattice([a + b for a, b in zip(f.matrix, B.relations)], B.n)
+    im_g = Lattice([a + b for a, b in zip(g.matrix, C.relations)], C.n)
+    if not _short_exact(f, g, im_f, im_g, None):
         raise NotExactIntegrallyError("integral sequence is not short exact")
-    return _exact_at_all_spots(f, g, l)
+    return _short_exact(f, g, im_f, im_g, l)

@@ -15,7 +15,7 @@ from . import flinalg, serialize
 from .abelian import FGAbelian, SNFResult, mat_mul
 from .chains import ChainComplex, is_quasi_iso, module_mapping_cone
 from .errors import LimitError, ParseError
-from .finiteness import PerfectnessVerdict
+from .finiteness import PerfectnessVerdict, decide_perfect
 from .modules import PiModuleMap, free_cover, minimal_generators, regular_module
 from .towers import Tower, limit_complex
 
@@ -209,6 +209,13 @@ def check_tower_perfectness(cert: dict) -> None:
         if euler_characteristic(R) != cert["verdict"]["euler_class"]:
             raise VerificationFailure("euler_class does not match the replacement")
     else:
+        # a negative verdict must be the limit's, with the limit's obstruction
+        verdict = decide_perfect(limit)
+        if verdict.perfect:
+            raise VerificationFailure("the recomputed limit is perfect")
+        recorded = _field(_field(cert, "witness"), "obstruction")
+        if serialize.module_to_json(verdict.top_obstruction) != recorded:
+            raise VerificationFailure("recorded obstruction is not the limit's")
         _check_nonfree(cert["witness"], limit.group)
 
 

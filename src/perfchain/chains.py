@@ -73,6 +73,7 @@ class ModuleComplex:
         self.modules = mods
         self.diffs = diffs
         self._homology_cache: dict[int, HomologyData] = {}
+        self._diff_ranks: dict[int, int] = {}
 
     @property
     def top(self) -> int:
@@ -94,10 +95,16 @@ class ModuleComplex:
             return self.diffs[i - 1]
         return np.zeros((self.dim_at(q - 1), self.dim_at(q)), dtype=np.int64)
 
+    def _diff_rank(self, q: int) -> int:
+        """Rank of d_q over F_l, computed once per degree (0 outside)."""
+        if not 1 <= q - self.bottom < len(self.modules):
+            return 0
+        if q not in self._diff_ranks:
+            self._diff_ranks[q] = flinalg.rank(self.diff_at(q), self.group.prime_l)
+        return self._diff_ranks[q]
+
     def homology_dim(self, q: int) -> int:
-        l = self.group.prime_l
-        zdim = self.dim_at(q) - flinalg.rank(self.diff_at(q), l)
-        return zdim - flinalg.rank(self.diff_at(q + 1), l)
+        return self.dim_at(q) - self._diff_rank(q) - self._diff_rank(q + 1)
 
     def homology_data(self, q: int) -> "HomologyData":
         if q not in self._homology_cache:
@@ -112,9 +119,6 @@ class ModuleComplex:
 
     def is_acyclic(self) -> bool:
         return not self.homology_support()
-
-    def total_dim(self) -> int:
-        return sum(m.dim for m in self.modules)
 
 
 class HomologyData(NamedTuple):

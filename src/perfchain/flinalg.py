@@ -129,15 +129,12 @@ class QuotientSpace:
     of U to their coordinates in the quotient basis.
     """
 
-    def __init__(self, U, W, l: int, reverse: bool = False):
+    def __init__(self, U, W, l: int):
         self.l = l
         U = asfield(U, l)
         W = asfield(W, l)
         self.sub = column_space_basis(W, l)
-        if reverse:
-            self.reps = complete_basis(self.sub, U[:, ::-1], l)
-        else:
-            self.reps = complete_basis(self.sub, U, l)
+        self.reps = complete_basis(self.sub, U, l)
         self.dim = self.reps.shape[1]
         self._solve_block = np.hstack([self.sub, self.reps])
 

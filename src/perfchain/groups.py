@@ -424,9 +424,6 @@ class GroupRingMatrix:
     def is_zero(self) -> bool:
         return not self.data.any()
 
-    def submatrix(self, keep_rows, keep_cols) -> "GroupRingMatrix":
-        return GroupRingMatrix(self.group, self.data[np.ix_(keep_rows, keep_cols)])
-
     def __add__(self, other):
         self._check_same(other)
         return GroupRingMatrix(self.group, self.data + other.data)

@@ -222,10 +222,10 @@ def minimal_generator_lifts(M: PiModule, reverse: bool = False) -> np.ndarray:
     return flinalg.complete_basis(rad, eye, l)
 
 
-def free_cover(M: PiModule, reverse: bool = False) -> PiModuleMap:
+def free_cover(M: PiModule) -> PiModuleMap:
     """The minimal surjection F_l[pi]^k -> M, k = minimal_generators(M)."""
     G = M.group
-    gens = minimal_generator_lifts(M, reverse=reverse)
+    gens = minimal_generator_lifts(M)
     k = gens.shape[1]
     # column t*order + g is rho(g) applied to the t-th lift
     mat = np.stack(orbit(M, gens), axis=2).reshape(M.dim, k * G.order)

@@ -34,18 +34,20 @@ def _format_matrix_lines(m: GroupRingMatrix) -> list[str]:
     return lines
 
 
-def write_complex(C: ChainComplex) -> str:
-    lines = [
-        f"group {C.group.descriptor}",
-        f"prime {C.group.prime_l}",
-        f"bottom {C.bottom}",
-        ("ranks " + " ".join(str(r) for r in C.ranks)).rstrip(),
-    ]
+def _complex_lines(C: ChainComplex) -> list[str]:
+    """The bottom, ranks and boundary lines of C, shared by complexes and
+    tower levels."""
+    lines = [f"bottom {C.bottom}", ("ranks " + " ".join(str(r) for r in C.ranks)).rstrip()]
     for i, b in enumerate(C.boundaries):
         if b.rows == 0 or b.cols == 0:
             continue
         lines.append(f"boundary {C.bottom + i + 1}")
         lines.extend(_format_matrix_lines(b))
+    return lines
+
+
+def write_complex(C: ChainComplex) -> str:
+    lines = [f"group {C.group.descriptor}", f"prime {C.group.prime_l}", *_complex_lines(C)]
     return "\n".join(lines) + "\n"
 
 
@@ -162,13 +164,7 @@ def write_tower(T: Tower) -> str:
     ]
     for n, L in enumerate(T.levels):
         lines.append(f"level {n}")
-        lines.append(f"bottom {L.bottom}")
-        lines.append(("ranks " + " ".join(str(r) for r in L.ranks)).rstrip())
-        for i, b in enumerate(L.boundaries):
-            if b.rows == 0 or b.cols == 0:
-                continue
-            lines.append(f"boundary {L.bottom + i + 1}")
-            lines.extend(_format_matrix_lines(b))
+        lines.extend(_complex_lines(L))
     for n, bond in enumerate(T.bonds):
         lines.append(f"bond {n}")
         for q in sorted(bond.components):

@@ -22,7 +22,7 @@ from perfchain import (
     norm_element,
 )
 from perfchain import flinalg
-from perfchain.abelian import SNFResult
+from perfchain.abelian import Lattice, SNFResult, integer_kernel_columns
 from perfchain.chains import compose_chain_maps
 from perfchain.groups import grm_compose
 
@@ -450,6 +450,19 @@ def smith_normal_form_reference(M) -> SNFResult:
     diag = tuple(A[k][k] for k in range(n))
     return SNFResult(diag, tuple(map(tuple, U)), tuple(map(tuple, V)),
                      tuple(map(tuple, Uinv)))
+
+
+def preimage_lattice_reference(M, tgt: Lattice) -> list[list[int]]:
+    """Generators, as columns, of {x : M x lies in tgt} over Z: the first
+    n coordinates of the integer kernel of [M | -R], R the matrix of tgt.
+    A construction independent of tgt's Smith form, kept as the oracle for
+    `abelian._preimage`."""
+    n = len(M[0]) if M else 0
+    big = [list(a) + [-v for v in b] for a, b in zip(M, tgt.matrix)]
+    ker = integer_kernel_columns(big)
+    if not ker or not ker[0]:
+        return [[] for _ in range(n)]
+    return [ker[i] for i in range(n)]
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -16,10 +17,10 @@ from perfchain import (
     l_complete,
     smith_normal_form,
 )
-from perfchain.abelian import Lattice, integer_kernel_columns, mat_mul
+from perfchain.abelian import Lattice, _preimage, integer_kernel_columns, mat_mul, mat_vec
 from perfchain.certificates import _check_snf_witness, _int_det
 
-from conftest import smith_normal_form_reference
+from conftest import preimage_lattice_reference, smith_normal_form_reference
 
 
 def minor_gcd_oracle(M):
@@ -253,5 +254,78 @@ def test_lattice_membership():
     L = Lattice([[2, 0], [0, 3]])
     assert L.contains([4, 3])
     assert not L.contains([1, 0])
-    assert L.contains_l_locally([1, 0], 3)  # 2 is invertible in Z_3
-    assert not L.contains_l_locally([0, 1], 3)
+    assert L.contains([1, 0], 3)  # 2 is invertible in Z_3
+    assert not L.contains([0, 1], 3)
+
+
+def test_check_exactness_with_zero_groups():
+    """Maps into the zero group have matrices with no rows; the column count
+    comes from the source."""
+    Z, zero = FGAbelian(1), FGAbelian(0)
+    Zmod2 = FGAbelian.from_invariants(0, [2])
+    to_zero = FGAbelianMap(Z, zero, [])
+    assert check_exactness(FGAbelianMap(Z, Z, [[1]]), to_zero, 2)      # Z -id-> Z -> 0
+    with pytest.raises(NotExactIntegrallyError):
+        check_exactness(FGAbelianMap(Z, Z, [[2]]), to_zero, 2)         # Z -2-> Z -> 0
+    with pytest.raises(NotExactIntegrallyError):
+        check_exactness(to_zero, FGAbelianMap(zero, zero, []), 2)      # Z -> 0 -> 0
+    assert check_exactness(FGAbelianMap(zero, zero, []), FGAbelianMap(zero, zero, []), 2)
+    for l in (2, 3):                                                   # Z/2 -id-> Z/2 -> 0
+        assert check_exactness(FGAbelianMap(Zmod2, Zmod2, [[1]]),
+                               FGAbelianMap(Zmod2, zero, []), l)
+
+
+def test_preimage_matches_kernel_reference():
+    """Over Z, the Smith-form preimage and the kernel of [M | -R] span the
+    same lattice, and over Z_l the preimage contains the integral one and
+    is sent into the Z_l-span."""
+    rng = random.Random(2506079)
+    for _ in range(150):
+        r, n, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 4)
+        M = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(r)]
+        L = Lattice([[rng.randint(-6, 6) for _ in range(k)] for _ in range(r)], r)
+        mine = _preimage(M, L, None, n)
+        ref = preimage_lattice_reference(M, L)
+        assert all(Lattice(ref, n).contains(x) for x in zip(*mine))
+        assert all(Lattice(mine, n).contains(x) for x in zip(*ref))
+        for l in (2, 3, 5):
+            local = _preimage(M, L, l, n)
+            assert all(L.contains(mat_vec(M, x), l) for x in zip(*local))
+            assert all(Lattice(local, n).contains(x) for x in zip(*mine))
+
+
+def fraction_solve(R, v) -> list[Fraction]:
+    """R^-1 v for square nonsingular R, by Gauss-Jordan over the rationals."""
+    n = len(R)
+    A = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(R, v)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if A[i][c])
+        A[c], A[p] = A[p], A[c]
+        A[c] = [x / A[c][c] for x in A[c]]
+        for i in range(n):
+            if i != c and A[i][c]:
+                A[i] = [x - A[i][c] * y for x, y in zip(A[i], A[c])]
+    return [row[n] for row in A]
+
+
+def test_lattice_contains_matches_fraction_oracle():
+    """For square nonsingular R, v lies in the column lattice over Z iff
+    R^-1 v is integral, and over Z_l iff no denominator is divisible by l."""
+    rng = random.Random(79142)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        while True:
+            R = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if _int_det(R):
+                break
+        L = Lattice(R)
+        for _ in range(4):
+            v = [rng.randint(-12, 12) for _ in range(n)]
+            dens = [x.denominator for x in fraction_solve(R, v)]
+            expected = all(d == 1 for d in dens)
+            assert L.contains(v) == L.contains(v, None) == expected
+            seen[expected] += 1
+            for l in (2, 3, 5):
+                assert L.contains(v, l) == all(d % l for d in dens)
+    assert min(seen.values()) > 50

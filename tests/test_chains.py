@@ -28,6 +28,7 @@ from perfchain import (
     shift,
     zero_complex,
 )
+from perfchain import flinalg
 from perfchain.chains import compose_chain_maps
 
 from conftest import (
@@ -93,6 +94,24 @@ def test_mapping_cone_of_identity_is_acyclic():
     C = lens_like(G, 2)
     cone = mapping_cone(identity_chain_map(C))
     assert cone.expanded().is_acyclic()
+
+
+def test_is_acyclic_ranks_each_differential_once(monkeypatch):
+    """Homology dimensions share one rank per differential, so deciding
+    acyclicity (twice) ranks no differential twice."""
+    G = SMALL_GROUPS["C2"]
+    cone = mapping_cone(identity_chain_map(lens_like(G, 3))).expanded()
+    real, calls = flinalg.rank, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flinalg, "rank", counted)
+    assert cone.is_acyclic() and cone.is_acyclic()
+    assert [cone.homology_dim(q) for q in range(cone.bottom - 1, cone.top + 2)] == \
+        [0] * (len(cone.modules) + 2)
+    assert 0 < len(calls) <= len(cone.diffs)
 
 
 def test_mapping_cone_of_zero_map_from_zero():

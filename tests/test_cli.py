@@ -261,6 +261,29 @@ def test_negative_verdict_on_free_complex_rejected(capsys, norm_tower_path, tmp_
     assert out.startswith("certificate INVALID")
 
 
+def test_forged_negative_tower_verdict_rejected(capsys, norm_tower_path, tmp_path):
+    """The certificate of a constant (perfect) C2 tower, turned negative
+    with the norm tower's non-free obstruction pasted in, must not verify:
+    the verdict and the obstruction belong to the recomputed limit."""
+    G = SMALL_GROUPS["C2"]
+    L = ChainComplex(G, 0, [1], [])
+    const_path = tmp_path / "const.twr"
+    const_path.write_text(write_tower(Tower([L] * 3, [identity_chain_map(L)] * 2)))
+    cert_path, norm_cert = tmp_path / "const.json", tmp_path / "norm.json"
+    main(["tower-perfect", str(const_path), "--horizon", "2", "--cert", str(cert_path)])
+    main(["tower-perfect", norm_tower_path, "--horizon", "2", "--cert", str(norm_cert)])
+    capsys.readouterr()
+    cert = json.loads(cert_path.read_text())
+    cert["verdict"] = {"perfect": False}
+    cert["witness"] = json.loads(norm_cert.read_text())["witness"]
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert code == 1
+    assert out.startswith("certificate INVALID")
+    code, out, _ = run(capsys, "verify", str(norm_cert))
+    assert code == 0
+
+
 def test_snf_certificate_of_dense_60x60_matrix(capsys, tmp_path):
     """U and V stay small enough to print: the certificate of a dense
     60 x 60 matrix is written and verifies."""
