@@ -269,7 +269,11 @@ class Lattice:
     def contains(self, v, l: int | None = None) -> bool:
         """Is v in the span of the columns over Z, or over Z_l when l is
         given?  One Smith-form test for both (see `_moduli`)."""
-        c = mat_vec(self.snf().U, list(map(int, v)))
+        v = list(map(int, v))
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"vector of length {len(v)}; the lattice lies in Z^{self.ambient_dim}")
+        c = mat_vec(self.snf().U, v)
         return all(ci % m == 0 if m else ci == 0 for ci, m in zip(c, self._moduli(l)))
 
 

@@ -5,6 +5,11 @@ digest of the canonical text) and enough witness data to re-validate the
 verdict without re-running any search: quasi-isomorphism witnesses are
 re-checked by cone acyclicity, non-freeness by an explicit kernel vector
 of the minimal cover, Smith forms by multiplying out the transformations.
+
+Modules (a tower's limit, a negative verdict's obstruction) are written
+by their generator matrices only (see `serialize.module_from_json`); a
+recorded limit or obstruction must equal the recomputed one.  Missing
+keys and malformed witnesses are ParseError, before any arithmetic.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ from .abelian import FGAbelian, SNFResult, mat_mul
 from .chains import ChainComplex, is_quasi_iso, module_mapping_cone
 from .errors import LimitError, ParseError
 from .finiteness import PerfectnessVerdict, decide_perfect
-from .modules import PiModuleMap, free_cover, minimal_generators, regular_module
+from .modules import PiModule, PiModuleMap, free_cover, minimal_generators, regular_module
+from .serialize import json_field, json_field_matrix, json_int_matrix
 from .towers import Tower, limit_complex
 
-FORMAT = "perfchain-cert-v1"
+FORMAT = "perfchain-cert-v2"
 
 
 def dumps(cert: dict) -> str:
@@ -33,8 +39,10 @@ def loads(text: str) -> dict:
         raise ParseError(f"bad certificate JSON: {e}")
     except ValueError as e:     # an integer past Python's digit limit
         raise LimitError(f"certificate integer too long: {e}") from None
-    if not isinstance(cert, dict) or cert.get("format") != FORMAT:
+    if not isinstance(cert, dict):
         raise ParseError("not a perfchain certificate")
+    if cert.get("format") != FORMAT:
+        raise ParseError(f"certificate format {cert.get('format')!r} is not {FORMAT!r}")
     return cert
 
 
@@ -82,17 +90,16 @@ def _nonfree_witness(verdict: PerfectnessVerdict) -> dict:
     }
 
 
-def _check_nonfree(witness: dict, G) -> None:
-    P = serialize.module_from_json(witness["obstruction"], G)
+def _check_nonfree(witness: dict, P: PiModule) -> None:
+    G = P.group
     l = G.prime_l
     k = minimal_generators(P)
-    cover_mat = flinalg.asfield(witness["cover"], l)
-    if cover_mat.shape != (P.dim, k * G.order):
-        raise VerificationFailure("cover matrix has wrong shape for a minimal cover")
-    cover = PiModuleMap(regular_module(G, k), P, cover_mat)  # validates equivariance
+    n = k * G.order
+    cover_mat = json_field_matrix(json_field(witness, "cover"), "cover", l, P.dim, n)
+    v = json_field_matrix([json_field(witness, "kernel_vector")], "kernel_vector", l, 1, n)[0]
+    cover = PiModuleMap(regular_module(G, k), P, cover_mat)  # checks equivariance
     if flinalg.rank(cover.matrix, l) != P.dim:
         raise VerificationFailure("recorded cover is not surjective")
-    v = flinalg.asfield(witness["kernel_vector"], l)
     if not v.any():
         raise VerificationFailure("kernel vector is zero")
     if ((cover.matrix @ v) % l).any():
@@ -158,8 +165,21 @@ def limit_certificate(T: Tower, horizon: int, limit) -> dict:
     return cert
 
 
-def _recomputed_limit(T: Tower, horizon, recorded: dict):
+def _tower_input(cert: dict) -> Tower:
+    """The tower a limit or tower-perfectness certificate is about."""
+    text = json_field(json_field(cert, "input"), "tower")
+    if not isinstance(text, str):
+        raise ParseError("input tower is not text")
+    T = serialize.read_tower(text)
+    if json_field(cert, "digest") != serialize.digest_text(serialize.write_tower(T)):
+        raise VerificationFailure("input digest mismatch")
+    return T
+
+
+def _recomputed_limit(T: Tower, horizon, recorded):
     """The limit of T at the horizon, which must match the recorded one."""
+    if type(horizon) is not int:
+        raise ParseError("horizon is not an integer")
     try:
         limit = limit_complex(T, horizon)
     except Exception as e:
@@ -170,10 +190,8 @@ def _recomputed_limit(T: Tower, horizon, recorded: dict):
 
 
 def check_limit(cert: dict) -> None:
-    T = serialize.read_tower(cert["input"]["tower"])
-    if cert["digest"] != serialize.digest_text(serialize.write_tower(T)):
-        raise VerificationFailure("input digest mismatch")
-    _recomputed_limit(T, cert["horizon"], cert["limit"])
+    T = _tower_input(cert)
+    _recomputed_limit(T, json_field(cert, "horizon"), json_field(cert, "limit"))
 
 
 def tower_perfectness_certificate(T: Tower, horizon: int, limit,
@@ -194,29 +212,29 @@ def tower_perfectness_certificate(T: Tower, horizon: int, limit,
 
 
 def check_tower_perfectness(cert: dict) -> None:
-    T = serialize.read_tower(cert["input"]["tower"])
-    if cert["digest"] != serialize.digest_text(serialize.write_tower(T)):
-        raise VerificationFailure("input digest mismatch")
-    limit = _recomputed_limit(T, cert["input"]["horizon"], cert["limit"])
-    if cert["verdict"]["perfect"]:
-        R = serialize.complex_from_json(cert["witness"]["replacement"])
+    T = _tower_input(cert)
+    claim, witness = json_field(cert, "verdict"), json_field(cert, "witness")
+    limit = _recomputed_limit(T, json_field(json_field(cert, "input"), "horizon"),
+                              json_field(cert, "limit"))
+    if json_field(claim, "perfect"):
+        R = serialize.complex_from_json(json_field(witness, "replacement"))
         if not R.is_minimal():
             raise VerificationFailure("replacement is not minimal")
-        f = serialize.module_map_from_json(cert["witness"]["map"], R.expanded(), limit)
+        f = serialize.module_map_from_json(json_field(witness, "map"), R.expanded(), limit)
         if not module_mapping_cone(f).is_acyclic():
             raise VerificationFailure("witness map is not a quasi-isomorphism")
         from .chains import euler_characteristic
-        if euler_characteristic(R) != cert["verdict"]["euler_class"]:
+        if euler_characteristic(R) != json_field(claim, "euler_class"):
             raise VerificationFailure("euler_class does not match the replacement")
     else:
         # a negative verdict must be the limit's, with the limit's obstruction
+        P = serialize.module_from_json(json_field(witness, "obstruction"), T.group)
         verdict = decide_perfect(limit)
         if verdict.perfect:
             raise VerificationFailure("the recomputed limit is perfect")
-        recorded = _field(_field(cert, "witness"), "obstruction")
-        if serialize.module_to_json(verdict.top_obstruction) != recorded:
+        if verdict.top_obstruction != P:
             raise VerificationFailure("recorded obstruction is not the limit's")
-        _check_nonfree(cert["witness"], limit.group)
+        _check_nonfree(witness, P)
 
 
 # ----------------------------------------------------------------------
@@ -258,38 +276,16 @@ def snf_certificate(M, result: SNFResult) -> dict:
     return cert
 
 
-def _field(obj, key: str):
-    """obj[key] from certificate JSON, else ParseError."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ParseError(f"certificate has no {key!r}")
-    return obj[key]
-
-
-def _int_matrix(value, name: str, rows: int | None = None, cols: int | None = None) -> list:
-    """value as a list of integer rows of one length (rows x cols when
-    given), else ParseError; checked before any arithmetic touches it."""
-    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
-        raise ParseError(f"{name} is not a list of rows")
-    if rows is not None and len(value) != rows:
-        raise ParseError(f"{name} has {len(value)} rows, expected {rows}")
-    if cols is None:
-        cols = len(value[0]) if value else 0
-    for row in value:
-        if len(row) != cols or any(type(x) is not int for x in row):
-            raise ParseError(f"{name} is not an integer matrix with {cols} columns")
-    return value
-
-
 def _snf_witness(M, cert: dict) -> dict:
     """The witness of an snf or completion certificate for the integer
     matrix M, after checking that U, V and diag are integer matrices of
     the sizes M needs; ParseError otherwise."""
-    witness = _field(cert, "witness")
+    witness = json_field(cert, "witness")
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    _int_matrix(_field(witness, "U"), "U", rows, rows)
-    _int_matrix(_field(witness, "V"), "V", cols, cols)
-    _int_matrix([_field(witness, "diag")], "diag", 1, min(rows, cols))
+    json_int_matrix(json_field(witness, "U"), "U", rows, rows)
+    json_int_matrix(json_field(witness, "V"), "V", cols, cols)
+    json_int_matrix([json_field(witness, "diag")], "diag", 1, min(rows, cols))
     return witness
 
 
@@ -313,8 +309,8 @@ def _check_snf_witness(M, witness: dict) -> None:
 
 
 def check_snf(cert: dict) -> None:
-    M = _int_matrix(_field(_field(cert, "input"), "matrix"), "input matrix")
-    if _field(cert, "digest") != serialize.digest_text(serialize.write_int_matrix(M)):
+    M = json_int_matrix(json_field(json_field(cert, "input"), "matrix"), "input matrix")
+    if json_field(cert, "digest") != serialize.digest_text(serialize.write_int_matrix(M)):
         raise VerificationFailure("input digest mismatch")
     _check_snf_witness(M, _snf_witness(M, cert))
 
@@ -334,15 +330,15 @@ def completion_certificate(A: FGAbelian, l: int, result) -> dict:
 
 
 def check_completion(cert: dict) -> None:
-    inp, verdict = _field(cert, "input"), _field(cert, "verdict")
-    n, l = _field(inp, "generators"), _field(inp, "prime")
-    rel = _int_matrix(_field(inp, "relations"), "relations")
-    _int_matrix([_field(verdict, "torsion")], "torsion", 1)
-    if any(type(x) is not int for x in (n, l, _field(verdict, "rank"))) or n < 0 or l < 2:
+    inp, verdict = json_field(cert, "input"), json_field(cert, "verdict")
+    n, l = json_field(inp, "generators"), json_field(inp, "prime")
+    rel = json_int_matrix(json_field(inp, "relations"), "relations")
+    json_int_matrix([json_field(verdict, "torsion")], "torsion", 1)
+    if any(type(x) is not int for x in (n, l, json_field(verdict, "rank"))) or n < 0 or l < 2:
         raise ParseError("completion needs integer generators >= 0, prime >= 2 and rank")
     if len(rel) != n:
         raise VerificationFailure("relations do not match generator count")
-    if _field(cert, "digest") != serialize.digest_text(serialize.write_int_matrix(rel)):
+    if json_field(cert, "digest") != serialize.digest_text(serialize.write_int_matrix(rel)):
         raise VerificationFailure("input digest mismatch")
     _check_snf_witness(rel, _snf_witness(rel, cert))
     diag = cert["witness"]["diag"]

@@ -16,11 +16,18 @@ from . import flinalg
 from .errors import (
     DimensionMismatchError,
     GroupMismatchError,
+    LimitError,
     NotAGroupError,
     NotAnLGroupError,
     NotAUnitError,
     ParseError,
 )
+
+
+# F_l products are int64 matmuls reduced mod l afterwards, so an inner
+# dimension n needs n (l - 1)^2 < 2^63; below this bound that holds for
+# every n < 2^23.
+MAX_PRIME = 1 << 20
 
 
 def _is_prime(n: int) -> bool:
@@ -76,6 +83,8 @@ class GroupTable:
         for s in generators:
             if not np.array_equal(mult[mult[:, s], :], mult[:, mult[s, :]]):
                 raise NotAGroupError("multiplication table is not associative")
+        if prime_l >= MAX_PRIME:
+            raise LimitError(f"prime {prime_l} is not below {MAX_PRIME}")
         if not _is_prime(prime_l):
             raise NotAnLGroupError(f"{prime_l} is not prime")
         if not _is_power_of(order, prime_l):

@@ -25,7 +25,8 @@ class PiModule:
     `gens[i]` is the matrix of `group.generators[i]` on column vectors.
     Give either `action`, one matrix per group element (kept as given), or
     `gens`.  `action` is the read-only per-element list, built from `gens`
-    when first read and cached.
+    when first read and cached; the package reads it only to validate, and
+    everything else works from `gens`.
 
     Validation checks action(e) == 1 and action(g) @ action(s) == action(gs)
     for g in pi and s in the group's generators, which gives the same for

@@ -4,6 +4,10 @@ Text files are diff-able and hand-writable: headers (`group`, `prime`,
 `bottom`, `ranks`), then one boundary matrix per degree, with group-ring
 entries as comma-separated coefficient lists in brackets.  Writers are
 canonical: parsing then re-writing any value reproduces the bytes.
+
+In JSON a module is `{"dim": d, "gens": [...]}`, one d x d matrix per
+element of the group's generating set; the reader checks its shape before
+any arithmetic and the action on all of pi against the group table.
 """
 
 from __future__ import annotations
@@ -264,14 +268,54 @@ def chain_map_from_json(obj: dict, source: ChainComplex, target: ChainComplex) -
     return ChainMap(source, target, comps)
 
 
+def json_field(obj, key: str):
+    """obj[key] from certificate JSON, else ParseError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ParseError(f"certificate has no {key!r}")
+    return obj[key]
+
+
+def json_int_matrix(value, name: str, rows: int | None = None,
+                    cols: int | None = None) -> list:
+    """value as a list of integer rows of one length (rows x cols when
+    given), else ParseError; checked before any arithmetic touches it."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ParseError(f"{name} is not a list of rows")
+    if rows is not None and len(value) != rows:
+        raise ParseError(f"{name} has {len(value)} rows, expected {rows}")
+    if cols is None:
+        cols = len(value[0]) if value else 0
+    for row in value:
+        if len(row) != cols or any(type(x) is not int for x in row):
+            raise ParseError(f"{name} is not an integer matrix with {cols} columns")
+    return value
+
+
+def json_field_matrix(value, name: str, l: int, rows: int, cols: int) -> np.ndarray:
+    """value as a rows x cols matrix over F_l with entries in [0, l),
+    else ParseError; checked before any arithmetic touches it."""
+    json_int_matrix(value, name, rows, cols)
+    if any(not 0 <= x < l for row in value for x in row):
+        raise ParseError(f"{name} has an entry outside [0, {l})")
+    return np.array(value, dtype=np.int64).reshape(rows, cols)
+
+
 def module_to_json(M: PiModule) -> dict:
-    return {"dim": M.dim, "action": [a.tolist() for a in M.action]}
+    return {"dim": M.dim, "gens": [a.tolist() for a in M.gens]}
 
 
 def module_from_json(obj: dict, G: GroupTable) -> PiModule:
-    d = obj["dim"]
-    action = [np.asarray(a, dtype=np.int64).reshape(d, d) for a in obj["action"]]
-    return PiModule(G, d, action)
+    """The module of `module_to_json`.  Its shape and entries are checked
+    first (ParseError); then the action is built on every element by a
+    Cayley walk and checked through the group table, rho(g) rho(s) =
+    rho(gs) for g in pi and s in S."""
+    d, gens = json_field(obj, "dim"), json_field(obj, "gens")
+    if type(d) is not int or d < 0:
+        raise ParseError("module dim is not an integer >= 0")
+    if not isinstance(gens, list) or len(gens) != len(G.generators):
+        raise ParseError(f"module needs {len(G.generators)} generator matrices")
+    return PiModule(G, d, gens=[json_field_matrix(a, "generator matrix", G.prime_l, d, d)
+                                for a in gens])
 
 
 def module_complex_to_json(MC: ModuleComplex) -> dict:

@@ -81,10 +81,10 @@ def stable_images(T: Tower, q: int, n: int, h: int) -> StableImages:
         )
     l = T.group.prime_l
     dim_n = T.levels[n].rank_at(q) * T.group.order
-    M = flinalg.identity(dim_n, l)
-    images = [flinalg.canonical_columns(M, l)]
+    images = [flinalg.identity(dim_n, l)]  # the canonical form of I is I
     for k in range(h):
-        M = (M @ T.bonds[n + k].component_at(q).expand()) % l
+        B = T.bonds[n + k].component_at(q).expand()  # reduced mod l
+        M = B if k == 0 else (M @ B) % l
         images.append(flinalg.canonical_columns(M, l))
     stable_at = None
     for h0 in range(len(images) - 1, -1, -1):

@@ -21,7 +21,7 @@ from perfchain import (
     mapping_cone,
     norm_element,
 )
-from perfchain import flinalg
+from perfchain import certificates, flinalg
 from perfchain.abelian import Lattice, SNFResult, integer_kernel_columns
 from perfchain.chains import compose_chain_maps
 from perfchain.groups import grm_compose
@@ -463,6 +463,56 @@ def preimage_lattice_reference(M, tgt: Lattice) -> list[list[int]]:
     if not ker or not ker[0]:
         return [[] for _ in range(n)]
     return [ker[i] for i in range(n)]
+
+
+def stable_images_reference(T: Tower, q: int, n: int, h: int):
+    """(images, stabilized, stable_at) of `towers.stable_images`, from the
+    composite bonds starting at the identity of level n."""
+    l = T.group.prime_l
+    rank = T.levels[n].rank_at(q)
+    M = np.eye(rank * T.group.order, dtype=np.int64)
+    images = [flinalg.canonical_columns(M, l)]
+    for k in range(h):
+        M = (M @ T.bonds[n + k].component_at(q).expand()) % l
+        images.append(flinalg.canonical_columns(M, l))
+    if h == 0:
+        return images, rank == 0, None if rank else 0
+    stable_at = h
+    while stable_at > 0 and np.array_equal(images[stable_at - 1], images[h]):
+        stable_at -= 1
+    return images, stable_at < h, stable_at if stable_at < h else None
+
+
+def dense_action(G: GroupTable, dim: int, gens) -> list[list]:
+    """The per-element action lists of a module given by its generator
+    matrices: a breadth-first walk rho(gs) = rho(g) rho(s) of the right
+    Cayley graph."""
+    l = G.prime_l
+    out = {G.identity: np.eye(dim, dtype=np.int64)}
+    queue = [G.identity]
+    for g in queue:
+        for s, rho in zip(G.generators, gens):
+            gs = int(G.mult[g, s])
+            if gs not in out:
+                out[gs] = (out[g] @ np.asarray(rho, dtype=np.int64).reshape(dim, dim)) % l
+                queue.append(gs)
+    return [out[g].tolist() for g in range(G.order)]
+
+
+def cert_as_v1(cert: dict, G: GroupTable) -> str:
+    """The bytes the perfchain-cert-v1 writer gave for this certificate:
+    each module {"dim", "gens"} written as {"dim", "action"}, one matrix
+    per group element."""
+    def v1(obj):
+        if isinstance(obj, dict) and set(obj) == {"dim", "gens"}:
+            return {"dim": obj["dim"], "action": dense_action(G, obj["dim"], obj["gens"])}
+        if isinstance(obj, dict):
+            return {k: v1(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [v1(v) for v in obj]
+        return obj
+
+    return certificates.dumps({**v1(cert), "format": "perfchain-cert-v1"})
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from perfchain import (
+    DimensionMismatchError,
     FGAbelian,
     FGAbelianMap,
     FGZlModule,
@@ -256,6 +257,14 @@ def test_lattice_membership():
     assert not L.contains([1, 0])
     assert L.contains([1, 0], 3)  # 2 is invertible in Z_3
     assert not L.contains([0, 1], 3)
+
+
+def test_lattice_membership_needs_vectors_of_the_ambient_length():
+    L = Lattice([[2, 0], [0, 3]])
+    for v in ([2], [2, 0, 5]):
+        for l in (None, 2):
+            with pytest.raises(DimensionMismatchError):
+                L.contains(v, l)
 
 
 def test_check_exactness_with_zero_groups():

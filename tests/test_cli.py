@@ -22,6 +22,7 @@ from perfchain.serialize import write_complex, write_tower
 
 from conftest import (
     SMALL_GROUPS,
+    cert_as_v1,
     conjugate_complex,
     heisenberg_27,
     pad_with_identity_cones,
@@ -79,31 +80,40 @@ def test_minimalize_subcommand(capsys, lens_path, tmp_path):
 
 def test_minimalize_json_bytes_pinned(capsys, tmp_path):
     """The minimal complex and witness of a scrambled Heis27 complex with
-    four cancellations, pinned byte for byte through the certificate."""
+    four cancellations, pinned byte for byte through the certificate, in
+    both certificate formats."""
     rng = random.Random(0)
-    core = random_minimal_complex(heisenberg_27(), rng)
+    G = heisenberg_27()
+    core = random_minimal_complex(G, rng)
     C = conjugate_complex(pad_with_identity_cones(core, rng, 3), rng)
     path = tmp_path / "heis27.cplx"
     path.write_text(write_complex(C))
     code, out, _ = run(capsys, "minimalize", str(path), "--json")
     assert code == 0
     assert (C.ranks, core.ranks) == ([2, 4, 4, 4, 2], [1, 2, 3, 2])
-    assert out.startswith("minimal ranks [1, 2, 3, 2]; bottom 1\n")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    line, cert = out.split("\n", 1)
+    assert line == "minimal ranks [1, 2, 3, 2]; bottom 1"
+    v1 = line + "\n" + cert_as_v1(json.loads(cert), G)
+    assert hashlib.sha256(v1.encode()).hexdigest() == (
         "59247a7697fbe8d7166fcaaf04b61e8856fc94711666e690544ef04e1a7d1467")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d616eba9dd2abe72e7f032e0f3ab8b7f647fc82f77fb982ca4d5957289eb51b3")
 
 
 def test_tower_certificate_bytes_pinned(capsys, tmp_path):
-    """Tower certificates over C4^3 embed per-element module actions (the
-    limit's modules, the obstruction); pinned byte for byte."""
+    """Tower certificates over C4^3 embed modules (the limit's modules, the
+    obstruction) by their generator matrices; pinned byte for byte, and
+    through the per-element actions of the v1 format."""
     G = build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)
     stable, core = random_stabilizing_tower(G, random.Random(1), n_levels=3)
     L = ChainComplex(G, 0, [1], [])
     N = GroupRingMatrix.from_entries(G, [[norm_element(G)]])
     norm = Tower([L] * 3, [ChainMap(L, L, {0: N}), identity_chain_map(L)])
     expected = {
-        "stable": (0, "495785b6c6d2960b537248613e1ea81e8fd1178bd288d0b7b0f61782eab6b296"),
-        "norm": (1, "3074a237b92d45b4488581d477e81e2248134e7c17cfb44a08a42bb56c8ef897"),
+        "stable": (0, "495785b6c6d2960b537248613e1ea81e8fd1178bd288d0b7b0f61782eab6b296",
+                   "3aa4f828ea2cea0ecc68c0eabe86f6bdcc8c384a79dadf97f567ff147d1c3c3f"),
+        "norm": (1, "3074a237b92d45b4488581d477e81e2248134e7c17cfb44a08a42bb56c8ef897",
+                 "871cbe46400ac6442fabc33507bd116d5b4429bf2c2b92cac2ebbc73a51690d5"),
     }
     assert (stable.levels[0].ranks, core.ranks) == ([2, 3], [1])
     for name, T in (("stable", stable), ("norm", norm)):
@@ -112,8 +122,10 @@ def test_tower_certificate_bytes_pinned(capsys, tmp_path):
         cert_path = tmp_path / f"{name}.json"
         code, _, _ = run(capsys, "tower-perfect", str(path), "--horizon", "2",
                          "--cert", str(cert_path))
-        digest = hashlib.sha256(cert_path.read_bytes()).hexdigest()
-        assert (code, digest) == expected[name], name
+        text = cert_path.read_text()
+        v1 = cert_as_v1(json.loads(text), G)
+        digests = (hashlib.sha256(t.encode()).hexdigest() for t in (v1, text))
+        assert (code, *digests) == expected[name], name
 
 
 def test_wall_subcommand(capsys, lens_path):
@@ -358,3 +370,82 @@ def test_completion_certificate_bound_to_its_input(capsys, tmp_path):
     capsys.readouterr()
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 1 and "INVALID" in out
+
+
+@pytest.mark.parametrize("command, keys, value", [
+    ("tower-perfect", ("limit",), None),
+    ("tower-limit", ("limit",), None),
+    ("tower-limit", ("input", "tower"), None),
+    ("tower-perfect", ("witness", "cover"), None),
+    ("tower-perfect", ("witness", "kernel_vector"), [1, "0"]),
+    ("tower-perfect", ("witness", "kernel_vector"), [1, 0, 0]),
+    ("tower-perfect", ("witness", "cover"), [[1, 10**30]]),
+    ("tower-perfect", ("input", "horizon"), "2"),
+    ("tower-perfect", ("witness", "obstruction", "dim"), -1),
+    ("tower-perfect", ("witness", "obstruction", "gens"), []),
+    ("tower-perfect", ("witness", "obstruction", "gens"), [[[1, 0]]]),
+    ("tower-perfect", ("witness", "obstruction", "gens"), [[[2]]]),
+])
+def test_malformed_tower_certificate_is_a_parse_error(capsys, norm_tower_path, tmp_path,
+                                                      command, keys, value):
+    """A tower certificate with a key missing (value None) or a malformed
+    entry is rejected with a coded error, not a traceback."""
+    cert_path = tmp_path / "c.json"
+    main([command, norm_tower_path, "--horizon", "2", "--cert", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    obj = cert
+    for key in keys[:-1]:
+        obj = obj[key]
+    if value is None:
+        del obj[keys[-1]]
+    else:
+        obj[keys[-1]] = value
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error[E_PARSE]")
+
+
+def test_v1_certificate_is_a_parse_error(capsys, norm_tower_path, tmp_path):
+    """There is one certificate format; a v1 certificate names its format
+    in a coded error."""
+    cert_path = tmp_path / "c.json"
+    main(["tower-perfect", norm_tower_path, "--horizon", "2", "--cert", str(cert_path)])
+    v2 = json.loads(cert_path.read_text())
+    assert v2["format"] == "perfchain-cert-v2"
+    cert_path.write_text(cert_as_v1(v2, SMALL_GROUPS["C2"]))
+    capsys.readouterr()
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error[E_PARSE]") and "perfchain-cert-v1" in err
+
+
+def test_obstruction_breaking_a_group_relation_is_rejected(capsys, tmp_path):
+    """The obstruction of the C4 norm tower is the trivial line; with its
+    generator flipped to 0, s^4 != 1, and the group table check refuses
+    the module before it is compared with the limit's."""
+    G = build_group("cyclic:4", 2)
+    L = ChainComplex(G, 0, [1], [])
+    N = GroupRingMatrix.from_entries(G, [[norm_element(G)]])
+    path, cert_path = tmp_path / "norm4.twr", tmp_path / "norm4.json"
+    path.write_text(write_tower(Tower([L] * 3, [ChainMap(L, L, {0: N}), identity_chain_map(L)])))
+    main(["tower-perfect", str(path), "--horizon", "2", "--cert", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    assert cert["witness"]["obstruction"] == {"dim": 1, "gens": [[[1]]]}
+    cert["witness"]["obstruction"]["gens"][0][0][0] ^= 1
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error[E_DIM_MISMATCH]") and "homomorphism" in err
+
+
+def test_prime_past_the_int64_bound_is_a_limit_error(capsys, tmp_path):
+    """At l = 4294967291, (l - 1)^2 + (l - 1)^2 wraps in int64."""
+    path = tmp_path / "big.cplx"
+    path.write_text("group cyclic:1\nprime 4294967291\nbottom 0\nranks 1 1\n"
+                    "boundary 1\n[4294967290]\n")
+    code, out, err = run(capsys, "perfect", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error[E_LIMIT]")

@@ -11,6 +11,7 @@ from perfchain import (
     GroupRingElement,
     GroupRingMatrix,
     GroupTable,
+    LimitError,
     NotAGroupError,
     NotAnLGroupError,
     NotAUnitError,
@@ -59,6 +60,14 @@ def test_build_rejects_non_l_group():
         build_group("cyclic:6", 2)
     with pytest.raises(NotAnLGroupError):
         cyclic_group(4, 3)
+
+
+def test_primes_past_the_int64_bound_are_rejected():
+    """l >= 2^20 could overflow the int64 products of F_l matrices."""
+    assert build_group("cyclic:1", 1048573).prime_l == 1048573  # largest below 2^20
+    for l in (1 << 20, 4294967291):
+        with pytest.raises(LimitError):
+            build_group("cyclic:1", l)
 
 
 def test_build_klein_four():

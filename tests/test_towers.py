@@ -26,6 +26,7 @@ from conftest import (
     homology_image_dims,
     per_element_action,
     random_stabilizing_tower,
+    stable_images_reference,
     three_group_zoo,
     two_group_zoo,
 )
@@ -204,3 +205,18 @@ def test_limit_action_matches_per_element_solve(rng):
                                           lambda B: flinalg.solve_matrix(V, B, l))
             actual = lim.module_at(q).action
             assert all(np.array_equal(a, b) for a, b in zip(actual, expected)), name
+
+
+def test_stable_images_match_the_identity_start_reference(rng):
+    """Starting from the first bond instead of the identity changes no
+    image, no `stabilized` and no `stable_at`."""
+    for name, G in two_group_zoo():
+        for T in (random_stabilizing_tower(G, rng)[0], norm_tower(G)):
+            base = T.levels[0]
+            for q in range(base.bottom - 1, base.top + 2):
+                for h in range(4):
+                    si = stable_images(T, q, 0, h)
+                    images, stabilized, stable_at = stable_images_reference(T, q, 0, h)
+                    assert len(si.images) == len(images), (name, q, h)
+                    assert all(np.array_equal(a, b) for a, b in zip(si.images, images))
+                    assert (si.stabilized, si.stable_at) == (stabilized, stable_at), (name, q, h)
