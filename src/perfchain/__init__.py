@@ -49,6 +49,7 @@ from .errors import (
     ParseError,
     PerfchainError,
     UnboundedHomologyError,
+    UsageError,
 )
 from .finiteness import PerfectnessVerdict, decide_perfect, free_approximation, wall_class
 from .groups import (

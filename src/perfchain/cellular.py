@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import flinalg
-from .chains import ChainComplex
+from .chains import ChainComplex, ModuleComplex
 from .errors import DimensionMismatchError
 from .groups import GroupRingMatrix, GroupTable, cyclic_group
+from .modules import trivial_module
 
 
 class EquivariantCellComplex:
@@ -75,17 +75,7 @@ def lens_complex(l: int, k: int, n: int) -> EquivariantCellComplex:
 def base_homology(X: EquivariantCellComplex, q: int) -> int:
     """Mod-l homology dimension of the base space in degree q, computed
     from the coinvariants complex (augmentation applied entrywise)."""
-    l = X.group.prime_l
-    dims = X.orbit_counts
-    if q < 0 or q >= len(dims):
-        return 0
-    mats = [b.augmentation_matrix() for b in X.boundaries]
-
-    def d(i):  # map from dimension i to i-1
-        if 1 <= i < len(dims):
-            return mats[i - 1]
-        return np.zeros((dims[i - 1] if i >= 1 and i - 1 < len(dims) else 0,
-                         dims[i] if 0 <= i < len(dims) else 0), dtype=np.int64)
-
-    zdim = dims[q] - flinalg.rank(d(q), l)
-    return zdim - flinalg.rank(d(q + 1), l)
+    G = X.group
+    mods = [trivial_module(G, c) for c in X.orbit_counts]
+    diffs = [b.augmentation_matrix() for b in X.boundaries]
+    return ModuleComplex(G, 0, mods, diffs, validate=False).homology_dim(q)

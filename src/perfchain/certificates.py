@@ -18,11 +18,11 @@ import json
 
 from . import flinalg, serialize
 from .abelian import FGAbelian, SNFResult, mat_mul
-from .chains import ChainComplex, is_quasi_iso, module_mapping_cone
+from .chains import ChainComplex, euler_characteristic, is_quasi_iso
 from .errors import LimitError, ParseError
 from .finiteness import PerfectnessVerdict, decide_perfect
 from .modules import PiModule, PiModuleMap, free_cover, minimal_generators, regular_module
-from .serialize import json_field, json_field_matrix, json_int_matrix
+from .serialize import json_field, json_field_array, json_int_matrix
 from .towers import Tower, limit_complex
 
 FORMAT = "perfchain-cert-v2"
@@ -95,8 +95,8 @@ def _check_nonfree(witness: dict, P: PiModule) -> None:
     l = G.prime_l
     k = minimal_generators(P)
     n = k * G.order
-    cover_mat = json_field_matrix(json_field(witness, "cover"), "cover", l, P.dim, n)
-    v = json_field_matrix([json_field(witness, "kernel_vector")], "kernel_vector", l, 1, n)[0]
+    cover_mat = json_field_array(json_field(witness, "cover"), "cover", l, P.dim, n)
+    v = json_field_array(json_field(witness, "kernel_vector"), "kernel_vector", l, n)
     cover = PiModuleMap(regular_module(G, k), P, cover_mat)  # checks equivariance
     if flinalg.rank(cover.matrix, l) != P.dim:
         raise VerificationFailure("recorded cover is not surjective")
@@ -106,25 +106,40 @@ def _check_nonfree(witness: dict, P: PiModule) -> None:
         raise VerificationFailure("kernel vector is not in the kernel")
 
 
-def check_perfectness(cert: dict) -> None:
-    C = serialize.complex_from_json(cert["input"])
-    if cert["digest"] != serialize.digest_text(serialize.write_complex(C)):
+def _complex_input(cert: dict) -> ChainComplex:
+    """The free complex a perfectness or quasi-iso certificate is about."""
+    C = serialize.complex_from_json(json_field(cert, "input"))
+    if json_field(cert, "digest") != serialize.digest_text(serialize.write_complex(C)):
         raise VerificationFailure("input digest mismatch")
-    if not cert["verdict"]["perfect"]:
-        raise VerificationFailure("a bounded complex of free modules is always perfect")
-    _check_positive_witness(cert, C)
+    return C
 
 
-def _check_positive_witness(cert: dict, C) -> None:
-    from .chains import euler_characteristic
-    R = serialize.complex_from_json(cert["witness"]["replacement"])
+def _check_witness(witness: dict, key: str, target, euler_class=None) -> None:
+    """Check a witness R -> target: R = witness[key] is a minimal free
+    complex, witness["map"] has an acyclic cone, and R has the claimed
+    euler_class when one is given."""
+    R = serialize.complex_from_json(json_field(witness, key))
     if not R.is_minimal():
-        raise VerificationFailure("replacement is not minimal")
-    f = serialize.chain_map_from_json(cert["witness"]["map"], R, C)
+        raise VerificationFailure(f"{key} complex has a unit entry")
+    obj = json_field(witness, "map")
+    f = (serialize.chain_map_from_json(obj, R, target) if isinstance(target, ChainComplex)
+         else serialize.module_map_from_json(obj, R.expanded(), target))
     if not is_quasi_iso(f):
         raise VerificationFailure("witness map is not a quasi-isomorphism")
-    if euler_characteristic(R) != cert["verdict"]["euler_class"]:
-        raise VerificationFailure("euler_class does not match the replacement")
+    if euler_class is not None:
+        if type(euler_class) is not int:
+            raise ParseError("euler_class is not an integer")
+        if euler_characteristic(R) != euler_class:
+            raise VerificationFailure("euler_class does not match the replacement")
+
+
+def check_perfectness(cert: dict) -> None:
+    C = _complex_input(cert)
+    claim = json_field(cert, "verdict")
+    if not json_field(claim, "perfect"):
+        raise VerificationFailure("a bounded complex of free modules is always perfect")
+    _check_witness(json_field(cert, "witness"), "replacement", C,
+                   json_field(claim, "euler_class"))
 
 
 # ----------------------------------------------------------------------
@@ -142,15 +157,7 @@ def quasi_iso_certificate(C: ChainComplex, minimal: ChainComplex, witness) -> di
 
 
 def check_quasi_iso(cert: dict) -> None:
-    C = serialize.complex_from_json(cert["input"])
-    if cert["digest"] != serialize.digest_text(serialize.write_complex(C)):
-        raise VerificationFailure("input digest mismatch")
-    R = serialize.complex_from_json(cert["witness"]["minimal"])
-    if not R.is_minimal():
-        raise VerificationFailure("claimed minimal complex has a unit entry")
-    f = serialize.chain_map_from_json(cert["witness"]["map"], R, C)
-    if not is_quasi_iso(f):
-        raise VerificationFailure("witness map is not a quasi-isomorphism")
+    _check_witness(json_field(cert, "witness"), "minimal", _complex_input(cert))
 
 
 # ----------------------------------------------------------------------
@@ -217,15 +224,7 @@ def check_tower_perfectness(cert: dict) -> None:
     limit = _recomputed_limit(T, json_field(json_field(cert, "input"), "horizon"),
                               json_field(cert, "limit"))
     if json_field(claim, "perfect"):
-        R = serialize.complex_from_json(json_field(witness, "replacement"))
-        if not R.is_minimal():
-            raise VerificationFailure("replacement is not minimal")
-        f = serialize.module_map_from_json(json_field(witness, "map"), R.expanded(), limit)
-        if not module_mapping_cone(f).is_acyclic():
-            raise VerificationFailure("witness map is not a quasi-isomorphism")
-        from .chains import euler_characteristic
-        if euler_characteristic(R) != json_field(claim, "euler_class"):
-            raise VerificationFailure("euler_class does not match the replacement")
+        _check_witness(witness, "replacement", limit, json_field(claim, "euler_class"))
     else:
         # a negative verdict must be the limit's, with the limit's obstruction
         P = serialize.module_from_json(json_field(witness, "obstruction"), T.group)
@@ -373,10 +372,11 @@ def verify(cert: dict) -> None:
     """Raise VerificationFailure (or ParseError) unless the certificate
     is internally valid."""
     kind = cert.get("kind")
-    if kind == "perfectness" and "tower" in cert.get("input", {}):
-        check_tower_perfectness(cert)
-        return
-    checker = _CHECKERS.get(kind)
-    if checker is None:
+    if not isinstance(kind, str) or kind not in _CHECKERS:
         raise ParseError(f"unknown certificate kind {kind!r}")
-    checker(cert)
+    if not isinstance(json_field(cert, "input"), dict):
+        raise ParseError("certificate input is not an object")
+    if kind == "perfectness" and "tower" in cert["input"]:
+        check_tower_perfectness(cert)
+    else:
+        _CHECKERS[kind](cert)

@@ -9,6 +9,11 @@ Two representations cooperate here:
   F_l matrices as differentials.  All homology is computed here; it is
   also the home of tower limits, which need not be levelwise free.
 
+Both kinds share one d o d check, one chain-map check (on F_l matrices,
+`diff_at`) and one cone formula.  Free maps are equivariant by
+construction, so their checks read the basis columns only; module maps
+are checked for equivariance and then on every column.
+
 Degrees are homological (d lowers degree) with an explicit bottom degree;
 negative degrees are fine.
 """
@@ -24,6 +29,7 @@ from .errors import (
     BoundarySquareNonzeroError,
     DimensionMismatchError,
     GroupMismatchError,
+    LimitError,
 )
 from .groups import (
     GroupRingElement,
@@ -59,21 +65,17 @@ class ModuleComplex:
             if d.shape != (mods[i].dim, mods[i + 1].dim):
                 raise DimensionMismatchError(f"differential {i} has shape {d.shape}")
             d.flags.writeable = False
-        if validate:
-            for i, d in enumerate(diffs):
-                if not is_equivariant(mods[i + 1], mods[i], d):
-                    raise DimensionMismatchError("differential is not equivariant")
-            for i in range(len(diffs) - 1):
-                if ((diffs[i] @ diffs[i + 1]) % l).any():
-                    raise BoundarySquareNonzeroError(
-                        f"d_{bottom + i + 1} o d_{bottom + i + 2} != 0"
-                    )
         self.group = group
         self.bottom = bottom
         self.modules = mods
         self.diffs = diffs
         self._homology_cache: dict[int, HomologyData] = {}
         self._diff_ranks: dict[int, int] = {}
+        if validate:
+            for i, d in enumerate(diffs):
+                if not is_equivariant(mods[i + 1], mods[i], d):
+                    raise DimensionMismatchError("differential is not equivariant")
+            _check_d_squared(self, slice(None))
 
     @property
     def top(self) -> int:
@@ -119,6 +121,46 @@ class ModuleComplex:
 
     def is_acyclic(self) -> bool:
         return not self.homology_support()
+
+
+def _check_d_squared(C, cols) -> None:
+    """d_{q-1} o d_q = 0 in every degree, compared on the columns `cols`."""
+    l = C.group.prime_l
+    for q in range(C.bottom + 2, C.top + 1):
+        if ((C.diff_at(q - 1) @ C.diff_at(q)[:, cols]) % l).any():
+            raise BoundarySquareNonzeroError(f"d_{q - 1} o d_{q} != 0")
+
+
+def _degrees(*parts) -> range:
+    """Degrees C.bottom + lo .. C.top + hi, lowest to highest, over the parts
+    (C, lo, hi) with C nonempty (an empty complex's bottom is nominal)."""
+    spans = [(C.bottom + lo, C.top + hi) for C, lo, hi in parts if C.top >= C.bottom]
+    bottoms, tops = zip(*spans) if spans else ((0,), (-1,))
+    return range(min(bottoms), max(tops) + 1)
+
+
+def _check_commutes(f, component_at, cols) -> None:
+    """d f_q = f_{q-1} d in every degree, compared on the columns `cols`;
+    `component_at(q)` is f_q over F_l."""
+    S, T = f.source, f.target
+    l = S.group.prime_l
+    for q in _degrees((S, 0, 1), (T, 0, 1)):
+        lhs = (T.diff_at(q) @ component_at(q)[:, cols]) % l
+        rhs = (component_at(q - 1) @ S.diff_at(q)[:, cols]) % l
+        if not np.array_equal(lhs, rhs):
+            raise DimensionMismatchError(f"map does not commute with d at degree {q}")
+
+
+def _cone_block(d_source, f, d_target, l: int) -> np.ndarray:
+    """The cone differential [[-d_S, 0], [f, d_T]] from blocks whose first
+    two axes are rows and columns (F_l matrices or group-ring data)."""
+    s0, s1 = d_source.shape[:2]
+    t0, t1 = d_target.shape[:2]
+    block = np.zeros((s0 + t0, s1 + t1, *d_target.shape[2:]), dtype=np.int64)
+    block[:s0, :s1] = (-d_source) % l
+    block[s0:, :s1] = f
+    block[s0:, s1:] = d_target
+    return block
 
 
 class HomologyData(NamedTuple):
@@ -176,44 +218,31 @@ class ModuleComplexMap:
         return np.zeros((self.target.dim_at(q), self.source.dim_at(q)), dtype=np.int64)
 
     def _validate(self):
-        l = self.source.group.prime_l
         for q, m in self.components.items():
             if not is_equivariant(self.source.module_at(q), self.target.module_at(q), m):
                 raise DimensionMismatchError("map component not equivariant")
-        lo = min(self.source.bottom, self.target.bottom)
-        hi = max(self.source.top, self.target.top) + 1
-        for q in range(lo, hi + 1):
-            lhs = (self.target.diff_at(q) @ self.component_at(q)) % l
-            rhs = (self.component_at(q - 1) @ self.source.diff_at(q)) % l
-            if not np.array_equal(lhs, rhs):
-                raise DimensionMismatchError(f"map does not commute with d at degree {q}")
+        _check_commutes(self, self.component_at, slice(None))
 
 
 def module_mapping_cone(f: ModuleComplexMap) -> ModuleComplex:
     """Cone with degree-q piece source_{q-1} (+) target_q."""
     S, T = f.source, f.target
     G = S.group
-    bottom = min(S.bottom + 1, T.bottom)
-    top = max(S.top + 1, T.top)
-    if top < bottom:
-        return ModuleComplex(G, 0, [], [], validate=False)
-    mods = []
-    for q in range(bottom, top + 1):
-        mods.append(direct_sum_modules(S.module_at(q - 1), T.module_at(q)))
-    diffs = []
-    for q in range(bottom + 1, top + 1):
-        s1, t1 = S.dim_at(q - 1), T.dim_at(q)
-        s0, t0 = S.dim_at(q - 2), T.dim_at(q - 1)
-        d = np.zeros((s0 + t0, s1 + t1), dtype=np.int64)
-        d[:s0, :s1] = (-S.diff_at(q - 1)) % G.prime_l
-        d[s0:, :s1] = f.component_at(q - 1)
-        d[s0:, s1:] = T.diff_at(q)
-        diffs.append(d)
-    return ModuleComplex(G, bottom, mods, diffs, validate=False)
+    degrees = _degrees((S, 1, 1), (T, 0, 0))
+    mods = [direct_sum_modules(S.module_at(q - 1), T.module_at(q)) for q in degrees]
+    diffs = [_cone_block(S.diff_at(q - 1), f.component_at(q - 1), T.diff_at(q), G.prime_l)
+             for q in degrees[1:]]
+    return ModuleComplex(G, degrees.start, mods, diffs, validate=False)
 
 
 # ----------------------------------------------------------------------
 # levelwise-free complexes over the group ring
+
+
+# A free module of rank r is expanded to dense F_l matrices of side
+# r * |pi| (homology, cones, certificate checks), so a larger rank is
+# refused before anything is allocated for it.
+MAX_FREE_DIM = 1 << 14
 
 
 class ChainComplex:
@@ -229,6 +258,8 @@ class ChainComplex:
         boundaries = list(boundaries)
         if any(r < 0 for r in ranks):
             raise DimensionMismatchError("negative rank")
+        if any(r * group.order > MAX_FREE_DIM for r in ranks):
+            raise LimitError(f"a rank times the group order exceeds {MAX_FREE_DIM}")
         if len(boundaries) != max(len(ranks) - 1, 0):
             raise DimensionMismatchError("need one boundary matrix per adjacent pair")
         for i, b in enumerate(boundaries):
@@ -237,15 +268,6 @@ class ChainComplex:
             if (b.rows, b.cols) != (ranks[i], ranks[i + 1]):
                 raise DimensionMismatchError(
                     f"boundary {i} is {b.rows}x{b.cols}, expected {ranks[i]}x{ranks[i+1]}"
-                )
-        # d o d is equivariant, so it vanishes iff it vanishes on the basis
-        l = group.prime_l
-        basis = slice(group.identity, None, group.order)
-        for i in range(len(boundaries) - 1):
-            prod = (boundaries[i].expand() @ boundaries[i + 1].expand()[:, basis]) % l
-            if prod.any():
-                raise BoundarySquareNonzeroError(
-                    f"d_{bottom + i + 1} o d_{bottom + i + 2} != 0"
                 )
         # normalize: strip zero ranks at both ends
         while ranks and ranks[0] == 0:
@@ -264,6 +286,7 @@ class ChainComplex:
         self.ranks = ranks
         self.boundaries = boundaries
         self._expanded = None
+        _check_d_squared(self, slice(group.identity, None, group.order))
 
     @property
     def top(self) -> int:
@@ -281,6 +304,10 @@ class ChainComplex:
         if 1 <= i < len(self.ranks):
             return self.boundaries[i - 1]
         return GroupRingMatrix.zeros(self.group, self.rank_at(q - 1), self.rank_at(q))
+
+    def diff_at(self, q: int) -> np.ndarray:
+        """d_q over F_l: the expansion of `boundary_at(q)`."""
+        return self.boundary_at(q).expand()
 
     def expanded(self) -> ModuleComplex:
         if self._expanded is None:
@@ -346,19 +373,9 @@ class ChainMap:
                                      self.source.rank_at(q))
 
     def _validate(self):
-        # both sides are equivariant, so comparing them on the basis suffices
         G = self.source.group
-        l = G.prime_l
-        basis = slice(G.identity, None, G.order)
-        lo = min(self.source.bottom, self.target.bottom)
-        hi = max(self.source.top, self.target.top) + 1
-        for q in range(lo, hi + 1):
-            lhs = (self.target.boundary_at(q).expand()
-                   @ self.component_at(q).expand()[:, basis]) % l
-            rhs = (self.component_at(q - 1).expand()
-                   @ self.source.boundary_at(q).expand()[:, basis]) % l
-            if not np.array_equal(lhs, rhs):
-                raise DimensionMismatchError(f"map does not commute with d at degree {q}")
+        _check_commutes(self, lambda q: self.component_at(q).expand(),
+                        slice(G.identity, None, G.order))
 
     def expanded(self) -> ModuleComplexMap:
         comps = {q: m.expand() for q, m in self.components.items()}
@@ -434,30 +451,21 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     differential (s, t) -> (-d s, f(s) + d t)."""
     S, T = f.source, f.target
     G = S.group
-    if not S.ranks and not T.ranks:
-        return zero_complex(G)
-    if not S.ranks:
-        bottom, top = T.bottom, T.top
-    elif not T.ranks:
-        bottom, top = S.bottom + 1, S.top + 1
-    else:
-        bottom, top = min(S.bottom + 1, T.bottom), max(S.top + 1, T.top)
-    ranks = [S.rank_at(q - 1) + T.rank_at(q) for q in range(bottom, top + 1)]
-    boundaries = []
-    for q in range(bottom + 1, top + 1):
-        s1, t1 = S.rank_at(q - 1), T.rank_at(q)
-        s0, t0 = S.rank_at(q - 2), T.rank_at(q - 1)
-        data = np.zeros((s0 + t0, s1 + t1, G.order), dtype=np.int64)
-        data[:s0, :s1] = (-S.boundary_at(q - 1).data) % G.prime_l
-        data[s0:, :s1] = f.component_at(q - 1).data
-        data[s0:, s1:] = T.boundary_at(q).data
-        boundaries.append(GroupRingMatrix(G, data))
-    return ChainComplex(G, bottom, ranks, boundaries)
+    degrees = _degrees((S, 1, 1), (T, 0, 0))
+    ranks = [S.rank_at(q - 1) + T.rank_at(q) for q in degrees]
+    boundaries = [GroupRingMatrix(G, _cone_block(S.boundary_at(q - 1).data,
+                                                 f.component_at(q - 1).data,
+                                                 T.boundary_at(q).data, G.prime_l))
+                  for q in degrees[1:]]
+    return ChainComplex(G, degrees.start, ranks, boundaries)
 
 
-def is_quasi_iso(f: ChainMap) -> bool:
-    """True iff the mapping cone of f is acyclic."""
-    return mapping_cone(f).expanded().is_acyclic()
+def is_quasi_iso(f) -> bool:
+    """True iff the mapping cone of f (a ChainMap or ModuleComplexMap) is
+    acyclic."""
+    if isinstance(f, ChainMap):
+        return mapping_cone(f).expanded().is_acyclic()
+    return module_mapping_cone(f).is_acyclic()
 
 
 def induced_map_on_homology(f, q: int) -> PiModuleMap:

@@ -21,8 +21,8 @@ import sys
 
 from . import abelian, certificates, serialize
 from .cellular import chains_of_cover, lens_complex
-from .chains import homology, minimalize
-from .errors import LimitError, ParseError, PerfchainError
+from .chains import minimalize
+from .errors import LimitError, ParseError, PerfchainError, UsageError
 from .finiteness import decide_perfect, wall_class
 from .modules import minimal_generators
 from .towers import limit_complex
@@ -94,7 +94,8 @@ def _perfect_one(path: str):
 
 def cmd_perfect(args) -> int:
     paths = args.files
-    results = []
+    if args.cert and len(paths) > 1:
+        raise UsageError("--cert FILE takes one input; each input has its own certificate")
     if args.jobs > 1 and len(paths) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_perfect_one, paths))
@@ -115,8 +116,7 @@ def cmd_homology(args) -> int:
     degrees = [args.degree] if args.degree is not None else list(
         range(C.bottom, C.top + 1)) or [0]
     for q in degrees:
-        H = homology(C, q)
-        print(f"H_{q}: dim={H.dim}")
+        print(f"H_{q}: dim={C.expanded().homology_dim(q)}")
     return EXIT_OK
 
 

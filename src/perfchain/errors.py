@@ -79,6 +79,12 @@ class LimitError(PerfchainError):
     code = "E_LIMIT"
 
 
+class UsageError(PerfchainError):
+    """Command-line arguments that cannot be used together."""
+
+    code = "E_USAGE"
+
+
 class ParseError(PerfchainError):
     """Malformed input text; carries a 1-based line number when known."""
 

@@ -418,10 +418,8 @@ class GroupRingMatrix:
         E = flinalg.asfield(E, group.prime_l)
         if E.shape != (rows * o, cols * o):
             raise DimensionMismatchError("expanded shape mismatch")
-        data = np.zeros((rows, cols, o), dtype=np.int64)
-        for i in range(rows):
-            for j in range(cols):
-                data[i, j] = E[i * o:(i + 1) * o, j * o + group.identity]
+        # entry (i, j) is the column of basis vector (j, identity), block row i
+        data = E[:, group.identity::o].reshape(rows, o, cols).transpose(0, 2, 1)
         M = GroupRingMatrix(group, data)
         if validate and not np.array_equal(M.expand(), E):
             raise DimensionMismatchError("matrix is not pi-equivariant")

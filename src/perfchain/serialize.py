@@ -13,6 +13,8 @@ any arithmetic and the action on all of pi against the group table.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import re
 
 import numpy as np
 
@@ -247,25 +249,52 @@ def complex_to_json(C: ChainComplex) -> dict:
     }
 
 
+def _json_header(obj) -> tuple[GroupTable, int]:
+    """The group and the bottom degree of a complex in JSON."""
+    desc, prime, bottom = (json_field(obj, key) for key in ("group", "prime", "bottom"))
+    if not isinstance(desc, str) or type(prime) is not int or type(bottom) is not int:
+        raise ParseError("complex needs a group descriptor, an integer prime and bottom")
+    return build_group(desc, prime), bottom
+
+
 def complex_from_json(obj: dict) -> ChainComplex:
-    G = build_group(obj["group"], obj["prime"])
-    ranks = obj["ranks"]
-    boundaries = []
-    for i, b in enumerate(obj["boundaries"]):
-        # zero-size matrices flatten in JSON; restore the declared shape
-        arr = np.asarray(b, dtype=np.int64).reshape(ranks[i], ranks[i + 1], G.order)
-        boundaries.append(GroupRingMatrix(G, arr))
-    return ChainComplex(G, obj["bottom"], ranks, boundaries)
+    """The complex of `complex_to_json`; every field is checked (ParseError)
+    before any array is built."""
+    G, bottom = _json_header(obj)
+    ranks, bnds = json_field(obj, "ranks"), json_field(obj, "boundaries")
+    if not isinstance(ranks, list) or any(type(r) is not int or r < 0 for r in ranks):
+        raise ParseError("ranks are not integers >= 0")
+    if not isinstance(bnds, list) or len(bnds) != max(len(ranks) - 1, 0):
+        raise ParseError("complex needs one boundary per adjacent pair of ranks")
+    boundaries = [GroupRingMatrix(G, json_field_array(b, f"boundary {i}", G.prime_l,
+                                                      ranks[i], ranks[i + 1], G.order))
+                  for i, b in enumerate(bnds)]
+    return ChainComplex(G, bottom, ranks, boundaries)
 
 
 def chain_map_to_json(f: ChainMap) -> dict:
     return {str(q): grm_to_json(m) for q, m in sorted(f.components.items())}
 
 
+def _json_components(obj, shape_at) -> dict:
+    """{degree: F_l array} from a chain map's JSON, each component checked
+    against the shape `shape_at(q)`."""
+    if not isinstance(obj, dict):
+        raise ParseError("chain map is not an object")
+    comps = {}
+    for key, m in obj.items():
+        if not re.fullmatch(r"-?(0|[1-9][0-9]{0,17})", key):
+            raise ParseError(f"chain map key {key!r} is not a degree")
+        q = int(key)
+        comps[q] = json_field_array(m, f"map component {q}", *shape_at(q))
+    return comps
+
+
 def chain_map_from_json(obj: dict, source: ChainComplex, target: ChainComplex) -> ChainMap:
-    comps = {int(q): GroupRingMatrix(source.group, np.asarray(m, dtype=np.int64))
-             for q, m in obj.items()}
-    return ChainMap(source, target, comps)
+    G = source.group
+    comps = _json_components(
+        obj, lambda q: (G.prime_l, target.rank_at(q), source.rank_at(q), G.order))
+    return ChainMap(source, target, {q: GroupRingMatrix(G, m) for q, m in comps.items()})
 
 
 def json_field(obj, key: str):
@@ -291,13 +320,25 @@ def json_int_matrix(value, name: str, rows: int | None = None,
     return value
 
 
-def json_field_matrix(value, name: str, l: int, rows: int, cols: int) -> np.ndarray:
-    """value as a rows x cols matrix over F_l with entries in [0, l),
-    else ParseError; checked before any arithmetic touches it."""
-    json_int_matrix(value, name, rows, cols)
-    if any(not 0 <= x < l for row in value for x in row):
+def json_field_array(value, name: str, l: int, *shape: int) -> np.ndarray:
+    """value as nested lists of the given shape with integer entries in
+    [0, l), as an array over F_l, else ParseError.  The shape is checked
+    before any array is built, so a declared shape cannot drive an
+    allocation."""
+    level = [value]
+    for n in shape:
+        if not all(isinstance(v, list) and len(v) == n for v in level):
+            raise ParseError(f"{name} is not a {' x '.join(map(str, shape))} array")
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= {int}:
+        raise ParseError(f"{name} has an entry that is not an integer")
+    try:
+        arr = np.array(level, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        arr = None
+    if arr is None or ((arr < 0) | (arr >= l)).any():
         raise ParseError(f"{name} has an entry outside [0, {l})")
-    return np.array(value, dtype=np.int64).reshape(rows, cols)
+    return arr
 
 
 def module_to_json(M: PiModule) -> dict:
@@ -314,7 +355,7 @@ def module_from_json(obj: dict, G: GroupTable) -> PiModule:
         raise ParseError("module dim is not an integer >= 0")
     if not isinstance(gens, list) or len(gens) != len(G.generators):
         raise ParseError(f"module needs {len(G.generators)} generator matrices")
-    return PiModule(G, d, gens=[json_field_matrix(a, "generator matrix", G.prime_l, d, d)
+    return PiModule(G, d, gens=[json_field_array(a, "generator matrix", G.prime_l, d, d)
                                 for a in gens])
 
 
@@ -329,11 +370,15 @@ def module_complex_to_json(MC: ModuleComplex) -> dict:
 
 
 def module_complex_from_json(obj: dict) -> ModuleComplex:
-    G = build_group(obj["group"], obj["prime"])
-    mods = [module_from_json(m, G) for m in obj["modules"]]
-    diffs = [np.asarray(d, dtype=np.int64).reshape(mods[i].dim, mods[i + 1].dim)
-             for i, d in enumerate(obj["diffs"])]
-    return ModuleComplex(G, obj["bottom"], mods, diffs)
+    G, bottom = _json_header(obj)
+    mods, diffs = json_field(obj, "modules"), json_field(obj, "diffs")
+    if not isinstance(mods, list) or not isinstance(diffs, list) \
+            or len(diffs) != max(len(mods) - 1, 0):
+        raise ParseError("module complex needs one differential per adjacent pair")
+    mods = [module_from_json(m, G) for m in mods]
+    diffs = [json_field_array(d, f"differential {i}", G.prime_l, mods[i].dim, mods[i + 1].dim)
+             for i, d in enumerate(diffs)]
+    return ModuleComplex(G, bottom, mods, diffs)
 
 
 def module_map_to_json(f: ModuleComplexMap) -> dict:
@@ -342,9 +387,6 @@ def module_map_to_json(f: ModuleComplexMap) -> dict:
 
 def module_map_from_json(obj: dict, source: ModuleComplex,
                          target: ModuleComplex) -> ModuleComplexMap:
-    comps = {}
-    for q, m in obj.items():
-        q = int(q)
-        comps[q] = np.asarray(m, dtype=np.int64).reshape(target.dim_at(q),
-                                                         source.dim_at(q))
-    return ModuleComplexMap(source, target, comps)
+    l = source.group.prime_l
+    return ModuleComplexMap(source, target, _json_components(
+        obj, lambda q: (l, target.dim_at(q), source.dim_at(q))))

@@ -483,6 +483,17 @@ def stable_images_reference(T: Tower, q: int, n: int, h: int):
     return images, stable_at < h, stable_at if stable_at < h else None
 
 
+def from_expanded_reference(G: GroupTable, E, rows: int, cols: int) -> np.ndarray:
+    """The group-ring data of an equivariant expanded matrix, read entry
+    by entry: entry (i, j) is block row i of column (j, identity)."""
+    o = G.order
+    data = np.zeros((rows, cols, o), dtype=np.int64)
+    for i in range(rows):
+        for j in range(cols):
+            data[i, j] = E[i * o:(i + 1) * o, j * o + G.identity]
+    return data
+
+
 def dense_action(G: GroupTable, dim: int, gens) -> list[list]:
     """The per-element action lists of a module given by its generator
     matrices: a breadth-first walk rho(gs) = rho(g) rho(s) of the right

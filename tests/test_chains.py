@@ -29,7 +29,7 @@ from perfchain import (
     zero_complex,
 )
 from perfchain import flinalg
-from perfchain.chains import compose_chain_maps
+from perfchain.chains import compose_chain_maps, module_mapping_cone
 
 from conftest import (
     SMALL_GROUPS,
@@ -121,6 +121,26 @@ def test_mapping_cone_of_zero_map_from_zero():
     assert mapping_cone(f) == C
 
 
+def test_empty_source_adds_no_degrees(monkeypatch):
+    """The zero complex's nominal bottom 0 widens neither the commutation
+    check nor the cone of a map out of it into degree 1000."""
+    G = SMALL_GROUPS["C2"]
+    C = ChainComplex(G, 1000, [1, 1], [GroupRingMatrix.identity(G, 1)])
+    real, calls = ChainComplex.boundary_at, []
+
+    def counted(self, q):
+        calls.append(q)
+        return real(self, q)
+
+    monkeypatch.setattr(ChainComplex, "boundary_at", counted)
+    f = ChainMap(zero_complex(G), C, {})
+    assert mapping_cone(f) == C and is_quasi_iso(f)
+    assert len(calls) < 50
+    g = ModuleComplexMap(zero_complex(G).expanded(), C.expanded(), {})
+    cone = module_mapping_cone(g)
+    assert (cone.bottom, len(cone.modules)) == (1000, 2) and is_quasi_iso(g)
+
+
 def test_cone_of_multiplication_by_radical():
     G = SMALL_GROUPS["C2"]
     C = ChainComplex(G, 0, [1], [])
@@ -150,6 +170,25 @@ def test_is_quasi_iso_examples():
         comps[q] = GroupRingMatrix(G, data)
     incl = ChainMap(C, S, comps)
     assert is_quasi_iso(incl)
+
+
+def test_free_and_module_cones_agree(rng):
+    """The group-ring cone expands to the module cone of the expanded map,
+    degree by degree, and both decide quasi-isomorphism alike."""
+    for name in ["C2", "C3", "C4", "C2xC2", "Q8"]:
+        G = SMALL_GROUPS[name]
+        for shift_by in (0, 1, 3):
+            core = random_minimal_complex(G, rng)
+            C = conjugate_complex(pad_with_identity_cones(core, rng, 2), rng)
+            w = minimalize(C).witness
+            maps = [w, ChainMap(shift(w.source, shift_by), C, {})]
+            for f in maps:
+                free = mapping_cone(f).expanded()
+                module = module_mapping_cone(f.expanded())
+                lo = min(free.bottom, module.bottom) - 1
+                for q in range(lo, max(free.top, module.top) + 2):
+                    assert np.array_equal(free.diff_at(q), module.diff_at(q)), (name, q)
+                assert is_quasi_iso(f) == is_quasi_iso(f.expanded()) == module.is_acyclic()
 
 
 def test_minimalize_identity_and_radical():

@@ -1,10 +1,15 @@
 """CLI subcommands: outputs, exit codes, certificates, determinism."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfchain.cli import main
 from perfchain import (
@@ -385,13 +390,30 @@ def test_completion_certificate_bound_to_its_input(capsys, tmp_path):
     ("tower-perfect", ("witness", "obstruction", "gens"), []),
     ("tower-perfect", ("witness", "obstruction", "gens"), [[[1, 0]]]),
     ("tower-perfect", ("witness", "obstruction", "gens"), [[[2]]]),
+    ("perfect", ("witness", "map"), None),
+    ("minimalize", ("witness", "minimal"), None),
+    ("minimalize", ("witness", "map"), None),
+    ("perfect", ("input",), 5),
+    ("perfect", ("input", "ranks"), [1, "a"]),
+    ("perfect", ("witness", "map"), {"x": [[[1, 0]]]}),
+    ("perfect", ("verdict",), []),
+    ("perfect", ("verdict", "euler_class"), "1"),
+    ("perfect", ("input", "group"), 7),
+    ("perfect", ("input", "boundaries", 0, 0, 0, 0), 10**30),
+    ("perfect", ("witness", "replacement", "ranks"), [10**9, 10**9]),
+    ("perfect", ("witness", "replacement", "ranks"), [10**9] * 3),
+    ("minimalize", ("witness", "map", "0"), [[[1, 0, 0]]]),
 ])
-def test_malformed_tower_certificate_is_a_parse_error(capsys, norm_tower_path, tmp_path,
-                                                      command, keys, value):
-    """A tower certificate with a key missing (value None) or a malformed
-    entry is rejected with a coded error, not a traceback."""
+def test_malformed_tower_certificate_is_a_parse_error(capsys, norm_tower_path, lens_path,
+                                                      tmp_path, command, keys, value):
+    """A certificate (of a tower, or of the C2 lens complex) with a key
+    missing (value None) or a malformed entry is rejected with a coded
+    error, not a traceback."""
     cert_path = tmp_path / "c.json"
-    main([command, norm_tower_path, "--horizon", "2", "--cert", str(cert_path)])
+    if command.startswith("tower"):
+        main([command, norm_tower_path, "--horizon", "2", "--cert", str(cert_path)])
+    else:
+        main([command, lens_path, "--cert", str(cert_path)])
     cert = json.loads(cert_path.read_text())
     obj = cert
     for key in keys[:-1]:
@@ -441,6 +463,16 @@ def test_obstruction_breaking_a_group_relation_is_rejected(capsys, tmp_path):
     assert err.startswith("error[E_DIM_MISMATCH]") and "homomorphism" in err
 
 
+def test_rank_past_the_free_dimension_bound_is_a_limit_error(capsys, tmp_path):
+    """A rank needs no boundary data when its degree stands alone, so it
+    is bounded before a free module of that rank is allocated."""
+    path = tmp_path / "big.cplx"
+    path.write_text("group cyclic:2\nprime 2\nbottom 0\nranks 1000000000\n")
+    code, out, err = run(capsys, "perfect", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error[E_LIMIT]")
+
+
 def test_prime_past_the_int64_bound_is_a_limit_error(capsys, tmp_path):
     """At l = 4294967291, (l - 1)^2 + (l - 1)^2 wraps in int64."""
     path = tmp_path / "big.cplx"
@@ -449,3 +481,87 @@ def test_prime_past_the_int64_bound_is_a_limit_error(capsys, tmp_path):
     code, out, err = run(capsys, "perfect", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error[E_LIMIT]")
+
+
+def test_one_certificate_file_for_several_inputs_is_refused(capsys, lens_path, tmp_path):
+    """Each input has its own certificate, so one --cert FILE for two
+    inputs is a usage error before any work, and no file is written."""
+    cert_path = tmp_path / "c.json"
+    code, out, err = run(capsys, "perfect", lens_path, lens_path, "--cert", str(cert_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error[E_USAGE]")
+    assert not cert_path.exists()
+
+
+_DELETE = object()
+
+
+def _json_paths(obj, prefix=()):
+    """The key path of every value inside a certificate."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def certificates_to_mutate(tmp_path_factory):
+    """Perfectness, quasi-iso and tower-perfectness certificates, positive
+    and negative, over C2."""
+    d = tmp_path_factory.mktemp("certs")
+    G = SMALL_GROUPS["C2"]
+    L = ChainComplex(G, 0, [1], [])
+    N = GroupRingMatrix.from_entries(G, [[norm_element(G)]])
+    inputs = {
+        "lens.cplx": write_complex(chains_of_cover(lens_complex(2, 1, 2))),
+        "norm.twr": write_tower(Tower([L] * 4, [ChainMap(L, L, {0: N})]
+                                      + [identity_chain_map(L)] * 2)),
+        "const.twr": write_tower(Tower([L] * 3, [identity_chain_map(L)] * 2)),
+    }
+    for name, text in inputs.items():
+        (d / name).write_text(text)
+    certs = []
+    for argv in (["perfect", "lens.cplx"], ["minimalize", "lens.cplx"],
+                 ["tower-perfect", "norm.twr", "--horizon", "2"],
+                 ["tower-perfect", "const.twr", "--horizon", "2"]):
+        cert_path = d / "cert.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            main([argv[0], str(d / argv[1]), *argv[2:], "--cert", str(cert_path)])
+        certs.append(json.loads(cert_path.read_text()))
+    return d, certs
+
+
+_JUNK = st.one_of(st.just(_DELETE), st.none(), st.booleans(), st.integers(-3, 40),
+                  st.sampled_from([10**30, -10**30, 2**63]), st.floats(allow_nan=False),
+                  st.text(max_size=3), st.just({}),
+                  st.lists(st.integers(-1, 3), max_size=3))
+
+
+@pytest.mark.parametrize("index", range(4))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_certificate_never_crashes(certificates_to_mutate, index, data):
+    """Up to three random edits of a certificate: verify ends with exit
+    0, 1 or 2, a coded error on exit 2, and never an uncaught exception."""
+    workdir, certs = certificates_to_mutate
+    cert = copy.deepcopy(certs[index])
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_json_paths(cert))))
+        obj = cert
+        for key in path[:-1]:
+            obj = obj[key]
+        value = data.draw(_JUNK)
+        if value is not _DELETE:
+            obj[path[-1]] = value
+        elif isinstance(obj, dict):
+            del obj[path[-1]]
+        else:
+            obj.pop(path[-1])
+    cert_path = workdir / "mutated.json"
+    cert_path.write_text(json.dumps(cert))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(cert_path)])
+    assert code in (0, 1, 2)
+    assert code != 2 or err.getvalue().startswith("error[E_")

@@ -210,4 +210,5 @@ def test_module_complex_witness_is_quasi_iso():
     v = decide_perfect(MC)
     assert v.perfect
     assert module_mapping_cone(v.witness).is_acyclic()
+    assert is_quasi_iso(v.witness)
     assert euler_characteristic(v.replacement) == v.euler_class

@@ -32,6 +32,7 @@ from conftest import (
     SMALL_GROUPS,
     closure_brute,
     dihedral,
+    from_expanded_reference,
     generalized_quaternion,
     is_group_brute,
     regular_action_matrices,
@@ -314,3 +315,22 @@ def test_from_expanded_roundtrip():
         [[[rng.randrange(2) for _ in range(8)] for _ in range(3)] for _ in range(2)]))
     B = GroupRingMatrix.from_expanded(G, A.expand(), 2, 3)
     assert B == A
+
+
+def test_from_expanded_matches_entrywise_reference():
+    """The basis-column slice reads the same data as the entry loop, and
+    validation still refuses a matrix that is not equivariant."""
+    rng = random.Random(11)
+    for name, G in two_group_zoo():
+        for rows, cols in [(1, 1), (2, 3), (3, 2), (0, 2), (2, 0)]:
+            data = np.array([rng.randrange(2) for _ in range(rows * cols * G.order)],
+                            dtype=np.int64).reshape(rows, cols, G.order)
+            E = GroupRingMatrix(G, data).expand()
+            B = GroupRingMatrix.from_expanded(G, E, rows, cols)
+            assert np.array_equal(B.data, from_expanded_reference(G, E, rows, cols)), name
+            assert np.array_equal(B.data, data), name
+        if G.order > 1:
+            E = np.array(GroupRingMatrix.identity(G, 2).expand())
+            E[0, 1] ^= 1
+            with pytest.raises(DimensionMismatchError):
+                GroupRingMatrix.from_expanded(G, E, 2, 2)
