@@ -32,9 +32,11 @@ from .errors import (
     LimitError,
 )
 from .groups import (
+    MAX_FREE_DIM,
     GroupRingElement,
     GroupRingMatrix,
     GroupTable,
+    ga_compose,
     ga_inverse,
     grm_compose,
 )
@@ -237,12 +239,6 @@ def module_mapping_cone(f: ModuleComplexMap) -> ModuleComplex:
 
 # ----------------------------------------------------------------------
 # levelwise-free complexes over the group ring
-
-
-# A free module of rank r is expanded to dense F_l matrices of side
-# r * |pi| (homology, cones, certificate checks), so a larger rank is
-# refused before anything is allocated for it.
-MAX_FREE_DIM = 1 << 14
 
 
 class ChainComplex:
@@ -495,11 +491,6 @@ def minimalize(C: ChainComplex) -> MinimalizeResult:
     """
     G = C.group
     l = G.prime_l
-
-    def mul(a, b):
-        """Group-ring products a*b, batched over the broadcast leading axes."""
-        return np.einsum("...g,...gk->...k", a, b[..., G.ldiv]) % l
-
     ranks = list(C.ranks)
     bnds = [b.data for b in C.boundaries]
     # witness[i]: (original rank_i) x (current rank_i) group-ring data
@@ -521,15 +512,15 @@ def minimalize(C: ChainComplex) -> MinimalizeResult:
         rows = [r for r in range(A.shape[0]) if r != p]
         cols = [c for c in range(A.shape[1]) if c != j]
         # x_m = A[p, m] * u^{-1}; new[r, m] = A[r, m] - x_m * A[r, j]
-        x = mul(A[p, cols], u_inv)
-        bnds[i] = (A[np.ix_(rows, cols)] - mul(x, A[rows, j][:, None])) % l
+        x = ga_compose(u_inv[None, None], A[p, cols][None], G)
+        bnds[i] = (A[np.ix_(rows, cols)] - ga_compose(A[rows, j][:, None], x, G)) % l
         if i + 1 < len(bnds):
             bnds[i + 1] = bnds[i + 1][cols, :, :]    # drop row j (source side)
         if i - 1 >= 0:
             bnds[i - 1] = bnds[i - 1][:, rows, :]    # drop column p (target side)
         # the same column operation on the witness of the source degree
         W = wit[i + 1]
-        wit[i + 1] = (W[:, cols] - mul(x, W[:, j][:, None])) % l
+        wit[i + 1] = (W[:, cols] - ga_compose(W[:, j][:, None], x, G)) % l
         wit[i] = wit[i][:, rows]
         ranks[i + 1] -= 1
         ranks[i] -= 1

@@ -97,7 +97,8 @@ def cmd_perfect(args) -> int:
     if args.cert and len(paths) > 1:
         raise UsageError("--cert FILE takes one input; each input has its own certificate")
     if args.jobs > 1 and len(paths) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(args.jobs, len(paths))) as pool:
             results = list(pool.map(_perfect_one, paths))
     else:
         results = [_perfect_one(p) for p in paths]

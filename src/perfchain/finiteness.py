@@ -117,7 +117,7 @@ class _Approximation:
         self.blocks[q] = block
 
 
-def _approximate(target: ModuleComplex, upto: int, reverse: bool) -> _Approximation:
+def _approximate(target: ModuleComplex, upto: int) -> _Approximation:
     """Build F supported in [bottom, upto] so that the cone of F -> target
     has no homology in degrees <= upto."""
     approx = _Approximation(target, target.bottom)
@@ -126,7 +126,7 @@ def _approximate(target: ModuleComplex, upto: int, reverse: bool) -> _Approximat
         data = cone.homology_data(q)
         k = minimal_generators(data.module)
         if k:
-            gens = minimal_generator_lifts(data.module, reverse=reverse)
+            gens = minimal_generator_lifts(data.module)
             cycles = data.chain_of_class(gens)
         else:
             cycles = np.zeros((cone.dim_at(q), 0), dtype=np.int64)
@@ -139,7 +139,7 @@ def _homology_top(C: ModuleComplex) -> int | None:
     return max(support) if support else None
 
 
-def free_approximation(C: ChainComplex, m: int, reverse: bool = False) -> ChainMap:
+def free_approximation(C: ChainComplex, m: int) -> ChainMap:
     """A map from a bounded free complex supported in [bottom, m-1] whose
     cone has homology concentrated in degree m.
 
@@ -149,7 +149,7 @@ def free_approximation(C: ChainComplex, m: int, reverse: bool = False) -> ChainM
     top = _homology_top(target)
     if top is not None and top > m:
         raise UnboundedHomologyError(f"homology in degree {top} exceeds m={m}")
-    approx = _approximate(target, m - 1, reverse)
+    approx = _approximate(target, m - 1)
     G = C.group
     F = approx.free_complex()
     comps = {}
@@ -160,16 +160,14 @@ def free_approximation(C: ChainComplex, m: int, reverse: bool = False) -> ChainM
     return ChainMap(F, C, comps)
 
 
-def decide_perfect(C, max_degree: int | None = None,
-                   reverse: bool = False) -> PerfectnessVerdict:
+def decide_perfect(C, max_degree: int | None = None) -> PerfectnessVerdict:
     """Decide perfectness and construct the minimal free replacement.
 
     A ChainComplex (levelwise free) is always perfect; its replacement and
     witness come from `minimalize`.  A ModuleComplex goes through the
     approximation, where a non-free obstruction module makes the verdict
-    negative; `reverse` flips the generator choices made there and has no
-    effect on ChainComplex inputs.  MaxDegreeError is raised when the top
-    homology degree exceeds `max_degree`.
+    negative.  MaxDegreeError is raised when the top homology degree
+    exceeds `max_degree`.
     """
     G = C.group
     if isinstance(C, ChainComplex):
@@ -188,7 +186,7 @@ def decide_perfect(C, max_degree: int | None = None,
     if max_degree is not None and m > max_degree:
         raise MaxDegreeError(f"top homology degree {m} exceeds cap {max_degree}")
 
-    approx = _approximate(C, m - 1, reverse)
+    approx = _approximate(C, m - 1)
     cone = approx.cone()
     data = cone.homology_data(m)
     P = data.module
@@ -197,7 +195,7 @@ def decide_perfect(C, max_degree: int | None = None,
         return PerfectnessVerdict(False, P)
 
     if rank:
-        gens = minimal_generator_lifts(P, reverse=reverse)
+        gens = minimal_generator_lifts(P)
         approx.extend(m, data.chain_of_class(gens))
     else:
         approx.extend(m, np.zeros((cone.dim_at(m), 0), dtype=np.int64))

@@ -29,6 +29,12 @@ from .errors import (
 # every n < 2^23.
 MAX_PRIME = 1 << 20
 
+# A free module of rank r is expanded to dense F_l matrices of side
+# r * |pi| (homology, cones, certificate checks), so a larger rank, and a
+# group of larger order, which carries no nonzero free module under the
+# bound, are refused before anything is allocated for them.
+MAX_FREE_DIM = 1 << 14
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -96,7 +102,7 @@ class GroupTable:
         self.mult = mult
         self.inv = inv
         self.generators = generators
-        # ldiv[s, k] = index of g_s^{-1} g_k; drives matrix expansion
+        # ldiv[s, k] = index of g_s^{-1} g_k; drives products and expansion
         self.ldiv = mult[inv, :]
         self.descriptor = descriptor or table_descriptor(mult, identity)
         for arr in (self.mult, self.inv, self.ldiv):
@@ -141,9 +147,15 @@ def table_descriptor(mult, identity: int) -> str:
     return f"table:{{order:{len(mult)};identity:{int(identity)};mult:{rows}}}"
 
 
+def _check_order(n: int):
+    if n > MAX_FREE_DIM:
+        raise LimitError(f"group order {n} exceeds {MAX_FREE_DIM}")
+
+
 def cyclic_group(n: int, l: int) -> GroupTable:
     if n < 1:
         raise NotAGroupError("cyclic order must be positive")
+    _check_order(n)
     idx = np.arange(n)
     mult = (idx[:, None] + idx[None, :]) % n
     return GroupTable(mult, 0, l, descriptor=f"cyclic:{n}")
@@ -153,6 +165,7 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     """Direct product with indices packed as a*|H| + b."""
     if g.prime_l != h.prime_l:
         raise GroupMismatchError("factors have different primes")
+    _check_order(g.order * h.order)
     oh = h.order
     a = np.arange(g.order * h.order)
     a1, a2 = a // oh, a % oh
@@ -206,6 +219,7 @@ def build_group(spec: str, l: int) -> GroupTable:
     m = _TABLE_RE.match(spec)
     if m:
         order, identity, rows = int(m.group(1)), int(m.group(2)), m.group(3)
+        _check_order(order)
         try:
             mult = [[int(x) for x in row.split(",")] for row in rows.split("|")]
         except ValueError:
@@ -281,13 +295,25 @@ def _check_element(a: GroupRingElement, G: GroupTable):
         )
 
 
+def ga_compose(second: np.ndarray, first: np.ndarray, G: GroupTable) -> np.ndarray:
+    """Group-ring data of the composite map (second after first), from
+    (k, i, order) and (i, j, order) data.  An entry a is the map x -> x a
+    (see GroupRingMatrix), so (second o first)[k, j] = sum_i first[i, j] *
+    second[k, i], where (a * b)[t] = sum_g a[g] b[g^-1 t] through G.ldiv.
+    Only `second` is gathered, to the size of its expansion."""
+    k, i, o = second.shape
+    j = first.shape[1]
+    gathered = second[:, :, G.ldiv].reshape(k, i * o, o)  # [k, (i, g), t]
+    return (first.transpose(1, 0, 2).reshape(j, i * o) @ gathered) % G.prime_l
+
+
 def ga_mul(a: GroupRingElement, b: GroupRingElement, G: GroupTable) -> GroupRingElement:
-    """Convolution product in F_l[pi]."""
+    """Product a * b in F_l[pi]."""
     _check_element(a, G)
     _check_element(b, G)
-    out = np.zeros(G.order, dtype=np.int64)
-    np.add.at(out, G.mult.ravel(), np.outer(a.coeffs, b.coeffs).ravel())
-    return GroupRingElement(out, G.prime_l)
+    # the 1 x 1 composite of b after a
+    return GroupRingElement(ga_compose(b.coeffs[None, None], a.coeffs[None, None], G)[0, 0],
+                            G.prime_l)
 
 
 def augmentation(a: GroupRingElement) -> int:
@@ -460,18 +486,13 @@ class GroupRingMatrix:
 
 
 def grm_compose(second: GroupRingMatrix, first: GroupRingMatrix) -> GroupRingMatrix:
-    """Matrix of the composite map (second after first).
-
-    Computed on expansions; entry products in F_l[pi] are noncommutative,
-    and the expansion route keeps the bookkeeping in one tested place.
-    """
+    """Matrix of the composite map (second after first), multiplied
+    entrywise in F_l[pi] by `ga_compose`."""
     if second.group != first.group:
         raise GroupMismatchError("composing matrices over different groups")
     if second.cols != first.rows:
         raise DimensionMismatchError(
             f"cannot compose {second.rows}x{second.cols} after {first.rows}x{first.cols}"
         )
-    E = (second.expand() @ first.expand()) % second.group.prime_l
-    return GroupRingMatrix.from_expanded(second.group, E, second.rows, first.cols,
-                                         validate=False)
+    return GroupRingMatrix(second.group, ga_compose(second.data, first.data, second.group))
 

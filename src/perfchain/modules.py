@@ -209,18 +209,11 @@ def minimal_generators(M: PiModule) -> int:
     return M.dim - radical_basis(M).shape[1]
 
 
-def minimal_generator_lifts(M: PiModule, reverse: bool = False) -> np.ndarray:
-    """Columns are module elements whose classes form a basis of M/rad*M.
-
-    Chosen by echelon completion against the standard basis; `reverse`
-    flips the scan order (used to test choice-independence of verdicts).
-    """
+def minimal_generator_lifts(M: PiModule) -> np.ndarray:
+    """Columns are module elements whose classes form a basis of M/rad*M,
+    chosen by echelon completion against the standard basis."""
     l = M.group.prime_l
-    rad = radical_basis(M)
-    eye = flinalg.identity(M.dim, l)
-    if reverse:
-        eye = eye[:, ::-1]
-    return flinalg.complete_basis(rad, eye, l)
+    return flinalg.complete_basis(radical_basis(M), flinalg.identity(M.dim, l), l)
 
 
 def free_cover(M: PiModule) -> PiModuleMap:

@@ -19,8 +19,8 @@ import re
 import numpy as np
 
 from .chains import ChainComplex, ChainMap, ModuleComplex, ModuleComplexMap
-from .errors import ParseError
-from .groups import GroupRingMatrix, GroupTable, build_group
+from .errors import LimitError, ParseError
+from .groups import MAX_FREE_DIM, GroupRingMatrix, GroupTable, build_group
 from .modules import PiModule
 from .towers import Tower
 
@@ -353,6 +353,8 @@ def module_from_json(obj: dict, G: GroupTable) -> PiModule:
     d, gens = json_field(obj, "dim"), json_field(obj, "gens")
     if type(d) is not int or d < 0:
         raise ParseError("module dim is not an integer >= 0")
+    if d > MAX_FREE_DIM:
+        raise LimitError(f"module dim {d} exceeds {MAX_FREE_DIM}")
     if not isinstance(gens, list) or len(gens) != len(G.generators):
         raise ParseError(f"module needs {len(G.generators)} generator matrices")
     return PiModule(G, d, gens=[json_field_array(a, "generator matrix", G.prime_l, d, d)

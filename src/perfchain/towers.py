@@ -17,6 +17,7 @@ from . import flinalg
 from .chains import ChainComplex, ModuleComplex
 from .errors import DimensionMismatchError, GroupMismatchError, HorizonExhaustedError
 from .finiteness import PerfectnessVerdict, decide_perfect
+from .groups import grm_compose
 from .modules import induced_action
 
 
@@ -83,9 +84,9 @@ def stable_images(T: Tower, q: int, n: int, h: int) -> StableImages:
     dim_n = T.levels[n].rank_at(q) * T.group.order
     images = [flinalg.identity(dim_n, l)]  # the canonical form of I is I
     for k in range(h):
-        B = T.bonds[n + k].component_at(q).expand()  # reduced mod l
-        M = B if k == 0 else (M @ B) % l
-        images.append(flinalg.canonical_columns(M, l))
+        B = T.bonds[n + k].component_at(q)
+        M = B if k == 0 else grm_compose(M, B)
+        images.append(flinalg.canonical_columns(M.expand(), l))
     stable_at = None
     for h0 in range(len(images) - 1, -1, -1):
         if np.array_equal(images[h0], images[-1]):

@@ -483,6 +483,14 @@ def stable_images_reference(T: Tower, q: int, n: int, h: int):
     return images, stable_at < h, stable_at if stable_at < h else None
 
 
+def ga_mul_reference(a, b, G: GroupTable) -> np.ndarray:
+    """Coefficients of a * b by the multiplication table: the coefficient
+    a[g] b[h] is added at g h."""
+    out = np.zeros(G.order, dtype=np.int64)
+    np.add.at(out, G.mult.ravel(), np.outer(a, b).ravel())
+    return out % G.prime_l
+
+
 def from_expanded_reference(G: GroupTable, E, rows: int, cols: int) -> np.ndarray:
     """The group-ring data of an equivariant expanded matrix, read entry
     by entry: entry (i, j) is block row i of column (j, identity)."""

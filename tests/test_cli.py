@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, certificates, determinism."""
 
+import concurrent.futures
 import contextlib
 import copy
 import hashlib
@@ -237,6 +238,30 @@ def test_batch_perfect_ordering(capsys, tmp_path):
     assert out2 == out and code2 == code
 
 
+def test_jobs_are_capped_at_the_number_of_inputs(capsys, lens_path, monkeypatch):
+    """`--jobs N` asks for at most one worker per input.  The pool here
+    records its size and maps serially, so no process is started."""
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    expected = run(capsys, "perfect", lens_path, lens_path)
+    assert run(capsys, "perfect", lens_path, lens_path, "--jobs", "100000") == expected
+    assert asked == [2]
+
+
 def test_tower_certificate_bound_to_its_tower(capsys, norm_tower_path, tmp_path):
     """The perfect limit and witness of another tower, put under the norm
     tower's input and digest, must not verify."""
@@ -463,14 +488,38 @@ def test_obstruction_breaking_a_group_relation_is_rejected(capsys, tmp_path):
     assert err.startswith("error[E_DIM_MISMATCH]") and "homomorphism" in err
 
 
-def test_rank_past_the_free_dimension_bound_is_a_limit_error(capsys, tmp_path):
+@pytest.mark.parametrize("group, ranks", [
+    pytest.param("cyclic:2", "1000000000", id="rank"),
+    pytest.param("cyclic:1073741824", "0", id="cyclic-order"),
+    pytest.param("product:cyclic:256,cyclic:256", "0", id="product-order"),
+])
+def test_rank_past_the_free_dimension_bound_is_a_limit_error(capsys, tmp_path, group, ranks):
     """A rank needs no boundary data when its degree stands alone, so it
-    is bounded before a free module of that rank is allocated."""
+    is bounded before a free module of that rank is allocated; a group
+    order past the bound is refused before its table is built."""
     path = tmp_path / "big.cplx"
-    path.write_text("group cyclic:2\nprime 2\nbottom 0\nranks 1000000000\n")
+    path.write_text(f"group {group}\nprime 2\nbottom 0\nranks {ranks}\n")
     code, out, err = run(capsys, "perfect", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("error[E_LIMIT]")
+    assert err.startswith("error[E_LIMIT]") and "Traceback" not in err
+
+
+def test_module_dim_past_the_free_dimension_bound_is_a_limit_error(capsys, tmp_path):
+    """Over the trivial group a module has no generator matrix to bound its
+    dim, so a forged obstruction of dim 10^9 is refused before any
+    matrix of that size is built."""
+    L = ChainComplex(SMALL_GROUPS["C1"], 0, [1], [])
+    path, cert_path = tmp_path / "const.twr", tmp_path / "const.json"
+    path.write_text(write_tower(Tower([L] * 3, [identity_chain_map(L)] * 2)))
+    main(["tower-perfect", str(path), "--horizon", "2", "--cert", str(cert_path)])
+    capsys.readouterr()
+    cert = json.loads(cert_path.read_text())
+    cert["verdict"] = {"perfect": False}
+    cert["witness"] = {"obstruction": {"dim": 10**9, "gens": []}}
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error[E_LIMIT]") and "Traceback" not in err
 
 
 def test_prime_past_the_int64_bound_is_a_limit_error(capsys, tmp_path):

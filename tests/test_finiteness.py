@@ -26,6 +26,7 @@ from perfchain import (
     zero_complex,
 )
 from perfchain.chains import module_mapping_cone
+from perfchain.modules import PiModule, direct_sum_modules
 
 from conftest import SMALL_GROUPS, conjugate_complex, heisenberg_27, pad_with_identity_cones, \
     random_minimal_complex, three_group_zoo, two_group_zoo
@@ -107,26 +108,60 @@ def test_max_degree_cap():
 
 def test_verdict_choice_independence(rng):
     """Generator-lift choices do not affect the verdict or the obstruction
-    module's numerical data.  Free inputs are expanded so that the choices
-    are made (a ChainComplex is decided by cancellation alone)."""
+    module's numerical data.  Each input is decided next to a copy whose
+    basis is permuted in every degree, which moves the echelon choices of
+    the lifts.  Free inputs are expanded so that the choices are made (a
+    ChainComplex is decided by cancellation alone)."""
+    witnesses_differ = False
     for name in ["C2", "C3", "C2xC2"]:
         G = SMALL_GROUPS[name]
         for _ in range(4):
             C, core = pad_and_scramble(G, rng)
-            a = decide_perfect(C.expanded(), reverse=False)
-            b = decide_perfect(C.expanded(), reverse=True)
+            MC = C.expanded()
+            MP, perms = permute_basis(MC, rng)
+            a = decide_perfect(MC)
+            b = decide_perfect(MP)
             assert a.perfect == b.perfect
             assert a.euler_class == b.euler_class
             assert a.top_obstruction.dim == b.top_obstruction.dim
             assert is_free(a.top_obstruction) == is_free(b.top_obstruction)
             assert a.replacement.ranks == b.replacement.ranks
+            assert is_quasi_iso(b.witness)
+            witnesses_differ |= any(
+                not np.array_equal(m, perms[q - MC.bottom].T @ b.witness.component_at(q))
+                for q, m in a.witness.components.items())
         # module-complex inputs: same choice independence on the false branch
-        MC = ModuleComplex(G, 0, [trivial_module(G)], [])
         if G.order > 1:
-            a = decide_perfect(MC, reverse=False)
-            b = decide_perfect(MC, reverse=True)
+            C, _ = pad_and_scramble(G, rng)
+            MC = with_trivial_summand_on_top(C.expanded())
+            a = decide_perfect(MC)
+            b = decide_perfect(permute_basis(MC, rng)[0])
             assert a.perfect == b.perfect == False  # noqa: E712
             assert a.top_obstruction.dim == b.top_obstruction.dim
+    assert witnesses_differ
+
+
+def permute_basis(MC, rng):
+    """A copy of MC on a permuted basis in every degree, with the actions
+    and differentials conjugated by the permutation matrices P_q; returns
+    the copy and the P_q (new coordinates are P_q times old ones)."""
+    G = MC.group
+    perms = [np.eye(M.dim, dtype=np.int64)[:, rng.sample(range(M.dim), M.dim)]
+             for M in MC.modules]
+    mods = [PiModule(G, M.dim, gens=[P @ g @ P.T for g in M.gens])
+            for P, M in zip(perms, MC.modules)]
+    diffs = [perms[i] @ d @ perms[i + 1].T for i, d in enumerate(MC.diffs)]
+    return ModuleComplex(G, MC.bottom, mods, diffs), perms
+
+
+def with_trivial_summand_on_top(MC):
+    """MC with a trivial module added to its top degree by a zero map; not
+    perfect when the group is nontrivial."""
+    G = MC.group
+    mods = MC.modules[:-1] + [direct_sum_modules(MC.modules[-1], trivial_module(G))]
+    diffs = MC.diffs[:-1] + [np.hstack([MC.diffs[-1], np.zeros((MC.modules[-2].dim, 1),
+                                                               dtype=np.int64)])]
+    return ModuleComplex(G, MC.bottom, mods, diffs)
 
 
 def pad_and_scramble(G, rng):

@@ -33,7 +33,8 @@ from conftest import (
     closure_brute,
     dihedral,
     from_expanded_reference,
-    generalized_quaternion,
+    ga_mul_reference,
+    heisenberg_27,
     is_group_brute,
     regular_action_matrices,
     three_group_zoo,
@@ -150,6 +151,19 @@ def test_ga_mul_examples():
     C3 = SMALL_GROUPS["C3"]
     prod = ga_mul(elt([1, 1, 0], 3), elt([1, 1, 1], 3), C3)
     assert prod == elt([2, 2, 2], 3)
+
+
+def test_ga_mul_matches_table_reference():
+    """The product read through G.ldiv equals the table scatter, on every
+    zoo group and Heis27 (nonabelian, l = 3)."""
+    rng = random.Random(17)
+    for name, G in two_group_zoo() + [("Heis27", heisenberg_27())]:
+        l = G.prime_l
+        for _ in range(6):
+            a = [rng.randrange(l) for _ in range(G.order)]
+            b = [rng.randrange(l) for _ in range(G.order)]
+            prod = ga_mul(GroupRingElement(a, l), GroupRingElement(b, l), G)
+            assert np.array_equal(prod.coeffs, ga_mul_reference(a, b, G)), name
 
 
 def test_ga_mul_dimension_mismatch():
@@ -281,18 +295,20 @@ def test_group_zoo_all_validate():
 
 
 def test_expand_is_multiplicative_nonabelian():
-    """Matrix expansion is a ring map even for nonabelian groups."""
-    for G in [dihedral(4), generalized_quaternion(2)]:
-        rng = random.Random(13)
-        for _ in range(10):
-            A = GroupRingMatrix(G, np.array(
-                [[[rng.randrange(2) for _ in range(8)] for _ in range(2)]
-                 for _ in range(3)]))
-            B = GroupRingMatrix(G, np.array(
-                [[[rng.randrange(2) for _ in range(8)] for _ in range(2)]
-                 for _ in range(2)]))
+    """Matrix expansion is a ring map even for nonabelian groups, also for
+    shapes with a zero row, zero column or zero inner dimension."""
+    rng = random.Random(13)
+    shapes = [(3, 2, 2), (1, 1, 1), (2, 3, 4), (0, 2, 3), (3, 2, 0), (2, 0, 3)]
+    for name, G in two_group_zoo() + [("Heis27", heisenberg_27())]:
+        l, o = G.prime_l, G.order
+        for k, i, j in shapes:
+            A = GroupRingMatrix(G, np.array([rng.randrange(l) for _ in range(k * i * o)],
+                                            dtype=np.int64).reshape(k, i, o))
+            B = GroupRingMatrix(G, np.array([rng.randrange(l) for _ in range(i * j * o)],
+                                            dtype=np.int64).reshape(i, j, o))
             C = grm_compose(A, B)
-            assert np.array_equal(C.expand(), (A.expand() @ B.expand()) % 2)
+            assert C.data.shape == (k, j, o)
+            assert np.array_equal(C.expand(), (A.expand() @ B.expand()) % l), name
 
 
 def test_expand_commutes_with_left_action():
