@@ -6,11 +6,15 @@ Two representations cooperate here:
   as group-ring matrices.  This is the input type and the shape of every
   replacement the package constructs.
 * `ModuleComplex` -- the expanded view: one PiModule per degree and plain
-  F_l matrices as differentials.  All homology is computed here; it is
-  also the home of tower limits, which need not be levelwise free.
+  F_l matrices as differentials.  Homology modules and cycle data are
+  computed here; it is also the home of tower limits, which need not be
+  levelwise free.
 
-Both kinds share one d o d check, one chain-map check (on F_l matrices,
-`diff_at`) and one cone formula.  Free maps are equivariant by
+Both kinds share, through `GradedComplex`, homology dimensions and
+acyclicity read from the ranks of the F_l differentials (`diff_at`), so a
+free complex answers them from its expanded boundaries without building
+a module.  They also share one d o d check, one chain-map check (on F_l
+matrices) and one cone formula.  Free maps are equivariant by
 construction, so their checks read the basis columns only; module maps
 are checked for equivariance and then on every column.
 
@@ -51,7 +55,30 @@ from .modules import (
 )
 
 
-class ModuleComplex:
+class GradedComplex:
+    """Homology dimensions from ranks alone, for a complex with `group`,
+    `bottom`, `top`, `dim_at(q)` and `diff_at(q)` over F_l and a
+    `_diff_ranks` cache."""
+
+    def _diff_rank(self, q: int) -> int:
+        """Rank of d_q over F_l, computed once per degree (0 outside)."""
+        if not self.bottom < q <= self.top:
+            return 0
+        if q not in self._diff_ranks:
+            self._diff_ranks[q] = flinalg.rank(self.diff_at(q), self.group.prime_l)
+        return self._diff_ranks[q]
+
+    def homology_dim(self, q: int) -> int:
+        return self.dim_at(q) - self._diff_rank(q) - self._diff_rank(q + 1)
+
+    def homology_support(self) -> list[int]:
+        return [q for q in range(self.bottom, self.top + 1) if self.homology_dim(q) > 0]
+
+    def is_acyclic(self) -> bool:
+        return not self.homology_support()
+
+
+class ModuleComplex(GradedComplex):
     """A bounded complex of PiModules with exact F_l differentials.
 
     `diffs[i]` maps the module at index i+1 to the module at index i.
@@ -99,17 +126,6 @@ class ModuleComplex:
             return self.diffs[i - 1]
         return np.zeros((self.dim_at(q - 1), self.dim_at(q)), dtype=np.int64)
 
-    def _diff_rank(self, q: int) -> int:
-        """Rank of d_q over F_l, computed once per degree (0 outside)."""
-        if not 1 <= q - self.bottom < len(self.modules):
-            return 0
-        if q not in self._diff_ranks:
-            self._diff_ranks[q] = flinalg.rank(self.diff_at(q), self.group.prime_l)
-        return self._diff_ranks[q]
-
-    def homology_dim(self, q: int) -> int:
-        return self.dim_at(q) - self._diff_rank(q) - self._diff_rank(q + 1)
-
     def homology_data(self, q: int) -> "HomologyData":
         if q not in self._homology_cache:
             self._homology_cache[q] = _homology_data(self, q)
@@ -117,12 +133,6 @@ class ModuleComplex:
 
     def homology(self, q: int) -> PiModule:
         return self.homology_data(q).module
-
-    def homology_support(self) -> list[int]:
-        return [q for q in range(self.bottom, self.top + 1) if self.homology_dim(q) > 0]
-
-    def is_acyclic(self) -> bool:
-        return not self.homology_support()
 
 
 def _check_d_squared(C, cols) -> None:
@@ -241,7 +251,7 @@ def module_mapping_cone(f: ModuleComplexMap) -> ModuleComplex:
 # levelwise-free complexes over the group ring
 
 
-class ChainComplex:
+class ChainComplex(GradedComplex):
     """Bounded complex of free modules F_l[pi]^rank with group-ring
     boundary matrices; d o d = 0 is validated at construction.
 
@@ -282,6 +292,7 @@ class ChainComplex:
         self.ranks = ranks
         self.boundaries = boundaries
         self._expanded = None
+        self._diff_ranks: dict[int, int] = {}
         _check_d_squared(self, slice(group.identity, None, group.order))
 
     @property
@@ -293,6 +304,9 @@ class ChainComplex:
         if 0 <= i < len(self.ranks):
             return self.ranks[i]
         return 0
+
+    def dim_at(self, q: int) -> int:
+        return self.rank_at(q) * self.group.order
 
     def boundary_at(self, q: int) -> GroupRingMatrix:
         """d_q : C_q -> C_{q-1} as a group-ring matrix (zero outside)."""
@@ -458,10 +472,9 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
 
 def is_quasi_iso(f) -> bool:
     """True iff the mapping cone of f (a ChainMap or ModuleComplexMap) is
-    acyclic."""
-    if isinstance(f, ChainMap):
-        return mapping_cone(f).expanded().is_acyclic()
-    return module_mapping_cone(f).is_acyclic()
+    acyclic, read from the ranks of its differentials over F_l."""
+    cone = mapping_cone(f) if isinstance(f, ChainMap) else module_mapping_cone(f)
+    return cone.is_acyclic()
 
 
 def induced_map_on_homology(f, q: int) -> PiModuleMap:

@@ -117,7 +117,7 @@ def cmd_homology(args) -> int:
     degrees = [args.degree] if args.degree is not None else list(
         range(C.bottom, C.top + 1)) or [0]
     for q in degrees:
-        print(f"H_{q}: dim={C.expanded().homology_dim(q)}")
+        print(f"H_{q}: dim={C.homology_dim(q)}")
     return EXIT_OK
 
 

@@ -2,7 +2,9 @@
 
 Matrices are numpy int64 arrays with entries reduced into [0, l).  All
 routines are deterministic: pivots are always the first nonzero entry in
-column order, scanning rows top to bottom.
+column order, scanning rows top to bottom.  `rank` finds those pivots by
+forward elimination alone; everything that needs the reduced form goes
+through `rref`.
 """
 
 from __future__ import annotations
@@ -21,48 +23,72 @@ def identity(n: int, l: int) -> np.ndarray:
 
 
 def rref(A, l: int):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    R = asfield(A, l).copy()
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    Row r of R is zero left of its pivot column c, so each elimination
+    step updates columns c onward only.
+    """
+    R = asfield(A, l)
     rows, cols = R.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(R[r:, c])[0]
+        nz = np.flatnonzero(R[r:, c])
         if nz.size == 0:
             continue
         p = r + int(nz[0])
         if p != r:
             R[[r, p]] = R[[p, r]]
-        R[r] = (R[r] * pow(int(R[r, c]), l - 2, l)) % l
-        other = np.nonzero(R[:, c])[0]
+        if R[r, c] != 1:
+            R[r, c:] = (R[r, c:] * pow(int(R[r, c]), l - 2, l)) % l
+        other = np.flatnonzero(R[:, c])
         other = other[other != r]
         if other.size:
-            R[other] = (R[other] - np.outer(R[other, c], R[r])) % l
+            R[other, c:] = (R[other, c:] - np.outer(R[other, c], R[r, c:])) % l
         pivots.append(c)
         r += 1
     return R, pivots
 
 
 def rank(A, l: int) -> int:
-    A = asfield(A, l)
-    if A.size == 0:
-        return 0
-    return len(rref(A, l)[1])
+    """Rank by forward elimination: the pivots of `rref`, found by clearing
+    only the rows below each pivot, from its column on, with no reduced
+    form built."""
+    R = asfield(A, l)
+    rows, cols = R.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(R[r:, c])
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+        if nz.size > 1:
+            # the swap moves no row below the pivot that is nonzero in column c
+            below = r + nz[1:]
+            pivot_row = R[r, c:]
+            if pivot_row[0] != 1:
+                pivot_row = (pivot_row * pow(int(pivot_row[0]), l - 2, l)) % l
+            block = R[below, c:]
+            block -= np.outer(block[:, 0], pivot_row)
+            R[below, c:] = block % l
+        r += 1
+    return r
 
 
 def kernel_basis(A, l: int) -> np.ndarray:
     """Columns form a basis of {x : A x = 0}."""
-    A = asfield(A, l)
-    rows, cols = A.shape
     R, pivots = rref(A, l)
-    free = [c for c in range(cols) if c not in pivots]
-    K = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, c in enumerate(free):
-        K[c, k] = 1
-        for r, pc in enumerate(pivots):
-            K[pc, k] = (-R[r, c]) % l
+    cols = R.shape[1]
+    free = np.delete(np.arange(cols), pivots)
+    K = np.zeros((cols, free.size), dtype=np.int64)
+    K[free, np.arange(free.size)] = 1
+    K[pivots] = (-R[:len(pivots), free]) % l
     return K
 
 
@@ -95,16 +121,13 @@ def solve_matrix(A, B, l: int):
     if B.ndim == 1:
         X = solve_matrix(A, B[:, None], l)
         return None if X is None else X[:, 0]
-    rows, cols = A.shape
-    aug = np.hstack([A, B])
-    R, pivots = rref(aug, l)
-    pivots_in_A = [c for c in pivots if c < cols]
-    # any pivot falling in the B block marks an inconsistent column
-    if len(pivots_in_A) != len(pivots):
+    cols = A.shape[1]
+    R, pivots = rref(np.hstack([A, B]), l)
+    # a pivot falling in the B block marks an inconsistent column
+    if pivots and pivots[-1] >= cols:
         return None
     X = np.zeros((cols, B.shape[1]), dtype=np.int64)
-    for r, c in enumerate(pivots_in_A):
-        X[c] = R[r, cols:]
+    X[pivots] = R[:len(pivots), cols:]
     return X
 
 

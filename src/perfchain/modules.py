@@ -26,7 +26,9 @@ class PiModule:
     Give either `action`, one matrix per group element (kept as given), or
     `gens`.  `action` is the read-only per-element list, built from `gens`
     when first read and cached; the package reads it only to validate, and
-    everything else works from `gens`.
+    everything else works from `gens`.  With `gens` and validate=False the
+    matrices are kept as given (made read-only, not copied): the caller
+    hands over reduced int64 arrays it no longer writes.
 
     Validation checks action(e) == 1 and action(g) @ action(s) == action(gs)
     for g in pi and s in the group's generators, which gives the same for
@@ -38,7 +40,10 @@ class PiModule:
     def __init__(self, group: GroupTable, dim: int, action=None, validate: bool = True, *,
                  gens=None):
         l = group.prime_l
-        mats = [flinalg.asfield(a, l) for a in (gens if action is None else action)]
+        if action is None and not validate:
+            mats = list(gens)
+        else:
+            mats = [flinalg.asfield(a, l) for a in (gens if action is None else action)]
         if len(mats) != (len(group.generators) if action is None else group.order):
             raise DimensionMismatchError("need one action matrix per group element")
         for a in mats:
@@ -151,7 +156,9 @@ def induced_action(M: PiModule, V, solve) -> PiModule:
     X = solve(np.hstack([rho @ V for rho in M.gens]) % l)
     if X is None:
         raise AssertionError("subspace is not action-invariant")
-    return PiModule(G, k, gens=np.hsplit(X, len(M.gens)), validate=False)
+    # copied out, so the module does not keep the solver's work array alive
+    gens = [block.copy() for block in np.hsplit(X, len(M.gens))]
+    return PiModule(G, k, gens=gens, validate=False)
 
 
 def zero_module(G: GroupTable) -> PiModule:

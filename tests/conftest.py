@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
@@ -199,12 +200,47 @@ SMALL_GROUPS = {
 # test-only oracles
 
 
+@functools.cache
 def inverse_table(l: int) -> np.ndarray:
-    """inv[x] for x in 1..l-1 (inv[0] unused)."""
-    inv = np.zeros(l, dtype=np.int64)
-    for x in range(1, l):
-        inv[x] = pow(x, l - 2, l)
+    """inv[x] = x^(l-2) for x in 1..l-1 (inv[0] unused), by square and
+    multiply over the whole table at once; built once per prime."""
+    inv = np.ones(l, dtype=np.int64)
+    base = np.arange(l, dtype=np.int64)
+    e = l - 2
+    while e:
+        if e & 1:
+            inv = (inv * base) % l
+        base = (base * base) % l
+        e >>= 1
+    inv.flags.writeable = False
     return inv
+
+
+def rref_reference(A, l: int):
+    """Gauss-Jordan over F_l row by row on whole rows, always scaling the
+    pivot row and clearing every other row: the oracle for `flinalg.rref`
+    (the same pivots and the same reduced form)."""
+    R = (np.asarray(A, dtype=np.int64) % l).copy()
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+        R[r] = (R[r] * pow(int(R[r, c]), l - 2, l)) % l
+        other = np.nonzero(R[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            R[other] = (R[other] - np.outer(R[other, c], R[r])) % l
+        pivots.append(c)
+        r += 1
+    return R, pivots
 
 
 def batched_rank(mats: np.ndarray, l: int) -> np.ndarray:

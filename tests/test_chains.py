@@ -15,6 +15,7 @@ from perfchain import (
     GroupRingMatrix,
     ModuleComplex,
     ModuleComplexMap,
+    PiModule,
     build_group,
     direct_sum,
     euler_characteristic,
@@ -35,6 +36,7 @@ from conftest import (
     SMALL_GROUPS,
     conjugate_complex,
     first_generator_projection,
+    heisenberg_27,
     is_equivariant_brute,
     pad_with_identity_cones,
     per_element_action,
@@ -189,6 +191,47 @@ def test_free_and_module_cones_agree(rng):
                 for q in range(lo, max(free.top, module.top) + 2):
                     assert np.array_equal(free.diff_at(q), module.diff_at(q)), (name, q)
                 assert is_quasi_iso(f) == is_quasi_iso(f.expanded()) == module.is_acyclic()
+
+
+def _zoo_with_heis27():
+    return two_group_zoo() + [("Heis27", heisenberg_27())]
+
+
+def test_free_acyclicity_matches_the_module_cone(rng):
+    """On free complexes, is_quasi_iso and homology dimensions read from
+    the expanded differentials agree with the module cone and the
+    expanded complex, for quasi-isomorphisms and for maps that are not."""
+    for name, G in _zoo_with_heis27():
+        core = random_minimal_complex(G, rng)
+        C = conjugate_complex(pad_with_identity_cones(core, rng, 2), rng)
+        w = minimalize(C).witness
+        for f, verdict in ((w, True), (ChainMap(w.source, C, {}), False)):
+            assert is_quasi_iso(f) is verdict, name
+            assert module_mapping_cone(f.expanded()).is_acyclic() is verdict, name
+        for D in (C, mapping_cone(w)):
+            E = D.expanded()
+            for q in range(D.bottom - 1, D.top + 2):
+                assert D.homology_dim(q) == E.homology_dim(q), (name, q)
+            assert D.homology_support() == E.homology_support(), name
+
+
+def test_free_acyclicity_builds_no_module(rng, monkeypatch):
+    """is_quasi_iso on a ChainMap and the homology dimensions of a free
+    complex are read from group-ring expansions alone."""
+    G = heisenberg_27()
+    C = conjugate_complex(pad_with_identity_cones(random_minimal_complex(G, rng), rng, 2),
+                          rng)
+    w = minimalize(C).witness
+    zero = ChainMap(w.source, C, {})
+    degrees = range(C.bottom - 1, C.top + 2)
+    expected = [C.expanded().homology_dim(q) for q in degrees]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PiModule was built")
+
+    monkeypatch.setattr(PiModule, "__init__", refuse)
+    assert is_quasi_iso(w) and not is_quasi_iso(zero)
+    assert [C.homology_dim(q) for q in degrees] == expected
 
 
 def test_minimalize_identity_and_radical():

@@ -17,6 +17,7 @@ from perfchain import (
     ChainComplex,
     ChainMap,
     GroupRingMatrix,
+    PiModule,
     Tower,
     build_group,
     chains_of_cover,
@@ -104,6 +105,26 @@ def test_minimalize_json_bytes_pinned(capsys, tmp_path):
         "59247a7697fbe8d7166fcaaf04b61e8856fc94711666e690544ef04e1a7d1467")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d616eba9dd2abe72e7f032e0f3ab8b7f647fc82f77fb982ca4d5957289eb51b3")
+
+
+def test_homology_of_a_free_complex_pinned_and_module_free(capsys, tmp_path, monkeypatch):
+    """`homology` on a scrambled Heis27 complex prints the bytes pinned
+    from the expanded module complex, and builds no PiModule."""
+    rng = random.Random(5)
+    G = heisenberg_27()
+    C = conjugate_complex(pad_with_identity_cones(random_minimal_complex(G, rng), rng, 3),
+                          rng)
+    path = tmp_path / "heis27.cplx"
+    path.write_text(write_complex(C))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PiModule was built")
+
+    monkeypatch.setattr(PiModule, "__init__", refuse)
+    code, out, _ = run(capsys, "homology", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "511359be52d605bbb6f5fab7fbdef62b8f83bf53a92c95892205c06918f37c7e")
 
 
 def test_tower_certificate_bytes_pinned(capsys, tmp_path):

@@ -379,3 +379,26 @@ def test_free_cover_matches_per_element_loop():
                 for g in range(o):
                     expected[:, t * o + g] = (dense[g] @ lifts[:, t]) % l
             assert np.array_equal(free_cover(Q).matrix, expected), name
+
+
+def test_internal_constructors_hand_over_reduced_read_only_generators():
+    """Modules built inside the package skip the reducing copy in
+    PiModule, so each constructor must hand over reduced, read-only int64
+    generator arrays."""
+    rng = random.Random(67)
+    for name, G in ZOO:
+        l = G.prime_l
+        R2 = regular_module(G, 2)
+        f = PiModuleMap(R2, regular_module(G, 1), GroupRingMatrix(G, np.array(
+            [[[rng.randrange(l) for _ in range(G.order)] for _ in range(2)]])).expand())
+        ker, _ = kernel_of_map(f)
+        W = submodule_span(R2, [[rng.randrange(l)] for _ in range(R2.dim)])
+        mods = [R2, trivial_module(G, 2), zero_module(G), ker, quotient_module(R2, W)[0],
+                direct_sum_modules(R2, trivial_module(G), ker),
+                free_cover(ker).source if ker.dim else zero_module(G)]
+        for M in mods:
+            assert len(M.gens) == len(G.generators), name
+            for a in M.gens:
+                assert isinstance(a, np.ndarray) and a.dtype == np.int64, name
+                assert not a.flags.writeable, name
+                assert ((a >= 0) & (a < l)).all(), name
