@@ -5,6 +5,11 @@ digest of the canonical text) and enough witness data to re-validate the
 verdict without re-running any search: quasi-isomorphism witnesses are
 re-checked by cone acyclicity, non-freeness by an explicit kernel vector
 of the minimal cover, Smith forms by multiplying out the transformations.
+A free witness is checked on group-ring data alone: d o d and the
+chain-map squares by group-ring products, and the cone's acyclicity over
+the residue field F_l, from the ranks of its augmented boundaries
+(`ChainComplex.is_acyclic`).  A witness into a tower's limit is checked
+on the expanded cone.
 
 Modules (a tower's limit, a negative verdict's obstruction) are written
 by their generator matrices only (see `serialize.module_from_json`); a

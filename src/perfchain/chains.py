@@ -10,13 +10,14 @@ Two representations cooperate here:
   computed here; it is also the home of tower limits, which need not be
   levelwise free.
 
-Both kinds share, through `GradedComplex`, homology dimensions and
-acyclicity read from the ranks of the F_l differentials (`diff_at`), so a
-free complex answers them from its expanded boundaries without building
-a module.  They also share one d o d check, one chain-map check (on F_l
-matrices) and one cone formula.  Free maps are equivariant by
-construction, so their checks read the basis columns only; module maps
-are checked for equivariance and then on every column.
+Both kinds share, through `GradedComplex`, homology dimensions read from
+the ranks of the F_l differentials (`diff_at`).  A free complex decides
+acyclicity over the residue field F_l instead (`ChainComplex.is_acyclic`),
+from its augmented boundaries, which are rank x rank matrices.  Both
+kinds also share one d o d check, one chain-map check and one cone
+formula: free complexes and maps compose group-ring data (`ga_compose`)
+and never expand it; module maps are checked for equivariance and then
+composed as F_l matrices.
 
 Degrees are homological (d lowers degree) with an explicit bottom degree;
 negative degrees are fine.
@@ -104,7 +105,7 @@ class ModuleComplex(GradedComplex):
             for i, d in enumerate(diffs):
                 if not is_equivariant(mods[i + 1], mods[i], d):
                     raise DimensionMismatchError("differential is not equivariant")
-            _check_d_squared(self, slice(None))
+            _check_d_squared(self, self.diff_at, _field_compose(l))
 
     @property
     def top(self) -> int:
@@ -135,11 +136,21 @@ class ModuleComplex(GradedComplex):
         return self.homology_data(q).module
 
 
-def _check_d_squared(C, cols) -> None:
-    """d_{q-1} o d_q = 0 in every degree, compared on the columns `cols`."""
-    l = C.group.prime_l
+def _field_compose(l: int):
+    """Composite (second after first) of F_l matrices."""
+    return lambda second, first: (second @ first) % l
+
+
+def _ring_compose(G: GroupTable):
+    """Composite (second after first) of group-ring data over G."""
+    return lambda second, first: ga_compose(second, first, G)
+
+
+def _check_d_squared(C, diff_at, compose) -> None:
+    """d_{q-1} o d_q = 0 in every degree, with d_q = `diff_at(q)` and the
+    composite taken by `compose(second, first)`."""
     for q in range(C.bottom + 2, C.top + 1):
-        if ((C.diff_at(q - 1) @ C.diff_at(q)[:, cols]) % l).any():
+        if compose(diff_at(q - 1), diff_at(q)).any():
             raise BoundarySquareNonzeroError(f"d_{q - 1} o d_{q} != 0")
 
 
@@ -151,14 +162,13 @@ def _degrees(*parts) -> range:
     return range(min(bottoms), max(tops) + 1)
 
 
-def _check_commutes(f, component_at, cols) -> None:
-    """d f_q = f_{q-1} d in every degree, compared on the columns `cols`;
-    `component_at(q)` is f_q over F_l."""
+def _check_commutes(f, component_at, diff_at, compose) -> None:
+    """d f_q = f_{q-1} d in every degree, with f_q = `component_at(q)`, the
+    differentials `diff_at(C, q)` and composites `compose(second, first)`."""
     S, T = f.source, f.target
-    l = S.group.prime_l
     for q in _degrees((S, 0, 1), (T, 0, 1)):
-        lhs = (T.diff_at(q) @ component_at(q)[:, cols]) % l
-        rhs = (component_at(q - 1) @ S.diff_at(q)[:, cols]) % l
+        lhs = compose(diff_at(T, q), component_at(q))
+        rhs = compose(component_at(q - 1), diff_at(S, q))
         if not np.array_equal(lhs, rhs):
             raise DimensionMismatchError(f"map does not commute with d at degree {q}")
 
@@ -233,7 +243,8 @@ class ModuleComplexMap:
         for q, m in self.components.items():
             if not is_equivariant(self.source.module_at(q), self.target.module_at(q), m):
                 raise DimensionMismatchError("map component not equivariant")
-        _check_commutes(self, self.component_at, slice(None))
+        _check_commutes(self, self.component_at, lambda C, q: C.diff_at(q),
+                        _field_compose(self.source.group.prime_l))
 
 
 def module_mapping_cone(f: ModuleComplexMap) -> ModuleComplex:
@@ -253,13 +264,15 @@ def module_mapping_cone(f: ModuleComplexMap) -> ModuleComplex:
 
 class ChainComplex(GradedComplex):
     """Bounded complex of free modules F_l[pi]^rank with group-ring
-    boundary matrices; d o d = 0 is validated at construction.
+    boundary matrices; d o d = 0 is checked on the group-ring data at
+    construction unless validate=False.
 
     Leading and trailing zero ranks are trimmed, so equal complexes
     compare equal regardless of padding.
     """
 
-    def __init__(self, group: GroupTable, bottom: int, ranks, boundaries):
+    def __init__(self, group: GroupTable, bottom: int, ranks, boundaries,
+                 validate: bool = True):
         ranks = [int(r) for r in ranks]
         boundaries = list(boundaries)
         if any(r < 0 for r in ranks):
@@ -293,7 +306,8 @@ class ChainComplex(GradedComplex):
         self.boundaries = boundaries
         self._expanded = None
         self._diff_ranks: dict[int, int] = {}
-        _check_d_squared(self, slice(group.identity, None, group.order))
+        if validate:
+            _check_d_squared(self, lambda q: self.boundary_at(q).data, _ring_compose(group))
 
     @property
     def top(self) -> int:
@@ -318,6 +332,29 @@ class ChainComplex(GradedComplex):
     def diff_at(self, q: int) -> np.ndarray:
         """d_q over F_l: the expansion of `boundary_at(q)`."""
         return self.boundary_at(q).expand()
+
+    def is_acyclic(self) -> bool:
+        """Acyclicity over the residue field: True iff
+        rank_q = a_q + a_{q+1} in every degree, where a_q is the F_l rank of
+        the augmentation of d_q, i.e. iff C (x) F_l is exact.
+
+        This is exact because pi is an l-group (`GroupTable` refuses any
+        other order with NotAnLGroupError): F_l[pi] is then local with
+        residue field F_l, and a bounded complex of finitely generated free
+        modules over a local ring is acyclic iff it stays exact after
+        (x) F_l.  It splits as its minimal model M plus contractible
+        pieces; M (x) F_l has zero differential, so it is exact only when
+        M = 0 (Nakayama).  See Benson, Representations and Cohomology I,
+        on minimal resolutions, and Avramov, Infinite free resolutions
+        (1998).  The matrices ranked are rank x rank, not
+        (rank * |pi|)-square, and nothing is cancelled; homology dimensions
+        still read the expanded ranks, because they count F_l dimensions.
+        """
+        l = self.group.prime_l
+        a = {q: flinalg.rank(self.boundary_at(q).augmentation_matrix(), l)
+             for q in range(self.bottom + 1, self.top + 1)}
+        return all(r == a.get(q, 0) + a.get(q + 1, 0)
+                   for q, r in enumerate(self.ranks, self.bottom))
 
     def expanded(self) -> ModuleComplex:
         if self._expanded is None:
@@ -383,9 +420,8 @@ class ChainMap:
                                      self.source.rank_at(q))
 
     def _validate(self):
-        G = self.source.group
-        _check_commutes(self, lambda q: self.component_at(q).expand(),
-                        slice(G.identity, None, G.order))
+        _check_commutes(self, lambda q: self.component_at(q).data,
+                        lambda C, q: C.boundary_at(q).data, _ring_compose(self.source.group))
 
     def expanded(self) -> ModuleComplexMap:
         comps = {q: m.expand() for q, m in self.components.items()}
@@ -458,7 +494,11 @@ def shift(C: ChainComplex, k: int) -> ChainComplex:
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone of f with degree-q piece source_{q-1} (+) target_q and
-    differential (s, t) -> (-d s, f(s) + d t)."""
+    differential (s, t) -> (-d s, f(s) + d t).
+
+    Its d o d is [[d_S d_S, 0], [d_T f - f d_S, d_T d_T]], zero once the
+    source, target and chain-map checks have passed, so the cone is
+    built without a second check."""
     S, T = f.source, f.target
     G = S.group
     degrees = _degrees((S, 1, 1), (T, 0, 0))
@@ -467,12 +507,13 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
                                                  f.component_at(q - 1).data,
                                                  T.boundary_at(q).data, G.prime_l))
                   for q in degrees[1:]]
-    return ChainComplex(G, degrees.start, ranks, boundaries)
+    return ChainComplex(G, degrees.start, ranks, boundaries, validate=False)
 
 
 def is_quasi_iso(f) -> bool:
     """True iff the mapping cone of f (a ChainMap or ModuleComplexMap) is
-    acyclic, read from the ranks of its differentials over F_l."""
+    acyclic: over the residue field for a free cone, from the ranks of
+    its F_l differentials for a module cone."""
     cone = mapping_cone(f) if isinstance(f, ChainMap) else module_mapping_cone(f)
     return cone.is_acyclic()
 

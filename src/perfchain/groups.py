@@ -333,10 +333,12 @@ def is_unit(a: GroupRingElement, G: GroupTable) -> bool:
 
 
 def ga_inverse(a: GroupRingElement, G: GroupTable) -> GroupRingElement:
-    """Two-sided inverse of a unit, via the terminating geometric series.
+    """Two-sided inverse of a unit, by repeated squaring.
 
     Write a = alpha (1 - n) with alpha = augmentation(a) and n in the
-    radical; nilpotence of the radical makes sum(n^k) finite.
+    radical.  Then (1 - n)^-1 = (1 + n)(1 + n^2)(1 + n^4)..., which stops
+    once n^(2^k) = 0; the radical's nilpotency index is at most |pi|, so
+    that takes at most about log2 |pi| squarings.
     """
     _check_element(a, G)
     l = G.prime_l
@@ -344,18 +346,15 @@ def ga_inverse(a: GroupRingElement, G: GroupTable) -> GroupRingElement:
     if alpha == 0:
         raise NotAUnitError("element has augmentation zero")
     alpha_inv = pow(alpha, l - 2, l)
-    b = GroupRingElement(a.coeffs * alpha_inv, l)  # augmentation 1
-    n = ga_one(G) - b
-    acc = ga_one(G)
-    term = n
-    steps = 0
-    while not term.is_zero():
-        acc = acc + term
-        term = ga_mul(term, n, G)
-        steps += 1
-        if steps > G.order * (l - 1) + 2:
-            raise AssertionError("radical series failed to terminate")
-    return GroupRingElement(acc.coeffs * alpha_inv, l)
+    n = ga_one(G) - GroupRingElement(a.coeffs * alpha_inv, l)
+    acc = ga_one(G) + n
+    power = n
+    for _ in range(G.order.bit_length()):
+        power = ga_mul(power, power, G)     # n^(2^k)
+        if power.is_zero():
+            return GroupRingElement(acc.coeffs * alpha_inv, l)
+        acc = acc + ga_mul(acc, power, G)   # acc (1 + n^(2^k))
+    raise AssertionError("radical powers failed to vanish")
 
 
 # ----------------------------------------------------------------------

@@ -29,15 +29,11 @@ def digest_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _format_entry(coeffs) -> str:
-    return "[" + ",".join(str(int(c)) for c in coeffs) + "]"
-
-
 def _format_matrix_lines(m: GroupRingMatrix) -> list[str]:
-    lines = []
-    for i in range(m.rows):
-        lines.append(" ".join(_format_entry(m.data[i, j]) for j in range(m.cols)))
-    return lines
+    """One line per row, each entry its coefficients in brackets; formatted
+    from Python ints (`tolist`), about twice as fast as numpy scalars."""
+    return [" ".join("[" + ",".join(map(str, entry)) + "]" for entry in row)
+            for row in m.data.tolist()]
 
 
 def _complex_lines(C: ChainComplex) -> list[str]:

@@ -527,6 +527,24 @@ def ga_mul_reference(a, b, G: GroupTable) -> np.ndarray:
     return out % G.prime_l
 
 
+def ga_inverse_series_reference(a, G: GroupTable) -> np.ndarray:
+    """Coefficients of the inverse of a unit a by the terminating geometric
+    series: a = alpha (1 - n) with n in the radical, and (1 - n)^-1 is
+    1 + n + n^2 + ..., one product per power up to n's nilpotency index."""
+    l = G.prime_l
+    alpha_inv = pow(int(np.sum(a) % l), l - 2, l)
+    one = np.zeros(G.order, dtype=np.int64)
+    one[G.identity] = 1
+    n = (one - np.asarray(a) * alpha_inv) % l
+    acc, term = one, n
+    for _ in range(G.order):
+        if not term.any():
+            return (acc * alpha_inv) % l
+        acc = (acc + term) % l
+        term = ga_mul_reference(term, n, G)
+    raise AssertionError("radical series failed to terminate")
+
+
 def from_expanded_reference(G: GroupTable, E, rows: int, cols: int) -> np.ndarray:
     """The group-ring data of an equivariant expanded matrix, read entry
     by entry: entry (i, j) is block row i of column (j, identity)."""

@@ -30,7 +30,7 @@ from perfchain import (
     zero_complex,
 )
 from perfchain import flinalg
-from perfchain.chains import compose_chain_maps, module_mapping_cone
+from perfchain.chains import GradedComplex, compose_chain_maps, module_mapping_cone
 
 from conftest import (
     SMALL_GROUPS,
@@ -215,6 +215,47 @@ def test_free_acyclicity_matches_the_module_cone(rng):
             assert D.homology_support() == E.homology_support(), name
 
 
+def test_residue_field_acyclicity_matches_expanded_ranks():
+    """A free complex is acyclic over F_l[pi] iff it is exact after (x) F_l:
+    the residue-field verdict of ChainComplex.is_acyclic equals the
+    expanded-rank verdict of GradedComplex.is_acyclic, on scrambled
+    complexes C over both zoos (Heis27 among them), their minimal cores,
+    and the cones of the minimalize witness, the identity, the zero map
+    and norm x identity."""
+    rng = random.Random(59)
+    verdicts = []
+    for name, G in two_group_zoo() + three_group_zoo():
+        for _ in range(6):
+            core = random_minimal_complex(G, rng)
+            C = conjugate_complex(pad_with_identity_cones(core, rng, rng.randint(1, 3)), rng)
+            w = minimalize(C).witness
+            N = norm_element(G).coeffs
+            norm = {q: GroupRingMatrix(G, np.eye(r, dtype=np.int64)[:, :, None] * N)
+                    for q, r in enumerate(C.ranks, C.bottom)}
+            maps = (w, identity_chain_map(C), ChainMap(w.source, C, {}), ChainMap(C, C, norm))
+            for D in (core, C, *map(mapping_cone, maps)):
+                verdict = D.is_acyclic()
+                assert verdict is GradedComplex.is_acyclic(D), name
+                verdicts.append(verdict)
+    # negative: every core and C (2 x 192), every zero map (192) and
+    # norm x identity off the trivial groups (180)
+    assert (len(verdicts), verdicts.count(False)) == (1152, 756)
+
+
+def test_cone_skips_the_d_squared_check():
+    """validate=False, which mapping_cone uses because the chain-map check
+    already makes the cone's d o d zero, skips the d o d check and no
+    other."""
+    G = SMALL_GROUPS["C3"]
+    t = GroupRingMatrix.from_entries(G, [[[0, 1, 0]]])
+    with pytest.raises(BoundarySquareNonzeroError):
+        ChainComplex(G, 0, [1, 1, 1], [t, t])
+    C = ChainComplex(G, 0, [1, 1, 1], [t, t], validate=False)
+    assert C.ranks == [1, 1, 1]
+    with pytest.raises(DimensionMismatchError):
+        ChainComplex(G, 0, [1, 2], [t], validate=False)
+
+
 def test_free_acyclicity_builds_no_module(rng, monkeypatch):
     """is_quasi_iso on a ChainMap and the homology dimensions of a free
     complex are read from group-ring expansions alone."""
@@ -335,7 +376,7 @@ KINDS = [("norm", "radical"), ("radical", "radical"), ("any", "any")]
 
 
 def test_d_squared_check_matches_full_expansion():
-    """d o d = 0 is checked on basis columns only; a complex is accepted
+    """d o d = 0 is checked on group-ring data; a complex is accepted
     exactly when the full expanded product vanishes."""
     rng = random.Random(41)
     seen = set()
@@ -356,7 +397,7 @@ def test_d_squared_check_matches_full_expansion():
 
 
 def test_chain_map_check_matches_full_expansion():
-    """Commutation with d is checked on basis columns only; a chain map is
+    """Commutation with d is checked on group-ring data; a chain map is
     accepted exactly when the full expanded squares commute."""
     rng = random.Random(43)
     seen = set()

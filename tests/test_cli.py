@@ -8,6 +8,7 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from perfchain import (
     lens_complex,
     norm_element,
 )
+from perfchain import chains
 from perfchain.serialize import write_complex, write_tower
 
 from conftest import (
@@ -125,6 +127,68 @@ def test_homology_of_a_free_complex_pinned_and_module_free(capsys, tmp_path, mon
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "511359be52d605bbb6f5fab7fbdef62b8f83bf53a92c95892205c06918f37c7e")
+
+
+def test_free_verify_builds_no_expansion(capsys, tmp_path, lens_path, monkeypatch):
+    """`perfect --cert`, `minimalize --cert` and `verify` of free complexes
+    run on group-ring data alone: with GroupRingMatrix.expand refused they
+    print the same bytes, and forged certificates still fail."""
+    rng = random.Random(7)
+    G = heisenberg_27()
+    x = np.zeros(G.order, dtype=np.int64)
+    x[G.generators[0]], x[G.identity] = 1, 2                       # g - 1
+    core = ChainComplex(G, 1, [1, 2], [GroupRingMatrix(G, [[x, 2 * x]])])
+    heis27 = tmp_path / "heis27.cplx"
+    heis27.write_text(write_complex(conjugate_complex(pad_with_identity_cones(core, rng, 3), rng)))
+    heis27_path = str(heis27)
+    jobs = [[(command, src, "--cert", f"{src}.{command}.cert"),
+             ("verify", f"{src}.{command}.cert")]
+            for src in (heis27_path, lens_path) for command in ("perfect", "minimalize")]
+    expected = [[run(capsys, *argv) for argv in job] for job in jobs]
+
+    def refuse(self):
+        raise AssertionError("a group-ring matrix was expanded")
+
+    monkeypatch.setattr(GroupRingMatrix, "expand", refuse)
+    assert [[run(capsys, *argv) for argv in job] for job in jobs] == expected
+    assert all(code == 0 for job in expected for code, _, _ in job)
+
+    forged = []
+    for src in (heis27_path, lens_path):
+        with open(f"{src}.perfect.cert") as fh:
+            cert = json.load(fh)
+        cert["witness"]["map"] = {}
+        forged.append((cert, "not a quasi-isomorphism"))
+    # the Heis27 replacement has one boundary, so d o d stays zero
+    with open(f"{heis27_path}.perfect.cert") as fh:
+        cert = json.load(fh)
+    entry = cert["witness"]["replacement"]["boundaries"][0][0][0]
+    entry[0] = (entry[0] + 1) % 3       # augmentation 1: a unit
+    forged.append((cert, "unit entry"))
+    for cert, reason in forged:
+        path = tmp_path / "forged.cert"
+        path.write_text(json.dumps(cert))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1 and reason in out, reason
+
+
+def test_witness_breaking_a_square_is_rejected_before_any_cone(capsys, lens_path,
+                                                               tmp_path, monkeypatch):
+    """A witness map that fails one chain-map square is refused by the
+    ChainMap check (exit 2, E_DIM_MISMATCH), so the cone is never built."""
+    cert_path = tmp_path / "lens.cert"
+    assert run(capsys, "perfect", lens_path, "--cert", str(cert_path))[0] == 0
+    cert = json.loads(cert_path.read_text())
+    cert["witness"]["map"]["1"] = [[[0, 0]]]     # d f_1 = 0, f_0 d = 1 + t
+    cert_path.write_text(json.dumps(cert))
+
+    def refuse(f):
+        raise AssertionError("a cone was built")
+
+    monkeypatch.setattr(chains, "mapping_cone", refuse)
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert (code, out) == (2, "")
+    assert "E_DIM_MISMATCH" in err and "commute" in err
 
 
 def test_tower_certificate_bytes_pinned(capsys, tmp_path):

@@ -33,9 +33,11 @@ from conftest import (
     closure_brute,
     dihedral,
     from_expanded_reference,
+    ga_inverse_series_reference,
     ga_mul_reference,
     heisenberg_27,
     is_group_brute,
+    random_unit,
     regular_action_matrices,
     three_group_zoo,
     two_group_zoo,
@@ -194,6 +196,23 @@ def test_ga_inverse_examples():
     assert ga_inverse(elt([1, 1, 0], 3), C3) == elt([2, 1, 2], 3)
     with pytest.raises(NotAUnitError):
         ga_inverse(elt([1, 1], 2), SMALL_GROUPS["C2"])
+
+
+def test_ga_inverse_matches_geometric_series():
+    """Repeated squaring gives the inverse that the geometric series gives,
+    on random units and on generators g (where n = 1 - g has nilpotency
+    index the order of g), over the zoos and cyclic:729."""
+    rng = random.Random(47)
+    C729 = build_group("cyclic:729", 3)
+    for name, G in two_group_zoo() + three_group_zoo() + [("C729", C729)]:
+        units = [random_unit(G, rng) for _ in range(4 if G.order < 729 else 1)]
+        for g in G.generators:
+            units.append(np.eye(G.order, dtype=np.int64)[g] * rng.randrange(1, G.prime_l))
+        for u in units:
+            a = elt(u, G.prime_l)
+            expected = ga_inverse_series_reference(u, G)
+            assert np.array_equal(ga_inverse(a, G).coeffs, expected), name
+            assert ga_mul(a, elt(expected, G.prime_l), G) == ga_one(G), name
 
 
 @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C2xC2", "D4"])
