@@ -27,11 +27,9 @@ from .chains import (
     euler_characteristic,
     homology,
     identity_chain_map,
-    induced_map_on_homology,
     is_quasi_iso,
     mapping_cone,
     minimalize,
-    shift,
     zero_complex,
 )
 from .errors import (
@@ -40,7 +38,6 @@ from .errors import (
     GroupMismatchError,
     HorizonExhaustedError,
     LimitError,
-    MaxDegreeError,
     NotAGroupError,
     NotAnLGroupError,
     NotAUnitError,
@@ -48,10 +45,9 @@ from .errors import (
     NotPerfectError,
     ParseError,
     PerfchainError,
-    UnboundedHomologyError,
     UsageError,
 )
-from .finiteness import PerfectnessVerdict, decide_perfect, free_approximation, wall_class
+from .finiteness import PerfectnessVerdict, decide_perfect, wall_class
 from .groups import (
     GroupRingElement,
     GroupRingMatrix,
@@ -63,7 +59,6 @@ from .groups import (
     ga_inverse,
     ga_mul,
     ga_one,
-    ga_zero,
     is_unit,
     norm_element,
 )
@@ -80,6 +75,6 @@ from .modules import (
     trivial_module,
     zero_module,
 )
-from .towers import Tower, constant_tower, limit_complex, pro_decide_perfect, stable_images
+from .towers import Tower, limit_complex, pro_decide_perfect, stable_images
 
 __version__ = "0.1.0"

@@ -43,11 +43,9 @@ from .groups import (
     GroupTable,
     ga_compose,
     ga_inverse,
-    grm_compose,
 )
 from .modules import (
     PiModule,
-    PiModuleMap,
     direct_sum_modules,
     induced_action,
     is_equivariant,
@@ -194,9 +192,6 @@ class HomologyData(NamedTuple):
 
     def chain_of_class(self, coords) -> np.ndarray:
         return (self.reps @ np.asarray(coords, dtype=np.int64)) % self.module.group.prime_l
-
-    def class_of_cycle(self, chain) -> np.ndarray:
-        return self.quotient.project(chain)
 
 
 def _homology_data(C: ModuleComplex, q: int) -> HomologyData:
@@ -364,9 +359,6 @@ class ChainComplex(GradedComplex):
                                            validate=False)
         return self._expanded
 
-    def total_rank(self) -> int:
-        return sum(self.ranks)
-
     def is_minimal(self) -> bool:
         """All boundary entries lie in the radical (augmentation zero)."""
         return all(not b.augmentation_matrix().any() for b in self.boundaries)
@@ -438,19 +430,6 @@ def identity_chain_map(C: ChainComplex) -> ChainMap:
     return ChainMap(C, C, comps, validate=False)
 
 
-def compose_chain_maps(second: ChainMap, first: ChainMap) -> ChainMap:
-    if first.target is not second.source and first.target != second.source:
-        raise DimensionMismatchError("chain maps do not compose")
-    comps = {}
-    lo = min(first.source.bottom, second.target.bottom)
-    hi = max(first.source.top, second.target.top)
-    for q in range(lo, hi + 1):
-        m = grm_compose(second.component_at(q), first.component_at(q))
-        if m.rows and m.cols and not m.is_zero():
-            comps[q] = m
-    return ChainMap(first.source, second.target, comps, validate=False)
-
-
 # ----------------------------------------------------------------------
 # spec-level operations
 
@@ -487,11 +466,6 @@ def direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     return ChainComplex(G, bottom, ranks, boundaries)
 
 
-def shift(C: ChainComplex, k: int) -> ChainComplex:
-    """Reindex degrees upward by k (differentials unchanged)."""
-    return ChainComplex(C.group, C.bottom + k, C.ranks, C.boundaries)
-
-
 def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone of f with degree-q piece source_{q-1} (+) target_q and
     differential (s, t) -> (-d s, f(s) + d t).
@@ -516,17 +490,6 @@ def is_quasi_iso(f) -> bool:
     its F_l differentials for a module cone."""
     cone = mapping_cone(f) if isinstance(f, ChainMap) else module_mapping_cone(f)
     return cone.is_acyclic()
-
-
-def induced_map_on_homology(f, q: int) -> PiModuleMap:
-    """H_q(f) for a ChainMap or ModuleComplexMap."""
-    if isinstance(f, ChainMap):
-        f = f.expanded()
-    hs = f.source.homology_data(q)
-    ht = f.target.homology_data(q)
-    l = f.source.group.prime_l
-    images = (f.component_at(q) @ hs.reps) % l
-    return PiModuleMap(hs.module, ht.module, ht.class_of_cycle(images), validate=False)
 
 
 class MinimalizeResult(NamedTuple):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import functools
 import re
 import sys
 
@@ -223,7 +224,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every call of `main` shares it."""
     parser = argparse.ArgumentParser(
         prog="perfchain",
         description="Perfectness of chain complexes over F_l[pi], tower limits, "

@@ -43,18 +43,6 @@ class BoundarySquareNonzeroError(PerfchainError):
     code = "E_D_SQUARED"
 
 
-class UnboundedHomologyError(PerfchainError):
-    """Homology support exceeds the requested approximation degree."""
-
-    code = "E_UNBOUNDED_HOMOLOGY"
-
-
-class MaxDegreeError(PerfchainError):
-    """Computed top homology degree exceeds the caller-supplied cap."""
-
-    code = "E_MAX_DEGREE"
-
-
 class NotPerfectError(PerfchainError):
     """Operation requires a perfect complex but the verdict is negative."""
 

@@ -8,6 +8,7 @@ and matrix in the package.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -189,11 +190,17 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
 _TABLE_RE = re.compile(r"^table:\{order:(\d+);identity:(\d+);mult:([0-9,|]+)\}$")
 
 
+@functools.lru_cache(maxsize=8)
 def build_group(spec: str, l: int) -> GroupTable:
     """Build a validated group from a descriptor string.
 
     Grammar: ``cyclic:N`` | ``product:cyclic:N,cyclic:M[,...]`` |
     ``table:{order:N;identity:I;mult:r0|r1|...}`` with comma-separated rows.
+
+    The last few groups built are kept and returned again for the same
+    descriptor and prime, so a certificate's input and replacement share
+    one table.  Sharing is safe because a GroupTable's arrays are
+    read-only; a refused descriptor raises, and nothing is kept for it.
     """
     spec = spec.strip()
     if spec.startswith("cyclic:"):
@@ -269,10 +276,6 @@ class GroupRingElement:
 
     def __repr__(self):
         return f"GroupRingElement({self.coeffs.tolist()}, l={self.prime})"
-
-
-def ga_zero(G: GroupTable) -> GroupRingElement:
-    return GroupRingElement(np.zeros(G.order, dtype=np.int64), G.prime_l)
 
 
 def ga_one(G: GroupTable) -> GroupRingElement:

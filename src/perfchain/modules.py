@@ -105,6 +105,13 @@ def orbit(M: PiModule, V) -> list[np.ndarray]:
     return out
 
 
+def orbit_columns(M: PiModule, V) -> np.ndarray:
+    """The orbit of the columns of V as one matrix: column t*order + g is
+    rho(g) V[:, t], the image of basis vector (t, g) of F_l[pi]^k."""
+    k = np.shape(V)[1]
+    return np.stack(orbit(M, V), axis=2).reshape(M.dim, k * M.group.order)
+
+
 class PiModuleMap:
     """An equivariant F_l-linear map between PiModules."""
 
@@ -225,12 +232,9 @@ def minimal_generator_lifts(M: PiModule) -> np.ndarray:
 
 def free_cover(M: PiModule) -> PiModuleMap:
     """The minimal surjection F_l[pi]^k -> M, k = minimal_generators(M)."""
-    G = M.group
     gens = minimal_generator_lifts(M)
-    k = gens.shape[1]
-    # column t*order + g is rho(g) applied to the t-th lift
-    mat = np.stack(orbit(M, gens), axis=2).reshape(M.dim, k * G.order)
-    return PiModuleMap(regular_module(G, k), M, mat, validate=False)
+    return PiModuleMap(regular_module(M.group, gens.shape[1]), M, orbit_columns(M, gens),
+                       validate=False)
 
 
 def kernel_of_map(f: PiModuleMap) -> tuple[PiModule, PiModuleMap]:
@@ -248,14 +252,11 @@ def is_free(M: PiModule) -> tuple[bool, int | None]:
     Decided by the minimal free cover: over a local ring the cover is
     onto, and M is free exactly when the cover has zero kernel.
     """
-    G = M.group
-    k = minimal_generators(M)
-    if M.dim != k * G.order:
+    lifts = minimal_generator_lifts(M)
+    k = lifts.shape[1]
+    if M.dim != k * M.group.order:
         return False, None
-    if k == 0:
-        return True, 0
-    cover = free_cover(M)
-    if flinalg.rank(cover.matrix, G.prime_l) == k * G.order:
+    if flinalg.rank(orbit_columns(M, lifts), M.group.prime_l) == M.dim:
         return True, k
     return False, None
 

@@ -134,11 +134,14 @@ def _parse_complex_body(cur: _Cursor, G: GroupTable) -> ChainComplex:
         line = cur.peek()
         if line is None or not line.startswith("boundary "):
             break
+        lineno = cur.lineno()
         cur.next()
-        q = _parse_int(line[len("boundary "):], "boundary degree", cur.lineno())
+        q = _parse_int(line[len("boundary "):], "boundary degree", lineno)
         i = q - bottom
         if not (1 <= i <= len(ranks) - 1):
-            raise ParseError(f"boundary degree {q} outside rank range", cur.lineno())
+            raise ParseError(f"boundary degree {q} outside rank range", lineno)
+        if i in boundaries:
+            raise ParseError(f"repeated block {line!r}", lineno)
         boundaries[i] = _parse_matrix(cur, G, ranks[i - 1], ranks[i])
     mats = []
     for i in range(1, len(ranks)):
@@ -199,8 +202,11 @@ def read_tower(text: str) -> Tower:
             line = cur.peek()
             if line is None or not line.startswith("degree "):
                 break
+            lineno = cur.lineno()
             cur.next()
-            q = _parse_int(line[len("degree "):], "degree", cur.lineno())
+            q = _parse_int(line[len("degree "):], "degree", lineno)
+            if q in comps:
+                raise ParseError(f"repeated block {line!r}", lineno)
             comps[q] = _parse_matrix(cur, G, tgt.rank_at(q), src.rank_at(q))
         bonds.append(ChainMap(src, tgt, comps))
     if cur.peek() is not None:
@@ -365,18 +371,6 @@ def module_complex_to_json(MC: ModuleComplex) -> dict:
         "modules": [module_to_json(m) for m in MC.modules],
         "diffs": [d.tolist() for d in MC.diffs],
     }
-
-
-def module_complex_from_json(obj: dict) -> ModuleComplex:
-    G, bottom = _json_header(obj)
-    mods, diffs = json_field(obj, "modules"), json_field(obj, "diffs")
-    if not isinstance(mods, list) or not isinstance(diffs, list) \
-            or len(diffs) != max(len(mods) - 1, 0):
-        raise ParseError("module complex needs one differential per adjacent pair")
-    mods = [module_from_json(m, G) for m in mods]
-    diffs = [json_field_array(d, f"differential {i}", G.prime_l, mods[i].dim, mods[i + 1].dim)
-             for i, d in enumerate(diffs)]
-    return ModuleComplex(G, bottom, mods, diffs)
 
 
 def module_map_to_json(f: ModuleComplexMap) -> dict:

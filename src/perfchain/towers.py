@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flinalg
-from .chains import ChainComplex, ModuleComplex
+from .chains import ModuleComplex
 from .errors import DimensionMismatchError, GroupMismatchError, HorizonExhaustedError
 from .finiteness import PerfectnessVerdict, decide_perfect
 from .groups import grm_compose
@@ -46,10 +46,6 @@ class Tower:
 
     def __len__(self):
         return len(self.levels)
-
-    def drop_levels(self, k: int) -> "Tower":
-        """The tower re-indexed to start at level k."""
-        return Tower(self.levels[k:], self.bonds[k:])
 
 
 @dataclass
@@ -138,15 +134,7 @@ def limit_complex(T: Tower, horizon: int, level: int = 0) -> ModuleComplex:
     return ModuleComplex(G, base.bottom, mods, diffs)
 
 
-def pro_decide_perfect(T: Tower, horizon: int,
-                       max_degree: int | None = None) -> PerfectnessVerdict:
+def pro_decide_perfect(T: Tower, horizon: int) -> PerfectnessVerdict:
     """Perfectness of the tower limit."""
-    return decide_perfect(limit_complex(T, horizon), max_degree=max_degree)
+    return decide_perfect(limit_complex(T, horizon))
 
-
-def constant_tower(C: ChainComplex, n_levels: int) -> Tower:
-    """n_levels copies of C with identity bonds."""
-    from .chains import identity_chain_map
-    levels = [C] * n_levels
-    bonds = [identity_chain_map(C) for _ in range(n_levels - 1)]
-    return Tower(levels, bonds)

@@ -24,8 +24,9 @@ from perfchain import (
 )
 from perfchain import certificates, flinalg
 from perfchain.abelian import Lattice, SNFResult, integer_kernel_columns
-from perfchain.chains import compose_chain_maps
+from perfchain.errors import DimensionMismatchError
 from perfchain.groups import grm_compose
+from perfchain.modules import PiModuleMap
 
 
 def group_from_mul(elems, mul, identity_elem, l: int) -> GroupTable:
@@ -728,21 +729,48 @@ def cone_junk_with_map(core: ChainComplex, rng):
     return J, theta
 
 
+def compose_chain_maps(second: ChainMap, first: ChainMap) -> ChainMap:
+    """second o first, degree by degree on the group-ring data."""
+    if first.target is not second.source and first.target != second.source:
+        raise DimensionMismatchError("chain maps do not compose")
+    comps = {}
+    lo = min(first.source.bottom, second.target.bottom)
+    hi = max(first.source.top, second.target.top)
+    for q in range(lo, hi + 1):
+        m = grm_compose(second.component_at(q), first.component_at(q))
+        if m.rows and m.cols and not m.is_zero():
+            comps[q] = m
+    return ChainMap(first.source, second.target, comps, validate=False)
+
+
+def induced_map_on_homology(f, q: int) -> PiModuleMap:
+    """H_q(f) for a ChainMap or ModuleComplexMap."""
+    if isinstance(f, ChainMap):
+        f = f.expanded()
+    hs = f.source.homology_data(q)
+    ht = f.target.homology_data(q)
+    l = f.source.group.prime_l
+    images = (f.component_at(q) @ hs.reps) % l
+    return PiModuleMap(hs.module, ht.module, ht.quotient.project(images), validate=False)
+
+
 def homology_image_dims(T: Tower, q: int, h: int) -> list[int]:
     """dim of the image of H_q(level_k) -> H_q(level_0) for k = 0..h,
     computed through induced maps on homology (the oracle for the
     exactness-of-limits property)."""
-    from perfchain import induced_map_on_homology
-    from perfchain.flinalg import rank
-
     l = T.group.prime_l
     dims = []
     composite = identity_chain_map(T.levels[0])
     dims.append(induced_map_on_homology(composite, q).source.dim)
     for k in range(h):
         composite = compose_chain_maps(composite, T.bonds[k])
-        dims.append(rank(induced_map_on_homology(composite, q).matrix, l))
+        dims.append(flinalg.rank(induced_map_on_homology(composite, q).matrix, l))
     return dims
+
+
+def constant_tower(C: ChainComplex, n_levels: int) -> Tower:
+    """n_levels copies of C with identity bonds."""
+    return Tower([C] * n_levels, [identity_chain_map(C)] * (n_levels - 1))
 
 
 def random_stabilizing_tower(G: GroupTable, rng, n_levels: int = 5):

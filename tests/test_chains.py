@@ -26,14 +26,14 @@ from perfchain import (
     minimalize,
     norm_element,
     regular_module,
-    shift,
     zero_complex,
 )
 from perfchain import flinalg
-from perfchain.chains import GradedComplex, compose_chain_maps, module_mapping_cone
+from perfchain.chains import GradedComplex, module_mapping_cone
 
 from conftest import (
     SMALL_GROUPS,
+    compose_chain_maps,
     conjugate_complex,
     first_generator_projection,
     heisenberg_27,
@@ -183,7 +183,9 @@ def test_free_and_module_cones_agree(rng):
             core = random_minimal_complex(G, rng)
             C = conjugate_complex(pad_with_identity_cones(core, rng, 2), rng)
             w = minimalize(C).witness
-            maps = [w, ChainMap(shift(w.source, shift_by), C, {})]
+            M = w.source
+            shifted = ChainComplex(G, M.bottom + shift_by, M.ranks, M.boundaries)
+            maps = [w, ChainMap(shifted, C, {})]
             for f in maps:
                 free = mapping_cone(f).expanded()
                 module = module_mapping_cone(f.expanded())
@@ -317,8 +319,7 @@ def test_direct_sum_and_shift():
     G = SMALL_GROUPS["C2"]
     C = lens_like(G, 2)
     assert direct_sum(C, zero_complex(G)) == C
-    assert shift(C, 0) == C
-    S = shift(C, 2)
+    S = ChainComplex(G, C.bottom + 2, C.ranks, C.boundaries)
     for q in range(-1, 6):
         assert homology(S, q).dim == homology(C, q - 2).dim
     with pytest.raises(GroupMismatchError):

@@ -6,18 +6,24 @@ import copy
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perfchain
+from perfchain import cli
 from perfchain.cli import main
 from perfchain import (
     ChainComplex,
     ChainMap,
     GroupRingMatrix,
+    GroupTable,
     PiModule,
     Tower,
     build_group,
@@ -625,6 +631,100 @@ def test_one_certificate_file_for_several_inputs_is_refused(capsys, lens_path, t
     assert code == 2 and out == ""
     assert err.startswith("error[E_USAGE]")
     assert not cert_path.exists()
+
+
+def _run_in(workdir, argv, separate: bool):
+    """(exit code, stdout, stderr) of one command run in `workdir`, in a
+    fresh interpreter when `separate`, else through `main` here; an
+    argparse usage error exits 2 either way."""
+    if separate:
+        env = {**os.environ, "COLUMNS": "80",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(perfchain.__file__))}
+        done = subprocess.run([sys.executable, "-m", "perfchain.cli", *argv], cwd=workdir,
+                              env=env, capture_output=True, text=True, check=False)
+        return done.returncode, done.stdout, done.stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            contextlib.chdir(workdir):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    """A usage error, then `lens`, `perfect --cert` and `verify` in one
+    process print the bytes of separate runs and write the same
+    certificate, and the parser is built once."""
+    monkeypatch.setenv("COLUMNS", "80")
+    jobs = [["perfect"], ["lens", "2", "1", "2", "-o", "lens.cplx"],
+            ["perfect", "lens.cplx", "--cert", "lens.cert"], ["verify", "lens.cert"]]
+    results = {}
+    for separate in (True, False):
+        workdir = tmp_path / str(separate)
+        workdir.mkdir()
+        runs = [_run_in(workdir, argv, separate) for argv in jobs]
+        results[separate] = runs, (workdir / "lens.cert").read_bytes()
+    assert results[True] == results[False]
+    runs = results[True][0]
+    assert [code for code, _, _ in runs] == [2, 0, 0, 0]
+    assert runs[0][2].startswith("usage: perfchain perfect")
+    assert runs[3][1] == "certificate valid (kind=perfectness)\n"
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_one_group_table_per_descriptor(capsys, tmp_path, monkeypatch):
+    """`perfect --cert` then `verify` of a complex over a table-given Heis27
+    build its group table once; a refused descriptor is refused again."""
+    rng = random.Random(3)
+    G = heisenberg_27()
+    path = tmp_path / "heis27.cplx"
+    path.write_text(write_complex(conjugate_complex(
+        pad_with_identity_cones(random_minimal_complex(G, rng), rng, 2), rng)))
+    assert G.descriptor.startswith("table:")
+    built = []
+    init = GroupTable.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupTable, "__init__", counting)
+    build_group.cache_clear()
+    cert = str(tmp_path / "heis27.cert")
+    assert run(capsys, "perfect", str(path), "--cert", cert)[0] == 0
+    code, out, _ = run(capsys, "verify", cert)
+    assert (code, out) == (0, "certificate valid (kind=perfectness)\n")
+    assert len(built) == 1
+
+    bad = tmp_path / "bad.cplx"
+    bad.write_text("group table:{order:2;identity:1;mult:0,1|1,0}\nprime 2\nbottom 0\nranks 1\n")
+    first = run(capsys, "perfect", str(bad))
+    assert first[0] == 2 and first[2].startswith("error[E_NOT_A_GROUP]")
+    assert run(capsys, "perfect", str(bad)) == first
+
+
+def test_repeated_block_is_a_parse_error(capsys, tmp_path, norm_tower_path):
+    """A second `boundary q` block in a complex, or `degree q` block in a
+    bond, is refused with the line of the repeated header, not read as a
+    replacement of the first."""
+    path = tmp_path / "twice.cplx"
+    path.write_text("group cyclic:2\nprime 2\nbottom 0\nranks 1 1\n"
+                    "boundary 1\n[1,1]\nboundary 1\n[0,0]\n")
+    code, out, err = run(capsys, "homology", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error[E_PARSE]: line 7: repeated block 'boundary 1'\n"
+
+    lines = open(norm_tower_path).read().splitlines()
+    at = lines.index("bond 0") + 1
+    assert lines[at] == "degree 0"
+    lines[at:at] = lines[at:at + 2]
+    path = tmp_path / "twice.twr"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "tower-limit", str(path), "--horizon", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error[E_PARSE]: line {at + 3}: repeated block 'degree 0'\n"
 
 
 _DELETE = object()

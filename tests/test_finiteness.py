@@ -8,28 +8,27 @@ import pytest
 from perfchain import (
     ChainComplex,
     GroupRingMatrix,
-    MaxDegreeError,
     ModuleComplex,
     NotPerfectError,
-    UnboundedHomologyError,
     decide_perfect,
     direct_sum,
     euler_characteristic,
-    free_approximation,
     homology,
     identity_chain_map,
     is_free,
     is_quasi_iso,
+    limit_complex,
     mapping_cone,
     trivial_module,
     wall_class,
     zero_complex,
 )
 from perfchain.chains import module_mapping_cone
+from perfchain.finiteness import _approximate
 from perfchain.modules import PiModule, direct_sum_modules
 
 from conftest import SMALL_GROUPS, conjugate_complex, heisenberg_27, pad_with_identity_cones, \
-    random_minimal_complex, three_group_zoo, two_group_zoo
+    random_minimal_complex, random_stabilizing_tower, three_group_zoo, two_group_zoo
 
 
 def one_plus_t(G):
@@ -71,39 +70,51 @@ def test_decide_perfect_invariant_under_cone_padding(rng):
         assert v.euler_class == base.euler_class
 
 
-def test_free_approximation_truncates_below_top():
-    G = SMALL_GROUPS["C2"]
-    C = ChainComplex(G, 0, [1, 1, 1], [one_plus_t(G), one_plus_t(G)])
-    f = free_approximation(C, 3)
-    cone = mapping_cone(f).expanded()
-    for q in range(cone.bottom, cone.top + 1):
-        if q != 3:
-            assert cone.homology_dim(q) == 0
+def test_approximation_concentrates_homology_in_the_top_degree(rng):
+    """With m the top homology degree, the cone of the approximation
+    through degree m - 1 has homology in degree m alone, and the module
+    the degree-m step starts from is that homology.  After the degree-m
+    step the cone is acyclic when the input is perfect; otherwise its
+    homology sits in degree m + 1 alone, over the kernel of the cover of
+    the non-free obstruction."""
+    inputs = []
+    for _, G in two_group_zoo() + three_group_zoo():
+        if G.order > 16:
+            continue
+        C, _ = pad_and_scramble(G, rng)
+        inputs.append((C.expanded(), True))
+        T, _ = random_stabilizing_tower(G, rng, n_levels=3)
+        inputs.append((limit_complex(T, 2), True))
+        if G.order > 1:
+            inputs.append((with_trivial_summand_on_top(C.expanded()), False))
+    tops = set()
+    for MC, perfect in inputs:
+        m = max(MC.homology_support(), default=None)
+        if m is None:
+            continue
+        tops.add(m - MC.bottom)
+        below, _ = _approximate(MC, m - 1)
+        cone = below.cone()
+        assert cone.homology_support() == [m]
+        approx, P = _approximate(MC, m)
+        assert P.dim == cone.homology_dim(m)
+        assert is_free(P)[0] == perfect == decide_perfect(MC).perfect
+        assert approx.cone().homology_support() == ([] if perfect else [m + 1])
+    assert len(tops) > 1
 
 
-def test_free_approximation_zero_and_single():
+def test_approximation_zero_and_single():
     G = SMALL_GROUPS["C3"]
-    f = free_approximation(zero_complex(G), 2)
-    assert f.source.ranks == []
-    single = ChainComplex(G, 0, [1], [])
-    f2 = free_approximation(single, 1)
-    assert f2.source.ranks == [1]
-    assert mapping_cone(f2).expanded().is_acyclic()
-
-
-def test_free_approximation_unbounded_error():
-    G = SMALL_GROUPS["C2"]
-    C = ChainComplex(G, 0, [1, 1, 1], [one_plus_t(G), one_plus_t(G)])
-    with pytest.raises(UnboundedHomologyError):
-        free_approximation(C, 1)  # homology lives in degree 2
-
-
-def test_max_degree_cap():
-    G = SMALL_GROUPS["C2"]
-    C = ChainComplex(G, 0, [1, 1, 1], [one_plus_t(G), one_plus_t(G)])
-    with pytest.raises(MaxDegreeError):
-        decide_perfect(C, max_degree=1)
-    assert decide_perfect(C, max_degree=2).perfect
+    approx, P = _approximate(zero_complex(G).expanded(), 2)
+    assert approx.free_complex().ranks == [] and P.dim == 0
+    assert approx.cone().is_acyclic()
+    single = ChainComplex(G, 0, [1], []).expanded()
+    approx, P = _approximate(single, -1)
+    assert approx.free_complex().ranks == [] and P.dim == 0
+    assert approx.cone().homology_support() == [0]
+    approx, P = _approximate(single, 1)
+    assert approx.free_complex().ranks == [1]
+    assert P.dim == 0 and approx.cone().is_acyclic()
 
 
 def test_verdict_choice_independence(rng):
