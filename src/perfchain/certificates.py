@@ -107,7 +107,7 @@ def _check_nonfree(witness: dict, P: PiModule) -> None:
         raise VerificationFailure("recorded cover is not surjective")
     if not v.any():
         raise VerificationFailure("kernel vector is zero")
-    if ((cover.matrix @ v) % l).any():
+    if flinalg.matmul(cover.matrix, v, l).any():
         raise VerificationFailure("kernel vector is not in the kernel")
 
 

@@ -136,7 +136,7 @@ class ModuleComplex(GradedComplex):
 
 def _field_compose(l: int):
     """Composite (second after first) of F_l matrices."""
-    return lambda second, first: (second @ first) % l
+    return lambda second, first: flinalg.matmul(second, first, l)
 
 
 def _ring_compose(G: GroupTable):
@@ -191,7 +191,8 @@ class HomologyData(NamedTuple):
     quotient: flinalg.QuotientSpace
 
     def chain_of_class(self, coords) -> np.ndarray:
-        return (self.reps @ np.asarray(coords, dtype=np.int64)) % self.module.group.prime_l
+        l = self.module.group.prime_l
+        return flinalg.matmul(self.reps, flinalg.asfield(coords, l), l)
 
 
 def _homology_data(C: ModuleComplex, q: int) -> HomologyData:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import flinalg
 from .chains import (
     ChainComplex,
     ModuleComplex,
@@ -147,7 +148,7 @@ def decide_perfect(C) -> PerfectnessVerdict:
         blk = approx.blocks.get(q)
         if blk is None or not minimal.rank_at(q):
             continue
-        comps[q] = (blk @ incl.component_at(q).expand()) % l
+        comps[q] = flinalg.matmul(blk, incl.component_at(q).expand(), l)
     witness = ModuleComplexMap(minimal.expanded(), C, comps)
     return PerfectnessVerdict(True, P, euler_characteristic(minimal), minimal, witness)
 

@@ -4,17 +4,64 @@ Matrices are numpy int64 arrays with entries reduced into [0, l).  All
 routines are deterministic: pivots are always the first nonzero entry in
 column order, scanning rows top to bottom.  `rank` finds those pivots by
 forward elimination alone; everything that needs the reduced form goes
-through `rref`.
+through `rref`.  Products go through `matmul`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+# A dot product of length n with entries in [0, l) has every partial sum at
+# most n (l - 1)^2, so it is exact in float64 while that stays below 2^53.
+_F64_EXACT = 1 << 53
+# Below this many multiply-adds, or with a single result row or fewer than
+# _F64_MIN_COLS result columns (vector products, which int64 loops read
+# contiguously), the conversions cost more than BLAS saves.
+_F64_MIN_WORK = 1 << 14
+_F64_MIN_COLS = 4
 
 
 def asfield(a, l: int) -> np.ndarray:
     """Coerce to an int64 array reduced mod l."""
     return np.asarray(a, dtype=np.int64) % l
+
+
+def product_dtype(a_shape, b_shape, l: int):
+    """The dtype `matmul` multiplies operands of these shapes in.
+
+    float64, through BLAS, when inner_dim * (l - 1)^2 < 2^53, so every
+    partial sum is an exact integer whatever order BLAS adds in (the
+    delayed reduction of Dumas, Giorgi & Pernet, "Dense linear algebra over
+    word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3),
+    2008), and the product is large enough to pay for the conversions;
+    int64 otherwise, exact because `GroupTable` refuses l >= 2^20.
+    """
+    inner = a_shape[-1]
+    rows = a_shape[-2] if len(a_shape) > 1 else 1
+    cols = b_shape[-1] if len(b_shape) > 1 else 1
+    # multiply-adds when one side is a single matrix or both stack alike
+    work = max(math.prod(a_shape) * cols, math.prod(b_shape) * rows)
+    if (rows > 1 and cols >= _F64_MIN_COLS and work >= _F64_MIN_WORK
+            and inner * (l - 1) ** 2 < _F64_EXACT):
+        return np.float64
+    return np.int64
+
+
+def matmul(A, B, l: int) -> np.ndarray:
+    """(A @ B) mod l as int64, for operands with integer entries in [0, l);
+    stacked shapes broadcast as with `@`.  Operands are int64, or already
+    in their `product_dtype`, which spares a caller that builds a large
+    operand from a small one a second copy of it."""
+    A = np.asarray(A)
+    B = np.asarray(B)
+    if product_dtype(A.shape, B.shape, l) is np.float64:
+        C = (A.astype(np.float64, copy=False) @ B.astype(np.float64, copy=False)).astype(np.int64)
+    else:
+        C = A @ B
+    C %= l
+    return C
 
 
 def identity(n: int, l: int) -> np.ndarray:
@@ -35,7 +82,7 @@ def rref(A, l: int):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(R[r:, c])
+        nz = R[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         p = r + int(nz[0])
@@ -43,7 +90,7 @@ def rref(A, l: int):
             R[[r, p]] = R[[p, r]]
         if R[r, c] != 1:
             R[r, c:] = (R[r, c:] * pow(int(R[r, c]), l - 2, l)) % l
-        other = np.flatnonzero(R[:, c])
+        other = R[:, c].nonzero()[0]
         other = other[other != r]
         if other.size:
             R[other, c:] = (R[other, c:] - np.outer(R[other, c], R[r, c:])) % l
@@ -62,7 +109,7 @@ def rank(A, l: int) -> int:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(R[r:, c])
+        nz = R[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         p = r + int(nz[0])

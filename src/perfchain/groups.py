@@ -25,9 +25,10 @@ from .errors import (
 )
 
 
-# F_l products are int64 matmuls reduced mod l afterwards, so an inner
-# dimension n needs n (l - 1)^2 < 2^63; below this bound that holds for
-# every n < 2^23.
+# F_l products go through `flinalg.matmul`, which multiplies in float64
+# only while every dot product stays below 2^53 and in int64 otherwise.
+# The int64 product needs n (l - 1)^2 < 2^63 for an inner dimension n;
+# below this bound that holds for every n < 2^23.
 MAX_PRIME = 1 << 20
 
 # A free module of rank r is expanded to dense F_l matrices of side
@@ -306,8 +307,11 @@ def ga_compose(second: np.ndarray, first: np.ndarray, G: GroupTable) -> np.ndarr
     Only `second` is gathered, to the size of its expansion."""
     k, i, o = second.shape
     j = first.shape[1]
-    gathered = second[:, :, G.ldiv].reshape(k, i * o, o)  # [k, (i, g), t]
-    return (first.transpose(1, 0, 2).reshape(j, i * o) @ gathered) % G.prime_l
+    lhs = first.transpose(1, 0, 2).reshape(j, i * o)
+    # converted before the gather, so the large operand is built only once
+    dtype = flinalg.product_dtype(lhs.shape, (k, i * o, o), G.prime_l)
+    gathered = second.astype(dtype, copy=False)[:, :, G.ldiv].reshape(k, i * o, o)  # [k, (i, g), t]
+    return flinalg.matmul(lhs, gathered, G.prime_l)
 
 
 def ga_mul(a: GroupRingElement, b: GroupRingElement, G: GroupTable) -> GroupRingElement:
@@ -433,25 +437,6 @@ class GroupRingMatrix:
             E.flags.writeable = False
             self._expanded = E
         return self._expanded
-
-    @staticmethod
-    def from_expanded(group: GroupTable, E, rows: int, cols: int,
-                      validate: bool = True) -> "GroupRingMatrix":
-        """Recover the group-ring matrix whose expansion is E.
-
-        Requires E to be pi-equivariant; with validate=True this is
-        checked by re-expanding.
-        """
-        o = group.order
-        E = flinalg.asfield(E, group.prime_l)
-        if E.shape != (rows * o, cols * o):
-            raise DimensionMismatchError("expanded shape mismatch")
-        # entry (i, j) is the column of basis vector (j, identity), block row i
-        data = E[:, group.identity::o].reshape(rows, o, cols).transpose(0, 2, 1)
-        M = GroupRingMatrix(group, data)
-        if validate and not np.array_equal(M.expand(), E):
-            raise DimensionMismatchError("matrix is not pi-equivariant")
-        return M
 
     def augmentation_matrix(self) -> np.ndarray:
         return self.data.sum(axis=2) % self.group.prime_l

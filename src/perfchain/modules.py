@@ -33,9 +33,14 @@ class PiModule:
     Validation checks action(e) == 1 and action(g) @ action(s) == action(gs)
     for g in pi and s in the group's generators, which gives the same for
     every pair of elements (and so forces invertibility).
+
+    Every product with a generator goes through `act`, which applies a
+    permutation matrix (regular modules, their direct sums, identity
+    actions) by index; which generators are permutations is found when
+    `act` is first called.
     """
 
-    __slots__ = ("group", "dim", "gens", "_action")
+    __slots__ = ("group", "dim", "gens", "_action", "_perms")
 
     def __init__(self, group: GroupTable, dim: int, action=None, validate: bool = True, *,
                  gens=None):
@@ -53,6 +58,7 @@ class PiModule:
         self.group = group
         self.dim = int(dim)
         self._action = None if action is None else mats
+        self._perms = None
         self.gens = tuple(mats) if action is None else tuple(mats[s] for s in group.generators)
         if validate:
             action = self.action  # built from gens when not given
@@ -61,8 +67,9 @@ class PiModule:
             # By induction on the word length of h = h's (s in S), the check gives
             # rho(g) rho(h) = rho(g) rho(h') rho(s) = rho(gh') rho(s) = rho(gh).
             stacked = np.stack(action)
-            for s in group.generators:
-                if not np.array_equal((stacked @ action[s]) % l, stacked[group.mult[:, s]]):
+            for i, s in enumerate(group.generators):
+                if not np.array_equal(self.act(i, stacked, right=True),
+                                      stacked[group.mult[:, s]]):
                     raise DimensionMismatchError("action is not a homomorphism")
 
     @property
@@ -72,6 +79,21 @@ class PiModule:
             for a in self._action:
                 a.flags.writeable = False
         return self._action
+
+    def act(self, i: int, V, right: bool = False) -> np.ndarray:
+        """gens[i] @ V, or V @ gens[i] with right=True, mod l, for V reduced
+        mod l (a matrix, or on the right a stack of matrices).  A
+        permutation generator is a row gather on the left and a column
+        gather on the right."""
+        if self._perms is None:
+            self._perms = [_permutation(rho) for rho in self.gens]
+        perm = self._perms[i]
+        if perm is None:
+            rho = self.gens[i]
+            l = self.group.prime_l
+            return flinalg.matmul(V, rho, l) if right else flinalg.matmul(rho, V, l)
+        rows, cols = perm
+        return V[..., cols] if right else V[rows]
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -88,6 +110,25 @@ class PiModule:
         return f"PiModule(dim={self.dim} over {self.group.descriptor})"
 
 
+def _permutation(rho: np.ndarray):
+    """(rows, cols) with rho @ V == V[rows] and V @ rho == V[:, cols] when
+    rho is a permutation matrix, else None."""
+    n = rho.shape[0]
+    if np.count_nonzero(rho) != n:
+        return None
+    if not n:
+        return np.arange(0), np.arange(0)
+    rows = rho.argmax(axis=1)
+    # n nonzero entries, one equal to 1 in each row, in distinct columns
+    if not (rho[np.arange(n), rows] == 1).all():
+        return None
+    cols = np.full(n, -1)
+    cols[rows] = np.arange(n)
+    if (cols < 0).any():
+        return None
+    return rows, cols
+
+
 def orbit(M: PiModule, V) -> list[np.ndarray]:
     """rho(g) V for every group element g, indexed by g: a breadth-first
     walk of the left Cayley graph, rho(sg) V = rho(s) (rho(g) V)."""
@@ -97,10 +138,10 @@ def orbit(M: PiModule, V) -> list[np.ndarray]:
     out[G.identity] = flinalg.asfield(V, l)
     queue = [G.identity]
     for g in queue:
-        for s, rho in zip(G.generators, M.gens):
+        for i, s in enumerate(G.generators):
             sg = int(G.mult[s, g])
             if out[sg] is None:
-                out[sg] = (rho @ out[g]) % l
+                out[sg] = M.act(i, out[g])
                 queue.append(sg)
     return out
 
@@ -143,9 +184,8 @@ def is_equivariant(source: PiModule, target: PiModule, matrix) -> bool:
     Checked on the generators only: commuting with rho(g) and rho(h)
     means commuting with rho(g) rho(h) = rho(gh).
     """
-    l = source.group.prime_l
-    return all(np.array_equal((t @ matrix) % l, (matrix @ s) % l)
-               for s, t in zip(source.gens, target.gens))
+    return all(np.array_equal(target.act(i, matrix), source.act(i, matrix, right=True))
+               for i in range(len(source.gens)))
 
 
 def induced_action(M: PiModule, V, solve) -> PiModule:
@@ -156,11 +196,10 @@ def induced_action(M: PiModule, V, solve) -> PiModule:
     One solve over the generator blocks gives the whole action.
     """
     G = M.group
-    l = G.prime_l
     k = V.shape[1]
     if k == 0 or not M.gens:
         return trivial_module(G, k)
-    X = solve(np.hstack([rho @ V for rho in M.gens]) % l)
+    X = solve(np.hstack([M.act(i, V) for i in range(len(M.gens))]))
     if X is None:
         raise AssertionError("subspace is not action-invariant")
     # copied out, so the module does not keep the solver's work array alive
@@ -181,9 +220,15 @@ def regular_module(G: GroupTable, rank: int) -> PiModule:
     """The free module F_l[pi]^rank with its left translation action:
     generator s sends basis vector (i, h) to (i, sh), coordinates
     (i, h) -> i*order + h."""
-    perm = np.eye(G.order, dtype=np.int64)
-    gens = [np.kron(np.eye(rank, dtype=np.int64), perm[:, G.mult[s]]) for s in G.generators]
-    return PiModule(G, rank * G.order, gens=gens, validate=False)
+    n = rank * G.order
+    cols = np.arange(n)
+    h = cols % G.order
+    gens = []
+    for s in G.generators:
+        rho = np.zeros((n, n), dtype=np.int64)
+        rho[cols - h + G.mult[s, h], cols] = 1
+        gens.append(rho)
+    return PiModule(G, n, gens=gens, validate=False)
 
 
 def direct_sum_modules(*mods: PiModule) -> PiModule:
@@ -286,8 +331,8 @@ def quotient_module(M: PiModule, sub_basis) -> tuple[PiModule, PiModuleMap]:
     G = M.group
     l = G.prime_l
     W = flinalg.asfield(sub_basis, l)
-    for rho in M.gens:
-        img = (rho @ W) % l
+    for i in range(len(M.gens)):
+        img = M.act(i, W)
         if W.size and not flinalg.same_column_space(np.hstack([W, img]), W, l):
             raise DimensionMismatchError("subspace is not action-invariant")
     quo = flinalg.QuotientSpace(flinalg.identity(M.dim, l), W, l)

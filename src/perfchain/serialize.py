@@ -54,9 +54,14 @@ def write_complex(C: ChainComplex) -> str:
 
 
 class _Cursor:
+    """Content lines of a text, skipping blanks and comments.  `lineno()` is
+    the number of the line at the cursor, `last` that of the line `next`
+    returned last."""
+
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.pos = 0
+        self.last = 0
 
     def peek(self) -> str | None:
         while self.pos < len(self.lines):
@@ -71,16 +76,16 @@ class _Cursor:
         if line is None:
             raise ParseError("unexpected end of input", self.lineno())
         self.pos += 1
+        self.last = self.pos
         return line
 
     def lineno(self) -> int:
         return min(self.pos + 1, len(self.lines) + 1)
 
     def expect(self, keyword: str) -> str:
-        lineno = self.lineno()
         line = self.next()
         if not line.startswith(keyword + " ") and line != keyword:
-            raise ParseError(f"expected {keyword!r}, got {line!r}", lineno)
+            raise ParseError(f"expected {keyword!r}, got {line!r}", self.last)
         return line[len(keyword):].strip()
 
 
@@ -109,8 +114,8 @@ def _parse_entry(tok: str, order: int, lineno: int) -> list[int]:
 def _parse_matrix(cur: _Cursor, G: GroupTable, rows: int, cols: int) -> GroupRingMatrix:
     data = np.zeros((rows, cols, G.order), dtype=np.int64)
     for i in range(rows):
-        lineno = cur.lineno()
         toks = cur.next().split()
+        lineno = cur.last
         if len(toks) != cols:
             raise ParseError(f"matrix row has {len(toks)} entries, expected {cols}", lineno)
         for j, tok in enumerate(toks):
@@ -120,15 +125,15 @@ def _parse_matrix(cur: _Cursor, G: GroupTable, rows: int, cols: int) -> GroupRin
 
 def _parse_header(cur: _Cursor):
     desc = cur.expect("group")
-    prime = _parse_int(cur.expect("prime"), "prime", cur.lineno())
+    prime = _parse_int(cur.expect("prime"), "prime", cur.last)
     G = build_group(desc, prime)
     return G
 
 
 def _parse_complex_body(cur: _Cursor, G: GroupTable) -> ChainComplex:
-    bottom = _parse_int(cur.expect("bottom"), "bottom", cur.lineno())
+    bottom = _parse_int(cur.expect("bottom"), "bottom", cur.last)
     rank_line = cur.expect("ranks")
-    ranks = [_parse_int(t, "rank", cur.lineno()) for t in rank_line.split()]
+    ranks = [_parse_int(t, "rank", cur.last) for t in rank_line.split()]
     boundaries = {}
     while True:
         line = cur.peek()
@@ -184,18 +189,18 @@ def write_tower(T: Tower) -> str:
 def read_tower(text: str) -> Tower:
     cur = _Cursor(text)
     G = _parse_header(cur)
-    n_levels = _parse_int(cur.expect("levels"), "level count", cur.lineno())
+    n_levels = _parse_int(cur.expect("levels"), "level count", cur.last)
     levels = []
     for n in range(n_levels):
-        got = _parse_int(cur.expect("level"), "level index", cur.lineno())
+        got = _parse_int(cur.expect("level"), "level index", cur.last)
         if got != n:
-            raise ParseError(f"expected level {n}, got {got}", cur.lineno())
+            raise ParseError(f"expected level {n}, got {got}", cur.last)
         levels.append(_parse_complex_body(cur, G))
     bonds = []
     for n in range(n_levels - 1):
-        got = _parse_int(cur.expect("bond"), "bond index", cur.lineno())
+        got = _parse_int(cur.expect("bond"), "bond index", cur.last)
         if got != n:
-            raise ParseError(f"expected bond {n}, got {got}", cur.lineno())
+            raise ParseError(f"expected bond {n}, got {got}", cur.last)
         src, tgt = levels[n + 1], levels[n]
         comps = {}
         while True:

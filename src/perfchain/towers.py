@@ -52,50 +52,50 @@ class Tower:
 class StableImages:
     """Images of far levels inside level `level` at one degree.
 
-    `images[h]` is the canonical basis of the image of level (level+h);
-    `stabilized` records whether the image was unchanged from horizon
-    h-1 to h, and `stable_at` is the first horizon from which all
-    computed images agree.
+    `dims[h]` is the F_l dimension of the image of level (level+h), and
+    `value` the canonical basis of the last image; `stabilized` records
+    whether the image was unchanged from horizon h-1 to h, and
+    `stable_at` is the first horizon from which all computed images
+    agree.
     """
 
     degree: int
     level: int
     horizon: int
-    images: list = field(repr=False)
+    dims: list
+    value: np.ndarray = field(repr=False)
     stabilized: bool = False
     stable_at: int | None = None
 
-    @property
-    def value(self) -> np.ndarray:
-        return self.images[-1]
-
 
 def stable_images(T: Tower, q: int, n: int, h: int) -> StableImages:
-    """Image of level n+h in level n at degree q, for horizons 0..h."""
+    """Image of level n+h in level n at degree q, for horizons 0..h.
+
+    The images are nested: with M_k the composite of the first k bonds,
+    im(M_k) = M_{k-1}(im B_{k-1}) lies in im(M_{k-1}).  So two of them are
+    equal exactly when their dimensions are, and only the last one is
+    put in canonical form.
+    """
     if n < 0 or h < 0 or n + h >= len(T.levels):
         raise HorizonExhaustedError(
             f"level {n} + horizon {h} outside the supplied {len(T.levels)} levels"
         )
     l = T.group.prime_l
     dim_n = T.levels[n].rank_at(q) * T.group.order
-    images = [flinalg.identity(dim_n, l)]  # the canonical form of I is I
-    for k in range(h):
-        B = T.bonds[n + k].component_at(q)
-        M = B if k == 0 else grm_compose(M, B)
-        images.append(flinalg.canonical_columns(M.expand(), l))
-    stable_at = None
-    for h0 in range(len(images) - 1, -1, -1):
-        if np.array_equal(images[h0], images[-1]):
-            stable_at = h0
-        else:
-            break
-    if stable_at == len(images) - 1 and len(images) > 1:
-        stable_at = None  # the last image is new; nothing has settled yet
-    stabilized = h >= 1 and np.array_equal(images[h], images[h - 1])
     if h == 0:
-        stable_at = None if T.levels[n].rank_at(q) else 0
-        stabilized = T.levels[n].rank_at(q) == 0
-    return StableImages(q, n, h, images, stabilized, stable_at)
+        # the canonical form of I is I
+        return StableImages(q, n, h, [dim_n], flinalg.identity(dim_n, l), dim_n == 0,
+                            None if dim_n else 0)
+    dims = [dim_n]
+    M = T.bonds[n].component_at(q)
+    for k in range(1, h):
+        dims.append(flinalg.rank(M.expand(), l))
+        M = grm_compose(M, T.bonds[n + k].component_at(q))
+    value = flinalg.canonical_columns(M.expand(), l)
+    dims.append(value.shape[1])
+    stable_at = dims.index(dims[-1])  # dims never grow, so equal ones are adjacent
+    return StableImages(q, n, h, dims, value, stable_at < h,
+                        stable_at if stable_at < h else None)
 
 
 def limit_complex(T: Tower, horizon: int, level: int = 0) -> ModuleComplex:
@@ -127,7 +127,7 @@ def limit_complex(T: Tower, horizon: int, level: int = 0) -> ModuleComplex:
                                    lambda B: flinalg.solve_matrix(V, B, l)))
         if q > base.bottom:
             W = bases[q - 1]
-            D = flinalg.solve_matrix(W, (E.diff_at(q) @ V) % l, l)
+            D = flinalg.solve_matrix(W, flinalg.matmul(E.diff_at(q), V, l), l)
             if D is None:
                 raise AssertionError("stable images do not form a subcomplex")
             diffs.append(D)

@@ -546,6 +546,21 @@ def ga_inverse_series_reference(a, G: GroupTable) -> np.ndarray:
     raise AssertionError("radical series failed to terminate")
 
 
+def from_expanded(group: GroupTable, E, rows: int, cols: int) -> GroupRingMatrix:
+    """The group-ring matrix whose expansion is E, which must be
+    pi-equivariant (checked by re-expanding)."""
+    o = group.order
+    E = flinalg.asfield(E, group.prime_l)
+    if E.shape != (rows * o, cols * o):
+        raise DimensionMismatchError("expanded shape mismatch")
+    # entry (i, j) is the column of basis vector (j, identity), block row i
+    data = E[:, group.identity::o].reshape(rows, o, cols).transpose(0, 2, 1)
+    M = GroupRingMatrix(group, data)
+    if not np.array_equal(M.expand(), E):
+        raise DimensionMismatchError("matrix is not pi-equivariant")
+    return M
+
+
 def from_expanded_reference(G: GroupTable, E, rows: int, cols: int) -> np.ndarray:
     """The group-ring data of an equivariant expanded matrix, read entry
     by entry: entry (i, j) is block row i of column (j, identity)."""

@@ -481,3 +481,18 @@ def test_expanded_free_complex_allocates_generator_actions_only():
         tracemalloc.stop()
     assert [M.dim for M in E.modules] == [324] * 3
     assert peak < 8_000_000
+
+
+def test_chain_of_class_reduces_coordinates_before_the_product():
+    """Coordinates at or above l are reduced first: the float64 product is
+    exact only for entries below l."""
+    from perfchain import chains_of_cover, lens_complex
+    E = chains_of_cover(lens_complex(2, 6, 3)).expanded()
+    gen = np.random.default_rng(3)
+    for q in (0, 3):
+        data = E.homology_data(q)
+        l = data.module.group.prime_l
+        coords = gen.integers(1 << 59, 1 << 60, (data.reps.shape[1], 300)) * l + 1
+        expected = (data.reps.astype(object) @ coords.astype(object)) % l
+        assert np.array_equal(data.chain_of_class(coords), expected.astype(np.int64)), q
+        assert np.array_equal(data.chain_of_class(coords % l), expected.astype(np.int64)), q

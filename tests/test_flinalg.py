@@ -84,3 +84,47 @@ def test_kernel_basis_and_solve_matrix(l):
         outside = flinalg.complete_basis(A, np.eye(rows, dtype=np.int64), l)[:, :1]
         if outside.size:
             assert flinalg.solve_matrix(A, np.hstack([B, outside]), l) is None
+
+
+def exact_product(A, B, l: int) -> np.ndarray:
+    return ((np.asarray(A).astype(object) @ np.asarray(B).astype(object)) % l).astype(np.int64)
+
+
+@pytest.mark.parametrize("l", (2, 3, 1048573))
+def test_matmul_matches_the_exact_product(l):
+    """Square, skinny, matrix-vector and empty shapes, and the stacked
+    shapes of `ga_compose`: (j, i*o) by (k, i*o, o)."""
+    gen = np.random.default_rng(l)
+    shapes = [((1, 27), (27, 27)), ((8, 27), (27, 27)), ((40, 64), (64, 40)),
+              ((3, 200), (200, 5)), ((64, 64), (64,)), ((64,), (64, 64)),
+              ((0, 5), (5, 7)), ((5, 0), (0, 7)),
+              ((2, 3 * 64), (4, 3 * 64, 64)), ((1, 27), (1, 27, 27)), ((5, 5 * 8), (5, 5 * 8, 8))]
+    for a, b in shapes:
+        A, B = gen.integers(0, l, a), gen.integers(0, l, b)
+        expected = exact_product(A, B, l)
+        dtype = flinalg.product_dtype(a, b, l)
+        for C in (flinalg.matmul(A, B, l), flinalg.matmul(A.astype(dtype), B.astype(dtype), l)):
+            assert C.dtype == np.int64 and np.array_equal(C, expected), (a, b)
+    # every entry l - 1: the largest dot product at each inner dimension
+    for n in (1, 100, 4000):
+        A = np.full((6, n), l - 1)
+        assert np.array_equal(flinalg.matmul(A, A.T.copy(), l), exact_product(A, A.T, l))
+
+
+def test_matmul_stays_exact_across_the_float64_bound():
+    """At l = 1048573 a dot product is exact in float64 up to inner
+    dimension 8192.  With every entry l - 2 the dot product at 8193 is an
+    odd integer above 2^53, which float64 cannot hold, so only the int64
+    product gets it right."""
+    l = 1048573
+    bound = ((1 << 53) - 1) // (l - 1) ** 2
+    assert bound == 8192
+    assert flinalg.product_dtype((4, bound), (bound, 4), l) == np.float64
+    assert flinalg.product_dtype((4, bound + 1), (bound + 1, 4), l) == np.int64
+    for n in (bound, bound + 1):
+        for a, b in (((4, n), (n, 4)), ((1, n), (n, 1))):
+            A, B = np.full(a, l - 2), np.full(b, l - 2)
+            assert np.array_equal(flinalg.matmul(A, B, l), exact_product(A, B, l)), (a, b)
+    A = np.full((4, bound + 1), l - 2)
+    in_float = (A.astype(np.float64) @ A.T.astype(np.float64)).astype(np.int64) % l
+    assert not np.array_equal(in_float, exact_product(A, A.T, l))

@@ -24,6 +24,7 @@ from perfchain import (
 from perfchain import flinalg
 from perfchain.modules import (
     direct_sum_modules,
+    induced_action,
     is_equivariant,
     minimal_generator_lifts,
     orbit,
@@ -402,3 +403,55 @@ def test_internal_constructors_hand_over_reduced_read_only_generators():
                 assert isinstance(a, np.ndarray) and a.dtype == np.int64, name
                 assert not a.flags.writeable, name
                 assert ((a >= 0) & (a < l)).all(), name
+
+
+def test_act_matches_dense_products_on_both_sides():
+    """Generators applied by `act` equal the dense products (rho @ V) % l
+    and (V @ rho) % l, on regular modules, direct sums, trivial modules and
+    modules with generators that only look like permutations; and every
+    permutation generator is applied by index."""
+    rng = np.random.default_rng(71)
+    for name, G in ZOO:
+        l = G.prime_l
+        R2 = regular_module(G, 2)
+        sums = direct_sum_modules(regular_module(G, 1), trivial_module(G, 2), R2)
+        mods = [regular_module(G, 1), R2, sums, trivial_module(G, 3), zero_module(G)]
+        if G.generators and l > 2:
+            # n nonzero entries but not all 1: not a permutation
+            mods.append(PiModule(G, 2, gens=[2 * np.eye(2, dtype=np.int64)] * len(G.generators),
+                                 validate=False))
+        if G.generators:
+            # n ones, two in one column
+            fake = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0]])
+            mods.append(PiModule(G, 3, gens=[fake] * len(G.generators), validate=False))
+        for M in mods:
+            V = rng.integers(0, l, (M.dim, 5))
+            W = rng.integers(0, l, (3, M.dim))
+            stack = rng.integers(0, l, (2, 4, M.dim))
+            for i, rho in enumerate(M.gens):
+                assert np.array_equal(M.act(i, V), (rho @ V) % l), name
+                assert np.array_equal(M.act(i, W, right=True), (W @ rho) % l), name
+                assert np.array_equal(M.act(i, stack, right=True), (stack @ rho) % l), name
+        for M in mods[:5]:
+            assert not M.gens or all(p is not None for p in M._perms), name
+
+
+def test_regular_modules_check_and_induce_without_products(monkeypatch):
+    """On regular modules `is_equivariant` and `induced_action` gather
+    rows and columns and call no F_l product."""
+    rng = random.Random(73)
+    cases = []
+    for name, G in ZOO:
+        R = regular_module(G, 2)
+        f = np.kron(np.eye(2, dtype=np.int64), right_multiplication_matrix(G, rng))
+        cases.append((name, G, R, f, radical_basis(R)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flinalg.matmul called")
+
+    monkeypatch.setattr(flinalg, "matmul", refuse)
+    for name, G, R, f, V in cases:
+        l = G.prime_l
+        assert is_equivariant(R, R, f), name
+        rad = induced_action(R, V, lambda B: flinalg.solve_matrix(V, B, l))
+        assert rad.dim == V.shape[1], name

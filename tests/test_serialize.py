@@ -75,6 +75,30 @@ def test_parse_errors_carry_line_numbers():
         read_int_matrix("1 2\n3 x\n")
 
 
+TOWER_HEAD = "group cyclic:2\nprime 2\nlevels 2\nlevel 0\nbottom 0\nranks 1\n"
+LEVEL_1 = "level 1\nbottom 0\nranks 1\n"
+
+
+@pytest.mark.parametrize("reader, text, line", [
+    (read_complex, "group cyclic:2\nprime two\nbottom 0\nranks 1\n", 2),
+    (read_complex, "group cyclic:2\nprime 2\nbottom zero\nranks 1\n", 3),
+    (read_complex, "group cyclic:2\n# comment\n\nprime 2\nbottom zero\nranks 1\n", 5),
+    (read_complex, "group cyclic:2\nprime 2\nbottom 0\nranks 1 x\n", 4),
+    (read_tower, "group cyclic:2\nprime 2\nlevels two\n", 3),
+    (read_tower, TOWER_HEAD + "level one\nbottom 0\nranks 1\n", 7),
+    (read_tower, TOWER_HEAD + "level 2\nbottom 0\nranks 1\n", 7),
+    (read_tower, TOWER_HEAD + LEVEL_1 + "bond zero\n", 10),
+    (read_tower, TOWER_HEAD + LEVEL_1 + "bond 1\n", 10),
+], ids=["prime", "bottom", "bottom-after-comments", "ranks", "levels", "level", "level-index",
+        "bond", "bond-index"])
+def test_header_errors_name_the_header_line(reader, text, line):
+    """A bad prime, bottom, ranks, levels, level or bond header is reported
+    at its own line, past any blank or comment lines before it."""
+    with pytest.raises(ParseError) as e:
+        reader(text)
+    assert e.value.line == line, str(e.value)
+
+
 def test_json_roundtrips(rng):
     C = pad_with_identity_cones(random_minimal_complex(SMALL_GROUPS["C4"], rng), rng, 1)
     assert complex_from_json(complex_to_json(C)) == C

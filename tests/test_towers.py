@@ -67,7 +67,7 @@ def test_stable_images_radical_bond_tower():
     bond = ChainMap(L, L, {0: one_plus_t(G)})
     T = Tower([L] * 5, [bond] * 4)
     si = stable_images(T, 0, 0, 3)
-    assert [im.shape[1] for im in si.images] == [2, 1, 0, 0]
+    assert si.dims == [2, 1, 0, 0]
     assert si.stable_at == 2 and si.stabilized
     assert si.value.shape[1] == 0
 
@@ -208,15 +208,38 @@ def test_limit_action_matches_per_element_solve(rng):
 
 
 def test_stable_images_match_the_identity_start_reference(rng):
-    """Starting from the first bond instead of the identity changes no
-    image, no `stabilized` and no `stable_at`."""
+    """Deciding stabilization by rank changes no image dimension, no final
+    image, no `stabilized` and no `stable_at` against canonical images
+    composed from the identity; and those images are nested, which is what
+    makes equal ranks mean equal images."""
     for name, G in two_group_zoo():
+        l = G.prime_l
         for T in (random_stabilizing_tower(G, rng)[0], norm_tower(G)):
             base = T.levels[0]
             for q in range(base.bottom - 1, base.top + 2):
                 for h in range(4):
                     si = stable_images(T, q, 0, h)
                     images, stabilized, stable_at = stable_images_reference(T, q, 0, h)
-                    assert len(si.images) == len(images), (name, q, h)
-                    assert all(np.array_equal(a, b) for a, b in zip(si.images, images))
+                    assert si.dims == [im.shape[1] for im in images], (name, q, h)
+                    assert np.array_equal(si.value, images[-1]), (name, q, h)
                     assert (si.stabilized, si.stable_at) == (stabilized, stable_at), (name, q, h)
+                    for wide, narrow in zip(images, images[1:]):
+                        assert flinalg.solve_matrix(wide, narrow, l) is not None, (name, q, h)
+
+
+def test_limit_complex_puts_one_image_per_degree_in_canonical_form(rng, monkeypatch):
+    """Horizons before the last are compared by rank alone."""
+    calls = []
+    canonical = flinalg.canonical_columns
+
+    def counting(A, l):
+        calls.append(A.shape)
+        return canonical(A, l)
+
+    monkeypatch.setattr(flinalg, "canonical_columns", counting)
+    for name in ["C2", "C4", "C2xC2"]:
+        T, core = random_stabilizing_tower(SMALL_GROUPS[name], rng)
+        base = T.levels[0]
+        calls.clear()
+        limit_complex(T, 3)
+        assert len(calls) == base.top - base.bottom + 1, name
