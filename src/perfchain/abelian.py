@@ -60,14 +60,13 @@ def mat_vec(A, v) -> list[int]:
 class SNFResult:
     """U @ M @ V == diag(d) with U, V unimodular and d_1 | d_2 | ...
 
-    `diag` has min(rows, cols) entries, nonnegative, zeros last.
-    `u_inv` is the exact inverse of U (tracked during reduction).
+    `diag` has min(rows, cols) entries, nonnegative, zeros last; U and V
+    are tuples of rows.
     """
 
     diag: tuple
     U: tuple
     V: tuple
-    u_inv: tuple
 
     @property
     def rank(self) -> int:
@@ -88,7 +87,7 @@ def _xgcd(a: int, b: int) -> tuple:
     return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
-def _echelon(A, T, Tinv, S, Sinv) -> int:
+def _echelon(A, T, S) -> int:
     """Column Hermite form of A, given as its list of columns, in place.
 
     Returns the rank r.  Afterwards columns r.. are zero, and rows and
@@ -96,9 +95,8 @@ def _echelon(A, T, Tinv, S, Sinv) -> int:
     which every entry left of the diagonal lies in [0, diagonal of its row).
     Each column is cleared in the pivot rows found so far by 2x2 Bezout
     column operations; a column that stays nonzero swaps a row up as the
-    next pivot row.  Column operations are applied to the columns of T and,
-    inverted, to the rows of Tinv; row swaps to the rows of S and the
-    columns of Sinv (Tinv, Sinv may be None).
+    next pivot row.  Column operations are applied to the columns of T,
+    row swaps to the rows of S.
     """
     m = len(A[0])
     r = 0
@@ -115,8 +113,6 @@ def _echelon(A, T, Tinv, S, Sinv) -> int:
             if not rem:
                 A[j] = col = [y - q * x for x, y in zip(pk, col)]
                 T[j] = [y - q * x for x, y in zip(T[k], T[j])]
-                if Tinv is not None:
-                    Tinv[k] = [x + q * y for x, y in zip(Tinv[k], Tinv[j])]
                 continue
             g, s, t = _xgcd(a, b)
             a //= g
@@ -126,10 +122,6 @@ def _echelon(A, T, Tinv, S, Sinv) -> int:
             tk, tj = T[k], T[j]
             T[k] = [s * x + t * y for x, y in zip(tk, tj)]
             T[j] = [a * y - b * x for x, y in zip(tk, tj)]
-            if Tinv is not None:
-                tk, tj = Tinv[k], Tinv[j]
-                Tinv[k] = [a * x + b * y for x, y in zip(tk, tj)]
-                Tinv[j] = [s * y - t * x for x, y in zip(tk, tj)]
             changed = True
         p = -1
         for i in range(r, m):
@@ -140,19 +132,13 @@ def _echelon(A, T, Tinv, S, Sinv) -> int:
             if j != r:
                 A[r], A[j] = col, A[r]
                 T[r], T[j] = T[j], T[r]
-                if Tinv is not None:
-                    Tinv[r], Tinv[j] = Tinv[j], Tinv[r]
             if p != r:
                 for c in A:
                     c[r], c[p] = c[p], c[r]
                 S[r], S[p] = S[p], S[r]
-                if Sinv is not None:
-                    Sinv[r], Sinv[p] = Sinv[p], Sinv[r]
             if col[r] < 0:
                 A[r] = [-x for x in col]
                 T[r] = [-x for x in T[r]]
-                if Tinv is not None:
-                    Tinv[r] = [-x for x in Tinv[r]]
             r += 1
         elif not changed:
             continue
@@ -167,8 +153,6 @@ def _echelon(A, T, Tinv, S, Sinv) -> int:
                 if q:
                     A[k] = [x - q * y for x, y in zip(A[k], ci)]
                     T[k] = [x - q * y for x, y in zip(T[k], ti)]
-                    if Tinv is not None:
-                        Tinv[i] = [x + q * y for x, y in zip(Tinv[i], Tinv[k])]
     return r
 
 
@@ -182,7 +166,8 @@ def smith_normal_form(M) -> SNFResult:
     which bounds every intermediate entry polynomially in the size of M
     (Kannan & Bachem, SIAM J. Comput. 8, 1979).  The tests hold the entries
     of U and V for dense square inputs to at most 3x the decimal digits of
-    the Hadamard bound of M.
+    the Hadamard bound of M.  Only U, V and the diagonal are built: the
+    lattice tests read U alone, so U^-1 is never formed.
     """
     m = len(M)
     n = len(M[0]) if m else 0
@@ -190,16 +175,15 @@ def smith_normal_form(M) -> SNFResult:
         raise DimensionMismatchError("integer matrix rows differ in length")
     A = [list(map(int, c)) for c in zip(*M)]    # columns
     U = _identity(m)        # rows of U
-    Uinv = _identity(m)     # columns of U^-1
     V = _identity(n)        # columns of V
     r = 0
     if n:
         on_rows = False
         while True:
             if on_rows:
-                r = _echelon(A, U, Uinv, V, None)
+                r = _echelon(A, U, V)
             else:
-                r = _echelon(A, V, None, U, Uinv)
+                r = _echelon(A, V, U)
             # diagonal: no pivot column has a nonzero entry off its pivot
             if sum(map(list.count, A[:r], repeat(0, r))) == r * (len(A[0]) - 1):
                 break
@@ -220,16 +204,13 @@ def smith_normal_form(M) -> SNFResult:
                     ui, uj = U[i], U[j]
                     U[i] = [s * x + t * y for x, y in zip(ui, uj)]
                     U[j] = [a1 * y - b1 * x for x, y in zip(ui, uj)]
-                    wi, wj = Uinv[i], Uinv[j]
-                    Uinv[i] = [a1 * x + b1 * y for x, y in zip(wi, wj)]
-                    Uinv[j] = [s * y - t * x for x, y in zip(wi, wj)]
                     vi, vj = V[i], V[j]
                     s, t = s * a1, t * b1
                     V[i] = [x + y for x, y in zip(vi, vj)]
                     V[j] = [s * y - t * x for x, y in zip(vi, vj)]
                     d[i], d[j] = g, a * b1
     diag = tuple(d) + (0,) * (min(m, n) - r)
-    return SNFResult(diag, tuple(map(tuple, U)), tuple(zip(*V)), tuple(zip(*Uinv)))
+    return SNFResult(diag, tuple(map(tuple, U)), tuple(zip(*V)))
 
 
 def invariant_factors(M) -> tuple:

@@ -81,12 +81,14 @@ class ModuleComplex(GradedComplex):
     """A bounded complex of PiModules with exact F_l differentials.
 
     `diffs[i]` maps the module at index i+1 to the module at index i.
+    With validate=False the differentials are kept as given (made
+    read-only, not copied): the caller hands over reduced int64 arrays.
     """
 
     def __init__(self, group: GroupTable, bottom: int, mods, diffs, validate: bool = True):
         l = group.prime_l
         mods = list(mods)
-        diffs = [flinalg.asfield(d, l) for d in diffs]
+        diffs = [flinalg.asfield(d, l) if validate else d for d in diffs]
         if len(diffs) != max(len(mods) - 1, 0):
             raise DimensionMismatchError("need one differential per adjacent pair")
         for i, d in enumerate(diffs):
@@ -203,14 +205,13 @@ def _homology_data(C: ModuleComplex, q: int) -> HomologyData:
         return HomologyData(zero_module(G), np.zeros((0, 0), dtype=np.int64),
                             flinalg.QuotientSpace(np.zeros((0, 0), dtype=np.int64),
                                                   np.zeros((0, 0), dtype=np.int64), l))
-    K = flinalg.kernel_basis(C.diff_at(q), l)
-    Im = flinalg.column_space_basis(C.diff_at(q + 1), l)
-    quo = flinalg.QuotientSpace(K, Im, l)
+    quo = flinalg.QuotientSpace(flinalg.kernel_basis(C.diff_at(q), l), C.diff_at(q + 1), l)
     return HomologyData(induced_action(M, quo.reps, quo.project), quo.reps, quo)
 
 
 class ModuleComplexMap:
-    """A degreewise equivariant chain map between module complexes."""
+    """A degreewise equivariant chain map between module complexes; with
+    validate=False the components are kept as given, as in ModuleComplex."""
 
     def __init__(self, source: ModuleComplex, target: ModuleComplex, components,
                  validate: bool = True):
@@ -219,7 +220,8 @@ class ModuleComplexMap:
         l = source.group.prime_l
         comps = {}
         for q, m in components.items():
-            m = flinalg.asfield(m, l)
+            if validate:
+                m = flinalg.asfield(m, l)
             if m.shape != (target.dim_at(q), source.dim_at(q)):
                 raise DimensionMismatchError(f"component at degree {q} has shape {m.shape}")
             m.flags.writeable = False

@@ -1,10 +1,17 @@
 """Exact linear algebra over the prime field F_l.
 
-Matrices are numpy int64 arrays with entries reduced into [0, l).  All
-routines are deterministic: pivots are always the first nonzero entry in
-column order, scanning rows top to bottom.  `rank` finds those pivots by
-forward elimination alone; everything that needs the reduced form goes
-through `rref`.  Products go through `matmul`.
+Matrices are numpy int64 arrays with entries reduced into [0, l).  The
+kernels rely on that and reduce nothing themselves: data is reduced once,
+with `asfield`, where it enters (group-ring matrices and elements, modules,
+maps and complexes built with validation, `submodule_span`,
+`quotient_module`, `HomologyData.chain_of_class` and the certificate and
+text readers).  All routines are deterministic: pivots are always the
+first nonzero entry in column order, scanning rows top to bottom.
+`pivot_columns` finds those pivots by forward elimination alone, and
+`rank`, `column_space_basis` and `complete_basis` read only them; `rref`
+builds the reduced form for the three kernels that read it,
+`kernel_basis`, `solve_matrix` and `canonical_columns`.  Products go
+through `matmul`.
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ def rref(A, l: int):
     Row r of R is zero left of its pivot column c, so each elimination
     step updates columns c onward only.
     """
-    R = asfield(A, l)
+    R = np.array(A, dtype=np.int64)
     rows, cols = R.shape
     pivots = []
     r = 0
@@ -99,12 +106,15 @@ def rref(A, l: int):
     return R, pivots
 
 
-def rank(A, l: int) -> int:
-    """Rank by forward elimination: the pivots of `rref`, found by clearing
-    only the rows below each pivot, from its column on, with no reduced
-    form built."""
-    R = asfield(A, l)
+def pivot_columns(A, l: int) -> list[int]:
+    """The pivot columns of `rref(A)` (the column rank profile), found by
+    forward elimination: each pivot clears only the rows below it, from
+    its column on, and no reduced form is built (Jeannerod, Pernet &
+    Storjohann, "Rank-profile revealing Gaussian elimination and the CUP
+    matrix decomposition", J. Symb. Comput. 56, 2013)."""
+    R = np.array(A, dtype=np.int64)
     rows, cols = R.shape
+    pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
@@ -124,8 +134,14 @@ def rank(A, l: int) -> int:
             block = R[below, c:]
             block -= np.outer(block[:, 0], pivot_row)
             R[below, c:] = block % l
+        pivots.append(c)
         r += 1
-    return r
+    return pivots
+
+
+def rank(A, l: int) -> int:
+    """The number of pivot columns."""
+    return len(pivot_columns(A, l))
 
 
 def kernel_basis(A, l: int) -> np.ndarray:
@@ -141,21 +157,14 @@ def kernel_basis(A, l: int) -> np.ndarray:
 
 def column_space_basis(A, l: int) -> np.ndarray:
     """The pivot columns of A (a deterministic basis of the image)."""
-    A = asfield(A, l)
-    _, pivots = rref(A, l)
-    return A[:, pivots]
+    return A[:, pivot_columns(A, l)]
 
 
 def canonical_columns(A, l: int) -> np.ndarray:
     """Canonical basis of the column space: two matrices span the same
     subspace iff their canonical forms are equal arrays."""
-    A = asfield(A, l)
     R, pivots = rref(A.T, l)
     return R[: len(pivots)].T.copy()
-
-
-def same_column_space(A, B, l: int) -> bool:
-    return np.array_equal(canonical_columns(A, l), canonical_columns(B, l))
 
 
 def solve_matrix(A, B, l: int):
@@ -163,8 +172,6 @@ def solve_matrix(A, B, l: int):
 
     Free variables are set to zero, so the solution is deterministic.
     """
-    A = asfield(A, l)
-    B = asfield(B, l)
     if B.ndim == 1:
         X = solve_matrix(A, B[:, None], l)
         return None if X is None else X[:, 0]
@@ -184,16 +191,14 @@ def complete_basis(W, V, l: int) -> np.ndarray:
     Selection is pivot-greedy left to right, giving the "first preimage"
     determinism the rest of the package relies on.
     """
-    W = asfield(W, l)
-    V = asfield(V, l)
     a = W.shape[1]
-    _, pivots = rref(np.hstack([W, V]), l)
-    chosen = [c - a for c in pivots if c >= a]
+    chosen = [c - a for c in pivot_columns(np.hstack([W, V]), l) if c >= a]
     return V[:, chosen]
 
 
 class QuotientSpace:
-    """Coordinates on U/W for subspaces W <= U of F_l^n.
+    """Coordinates on U/W for the column spans W <= U of two matrices over
+    F_l; the columns of W need not be independent.
 
     `reps` holds coset representatives (columns); `project` sends vectors
     of U to their coordinates in the quotient basis.
@@ -201,8 +206,6 @@ class QuotientSpace:
 
     def __init__(self, U, W, l: int):
         self.l = l
-        U = asfield(U, l)
-        W = asfield(W, l)
         self.sub = column_space_basis(W, l)
         self.reps = complete_basis(self.sub, U, l)
         self.dim = self.reps.shape[1]
@@ -210,7 +213,6 @@ class QuotientSpace:
 
     def project(self, vectors) -> np.ndarray:
         """Quotient coordinates of columns of `vectors` (must lie in U)."""
-        vectors = asfield(vectors, self.l)
         one_dim = vectors.ndim == 1
         if one_dim:
             vectors = vectors[:, None]

@@ -269,9 +269,6 @@ class GroupRingElement:
     def __sub__(self, other):
         return GroupRingElement(self.coeffs - other.coeffs, self.prime)
 
-    def __neg__(self):
-        return GroupRingElement(-self.coeffs, self.prime)
-
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 
@@ -443,23 +440,6 @@ class GroupRingMatrix:
 
     def is_zero(self) -> bool:
         return not self.data.any()
-
-    def __add__(self, other):
-        self._check_same(other)
-        return GroupRingMatrix(self.group, self.data + other.data)
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return GroupRingMatrix(self.group, self.data - other.data)
-
-    def __neg__(self):
-        return GroupRingMatrix(self.group, -self.data)
-
-    def _check_same(self, other):
-        if self.group != other.group:
-            raise GroupMismatchError("matrices over different groups")
-        if self.data.shape != other.data.shape:
-            raise DimensionMismatchError("matrix shapes differ")
 
     def __eq__(self, other):
         return (

@@ -130,12 +130,12 @@ def _permutation(rho: np.ndarray):
 
 
 def orbit(M: PiModule, V) -> list[np.ndarray]:
-    """rho(g) V for every group element g, indexed by g: a breadth-first
-    walk of the left Cayley graph, rho(sg) V = rho(s) (rho(g) V)."""
+    """rho(g) V for every group element g, indexed by g, for V reduced
+    mod l: a breadth-first walk of the left Cayley graph,
+    rho(sg) V = rho(s) (rho(g) V)."""
     G = M.group
-    l = G.prime_l
     out = [None] * G.order
-    out[G.identity] = flinalg.asfield(V, l)
+    out[G.identity] = V
     queue = [G.identity]
     for g in queue:
         for i, s in enumerate(G.generators):
@@ -154,15 +154,17 @@ def orbit_columns(M: PiModule, V) -> np.ndarray:
 
 
 class PiModuleMap:
-    """An equivariant F_l-linear map between PiModules."""
+    """An equivariant F_l-linear map between PiModules.  With
+    validate=False the matrix is kept as given (made read-only, not
+    copied): the caller hands over a reduced int64 array."""
 
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: PiModule, target: PiModule, matrix, validate: bool = True):
         if source.group != target.group:
             raise GroupMismatchError("map between modules over different groups")
-        l = source.group.prime_l
-        matrix = flinalg.asfield(matrix, l)
+        if validate:
+            matrix = flinalg.asfield(matrix, source.group.prime_l)
         if matrix.shape != (target.dim, source.dim):
             raise DimensionMismatchError(
                 f"matrix shape {matrix.shape} != ({target.dim}, {source.dim})"
@@ -331,10 +333,12 @@ def quotient_module(M: PiModule, sub_basis) -> tuple[PiModule, PiModuleMap]:
     G = M.group
     l = G.prime_l
     W = flinalg.asfield(sub_basis, l)
-    for i in range(len(M.gens)):
-        img = M.act(i, W)
-        if W.size and not flinalg.same_column_space(np.hstack([W, img]), W, l):
-            raise DimensionMismatchError("subspace is not action-invariant")
+    if W.size:
+        # col(W) lies in col([W img]), so the spans are equal iff the ranks are
+        r = flinalg.rank(W, l)
+        for i in range(len(M.gens)):
+            if flinalg.rank(np.hstack([W, M.act(i, W)]), l) != r:
+                raise DimensionMismatchError("subspace is not action-invariant")
     quo = flinalg.QuotientSpace(flinalg.identity(M.dim, l), W, l)
     Q = induced_action(M, quo.reps, quo.project)
     proj = PiModuleMap(M, Q, quo.project(flinalg.identity(M.dim, l)), validate=False)

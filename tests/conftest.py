@@ -401,14 +401,11 @@ def smith_normal_form_reference(M) -> SNFResult:
     rows = len(A)
     cols = len(A[0]) if rows else 0
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    Uinv = [[int(i == j) for j in range(rows)] for i in range(rows)]
     V = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
         for r in A:
@@ -420,8 +417,6 @@ def smith_normal_form_reference(M) -> SNFResult:
         # row i += q * row j
         A[i] = [a + q * b for a, b in zip(A[i], A[j])]
         U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        for r in Uinv:
-            r[j] -= q * r[i]
 
     def col_add(i, j, q):
         # col i += q * col j
@@ -433,8 +428,6 @@ def smith_normal_form_reference(M) -> SNFResult:
     def row_negate(i):
         A[i] = [-a for a in A[i]]
         U[i] = [-a for a in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
 
     n = min(rows, cols)
     for k in range(n):
@@ -485,8 +478,7 @@ def smith_normal_form_reference(M) -> SNFResult:
         if A[k][k] < 0:
             row_negate(k)
     diag = tuple(A[k][k] for k in range(n))
-    return SNFResult(diag, tuple(map(tuple, U)), tuple(map(tuple, V)),
-                     tuple(map(tuple, Uinv)))
+    return SNFResult(diag, tuple(map(tuple, U)), tuple(map(tuple, V)))
 
 
 def preimage_lattice_reference(M, tgt: Lattice) -> list[list[int]]:

@@ -50,14 +50,21 @@ def seeded_matrices(l: int):
 
 @pytest.mark.parametrize("l", KERNEL_PRIMES)
 def test_rref_and_rank_agree_with_the_oracles(l):
-    """rref matches Gauss-Jordan on whole rows in R and in pivots; rank by
-    forward elimination matches the batched rank."""
+    """rref matches Gauss-Jordan on whole rows in R and in pivots; forward
+    elimination finds the same pivots, its rank matches the batched rank,
+    and the column bases read those pivots."""
     for A in seeded_matrices(l):
         R, pivots = flinalg.rref(A, l)
         R_ref, pivots_ref = rref_reference(A, l)
         assert pivots == pivots_ref
         assert R.dtype == np.int64 and np.array_equal(R, R_ref)
+        assert flinalg.pivot_columns(A, l) == pivots_ref
         assert flinalg.rank(A, l) == len(pivots) == batched_rank(A[None], l)[0]
+        assert np.array_equal(flinalg.column_space_basis(A, l), A[:, pivots_ref])
+        # A as [W V]: V's columns that complete W are its pivots in A
+        a = A.shape[1] // 2
+        chosen = [c for c in pivots_ref if c >= a]
+        assert np.array_equal(flinalg.complete_basis(A[:, :a], A[:, a:], l), A[:, chosen])
 
 
 @pytest.mark.parametrize("l", KERNEL_PRIMES)

@@ -28,6 +28,7 @@ from perfchain.modules import (
     is_equivariant,
     minimal_generator_lifts,
     orbit,
+    orbit_columns,
     radical_basis,
     submodule_span,
 )
@@ -41,6 +42,7 @@ from conftest import (
     per_element_action,
     regular_action_matrices,
     right_multiplication_matrix,
+    rref_reference,
     three_group_zoo,
     two_group_zoo,
 )
@@ -295,7 +297,8 @@ def test_radical_basis_spans_all_group_elements():
             continue
         eye = np.eye(M.dim, dtype=np.int64)
         every = np.hstack([(M.action[g] - eye) % l for g in range(G.order)])
-        assert flinalg.same_column_space(radical_basis(M), every, l), name
+        assert np.array_equal(flinalg.canonical_columns(radical_basis(M), l),
+                              flinalg.canonical_columns(every, l)), name
 
 
 def _same(actions, expected) -> bool:
@@ -455,3 +458,43 @@ def test_regular_modules_check_and_induce_without_products(monkeypatch):
         assert is_equivariant(R, R, f), name
         rad = induced_action(R, V, lambda B: flinalg.solve_matrix(V, B, l))
         assert rad.dim == V.shape[1], name
+
+
+def test_pivot_kernels_build_no_reduced_form(monkeypatch):
+    """rank, column_space_basis, complete_basis, radical_basis,
+    minimal_generator_lifts and is_free read their pivots from forward
+    elimination: with flinalg.rref refused they still pick the pivots of
+    the Gauss-Jordan oracle, on regular modules, a regular module plus a
+    trivial one and random quotients over the zoo."""
+    rng = random.Random(79)
+    cases = []
+    for name, G in ZOO:
+        cases.append((name, regular_module(G, 2), (True, 2)))
+        cases.append((name, direct_sum_modules(regular_module(G, 1), trivial_module(G)),
+                      (True, 2) if G.order == 1 else (False, None)))
+        cases.append((name, _random_quotient(G, rng), None))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flinalg.rref called")
+
+    monkeypatch.setattr(flinalg, "rref", refuse)
+    for name, M, freeness in cases:
+        l = M.group.prime_l
+        eye = flinalg.identity(M.dim, l)
+        spans = np.hstack([np.zeros((M.dim, 0), dtype=np.int64)]
+                          + [(rho - eye) % l for rho in M.gens])
+        pivots = rref_reference(spans, l)[1]
+        assert flinalg.rank(spans, l) == len(pivots), name
+        assert np.array_equal(flinalg.column_space_basis(spans, l), spans[:, pivots]), name
+        rad = radical_basis(M)
+        assert np.array_equal(rad, spans[:, pivots]), name
+        r = rad.shape[1]
+        chosen = [c - r for c in rref_reference(np.hstack([rad, eye]), l)[1] if c >= r]
+        assert np.array_equal(flinalg.complete_basis(rad, eye, l), eye[:, chosen]), name
+        lifts = minimal_generator_lifts(M)
+        assert np.array_equal(lifts, eye[:, chosen]), name
+        k = len(chosen)
+        if freeness is None:
+            cover = rref_reference(orbit_columns(M, lifts), l)[1]
+            freeness = (True, k) if M.dim == k * M.group.order == len(cover) else (False, None)
+        assert is_free(M) == freeness, name

@@ -1,5 +1,8 @@
 """Towers: stable images, limits, and pro-perfectness."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +12,11 @@ from perfchain import (
     GroupRingMatrix,
     HorizonExhaustedError,
     Tower,
+    build_group,
     decide_perfect,
     identity_chain_map,
     is_free,
+    is_quasi_iso,
     limit_complex,
     norm_element,
     pro_decide_perfect,
@@ -22,9 +27,12 @@ from perfchain.serialize import module_complex_to_json
 
 from conftest import (
     SMALL_GROUPS,
+    conjugate_complex,
     constant_tower,
     homology_image_dims,
+    pad_with_identity_cones,
     per_element_action,
+    random_minimal_complex,
     random_stabilizing_tower,
     stable_images_reference,
     three_group_zoo,
@@ -243,3 +251,26 @@ def test_limit_complex_puts_one_image_per_degree_in_canonical_form(rng, monkeypa
         calls.clear()
         limit_complex(T, 3)
         assert len(calls) == base.top - base.bottom + 1, name
+
+
+def test_module_path_at_scale_stays_within_memory():
+    """A scrambled C4^3 complex of level ranks [1, 6, 7, 5, 2, 4, 2] (total
+    F_2 dimension 1728) as a constant 3-level tower: the limit, Wall's
+    approximation and the witness check decide it perfect with the core's
+    ranks, with a traced peak below 96 MB."""
+    G = build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)
+    rng = random.Random(5)
+    core = random_minimal_complex(G, rng, 4, 3)
+    C = conjugate_complex(pad_with_identity_cones(core, rng, 6), rng)
+    assert C.ranks == [1, 6, 7, 5, 2, 4, 2]
+    T = constant_tower(C, 3)
+    tracemalloc.start()
+    try:
+        v = decide_perfect(limit_complex(T, 2))
+        witnessed = is_quasi_iso(v.witness)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.perfect and witnessed
+    assert v.replacement.ranks == core.ranks == [3, 3, 3] and v.euler_class == 3
+    assert peak < 96_000_000
