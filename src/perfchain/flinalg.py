@@ -7,9 +7,12 @@ maps and complexes built with validation, `submodule_span`,
 `quotient_module`, `HomologyData.chain_of_class` and the certificate and
 text readers).  All routines are deterministic: pivots are always the
 first nonzero entry in column order, scanning rows top to bottom.
-`pivot_columns` finds those pivots by forward elimination alone, and
-`rank`, `column_space_basis` and `complete_basis` read only them; `rref`
-builds the reduced form for the three kernels that read it,
+
+One Gaussian elimination loop serves every kernel; the only choice is
+which rows a pivot clears.  `pivot_columns` clears the rows below it,
+and `rank`, `column_space_basis`, `complete_basis` and `QuotientSpace`
+read only the pivots that forward elimination finds; `rref` clears every
+other row, for the three kernels that read the reduced form,
 `kernel_basis`, `solve_matrix` and `canonical_columns`.  Products go
 through `matmul`.
 """
@@ -76,11 +79,17 @@ def identity(n: int, l: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def rref(A, l: int):
-    """Reduced row echelon form.  Returns (R, pivot_columns).
+def _eliminate(A, l: int, reduced: bool):
+    """Gaussian elimination of a working copy of A, pivoting on the first
+    nonzero entry of each column from the top.  Returns (R, pivot_columns).
 
-    Row r of R is zero left of its pivot column c, so each elimination
-    step updates columns c onward only.
+    Each pivot row is scaled to a leading 1.  With `reduced` the pivot
+    clears every other row, so R is the reduced row echelon form; without
+    it only the rows below, which finds the same pivot columns (the
+    column rank profile; Jeannerod, Pernet & Storjohann, "Rank-profile
+    revealing Gaussian elimination and the CUP matrix decomposition",
+    J. Symb. Comput. 56, 2013).  Row r of R is zero left of its pivot
+    column c, so each step updates columns c onward only.
     """
     R = np.array(A, dtype=np.int64)
     rows, cols = R.shape
@@ -97,8 +106,12 @@ def rref(A, l: int):
             R[[r, p]] = R[[p, r]]
         if R[r, c] != 1:
             R[r, c:] = (R[r, c:] * pow(int(R[r, c]), l - 2, l)) % l
-        other = R[:, c].nonzero()[0]
-        other = other[other != r]
+        if reduced:
+            other = R[:, c].nonzero()[0]
+            other = other[other != r]
+        else:
+            # the swap moves no row below the pivot that is nonzero in column c
+            other = r + nz[1:]
         if other.size:
             R[other, c:] = (R[other, c:] - np.outer(R[other, c], R[r, c:])) % l
         pivots.append(c)
@@ -106,37 +119,14 @@ def rref(A, l: int):
     return R, pivots
 
 
+def rref(A, l: int):
+    """Reduced row echelon form.  Returns (R, pivot_columns)."""
+    return _eliminate(A, l, reduced=True)
+
+
 def pivot_columns(A, l: int) -> list[int]:
-    """The pivot columns of `rref(A)` (the column rank profile), found by
-    forward elimination: each pivot clears only the rows below it, from
-    its column on, and no reduced form is built (Jeannerod, Pernet &
-    Storjohann, "Rank-profile revealing Gaussian elimination and the CUP
-    matrix decomposition", J. Symb. Comput. 56, 2013)."""
-    R = np.array(A, dtype=np.int64)
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = R[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        if nz.size > 1:
-            # the swap moves no row below the pivot that is nonzero in column c
-            below = r + nz[1:]
-            pivot_row = R[r, c:]
-            if pivot_row[0] != 1:
-                pivot_row = (pivot_row * pow(int(pivot_row[0]), l - 2, l)) % l
-            block = R[below, c:]
-            block -= np.outer(block[:, 0], pivot_row)
-            R[below, c:] = block % l
-        pivots.append(c)
-        r += 1
-    return pivots
+    """The pivot columns of `rref(A)`, found by forward elimination alone."""
+    return _eliminate(A, l, reduced=False)[1]
 
 
 def rank(A, l: int) -> int:
@@ -185,29 +175,39 @@ def solve_matrix(A, B, l: int):
     return X
 
 
+def _split_pivots(W, V, l: int) -> tuple[list[int], list[int]]:
+    """The pivot columns of [W V], split into those in W and those in V
+    (indexed within V), from one forward elimination.  The pivots in W
+    are W's own, because a column rank profile is prefix-stable."""
+    a = W.shape[1]
+    pivots = pivot_columns(np.hstack([W, V]), l)
+    return [c for c in pivots if c < a], [c - a for c in pivots if c >= a]
+
+
 def complete_basis(W, V, l: int) -> np.ndarray:
     """Columns of V extending a basis of col(W) to a basis of col([W V]).
 
     Selection is pivot-greedy left to right, giving the "first preimage"
     determinism the rest of the package relies on.
     """
-    a = W.shape[1]
-    chosen = [c - a for c in pivot_columns(np.hstack([W, V]), l) if c >= a]
-    return V[:, chosen]
+    return V[:, _split_pivots(W, V, l)[1]]
 
 
 class QuotientSpace:
     """Coordinates on U/W for the column spans W <= U of two matrices over
     F_l; the columns of W need not be independent.
 
-    `reps` holds coset representatives (columns); `project` sends vectors
-    of U to their coordinates in the quotient basis.
+    One forward elimination of [W U] chooses both bases: its pivots in W
+    are `sub`, a basis of col(W), and its pivots in U are `reps`, coset
+    representatives completing it.  `project` sends vectors of U to their
+    coordinates in the quotient basis.
     """
 
     def __init__(self, U, W, l: int):
         self.l = l
-        self.sub = column_space_basis(W, l)
-        self.reps = complete_basis(self.sub, U, l)
+        in_w, in_u = _split_pivots(W, U, l)
+        self.sub = W[:, in_w]
+        self.reps = U[:, in_u]
         self.dim = self.reps.shape[1]
         self._solve_block = np.hstack([self.sub, self.reps])
 
@@ -216,12 +216,8 @@ class QuotientSpace:
         one_dim = vectors.ndim == 1
         if one_dim:
             vectors = vectors[:, None]
-        if self.dim == 0 and self._solve_block.shape[1] == 0:
-            coords = np.zeros((0, vectors.shape[1]), dtype=np.int64)
-        else:
-            X = solve_matrix(self._solve_block, vectors, self.l)
-            if X is None:
-                raise ValueError("vector lies outside the ambient subspace")
-            coords = X[self.sub.shape[1]:]
+        X = solve_matrix(self._solve_block, vectors, self.l)
+        if X is None:
+            raise ValueError("vector lies outside the ambient subspace")
+        coords = X[self.sub.shape[1]:]
         return coords[:, 0] if one_dim else coords
-

@@ -430,7 +430,6 @@ class GroupRingMatrix:
             o = G.order
             arr = self.data[:, :, G.ldiv]  # (rows, cols, s, k)
             E = arr.transpose(0, 3, 1, 2).reshape(self.rows * o, self.cols * o)
-            E = E % G.prime_l
             E.flags.writeable = False
             self._expanded = E
         return self._expanded

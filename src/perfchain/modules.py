@@ -250,31 +250,29 @@ def direct_sum_modules(*mods: PiModule) -> PiModule:
     return PiModule(G, dim, gens=gens, validate=False)
 
 
-def radical_basis(M: PiModule) -> np.ndarray:
-    """Basis (columns) of rad * M = span{(g - 1) m}.
+def _radical_span(M: PiModule) -> np.ndarray:
+    """Columns spanning rad * M = span{(g - 1) m}: the blocks rho(s) - 1.
 
-    Spanned by im(s - 1) over the generators s alone, since
-    (gh - 1) m = (g - 1)(h m) + (h - 1) m.
+    The generators s suffice, since (gh - 1) m = (g - 1)(h m) + (h - 1) m.
     """
     l = M.group.prime_l
-    if M.dim == 0:
-        return np.zeros((0, 0), dtype=np.int64)
     eye = flinalg.identity(M.dim, l)
     blocks = [np.zeros((M.dim, 0), dtype=np.int64)]
     blocks += [(rho - eye) % l for rho in M.gens]
-    return flinalg.column_space_basis(np.hstack(blocks), l)
+    return np.hstack(blocks)
 
 
 def minimal_generators(M: PiModule) -> int:
     """Nakayama count: dim of M / rad*M."""
-    return M.dim - radical_basis(M).shape[1]
+    return M.dim - flinalg.rank(_radical_span(M), M.group.prime_l)
 
 
 def minimal_generator_lifts(M: PiModule) -> np.ndarray:
     """Columns are module elements whose classes form a basis of M/rad*M,
-    chosen by echelon completion against the standard basis."""
+    chosen by one echelon completion of the span of rad*M against the
+    standard basis."""
     l = M.group.prime_l
-    return flinalg.complete_basis(radical_basis(M), flinalg.identity(M.dim, l), l)
+    return flinalg.complete_basis(_radical_span(M), flinalg.identity(M.dim, l), l)
 
 
 def free_cover(M: PiModule) -> PiModuleMap:

@@ -366,6 +366,19 @@ def per_element_action(M, V, solve) -> list[np.ndarray]:
     return [solve((M.action[g] @ V) % l) for g in range(M.group.order)]
 
 
+def radical_basis(M) -> np.ndarray:
+    """Basis (columns) of rad * M = span{(g - 1) m}, the pivot columns of
+    the blocks rho(s) - 1 over the generators s: the two-pass oracle of
+    `minimal_generator_lifts`, which completes the blocks themselves."""
+    l = M.group.prime_l
+    if M.dim == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    eye = flinalg.identity(M.dim, l)
+    blocks = [np.zeros((M.dim, 0), dtype=np.int64)]
+    blocks += [(rho - eye) % l for rho in M.gens]
+    return flinalg.column_space_basis(np.hstack(blocks), l)
+
+
 def has_equivariant_section(f) -> bool:
     """Splitting oracle: does the PiModuleMap f admit an equivariant right
     inverse?

@@ -52,7 +52,8 @@ def seeded_matrices(l: int):
 def test_rref_and_rank_agree_with_the_oracles(l):
     """rref matches Gauss-Jordan on whole rows in R and in pivots; forward
     elimination finds the same pivots, its rank matches the batched rank,
-    and the column bases read those pivots."""
+    and the column bases read those pivots.  QuotientSpace's one pass
+    picks the bases of the two-pass column_space_basis + complete_basis."""
     for A in seeded_matrices(l):
         R, pivots = flinalg.rref(A, l)
         R_ref, pivots_ref = rref_reference(A, l)
@@ -65,6 +66,11 @@ def test_rref_and_rank_agree_with_the_oracles(l):
         a = A.shape[1] // 2
         chosen = [c for c in pivots_ref if c >= a]
         assert np.array_equal(flinalg.complete_basis(A[:, :a], A[:, a:], l), A[:, chosen])
+        quo = flinalg.QuotientSpace(A[:, a:], A[:, :a], l)
+        sub = flinalg.column_space_basis(A[:, :a], l)
+        assert np.array_equal(quo.sub, sub)
+        assert np.array_equal(quo.reps, flinalg.complete_basis(sub, A[:, a:], l))
+        assert quo.dim == quo.reps.shape[1]
 
 
 @pytest.mark.parametrize("l", KERNEL_PRIMES)

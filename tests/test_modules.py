@@ -29,7 +29,6 @@ from perfchain.modules import (
     minimal_generator_lifts,
     orbit,
     orbit_columns,
-    radical_basis,
     submodule_span,
 )
 
@@ -40,6 +39,7 @@ from conftest import (
     is_equivariant_brute,
     first_generator_projection,
     per_element_action,
+    radical_basis,
     regular_action_matrices,
     right_multiplication_matrix,
     rref_reference,
@@ -461,11 +461,13 @@ def test_regular_modules_check_and_induce_without_products(monkeypatch):
 
 
 def test_pivot_kernels_build_no_reduced_form(monkeypatch):
-    """rank, column_space_basis, complete_basis, radical_basis,
-    minimal_generator_lifts and is_free read their pivots from forward
-    elimination: with flinalg.rref refused they still pick the pivots of
-    the Gauss-Jordan oracle, on regular modules, a regular module plus a
-    trivial one and random quotients over the zoo."""
+    """rank, column_space_basis, complete_basis, minimal_generator_lifts
+    and is_free read their pivots from forward elimination: with
+    flinalg.rref and a reduced elimination refused they still pick the
+    pivots of the Gauss-Jordan oracle, on regular modules, a regular
+    module plus a trivial one and random quotients over the zoo.  The
+    lifts, one completion of the radical's spanning blocks, equal the
+    completion of the oracle's radical basis."""
     rng = random.Random(79)
     cases = []
     for name, G in ZOO:
@@ -477,7 +479,15 @@ def test_pivot_kernels_build_no_reduced_form(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("flinalg.rref called")
 
+    eliminate = flinalg._eliminate
+
+    def forward_only(A, l, reduced):
+        if reduced:
+            raise AssertionError("reduced elimination run")
+        return eliminate(A, l, reduced)
+
     monkeypatch.setattr(flinalg, "rref", refuse)
+    monkeypatch.setattr(flinalg, "_eliminate", forward_only)
     for name, M, freeness in cases:
         l = M.group.prime_l
         eye = flinalg.identity(M.dim, l)
@@ -493,6 +503,7 @@ def test_pivot_kernels_build_no_reduced_form(monkeypatch):
         assert np.array_equal(flinalg.complete_basis(rad, eye, l), eye[:, chosen]), name
         lifts = minimal_generator_lifts(M)
         assert np.array_equal(lifts, eye[:, chosen]), name
+        assert np.array_equal(lifts, flinalg.complete_basis(rad, eye, l)), name
         k = len(chosen)
         if freeness is None:
             cover = rref_reference(orbit_columns(M, lifts), l)[1]

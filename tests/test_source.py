@@ -1,0 +1,33 @@
+"""Source hygiene of src/perfchain, read from its syntax trees."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "perfchain"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_helper_is_used():
+    """Every single-underscore function, class or method is referred to
+    somewhere in src/perfchain besides its own definition: by name, as an
+    attribute or in an import.  Mentions in strings and comments do not
+    count."""
+    defined = []
+    used = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if _is_private(node.name):
+                    defined.append(f"{path.name}:{node.lineno}:{node.name}")
+            elif isinstance(node, ast.Name):
+                used[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                used[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                used[node.name] += 1
+    unused = [d for d in defined if not used[d.rsplit(":", 1)[1]]]
+    assert not unused, f"private helpers with no use: {unused}"
