@@ -8,8 +8,9 @@ l-adic integers are handled symbolically: a completed module is a free
 rank plus a multiset of l-power torsion orders, and "over Z_l" questions
 reduce to l-valuations of integer Smith data.  With U R V = diag(d), v lies
 in the column lattice of R over Z iff each (U v)_i is divisible by d_i, and
-over Z_l iff it is divisible by the l-part of d_i; `Lattice.contains` is
-that one test for both rings, and `check_exactness` runs the same lattice
+over Z_l iff it is divisible by the l-part of d_i; `_within` is that one
+test for both rings, on every column of a matrix at once (`Lattice.contains`
+is its one-vector case), and `check_exactness` runs the same lattice
 conditions once over Z and once over Z_l.  Each `FGAbelian` owns the
 lattice of its relations, so its Smith form is computed once.
 """
@@ -50,10 +51,6 @@ def mat_mul(A, B) -> list[list[int]]:
                 for j in range(m):
                     row[j] += a * Bt[j]
     return out
-
-
-def mat_vec(A, v) -> list[int]:
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ def _echelon(A, T, S) -> int:
     r = 0
     for j in range(len(A)):
         col = A[j]
-        changed = False
+        first = r       # the first pivot column a Bezout step changes
         for k in range(r):
             b = col[k]
             if not b:
@@ -122,7 +119,7 @@ def _echelon(A, T, S) -> int:
             tk, tj = T[k], T[j]
             T[k] = [s * x + t * y for x, y in zip(tk, tj)]
             T[j] = [a * y - b * x for x, y in zip(tk, tj)]
-            changed = True
+            first = min(first, k)
         p = -1
         for i in range(r, m):
             v = col[i]
@@ -140,13 +137,12 @@ def _echelon(A, T, S) -> int:
                 A[r] = [-x for x in col]
                 T[r] = [-x for x in T[r]]
             r += 1
-        elif not changed:
+        elif first == r:
             continue
-        if r < 2:
-            continue
-        # reduce left of the diagonal: every row after a change to a pivot
-        # column, else only the new pivot row
-        for i in range(1, r) if changed else (r - 1,):
+        # reduce left of the diagonal from the first changed pivot row on
+        # (or the new pivot row alone): the rows above it, and the columns
+        # their entries sit in, are as reduced as before
+        for i in range(first, r):
             ci, di, ti = A[i], A[i][i], T[i]
             for k in range(i):
                 q = A[k][i] // di
@@ -254,8 +250,7 @@ class Lattice:
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError(
                 f"vector of length {len(v)}; the lattice lies in Z^{self.ambient_dim}")
-        c = mat_vec(self.snf().U, v)
-        return all(ci % m == 0 if m else ci == 0 for ci, m in zip(c, self._moduli(l)))
+        return _within([[x] for x in v], self, l)
 
 
 def _l_part(d: int, l: int) -> int:
@@ -381,8 +376,7 @@ class FGAbelianMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if validate and not all(target.lattice.contains(mat_vec(matrix, r))
-                                for r in zip(*source.relations)):
+        if validate and not _within(mat_mul(matrix, source.relations), target.lattice, None):
             raise DimensionMismatchError("matrix does not send relations into relations")
 
     def __repr__(self):
@@ -434,8 +428,11 @@ def l_complete(A: FGAbelian, l: int) -> FGZlModule:
 
 
 def _within(M, big: Lattice, l: int | None) -> bool:
-    """Does every column of M lie in `big`, over Z (l None) or over Z_l?"""
-    return all(big.contains(v, l) for v in zip(*M))
+    """Does every column of M lie in `big`, over Z (l None) or over Z_l?
+    One product U M, then each of its rows against its modulus (see
+    `Lattice._moduli`)."""
+    return all(all(c % m == 0 for c in row) if m else not any(row)
+               for row, m in zip(mat_mul(big.snf().U, M), big._moduli(l)))
 
 
 def _short_exact(f: FGAbelianMap, g: FGAbelianMap, im_f: Lattice, im_g: Lattice,
@@ -463,7 +460,7 @@ def check_exactness(f: FGAbelianMap, g: FGAbelianMap, l: int) -> bool:
     if f.target is not g.source and f.target.n != g.source.n:
         raise DimensionMismatchError("maps do not compose")
     B, C = f.target, g.target
-    if not all(C.lattice.contains(mat_vec(g.matrix, v)) for v in zip(*f.matrix)):
+    if not _within(mat_mul(g.matrix, f.matrix), C.lattice, None):
         raise NotExactIntegrallyError("g o f is not zero")
     im_f = Lattice([a + b for a, b in zip(f.matrix, B.relations)], B.n)
     im_g = Lattice([a + b for a, b in zip(g.matrix, C.relations)], C.n)

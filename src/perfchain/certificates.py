@@ -20,6 +20,7 @@ keys and malformed witnesses are ParseError, before any arithmetic.
 from __future__ import annotations
 
 import json
+import math
 
 from . import flinalg, serialize
 from .abelian import FGAbelian, SNFResult, mat_mul
@@ -292,17 +293,29 @@ def _snf_witness(M, cert: dict) -> dict:
 
 
 def _check_snf_witness(M, witness: dict) -> None:
+    """U M V is the claimed diagonal, U and V are unimodular, and each
+    factor divides the next.
+
+    Once U M V = diag(d), det U det M det V = prod d, so a square M with
+    det M = +-prod d != 0 leaves det U det V = +-1, and both are units: one
+    Bareiss determinant of M, whose entries are small, stands in for those
+    of U and V, whose entries can be far larger.  A non-square or singular
+    M, or a product that does not check, falls back to det U and det V.
+    Every quantity is recomputed from the certificate, so the checker stays
+    independent of the solver that wrote it.
+    """
     U, V, diag = witness["U"], witness["V"], witness["diag"]
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    if abs(_int_det(U)) != 1 or abs(_int_det(V)) != 1:
-        raise VerificationFailure("transformation matrices are not unimodular")
     D = mat_mul(mat_mul(U, M), V) if rows and cols else [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            expected = diag[i] if i == j and i < len(diag) else 0
-            if D[i][j] != expected:
-                raise VerificationFailure("U M V is not the claimed diagonal")
+    diagonal = all(D[i][j] == (diag[i] if i == j and i < len(diag) else 0)
+                   for i in range(rows) for j in range(cols))
+    prod = math.prod(diag)
+    if not (diagonal and rows == cols and prod and abs(_int_det(M)) == abs(prod)):
+        if abs(_int_det(U)) != 1 or abs(_int_det(V)) != 1:
+            raise VerificationFailure("transformation matrices are not unimodular")
+    if not diagonal:
+        raise VerificationFailure("U M V is not the claimed diagonal")
     for a, b in zip(diag, diag[1:]):
         if a == 0 and b != 0:
             raise VerificationFailure("zero factor precedes a nonzero factor")

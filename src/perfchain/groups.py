@@ -62,6 +62,11 @@ class GroupTable:
     deterministic generating set S (greedy in index order, so
     |S| <= log_l |pi|; empty for the trivial group).  Associativity is
     checked by Light's test on S, in O(|pi|^2 |S|).
+
+    The division tables drive `ga_compose` and `GroupRingMatrix.expand`:
+    ldiv[s, t] is the index of g_s^-1 g_t and rdiv[h, t] that of
+    g_t g_h^-1.  Like mult and inv they are read-only, |pi|^2 int64 each
+    (4.25 MB at order 729).
     """
 
     def __init__(self, mult, identity: int, prime_l: int, descriptor: str | None = None):
@@ -104,10 +109,11 @@ class GroupTable:
         self.mult = mult
         self.inv = inv
         self.generators = generators
-        # ldiv[s, k] = index of g_s^{-1} g_k; drives products and expansion
         self.ldiv = mult[inv, :]
+        # contiguous, so `np.take` reads it without a copy
+        self.rdiv = np.ascontiguousarray(mult[:, inv].T)
         self.descriptor = descriptor or table_descriptor(mult, identity)
-        for arr in (self.mult, self.inv, self.ldiv):
+        for arr in (self.mult, self.inv, self.ldiv, self.rdiv):
             arr.flags.writeable = False
 
     def __eq__(self, other):
@@ -300,15 +306,26 @@ def ga_compose(second: np.ndarray, first: np.ndarray, G: GroupTable) -> np.ndarr
     """Group-ring data of the composite map (second after first), from
     (k, i, order) and (i, j, order) data.  An entry a is the map x -> x a
     (see GroupRingMatrix), so (second o first)[k, j] = sum_i first[i, j] *
-    second[k, i], where (a * b)[t] = sum_g a[g] b[g^-1 t] through G.ldiv.
-    Only `second` is gathered, to the size of its expansion."""
+    second[k, i], where (a * b)[t] = sum_g a[g] b[g^-1 t] = sum_h a[t h^-1] b[h].
+
+    The operand with fewer entries is gathered to the size of its
+    expansion, in one `np.take` that lays it out as the product reads it:
+    `second` through G.ldiv by the first sum when k <= j, else `first`
+    through G.rdiv by the second, and the (j, k, order) product transposed."""
     k, i, o = second.shape
     j = first.shape[1]
-    lhs = first.transpose(1, 0, 2).reshape(j, i * o)
+    if k <= j:
+        lhs = first.transpose(1, 0, 2).reshape(j, i * o)  # [j, (i, g)]
+        small, table = second, G.ldiv                     # [k, (i, g), t]
+    else:
+        lhs = second.reshape(k, i * o)                    # [k, (i, h)]
+        small, table = first.transpose(1, 0, 2), G.rdiv   # [j, (i, h), t]
+    m = small.shape[0]
     # converted before the gather, so the large operand is built only once
-    dtype = flinalg.product_dtype(lhs.shape, (k, i * o, o), G.prime_l)
-    gathered = second.astype(dtype, copy=False)[:, :, G.ldiv].reshape(k, i * o, o)  # [k, (i, g), t]
-    return flinalg.matmul(lhs, gathered, G.prime_l)
+    dtype = flinalg.product_dtype(lhs.shape, (m, i * o, o), G.prime_l)
+    gathered = np.take(small.astype(dtype, copy=False), table, axis=2).reshape(m, i * o, o)
+    product = flinalg.matmul(lhs, gathered, G.prime_l)
+    return product if k <= j else product.transpose(1, 0, 2)
 
 
 def ga_mul(a: GroupRingElement, b: GroupRingElement, G: GroupTable) -> GroupRingElement:

@@ -533,6 +533,17 @@ def ga_mul_reference(a, b, G: GroupTable) -> np.ndarray:
     return out % G.prime_l
 
 
+def ga_compose_reference(second, first, G: GroupTable) -> np.ndarray:
+    """(second o first) on (k, i, order) and (i, j, order) group-ring data,
+    always gathering `second`: result[k, j, t] = sum_(i, g) first[i, j, g]
+    second[k, i, g^-1 t], through G.ldiv."""
+    k, i, o = second.shape
+    j = first.shape[1]
+    lhs = first.transpose(1, 0, 2).reshape(j, i * o)
+    gathered = second[:, :, G.ldiv].reshape(k, i * o, o)    # [k, (i, g), t]
+    return flinalg.matmul(lhs, gathered, G.prime_l)
+
+
 def ga_inverse_series_reference(a, G: GroupTable) -> np.ndarray:
     """Coefficients of the inverse of a unit a by the terminating geometric
     series: a = alpha (1 - n) with n in the radical, and (1 - n)^-1 is

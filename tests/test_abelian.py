@@ -18,7 +18,7 @@ from perfchain import (
     l_complete,
     smith_normal_form,
 )
-from perfchain.abelian import Lattice, _preimage, integer_kernel_columns, mat_mul, mat_vec
+from perfchain.abelian import Lattice, _preimage, integer_kernel_columns, mat_mul
 from perfchain.certificates import _check_snf_witness, _int_det
 
 from conftest import preimage_lattice_reference, smith_normal_form_reference
@@ -295,7 +295,7 @@ def test_preimage_matches_kernel_reference():
         assert all(Lattice(mine, n).contains(x) for x in zip(*ref))
         for l in (2, 3, 5):
             local = _preimage(M, L, l, n)
-            assert all(L.contains(mat_vec(M, x), l) for x in zip(*local))
+            assert all(L.contains(v, l) for v in zip(*mat_mul(M, local)))
             assert all(Lattice(local, n).contains(x) for x in zip(*mine))
 
 

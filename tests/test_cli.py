@@ -431,6 +431,59 @@ def test_snf_certificate_of_dense_60x60_matrix(capsys, tmp_path):
     assert code == 0 and out.startswith("certificate valid")
 
 
+def test_snf_certificate_bytes_pinned(capsys, tmp_path):
+    """The certificate of a seeded dense 40 x 40 matrix, pinned byte for
+    byte: U, V and the diagonal depend on every step of the echelon
+    passes, not only on the invariant factors."""
+    rng = random.Random(40)
+    path = tmp_path / "m40.txt"
+    path.write_text("".join(" ".join(str(rng.randint(-9, 9)) for _ in range(40)) + "\n"
+                            for _ in range(40)))
+    cert_path = tmp_path / "m40.json"
+    assert main(["snf", str(path), "--cert", str(cert_path)]) == 0
+    assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == (
+        "847931b37fc4fc105da19066b31331319b5eba931bab537932fafa7f8e20f398")
+
+
+def _double_u_and_diag(w):
+    w["U"] = [[2 * x for x in row] for row in w["U"]]
+    w["diag"] = [2 * d for d in w["diag"]]
+
+
+def _double_last_column_of_v(w):
+    for row in w["V"]:
+        row[-1] *= 2
+
+
+def _double_last_row_of_u(w):
+    w["U"][-1] = [2 * x for x in w["U"][-1]]
+
+
+@pytest.mark.parametrize("command, matrix, forge", [
+    # U M V is still the claimed diagonal, but det U = 4 and det M = -8
+    # is not +-32, the product of the doubled factors
+    (["snf"], "2 4\n6 8\n", _double_u_and_diag),
+    # singular square M: V doubled on the column of the zero factor
+    (["snf"], "2 4\n1 2\n", _double_last_column_of_v),
+    # non-square presentation: U doubled on the row of the zero block
+    (["complete", "--l", "3", "--presentation"], "2 0\n0 3\n0 0\n", _double_last_row_of_u),
+])
+def test_forged_smith_transform_is_not_unimodular(capsys, tmp_path, command, matrix, forge):
+    """A transform of determinant 2 or 4 that keeps U M V the claimed
+    diagonal is refused, whether the check can go through det M or must
+    fall back to det U and det V."""
+    path = tmp_path / "m.txt"
+    path.write_text(matrix)
+    cert_path = tmp_path / "c.json"
+    assert main([*command, str(path), "--cert", str(cert_path)]) == 0
+    cert = json.loads(cert_path.read_text())
+    forge(cert["witness"])
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert (code, out) == (1, "certificate INVALID: transformation matrices are not unimodular\n")
+
+
 def test_answer_too_long_to_print_is_a_limit_error(capsys, tmp_path):
     """diag(a, b) with coprime 3000-digit a, b has the 6000-digit factor ab;
     nothing is printed, not even the part of the answer that fits."""

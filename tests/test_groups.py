@@ -26,7 +26,7 @@ from perfchain import (
     is_unit,
     norm_element,
 )
-from perfchain.groups import grm_compose
+from perfchain.groups import ga_compose, grm_compose
 
 from conftest import (
     SMALL_GROUPS,
@@ -34,6 +34,7 @@ from conftest import (
     dihedral,
     from_expanded,
     from_expanded_reference,
+    ga_compose_reference,
     ga_inverse_series_reference,
     ga_mul_reference,
     heisenberg_27,
@@ -167,6 +168,28 @@ def test_ga_mul_matches_table_reference():
             b = [rng.randrange(l) for _ in range(G.order)]
             prod = ga_mul(GroupRingElement(a, l), GroupRingElement(b, l), G)
             assert np.array_equal(prod.coeffs, ga_mul_reference(a, b, G)), name
+
+
+def test_ga_compose_matches_the_one_sided_gather():
+    """Gathering whichever operand is smaller gives the product that
+    gathering `second` alone gives, for k < j, k = j and k > j and for
+    empty shapes, on both zoos (nonabelian groups among them, such as
+    Heis27, where the side matters) and on entries all l - 1.  G.rdiv is
+    read-only, as every table the product reads must be."""
+    rng = np.random.default_rng(29)
+    shapes = [(1, 1, 1), (2, 3, 5), (3, 2, 3), (5, 3, 2), (6, 1, 1), (1, 4, 7),
+              (0, 2, 3), (3, 2, 0), (2, 0, 3), (3, 0, 2)]
+    for name, G in two_group_zoo() + three_group_zoo():
+        assert not G.rdiv.flags.writeable, name
+        for k, i, j in shapes:
+            second = rng.integers(0, G.prime_l, (k, i, G.order))
+            first = rng.integers(0, G.prime_l, (i, j, G.order))
+            got = ga_compose(second, first, G)
+            assert got.shape == (k, j, G.order), (name, k, i, j)
+            assert np.array_equal(got, ga_compose_reference(second, first, G)), (name, k, i, j)
+        full = np.full((3, 2, G.order), G.prime_l - 1)
+        assert np.array_equal(ga_compose(full, full[:2, :1], G),
+                              ga_compose_reference(full, full[:2, :1], G)), name
 
 
 def test_ga_mul_dimension_mismatch():
