@@ -1,12 +1,12 @@
 """Exact linear algebra over the prime field F_l.
 
-Matrices are numpy int64 arrays with entries reduced into [0, l).  The
-kernels rely on that and reduce nothing themselves: data is reduced once,
-with `asfield`, where it enters (group-ring matrices and elements, modules,
-maps and complexes built with validation, `submodule_span`,
-`quotient_module`, `HomologyData.chain_of_class` and the certificate and
-text readers).  All routines are deterministic: pivots are always the
-first nonzero entry in column order, scanning rows top to bottom.
+Kernels take and return numpy int64 arrays with entries in [0, l); only
+`_eliminate`'s working copy is narrower.  They reduce nothing themselves:
+data is reduced once, with `asfield`, where it enters (group-ring
+matrices and elements, modules, maps and complexes built with validation,
+`submodule_span`, `quotient_module`, `HomologyData.chain_of_class` and
+the certificate and text readers).  All routines are deterministic:
+pivots are the first nonzero entry in column order, scanning top down.
 
 One Gaussian elimination loop serves every kernel; the only choice is
 which rows a pivot clears.  `pivot_columns` clears the rows below it,
@@ -79,6 +79,12 @@ def identity(n: int, l: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+def elimination_dtype(l: int):
+    bits = (l + (l - 1) ** 2).bit_length()
+    return (np.uint8 if l == 2 else np.int8 if bits < 8 else np.int16 if bits < 16
+            else np.int32 if bits < 32 else np.int64)
+
+
 def _eliminate(A, l: int, reduced: bool):
     """Gaussian elimination of a working copy of A, pivoting on the first
     nonzero entry of each column from the top.  Returns (R, pivot_columns).
@@ -86,42 +92,46 @@ def _eliminate(A, l: int, reduced: bool):
     Each pivot row is scaled to a leading 1.  With `reduced` the pivot
     clears every other row, so R is the reduced row echelon form; without
     it only the rows below, which finds the same pivot columns (the
-    column rank profile; Jeannerod, Pernet & Storjohann, "Rank-profile
-    revealing Gaussian elimination and the CUP matrix decomposition",
-    J. Symb. Comput. 56, 2013).  Row r of R is zero left of its pivot
-    column c, so each step updates columns c onward only.
+    column rank profile; Jeannerod, Pernet & Storjohann, J. Symb. Comput.
+    56, 2013).  Rows r onward are zero left of the pivot column c, so a
+    step touches columns c onward, and a scan of up to 64 columns skips
+    those zero from row r down, as they stay.
+
+    R is in the narrowest exact word (`elimination_dtype`): bytes at l = 2,
+    pivot rows added by XOR (Albrecht & Pernet, arXiv:1006.1744); else the
+    signed word holding l + (l-1)^2, which bounds l, y*z and x - y*z for
+    x, y, z in [0, l): int8 to l = 11, int16 to 181, int32 to 46337.
     """
-    R = np.array(A, dtype=np.int64)
+    R = np.array(A, dtype=elimination_dtype(l))
     rows, cols = R.shape
     pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
+    r = c = 0
+    while r < rows and c < cols:
         nz = R[r:, c].nonzero()[0]
-        if nz.size == 0:
+        if not nz.size:     # on to the next column nonzero from row r down
+            c += int(R[r:, c:c + 64].any(axis=0).argmax()) or 64
             continue
-        p = r + int(nz[0])
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        if R[r, c] != 1:
+        if nz[0]:
+            p = r + int(nz[0])
+            R[r, c:], R[p, c:] = R[p, c:].copy(), R[r, c:].copy()
+        if l != 2 and R[r, c] != 1:
             R[r, c:] = (R[r, c:] * pow(int(R[r, c]), l - 2, l)) % l
-        if reduced:
-            other = R[:, c].nonzero()[0]
-            other = other[other != r]
-        else:
-            # the swap moves no row below the pivot that is nonzero in column c
-            other = r + nz[1:]
-        if other.size:
-            R[other, c:] = (R[other, c:] - np.outer(R[other, c], R[r, c:])) % l
+        other = R[:, c].nonzero()[0] if reduced else nz
+        if other.size > 1:      # more rows than the pivot's own
+            other = other[other != r] if reduced else r + nz[1:]
+            block, row = R[other, c:], R[r, c:]
+            R[other, c:] = (np.bitwise_xor(block, row, out=block) if l == 2 else
+                            np.remainder(block - np.outer(block[:, 0], row), l, out=block))
         pivots.append(c)
         r += 1
+        c += 1
     return R, pivots
 
 
 def rref(A, l: int):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    return _eliminate(A, l, reduced=True)
+    R, pivots = _eliminate(A, l, reduced=True)
+    return R.astype(np.int64, copy=False), pivots
 
 
 def pivot_columns(A, l: int) -> list[int]:

@@ -443,10 +443,10 @@ class GroupRingMatrix:
     def expand(self) -> np.ndarray:
         """The (rows*order) x (cols*order) matrix over F_l of this map."""
         if self._expanded is None:
-            G = self.group
-            o = G.order
-            arr = self.data[:, :, G.ldiv]  # (rows, cols, s, k)
-            E = arr.transpose(0, 3, 1, 2).reshape(self.rows * o, self.cols * o)
+            o, m, n = self.group.order, self.rows, self.cols
+            # E[(i, k), (j, s)] = data[i, j, ldiv[s, k]]: one take through C-ordered idx
+            idx = np.add(self.group.ldiv.T[:, None], o * np.arange(n)[:, None], order="C")
+            E = np.take(self.data.reshape(m, n * o), idx, axis=1).reshape(m * o, n * o)
             E.flags.writeable = False
             self._expanded = E
         return self._expanded

@@ -244,6 +244,38 @@ def rref_reference(A, l: int):
     return R, pivots
 
 
+def eliminate_reference(A, l: int, reduced: bool):
+    """Gaussian elimination on int64 rows, one outer-product update and
+    one reduction mod l per pivot: the oracle for `flinalg._eliminate` in
+    its narrow words (the same pivots and, entry by entry, the same R,
+    forward or reduced)."""
+    R = np.array(A, dtype=np.int64)
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = R[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+        if R[r, c] != 1:
+            R[r, c:] = (R[r, c:] * pow(int(R[r, c]), l - 2, l)) % l
+        if reduced:
+            other = R[:, c].nonzero()[0]
+            other = other[other != r]
+        else:
+            other = r + nz[1:]
+        if other.size:
+            R[other, c:] = (R[other, c:] - np.outer(R[other, c], R[r, c:])) % l
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
 def batched_rank(mats: np.ndarray, l: int) -> np.ndarray:
     """Ranks of a stack of matrices (N, rows, cols) over F_l, vectorized
     across the batch.  Used by exhaustive test sweeps."""
@@ -560,6 +592,13 @@ def ga_inverse_series_reference(a, G: GroupTable) -> np.ndarray:
         acc = (acc + term) % l
         term = ga_mul_reference(term, n, G)
     raise AssertionError("radical series failed to terminate")
+
+
+def expand_reference(A: GroupRingMatrix) -> np.ndarray:
+    """`GroupRingMatrix.expand` by a fancy gather and a transposing copy:
+    entry ((i, k), (j, s)) is data[i, j, ldiv[s, k]]."""
+    o = A.group.order
+    return A.data[:, :, A.group.ldiv].transpose(0, 3, 1, 2).reshape(A.rows * o, A.cols * o)
 
 
 def from_expanded(group: GroupTable, E, rows: int, cols: int) -> GroupRingMatrix:

@@ -7,7 +7,7 @@ import pytest
 
 from perfchain import flinalg
 
-from conftest import batched_rank, rref_reference
+from conftest import batched_rank, eliminate_reference, rref_reference
 
 
 def test_rank_at_a_large_prime_allocates_little():
@@ -26,7 +26,9 @@ def test_rank_at_a_large_prime_allocates_little():
     assert peak < 1_000_000
 
 
-KERNEL_PRIMES = (2, 3, 5, 1048573)     # 1048573 is the largest prime below 2^20
+# Both sides of each boundary of `elimination_dtype` (int8 to 11, int16 to
+# 181, int32 to 46337), and 1048573, the largest prime below 2^20.
+KERNEL_PRIMES = (2, 3, 5, 11, 13, 181, 191, 46337, 46349, 1048573)
 
 
 def seeded_matrices(l: int):
@@ -46,6 +48,10 @@ def seeded_matrices(l: int):
     yield (sparse(60, 60) @ dense(60, 70)) % l
     yield from (dense(40, 4), dense(4, 40), sparse(50, 5), sparse(5, 50))
     yield from (dense(0, 7), dense(7, 0), dense(0, 0), np.zeros((6, 9), dtype=np.int64))
+    # every entry l - 1, the largest product when a pivot row is scaled;
+    # with ones on the diagonal, x - y*z reaches (l - 1) - (l - 1)^2
+    yield from (np.full((9, 11), l - 1), np.full((11, 9), l - 1))
+    yield np.where(np.eye(10, 12, dtype=bool), 1, l - 1)
 
 
 @pytest.mark.parametrize("l", KERNEL_PRIMES)
@@ -73,6 +79,17 @@ def test_rref_and_rank_agree_with_the_oracles(l):
         assert quo.dim == quo.reps.shape[1]
 
 
+def solve_reference(A, B, l: int) -> np.ndarray:
+    """The solution of A X = B, for B inside col(A), read off the
+    Gauss-Jordan oracle's form of [A | B] with free variables zero."""
+    cols = A.shape[1]
+    R, pivots = rref_reference(np.hstack([A, B]), l)
+    assert not pivots or pivots[-1] < cols
+    X = np.zeros((cols, B.shape[1]), dtype=np.int64)
+    X[pivots] = R[:len(pivots), cols:]
+    return X
+
+
 @pytest.mark.parametrize("l", KERNEL_PRIMES)
 def test_kernel_basis_and_solve_matrix(l):
     """A K = 0 with K of full column rank cols - rank(A); A X = B for a
@@ -93,10 +110,100 @@ def test_kernel_basis_and_solve_matrix(l):
         B = (A @ gen.integers(0, l, (cols, 3))) % l
         X = flinalg.solve_matrix(A, B, l)
         assert X.shape == (cols, 3) and np.array_equal((A @ X) % l, B)
+        assert np.array_equal(X, solve_reference(A, B, l))
         assert not X[free].any()
         outside = flinalg.complete_basis(A, np.eye(rows, dtype=np.int64), l)[:, :1]
         if outside.size:
             assert flinalg.solve_matrix(A, np.hstack([B, outside]), l) is None
+
+
+@pytest.mark.parametrize("l", KERNEL_PRIMES)
+def test_narrow_words_agree_with_the_int64_loop(l):
+    """`_eliminate` in its `elimination_dtype` finds the int64 loop's
+    pivots and R, forward and reduced, and the kernels that read R agree
+    with the Gauss-Jordan oracle: canonical columns with its form of A^T,
+    quotient coordinates with its solution of [sub reps] X = U."""
+    for A in seeded_matrices(l):
+        for reduced in (False, True):
+            R, pivots = flinalg._eliminate(A, l, reduced)
+            R_ref, pivots_ref = eliminate_reference(A, l, reduced)
+            assert R.dtype == flinalg.elimination_dtype(l)
+            assert pivots == pivots_ref and np.array_equal(R, R_ref)
+        R_t, pivots_t = rref_reference(A.T, l)
+        assert np.array_equal(flinalg.canonical_columns(A, l), R_t[:len(pivots_t)].T)
+        a = A.shape[1] // 2
+        quo = flinalg.QuotientSpace(A[:, a:], A[:, :a], l)
+        coords = solve_reference(np.hstack([quo.sub, quo.reps]), A[:, a:], l)
+        assert np.array_equal(quo.project(A[:, a:]), coords[quo.sub.shape[1]:])
+
+
+def test_elimination_words_are_the_narrowest_exact():
+    """Bytes at l = 2, else the narrowest signed word whose maximum is at
+    least l + (l - 1)^2, which bounds l, y*z and x - y*z for x, y, z in
+    [0, l); the prime just past each boundary moves up a word."""
+    signed = [np.int8, np.int16, np.int32, np.int64]
+    expected = {2: np.uint8, 3: np.int8, 11: np.int8, 13: np.int16, 181: np.int16,
+                191: np.int32, 46337: np.int32, 46349: np.int64, 1048573: np.int64}
+    for l, word in expected.items():
+        assert flinalg.elimination_dtype(l) is word, l
+        if l > 2:
+            k = signed.index(word)
+            assert l + (l - 1) ** 2 <= np.iinfo(word).max
+            assert k == 0 or l + (l - 1) ** 2 > np.iinfo(signed[k - 1]).max
+
+
+@pytest.mark.parametrize("l", KERNEL_PRIMES)
+def test_every_kernel_returns_int64(l):
+    """Only `_eliminate`'s working copy is narrow.  A narrow array reaching
+    `matmul` or `@` would wrap silently, so every public kernel returns
+    int64 at every word."""
+    gen = np.random.default_rng(l + 3)
+    A = gen.integers(0, l, (12, 16))
+    A[:, 5] = 0
+    W, U = A[:, :6], A[:, 6:]
+    quo = flinalg.QuotientSpace(U, W, l)
+    results = {
+        "rref": flinalg.rref(A, l)[0],
+        "kernel_basis": flinalg.kernel_basis(A, l),
+        "column_space_basis": flinalg.column_space_basis(A, l),
+        "complete_basis": flinalg.complete_basis(W, U, l),
+        "canonical_columns": flinalg.canonical_columns(A, l),
+        "solve_matrix": flinalg.solve_matrix(A, A[:, :3], l),
+        "solve_matrix, a vector": flinalg.solve_matrix(A, A[:, 0], l),
+        "QuotientSpace.sub": quo.sub,
+        "QuotientSpace.reps": quo.reps,
+        "QuotientSpace.project": quo.project(U),
+        "QuotientSpace.project, a vector": quo.project(U[:, 0]),
+    }
+    for name, M in results.items():
+        assert M.dtype == np.int64, name
+
+
+def test_dense_f2_elimination_at_2048_stays_small():
+    """A = B C over F_2, with B of full column rank 1024 and C in reduced
+    row echelon form with random pivots: the reduced form of A is C over
+    zero rows, and its pivots are C's, so C is the oracle at a size where
+    the int64 loop takes seconds.  `rank` works in a 4 MB byte copy; its
+    traced peak stays under 12 MB, where an int64 copy alone is 33.5 MB."""
+    n, k = 2048, 1024
+    gen = np.random.default_rng(2048)
+    pivots = np.sort(gen.choice(n, k, replace=False))
+    C = gen.integers(0, 2, (k, n))
+    C[np.arange(n) < pivots[:, None]] = 0
+    C[:, pivots] = np.eye(k, dtype=np.int64)
+    A = flinalg.matmul(gen.integers(0, 2, (n, k)), C, 2)
+    R, found = flinalg.rref(A, 2)
+    assert found == pivots.tolist()
+    assert np.array_equal(R[:k], C) and not R[k:].any()
+    assert flinalg.pivot_columns(A, 2) == found
+    tracemalloc.start()
+    try:
+        r = flinalg.rank(A, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r == k
+    assert peak < 12_000_000, peak
 
 
 def exact_product(A, B, l: int) -> np.ndarray:
