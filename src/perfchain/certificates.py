@@ -11,10 +11,16 @@ the residue field F_l, from the ranks of its augmented boundaries
 (`ChainComplex.is_acyclic`).  A witness into a tower's limit is checked
 on the expanded cone.
 
-Modules (a tower's limit, a negative verdict's obstruction) are written
-by their generator matrices only (see `serialize.module_from_json`); a
-recorded limit or obstruction must equal the recomputed one.  Missing
-keys and malformed witnesses are ParseError, before any arithmetic.
+Format `perfchain-cert-v3` writes only what the checker cannot
+recompute.  Modules are written by their generator matrices
+(`serialize.module_from_json`), and maps out of free modules (a tower
+witness, an obstruction's cover) by the images of the free generators,
+whose orbit the checker rebuilds, equivariant by construction
+(`serialize.free_map_to_json`).  A tower-perfectness certificate records
+no limit, since the checker recomputes it from the tower; a limit
+certificate records it as the answer, and it and an obstruction must
+equal the recomputed ones.  Missing keys, malformed witnesses and other
+formats are ParseError, before any arithmetic.
 """
 
 from __future__ import annotations
@@ -27,11 +33,11 @@ from .abelian import FGAbelian, SNFResult, mat_mul
 from .chains import ChainComplex, euler_characteristic, is_quasi_iso
 from .errors import LimitError, ParseError
 from .finiteness import PerfectnessVerdict, decide_perfect
-from .modules import PiModule, PiModuleMap, free_cover, minimal_generators, regular_module
+from .modules import PiModule, free_cover, minimal_generators, orbit_columns
 from .serialize import json_field, json_field_array, json_int_matrix
 from .towers import Tower, limit_complex
 
-FORMAT = "perfchain-cert-v2"
+FORMAT = "perfchain-cert-v3"
 
 
 def dumps(cert: dict) -> str:
@@ -89,7 +95,7 @@ def _nonfree_witness(verdict: PerfectnessVerdict) -> dict:
         raise AssertionError("non-perfect verdict with free obstruction")
     return {
         "obstruction": serialize.module_to_json(P),
-        "cover": cover.matrix.tolist(),
+        "cover": serialize.free_map_to_json(cover.matrix, P.group),
         "kernel_vector": kernel[:, 0].tolist(),
     }
 
@@ -98,15 +104,15 @@ def _check_nonfree(witness: dict, P: PiModule) -> None:
     G = P.group
     l = G.prime_l
     k = minimal_generators(P)
-    n = k * G.order
-    cover_mat = json_field_array(json_field(witness, "cover"), "cover", l, P.dim, n)
-    v = json_field_array(json_field(witness, "kernel_vector"), "kernel_vector", l, n)
-    cover = PiModuleMap(regular_module(G, k), P, cover_mat)  # checks equivariance
-    if flinalg.rank(cover.matrix, l) != P.dim:
+    gens = json_field_array(json_field(witness, "cover"), "cover", l, P.dim, k)
+    v = json_field_array(json_field(witness, "kernel_vector"), "kernel_vector", l,
+                         k * G.order)
+    cover = orbit_columns(P, gens)      # equivariant by construction
+    if flinalg.rank(cover, l) != P.dim:
         raise VerificationFailure("recorded cover is not surjective")
     if not v.any():
         raise VerificationFailure("kernel vector is zero")
-    if flinalg.matmul(cover.matrix, v, l).any():
+    if flinalg.matmul(cover, v, l).any():
         raise VerificationFailure("kernel vector is not in the kernel")
 
 
@@ -127,7 +133,7 @@ def _check_witness(witness: dict, key: str, target, euler_class=None) -> None:
         raise VerificationFailure(f"{key} complex has a unit entry")
     obj = json_field(witness, "map")
     f = (serialize.chain_map_from_json(obj, R, target) if isinstance(target, ChainComplex)
-         else serialize.module_map_from_json(obj, R.expanded(), target))
+         else serialize.module_map_from_json(obj, R, target))
     if not is_quasi_iso(f):
         raise VerificationFailure("witness map is not a quasi-isomorphism")
     if euler_class is not None:
@@ -187,29 +193,29 @@ def _tower_input(cert: dict) -> Tower:
     return T
 
 
-def _recomputed_limit(T: Tower, horizon, recorded):
-    """The limit of T at the horizon, which must match the recorded one."""
+def _recomputed_limit(T: Tower, horizon):
+    """The limit of T at the horizon."""
     if type(horizon) is not int:
         raise ParseError("horizon is not an integer")
     try:
-        limit = limit_complex(T, horizon)
+        return limit_complex(T, horizon)
     except Exception as e:
         raise VerificationFailure(f"limit could not be recomputed: {e}")
-    if serialize.module_complex_to_json(limit) != recorded:
-        raise VerificationFailure("recorded limit does not match the stable images")
-    return limit
 
 
 def check_limit(cert: dict) -> None:
     T = _tower_input(cert)
-    _recomputed_limit(T, json_field(cert, "horizon"), json_field(cert, "limit"))
+    limit = _recomputed_limit(T, json_field(cert, "horizon"))
+    if serialize.module_complex_to_json(limit) != json_field(cert, "limit"):
+        raise VerificationFailure("recorded limit does not match the stable images")
 
 
-def tower_perfectness_certificate(T: Tower, horizon: int, limit,
+def tower_perfectness_certificate(T: Tower, horizon: int,
                                   verdict: PerfectnessVerdict) -> dict:
+    """The verdict on the limit of T at the horizon, which the checker
+    recomputes, so the limit itself is not written."""
     cert = _base("perfectness", serialize.write_tower(T))
     cert["input"] = {"tower": serialize.write_tower(T), "horizon": horizon}
-    cert["limit"] = serialize.module_complex_to_json(limit)
     cert["verdict"] = {"perfect": verdict.perfect}
     if verdict.perfect:
         cert["verdict"]["euler_class"] = verdict.euler_class
@@ -223,12 +229,21 @@ def tower_perfectness_certificate(T: Tower, horizon: int, limit,
 
 
 def check_tower_perfectness(cert: dict) -> None:
+    if "limit" in cert:
+        raise ParseError("a tower-perfectness certificate records no limit")
     T = _tower_input(cert)
     claim, witness = json_field(cert, "verdict"), json_field(cert, "witness")
-    limit = _recomputed_limit(T, json_field(json_field(cert, "input"), "horizon"),
-                              json_field(cert, "limit"))
+    limit = _recomputed_limit(T, json_field(json_field(cert, "input"), "horizon"))
     if json_field(claim, "perfect"):
-        _check_witness(witness, "replacement", limit, json_field(claim, "euler_class"))
+        euler_class = json_field(claim, "euler_class")
+        # A free R ~ limit has |pi| chi(R) = sum of (-1)^q dim limit_q.  The
+        # limit is not recorded, so this binds the claim to this tower's
+        # limit before the witness is read against the limit's dims.
+        chi = sum(-limit.dim_at(q) if q % 2 else limit.dim_at(q)
+                  for q in range(limit.bottom, limit.top + 1))
+        if type(euler_class) is int and T.group.order * euler_class != chi:
+            raise VerificationFailure("euler_class is not the limit's")
+        _check_witness(witness, "replacement", limit, euler_class)
     else:
         # a negative verdict must be the limit's, with the limit's obstruction
         P = serialize.module_from_json(json_field(witness, "obstruction"), T.group)

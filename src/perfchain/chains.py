@@ -230,6 +230,10 @@ class ModuleComplexMap:
         for q, m in self.components.items():
             if not is_equivariant(self.source.module_at(q), self.target.module_at(q), m):
                 raise DimensionMismatchError("map component not equivariant")
+        self.check_commutes()
+
+    def check_commutes(self) -> None:
+        """d f_q = f_{q-1} d in every degree, else DimensionMismatchError."""
         _check_commutes(self, self.component_at, lambda C, q: C.diff_at(q),
                         _field_compose(self.source.group.prime_l))
 

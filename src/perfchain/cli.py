@@ -26,7 +26,7 @@ from .chains import minimalize
 from .errors import LimitError, ParseError, PerfchainError, UsageError
 from .finiteness import decide_perfect, wall_class
 from .modules import minimal_generators
-from .towers import limit_complex
+from .towers import limit_complex, pro_decide_perfect
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -149,11 +149,9 @@ def cmd_tower_limit(args) -> int:
 
 def cmd_tower_perfect(args) -> int:
     T = serialize.read_tower(_read(args.file))
-    limit = limit_complex(T, args.horizon)
-    verdict = decide_perfect(limit)
+    verdict = pro_decide_perfect(T, args.horizon)
     print(_verdict_line(verdict))
-    _emit_cert(args, certificates.tower_perfectness_certificate(
-        T, args.horizon, limit, verdict))
+    _emit_cert(args, certificates.tower_perfectness_certificate(T, args.horizon, verdict))
     return EXIT_OK if verdict.perfect else EXIT_NEGATIVE
 
 

@@ -7,7 +7,10 @@ canonical: parsing then re-writing any value reproduces the bytes.
 
 In JSON a module is `{"dim": d, "gens": [...]}`, one d x d matrix per
 element of the group's generating set; the reader checks its shape before
-any arithmetic and the action on all of pi against the group table.
+any arithmetic and the action on all of pi against the group table.  A map
+out of a free module F_l[pi]^r is written by its r generator columns (see
+`free_map_to_json`), and read back as their orbit, which is equivariant by
+construction.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .chains import ChainComplex, ChainMap, ModuleComplex, ModuleComplexMap
 from .errors import LimitError, ParseError
 from .groups import MAX_FREE_DIM, GroupRingMatrix, GroupTable, build_group
-from .modules import PiModule
+from .modules import PiModule, orbit_columns
 from .towers import Tower
 
 
@@ -378,12 +381,32 @@ def module_complex_to_json(MC: ModuleComplex) -> dict:
     }
 
 
+def free_map_to_json(matrix: np.ndarray, G: GroupTable) -> list:
+    """A map F_l[pi]^r -> M, a dim M x r|pi| matrix in the coordinates
+    (t, h) -> t*order + h of `regular_module`, as its dim M x r generator
+    columns: column t is the image of basis vector (t, identity).  The
+    map is equivariant, so the image of (t, g) is rho(g) times column t,
+    and `orbit_columns` rebuilds the whole matrix."""
+    return matrix[:, G.identity::G.order].tolist()
+
+
 def module_map_to_json(f: ModuleComplexMap) -> dict:
-    return {str(q): m.tolist() for q, m in sorted(f.components.items())}
+    """A chain map out of an expanded free complex, each component by its
+    generator columns (`free_map_to_json`)."""
+    G = f.source.group
+    return {str(q): free_map_to_json(m, G) for q, m in sorted(f.components.items())}
 
 
-def module_map_from_json(obj: dict, source: ModuleComplex,
+def module_map_from_json(obj: dict, source: ChainComplex,
                          target: ModuleComplex) -> ModuleComplexMap:
-    l = source.group.prime_l
-    return ModuleComplexMap(source, target, _json_components(
-        obj, lambda q: (l, target.dim_at(q), source.dim_at(q))))
+    """The map `source.expanded()` -> target of `module_map_to_json`.  The
+    component in degree q must be target.dim_at(q) x source.rank_at(q),
+    checked for every degree before any arithmetic (ParseError); each is
+    then the orbit of its columns, equivariant by construction, and the
+    map must commute with the differentials."""
+    gens = _json_components(
+        obj, lambda q: (source.group.prime_l, target.dim_at(q), source.rank_at(q)))
+    comps = {q: orbit_columns(target.module_at(q), V) for q, V in gens.items()}
+    f = ModuleComplexMap(source.expanded(), target, comps, validate=False)
+    f.check_commutes()
+    return f

@@ -19,10 +19,11 @@ from perfchain import (
     direct_product,
     direct_sum,
     identity_chain_map,
+    limit_complex,
     mapping_cone,
     norm_element,
 )
-from perfchain import certificates, flinalg
+from perfchain import certificates, flinalg, serialize
 from perfchain.abelian import Lattice, SNFResult, integer_kernel_columns
 from perfchain.errors import DimensionMismatchError
 from perfchain.groups import grm_compose
@@ -657,6 +658,48 @@ def cert_as_v1(cert: dict, G: GroupTable) -> str:
         return obj
 
     return certificates.dumps({**v1(cert), "format": "perfchain-cert-v1"})
+
+
+def expand_generator_columns(G: GroupTable, module: dict, columns, rank: int) -> list:
+    """The full dim x rank|pi| matrix of a map F_l[pi]^rank -> M from its
+    generator columns, M given as JSON {"dim", "gens"}: column t*order + g
+    is rho(g) times column t, with rho(g) from the Cayley walk of
+    `dense_action`."""
+    dim, l = module["dim"], G.prime_l
+    if dim == 0:
+        return []
+    V = np.array(columns, dtype=np.int64).reshape(dim, rank)
+    action = [np.array(a, dtype=np.int64) for a in dense_action(G, dim, module["gens"])]
+    return (np.stack([A @ V for A in action], axis=2) % l).reshape(dim, -1).tolist()
+
+
+def cert_as_v2(cert: dict, G: GroupTable | None) -> str:
+    """The bytes the perfchain-cert-v2 writer gave for this certificate: a
+    tower-perfectness certificate records its limit, recomputed from the
+    embedded tower, and the maps out of free modules in it (the witness
+    map into the limit, the obstruction's cover) are written by every
+    column, expanded by `expand_generator_columns`.  Other certificates
+    differ only in the format name."""
+    inp = cert.get("input")
+    if cert.get("kind") != "perfectness" or "tower" not in inp:
+        return certificates.dumps({**cert, "format": "perfchain-cert-v2"})
+    limit = serialize.module_complex_to_json(
+        limit_complex(serialize.read_tower(inp["tower"]), inp["horizon"]))
+    witness = dict(cert["witness"])
+    if "map" in witness:
+        R, mods = witness["replacement"], limit["modules"]
+        witness["map"] = {}
+        for key, cols in cert["witness"]["map"].items():
+            i, j = int(key) - limit["bottom"], int(key) - R["bottom"]
+            M = mods[i] if 0 <= i < len(mods) else {"dim": 0}
+            rank = R["ranks"][j] if 0 <= j < len(R["ranks"]) else 0
+            witness["map"][key] = expand_generator_columns(G, M, cols, rank)
+    else:
+        P = witness["obstruction"]
+        witness["cover"] = expand_generator_columns(
+            G, P, witness["cover"], len(witness["kernel_vector"]) // G.order)
+    return certificates.dumps({**cert, "limit": limit, "witness": witness,
+                               "format": "perfchain-cert-v2"})
 
 
 @pytest.fixture

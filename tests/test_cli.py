@@ -38,6 +38,7 @@ from perfchain.serialize import write_complex, write_tower
 from conftest import (
     SMALL_GROUPS,
     cert_as_v1,
+    cert_as_v2,
     conjugate_complex,
     heisenberg_27,
     pad_with_identity_cones,
@@ -96,7 +97,7 @@ def test_minimalize_subcommand(capsys, lens_path, tmp_path):
 def test_minimalize_json_bytes_pinned(capsys, tmp_path):
     """The minimal complex and witness of a scrambled Heis27 complex with
     four cancellations, pinned byte for byte through the certificate, in
-    both certificate formats."""
+    the current format and rendered as v2 and v1 certificates."""
     rng = random.Random(0)
     G = heisenberg_27()
     core = random_minimal_complex(G, rng)
@@ -108,11 +109,14 @@ def test_minimalize_json_bytes_pinned(capsys, tmp_path):
     assert (C.ranks, core.ranks) == ([2, 4, 4, 4, 2], [1, 2, 3, 2])
     line, cert = out.split("\n", 1)
     assert line == "minimal ranks [1, 2, 3, 2]; bottom 1"
-    v1 = line + "\n" + cert_as_v1(json.loads(cert), G)
+    v2 = cert_as_v2(json.loads(cert), G)
+    v1 = line + "\n" + cert_as_v1(json.loads(v2), G)
     assert hashlib.sha256(v1.encode()).hexdigest() == (
         "59247a7697fbe8d7166fcaaf04b61e8856fc94711666e690544ef04e1a7d1467")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    assert hashlib.sha256((line + "\n" + v2).encode()).hexdigest() == (
         "d616eba9dd2abe72e7f032e0f3ab8b7f647fc82f77fb982ca4d5957289eb51b3")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e5b6e2c828c05881019f8efc611178e9a0e93575d78082aec9903f7859044740")
 
 
 def test_homology_of_a_free_complex_pinned_and_module_free(capsys, tmp_path, monkeypatch):
@@ -199,8 +203,10 @@ def test_witness_breaking_a_square_is_rejected_before_any_cone(capsys, lens_path
 
 def test_tower_certificate_bytes_pinned(capsys, tmp_path):
     """Tower certificates over C4^3 embed modules (the limit's modules, the
-    obstruction) by their generator matrices; pinned byte for byte, and
-    through the per-element actions of the v1 format."""
+    obstruction) by their generator matrices and maps out of free modules
+    by their generator columns, with no limit; pinned byte for byte, and
+    through the v2 format (limit recorded, maps by every column) and the
+    per-element actions of the v1 format."""
     G = build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)
     stable, core = random_stabilizing_tower(G, random.Random(1), n_levels=3)
     L = ChainComplex(G, 0, [1], [])
@@ -208,9 +214,11 @@ def test_tower_certificate_bytes_pinned(capsys, tmp_path):
     norm = Tower([L] * 3, [ChainMap(L, L, {0: N}), identity_chain_map(L)])
     expected = {
         "stable": (0, "495785b6c6d2960b537248613e1ea81e8fd1178bd288d0b7b0f61782eab6b296",
-                   "3aa4f828ea2cea0ecc68c0eabe86f6bdcc8c384a79dadf97f567ff147d1c3c3f"),
+                   "3aa4f828ea2cea0ecc68c0eabe86f6bdcc8c384a79dadf97f567ff147d1c3c3f",
+                   "2142021419baf93883161923419da41b0e013680178a573834467811a6edf7c6"),
         "norm": (1, "3074a237b92d45b4488581d477e81e2248134e7c17cfb44a08a42bb56c8ef897",
-                 "871cbe46400ac6442fabc33507bd116d5b4429bf2c2b92cac2ebbc73a51690d5"),
+                 "871cbe46400ac6442fabc33507bd116d5b4429bf2c2b92cac2ebbc73a51690d5",
+                 "c5b9d80d67bf729884ea38a711fde05e50682090e34c2e3d145c30dd1ca28b7f"),
     }
     assert (stable.levels[0].ranks, core.ranks) == ([2, 3], [1])
     for name, T in (("stable", stable), ("norm", norm)):
@@ -220,8 +228,9 @@ def test_tower_certificate_bytes_pinned(capsys, tmp_path):
         code, _, _ = run(capsys, "tower-perfect", str(path), "--horizon", "2",
                          "--cert", str(cert_path))
         text = cert_path.read_text()
-        v1 = cert_as_v1(json.loads(text), G)
-        digests = (hashlib.sha256(t.encode()).hexdigest() for t in (v1, text))
+        v2 = cert_as_v2(json.loads(text), G)
+        v1 = cert_as_v1(json.loads(v2), G)
+        digests = (hashlib.sha256(t.encode()).hexdigest() for t in (v1, v2, text))
         assert (code, *digests) == expected[name], name
 
 
@@ -434,15 +443,19 @@ def test_snf_certificate_of_dense_60x60_matrix(capsys, tmp_path):
 def test_snf_certificate_bytes_pinned(capsys, tmp_path):
     """The certificate of a seeded dense 40 x 40 matrix, pinned byte for
     byte: U, V and the diagonal depend on every step of the echelon
-    passes, not only on the invariant factors."""
+    passes, not only on the invariant factors.  Rendered as a v2
+    certificate it keeps the v2 bytes."""
     rng = random.Random(40)
     path = tmp_path / "m40.txt"
     path.write_text("".join(" ".join(str(rng.randint(-9, 9)) for _ in range(40)) + "\n"
                             for _ in range(40)))
     cert_path = tmp_path / "m40.json"
     assert main(["snf", str(path), "--cert", str(cert_path)]) == 0
-    assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == (
+    v2 = cert_as_v2(json.loads(cert_path.read_text()), None)
+    assert hashlib.sha256(v2.encode()).hexdigest() == (
         "847931b37fc4fc105da19066b31331319b5eba931bab537932fafa7f8e20f398")
+    assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == (
+        "ba3d0f27f5a4f772cf2466f91dc5fea4ae633958dac7656583abbd8a75f0d63c")
 
 
 def _double_u_and_diag(w):
@@ -547,13 +560,13 @@ def test_completion_certificate_bound_to_its_input(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command, keys, value", [
-    ("tower-perfect", ("limit",), None),
+    ("tower-perfect", ("limit",), {}),
     ("tower-limit", ("limit",), None),
     ("tower-limit", ("input", "tower"), None),
     ("tower-perfect", ("witness", "cover"), None),
     ("tower-perfect", ("witness", "kernel_vector"), [1, "0"]),
     ("tower-perfect", ("witness", "kernel_vector"), [1, 0, 0]),
-    ("tower-perfect", ("witness", "cover"), [[1, 10**30]]),
+    ("tower-perfect", ("witness", "cover"), [[10**30]]),
     ("tower-perfect", ("input", "horizon"), "2"),
     ("tower-perfect", ("witness", "obstruction", "dim"), -1),
     ("tower-perfect", ("witness", "obstruction", "gens"), []),
@@ -572,12 +585,15 @@ def test_completion_certificate_bound_to_its_input(capsys, tmp_path):
     ("perfect", ("witness", "replacement", "ranks"), [10**9, 10**9]),
     ("perfect", ("witness", "replacement", "ranks"), [10**9] * 3),
     ("minimalize", ("witness", "map", "0"), [[[1, 0, 0]]]),
+    ("tower-perfect", ("witness", "cover"), [[1, 1]]),
 ])
 def test_malformed_tower_certificate_is_a_parse_error(capsys, norm_tower_path, lens_path,
                                                       tmp_path, command, keys, value):
     """A certificate (of a tower, or of the C2 lens complex) with a key
-    missing (value None) or a malformed entry is rejected with a coded
-    error, not a traceback."""
+    missing (value None), a malformed entry or a key it must not carry
+    (a tower-perfectness certificate's limit) is rejected with a coded
+    error, not a traceback.  The norm tower's cover is 1 x 1, one
+    generator column; [[1, 1]] is its full v2 width."""
     cert_path = tmp_path / "c.json"
     if command.startswith("tower"):
         main([command, norm_tower_path, "--horizon", "2", "--cert", str(cert_path)])
@@ -599,17 +615,86 @@ def test_malformed_tower_certificate_is_a_parse_error(capsys, norm_tower_path, l
 
 
 def test_v1_certificate_is_a_parse_error(capsys, norm_tower_path, tmp_path):
-    """There is one certificate format; a v1 certificate names its format
-    in a coded error."""
+    """There is one certificate format; a v1 or v2 certificate names its
+    format in a coded error."""
     cert_path = tmp_path / "c.json"
     main(["tower-perfect", norm_tower_path, "--horizon", "2", "--cert", str(cert_path)])
-    v2 = json.loads(cert_path.read_text())
-    assert v2["format"] == "perfchain-cert-v2"
-    cert_path.write_text(cert_as_v1(v2, SMALL_GROUPS["C2"]))
+    v3 = json.loads(cert_path.read_text())
+    assert v3["format"] == "perfchain-cert-v3"
+    v2 = cert_as_v2(v3, SMALL_GROUPS["C2"])
+    for old, text in (("v2", v2), ("v1", cert_as_v1(json.loads(v2), SMALL_GROUPS["C2"]))):
+        cert_path.write_text(text)
+        capsys.readouterr()
+        code, out, err = run(capsys, "verify", str(cert_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error[E_PARSE]") and f"perfchain-cert-{old}" in err
+
+
+def _lens_tower(tmp_path):
+    """A constant C2 tower of the lens complex F_2[C2] <-(1+t)- F_2[C2]:
+    perfect, with a witness map in degrees 0 and 1."""
+    G = SMALL_GROUPS["C2"]
+    L = ChainComplex(G, 0, [1, 1], [GroupRingMatrix.from_entries(G, [[[1, 1]]])])
+    path = tmp_path / "lens.twr"
+    path.write_text(write_tower(Tower([L] * 3, [identity_chain_map(L)] * 2)))
+    return str(path)
+
+
+def test_v2_shaped_tower_certificate_fields_are_parse_errors(capsys, norm_tower_path,
+                                                             tmp_path):
+    """Each field the v2 writer gave a tower-perfectness certificate and v3
+    does not, put into a v3 certificate, is E_PARSE: the recorded limit, a
+    witness map component by every column, a cover by every column."""
+    G = SMALL_GROUPS["C2"]
+    for path, key in ((_lens_tower(tmp_path), "map"), (norm_tower_path, "cover")):
+        cert_path = tmp_path / "c.json"
+        main(["tower-perfect", path, "--horizon", "2", "--cert", str(cert_path)])
+        v3 = json.loads(cert_path.read_text())
+        v2 = json.loads(cert_as_v2(v3, G))
+        forged = [{**v3, "limit": v2["limit"]},
+                  {**v3, "witness": {**v3["witness"], key: v2["witness"][key]}}]
+        if key == "map":
+            forged.append({**v3, "witness": {**v3["witness"], "map": {
+                **v3["witness"]["map"], "1": v2["witness"]["map"]["1"]}}})
+        for cert in forged:
+            assert cert != v3
+            cert_path.write_text(json.dumps(cert))
+            capsys.readouterr()
+            code, out, err = run(capsys, "verify", str(cert_path))
+            assert code == 2 and out == "", key
+            assert err.startswith("error[E_PARSE]"), key
+
+
+def test_altered_generator_columns_are_refused(capsys, norm_tower_path, tmp_path,
+                                              monkeypatch):
+    """A cover whose generator column is zeroed is not onto, and the
+    certificate is INVALID; a witness map whose degree-1 generator column
+    is zeroed breaks the square d f_1 = f_0 d and is refused as a
+    non-commuting map is (E_DIM_MISMATCH), before any cone is built."""
+    cert_path = tmp_path / "c.json"
+    main(["tower-perfect", norm_tower_path, "--horizon", "2", "--cert", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    assert cert["witness"]["cover"] == [[1]]
+    cert["witness"]["cover"] = [[0]]
+    cert_path.write_text(json.dumps(cert))
     capsys.readouterr()
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert (code, out) == (1, "certificate INVALID: recorded cover is not surjective\n")
+
+    main(["tower-perfect", _lens_tower(tmp_path), "--horizon", "2", "--cert", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    assert sorted(cert["witness"]["map"]) == ["0", "1"]
+    cert["witness"]["map"]["1"] = [[0], [0]]
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+
+    def refuse(f):
+        raise AssertionError("a cone was built")
+
+    monkeypatch.setattr(chains, "module_mapping_cone", refuse)
     code, out, err = run(capsys, "verify", str(cert_path))
-    assert code == 2 and out == ""
-    assert err.startswith("error[E_PARSE]") and "perfchain-cert-v1" in err
+    assert (code, out) == (2, "")
+    assert "E_DIM_MISMATCH" in err and "commute" in err
 
 
 def test_obstruction_breaking_a_group_relation_is_rejected(capsys, tmp_path):

@@ -22,7 +22,8 @@ from perfchain import (
     pro_decide_perfect,
     stable_images,
 )
-from perfchain import flinalg
+from perfchain import certificates, flinalg
+from perfchain.modules import free_cover, orbit_columns
 from perfchain.serialize import module_complex_to_json
 
 from conftest import (
@@ -59,6 +60,34 @@ def norm_tower(G, n_levels=4):
     N = GroupRingMatrix.from_entries(G, [[norm_element(G)]])
     bonds = [ChainMap(L, L, {0: N})] + [identity_chain_map(L)] * (n_levels - 2)
     return Tower([L] * n_levels, bonds)
+
+
+def test_tower_certificate_maps_are_the_orbits_of_their_generator_columns(rng):
+    """Over C2, C4 and C4^3, on random stabilizing towers and the norm
+    tower, the witness map and the obstruction's cover that the solver
+    holds are the orbits of the generator columns its certificate
+    writes, component by component."""
+    groups = [SMALL_GROUPS["C2"], SMALL_GROUPS["C4"],
+              build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)]
+    counts = [0, 0]         # maps checked for negative and positive verdicts
+    for G in groups:
+        towers = [random_stabilizing_tower(G, rng, n_levels=3)[0] for _ in range(3)]
+        for T in towers + [norm_tower(G, 3)]:
+            verdict = pro_decide_perfect(T, 2)
+            witness = certificates.tower_perfectness_certificate(T, 2, verdict)["witness"]
+            if verdict.perfect:
+                f = verdict.witness
+                assert sorted(witness["map"]) == sorted(map(str, f.components))
+                held = [(f.target.module_at(q), m, witness["map"][str(q)])
+                        for q, m in f.components.items()]
+            else:
+                P = verdict.top_obstruction
+                held = [(P, free_cover(P).matrix, witness["cover"])]
+            counts[verdict.perfect] += len(held)
+            for M, full, cols in held:
+                V = np.array(cols, dtype=np.int64).reshape(M.dim, full.shape[1] // G.order)
+                assert np.array_equal(orbit_columns(M, V), full), G.descriptor
+    assert min(counts) > 0
 
 
 def test_stable_images_constant_tower():
