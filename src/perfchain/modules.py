@@ -1,8 +1,10 @@
 """Finitely generated F_l[pi]-modules as F_l spaces with pi-action.
 
-A module stores one action matrix per generator in S, and the checks,
-radicals and induced actions read only those; per-element matrices are
-built from them by a Cayley-graph walk when first read.
+A module stores the action of each generator in S once, in the form
+chosen when it is built: a basis permutation as its index pair, applied
+by a gather, and any other action as its reduced matrix.  Checks,
+radicals and induced actions read only those; no per-element matrix is
+kept.
 
 Every predicate here reduces to exact finite linear algebra.  The freeness
 test uses the minimal-cover criterion, valid because F_l[pi] is local:
@@ -22,78 +24,69 @@ from .groups import GroupTable
 class PiModule:
     """A finite-dimensional F_l space with a left pi-action.
 
-    `gens[i]` is the matrix of `group.generators[i]` on column vectors.
-    Give either `action`, one matrix per group element (kept as given), or
-    `gens`.  `action` is the read-only per-element list, built from `gens`
-    when first read and cached; the package reads it only to validate, and
-    everything else works from `gens`.  With `gens` and validate=False the
-    matrices are kept as given (made read-only, not copied): the caller
-    hands over reduced int64 arrays it no longer writes.
+    `gens[i]` is the action rho of `group.generators[i]` on column
+    vectors, stored once: a basis permutation as its index pair (rows,
+    cols), with rho @ V == V[rows] and V @ rho == V[..., cols], and any
+    other action as its dim x dim matrix.  `gens` gives matrices, and a
+    matrix that permutes the basis is stored as its pair; the package's
+    own builders give pairs directly.  With validate=False the arrays are
+    kept as given (made read-only, not copied): the caller hands over
+    reduced int64 arrays it no longer writes.
 
-    Validation checks action(e) == 1 and action(g) @ action(s) == action(gs)
-    for g in pi and s in the group's generators, which gives the same for
-    every pair of elements (and so forces invertibility).
+    Validation walks the Cayley graph to rho(g) for every g and checks
+    rho(g) @ rho(s) == rho(gs) for g in pi and s in the group's
+    generators, which gives the same for every pair of elements (and so
+    forces invertibility).
 
-    Every product with a generator goes through `act`, which applies a
-    permutation matrix (regular modules, their direct sums, identity
-    actions) by index; which generators are permutations is found when
-    `act` is first called.
+    Every product with a generator goes through `act`, and every reader
+    that needs a generator's matrix gets it from `matrix`.
     """
 
-    __slots__ = ("group", "dim", "gens", "_action", "_perms")
+    __slots__ = ("group", "dim", "gens")
 
-    def __init__(self, group: GroupTable, dim: int, action=None, validate: bool = True, *,
-                 gens=None):
+    def __init__(self, group: GroupTable, dim: int, gens, validate: bool = True):
         l = group.prime_l
-        if action is None and not validate:
-            mats = list(gens)
-        else:
-            mats = [flinalg.asfield(a, l) for a in (gens if action is None else action)]
-        if len(mats) != (len(group.generators) if action is None else group.order):
-            raise DimensionMismatchError("need one action matrix per group element")
-        for a in mats:
-            if a.shape != (dim, dim):
-                raise DimensionMismatchError("action matrix shape mismatch")
-            a.flags.writeable = False
+        stored = []
+        for rho in gens:
+            if not isinstance(rho, tuple):
+                rho = flinalg.asfield(rho, l) if validate else rho
+                if rho.shape != (dim, dim):
+                    raise DimensionMismatchError("action matrix shape mismatch")
+                rho = _permutation(rho) or rho
+            for a in rho if isinstance(rho, tuple) else (rho,):
+                a.flags.writeable = False
+            stored.append(rho)
+        if len(stored) != len(group.generators):
+            raise DimensionMismatchError("need one action per group generator")
         self.group = group
         self.dim = int(dim)
-        self._action = None if action is None else mats
-        self._perms = None
-        self.gens = tuple(mats) if action is None else tuple(mats[s] for s in group.generators)
+        self.gens = tuple(stored)
         if validate:
-            action = self.action  # built from gens when not given
-            if not np.array_equal(action[group.identity], flinalg.identity(dim, l)):
-                raise DimensionMismatchError("identity must act as the identity matrix")
             # By induction on the word length of h = h's (s in S), the check gives
             # rho(g) rho(h) = rho(g) rho(h') rho(s) = rho(gh') rho(s) = rho(gh).
-            stacked = np.stack(action)
+            stacked = np.stack(orbit(self, flinalg.identity(dim, l)))
             for i, s in enumerate(group.generators):
                 if not np.array_equal(self.act(i, stacked, right=True),
                                       stacked[group.mult[:, s]]):
                     raise DimensionMismatchError("action is not a homomorphism")
 
-    @property
-    def action(self) -> list[np.ndarray]:
-        if self._action is None:
-            self._action = orbit(self, flinalg.identity(self.dim, self.group.prime_l))
-            for a in self._action:
-                a.flags.writeable = False
-        return self._action
-
     def act(self, i: int, V, right: bool = False) -> np.ndarray:
         """gens[i] @ V, or V @ gens[i] with right=True, mod l, for V reduced
         mod l (a matrix, or on the right a stack of matrices).  A
-        permutation generator is a row gather on the left and a column
-        gather on the right."""
-        if self._perms is None:
-            self._perms = [_permutation(rho) for rho in self.gens]
-        perm = self._perms[i]
-        if perm is None:
-            rho = self.gens[i]
-            l = self.group.prime_l
-            return flinalg.matmul(V, rho, l) if right else flinalg.matmul(rho, V, l)
-        rows, cols = perm
-        return V[..., cols] if right else V[rows]
+        permutation is a row gather on the left and a column gather on the
+        right."""
+        rho = self.gens[i]
+        if isinstance(rho, tuple):
+            return V[..., rho[1]] if right else V[rho[0]]
+        l = self.group.prime_l
+        return flinalg.matmul(V, rho, l) if right else flinalg.matmul(rho, V, l)
+
+    def matrix(self, i: int) -> np.ndarray:
+        """gens[i] as a dim x dim matrix; a pair is built into a new one."""
+        rho = self.gens[i]
+        if isinstance(rho, tuple):
+            return flinalg.identity(self.dim, self.group.prime_l)[rho[0]]
+        return rho
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -103,7 +96,8 @@ class PiModule:
             isinstance(other, PiModule)
             and self.group == other.group
             and self.dim == other.dim
-            and all(np.array_equal(a, b) for a, b in zip(self.gens, other.gens))
+            and all(np.array_equal(self.matrix(i), other.matrix(i))
+                    for i in range(len(self.gens)))
         )
 
     def __repr__(self):
@@ -154,24 +148,21 @@ def orbit_columns(M: PiModule, V) -> np.ndarray:
 
 
 class PiModuleMap:
-    """An equivariant F_l-linear map between PiModules.  With
-    validate=False the matrix is kept as given (made read-only, not
-    copied): the caller hands over a reduced int64 array."""
+    """An F_l-linear map between PiModules, equivariant by its caller's
+    construction (`is_equivariant` checks it).  The matrix is kept as
+    given (made read-only, not copied): the caller hands over a reduced
+    int64 array."""
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source: PiModule, target: PiModule, matrix, validate: bool = True):
+    def __init__(self, source: PiModule, target: PiModule, matrix):
         if source.group != target.group:
             raise GroupMismatchError("map between modules over different groups")
-        if validate:
-            matrix = flinalg.asfield(matrix, source.group.prime_l)
         if matrix.shape != (target.dim, source.dim):
             raise DimensionMismatchError(
                 f"matrix shape {matrix.shape} != ({target.dim}, {source.dim})"
             )
         matrix.flags.writeable = False
-        if validate and not is_equivariant(source, target, matrix):
-            raise DimensionMismatchError("matrix does not commute with the action")
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -206,7 +197,7 @@ def induced_action(M: PiModule, V, solve) -> PiModule:
         raise AssertionError("subspace is not action-invariant")
     # copied out, so the module does not keep the solver's work array alive
     gens = [block.copy() for block in np.hsplit(X, len(M.gens))]
-    return PiModule(G, k, gens=gens, validate=False)
+    return PiModule(G, k, gens, validate=False)
 
 
 def zero_module(G: GroupTable) -> PiModule:
@@ -214,40 +205,43 @@ def zero_module(G: GroupTable) -> PiModule:
 
 
 def trivial_module(G: GroupTable, dim: int = 1) -> PiModule:
-    eye = flinalg.identity(dim, G.prime_l)
-    return PiModule(G, dim, gens=[eye] * len(G.generators), validate=False)
+    fixed = np.arange(dim)
+    return PiModule(G, dim, [(fixed, fixed)] * len(G.generators), validate=False)
 
 
 def regular_module(G: GroupTable, rank: int) -> PiModule:
     """The free module F_l[pi]^rank with its left translation action:
     generator s sends basis vector (i, h) to (i, sh), coordinates
-    (i, h) -> i*order + h."""
-    n = rank * G.order
-    cols = np.arange(n)
-    h = cols % G.order
-    gens = []
-    for s in G.generators:
-        rho = np.zeros((n, n), dtype=np.int64)
-        rho[cols - h + G.mult[s, h], cols] = 1
-        gens.append(rho)
-    return PiModule(G, n, gens=gens, validate=False)
+    (i, h) -> i*order + h, so it gathers rows from (i, s^-1 h) and
+    columns from (i, sh)."""
+    base = np.repeat(np.arange(rank) * G.order, G.order)
+    gens = [(base + np.tile(G.ldiv[s], rank), base + np.tile(G.mult[s], rank))
+            for s in G.generators]
+    return PiModule(G, rank * G.order, gens, validate=False)
 
 
 def direct_sum_modules(*mods: PiModule) -> PiModule:
+    """The block-diagonal sum: a generator is an index pair when it is one
+    in every summand, and otherwise one block matrix."""
     if not mods:
         raise DimensionMismatchError("empty direct sum")
     G = mods[0].group
     for m in mods[1:]:
         if m.group != G:
             raise GroupMismatchError("direct sum over different groups")
-    dim = sum(m.dim for m in mods)
-    gens = [np.zeros((dim, dim), dtype=np.int64) for _ in G.generators]
-    off = 0
-    for m in mods:
-        for big, rho in zip(gens, m.gens):
-            big[off:off + m.dim, off:off + m.dim] = rho
-        off += m.dim
-    return PiModule(G, dim, gens=gens, validate=False)
+    offs = np.cumsum([0] + [m.dim for m in mods])
+    dim = int(offs[-1])
+    gens = []
+    for i in range(len(G.generators)):
+        if all(isinstance(m.gens[i], tuple) for m in mods):
+            rho = tuple(np.concatenate([m.gens[i][k] + off for m, off in zip(mods, offs)])
+                        for k in (0, 1))
+        else:
+            rho = np.zeros((dim, dim), dtype=np.int64)
+            for m, off in zip(mods, offs):
+                rho[off:off + m.dim, off:off + m.dim] = m.matrix(i)
+        gens.append(rho)
+    return PiModule(G, dim, gens, validate=False)
 
 
 def _radical_span(M: PiModule) -> np.ndarray:
@@ -258,7 +252,7 @@ def _radical_span(M: PiModule) -> np.ndarray:
     l = M.group.prime_l
     eye = flinalg.identity(M.dim, l)
     blocks = [np.zeros((M.dim, 0), dtype=np.int64)]
-    blocks += [(rho - eye) % l for rho in M.gens]
+    blocks += [(M.matrix(i) - eye) % l for i in range(len(M.gens))]
     return np.hstack(blocks)
 
 
@@ -278,8 +272,7 @@ def minimal_generator_lifts(M: PiModule) -> np.ndarray:
 def free_cover(M: PiModule) -> PiModuleMap:
     """The minimal surjection F_l[pi]^k -> M, k = minimal_generators(M)."""
     gens = minimal_generator_lifts(M)
-    return PiModuleMap(regular_module(M.group, gens.shape[1]), M, orbit_columns(M, gens),
-                       validate=False)
+    return PiModuleMap(regular_module(M.group, gens.shape[1]), M, orbit_columns(M, gens))
 
 
 def kernel_of_map(f: PiModuleMap) -> tuple[PiModule, PiModuleMap]:
@@ -287,7 +280,7 @@ def kernel_of_map(f: PiModuleMap) -> tuple[PiModule, PiModuleMap]:
     l = f.source.group.prime_l
     K = flinalg.kernel_basis(f.matrix, l)
     ker = induced_action(f.source, K, lambda B: flinalg.solve_matrix(K, B, l))
-    incl = PiModuleMap(ker, f.source, K, validate=False)
+    incl = PiModuleMap(ker, f.source, K)
     return ker, incl
 
 
@@ -339,5 +332,5 @@ def quotient_module(M: PiModule, sub_basis) -> tuple[PiModule, PiModuleMap]:
                 raise DimensionMismatchError("subspace is not action-invariant")
     quo = flinalg.QuotientSpace(flinalg.identity(M.dim, l), W, l)
     Q = induced_action(M, quo.reps, quo.project)
-    proj = PiModuleMap(M, Q, quo.project(flinalg.identity(M.dim, l)), validate=False)
+    proj = PiModuleMap(M, Q, quo.project(flinalg.identity(M.dim, l)))
     return Q, proj

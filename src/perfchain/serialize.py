@@ -293,7 +293,7 @@ def _json_components(obj, shape_at) -> dict:
         raise ParseError("chain map is not an object")
     comps = {}
     for key, m in obj.items():
-        if not re.fullmatch(r"-?(0|[1-9][0-9]{0,17})", key):
+        if not re.fullmatch(r"(0|-?[1-9][0-9]{0,17})", key):
             raise ParseError(f"chain map key {key!r} is not a degree")
         q = int(key)
         comps[q] = json_field_array(m, f"map component {q}", *shape_at(q))
@@ -352,7 +352,7 @@ def json_field_array(value, name: str, l: int, *shape: int) -> np.ndarray:
 
 
 def module_to_json(M: PiModule) -> dict:
-    return {"dim": M.dim, "gens": [a.tolist() for a in M.gens]}
+    return {"dim": M.dim, "gens": [M.matrix(i).tolist() for i in range(len(M.gens))]}
 
 
 def module_from_json(obj: dict, G: GroupTable) -> PiModule:

@@ -27,7 +27,7 @@ from perfchain import certificates, flinalg, serialize
 from perfchain.abelian import Lattice, SNFResult, integer_kernel_columns
 from perfchain.errors import DimensionMismatchError
 from perfchain.groups import grm_compose
-from perfchain.modules import PiModuleMap
+from perfchain.modules import PiModuleMap, is_equivariant
 
 
 def group_from_mul(elems, mul, identity_elem, l: int) -> GroupTable:
@@ -343,18 +343,28 @@ def action_is_homomorphism_brute(M) -> bool:
     """rho(e) == 1 and rho(g) rho(h) == rho(gh) for every pair g, h."""
     G = M.group
     l = G.prime_l
-    if not np.array_equal(M.action[G.identity], np.eye(M.dim, dtype=np.int64)):
+    action = module_action(M)
+    if not np.array_equal(action[G.identity], np.eye(M.dim, dtype=np.int64)):
         return False
-    return all(np.array_equal((M.action[g] @ M.action[h]) % l, M.action[G.mult[g, h]])
+    return all(np.array_equal((action[g] @ action[h]) % l, action[G.mult[g, h]])
                for g in range(G.order) for h in range(G.order))
 
 
 def is_equivariant_brute(source, target, matrix) -> bool:
     """matrix @ rho_source(g) == rho_target(g) @ matrix for every g."""
     l = source.group.prime_l
-    return all(np.array_equal((target.action[g] @ matrix) % l,
-                              (matrix @ source.action[g]) % l)
-               for g in range(source.group.order))
+    return all(np.array_equal((t @ matrix) % l, (matrix @ s) % l)
+               for s, t in zip(module_action(source), module_action(target)))
+
+
+def equivariant_map(source, target, matrix) -> PiModuleMap:
+    """The PiModuleMap of matrix, reduced mod l, after asserting that it
+    commutes with the action on the generators (`is_equivariant`) and on
+    every group element."""
+    matrix = flinalg.asfield(matrix, source.group.prime_l)
+    assert is_equivariant(source, target, matrix)
+    assert is_equivariant_brute(source, target, matrix)
+    return PiModuleMap(source, target, matrix)
 
 
 def right_multiplication_matrix(G: GroupTable, rng) -> np.ndarray:
@@ -396,7 +406,7 @@ def per_element_action(M, V, solve) -> list[np.ndarray]:
     k = V.shape[1]
     if k == 0:
         return [np.zeros((0, 0), dtype=np.int64)] * M.group.order
-    return [solve((M.action[g] @ V) % l) for g in range(M.group.order)]
+    return [solve((a @ V) % l) for a in module_action(M)]
 
 
 def radical_basis(M) -> np.ndarray:
@@ -408,7 +418,7 @@ def radical_basis(M) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     eye = flinalg.identity(M.dim, l)
     blocks = [np.zeros((M.dim, 0), dtype=np.int64)]
-    blocks += [(rho - eye) % l for rho in M.gens]
+    blocks += [(M.matrix(i) - eye) % l for i in range(len(M.gens))]
     return flinalg.column_space_basis(np.hstack(blocks), l)
 
 
@@ -429,8 +439,8 @@ def has_equivariant_section(f) -> bool:
     eye_t = flinalg.identity(tdim, l)
     rows = [np.kron(eye_t, f.matrix)]
     rhs = [flinalg.identity(tdim, l).T.reshape(-1)]
-    for g in range(G.order):
-        rows.append(np.kron(f.target.action[g].T, eye_s) - np.kron(eye_t, f.source.action[g]))
+    for s, t in zip(module_action(f.source), module_action(f.target)):
+        rows.append(np.kron(t.T, eye_s) - np.kron(eye_t, s))
         rhs.append(np.zeros(sdim * tdim, dtype=np.int64))
     A = np.vstack(rows) % l
     b = np.concatenate(rhs) % l
@@ -628,8 +638,8 @@ def from_expanded_reference(G: GroupTable, E, rows: int, cols: int) -> np.ndarra
     return data
 
 
-def dense_action(G: GroupTable, dim: int, gens) -> list[list]:
-    """The per-element action lists of a module given by its generator
+def dense_action(G: GroupTable, dim: int, gens) -> list[np.ndarray]:
+    """The per-element action matrices of a module given by its generator
     matrices: a breadth-first walk rho(gs) = rho(g) rho(s) of the right
     Cayley graph."""
     l = G.prime_l
@@ -641,7 +651,13 @@ def dense_action(G: GroupTable, dim: int, gens) -> list[list]:
             if gs not in out:
                 out[gs] = (out[g] @ np.asarray(rho, dtype=np.int64).reshape(dim, dim)) % l
                 queue.append(gs)
-    return [out[g].tolist() for g in range(G.order)]
+    return [out[g] for g in range(G.order)]
+
+
+def module_action(M) -> list[np.ndarray]:
+    """rho(g) for every element g of the PiModule M, indexed by g, by
+    `dense_action` on its generator matrices."""
+    return dense_action(M.group, M.dim, [M.matrix(i) for i in range(len(M.gens))])
 
 
 def cert_as_v1(cert: dict, G: GroupTable) -> str:
@@ -650,7 +666,8 @@ def cert_as_v1(cert: dict, G: GroupTable) -> str:
     per group element."""
     def v1(obj):
         if isinstance(obj, dict) and set(obj) == {"dim", "gens"}:
-            return {"dim": obj["dim"], "action": dense_action(G, obj["dim"], obj["gens"])}
+            return {"dim": obj["dim"],
+                    "action": [a.tolist() for a in dense_action(G, obj["dim"], obj["gens"])]}
         if isinstance(obj, dict):
             return {k: v1(v) for k, v in obj.items()}
         if isinstance(obj, list):
@@ -669,7 +686,7 @@ def expand_generator_columns(G: GroupTable, module: dict, columns, rank: int) ->
     if dim == 0:
         return []
     V = np.array(columns, dtype=np.int64).reshape(dim, rank)
-    action = [np.array(a, dtype=np.int64) for a in dense_action(G, dim, module["gens"])]
+    action = dense_action(G, dim, module["gens"])
     return (np.stack([A @ V for A in action], axis=2) % l).reshape(dim, -1).tolist()
 
 
@@ -864,7 +881,7 @@ def induced_map_on_homology(f, q: int) -> PiModuleMap:
     ht = f.target.homology_data(q)
     l = f.source.group.prime_l
     images = (f.component_at(q) @ hs.reps) % l
-    return PiModuleMap(hs.module, ht.module, ht.quotient.project(images), validate=False)
+    return PiModuleMap(hs.module, ht.module, ht.quotient.project(images))
 
 
 def homology_image_dims(T: Tower, q: int, h: int) -> list[int]:

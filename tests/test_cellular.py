@@ -18,7 +18,7 @@ from perfchain import (
     lens_complex,
 )
 
-from conftest import SMALL_GROUPS
+from conftest import SMALL_GROUPS, module_action
 
 
 def bareiss_det(M):
@@ -163,4 +163,4 @@ def test_connected_fixture_h0_is_trivial_line():
         C = chains_of_cover(lens_complex(l, k, n))
         H0 = homology(C, 0)
         assert H0.dim == 1
-        assert all(np.array_equal(a, np.eye(1, dtype=int)) for a in H0.action)
+        assert all(np.array_equal(a, np.eye(1, dtype=int)) for a in module_action(H0))

@@ -182,6 +182,22 @@ def test_free_verify_builds_no_expansion(capsys, tmp_path, lens_path, monkeypatc
         assert code == 1 and reason in out, reason
 
 
+def test_negative_zero_degree_key_is_a_parse_error(capsys, lens_path, tmp_path):
+    """A witness map keyed by both "0" and "-0" names degree 0 twice, and
+    one of the two would be dropped unread (here the forged "0", with the
+    genuine component under "-0"): "-0" is not a degree key."""
+    cert_path = tmp_path / "lens.cert"
+    assert run(capsys, "perfect", lens_path, "--cert", str(cert_path))[0] == 0
+    cert = json.loads(cert_path.read_text())
+    genuine = cert["witness"]["map"]["0"]
+    cert["witness"]["map"]["0"] = [[[1, 1]]]
+    cert["witness"]["map"]["-0"] = genuine
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error[E_PARSE]") and "'-0'" in err
+
+
 def test_witness_breaking_a_square_is_rejected_before_any_cone(capsys, lens_path,
                                                                tmp_path, monkeypatch):
     """A witness map that fails one chain-map square is refused by the

@@ -161,7 +161,7 @@ def permute_basis(MC, rng):
     G = MC.group
     perms = [np.eye(M.dim, dtype=np.int64)[:, rng.sample(range(M.dim), M.dim)]
              for M in MC.modules]
-    mods = [PiModule(G, M.dim, gens=[P @ g @ P.T for g in M.gens])
+    mods = [PiModule(G, M.dim, [P @ M.matrix(i) @ P.T for i in range(len(M.gens))])
             for P, M in zip(perms, MC.modules)]
     diffs = [perms[i] @ d @ perms[i + 1].T for i, d in enumerate(MC.diffs)]
     return ModuleComplex(G, MC.bottom, mods, diffs), perms

@@ -31,6 +31,7 @@ from conftest import (
     conjugate_complex,
     constant_tower,
     homology_image_dims,
+    module_action,
     pad_with_identity_cones,
     per_element_action,
     random_minimal_complex,
@@ -240,7 +241,7 @@ def test_limit_action_matches_per_element_solve(rng):
             V = stable_images(T, q, 0, 2).value
             expected = per_element_action(E.module_at(q), V,
                                           lambda B: flinalg.solve_matrix(V, B, l))
-            actual = lim.module_at(q).action
+            actual = module_action(lim.module_at(q))
             assert all(np.array_equal(a, b) for a, b in zip(actual, expected)), name
 
 
@@ -286,7 +287,7 @@ def test_module_path_at_scale_stays_within_memory():
     """A scrambled C4^3 complex of level ranks [1, 6, 7, 5, 2, 4, 2] (total
     F_2 dimension 1728) as a constant 3-level tower: the limit, Wall's
     approximation and the witness check decide it perfect with the core's
-    ranks, with a traced peak below 96 MB."""
+    ranks, with a traced peak below 48 MB."""
     G = build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)
     rng = random.Random(5)
     core = random_minimal_complex(G, rng, 4, 3)
@@ -302,4 +303,4 @@ def test_module_path_at_scale_stays_within_memory():
         tracemalloc.stop()
     assert v.perfect and witnessed
     assert v.replacement.ranks == core.ranks == [3, 3, 3] and v.euler_class == 3
-    assert peak < 96_000_000
+    assert peak < 48_000_000
