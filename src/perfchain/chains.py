@@ -253,6 +253,13 @@ def module_mapping_cone(f: ModuleComplexMap) -> ModuleComplex:
 # levelwise-free complexes over the group ring
 
 
+def check_ranks(group: GroupTable, ranks) -> None:
+    if any(r < 0 for r in ranks):
+        raise DimensionMismatchError("negative rank")
+    if any(r * group.order > MAX_FREE_DIM for r in ranks):
+        raise LimitError(f"a rank times the group order exceeds {MAX_FREE_DIM}")
+
+
 class ChainComplex(GradedComplex):
     """Bounded complex of free modules F_l[pi]^rank with group-ring
     boundary matrices; d o d = 0 is checked on the group-ring data at
@@ -266,10 +273,7 @@ class ChainComplex(GradedComplex):
                  validate: bool = True):
         ranks = [int(r) for r in ranks]
         boundaries = list(boundaries)
-        if any(r < 0 for r in ranks):
-            raise DimensionMismatchError("negative rank")
-        if any(r * group.order > MAX_FREE_DIM for r in ranks):
-            raise LimitError(f"a rank times the group order exceeds {MAX_FREE_DIM}")
+        check_ranks(group, ranks)
         if len(boundaries) != max(len(ranks) - 1, 0):
             raise DimensionMismatchError("need one boundary matrix per adjacent pair")
         for i, b in enumerate(boundaries):

@@ -21,7 +21,7 @@ import re
 
 import numpy as np
 
-from .chains import ChainComplex, ChainMap, ModuleComplex, ModuleComplexMap
+from .chains import ChainComplex, ChainMap, ModuleComplex, ModuleComplexMap, check_ranks
 from .errors import LimitError, ParseError
 from .groups import MAX_FREE_DIM, GroupRingMatrix, GroupTable, build_group
 from .modules import PiModule, orbit_columns
@@ -137,6 +137,7 @@ def _parse_complex_body(cur: _Cursor, G: GroupTable) -> ChainComplex:
     bottom = _parse_int(cur.expect("bottom"), "bottom", cur.last)
     rank_line = cur.expect("ranks")
     ranks = [_parse_int(t, "rank", cur.last) for t in rank_line.split()]
+    check_ranks(G, ranks)
     boundaries = {}
     while True:
         line = cur.peek()
@@ -151,12 +152,8 @@ def _parse_complex_body(cur: _Cursor, G: GroupTable) -> ChainComplex:
         if i in boundaries:
             raise ParseError(f"repeated block {line!r}", lineno)
         boundaries[i] = _parse_matrix(cur, G, ranks[i - 1], ranks[i])
-    mats = []
-    for i in range(1, len(ranks)):
-        if i in boundaries:
-            mats.append(boundaries[i])
-        else:
-            mats.append(GroupRingMatrix.zeros(G, ranks[i - 1], ranks[i]))
+    mats = [boundaries[i] if i in boundaries else GroupRingMatrix.zeros(G, ranks[i - 1], ranks[i])
+            for i in range(1, len(ranks))]
     return ChainComplex(G, bottom, ranks, mats)
 
 

@@ -4,7 +4,10 @@ Every level has finite total dimension, so images of the bonding maps
 into a fixed level can only shrink and must eventually stabilize; the
 limit is realized as the stable-image subcomplex at the chosen level.
 Non-stabilization within the supplied prefix is reported as an error,
-never extrapolated.
+never extrapolated.  The limit is read off, not solved for or re-checked:
+a canonical basis V is the identity at its pivot rows, so B in col(V) has
+coordinates B at those rows; and bonds are equivariant chain maps, so the
+stable images form a pi-invariant subcomplex by construction.
 """
 
 from __future__ import annotations
@@ -53,8 +56,9 @@ class StableImages:
     """Images of far levels inside level `level` at one degree.
 
     `dims[h]` is the F_l dimension of the image of level (level+h), and
-    `value` the canonical basis of the last image; `stabilized` records
-    whether the image was unchanged from horizon h-1 to h, and
+    `value` the canonical basis of the last image (its transpose is in
+    reduced echelon form: the identity at its pivot rows); `stabilized`
+    records whether the image was unchanged from horizon h-1 to h, and
     `stable_at` is the first horizon from which all computed images
     agree.
     """
@@ -103,35 +107,29 @@ def limit_complex(T: Tower, horizon: int, level: int = 0) -> ModuleComplex:
     subcomplex at the given level.
 
     Requires the images to have stabilized at every degree within the
-    horizon; otherwise HorizonExhaustedError is raised.
+    horizon; otherwise HorizonExhaustedError is raised.  A canonical basis
+    V is I at its pivot rows `rows`, so a generator acts by (rho V)[rows]
+    and d_q is d_q[rows_{q-1}] V.  The images, a pi-invariant subcomplex by
+    construction, are not validated again; certificate checkers recompute them.
     """
     G = T.group
-    l = G.prime_l
     base = T.levels[level]
-    if not base.ranks:
-        return ModuleComplex(G, 0, [], [], validate=False)
     E = base.expanded()
-    bases = {}
+    mods, diffs = [], []
+    rows = None
     for q in range(base.bottom, base.top + 1):
         si = stable_images(T, q, level, horizon)
         if not si.stabilized:
             raise HorizonExhaustedError(
                 f"degree {q}: image not stabilized by horizon {horizon}"
             )
-        bases[q] = si.value
-    mods = []
-    diffs = []
-    for q in range(base.bottom, base.top + 1):
-        V = bases[q]
-        mods.append(induced_action(E.module_at(q), V,
-                                   lambda B: flinalg.solve_matrix(V, B, l)))
-        if q > base.bottom:
-            W = bases[q - 1]
-            D = flinalg.solve_matrix(W, flinalg.matmul(E.diff_at(q), V, l), l)
-            if D is None:
-                raise AssertionError("stable images do not form a subcomplex")
-            diffs.append(D)
-    return ModuleComplex(G, base.bottom, mods, diffs)
+        V = si.value
+        if rows is not None:
+            diffs.append(flinalg.matmul(E.diff_at(q)[rows], V, G.prime_l))
+        # argmax refuses a 0 x 0 basis, which has no rows to read anyway
+        rows = (V != 0).argmax(axis=0) if V.size else []
+        mods.append(induced_action(E.module_at(q), V, lambda B: B[rows]))
+    return ModuleComplex(G, base.bottom, mods, diffs, validate=False)
 
 
 def pro_decide_perfect(T: Tower, horizon: int) -> PerfectnessVerdict:

@@ -250,6 +250,24 @@ def test_tower_certificate_bytes_pinned(capsys, tmp_path):
         assert (code, *digests) == expected[name], name
 
 
+def test_tower_limit_certificate_bytes_pinned_at_an_odd_prime(capsys, tmp_path):
+    """Over the Heisenberg group of order 27, l = 3, a tower whose bonds
+    fold junk into a core of ranks [2, 1] has a limit with a nonzero
+    differential with entries 2; its `tower-limit` output and certificate,
+    which records the limit, are pinned byte for byte."""
+    G = heisenberg_27()
+    T, core = random_stabilizing_tower(G, random.Random(12), n_levels=3)
+    assert (T.levels[0].ranks, core.ranks) == ([4, 3], [2, 1])
+    path, cert_path = tmp_path / "heis.twr", tmp_path / "heis.json"
+    path.write_text(write_tower(T))
+    code, out, _ = run(capsys, "tower-limit", str(path), "--horizon", "2",
+                       "--cert", str(cert_path))
+    digests = [hashlib.sha256(t.encode()).hexdigest() for t in (out, cert_path.read_text())]
+    assert (code, *digests) == (
+        0, "17ef636630a23c829c8d6a445d7c373ae14ef587f9594b470429439d5ab8f63b",
+        "9e1892ee3764d63491fada08a96eda214d8f5b83372b9fbb0ac9bb43bc58dc57")
+
+
 def test_wall_subcommand(capsys, lens_path):
     code, out, _ = run(capsys, "wall", lens_path)
     assert code == 0 and out == "k0_class=1; reduced_class=0\n"
@@ -290,6 +308,25 @@ def test_tower_subcommands(capsys, norm_tower_path):
     code, out, _ = run(capsys, "tower-perfect", norm_tower_path, "--horizon", "2")
     assert code == 1  # mathematically negative verdict
     assert out.startswith("not perfect; obstruction dim=1")
+
+
+def test_tower_with_a_zero_rank_degree(capsys, tmp_path):
+    """Levels over C2 of ranks [1, 0, 1] with identity bonds: the stable
+    image at degree 1 has the 0 x 0 canonical basis, and the limit, the
+    decision and its certificate read through it."""
+    G = SMALL_GROUPS["C2"]
+    C = ChainComplex(G, 0, [1, 0, 1],
+                     [GroupRingMatrix.zeros(G, 1, 0), GroupRingMatrix.zeros(G, 0, 1)])
+    T = Tower([C] * 3, [identity_chain_map(C)] * 2)
+    path, cert_path = tmp_path / "gap.twr", tmp_path / "gap.json"
+    path.write_text(write_tower(T))
+    code, out, _ = run(capsys, "tower-limit", str(path), "--horizon", "2")
+    assert code == 0 and out.splitlines()[0] == "limit dims [2, 0, 2]; bottom 0"
+    code, out, _ = run(capsys, "tower-perfect", str(path), "--horizon", "2",
+                       "--cert", str(cert_path))
+    assert (code, out) == (0, "perfect; euler_class=2; replacement ranks [1, 0, 1]\n")
+    code, out, _ = run(capsys, "verify", str(cert_path))
+    assert (code, out) == (0, "certificate valid (kind=perfectness)\n")
 
 
 def test_exit_code_2_on_bad_input(capsys, tmp_path):
@@ -747,6 +784,32 @@ def test_rank_past_the_free_dimension_bound_is_a_limit_error(capsys, tmp_path, g
     code, out, err = run(capsys, "perfect", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error[E_LIMIT]") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["perfect", "homology", "tower-perfect"])
+@pytest.mark.parametrize("ranks, block, code", [
+    pytest.param("1000000000 1000000000", "boundary 1\n", "E_LIMIT", id="boundary"),
+    pytest.param("1000000000 1000000000", "", "E_LIMIT", id="zero-boundary"),
+    pytest.param("-1 1", "boundary 1\n", "E_DIM_MISMATCH", id="negative"),
+])
+def test_declared_ranks_are_checked_before_any_matrix_is_allocated(capsys, tmp_path,
+                                                                    command, ranks, block,
+                                                                    code):
+    """Ranks whose boundary (read, or zero when absent) has 2 * 10^18
+    entries, and a negative rank, are refused as they are read, in a
+    complex and in a tower level, before `_parse_matrix` or
+    `GroupRingMatrix.zeros` sizes an array by them."""
+    body = f"bottom 0\nranks {ranks}\n{block}"
+    if command == "tower-perfect":
+        text = f"levels 2\nlevel 0\nbottom 0\nranks 1\nlevel 1\n{body}bond 0\n"
+    else:
+        text = body
+    path = tmp_path / "big.txt"
+    path.write_text("group cyclic:2\nprime 2\n" + text)
+    argv = [command, str(path)] + (["--horizon", "1"] if command == "tower-perfect" else [])
+    got, out, err = run(capsys, *argv)
+    assert got == 2 and out == ""
+    assert err.startswith(f"error[{code}]") and "Traceback" not in err
 
 
 def test_module_dim_past_the_free_dimension_bound_is_a_limit_error(capsys, tmp_path):

@@ -22,7 +22,7 @@ from perfchain import (
     pro_decide_perfect,
     stable_images,
 )
-from perfchain import certificates, flinalg
+from perfchain import certificates, chains, flinalg, modules
 from perfchain.modules import free_cover, orbit_columns
 from perfchain.serialize import module_complex_to_json
 
@@ -232,17 +232,47 @@ def test_reindexing_invariance_on_collapsing_towers(rng):
 
 
 def test_limit_action_matches_per_element_solve(rng):
+    """The limit's action and differentials are the coordinates a solver
+    gives in the stable bases: per element of pi for the action, and
+    `solve_matrix(W, d_q V)` for the differential from the basis V at q
+    to the basis W at q - 1."""
     for name, G in two_group_zoo() + three_group_zoo():
         l = G.prime_l
         T, _ = random_stabilizing_tower(G, rng, n_levels=3)
         lim = limit_complex(T, 2)
         E = T.levels[0].expanded()
+        W = None
         for q in range(lim.bottom, lim.top + 1):
             V = stable_images(T, q, 0, 2).value
             expected = per_element_action(E.module_at(q), V,
                                           lambda B: flinalg.solve_matrix(V, B, l))
             actual = module_action(lim.module_at(q))
             assert all(np.array_equal(a, b) for a, b in zip(actual, expected)), name
+            if W is not None:
+                D = flinalg.solve_matrix(W, flinalg.matmul(E.diff_at(q), V, l), l)
+                assert np.array_equal(lim.diff_at(q), D), (name, q)
+            W = V
+
+
+def test_limit_complex_solves_and_re_checks_nothing(rng, monkeypatch):
+    """Limit coordinates are read off the pivot rows of canonical bases,
+    and the stable-image subcomplex, which holds by construction, is not
+    validated again: over the group zoo, with the solver and the
+    equivariance and d o d checks made to raise, every limit is built
+    with the dims of the tower's core."""
+    def refuse(*args):
+        raise AssertionError("limit_complex solved or re-checked")
+
+    zoo = [(name, G, random_stabilizing_tower(G, rng, n_levels=3), norm_tower(G, 3))
+           for name, G in two_group_zoo() + three_group_zoo()]
+    for module, attr in ((flinalg, "solve_matrix"), (modules, "is_equivariant"),
+                         (chains, "is_equivariant"), (chains, "_check_d_squared")):
+        monkeypatch.setattr(module, attr, refuse)
+    for name, G, (T, core), norm in zoo:
+        lim = limit_complex(T, 2)
+        assert [lim.dim_at(q) for q in range(core.bottom, core.top + 1)] == \
+            [r * G.order for r in core.ranks], name
+        assert [m.dim for m in limit_complex(norm, 2).modules] == [1], name
 
 
 def test_stable_images_match_the_identity_start_reference(rng):
