@@ -9,18 +9,21 @@ A free witness is checked on group-ring data alone: d o d and the
 chain-map squares by group-ring products, and the cone's acyclicity over
 the residue field F_l, from the ranks of its augmented boundaries
 (`ChainComplex.is_acyclic`).  A witness into a tower's limit is checked
-on the expanded cone.
+the same way when the limit is free, and on the expanded cone otherwise.
 
-Format `perfchain-cert-v3` writes only what the checker cannot
-recompute.  Modules are written by their generator matrices
-(`serialize.module_from_json`), and maps out of free modules (a tower
-witness, an obstruction's cover) by the images of the free generators,
-whose orbit the checker rebuilds, equivariant by construction
-(`serialize.free_map_to_json`).  A tower-perfectness certificate records
-no limit, since the checker recomputes it from the tower; a limit
-certificate records it as the answer, and it and an obstruction must
-equal the recomputed ones.  Missing keys, malformed witnesses and other
-formats are ParseError, before any arithmetic.
+Format `perfchain-cert-v4` writes only what the checker cannot
+recompute.  Maps out of free modules into a module (a witness into an
+expanded limit, an obstruction's cover) are written by the images of the
+free generators, whose orbit the checker rebuilds, equivariant by
+construction (`serialize.free_map_to_json`).  A tower-perfectness
+certificate records no limit and no obstruction, since the checker
+recomputes both from the tower: a free limit (`towers.free_limit`) comes
+with identities checked here by group-ring products, and the witness is
+a group-ring chain map into it; any other limit is expanded, and a
+negative verdict's cover and kernel vector are checked against the
+recomputed obstruction.  A limit certificate records the limit as the
+answer, and it must equal the recomputed one.  Missing keys, malformed
+witnesses and other formats are ParseError, before any arithmetic.
 """
 
 from __future__ import annotations
@@ -28,16 +31,19 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from . import flinalg, serialize
 from .abelian import FGAbelian, SNFResult, mat_mul
-from .chains import ChainComplex, euler_characteristic, is_quasi_iso
-from .errors import LimitError, ParseError
+from .chains import ChainComplex, ChainMap, euler_characteristic, is_quasi_iso
+from .errors import LimitError, ParseError, PerfchainError
 from .finiteness import PerfectnessVerdict, decide_perfect
+from .groups import GroupRingMatrix, ga_compose
 from .modules import PiModule, free_cover, minimal_generators, orbit_columns
 from .serialize import json_field, json_field_array, json_int_matrix
-from .towers import Tower, limit_complex
+from .towers import FreeLimit, Tower, decided_limit, limit_complex
 
-FORMAT = "perfchain-cert-v3"
+FORMAT = "perfchain-cert-v4"
 
 
 def dumps(cert: dict) -> str:
@@ -94,7 +100,6 @@ def _nonfree_witness(verdict: PerfectnessVerdict) -> dict:
     if kernel.shape[1] == 0:
         raise AssertionError("non-perfect verdict with free obstruction")
     return {
-        "obstruction": serialize.module_to_json(P),
         "cover": serialize.free_map_to_json(cover.matrix, P.group),
         "kernel_vector": kernel[:, 0].tolist(),
     }
@@ -175,8 +180,9 @@ def check_quasi_iso(cert: dict) -> None:
 
 
 def limit_certificate(T: Tower, horizon: int, limit) -> dict:
-    cert = _base("limit", serialize.write_tower(T))
-    cert["input"] = {"tower": serialize.write_tower(T)}
+    text = serialize.write_tower(T)
+    cert = _base("limit", text)
+    cert["input"] = {"tower": text}
     cert["horizon"] = horizon
     cert["limit"] = serialize.module_complex_to_json(limit)
     return cert
@@ -193,13 +199,13 @@ def _tower_input(cert: dict) -> Tower:
     return T
 
 
-def _recomputed_limit(T: Tower, horizon):
-    """The limit of T at the horizon."""
+def _recomputed_limit(T: Tower, horizon, compute=limit_complex):
+    """The limit of T at the horizon, by `compute`."""
     if type(horizon) is not int:
         raise ParseError("horizon is not an integer")
     try:
-        return limit_complex(T, horizon)
-    except Exception as e:
+        return compute(T, horizon)
+    except PerfchainError as e:
         raise VerificationFailure(f"limit could not be recomputed: {e}")
 
 
@@ -213,19 +219,42 @@ def check_limit(cert: dict) -> None:
 def tower_perfectness_certificate(T: Tower, horizon: int,
                                   verdict: PerfectnessVerdict) -> dict:
     """The verdict on the limit of T at the horizon, which the checker
-    recomputes, so the limit itself is not written."""
-    cert = _base("perfectness", serialize.write_tower(T))
-    cert["input"] = {"tower": serialize.write_tower(T), "horizon": horizon}
+    recomputes, so the limit itself is not written.  The witness map is
+    group-ring data into a free limit and generator columns into an
+    expanded one."""
+    text = serialize.write_tower(T)
+    cert = _base("perfectness", text)
+    cert["input"] = {"tower": text, "horizon": horizon}
     cert["verdict"] = {"perfect": verdict.perfect}
     if verdict.perfect:
+        f = verdict.witness
         cert["verdict"]["euler_class"] = verdict.euler_class
         cert["witness"] = {
             "replacement": serialize.complex_to_json(verdict.replacement),
-            "map": serialize.module_map_to_json(verdict.witness),
+            "map": (serialize.chain_map_to_json(f) if isinstance(f, ChainMap)
+                    else serialize.module_map_to_json(f)),
         }
     else:
         cert["witness"] = _nonfree_witness(verdict)
     return cert
+
+
+def _check_free_limit(T: Tower, lim: FreeLimit) -> None:
+    """The identities that make `lim` the limit, by group-ring products:
+    A_q A_q^-1 = I, and B_{q-1} X_q = d_q B_q, so that B is an injective
+    chain map onto the stable images.  `free_limit` accepted each degree
+    only where both factorizations through B_q hold."""
+    G = T.group
+    base, L = T.levels[0], lim.complex
+    for q, B in lim.bases.items():
+        A = B.data[lim.rows[q]]
+        if not np.array_equal(ga_compose(A, lim.inverses[q].data, G),
+                              GroupRingMatrix.identity(G, B.cols).data):
+            raise VerificationFailure(f"degree {q}: the pivot block's inverse is wrong")
+        if q - 1 in lim.bases and not np.array_equal(
+                ga_compose(lim.bases[q - 1].data, L.boundary_at(q).data, G),
+                ga_compose(base.boundary_at(q).data, B.data, G)):
+            raise VerificationFailure(f"degree {q}: the limit differential is wrong")
 
 
 def check_tower_perfectness(cert: dict) -> None:
@@ -233,7 +262,13 @@ def check_tower_perfectness(cert: dict) -> None:
         raise ParseError("a tower-perfectness certificate records no limit")
     T = _tower_input(cert)
     claim, witness = json_field(cert, "verdict"), json_field(cert, "witness")
-    limit = _recomputed_limit(T, json_field(json_field(cert, "input"), "horizon"))
+    if isinstance(witness, dict) and "obstruction" in witness:
+        raise ParseError("a tower-perfectness certificate records no obstruction")
+    limit = _recomputed_limit(T, json_field(json_field(cert, "input"), "horizon"),
+                              decided_limit)
+    if isinstance(limit, FreeLimit):
+        _check_free_limit(T, limit)
+        limit = limit.complex
     if json_field(claim, "perfect"):
         euler_class = json_field(claim, "euler_class")
         # A free R ~ limit has |pi| chi(R) = sum of (-1)^q dim limit_q.  The
@@ -245,14 +280,11 @@ def check_tower_perfectness(cert: dict) -> None:
             raise VerificationFailure("euler_class is not the limit's")
         _check_witness(witness, "replacement", limit, euler_class)
     else:
-        # a negative verdict must be the limit's, with the limit's obstruction
-        P = serialize.module_from_json(json_field(witness, "obstruction"), T.group)
+        # a negative verdict must be the limit's, non-free on its obstruction
         verdict = decide_perfect(limit)
         if verdict.perfect:
             raise VerificationFailure("the recomputed limit is perfect")
-        if verdict.top_obstruction != P:
-            raise VerificationFailure("recorded obstruction is not the limit's")
-        _check_nonfree(witness, P)
+        _check_nonfree(witness, verdict.top_obstruction)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success (or a positive predicate verdict), 1 when a
 predicate subcommand reaches a mathematically negative verdict, 2 on any
-input or usage error.  Output is deterministic: two runs on the same
-input produce byte-identical reports.
+input or usage error, and on running out of memory (E_LIMIT).  Output is
+deterministic: two runs on the same input produce byte-identical reports.
 
 Group descriptors: ``cyclic:N``, ``product:cyclic:N,cyclic:M[,...]``, or
 ``table:{order:N;identity:I;mult:r0|r1|...}`` (rows comma-separated).
@@ -307,6 +307,11 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except FileNotFoundError as e:
         print(f"error[E_IO]: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as e:
+        # the last resort of a job too large for the memory it was given
+        print(f"error[{LimitError.code}]: out of memory" + (f": {e}" if str(e) else ""),
+              file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -2,13 +2,15 @@
 
 Levelwise-free inputs (`ChainComplex`) are always perfect: cancelling unit
 boundary entries (`minimalize`) reaches their minimal model, which is the
-replacement, and the cancellation witness is the quasi-isomorphism.
+replacement, and the cancellation witness is the quasi-isomorphism.  Tower
+limits whose stable images are free arrive this way too
+(`towers.free_limit`).
 
-Other bounded complexes of PiModules (`ModuleComplex`, which is how tower
-limits arrive) go through Wall's construction (Wall, Finiteness
-conditions for CW-complexes, Ann. of Math. 81, 1965): one loop over the
-degrees q from the bottom up to the top homology degree m builds a
-bounded free complex F with a map into the input.  Step q adjoins free
+Other bounded complexes of PiModules (`ModuleComplex`, which is how the
+remaining tower limits arrive) go through Wall's construction (Wall,
+Finiteness conditions for CW-complexes, Ann. of Math. 81, 1965): one
+loop over the degrees q from the bottom up to the top homology degree m
+builds a bounded free complex F with a map into the input.  Step q adjoins free
 generators bounding lifts of minimal generators of H_q of the cone built
 so far, so after step q the cone has no homology in degrees <= q, and
 after step m - 1 its homology is concentrated in degree m.  The

@@ -6,11 +6,11 @@ entries as comma-separated coefficient lists in brackets.  Writers are
 canonical: parsing then re-writing any value reproduces the bytes.
 
 In JSON a module is `{"dim": d, "gens": [...]}`, one d x d matrix per
-element of the group's generating set; the reader checks its shape before
-any arithmetic and the action on all of pi against the group table.  A map
-out of a free module F_l[pi]^r is written by its r generator columns (see
-`free_map_to_json`), and read back as their orbit, which is equivariant by
-construction.
+element of the group's generating set; it is written as an answer (a
+tower limit) and never read back, since checkers recompute modules.  A
+map out of a free module F_l[pi]^r is written by its r generator columns
+(see `free_map_to_json`), and read back as their orbit, which is
+equivariant by construction.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import re
 import numpy as np
 
 from .chains import ChainComplex, ChainMap, ModuleComplex, ModuleComplexMap, check_ranks
-from .errors import LimitError, ParseError
-from .groups import MAX_FREE_DIM, GroupRingMatrix, GroupTable, build_group
+from .errors import ParseError
+from .groups import GroupRingMatrix, GroupTable, build_group
 from .modules import PiModule, orbit_columns
 from .towers import Tower
 
@@ -350,22 +350,6 @@ def json_field_array(value, name: str, l: int, *shape: int) -> np.ndarray:
 
 def module_to_json(M: PiModule) -> dict:
     return {"dim": M.dim, "gens": [M.matrix(i).tolist() for i in range(len(M.gens))]}
-
-
-def module_from_json(obj: dict, G: GroupTable) -> PiModule:
-    """The module of `module_to_json`.  Its shape and entries are checked
-    first (ParseError); then the action is built on every element by a
-    Cayley walk and checked through the group table, rho(g) rho(s) =
-    rho(gs) for g in pi and s in S."""
-    d, gens = json_field(obj, "dim"), json_field(obj, "gens")
-    if type(d) is not int or d < 0:
-        raise ParseError("module dim is not an integer >= 0")
-    if d > MAX_FREE_DIM:
-        raise LimitError(f"module dim {d} exceeds {MAX_FREE_DIM}")
-    if not isinstance(gens, list) or len(gens) != len(G.generators):
-        raise ParseError(f"module needs {len(G.generators)} generator matrices")
-    return PiModule(G, d, gens=[json_field_array(a, "generator matrix", G.prime_l, d, d)
-                                for a in gens])
 
 
 def module_complex_to_json(MC: ModuleComplex) -> dict:

@@ -4,8 +4,20 @@ Every level has finite total dimension, so images of the bonding maps
 into a fixed level can only shrink and must eventually stabilize; the
 limit is realized as the stable-image subcomplex at the chosen level.
 Non-stabilization within the supplied prefix is reported as an error,
-never extrapolated.  The limit is read off, not solved for or re-checked:
-a canonical basis V is the identity at its pivot rows, so B in col(V) has
+never extrapolated.
+
+Two routes reach the limit.  Most limits are levelwise free, and
+`free_limit` finds them on group-ring data: F_l[pi] is symmetric, hence
+self-injective (Benson, Representations and Cohomology I, Cambridge 1991),
+so a free image is a direct summand, split off at the units of its
+augmentation as `minimalize` cancels them (Avramov, Infinite free
+resolutions, 1998).  With M the composite bond at the horizon and
+A = M[pr, pc] the block at the pivots of its augmentation, A is
+invertible and im M is free on B = M[:, pc] exactly when
+M = B A^-1 M[pr, :].  The limit is then a `ChainComplex`, and no array of
+|pi|-fold size is built.  Any other limit is read off canonical bases of
+the expanded images (`limit_complex`), not solved for or re-checked: a
+canonical basis V is the identity at its pivot rows, so B in col(V) has
 coordinates B at those rows; and bonds are equivariant chain maps, so the
 stable images form a pi-invariant subcomplex by construction.
 """
@@ -17,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flinalg
-from .chains import ModuleComplex
+from .chains import ChainComplex, ModuleComplex
 from .errors import DimensionMismatchError, GroupMismatchError, HorizonExhaustedError
 from .finiteness import PerfectnessVerdict, decide_perfect
-from .groups import grm_compose
+from .groups import GroupRingMatrix, ga_compose, grm_compose
 from .modules import induced_action
 
 
@@ -72,13 +84,23 @@ class StableImages:
     stable_at: int | None = None
 
 
-def stable_images(T: Tower, q: int, n: int, h: int) -> StableImages:
+def _composites(T: Tower, q: int, n: int, h: int) -> list:
+    """M_1, ..., M_h at degree q, with M_k the composite of the k bonds
+    from level n + k into level n."""
+    Ms = [T.bonds[n].component_at(q)]
+    for k in range(n + 1, n + h):
+        Ms.append(grm_compose(Ms[-1], T.bonds[k].component_at(q)))
+    return Ms
+
+
+def stable_images(T: Tower, q: int, n: int, h: int, composites=None) -> StableImages:
     """Image of level n+h in level n at degree q, for horizons 0..h.
 
     The images are nested: with M_k the composite of the first k bonds,
     im(M_k) = M_{k-1}(im B_{k-1}) lies in im(M_{k-1}).  So two of them are
     equal exactly when their dimensions are, and only the last one is
-    put in canonical form.
+    put in canonical form.  `composites`, when given, are M_1, ..., M_h;
+    the list is consumed, so each expansion is dropped once it is read.
     """
     if n < 0 or h < 0 or n + h >= len(T.levels):
         raise HorizonExhaustedError(
@@ -90,19 +112,19 @@ def stable_images(T: Tower, q: int, n: int, h: int) -> StableImages:
         # the canonical form of I is I
         return StableImages(q, n, h, [dim_n], flinalg.identity(dim_n, l), dim_n == 0,
                             None if dim_n else 0)
+    Ms = _composites(T, q, n, h) if composites is None else composites
     dims = [dim_n]
-    M = T.bonds[n].component_at(q)
-    for k in range(1, h):
-        dims.append(flinalg.rank(M.expand(), l))
-        M = grm_compose(M, T.bonds[n + k].component_at(q))
-    value = flinalg.canonical_columns(M.expand(), l)
+    while len(Ms) > 1:
+        dims.append(flinalg.rank(Ms.pop(0).expand(), l))
+    value = flinalg.canonical_columns(Ms.pop().expand(), l)
     dims.append(value.shape[1])
     stable_at = dims.index(dims[-1])  # dims never grow, so equal ones are adjacent
     return StableImages(q, n, h, dims, value, stable_at < h,
                         stable_at if stable_at < h else None)
 
 
-def limit_complex(T: Tower, horizon: int, level: int = 0) -> ModuleComplex:
+def limit_complex(T: Tower, horizon: int, level: int = 0,
+                  composites=None) -> ModuleComplex:
     """The levelwise inverse limit, realized as the stable-image
     subcomplex at the given level.
 
@@ -111,14 +133,17 @@ def limit_complex(T: Tower, horizon: int, level: int = 0) -> ModuleComplex:
     V is I at its pivot rows `rows`, so a generator acts by (rho V)[rows]
     and d_q is d_q[rows_{q-1}] V.  The images, a pi-invariant subcomplex by
     construction, are not validated again; certificate checkers recompute them.
+    `composites` maps a degree to the composite bonds already built for it
+    (see `free_limit`); each is used once and dropped.
     """
     G = T.group
     base = T.levels[level]
     E = base.expanded()
+    composites = {} if composites is None else composites
     mods, diffs = [], []
     rows = None
     for q in range(base.bottom, base.top + 1):
-        si = stable_images(T, q, level, horizon)
+        si = stable_images(T, q, level, horizon, composites.pop(q, None))
         if not si.stabilized:
             raise HorizonExhaustedError(
                 f"degree {q}: image not stabilized by horizon {horizon}"
@@ -132,7 +157,107 @@ def limit_complex(T: Tower, horizon: int, level: int = 0) -> ModuleComplex:
     return ModuleComplex(G, base.bottom, mods, diffs, validate=False)
 
 
-def pro_decide_perfect(T: Tower, horizon: int) -> PerfectnessVerdict:
-    """Perfectness of the tower limit."""
-    return decide_perfect(limit_complex(T, horizon))
+@dataclass
+class FreeLimit:
+    """A levelwise-free tower limit on group-ring data.
 
+    At degree q the stable image is free on `bases[q]`, the columns
+    B_q = M[:, pc_q] of the composite bond M at the horizon;
+    A_q = B_q[rows[q]] is invertible with inverse `inverses[q]`; and
+    `complex` has the differential X_q = A_{q-1}^-1 (d_q B_q)[rows[q-1]],
+    so that B_{q-1} X_q = d_q B_q.
+    """
+
+    complex: ChainComplex
+    bases: dict = field(repr=False)
+    rows: dict = field(repr=False)
+    inverses: dict = field(repr=False)
+
+
+def _inverse(A: np.ndarray, eps_inv: np.ndarray, G) -> np.ndarray:
+    """A^-1 for square group-ring data A whose augmentation has the
+    inverse eps_inv, by Newton's iteration X <- X (2I - A X) =
+    X + X (I - A X) from the lift of eps_inv.  The residual I - A X starts
+    in the radical and each step squares it, so it vanishes once 2^steps
+    reaches the radical's nilpotency index, which is at most |pi|."""
+    l = G.prime_l
+    one = GroupRingMatrix.identity(G, A.shape[0]).data
+    X = np.zeros_like(one)
+    X[..., G.identity] = eps_inv
+    for _ in range(G.order.bit_length() + 1):
+        residual = (one - ga_compose(A, X, G)) % l
+        if not residual.any():
+            return X
+        X = (X + ga_compose(X, residual, G)) % l
+    raise AssertionError("Newton's iteration failed to converge")
+
+
+def _free_image(prev: GroupRingMatrix, M: GroupRingMatrix):
+    """(B, pr, A^-1) when im M = im prev is free on B = M[:, pc], else None.
+
+    pc and pr are the pivot columns and pivot rows of the augmentation
+    e(M), so e(A) for A = M[pr, pc] is invertible over F_l and A over the
+    local ring F_l[pi].  Then N = B A^-1 N[pr, :] says im N lies in im B,
+    which is free, and A^-1 N[pr, :] gives its coordinates; checked for
+    N = M and N = prev, it gives im B = im M = im prev, since im M lies in
+    im prev and contains im B.
+    """
+    G = M.group
+    l = G.prime_l
+    eps = M.augmentation_matrix()
+    pc, pr = flinalg.pivot_columns(eps, l), flinalg.pivot_columns(eps.T, l)
+    B = M.data[:, pc]
+    Ainv = _inverse(B[pr], flinalg.solve_matrix(eps[np.ix_(pr, pc)],
+                                                flinalg.identity(len(pc), l), l), G)
+    BAinv = ga_compose(B, Ainv, G)
+    if any(not np.array_equal(ga_compose(BAinv, N[pr], G), N) for N in (M.data, prev.data)):
+        return None
+    return GroupRingMatrix(G, B), pr, GroupRingMatrix(G, Ainv)
+
+
+def free_limit(T: Tower, horizon: int, composites=None) -> FreeLimit | None:
+    """The limit at level 0 when every degree's image at the horizon is
+    free and equal to the image at horizon - 1, else None.
+
+    Each degree is accepted by `_free_image` on the composite bonds M_h
+    and M_{h-1} (the identity for h = 1), and the first degree refused
+    ends the route.  The composites built are left in `composites`, by
+    degree, for `limit_complex`; a horizon outside the tower gives None,
+    and `limit_complex` raises the horizon error.
+    """
+    G = T.group
+    base = T.levels[0]
+    if not 0 < horizon < len(T.levels):
+        return None
+    ranks, diffs, bases, rows, inverses = [], [], {}, {}, {}
+    for q in range(base.bottom, base.top + 1):
+        Ms = _composites(T, q, 0, horizon)
+        if composites is not None:
+            composites[q] = Ms
+        prev = Ms[-2] if horizon > 1 else GroupRingMatrix.identity(G, base.rank_at(q))
+        image = _free_image(prev, Ms[-1])
+        if image is None:
+            return None
+        bases[q], rows[q], inverses[q] = image
+        if q > base.bottom:
+            dB = ga_compose(base.boundary_at(q).data[rows[q - 1]], bases[q].data, G)
+            diffs.append(GroupRingMatrix(G, ga_compose(inverses[q - 1].data, dB, G)))
+        ranks.append(bases[q].cols)
+    return FreeLimit(ChainComplex(G, base.bottom, ranks, diffs, validate=False),
+                     bases, rows, inverses)
+
+
+def decided_limit(T: Tower, horizon: int):
+    """The limit `pro_decide_perfect` decides: the FreeLimit when
+    `free_limit` accepts every degree, else `limit_complex`, which takes
+    over the composites the free route built."""
+    composites = {}
+    free = free_limit(T, horizon, composites)
+    return free if free is not None else limit_complex(T, horizon, composites=composites)
+
+
+def pro_decide_perfect(T: Tower, horizon: int) -> PerfectnessVerdict:
+    """Perfectness of the tower limit: by `minimalize` on a free limit,
+    and otherwise by Wall's construction on the expanded one."""
+    lim = decided_limit(T, horizon)
+    return decide_perfect(lim.complex if isinstance(lim, FreeLimit) else lim)

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 
@@ -33,12 +34,13 @@ from perfchain import (
     norm_element,
 )
 from perfchain import chains
-from perfchain.serialize import write_complex, write_tower
+from perfchain.serialize import digest_text, write_complex, write_tower
 
 from conftest import (
     SMALL_GROUPS,
     cert_as_v1,
     cert_as_v2,
+    cert_as_v3,
     conjugate_complex,
     heisenberg_27,
     pad_with_identity_cones,
@@ -97,7 +99,7 @@ def test_minimalize_subcommand(capsys, lens_path, tmp_path):
 def test_minimalize_json_bytes_pinned(capsys, tmp_path):
     """The minimal complex and witness of a scrambled Heis27 complex with
     four cancellations, pinned byte for byte through the certificate, in
-    the current format and rendered as v2 and v1 certificates."""
+    the current format and rendered as v3, v2 and v1 certificates."""
     rng = random.Random(0)
     G = heisenberg_27()
     core = random_minimal_complex(G, rng)
@@ -109,14 +111,17 @@ def test_minimalize_json_bytes_pinned(capsys, tmp_path):
     assert (C.ranks, core.ranks) == ([2, 4, 4, 4, 2], [1, 2, 3, 2])
     line, cert = out.split("\n", 1)
     assert line == "minimal ranks [1, 2, 3, 2]; bottom 1"
-    v2 = cert_as_v2(json.loads(cert), G)
+    v3 = cert_as_v3(json.loads(cert))
+    v2 = cert_as_v2(json.loads(v3), G)
     v1 = line + "\n" + cert_as_v1(json.loads(v2), G)
     assert hashlib.sha256(v1.encode()).hexdigest() == (
         "59247a7697fbe8d7166fcaaf04b61e8856fc94711666e690544ef04e1a7d1467")
     assert hashlib.sha256((line + "\n" + v2).encode()).hexdigest() == (
         "d616eba9dd2abe72e7f032e0f3ab8b7f647fc82f77fb982ca4d5957289eb51b3")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    assert hashlib.sha256((line + "\n" + v3).encode()).hexdigest() == (
         "e5b6e2c828c05881019f8efc611178e9a0e93575d78082aec9903f7859044740")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "29798913ff37052b0f046c7bf3bb79a2400a727f7c2c8c73c849bf56f7d373e4")
 
 
 def test_homology_of_a_free_complex_pinned_and_module_free(capsys, tmp_path, monkeypatch):
@@ -218,10 +223,11 @@ def test_witness_breaking_a_square_is_rejected_before_any_cone(capsys, lens_path
 
 
 def test_tower_certificate_bytes_pinned(capsys, tmp_path):
-    """Tower certificates over C4^3 embed modules (the limit's modules, the
-    obstruction) by their generator matrices and maps out of free modules
-    by their generator columns, with no limit; pinned byte for byte, and
-    through the v2 format (limit recorded, maps by every column) and the
+    """Tower certificates over C4^3, pinned byte for byte: the free limit's
+    witness as group-ring data, and the norm tower's cover by its generator
+    columns with no obstruction; and through the v3 format (module-route
+    witness by generator columns, the obstruction by its generator
+    matrices), the v2 format (limit recorded, maps by every column) and the
     per-element actions of the v1 format."""
     G = build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)
     stable, core = random_stabilizing_tower(G, random.Random(1), n_levels=3)
@@ -231,10 +237,12 @@ def test_tower_certificate_bytes_pinned(capsys, tmp_path):
     expected = {
         "stable": (0, "495785b6c6d2960b537248613e1ea81e8fd1178bd288d0b7b0f61782eab6b296",
                    "3aa4f828ea2cea0ecc68c0eabe86f6bdcc8c384a79dadf97f567ff147d1c3c3f",
-                   "2142021419baf93883161923419da41b0e013680178a573834467811a6edf7c6"),
+                   "2142021419baf93883161923419da41b0e013680178a573834467811a6edf7c6",
+                   "bc0409637f015ff4f87a5701c8ab576922e84dae471446bb583cca920d750254"),
         "norm": (1, "3074a237b92d45b4488581d477e81e2248134e7c17cfb44a08a42bb56c8ef897",
                  "871cbe46400ac6442fabc33507bd116d5b4429bf2c2b92cac2ebbc73a51690d5",
-                 "c5b9d80d67bf729884ea38a711fde05e50682090e34c2e3d145c30dd1ca28b7f"),
+                 "c5b9d80d67bf729884ea38a711fde05e50682090e34c2e3d145c30dd1ca28b7f",
+                 "405aed8227cbbddd01541e57aae5174c9cc7120c02ae9e765cc33951f4bc7123"),
     }
     assert (stable.levels[0].ranks, core.ranks) == ([2, 3], [1])
     for name, T in (("stable", stable), ("norm", norm)):
@@ -244,9 +252,10 @@ def test_tower_certificate_bytes_pinned(capsys, tmp_path):
         code, _, _ = run(capsys, "tower-perfect", str(path), "--horizon", "2",
                          "--cert", str(cert_path))
         text = cert_path.read_text()
-        v2 = cert_as_v2(json.loads(text), G)
+        v3 = cert_as_v3(json.loads(text))
+        v2 = cert_as_v2(json.loads(v3), G)
         v1 = cert_as_v1(json.loads(v2), G)
-        digests = (hashlib.sha256(t.encode()).hexdigest() for t in (v1, v2, text))
+        digests = [hashlib.sha256(t.encode()).hexdigest() for t in (v1, v2, v3, text)]
         assert (code, *digests) == expected[name], name
 
 
@@ -254,7 +263,8 @@ def test_tower_limit_certificate_bytes_pinned_at_an_odd_prime(capsys, tmp_path):
     """Over the Heisenberg group of order 27, l = 3, a tower whose bonds
     fold junk into a core of ranks [2, 1] has a limit with a nonzero
     differential with entries 2; its `tower-limit` output and certificate,
-    which records the limit, are pinned byte for byte."""
+    which records the limit, are pinned byte for byte, the certificate also
+    as rendered in the v3 format, which differs only in the format name."""
     G = heisenberg_27()
     T, core = random_stabilizing_tower(G, random.Random(12), n_levels=3)
     assert (T.levels[0].ranks, core.ranks) == ([4, 3], [2, 1])
@@ -262,10 +272,14 @@ def test_tower_limit_certificate_bytes_pinned_at_an_odd_prime(capsys, tmp_path):
     path.write_text(write_tower(T))
     code, out, _ = run(capsys, "tower-limit", str(path), "--horizon", "2",
                        "--cert", str(cert_path))
-    digests = [hashlib.sha256(t.encode()).hexdigest() for t in (out, cert_path.read_text())]
+    text = cert_path.read_text()
+    v3 = cert_as_v3(json.loads(text))
+    assert text == v3.replace('"perfchain-cert-v3"', '"perfchain-cert-v4"')
+    digests = [hashlib.sha256(t.encode()).hexdigest() for t in (out, v3, text)]
     assert (code, *digests) == (
         0, "17ef636630a23c829c8d6a445d7c373ae14ef587f9594b470429439d5ab8f63b",
-        "9e1892ee3764d63491fada08a96eda214d8f5b83372b9fbb0ac9bb43bc58dc57")
+        "9e1892ee3764d63491fada08a96eda214d8f5b83372b9fbb0ac9bb43bc58dc57",
+        "5eea4f29dacef840f1c7da39a6d3251ba03d5b3dc58eaff6263174eb25915fe4")
 
 
 def test_wall_subcommand(capsys, lens_path):
@@ -496,19 +510,22 @@ def test_snf_certificate_of_dense_60x60_matrix(capsys, tmp_path):
 def test_snf_certificate_bytes_pinned(capsys, tmp_path):
     """The certificate of a seeded dense 40 x 40 matrix, pinned byte for
     byte: U, V and the diagonal depend on every step of the echelon
-    passes, not only on the invariant factors.  Rendered as a v2
-    certificate it keeps the v2 bytes."""
+    passes, not only on the invariant factors.  Rendered as a v3 or a v2
+    certificate it keeps the bytes of that format."""
     rng = random.Random(40)
     path = tmp_path / "m40.txt"
     path.write_text("".join(" ".join(str(rng.randint(-9, 9)) for _ in range(40)) + "\n"
                             for _ in range(40)))
     cert_path = tmp_path / "m40.json"
     assert main(["snf", str(path), "--cert", str(cert_path)]) == 0
-    v2 = cert_as_v2(json.loads(cert_path.read_text()), None)
+    v3 = cert_as_v3(json.loads(cert_path.read_text()))
+    v2 = cert_as_v2(json.loads(v3), None)
     assert hashlib.sha256(v2.encode()).hexdigest() == (
         "847931b37fc4fc105da19066b31331319b5eba931bab537932fafa7f8e20f398")
-    assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == (
+    assert hashlib.sha256(v3.encode()).hexdigest() == (
         "ba3d0f27f5a4f772cf2466f91dc5fea4ae633958dac7656583abbd8a75f0d63c")
+    assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == (
+        "eab66264fb328eaed3514576ef98104b0f4ea64d48b48ac997f4e1a0a702b216")
 
 
 def _double_u_and_diag(w):
@@ -621,10 +638,10 @@ def test_completion_certificate_bound_to_its_input(capsys, tmp_path):
     ("tower-perfect", ("witness", "kernel_vector"), [1, 0, 0]),
     ("tower-perfect", ("witness", "cover"), [[10**30]]),
     ("tower-perfect", ("input", "horizon"), "2"),
-    ("tower-perfect", ("witness", "obstruction", "dim"), -1),
-    ("tower-perfect", ("witness", "obstruction", "gens"), []),
-    ("tower-perfect", ("witness", "obstruction", "gens"), [[[1, 0]]]),
-    ("tower-perfect", ("witness", "obstruction", "gens"), [[[2]]]),
+    ("tower-perfect", ("witness", "kernel_vector", 0), -1),
+    ("tower-perfect", ("witness", "obstruction"), {"dim": 1, "gens": [[[1]]]}),
+    ("tower-perfect", ("witness", "cover", 0), [1, 0]),
+    ("tower-perfect", ("witness", "kernel_vector"), [[1], [0]]),
     ("perfect", ("witness", "map"), None),
     ("minimalize", ("witness", "minimal"), None),
     ("minimalize", ("witness", "map"), None),
@@ -644,8 +661,8 @@ def test_malformed_tower_certificate_is_a_parse_error(capsys, norm_tower_path, l
                                                       tmp_path, command, keys, value):
     """A certificate (of a tower, or of the C2 lens complex) with a key
     missing (value None), a malformed entry or a key it must not carry
-    (a tower-perfectness certificate's limit) is rejected with a coded
-    error, not a traceback.  The norm tower's cover is 1 x 1, one
+    (a tower-perfectness certificate's limit or obstruction) is rejected
+    with a coded error, not a traceback.  The norm tower's cover is 1 x 1, one
     generator column; [[1, 1]] is its full v2 width."""
     cert_path = tmp_path / "c.json"
     if command.startswith("tower"):
@@ -668,14 +685,16 @@ def test_malformed_tower_certificate_is_a_parse_error(capsys, norm_tower_path, l
 
 
 def test_v1_certificate_is_a_parse_error(capsys, norm_tower_path, tmp_path):
-    """There is one certificate format; a v1 or v2 certificate names its
-    format in a coded error."""
+    """There is one certificate format; a v1, v2 or v3 certificate names
+    its format in a coded error."""
     cert_path = tmp_path / "c.json"
     main(["tower-perfect", norm_tower_path, "--horizon", "2", "--cert", str(cert_path)])
-    v3 = json.loads(cert_path.read_text())
-    assert v3["format"] == "perfchain-cert-v3"
-    v2 = cert_as_v2(v3, SMALL_GROUPS["C2"])
-    for old, text in (("v2", v2), ("v1", cert_as_v1(json.loads(v2), SMALL_GROUPS["C2"]))):
+    v4 = json.loads(cert_path.read_text())
+    assert v4["format"] == "perfchain-cert-v4"
+    v3 = cert_as_v3(v4)
+    v2 = cert_as_v2(json.loads(v3), SMALL_GROUPS["C2"])
+    for old, text in (("v3", v3), ("v2", v2),
+                      ("v1", cert_as_v1(json.loads(v2), SMALL_GROUPS["C2"]))):
         cert_path.write_text(text)
         capsys.readouterr()
         code, out, err = run(capsys, "verify", str(cert_path))
@@ -695,22 +714,28 @@ def _lens_tower(tmp_path):
 
 def test_v2_shaped_tower_certificate_fields_are_parse_errors(capsys, norm_tower_path,
                                                              tmp_path):
-    """Each field the v2 writer gave a tower-perfectness certificate and v3
-    does not, put into a v3 certificate, is E_PARSE: the recorded limit, a
-    witness map component by every column, a cover by every column."""
+    """Each field the v2 or v3 writer gave a tower-perfectness certificate
+    and v4 does not, put into a v4 certificate, is E_PARSE: the recorded
+    limit, a witness map into the free limit by every column (v2) or by
+    generator columns (v3), a cover by every column, the obstruction."""
     G = SMALL_GROUPS["C2"]
     for path, key in ((_lens_tower(tmp_path), "map"), (norm_tower_path, "cover")):
         cert_path = tmp_path / "c.json"
         main(["tower-perfect", path, "--horizon", "2", "--cert", str(cert_path)])
-        v3 = json.loads(cert_path.read_text())
+        v4 = json.loads(cert_path.read_text())
+        v3 = json.loads(cert_as_v3(v4))
         v2 = json.loads(cert_as_v2(v3, G))
-        forged = [{**v3, "limit": v2["limit"]},
-                  {**v3, "witness": {**v3["witness"], key: v2["witness"][key]}}]
+        forged = [{**v4, "limit": v2["limit"]},
+                  {**v4, "witness": {**v4["witness"], key: v2["witness"][key]}}]
         if key == "map":
-            forged.append({**v3, "witness": {**v3["witness"], "map": {
-                **v3["witness"]["map"], "1": v2["witness"]["map"]["1"]}}})
+            for old in (v2, v3):
+                forged.append({**v4, "witness": {**v4["witness"], "map": {
+                    **v4["witness"]["map"], "1": old["witness"]["map"]["1"]}}})
+            forged.append({**v4, "witness": {**v4["witness"], "map": v3["witness"]["map"]}})
+        else:
+            forged.append({**v4, "witness": v3["witness"]})
         for cert in forged:
-            assert cert != v3
+            assert cert != v4
             cert_path.write_text(json.dumps(cert))
             capsys.readouterr()
             code, out, err = run(capsys, "verify", str(cert_path))
@@ -721,9 +746,9 @@ def test_v2_shaped_tower_certificate_fields_are_parse_errors(capsys, norm_tower_
 def test_altered_generator_columns_are_refused(capsys, norm_tower_path, tmp_path,
                                               monkeypatch):
     """A cover whose generator column is zeroed is not onto, and the
-    certificate is INVALID; a witness map whose degree-1 generator column
-    is zeroed breaks the square d f_1 = f_0 d and is refused as a
-    non-commuting map is (E_DIM_MISMATCH), before any cone is built."""
+    certificate is INVALID; a witness map into a free limit whose degree-1
+    component is zeroed breaks the square d f_1 = f_0 d and is refused as
+    a non-commuting map is (E_DIM_MISMATCH), before any cone is built."""
     cert_path = tmp_path / "c.json"
     main(["tower-perfect", norm_tower_path, "--horizon", "2", "--cert", str(cert_path)])
     cert = json.loads(cert_path.read_text())
@@ -736,38 +761,91 @@ def test_altered_generator_columns_are_refused(capsys, norm_tower_path, tmp_path
 
     main(["tower-perfect", _lens_tower(tmp_path), "--horizon", "2", "--cert", str(cert_path)])
     cert = json.loads(cert_path.read_text())
-    assert sorted(cert["witness"]["map"]) == ["0", "1"]
-    cert["witness"]["map"]["1"] = [[0], [0]]
+    assert cert["witness"]["map"] == {"0": [[[1, 0]]], "1": [[[1, 0]]]}
+    cert["witness"]["map"]["1"] = [[[0, 0]]]
     cert_path.write_text(json.dumps(cert))
     capsys.readouterr()
 
     def refuse(f):
         raise AssertionError("a cone was built")
 
+    monkeypatch.setattr(chains, "mapping_cone", refuse)
     monkeypatch.setattr(chains, "module_mapping_cone", refuse)
     code, out, err = run(capsys, "verify", str(cert_path))
     assert (code, out) == (2, "")
     assert "E_DIM_MISMATCH" in err and "commute" in err
 
 
-def test_obstruction_breaking_a_group_relation_is_rejected(capsys, tmp_path):
-    """The obstruction of the C4 norm tower is the trivial line; with its
-    generator flipped to 0, s^4 != 1, and the group table check refuses
-    the module before it is compared with the limit's."""
-    G = build_group("cyclic:4", 2)
+def _forge_map(cert):
+    cert["witness"]["map"]["0"] = [[[1, 1]]]
+
+
+def _forge_replacement(cert):
+    cert["witness"]["replacement"]["boundaries"] = [[[[1, 0]]]]
+
+
+def _forge_euler_class(cert):
+    cert["verdict"]["euler_class"] += 1
+
+
+def _forge_bond(cert):
+    """Bond 0 made zero, with the digest of the forged tower."""
+    G = SMALL_GROUPS["C2"]
     L = ChainComplex(G, 0, [1], [])
-    N = GroupRingMatrix.from_entries(G, [[norm_element(G)]])
-    path, cert_path = tmp_path / "norm4.twr", tmp_path / "norm4.json"
-    path.write_text(write_tower(Tower([L] * 3, [ChainMap(L, L, {0: N}), identity_chain_map(L)])))
-    main(["tower-perfect", str(path), "--horizon", "2", "--cert", str(cert_path)])
-    cert = json.loads(cert_path.read_text())
-    assert cert["witness"]["obstruction"] == {"dim": 1, "gens": [[[1]]]}
-    cert["witness"]["obstruction"]["gens"][0][0][0] ^= 1
-    cert_path.write_text(json.dumps(cert))
+    text = write_tower(Tower([L] * 3, [ChainMap(L, L, {}), identity_chain_map(L)]))
+    cert["input"]["tower"], cert["digest"] = text, digest_text(text)
+
+
+@pytest.mark.parametrize("tower, forge, reason", [
+    ("free", _forge_map, "witness map is not a quasi-isomorphism"),
+    ("lens", _forge_replacement, "replacement complex has a unit entry"),
+    ("free", _forge_euler_class, "euler_class is not the limit's"),
+    ("free", _forge_bond, "euler_class is not the limit's"),
+], ids=["map", "replacement", "euler_class", "bond"])
+def test_forged_free_limit_certificate_is_invalid(capsys, tmp_path, tower, forge, reason):
+    """A free-route certificate of a constant C2 tower (F_l[C2] in degree 0,
+    or the lens complex) verifies; with its witness map turned into the
+    norm, its replacement given a unit entry, its euler_class raised, or
+    its tower's first bond made zero under a matching digest, it is
+    INVALID for the reason named."""
+    G = SMALL_GROUPS["C2"]
+    if tower == "free":
+        L = ChainComplex(G, 0, [1], [])
+        path = tmp_path / "free.twr"
+        path.write_text(write_tower(Tower([L] * 3, [identity_chain_map(L)] * 2)))
+        path = str(path)
+    else:
+        path = _lens_tower(tmp_path)
+    cert_path = tmp_path / "c.json"
+    main(["tower-perfect", path, "--horizon", "2", "--cert", str(cert_path)])
     capsys.readouterr()
-    code, out, err = run(capsys, "verify", str(cert_path))
-    assert code == 2 and out == ""
-    assert err.startswith("error[E_DIM_MISMATCH]") and "homomorphism" in err
+    assert run(capsys, "verify", str(cert_path))[:2] == (
+        0, "certificate valid (kind=perfectness)\n")
+    cert = json.loads(cert_path.read_text())
+    forge(cert)
+    cert_path.write_text(json.dumps(cert))
+    assert run(capsys, "verify", str(cert_path))[:2] == (1, f"certificate INVALID: {reason}\n")
+
+
+def test_out_of_memory_is_a_limit_error(tmp_path):
+    """`tower-limit` expands its bonds; over C_2048 a rank-8 bond expands to
+    a 2 GiB matrix, which a fresh process capped at 1 GiB of address space
+    cannot allocate.  The MemoryError ends in E_LIMIT with exit 2, not in
+    a traceback with exit 1."""
+    G = build_group("cyclic:2048", 2)
+    L = ChainComplex(G, 0, [8], [])
+    path = tmp_path / "big.twr"
+    path.write_text(write_tower(Tower([L] * 3, [identity_chain_map(L)] * 2)))
+    cap = 1 << 30
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(perfchain.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-m", "perfchain.cli", "tower-limit", str(path), "--horizon", "2"],
+        env=env, capture_output=True, text=True, check=False,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error[E_LIMIT]: out of memory")
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("group, ranks", [
@@ -812,10 +890,11 @@ def test_declared_ranks_are_checked_before_any_matrix_is_allocated(capsys, tmp_p
     assert err.startswith(f"error[{code}]") and "Traceback" not in err
 
 
-def test_module_dim_past_the_free_dimension_bound_is_a_limit_error(capsys, tmp_path):
-    """Over the trivial group a module has no generator matrix to bound its
-    dim, so a forged obstruction of dim 10^9 is refused before any
-    matrix of that size is built."""
+def test_recorded_obstruction_is_a_parse_error(capsys, tmp_path):
+    """A tower-perfectness certificate records no obstruction, so a forged
+    one, over the trivial group where a module has no generator matrix to
+    bound its dim, is refused at once: an obstruction of dim 10^9 is
+    E_PARSE before any matrix of that size is built."""
     L = ChainComplex(SMALL_GROUPS["C1"], 0, [1], [])
     path, cert_path = tmp_path / "const.twr", tmp_path / "const.json"
     path.write_text(write_tower(Tower([L] * 3, [identity_chain_map(L)] * 2)))
@@ -827,7 +906,7 @@ def test_module_dim_past_the_free_dimension_bound_is_a_limit_error(capsys, tmp_p
     cert_path.write_text(json.dumps(cert))
     code, out, err = run(capsys, "verify", str(cert_path))
     assert code == 2 and out == ""
-    assert err.startswith("error[E_LIMIT]") and "Traceback" not in err
+    assert err == "error[E_PARSE]: a tower-perfectness certificate records no obstruction\n"
 
 
 def test_prime_past_the_int64_bound_is_a_limit_error(capsys, tmp_path):

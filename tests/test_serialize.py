@@ -2,12 +2,19 @@
 
 import pytest
 
-from perfchain import ParseError, Tower, build_group, chains_of_cover, lens_complex
+from perfchain import (
+    DimensionMismatchError,
+    LimitError,
+    ParseError,
+    Tower,
+    build_group,
+    chains_of_cover,
+    lens_complex,
+)
 from perfchain.serialize import (
     complex_from_json,
     complex_to_json,
     digest_text,
-    module_from_json,
     module_to_json,
     read_complex,
     read_int_matrix,
@@ -17,8 +24,8 @@ from perfchain.serialize import (
     write_tower,
 )
 
-from conftest import SMALL_GROUPS, random_minimal_complex, random_stabilizing_tower, \
-    pad_with_identity_cones, two_group_zoo
+from conftest import SMALL_GROUPS, module_from_json, random_minimal_complex, \
+    random_stabilizing_tower, pad_with_identity_cones, two_group_zoo
 
 
 def test_complex_roundtrip_bytes(rng):
@@ -104,6 +111,21 @@ def test_json_roundtrips(rng):
     assert complex_from_json(complex_to_json(C)) == C
     for M in C.expanded().modules:
         assert module_from_json(module_to_json(M), M.group) == M
+
+
+def test_module_reader_refuses_a_broken_group_relation():
+    """The validating module reader, kept as a test oracle: the trivial
+    line over C4 is read back, with its generator flipped to 0 it breaks
+    s^4 = 1 and the group table check refuses it, and over the trivial
+    group, where no generator matrix bounds the dim, a dim past the free
+    dimension bound is E_LIMIT before any matrix is built."""
+    G = build_group("cyclic:4", 2)
+    line = {"dim": 1, "gens": [[[1]]]}
+    assert module_to_json(module_from_json(line, G)) == line
+    with pytest.raises(DimensionMismatchError, match="homomorphism"):
+        module_from_json({"dim": 1, "gens": [[[0]]]}, G)
+    with pytest.raises(LimitError):
+        module_from_json({"dim": 10**9, "gens": []}, SMALL_GROUPS["C1"])
 
 
 def test_digest_stability():

@@ -14,6 +14,8 @@ from perfchain import (
     Tower,
     build_group,
     decide_perfect,
+    euler_characteristic,
+    ga_one,
     identity_chain_map,
     is_free,
     is_quasi_iso,
@@ -23,17 +25,25 @@ from perfchain import (
     stable_images,
 )
 from perfchain import certificates, chains, flinalg, modules
-from perfchain.modules import free_cover, orbit_columns
+from perfchain.chains import direct_sum
+from perfchain.groups import grm_compose
+from perfchain.modules import free_cover, orbit_columns, regular_module
 from perfchain.serialize import module_complex_to_json
+from perfchain.towers import free_limit
 
 from conftest import (
     SMALL_GROUPS,
+    cone_junk_with_map,
     conjugate_complex,
     constant_tower,
+    fold_tower,
     homology_image_dims,
+    kill_tower,
     module_action,
     pad_with_identity_cones,
     per_element_action,
+    radical_entry,
+    random_invertible,
     random_minimal_complex,
     random_stabilizing_tower,
     stable_images_reference,
@@ -65,30 +75,165 @@ def norm_tower(G, n_levels=4):
 
 def test_tower_certificate_maps_are_the_orbits_of_their_generator_columns(rng):
     """Over C2, C4 and C4^3, on random stabilizing towers and the norm
-    tower, the witness map and the obstruction's cover that the solver
-    holds are the orbits of the generator columns its certificate
-    writes, component by component."""
+    tower, the maps a certificate writes are the ones the solver holds.
+    On module-route verdicts (the norm tower's, and the stabilizing
+    towers' with that route forced) the witness map and the obstruction's
+    cover are the orbits of the generator columns written, component by
+    component.  On free-route verdicts the witness's group-ring data is
+    written, and its expansion is the orbit of its generator columns over
+    the regular module."""
     groups = [SMALL_GROUPS["C2"], SMALL_GROUPS["C4"],
               build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)]
-    counts = [0, 0]         # maps checked for negative and positive verdicts
+    counts = [0, 0, 0]      # module-route negative and positive, free-route maps
     for G in groups:
         towers = [random_stabilizing_tower(G, rng, n_levels=3)[0] for _ in range(3)]
         for T in towers + [norm_tower(G, 3)]:
-            verdict = pro_decide_perfect(T, 2)
-            witness = certificates.tower_perfectness_certificate(T, 2, verdict)["witness"]
-            if verdict.perfect:
+            for verdict in (pro_decide_perfect(T, 2), decide_perfect(limit_complex(T, 2))):
+                witness = certificates.tower_perfectness_certificate(T, 2, verdict)["witness"]
                 f = verdict.witness
-                assert sorted(witness["map"]) == sorted(map(str, f.components))
-                held = [(f.target.module_at(q), m, witness["map"][str(q)])
-                        for q, m in f.components.items()]
-            else:
-                P = verdict.top_obstruction
-                held = [(P, free_cover(P).matrix, witness["cover"])]
-            counts[verdict.perfect] += len(held)
-            for M, full, cols in held:
-                V = np.array(cols, dtype=np.int64).reshape(M.dim, full.shape[1] // G.order)
-                assert np.array_equal(orbit_columns(M, V), full), G.descriptor
+                if isinstance(f, ChainMap):
+                    assert sorted(witness["map"]) == sorted(map(str, f.components))
+                    for q, m in f.components.items():
+                        written = GroupRingMatrix(G, witness["map"][str(q)])
+                        assert written == m, G.descriptor
+                        E = written.expand()
+                        cols = E[:, G.identity::G.order]
+                        assert np.array_equal(orbit_columns(regular_module(G, m.rows), cols), E)
+                    counts[2] += len(f.components)
+                    continue
+                if verdict.perfect:
+                    assert sorted(witness["map"]) == sorted(map(str, f.components))
+                    held = [(f.target.module_at(q), m, witness["map"][str(q)])
+                            for q, m in f.components.items()]
+                else:
+                    P = verdict.top_obstruction
+                    held = [(P, free_cover(P).matrix, witness["cover"])]
+                counts[verdict.perfect] += len(held)
+                for M, full, cols in held:
+                    V = np.array(cols, dtype=np.int64).reshape(M.dim, full.shape[1] // G.order)
+                    assert np.array_equal(orbit_columns(M, V), full), G.descriptor
     assert min(counts) > 0
+
+
+def _route_answer(decide):
+    """(perfect, euler_class, replacement ranks, obstruction dim) of a
+    verdict, or the message of the horizon error that ends it."""
+    try:
+        v = decide()
+    except HorizonExhaustedError as e:
+        return str(e)
+    return (v.perfect, v.euler_class, v.replacement.ranks if v.perfect else None,
+            v.top_obstruction.dim)
+
+
+def _core_of_ranks(G, rng, bottom, ranks):
+    """A minimal complex of the given ranks, boundary slots alternating
+    between the norm and g - 1 as in `random_minimal_complex`."""
+    bnds = []
+    for i in range(1, len(ranks)):
+        data = np.zeros((ranks[i - 1], ranks[i], G.order), dtype=np.int64)
+        for s in range(min(ranks[i - 1], ranks[i])):
+            data[s, s] = radical_entry(G, rng, (bottom + i) % 2)
+        bnds.append(GroupRingMatrix(G, data))
+    return ChainComplex(G, bottom, ranks, bnds)
+
+
+def bench_shaped_towers(G, rng):
+    """Kill and fold towers of the shapes of the order-64 benchmark: cores
+    of ranks [1] and [1, 1], junk of rank 1 or 2, four levels."""
+    core = _core_of_ranks(G, rng, 0, [1])
+    yield kill_tower(core, _core_of_ranks(G, rng, 0, [1]), 4), core
+    for bottom, ranks, r in ((0, [1], 2), (-1, [1, 1], 1)):
+        core = _core_of_ranks(G, rng, bottom, ranks)
+        yield fold_tower(core, *cone_junk_with_map(core, rng, core.top - 1, r), 4), core
+
+
+def test_free_route_matches_the_module_route(rng):
+    """Stabilizing towers over the small groups and both group zoos, and
+    the benchmark's kill and fold towers over C4^3, take the free route at
+    horizons 2 and 3, and it gives the verdict, replacement ranks and Euler
+    class of the module route forced by `decide_perfect(limit_complex(...))`,
+    with a limit of the same dims and a witness that is a quasi-isomorphism."""
+    C64 = build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)
+    towers = [random_stabilizing_tower(G, rng, n_levels=4)
+              for G in list(SMALL_GROUPS.values())
+              + [G for _, G in two_group_zoo() + three_group_zoo()]]
+    towers += list(bench_shaped_towers(C64, rng))
+    for T, core in towers:
+        for h in (2, 3):
+            lim = free_limit(T, h)
+            assert lim is not None, (T.group.descriptor, h)
+            module = limit_complex(T, h)
+            assert [lim.complex.dim_at(q) for q in range(module.bottom, module.top + 1)] \
+                == [m.dim for m in module.modules]
+            v = pro_decide_perfect(T, h)
+            assert isinstance(v.witness, ChainMap) and is_quasi_iso(v.witness)
+            assert _route_answer(lambda: v) == \
+                _route_answer(lambda: decide_perfect(limit_complex(T, h)))
+            assert (v.replacement.ranks, v.euler_class) == \
+                (core.ranks, euler_characteristic(core))
+
+
+def _diagonal(G, entries):
+    """The diagonal group-ring matrix with the given elements."""
+    data = np.zeros((len(entries), len(entries), G.order), dtype=np.int64)
+    for i, a in enumerate(entries):
+        data[i, i] = a.coeffs
+    return GroupRingMatrix(G, data)
+
+
+def _free_plus_norm_tower(G):
+    """A minimal complex C of ranks [1, 1, 1] plus F_l[pi] in degree 1,
+    whose first bond is the norm there and the rest identities: the limit
+    is C plus the trivial line, which is not perfect."""
+    C = _core_of_ranks(G, random.Random(0), 0, [1, 1, 1])
+    level = direct_sum(C, ChainComplex(G, 1, [1], []))
+    comps = {0: _diagonal(G, [ga_one(G)]), 1: _diagonal(G, [ga_one(G), norm_element(G)]),
+             2: _diagonal(G, [ga_one(G)])}
+    bonds = [ChainMap(level, level, comps)] + [identity_chain_map(level)] * 2
+    return Tower([level] * 4, bonds)
+
+
+def _free_only_at_the_horizon(G):
+    """F_l[pi]^2 in degree 0 with bonds diag(1, norm), then diag(1, 0): the
+    image is free at horizon 2 but not at 1, so it is not stable."""
+    L = ChainComplex(G, 0, [2], [])
+    zero = ga_one(G) - ga_one(G)
+    first = _diagonal(G, [ga_one(G), norm_element(G)])
+    second = _diagonal(G, [ga_one(G), zero])
+    return Tower([L] * 3, [ChainMap(L, L, {0: first}), ChainMap(L, L, {0: second})])
+
+
+def test_non_free_limits_fall_back_to_the_module_route():
+    """The norm tower and a free (+) norm tower are refused by the free
+    route and come out negative, as on the module route; an image free at
+    the horizon but not just before it is refused too, and both routes end
+    in the same horizon error."""
+    for name in ["C2", "C3", "C4", "C2xC2", "D4"]:
+        G = SMALL_GROUPS[name]
+        for T, negative in ((norm_tower(G), True), (_free_plus_norm_tower(G), True),
+                            (_free_only_at_the_horizon(G), False)):
+            h = len(T.levels) - 1
+            assert free_limit(T, h) is None, name
+            answer = _route_answer(lambda: pro_decide_perfect(T, h))
+            assert answer == _route_answer(lambda: decide_perfect(limit_complex(T, h))), name
+            assert (answer[0] is False) if negative else ("not stabilized" in answer), name
+
+
+def test_free_limit_inverts_its_pivot_blocks(rng):
+    """On one-degree towers whose bonds are a random invertible W, the image
+    at horizon 2 is everything, its pivot block is W^2, and Newton's
+    iteration gives exactly W^-1 W^-1, over both group zoos."""
+    for name, G in two_group_zoo() + three_group_zoo():
+        k = rng.randint(1, 3)
+        W, Winv = random_invertible(G, k, rng)
+        L = ChainComplex(G, 0, [k], [])
+        bond = ChainMap(L, L, {0: W})
+        lim = free_limit(Tower([L] * 3, [bond, bond]), 2)
+        assert lim is not None and lim.complex.ranks == [k], name
+        A = GroupRingMatrix(G, lim.bases[0].data[lim.rows[0]])
+        assert A == grm_compose(W, W), name
+        assert lim.inverses[0] == grm_compose(Winv, Winv), name
 
 
 def test_stable_images_constant_tower():
