@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import DimensionMismatchError, NotExactIntegrallyError
+from .groups import check_prime
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -245,7 +246,10 @@ class Lattice:
 
     def contains(self, v, l: int | None = None) -> bool:
         """Is v in the span of the columns over Z, or over Z_l when l is
-        given?  One Smith-form test for both (see `_moduli`)."""
+        given (a prime, else `check_prime`'s error)?  One Smith-form test
+        for both (see `_moduli`)."""
+        if l is not None:
+            check_prime(l)
         v = list(map(int, v))
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError(
@@ -417,8 +421,10 @@ class FGZlModule:
 
 
 def l_complete(A: FGAbelian, l: int) -> FGZlModule:
-    """The inverse limit of A/l^n A: keep the free rank (now of l-adic
-    summands) and the l-parts of the torsion."""
+    """The inverse limit of A/l^n A for a prime l (else `check_prime`'s
+    error): keep the free rank (now of l-adic summands) and the l-parts
+    of the torsion."""
+    check_prime(l)
     torsion = []
     for d in A.invariant_factors:
         p = _l_part(d, l)
@@ -455,8 +461,10 @@ def check_exactness(f: FGAbelianMap, g: FGAbelianMap, l: int) -> bool:
     sequence by the same three lattice conditions over Z_l, on the same
     five lattices: the relations of A, B and C, im f + rel B and
     im g + rel C.  The l-local pass is an independent decision; it does
-    not appeal to the flatness of Z_l over Z.
+    not appeal to the flatness of Z_l over Z.  An l that is not prime is
+    refused first (`check_prime`).
     """
+    check_prime(l)
     if f.target is not g.source and f.target.n != g.source.n:
         raise DimensionMismatchError("maps do not compose")
     B, C = f.target, g.target

@@ -78,4 +78,4 @@ def base_homology(X: EquivariantCellComplex, q: int) -> int:
     G = X.group
     mods = [trivial_module(G, c) for c in X.orbit_counts]
     diffs = [b.augmentation_matrix() for b in X.boundaries]
-    return ModuleComplex(G, 0, mods, diffs, validate=False).homology_dim(q)
+    return ModuleComplex(G, 0, mods, diffs).homology_dim(q)

@@ -38,7 +38,7 @@ from .abelian import FGAbelian, SNFResult, mat_mul
 from .chains import ChainComplex, ChainMap, euler_characteristic, is_quasi_iso
 from .errors import LimitError, ParseError, PerfchainError
 from .finiteness import PerfectnessVerdict, decide_perfect
-from .groups import GroupRingMatrix, ga_compose
+from .groups import GroupRingMatrix, check_prime, ga_compose
 from .modules import PiModule, free_cover, minimal_generators, orbit_columns
 from .serialize import json_field, json_field_array, json_int_matrix
 from .towers import FreeLimit, Tower, decided_limit, limit_complex
@@ -398,6 +398,7 @@ def check_completion(cert: dict) -> None:
     json_int_matrix([json_field(verdict, "torsion")], "torsion", 1)
     if any(type(x) is not int for x in (n, l, json_field(verdict, "rank"))) or n < 0 or l < 2:
         raise ParseError("completion needs integer generators >= 0, prime >= 2 and rank")
+    check_prime(l)
     if len(rel) != n:
         raise VerificationFailure("relations do not match generator count")
     if json_field(cert, "digest") != serialize.digest_text(serialize.write_int_matrix(rel)):

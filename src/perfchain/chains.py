@@ -14,10 +14,13 @@ Both kinds share, through `GradedComplex`, homology dimensions read from
 the ranks of the F_l differentials (`diff_at`).  A free complex decides
 acyclicity over the residue field F_l instead (`ChainComplex.is_acyclic`),
 from its augmented boundaries, which are rank x rank matrices.  Both
-kinds also share one d o d check, one chain-map check and one cone
-formula: free complexes and maps compose group-ring data (`ga_compose`)
-and never expand it; module maps are checked for equivariance and then
-composed as F_l matrices.
+kinds also share one chain-map check and one cone formula: free
+complexes and maps compose group-ring data (`ga_compose`) and never
+expand it, and module maps compose F_l matrices.  Free complexes and
+maps are checked (d o d = 0, commutation) unless built with
+validate=False.  Module complexes and maps are kept as given, since the
+package builds them equivariant with d o d = 0; a module map read from
+a certificate is checked for commutation (`check_commutes`).
 
 Degrees are homological (d lowers degree) with an explicit bottom degree;
 negative degrees are fine.
@@ -38,7 +41,6 @@ from .errors import (
 )
 from .groups import (
     MAX_FREE_DIM,
-    GroupRingElement,
     GroupRingMatrix,
     GroupTable,
     ga_compose,
@@ -48,7 +50,6 @@ from .modules import (
     PiModule,
     direct_sum_modules,
     induced_action,
-    is_equivariant,
     regular_module,
     zero_module,
 )
@@ -81,14 +82,14 @@ class ModuleComplex(GradedComplex):
     """A bounded complex of PiModules with exact F_l differentials.
 
     `diffs[i]` maps the module at index i+1 to the module at index i.
-    With validate=False the differentials are kept as given (made
-    read-only, not copied): the caller hands over reduced int64 arrays.
+    The differentials are kept as given (made read-only, not copied): the
+    caller hands over reduced int64 arrays, equivariant and with
+    d o d = 0.  Only shapes are checked.
     """
 
-    def __init__(self, group: GroupTable, bottom: int, mods, diffs, validate: bool = True):
-        l = group.prime_l
+    def __init__(self, group: GroupTable, bottom: int, mods, diffs):
         mods = list(mods)
-        diffs = [flinalg.asfield(d, l) if validate else d for d in diffs]
+        diffs = list(diffs)
         if len(diffs) != max(len(mods) - 1, 0):
             raise DimensionMismatchError("need one differential per adjacent pair")
         for i, d in enumerate(diffs):
@@ -100,11 +101,6 @@ class ModuleComplex(GradedComplex):
         self.modules = mods
         self.diffs = diffs
         self._diff_ranks: dict[int, int] = {}
-        if validate:
-            for i, d in enumerate(diffs):
-                if not is_equivariant(mods[i + 1], mods[i], d):
-                    raise DimensionMismatchError("differential is not equivariant")
-            _check_d_squared(self, self.diff_at, _field_compose(l))
 
     @property
     def top(self) -> int:
@@ -199,18 +195,16 @@ class HomologyData(NamedTuple):
 
 
 class ModuleComplexMap:
-    """A degreewise equivariant chain map between module complexes; with
-    validate=False the components are kept as given, as in ModuleComplex."""
+    """A degreewise equivariant chain map between module complexes.  The
+    components are kept as given, as in ModuleComplex: the caller hands
+    over reduced int64 arrays, equivariant by construction.  Only shapes
+    are checked; `check_commutes` checks a map read from outside."""
 
-    def __init__(self, source: ModuleComplex, target: ModuleComplex, components,
-                 validate: bool = True):
+    def __init__(self, source: ModuleComplex, target: ModuleComplex, components):
         if source.group != target.group:
             raise GroupMismatchError("chain map between different groups")
-        l = source.group.prime_l
         comps = {}
         for q, m in components.items():
-            if validate:
-                m = flinalg.asfield(m, l)
             if m.shape != (target.dim_at(q), source.dim_at(q)):
                 raise DimensionMismatchError(f"component at degree {q} has shape {m.shape}")
             m.flags.writeable = False
@@ -218,19 +212,11 @@ class ModuleComplexMap:
         self.source = source
         self.target = target
         self.components = comps
-        if validate:
-            self._validate()
 
     def component_at(self, q: int) -> np.ndarray:
         if q in self.components:
             return self.components[q]
         return np.zeros((self.target.dim_at(q), self.source.dim_at(q)), dtype=np.int64)
-
-    def _validate(self):
-        for q, m in self.components.items():
-            if not is_equivariant(self.source.module_at(q), self.target.module_at(q), m):
-                raise DimensionMismatchError("map component not equivariant")
-        self.check_commutes()
 
     def check_commutes(self) -> None:
         """d f_q = f_{q-1} d in every degree, else DimensionMismatchError."""
@@ -246,7 +232,7 @@ def module_mapping_cone(f: ModuleComplexMap) -> ModuleComplex:
     mods = [direct_sum_modules(S.module_at(q - 1), T.module_at(q)) for q in degrees]
     diffs = [_cone_block(S.diff_at(q - 1), f.component_at(q - 1), T.diff_at(q), G.prime_l)
              for q in degrees[1:]]
-    return ModuleComplex(G, degrees.start, mods, diffs, validate=False)
+    return ModuleComplex(G, degrees.start, mods, diffs)
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +339,7 @@ class ChainComplex(GradedComplex):
     def expanded(self) -> ModuleComplex:
         mods = [regular_module(self.group, r) for r in self.ranks]
         diffs = [b.expand() for b in self.boundaries]
-        return ModuleComplex(self.group, self.bottom, mods, diffs, validate=False)
+        return ModuleComplex(self.group, self.bottom, mods, diffs)
 
     def is_minimal(self) -> bool:
         """All boundary entries lie in the radical (augmentation zero)."""
@@ -413,8 +399,7 @@ class ChainMap:
 
     def expanded(self) -> ModuleComplexMap:
         comps = {q: m.expand() for q, m in self.components.items()}
-        return ModuleComplexMap(self.source.expanded(), self.target.expanded(), comps,
-                                validate=False)
+        return ModuleComplexMap(self.source.expanded(), self.target.expanded(), comps)
 
     def __repr__(self):
         return f"ChainMap({self.source!r} -> {self.target!r})"
@@ -521,11 +506,11 @@ def minimalize(C: ChainComplex) -> MinimalizeResult:
             break
         i, p, j = pivot
         A = bnds[i]
-        u_inv = ga_inverse(GroupRingElement(A[p, j], l), G).coeffs
+        u_inv = ga_inverse(A[p, j][None, None], G)
         rows = [r for r in range(A.shape[0]) if r != p]
         cols = [c for c in range(A.shape[1]) if c != j]
         # x_m = A[p, m] * u^{-1}; new[r, m] = A[r, m] - x_m * A[r, j]
-        x = ga_compose(u_inv[None, None], A[p, cols][None], G)
+        x = ga_compose(u_inv, A[p, cols][None], G)
         bnds[i] = (A[np.ix_(rows, cols)] - ga_compose(A[rows, j][:, None], x, G)) % l
         if i + 1 < len(bnds):
             bnds[i + 1] = bnds[i + 1][cols, :, :]    # drop row j (source side)

@@ -91,7 +91,7 @@ class _Approximation:
     def cone(self) -> ModuleComplex:
         F = self.free_complex().expanded()
         comps = {q: b for q, b in self.blocks.items() if b.size}
-        return module_mapping_cone(ModuleComplexMap(F, self.target, comps, validate=False))
+        return module_mapping_cone(ModuleComplexMap(F, self.target, comps))
 
     def extend(self, cycles: np.ndarray):
         """Adjoin F_q, q the next degree, with one free generator per column

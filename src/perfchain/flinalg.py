@@ -3,15 +3,13 @@
 Kernels take and return numpy int64 arrays with entries in [0, l); only
 `_eliminate`'s working copy is narrower.  They reduce nothing themselves:
 data is reduced once, with `asfield`, where it enters (group-ring
-matrices and elements, modules, maps and complexes built with validation,
-`submodule_span`, `quotient_module`, `HomologyData.chain_of_class` and
-the certificate and text readers).  All routines are deterministic:
+matrices and elements, `quotient_module`, `HomologyData.chain_of_class`
+and the certificate and text readers).  All routines are deterministic:
 pivots are the first nonzero entry in column order, scanning top down.
 
 One Gaussian elimination loop serves every kernel; the only choice is
 which rows a pivot clears.  `pivot_columns` clears the rows below it,
-and `rank`, `column_space_basis`, `complete_basis` and `QuotientSpace`
-read only the pivots that forward elimination finds; `rref` clears every
+and `rank`, `complete_basis` and `QuotientSpace` read only the pivots that forward elimination finds; `rref` clears every
 other row, for the three kernels that read the reduced form,
 `kernel_basis`, `solve_matrix` and `canonical_columns`.  Products go
 through `matmul`.
@@ -153,11 +151,6 @@ def kernel_basis(A, l: int) -> np.ndarray:
     K[free, np.arange(free.size)] = 1
     K[pivots] = (-R[:len(pivots), free]) % l
     return K
-
-
-def column_space_basis(A, l: int) -> np.ndarray:
-    """The pivot columns of A (a deterministic basis of the image)."""
-    return A[:, pivot_columns(A, l)]
 
 
 def canonical_columns(A, l: int) -> np.ndarray:

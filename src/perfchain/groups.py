@@ -49,6 +49,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(l: int) -> None:
+    """Refuse an l that is not a prime below MAX_PRIME: LimitError at
+    l >= MAX_PRIME, then NotAnLGroupError."""
+    if l >= MAX_PRIME:
+        raise LimitError(f"prime {l} is not below {MAX_PRIME}")
+    if not _is_prime(l):
+        raise NotAnLGroupError(f"{l} is not prime")
+
+
 def _is_power_of(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
@@ -96,10 +105,7 @@ class GroupTable:
         for s in generators:
             if not np.array_equal(mult[mult[:, s], :], mult[:, mult[s, :]]):
                 raise NotAGroupError("multiplication table is not associative")
-        if prime_l >= MAX_PRIME:
-            raise LimitError(f"prime {prime_l} is not below {MAX_PRIME}")
-        if not _is_prime(prime_l):
-            raise NotAnLGroupError(f"{prime_l} is not prime")
+        check_prime(prime_l)
         if not _is_power_of(order, prime_l):
             raise NotAnLGroupError(f"order {order} is not a power of {prime_l}")
 
@@ -353,29 +359,34 @@ def is_unit(a: GroupRingElement, G: GroupTable) -> bool:
     return augmentation(a) != 0
 
 
-def ga_inverse(a: GroupRingElement, G: GroupTable) -> GroupRingElement:
-    """Two-sided inverse of a unit, by repeated squaring.
+def ga_inverse(a, G: GroupTable):
+    """Two-sided inverse of a unit element a, or of square (k, k, order)
+    group-ring data a whose augmentation is invertible over F_l (else
+    NotAUnitError); an element gives an element and data gives data.
 
-    Write a = alpha (1 - n) with alpha = augmentation(a) and n in the
-    radical.  Then (1 - n)^-1 = (1 + n)(1 + n^2)(1 + n^4)..., which stops
-    once n^(2^k) = 0; the radical's nilpotency index is at most |pi|, so
-    that takes at most about log2 |pi| squarings.
+    Newton's iteration X <- X (2I - a X) = X + X (I - a X) from the lift
+    of the augmentation's inverse: the residual I - a X starts in the
+    radical and each step squares it, so it vanishes once 2^steps reaches
+    the radical's nilpotency index, which is at most |pi|.
     """
-    _check_element(a, G)
+    element = isinstance(a, GroupRingElement)
+    if element:
+        _check_element(a, G)
+    A = a.coeffs[None, None] if element else a
     l = G.prime_l
-    alpha = augmentation(a)
-    if alpha == 0:
-        raise NotAUnitError("element has augmentation zero")
-    alpha_inv = pow(alpha, l - 2, l)
-    n = ga_one(G) - GroupRingElement(a.coeffs * alpha_inv, l)
-    acc = ga_one(G) + n
-    power = n
-    for _ in range(G.order.bit_length()):
-        power = ga_mul(power, power, G)     # n^(2^k)
-        if power.is_zero():
-            return GroupRingElement(acc.coeffs * alpha_inv, l)
-        acc = acc + ga_mul(acc, power, G)   # acc (1 + n^(2^k))
-    raise AssertionError("radical powers failed to vanish")
+    k = A.shape[0]
+    eps_inv = flinalg.solve_matrix(A.sum(axis=2) % l, flinalg.identity(k, l), l)
+    if eps_inv is None:
+        raise NotAUnitError("augmentation is not invertible")
+    one = GroupRingMatrix.identity(G, k).data
+    X = np.zeros_like(one)
+    X[..., G.identity] = eps_inv
+    for _ in range(G.order.bit_length() + 1):
+        residual = (one - ga_compose(A, X, G)) % l
+        if not residual.any():
+            return GroupRingElement(X[0, 0], l) if element else X
+        X = (X + ga_compose(X, residual, G)) % l
+    raise AssertionError("Newton's iteration failed to converge")
 
 
 # ----------------------------------------------------------------------

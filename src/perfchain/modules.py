@@ -2,9 +2,11 @@
 
 A module stores the action of each generator in S once, in the form
 chosen when it is built: a basis permutation as its index pair, applied
-by a gather, and any other action as its reduced matrix.  Checks,
-radicals and induced actions read only those; no per-element matrix is
-kept.
+by a gather, and any other action as its reduced matrix.  Radicals,
+orbits and induced actions read only those; no per-element matrix is
+kept.  The package's constructions give actions and equivariant maps by
+construction, so modules and maps are built with shape checks only; the
+Cayley-walk and equivariance checks are test oracles.
 
 Every predicate here reduces to exact finite linear algebra.  The freeness
 test uses the minimal-cover criterion, valid because F_l[pi] is local:
@@ -29,14 +31,9 @@ class PiModule:
     cols), with rho @ V == V[rows] and V @ rho == V[..., cols], and any
     other action as its dim x dim matrix.  `gens` gives matrices, and a
     matrix that permutes the basis is stored as its pair; the package's
-    own builders give pairs directly.  With validate=False the arrays are
-    kept as given (made read-only, not copied): the caller hands over
-    reduced int64 arrays it no longer writes.
-
-    Validation walks the Cayley graph to rho(g) for every g and checks
-    rho(g) @ rho(s) == rho(gs) for g in pi and s in the group's
-    generators, which gives the same for every pair of elements (and so
-    forces invertibility).
+    own builders give pairs directly.  The arrays are kept as given (made
+    read-only, not copied): the caller hands over reduced int64 arrays it
+    no longer writes, forming an action.  Only shapes are checked.
 
     Every product with a generator goes through `act`, and every reader
     that needs a generator's matrix gets it from `matrix`.
@@ -44,12 +41,10 @@ class PiModule:
 
     __slots__ = ("group", "dim", "gens")
 
-    def __init__(self, group: GroupTable, dim: int, gens, validate: bool = True):
-        l = group.prime_l
+    def __init__(self, group: GroupTable, dim: int, gens):
         stored = []
         for rho in gens:
             if not isinstance(rho, tuple):
-                rho = flinalg.asfield(rho, l) if validate else rho
                 if rho.shape != (dim, dim):
                     raise DimensionMismatchError("action matrix shape mismatch")
                 rho = _permutation(rho) or rho
@@ -61,14 +56,6 @@ class PiModule:
         self.group = group
         self.dim = int(dim)
         self.gens = tuple(stored)
-        if validate:
-            # By induction on the word length of h = h's (s in S), the check gives
-            # rho(g) rho(h) = rho(g) rho(h') rho(s) = rho(gh') rho(s) = rho(gh).
-            stacked = np.stack(orbit(self, flinalg.identity(dim, l)))
-            for i, s in enumerate(group.generators):
-                if not np.array_equal(self.act(i, stacked, right=True),
-                                      stacked[group.mult[:, s]]):
-                    raise DimensionMismatchError("action is not a homomorphism")
 
     def act(self, i: int, V, right: bool = False) -> np.ndarray:
         """gens[i] @ V, or V @ gens[i] with right=True, mod l, for V reduced
@@ -149,9 +136,8 @@ def orbit_columns(M: PiModule, V) -> np.ndarray:
 
 class PiModuleMap:
     """An F_l-linear map between PiModules, equivariant by its caller's
-    construction (`is_equivariant` checks it).  The matrix is kept as
-    given (made read-only, not copied): the caller hands over a reduced
-    int64 array."""
+    construction.  The matrix is kept as given (made read-only, not
+    copied): the caller hands over a reduced int64 array."""
 
     __slots__ = ("source", "target", "matrix")
 
@@ -171,16 +157,6 @@ class PiModuleMap:
         return f"PiModuleMap({self.source.dim} -> {self.target.dim})"
 
 
-def is_equivariant(source: PiModule, target: PiModule, matrix) -> bool:
-    """Does matrix: source -> target commute with the action?
-
-    Checked on the generators only: commuting with rho(g) and rho(h)
-    means commuting with rho(g) rho(h) = rho(gh).
-    """
-    return all(np.array_equal(target.act(i, matrix), source.act(i, matrix, right=True))
-               for i in range(len(source.gens)))
-
-
 def induced_action(M: PiModule, V, solve) -> PiModule:
     """The action of M on an invariant subspace or subquotient with basis
     the columns of V; `solve(B)` gives the unique coordinates of the
@@ -197,7 +173,7 @@ def induced_action(M: PiModule, V, solve) -> PiModule:
         raise AssertionError("subspace is not action-invariant")
     # copied out, so the module does not keep the solver's work array alive
     gens = [block.copy() for block in np.hsplit(X, len(M.gens))]
-    return PiModule(G, k, gens, validate=False)
+    return PiModule(G, k, gens)
 
 
 def zero_module(G: GroupTable) -> PiModule:
@@ -206,7 +182,7 @@ def zero_module(G: GroupTable) -> PiModule:
 
 def trivial_module(G: GroupTable, dim: int = 1) -> PiModule:
     fixed = np.arange(dim)
-    return PiModule(G, dim, [(fixed, fixed)] * len(G.generators), validate=False)
+    return PiModule(G, dim, [(fixed, fixed)] * len(G.generators))
 
 
 def regular_module(G: GroupTable, rank: int) -> PiModule:
@@ -217,7 +193,7 @@ def regular_module(G: GroupTable, rank: int) -> PiModule:
     base = np.repeat(np.arange(rank) * G.order, G.order)
     gens = [(base + np.tile(G.ldiv[s], rank), base + np.tile(G.mult[s], rank))
             for s in G.generators]
-    return PiModule(G, rank * G.order, gens, validate=False)
+    return PiModule(G, rank * G.order, gens)
 
 
 def direct_sum_modules(*mods: PiModule) -> PiModule:
@@ -241,7 +217,7 @@ def direct_sum_modules(*mods: PiModule) -> PiModule:
             for m, off in zip(mods, offs):
                 rho[off:off + m.dim, off:off + m.dim] = m.matrix(i)
         gens.append(rho)
-    return PiModule(G, dim, gens, validate=False)
+    return PiModule(G, dim, gens)
 
 
 def _radical_span(M: PiModule) -> np.ndarray:
@@ -302,21 +278,6 @@ def is_free(M: PiModule) -> tuple[bool, int | None]:
 def is_projective(M: PiModule) -> bool:
     """Projective == free over F_l[pi]; same verdict as is_free."""
     return is_free(M)[0]
-
-
-def submodule_span(M: PiModule, vectors) -> np.ndarray:
-    """Basis of the submodule generated by the given columns.
-
-    One pass over the orbit suffices because the action matrices form a
-    group.
-    """
-    l = M.group.prime_l
-    V = flinalg.asfield(vectors, l)
-    if V.ndim == 1:
-        V = V[:, None]
-    if V.shape[1] == 0:
-        return np.zeros((M.dim, 0), dtype=np.int64)
-    return flinalg.column_space_basis(np.hstack(orbit(M, V)), l)
 
 
 def quotient_module(M: PiModule, sub_basis) -> tuple[PiModule, PiModuleMap]:

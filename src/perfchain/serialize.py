@@ -388,6 +388,6 @@ def module_map_from_json(obj: dict, source: ChainComplex,
     gens = _json_components(
         obj, lambda q: (source.group.prime_l, target.dim_at(q), source.rank_at(q)))
     comps = {q: orbit_columns(target.module_at(q), V) for q, V in gens.items()}
-    f = ModuleComplexMap(source.expanded(), target, comps, validate=False)
+    f = ModuleComplexMap(source.expanded(), target, comps)
     f.check_commutes()
     return f

@@ -32,7 +32,7 @@ from . import flinalg
 from .chains import ChainComplex, ModuleComplex
 from .errors import DimensionMismatchError, GroupMismatchError, HorizonExhaustedError
 from .finiteness import PerfectnessVerdict, decide_perfect
-from .groups import GroupRingMatrix, ga_compose, grm_compose
+from .groups import GroupRingMatrix, ga_compose, ga_inverse, grm_compose
 from .modules import induced_action
 
 
@@ -154,7 +154,7 @@ def limit_complex(T: Tower, horizon: int, level: int = 0,
         # argmax refuses a 0 x 0 basis, which has no rows to read anyway
         rows = (V != 0).argmax(axis=0) if V.size else []
         mods.append(induced_action(E.module_at(q), V, lambda B: B[rows]))
-    return ModuleComplex(G, base.bottom, mods, diffs, validate=False)
+    return ModuleComplex(G, base.bottom, mods, diffs)
 
 
 @dataclass
@@ -174,24 +174,6 @@ class FreeLimit:
     inverses: dict = field(repr=False)
 
 
-def _inverse(A: np.ndarray, eps_inv: np.ndarray, G) -> np.ndarray:
-    """A^-1 for square group-ring data A whose augmentation has the
-    inverse eps_inv, by Newton's iteration X <- X (2I - A X) =
-    X + X (I - A X) from the lift of eps_inv.  The residual I - A X starts
-    in the radical and each step squares it, so it vanishes once 2^steps
-    reaches the radical's nilpotency index, which is at most |pi|."""
-    l = G.prime_l
-    one = GroupRingMatrix.identity(G, A.shape[0]).data
-    X = np.zeros_like(one)
-    X[..., G.identity] = eps_inv
-    for _ in range(G.order.bit_length() + 1):
-        residual = (one - ga_compose(A, X, G)) % l
-        if not residual.any():
-            return X
-        X = (X + ga_compose(X, residual, G)) % l
-    raise AssertionError("Newton's iteration failed to converge")
-
-
 def _free_image(prev: GroupRingMatrix, M: GroupRingMatrix):
     """(B, pr, A^-1) when im M = im prev is free on B = M[:, pc], else None.
 
@@ -207,8 +189,7 @@ def _free_image(prev: GroupRingMatrix, M: GroupRingMatrix):
     eps = M.augmentation_matrix()
     pc, pr = flinalg.pivot_columns(eps, l), flinalg.pivot_columns(eps.T, l)
     B = M.data[:, pc]
-    Ainv = _inverse(B[pr], flinalg.solve_matrix(eps[np.ix_(pr, pc)],
-                                                flinalg.identity(len(pc), l), l), G)
+    Ainv = ga_inverse(B[pr], G)
     BAinv = ga_compose(B, Ainv, G)
     if any(not np.array_equal(ga_compose(BAinv, N[pr], G), N) for N in (M.data, prev.data)):
         return None

@@ -25,10 +25,15 @@ from perfchain import (
 )
 from perfchain import certificates, flinalg, serialize
 from perfchain.abelian import Lattice, SNFResult, integer_kernel_columns
-from perfchain.errors import DimensionMismatchError, LimitError, ParseError
+from perfchain.errors import (
+    BoundarySquareNonzeroError,
+    DimensionMismatchError,
+    LimitError,
+    ParseError,
+)
 from perfchain.finiteness import decide_perfect
 from perfchain.groups import MAX_FREE_DIM, grm_compose
-from perfchain.modules import PiModule, PiModuleMap, is_equivariant
+from perfchain.modules import PiModule, PiModuleMap, orbit
 from perfchain.serialize import json_field, json_field_array
 
 
@@ -352,6 +357,31 @@ def action_is_homomorphism_brute(M) -> bool:
                for g in range(G.order) for h in range(G.order))
 
 
+def check_action(M: PiModule) -> PiModule:
+    """M, after checking that its generators give an action: the walk of
+    the Cayley graph to rho(g) for every g, and rho(g) @ rho(s) ==
+    rho(gs) for g in pi and s in the group's generators, else
+    DimensionMismatchError.  By induction on the word length of h = h's
+    (s in S) this gives rho(g) rho(h) = rho(g) rho(h') rho(s) =
+    rho(gh') rho(s) = rho(gh) for every pair, and so invertibility."""
+    G = M.group
+    stacked = np.stack(orbit(M, flinalg.identity(M.dim, G.prime_l)))
+    for i, s in enumerate(G.generators):
+        if not np.array_equal(M.act(i, stacked, right=True), stacked[G.mult[:, s]]):
+            raise DimensionMismatchError("action is not a homomorphism")
+    return M
+
+
+def is_equivariant(source, target, matrix) -> bool:
+    """Does matrix: source -> target commute with the action?
+
+    Checked on the generators only: commuting with rho(g) and rho(h)
+    means commuting with rho(g) rho(h) = rho(gh).
+    """
+    return all(np.array_equal(target.act(i, matrix), source.act(i, matrix, right=True))
+               for i in range(len(source.gens)))
+
+
 def is_equivariant_brute(source, target, matrix) -> bool:
     """matrix @ rho_source(g) == rho_target(g) @ matrix for every g."""
     l = source.group.prime_l
@@ -367,6 +397,31 @@ def equivariant_map(source, target, matrix) -> PiModuleMap:
     assert is_equivariant(source, target, matrix)
     assert is_equivariant_brute(source, target, matrix)
     return PiModuleMap(source, target, matrix)
+
+
+def check_module_complex(MC):
+    """The ModuleComplex MC, after checking that every differential is
+    equivariant (DimensionMismatchError) and that d o d = 0
+    (BoundarySquareNonzeroError)."""
+    l = MC.group.prime_l
+    for i, d in enumerate(MC.diffs):
+        if not is_equivariant(MC.modules[i + 1], MC.modules[i], d):
+            raise DimensionMismatchError("differential is not equivariant")
+    for q in range(MC.bottom + 2, MC.top + 1):
+        if flinalg.matmul(MC.diff_at(q - 1), MC.diff_at(q), l).any():
+            raise BoundarySquareNonzeroError(f"d_{q - 1} o d_{q} != 0")
+    return MC
+
+
+def check_module_map(f):
+    """The ModuleComplexMap f, after checking that every component is
+    equivariant (DimensionMismatchError) and that f commutes with the
+    differentials (`check_commutes`)."""
+    for q, m in f.components.items():
+        if not is_equivariant(f.source.module_at(q), f.target.module_at(q), m):
+            raise DimensionMismatchError("map component not equivariant")
+    f.check_commutes()
+    return f
 
 
 def right_multiplication_matrix(G: GroupTable, rng) -> np.ndarray:
@@ -421,7 +476,27 @@ def radical_basis(M) -> np.ndarray:
     eye = flinalg.identity(M.dim, l)
     blocks = [np.zeros((M.dim, 0), dtype=np.int64)]
     blocks += [(M.matrix(i) - eye) % l for i in range(len(M.gens))]
-    return flinalg.column_space_basis(np.hstack(blocks), l)
+    return column_space_basis(np.hstack(blocks), l)
+
+
+def column_space_basis(A, l: int) -> np.ndarray:
+    """The pivot columns of A (a deterministic basis of the image)."""
+    return A[:, flinalg.pivot_columns(A, l)]
+
+
+def submodule_span(M: PiModule, vectors) -> np.ndarray:
+    """Basis of the submodule generated by the given columns.
+
+    One pass over the orbit suffices because the action matrices form a
+    group.
+    """
+    l = M.group.prime_l
+    V = flinalg.asfield(vectors, l)
+    if V.ndim == 1:
+        V = V[:, None]
+    if V.shape[1] == 0:
+        return np.zeros((M.dim, 0), dtype=np.int64)
+    return column_space_basis(np.hstack(orbit(M, V)), l)
 
 
 def has_equivariant_section(f) -> bool:
@@ -723,9 +798,7 @@ def cert_as_v2(cert: dict, G: GroupTable | None) -> str:
 
 def module_from_json(obj: dict, G: GroupTable) -> PiModule:
     """The module of `serialize.module_to_json`.  Its shape and entries are
-    checked first (ParseError); then the action is built on every element
-    by a Cayley walk and checked through the group table, rho(g) rho(s) =
-    rho(gs) for g in pi and s in S."""
+    checked first (ParseError); then its action by `check_action`."""
     d, gens = json_field(obj, "dim"), json_field(obj, "gens")
     if type(d) is not int or d < 0:
         raise ParseError("module dim is not an integer >= 0")
@@ -733,8 +806,8 @@ def module_from_json(obj: dict, G: GroupTable) -> PiModule:
         raise LimitError(f"module dim {d} exceeds {MAX_FREE_DIM}")
     if not isinstance(gens, list) or len(gens) != len(G.generators):
         raise ParseError(f"module needs {len(G.generators)} generator matrices")
-    return PiModule(G, d, gens=[json_field_array(a, "generator matrix", G.prime_l, d, d)
-                                for a in gens])
+    return check_action(PiModule(
+        G, d, [json_field_array(a, "generator matrix", G.prime_l, d, d) for a in gens]))
 
 
 def cert_as_v3(cert: dict) -> str:

@@ -19,6 +19,8 @@ from perfchain import (
     smith_normal_form,
 )
 from perfchain.abelian import Lattice, _preimage, integer_kernel_columns, mat_mul
+from perfchain.errors import LimitError, NotAnLGroupError
+from perfchain.groups import MAX_PRIME
 from perfchain.certificates import _check_snf_witness, _int_det
 
 from conftest import preimage_lattice_reference, smith_normal_form_reference
@@ -155,6 +157,30 @@ def test_l_complete_examples():
     assert l_complete(FGAbelian.from_invariants(1), 3) == FGZlModule(3, 1, ())
     assert l_complete(FGAbelian.from_invariants(0, [6]), 3) == FGZlModule(3, 0, (3,))
     assert l_complete(FGAbelian.from_invariants(0, [4]), 3).is_zero()
+
+
+def test_l_adic_paths_refuse_an_l_that_is_not_prime():
+    """l_complete, check_exactness and Lattice.contains over Z_l refuse an
+    l that is not a prime below MAX_PRIME before any arithmetic, with the
+    group side's errors in its order: l = 0 used to divide by zero and
+    l = 4 to give Z/4 for Z/8.  l = 1, which looped forever in the
+    l-part, is tested in a fresh process with a timeout (test_cli)."""
+    A = FGAbelian.from_invariants(1, [8])
+    Z = FGAbelian.from_invariants(1)
+    ident = FGAbelianMap(Z, Z, [[1]])
+    to_zero = FGAbelianMap(Z, FGAbelian.from_invariants(0), [])
+    L = Lattice([[2, 0], [0, 3]])
+    for l in (-2, 0, 4, 6, MAX_PRIME + 1):
+        error = LimitError if l >= MAX_PRIME else NotAnLGroupError
+        with pytest.raises(error):
+            l_complete(A, l)
+        with pytest.raises(error):
+            check_exactness(ident, to_zero, l)
+        with pytest.raises(error):
+            L.contains([1, 0], l)
+    with pytest.raises(LimitError):
+        l_complete(A, MAX_PRIME)
+    assert L.contains([1, 0], 3) and str(l_complete(A, 2)) == "Z_2 + Z/8"
 
 
 def test_l_complete_additive(rng):

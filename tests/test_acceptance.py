@@ -41,7 +41,6 @@ from perfchain import (
     regular_module,
 )
 from perfchain.cli import main
-from perfchain.modules import submodule_span
 from perfchain.serialize import read_complex, read_tower, write_complex, write_tower
 
 from conftest import (
@@ -53,6 +52,7 @@ from conftest import (
     pad_with_identity_cones,
     random_minimal_complex,
     random_stabilizing_tower,
+    submodule_span,
     three_group_zoo,
     two_group_zoo,
 )

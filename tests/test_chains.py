@@ -33,6 +33,8 @@ from perfchain.chains import GradedComplex, module_mapping_cone
 
 from conftest import (
     SMALL_GROUPS,
+    check_module_complex,
+    check_module_map,
     compose_chain_maps,
     conjugate_complex,
     first_generator_projection,
@@ -427,7 +429,8 @@ def test_chain_map_check_matches_full_expansion():
 def test_differential_and_map_checks_on_generators_match_all_elements():
     """An equivariant map of free modules is fixed by its values on the
     basis h e; changing it at any h is rejected as a differential and as a
-    chain-map component, in agreement with the all-elements scan."""
+    chain-map component by the oracles, in agreement with the all-elements
+    scan; and an equivariant d with d o d != 0 is rejected too."""
     rng = random.Random(53)
     for name, G in two_group_zoo() + three_group_zoo():
         if G.order == 1:
@@ -435,23 +438,26 @@ def test_differential_and_map_checks_on_generators_match_all_elements():
         R = regular_module(G, 1)
         point = ModuleComplex(G, 0, [R], [])
         f = right_multiplication_matrix(G, rng)
-        ModuleComplex(G, 0, [R, R], [f])
-        ModuleComplexMap(point, point, {0: f})
+        check_module_complex(ModuleComplex(G, 0, [R, R], [f]))
+        check_module_map(ModuleComplexMap(point, point, {0: f}))
+        eye = flinalg.identity(R.dim, G.prime_l)
+        with pytest.raises(BoundarySquareNonzeroError):
+            check_module_complex(ModuleComplex(G, 0, [R, R, R], [eye, eye]))
         for h in range(G.order):
             bad = f.copy()
             bad[0, h] = (bad[0, h] + 1) % G.prime_l
             assert not is_equivariant_brute(R, R, bad), (name, h)
             with pytest.raises(DimensionMismatchError):
-                ModuleComplex(G, 0, [R, R], [bad])
+                check_module_complex(ModuleComplex(G, 0, [R, R], [bad]))
             with pytest.raises(DimensionMismatchError):
-                ModuleComplexMap(point, point, {0: bad})
+                check_module_map(ModuleComplexMap(point, point, {0: bad}))
         if len(G.generators) > 1:
             P = first_generator_projection(G)
             assert not is_equivariant_brute(R, R, P), name
             with pytest.raises(DimensionMismatchError):
-                ModuleComplex(G, 0, [R, R], [P])
+                check_module_complex(ModuleComplex(G, 0, [R, R], [P]))
             with pytest.raises(DimensionMismatchError):
-                ModuleComplexMap(point, point, {0: P})
+                check_module_map(ModuleComplexMap(point, point, {0: P}))
 
 
 def test_homology_action_matches_per_element_solve(rng):

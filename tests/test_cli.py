@@ -616,6 +616,38 @@ def test_completion_certificate_with_prime_one_is_a_parse_error(capsys, tmp_path
     assert code == 2 and err.startswith("error[E_PARSE]")
 
 
+def test_completion_certificate_with_a_composite_prime_is_refused(capsys, tmp_path):
+    """A v4 completion certificate of Z/8 with prime 4 and the verdict
+    that counting factors of 4 gives (Z/4) is refused as E_NOT_L_GROUP,
+    as `complete --l 4` is, and not found valid."""
+    path = tmp_path / "m.txt"
+    path.write_text("8\n")
+    cert_path = tmp_path / "c.json"
+    main(["complete", "--presentation", str(path), "--l", "2", "--cert", str(cert_path)])
+    cert = json.loads(cert_path.read_text())
+    assert cert["format"] == "perfchain-cert-v4"
+    cert["input"]["prime"] = 4
+    cert["verdict"]["torsion"] = [4]
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert (code, out, err) == (2, "", "error[E_NOT_L_GROUP]: 4 is not prime\n")
+
+
+@pytest.mark.parametrize("l, group", [("0", "Z/2"), ("1", "Z/2"), ("4", "Z/8"), ("-2", "Z/8")])
+def test_complete_with_an_l_that_is_not_prime_is_a_coded_error(l, group):
+    """`complete` refuses an l that is not prime before any arithmetic, as
+    `lens 4 1 2` does: E_NOT_L_GROUP with exit 2, not a hang (l = 1), a
+    ZeroDivisionError traceback (l = 0) or a wrong module (l = 4, -2).
+    Each runs in a fresh process with a timeout, so a hang fails."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(perfchain.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-m", "perfchain.cli", "complete", "--l", l, "--group", group],
+        env=env, capture_output=True, text=True, check=False, timeout=60)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr == f"error[E_NOT_L_GROUP]: {l} is not prime\n"
+
+
 def test_completion_certificate_bound_to_its_input(capsys, tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("2 4\n6 8\n")

@@ -25,11 +25,13 @@ from perfchain import (
     wall_class,
     zero_complex,
 )
+from perfchain import flinalg
 from perfchain.chains import module_mapping_cone
 from perfchain.finiteness import _approximate
 from perfchain.modules import PiModule, direct_sum_modules
 
-from conftest import SMALL_GROUPS, conjugate_complex, heisenberg_27, pad_with_identity_cones, \
+from conftest import SMALL_GROUPS, check_action, check_module_complex, check_module_map, \
+    conjugate_complex, heisenberg_27, is_equivariant_brute, pad_with_identity_cones, \
     random_minimal_complex, random_stabilizing_tower, three_group_zoo, two_group_zoo
 
 
@@ -139,7 +141,7 @@ def test_verdict_choice_independence(rng):
             assert a.top_obstruction.dim == b.top_obstruction.dim
             assert is_free(a.top_obstruction) == is_free(b.top_obstruction)
             assert a.replacement.ranks == b.replacement.ranks
-            assert is_quasi_iso(b.witness)
+            assert is_quasi_iso(check_module_map(b.witness))
             witnesses_differ |= any(
                 not np.array_equal(m, perms[q - MC.bottom].T @ b.witness.component_at(q))
                 for q, m in a.witness.components.items())
@@ -161,10 +163,10 @@ def permute_basis(MC, rng):
     G = MC.group
     perms = [np.eye(M.dim, dtype=np.int64)[:, rng.sample(range(M.dim), M.dim)]
              for M in MC.modules]
-    mods = [PiModule(G, M.dim, [P @ M.matrix(i) @ P.T for i in range(len(M.gens))])
+    mods = [check_action(PiModule(G, M.dim, [P @ M.matrix(i) @ P.T for i in range(len(M.gens))]))
             for P, M in zip(perms, MC.modules)]
     diffs = [perms[i] @ d @ perms[i + 1].T for i, d in enumerate(MC.diffs)]
-    return ModuleComplex(G, MC.bottom, mods, diffs), perms
+    return check_module_complex(ModuleComplex(G, MC.bottom, mods, diffs)), perms
 
 
 def with_trivial_summand_on_top(MC):
@@ -174,7 +176,7 @@ def with_trivial_summand_on_top(MC):
     mods = MC.modules[:-1] + [direct_sum_modules(MC.modules[-1], trivial_module(G))]
     diffs = MC.diffs[:-1] + [np.hstack([MC.diffs[-1], np.zeros((MC.modules[-2].dim, 1),
                                                                dtype=np.int64)])]
-    return ModuleComplex(G, MC.bottom, mods, diffs)
+    return check_module_complex(ModuleComplex(G, MC.bottom, mods, diffs))
 
 
 def pad_and_scramble(G, rng):
@@ -244,7 +246,7 @@ def test_wall_class_examples():
 def test_acyclic_module_complex_is_perfect():
     G = SMALL_GROUPS["C3"]
     R = trivial_module(G, 2)
-    MC = ModuleComplex(G, 0, [R, R], [np.eye(2, dtype=int)])
+    MC = check_module_complex(ModuleComplex(G, 0, [R, R], [np.eye(2, dtype=np.int64)]))
     v = decide_perfect(MC)
     assert v.perfect and v.euler_class == 0 and v.replacement.ranks == []
 
@@ -257,9 +259,32 @@ def test_module_complex_witness_is_quasi_iso():
     MC = C.expanded()
     v = decide_perfect(MC)
     assert v.perfect
-    assert module_mapping_cone(v.witness).is_acyclic()
+    assert module_mapping_cone(check_module_map(v.witness)).is_acyclic()
     assert is_quasi_iso(v.witness)
     assert euler_characteristic(v.replacement) == v.euler_class
+
+
+def test_module_route_witnesses_pass_the_oracles_across_the_zoo(rng):
+    """The module route builds its witness unchecked.  Over the group zoo,
+    on conjugated expanded free complexes, acyclic trivial-module
+    complexes and tower limits, every positive verdict's witness has
+    components equivariant on every element, commutes with d and is a
+    quasi-isomorphism, and the euler class is that of the input's core."""
+    for name, G in two_group_zoo() + three_group_zoo():
+        C, core = pad_and_scramble(G, rng)
+        R = trivial_module(G, rng.randint(1, 2))
+        acyclic = ModuleComplex(G, 0, [R, R], [flinalg.identity(R.dim, G.prime_l)])
+        T, tower_core = random_stabilizing_tower(G, rng, n_levels=3)
+        for MC, euler in ((C.expanded(), euler_characteristic(core)), (acyclic, 0),
+                          (limit_complex(T, 2), euler_characteristic(tower_core))):
+            v = decide_perfect(MC)
+            assert v.perfect and v.euler_class == euler, name
+            f = v.witness
+            for q, m in f.components.items():
+                assert is_equivariant_brute(f.source.module_at(q), f.target.module_at(q), m), \
+                    (name, q)
+            f.check_commutes()
+            assert is_quasi_iso(f), name
 
 
 def test_free_decision_at_order_512_stays_in_memory():

@@ -7,7 +7,7 @@ import pytest
 
 from perfchain import flinalg
 
-from conftest import batched_rank, eliminate_reference, rref_reference
+from conftest import batched_rank, column_space_basis, eliminate_reference, rref_reference
 
 
 def test_rank_at_a_large_prime_allocates_little():
@@ -59,7 +59,7 @@ def test_rref_and_rank_agree_with_the_oracles(l):
     """rref matches Gauss-Jordan on whole rows in R and in pivots; forward
     elimination finds the same pivots, its rank matches the batched rank,
     and the column bases read those pivots.  QuotientSpace's one pass
-    picks the bases of the two-pass column_space_basis + complete_basis."""
+    picks the bases of the two passes pivot_columns + complete_basis."""
     for A in seeded_matrices(l):
         R, pivots = flinalg.rref(A, l)
         R_ref, pivots_ref = rref_reference(A, l)
@@ -67,13 +67,12 @@ def test_rref_and_rank_agree_with_the_oracles(l):
         assert R.dtype == np.int64 and np.array_equal(R, R_ref)
         assert flinalg.pivot_columns(A, l) == pivots_ref
         assert flinalg.rank(A, l) == len(pivots) == batched_rank(A[None], l)[0]
-        assert np.array_equal(flinalg.column_space_basis(A, l), A[:, pivots_ref])
         # A as [W V]: V's columns that complete W are its pivots in A
         a = A.shape[1] // 2
         chosen = [c for c in pivots_ref if c >= a]
         assert np.array_equal(flinalg.complete_basis(A[:, :a], A[:, a:], l), A[:, chosen])
         quo = flinalg.QuotientSpace(A[:, a:], A[:, :a], l)
-        sub = flinalg.column_space_basis(A[:, :a], l)
+        sub = column_space_basis(A[:, :a], l)
         assert np.array_equal(quo.sub, sub)
         assert np.array_equal(quo.reps, flinalg.complete_basis(sub, A[:, a:], l))
         assert quo.dim == quo.reps.shape[1]
@@ -165,7 +164,6 @@ def test_every_kernel_returns_int64(l):
     results = {
         "rref": flinalg.rref(A, l)[0],
         "kernel_basis": flinalg.kernel_basis(A, l),
-        "column_space_basis": flinalg.column_space_basis(A, l),
         "complete_basis": flinalg.complete_basis(W, U, l),
         "canonical_columns": flinalg.canonical_columns(A, l),
         "solve_matrix": flinalg.solve_matrix(A, A[:, :3], l),

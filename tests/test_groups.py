@@ -222,12 +222,16 @@ def test_ga_inverse_examples():
     assert ga_inverse(elt([1, 1, 0], 3), C3) == elt([2, 1, 2], 3)
     with pytest.raises(NotAUnitError):
         ga_inverse(elt([1, 1], 2), SMALL_GROUPS["C2"])
+    # [[1, 1], [1, 1]] over F_3[C_3]: the augmentation matrix is singular
+    with pytest.raises(NotAUnitError):
+        ga_inverse(np.ones((2, 2, 1), dtype=np.int64) * np.array([1, 0, 0]), C3)
 
 
 def test_ga_inverse_matches_geometric_series():
-    """Repeated squaring gives the inverse that the geometric series gives,
-    on random units and on generators g (where n = 1 - g has nilpotency
-    index the order of g), over the zoos and cyclic:729."""
+    """Newton's iteration gives the inverse that the geometric series
+    gives, on random units and on generators g (where n = 1 - g has
+    nilpotency index the order of g), over the zoos and cyclic:729, for
+    an element and for the same unit as 1 x 1 group-ring data."""
     rng = random.Random(47)
     C729 = build_group("cyclic:729", 3)
     for name, G in two_group_zoo() + three_group_zoo() + [("C729", C729)]:
@@ -238,6 +242,7 @@ def test_ga_inverse_matches_geometric_series():
             a = elt(u, G.prime_l)
             expected = ga_inverse_series_reference(u, G)
             assert np.array_equal(ga_inverse(a, G).coeffs, expected), name
+            assert np.array_equal(ga_inverse(a.coeffs[None, None], G)[0, 0], expected), name
             assert ga_mul(a, elt(expected, G.prime_l), G) == ga_one(G), name
 
 

@@ -25,18 +25,18 @@ from perfchain import flinalg
 from perfchain.modules import (
     direct_sum_modules,
     induced_action,
-    is_equivariant,
     minimal_generator_lifts,
     orbit,
     orbit_columns,
-    submodule_span,
 )
 
 from conftest import (
     SMALL_GROUPS,
     action_is_homomorphism_brute,
+    check_action,
     equivariant_map,
     has_equivariant_section,
+    is_equivariant,
     is_equivariant_brute,
     first_generator_projection,
     module_action,
@@ -45,6 +45,7 @@ from conftest import (
     regular_action_matrices,
     right_multiplication_matrix,
     rref_reference,
+    submodule_span,
     three_group_zoo,
     two_group_zoo,
 )
@@ -65,19 +66,20 @@ def test_regular_module_c3_rank2():
     G = SMALL_GROUPS["C3"]
     M = regular_module(G, 2)
     assert M.dim == 6
-    # block-diagonal 3-cycles; constructor validates the action axioms
+    # block-diagonal 3-cycles
     expected = np.zeros((6, 6), dtype=int)
     for i in range(2):
         for s in range(3):
             expected[i * 3 + (s + 1) % 3, i * 3 + s] = 1
     assert np.array_equal(module_action(M)[1], expected)
-    PiModule(G, 6, [M.matrix(0)])  # re-validate explicitly
+    check_action(PiModule(G, 6, [M.matrix(0)]))
 
 
 def test_action_axioms_enforced():
     G = SMALL_GROUPS["C2"]
     with pytest.raises(DimensionMismatchError):
-        PiModule(G, 2, [np.array([[1, 1], [1, 0]])])  # square is not the identity
+        # square is not the identity
+        check_action(PiModule(G, 2, [np.array([[1, 1], [1, 0]])]))
 
 
 def test_minimal_generators_examples():
@@ -87,8 +89,7 @@ def test_minimal_generators_examples():
     # submodule spanned by 1+t inside F_2[C_2]
     R = regular_module(C2, 1)
     W = submodule_span(R, np.array([[1], [1]]))
-    sub = PiModule(C2, 1, [np.eye(1, dtype=int)])
-    del sub
+    check_action(PiModule(C2, 1, [np.eye(1, dtype=np.int64)]))
     assert W.shape[1] == 1
     Q, _ = quotient_module(R, W)
     assert minimal_generators(Q) == 1
@@ -222,14 +223,13 @@ def test_action_check_on_generators_matches_all_pairs():
     for name, G in ZOO:
         M = direct_sum_modules(regular_module(G, 1), trivial_module(G))
         assert action_is_homomorphism_brute(M), name
-        PiModule(G, M.dim, [M.matrix(i) for i in range(len(M.gens))])
+        check_action(PiModule(G, M.dim, [M.matrix(i) for i in range(len(M.gens))]))
         for i in range(len(M.gens)):
             for entry in ((0, 0), (-1, -1)):
-                gens = _perturbed_at(M, i, entry)
-                bad = PiModule(G, M.dim, gens, validate=False)
+                bad = PiModule(G, M.dim, _perturbed_at(M, i, entry))
                 assert not action_is_homomorphism_brute(bad), (name, i, entry)
                 with pytest.raises(DimensionMismatchError):
-                    PiModule(G, M.dim, gens)
+                    check_action(bad)
 
 
 def test_map_check_on_generators_matches_all_elements():
@@ -270,9 +270,10 @@ def test_action_check_uses_every_generator(spec, l):
     Q = np.array([[0, 1], [1, 1]]) if l == 2 else np.array([[2]])
     powers = [np.linalg.matrix_power(Q, j) % l for j in range(n)]
     gens = [powers[s // (G.order // n)] for s in G.generators]
-    assert not action_is_homomorphism_brute(PiModule(G, len(Q), gens, validate=False))
+    M = PiModule(G, len(Q), gens)
+    assert not action_is_homomorphism_brute(M)
     with pytest.raises(DimensionMismatchError):
-        PiModule(G, len(Q), gens)
+        check_action(M)
 
 
 def test_induced_action_matches_per_element_solve_for_kernels_and_quotients():
@@ -340,7 +341,7 @@ def test_generator_modules_materialize_the_dense_actions():
         M = direct_sum_modules(regular_module(G, 1), trivial_module(G, 2), regular_module(G, 2))
         expected = _dense_sum(regular_action_matrices(G, 1), eye, regular_action_matrices(G, 2))
         assert _same(module_action(M), expected), name
-        assert M == PiModule(G, M.dim, [expected[s] for s in G.generators]), name
+        assert M == check_action(PiModule(G, M.dim, [expected[s] for s in G.generators])), name
 
 
 def test_induced_action_on_a_direct_sum_matches_per_element_solve():
@@ -368,7 +369,7 @@ def test_orbit_matches_dense_products():
     for name, G in two_group_zoo():
         l = G.prime_l
         dense = _dense_sum(regular_action_matrices(G, 1), regular_action_matrices(G, 2))
-        M = PiModule(G, 3 * G.order, [dense[s] for s in G.generators])
+        M = check_action(PiModule(G, 3 * G.order, [dense[s] for s in G.generators]))
         V = np.array([[rng.randrange(l) for _ in range(2)] for _ in range(M.dim)])
         assert _same(orbit(M, V), [(a @ V) % l for a in dense]), name
 
@@ -380,12 +381,12 @@ def test_free_cover_matches_per_element_loop():
     for name, G in two_group_zoo():
         l, o = G.prime_l, G.order
         regular = regular_action_matrices(G, 2)
-        R = PiModule(G, 2 * o, [regular[s] for s in G.generators])
+        R = check_action(PiModule(G, 2 * o, [regular[s] for s in G.generators]))
         vec = np.array([[rng.randrange(l)] for _ in range(R.dim)])
         W = submodule_span(R, vec)
         quo = flinalg.QuotientSpace(flinalg.identity(R.dim, l), W, l)
         dense = [quo.project((a @ quo.reps) % l) for a in regular]
-        for Q in (PiModule(G, quo.dim, [dense[s] for s in G.generators]),
+        for Q in (check_action(PiModule(G, quo.dim, [dense[s] for s in G.generators])),
                   quotient_module(R, W)[0]):
             lifts = minimal_generator_lifts(Q)
             expected = np.zeros((Q.dim, lifts.shape[1] * o), dtype=np.int64)
@@ -396,9 +397,9 @@ def test_free_cover_matches_per_element_loop():
 
 
 def test_internal_constructors_hand_over_reduced_read_only_generators():
-    """Modules built inside the package skip the reducing copy in
-    PiModule, so each constructor must hand over reduced, read-only int64
-    generator matrices, or read-only int64 index pairs of a permutation."""
+    """PiModule keeps the generators it is given, with no reducing copy,
+    so each constructor must hand over reduced, read-only int64 generator
+    matrices, or read-only int64 index pairs of a permutation."""
     rng = random.Random(67)
     for name, G in ZOO:
         l = G.prime_l
@@ -436,17 +437,16 @@ def test_act_matches_dense_products_on_both_sides():
         R2 = regular_module(G, 2)
         sums = direct_sum_modules(regular_module(G, 1), trivial_module(G, 2), R2)
         shuffle = np.eye(R2.dim, dtype=np.int64)[rng.permutation(R2.dim)]
-        given = PiModule(G, R2.dim, [shuffle @ R2.matrix(i) @ shuffle.T
-                                     for i in range(len(R2.gens))])
+        given = check_action(PiModule(G, R2.dim, [shuffle @ R2.matrix(i) @ shuffle.T
+                                                  for i in range(len(R2.gens))]))
         mods = [regular_module(G, 1), R2, sums, trivial_module(G, 3), zero_module(G), given]
         if G.generators and l > 2:
             # n nonzero entries but not all 1: not a permutation
-            mods.append(PiModule(G, 2, gens=[2 * np.eye(2, dtype=np.int64)] * len(G.generators),
-                                 validate=False))
+            mods.append(PiModule(G, 2, gens=[2 * np.eye(2, dtype=np.int64)] * len(G.generators)))
         if G.generators:
             # n ones, two in one column
             fake = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0]])
-            mods.append(PiModule(G, 3, gens=[fake] * len(G.generators), validate=False))
+            mods.append(PiModule(G, 3, gens=[fake] * len(G.generators)))
         for M in mods:
             V = rng.integers(0, l, (M.dim, 5))
             W = rng.integers(0, l, (3, M.dim))
@@ -498,7 +498,7 @@ def test_regular_modules_check_and_induce_without_products(monkeypatch):
 
 
 def test_pivot_kernels_build_no_reduced_form(monkeypatch):
-    """rank, column_space_basis, complete_basis, minimal_generator_lifts
+    """rank, pivot_columns, complete_basis, minimal_generator_lifts
     and is_free read their pivots from forward elimination: with
     flinalg.rref and a reduced elimination refused they still pick the
     pivots of the Gauss-Jordan oracle, on regular modules, a regular
@@ -532,7 +532,7 @@ def test_pivot_kernels_build_no_reduced_form(monkeypatch):
                           + [(M.matrix(i) - eye) % l for i in range(len(M.gens))])
         pivots = rref_reference(spans, l)[1]
         assert flinalg.rank(spans, l) == len(pivots), name
-        assert np.array_equal(flinalg.column_space_basis(spans, l), spans[:, pivots]), name
+        assert flinalg.pivot_columns(spans, l) == pivots, name
         rad = radical_basis(M)
         assert np.array_equal(rad, spans[:, pivots]), name
         r = rad.shape[1]

@@ -31,3 +31,32 @@ def test_every_private_helper_is_used():
                 used[node.name] += 1
     unused = [d for d in defined if not used[d.rsplit(":", 1)[1]]]
     assert not unused, f"private helpers with no use: {unused}"
+
+
+def test_every_public_name_is_used_or_exported():
+    """Every public top-level function or class is referred to somewhere in
+    src/perfchain outside its own definition: by name, as an attribute or
+    in an import, which covers the exports of perfchain/__init__.py.
+    Code that only tests call belongs in tests/."""
+    defined = []
+    used = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = top.name
+                if not own.startswith("_"):
+                    defined.append(f"{path.name}:{top.lineno}:{own}")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    used[name] += 1
+    unused = [d for d in defined if not used[d.rsplit(":", 1)[1]]]
+    assert not unused, f"public names with no use outside their definition: {unused}"

@@ -24,7 +24,7 @@ from perfchain import (
     pro_decide_perfect,
     stable_images,
 )
-from perfchain import certificates, chains, flinalg, modules
+from perfchain import certificates, chains, flinalg
 from perfchain.chains import direct_sum
 from perfchain.groups import grm_compose
 from perfchain.modules import free_cover, orbit_columns, regular_module
@@ -402,17 +402,17 @@ def test_limit_action_matches_per_element_solve(rng):
 def test_limit_complex_solves_and_re_checks_nothing(rng, monkeypatch):
     """Limit coordinates are read off the pivot rows of canonical bases,
     and the stable-image subcomplex, which holds by construction, is not
-    validated again: over the group zoo, with the solver and the
-    equivariance and d o d checks made to raise, every limit is built
+    validated again: over the group zoo, with the solver, the d o d
+    check and the chain-map check made to raise, every limit is built
     with the dims of the tower's core."""
     def refuse(*args):
         raise AssertionError("limit_complex solved or re-checked")
 
     zoo = [(name, G, random_stabilizing_tower(G, rng, n_levels=3), norm_tower(G, 3))
            for name, G in two_group_zoo() + three_group_zoo()]
-    for module, attr in ((flinalg, "solve_matrix"), (modules, "is_equivariant"),
-                         (chains, "is_equivariant"), (chains, "_check_d_squared")):
-        monkeypatch.setattr(module, attr, refuse)
+    for owner, attr in ((flinalg, "solve_matrix"), (chains, "_check_d_squared"),
+                        (chains.ModuleComplexMap, "check_commutes")):
+        monkeypatch.setattr(owner, attr, refuse)
     for name, G, (T, core), norm in zoo:
         lim = limit_complex(T, 2)
         assert [lim.dim_at(q) for q in range(core.bottom, core.top + 1)] == \
