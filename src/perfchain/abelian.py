@@ -260,7 +260,7 @@ class Lattice:
 def _l_part(d: int, l: int) -> int:
     d = abs(d)
     out = 1
-    while d % l == 0:
+    while d and d % l == 0:
         d //= l
         out *= l
     return out
@@ -371,7 +371,7 @@ class FGAbelian:
 class FGAbelianMap:
     """A homomorphism given by an integer matrix on generators."""
 
-    def __init__(self, source: FGAbelian, target: FGAbelian, matrix, validate: bool = True):
+    def __init__(self, source: FGAbelian, target: FGAbelian, matrix):
         matrix = [list(map(int, row)) for row in matrix]
         if len(matrix) != target.n or any(len(r) != source.n for r in matrix):
             raise DimensionMismatchError(
@@ -380,7 +380,7 @@ class FGAbelianMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if validate and not _within(mat_mul(matrix, source.relations), target.lattice, None):
+        if not _within(mat_mul(matrix, source.relations), target.lattice, None):
             raise DimensionMismatchError("matrix does not send relations into relations")
 
     def __repr__(self):
@@ -397,6 +397,7 @@ class FGZlModule:
     torsion: tuple
 
     def __post_init__(self):
+        check_prime(self.prime)
         for t in self.torsion:
             if t <= 1 or _l_part(t, self.prime) != t:
                 raise DimensionMismatchError(f"torsion order {t} is not an l-power > 1")

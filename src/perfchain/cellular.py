@@ -20,7 +20,7 @@ class EquivariantCellComplex:
     """Orbit counts per dimension plus boundary matrices of representatives.
 
     boundaries[q-1] expresses the degree-q representatives in terms of the
-    degree-(q-1) ones; d o d = 0 is checked when the chain complex is built.
+    degree-(q-1) ones; d o d = 0 is checked by `chains_of_cover`.
     """
 
     def __init__(self, group: GroupTable, orbit_counts, boundaries):
@@ -51,8 +51,8 @@ class EquivariantCellComplex:
 
 def chains_of_cover(X: EquivariantCellComplex) -> ChainComplex:
     """The F_l[pi]-chain complex of the cover: rank = orbit count per
-    degree, boundaries as given."""
-    return ChainComplex(X.group, 0, X.orbit_counts, X.boundaries)
+    degree, boundaries as given, checked for d o d = 0."""
+    return ChainComplex(X.group, 0, X.orbit_counts, X.boundaries).check_d_squared()
 
 
 def lens_complex(l: int, k: int, n: int) -> EquivariantCellComplex:

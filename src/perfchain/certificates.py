@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from . import flinalg, serialize
-from .abelian import FGAbelian, SNFResult, mat_mul
+from .abelian import FGAbelian, SNFResult, _l_part, mat_mul
 from .chains import ChainComplex, ChainMap, euler_characteristic, is_quasi_iso
 from .errors import LimitError, ParseError, PerfchainError
 from .finiteness import PerfectnessVerdict, decide_perfect
@@ -406,16 +406,7 @@ def check_completion(cert: dict) -> None:
     _check_snf_witness(rel, _snf_witness(rel, cert))
     diag = cert["witness"]["diag"]
     rank = n - sum(1 for d in diag if d)
-    torsion = []
-    for d in diag:
-        p = 1
-        d = abs(d)
-        while d and d % l == 0:
-            d //= l
-            p *= l
-        if p > 1:
-            torsion.append(p)
-    torsion.sort(reverse=True)
+    torsion = sorted((p for p in (_l_part(d, l) for d in diag) if p > 1), reverse=True)
     if rank != cert["verdict"]["rank"] or torsion != list(cert["verdict"]["torsion"]):
         raise VerificationFailure("completion does not match the Smith data")
 

@@ -16,11 +16,12 @@ acyclicity over the residue field F_l instead (`ChainComplex.is_acyclic`),
 from its augmented boundaries, which are rank x rank matrices.  Both
 kinds also share one chain-map check and one cone formula: free
 complexes and maps compose group-ring data (`ga_compose`) and never
-expand it, and module maps compose F_l matrices.  Free complexes and
-maps are checked (d o d = 0, commutation) unless built with
-validate=False.  Module complexes and maps are kept as given, since the
-package builds them equivariant with d o d = 0; a module map read from
-a certificate is checked for commutation (`check_commutes`).
+expand it, and module maps compose F_l matrices.  Constructors check
+shapes only.  The mathematics is checked where outside data enters: a
+reader runs `ChainComplex.check_d_squared` on each free complex it reads
+and `check_commutes` on each chain map, free or module.  What the package
+builds itself (cones, `minimalize`, Wall's approximation, tower limits)
+is correct by construction and is not checked again.
 
 Degrees are homological (d lowers degree) with an explicit bottom degree;
 negative degrees are fine.
@@ -133,24 +134,6 @@ class ModuleComplex(GradedComplex):
         return self.homology_data(q).module
 
 
-def _field_compose(l: int):
-    """Composite (second after first) of F_l matrices."""
-    return lambda second, first: flinalg.matmul(second, first, l)
-
-
-def _ring_compose(G: GroupTable):
-    """Composite (second after first) of group-ring data over G."""
-    return lambda second, first: ga_compose(second, first, G)
-
-
-def _check_d_squared(C, diff_at, compose) -> None:
-    """d_{q-1} o d_q = 0 in every degree, with d_q = `diff_at(q)` and the
-    composite taken by `compose(second, first)`."""
-    for q in range(C.bottom + 2, C.top + 1):
-        if compose(diff_at(q - 1), diff_at(q)).any():
-            raise BoundarySquareNonzeroError(f"d_{q - 1} o d_{q} != 0")
-
-
 def _degrees(*parts) -> range:
     """Degrees C.bottom + lo .. C.top + hi, lowest to highest, over the parts
     (C, lo, hi) with C nonempty (an empty complex's bottom is nominal)."""
@@ -218,10 +201,13 @@ class ModuleComplexMap:
             return self.components[q]
         return np.zeros((self.target.dim_at(q), self.source.dim_at(q)), dtype=np.int64)
 
-    def check_commutes(self) -> None:
-        """d f_q = f_{q-1} d in every degree, else DimensionMismatchError."""
+    def check_commutes(self) -> "ModuleComplexMap":
+        """This map, after checking d f_q = f_{q-1} d in every degree
+        (DimensionMismatchError)."""
+        l = self.source.group.prime_l
         _check_commutes(self, self.component_at, lambda C, q: C.diff_at(q),
-                        _field_compose(self.source.group.prime_l))
+                        lambda second, first: flinalg.matmul(second, first, l))
+        return self
 
 
 def module_mapping_cone(f: ModuleComplexMap) -> ModuleComplex:
@@ -248,15 +234,14 @@ def check_ranks(group: GroupTable, ranks) -> None:
 
 class ChainComplex(GradedComplex):
     """Bounded complex of free modules F_l[pi]^rank with group-ring
-    boundary matrices; d o d = 0 is checked on the group-ring data at
-    construction unless validate=False.
+    boundary matrices.  The constructor checks ranks, groups and shapes;
+    a reader of outside data checks d o d = 0 by `check_d_squared`.
 
     Leading and trailing zero ranks are trimmed, so equal complexes
     compare equal regardless of padding.
     """
 
-    def __init__(self, group: GroupTable, bottom: int, ranks, boundaries,
-                 validate: bool = True):
+    def __init__(self, group: GroupTable, bottom: int, ranks, boundaries):
         ranks = [int(r) for r in ranks]
         boundaries = list(boundaries)
         check_ranks(group, ranks)
@@ -286,8 +271,15 @@ class ChainComplex(GradedComplex):
         self.ranks = ranks
         self.boundaries = boundaries
         self._diff_ranks: dict[int, int] = {}
-        if validate:
-            _check_d_squared(self, lambda q: self.boundary_at(q).data, _ring_compose(group))
+
+    def check_d_squared(self) -> "ChainComplex":
+        """This complex, after checking d_{q-1} o d_q = 0 in every degree on
+        the group-ring data (BoundarySquareNonzeroError)."""
+        for q in range(self.bottom + 2, self.top + 1):
+            if ga_compose(self.boundary_at(q - 1).data, self.boundary_at(q).data,
+                          self.group).any():
+                raise BoundarySquareNonzeroError(f"d_{q - 1} o d_{q} != 0")
+        return self
 
     @property
     def top(self) -> int:
@@ -364,10 +356,11 @@ def zero_complex(G: GroupTable) -> ChainComplex:
 
 
 class ChainMap:
-    """A chain map of free complexes, one group-ring matrix per degree."""
+    """A chain map of free complexes, one group-ring matrix per degree.
+    The constructor checks groups and shapes; a reader of outside data
+    checks commutation by `check_commutes`."""
 
-    def __init__(self, source: ChainComplex, target: ChainComplex, components,
-                 validate: bool = True):
+    def __init__(self, source: ChainComplex, target: ChainComplex, components):
         if source.group != target.group:
             raise GroupMismatchError("chain map between different groups")
         comps = {}
@@ -384,8 +377,6 @@ class ChainMap:
         self.source = source
         self.target = target
         self.components = comps
-        if validate:
-            self._validate()
 
     def component_at(self, q: int) -> GroupRingMatrix:
         if q in self.components:
@@ -393,9 +384,14 @@ class ChainMap:
         return GroupRingMatrix.zeros(self.source.group, self.target.rank_at(q),
                                      self.source.rank_at(q))
 
-    def _validate(self):
+    def check_commutes(self) -> "ChainMap":
+        """This map, after checking d f_q = f_{q-1} d in every degree on the
+        group-ring data (DimensionMismatchError)."""
+        G = self.source.group
         _check_commutes(self, lambda q: self.component_at(q).data,
-                        lambda C, q: C.boundary_at(q).data, _ring_compose(self.source.group))
+                        lambda C, q: C.boundary_at(q).data,
+                        lambda second, first: ga_compose(second, first, G))
+        return self
 
     def expanded(self) -> ModuleComplexMap:
         comps = {q: m.expand() for q, m in self.components.items()}
@@ -408,7 +404,7 @@ class ChainMap:
 def identity_chain_map(C: ChainComplex) -> ChainMap:
     comps = {C.bottom + i: GroupRingMatrix.identity(C.group, r)
              for i, r in enumerate(C.ranks) if r}
-    return ChainMap(C, C, comps, validate=False)
+    return ChainMap(C, C, comps)
 
 
 # ----------------------------------------------------------------------
@@ -451,9 +447,8 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone of f with degree-q piece source_{q-1} (+) target_q and
     differential (s, t) -> (-d s, f(s) + d t).
 
-    Its d o d is [[d_S d_S, 0], [d_T f - f d_S, d_T d_T]], zero once the
-    source, target and chain-map checks have passed, so the cone is
-    built without a second check."""
+    Its d o d is [[d_S d_S, 0], [d_T f - f d_S, d_T d_T]], zero when S and
+    T are complexes and f is a chain map, so the cone is built unchecked."""
     S, T = f.source, f.target
     G = S.group
     degrees = _degrees((S, 1, 1), (T, 0, 0))
@@ -462,7 +457,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
                                                  f.component_at(q - 1).data,
                                                  T.boundary_at(q).data, G.prime_l))
                   for q in degrees[1:]]
-    return ChainComplex(G, degrees.start, ranks, boundaries, validate=False)
+    return ChainComplex(G, degrees.start, ranks, boundaries)
 
 
 def is_quasi_iso(f) -> bool:

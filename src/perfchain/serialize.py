@@ -154,7 +154,7 @@ def _parse_complex_body(cur: _Cursor, G: GroupTable) -> ChainComplex:
         boundaries[i] = _parse_matrix(cur, G, ranks[i - 1], ranks[i])
     mats = [boundaries[i] if i in boundaries else GroupRingMatrix.zeros(G, ranks[i - 1], ranks[i])
             for i in range(1, len(ranks))]
-    return ChainComplex(G, bottom, ranks, mats)
+    return ChainComplex(G, bottom, ranks, mats).check_d_squared()
 
 
 def read_complex(text: str) -> ChainComplex:
@@ -213,7 +213,7 @@ def read_tower(text: str) -> Tower:
             if q in comps:
                 raise ParseError(f"repeated block {line!r}", lineno)
             comps[q] = _parse_matrix(cur, G, tgt.rank_at(q), src.rank_at(q))
-        bonds.append(ChainMap(src, tgt, comps))
+        bonds.append(ChainMap(src, tgt, comps).check_commutes())
     if cur.peek() is not None:
         raise ParseError(f"trailing content: {cur.peek()!r}", cur.lineno())
     return Tower(levels, bonds)
@@ -266,7 +266,7 @@ def _json_header(obj) -> tuple[GroupTable, int]:
 
 def complex_from_json(obj: dict) -> ChainComplex:
     """The complex of `complex_to_json`; every field is checked (ParseError)
-    before any array is built."""
+    before any array is built, and d o d = 0 once it is."""
     G, bottom = _json_header(obj)
     ranks, bnds = json_field(obj, "ranks"), json_field(obj, "boundaries")
     if not isinstance(ranks, list) or any(type(r) is not int or r < 0 for r in ranks):
@@ -276,7 +276,7 @@ def complex_from_json(obj: dict) -> ChainComplex:
     boundaries = [GroupRingMatrix(G, json_field_array(b, f"boundary {i}", G.prime_l,
                                                       ranks[i], ranks[i + 1], G.order))
                   for i, b in enumerate(bnds)]
-    return ChainComplex(G, bottom, ranks, boundaries)
+    return ChainComplex(G, bottom, ranks, boundaries).check_d_squared()
 
 
 def chain_map_to_json(f: ChainMap) -> dict:
@@ -298,10 +298,13 @@ def _json_components(obj, shape_at) -> dict:
 
 
 def chain_map_from_json(obj: dict, source: ChainComplex, target: ChainComplex) -> ChainMap:
+    """The map source -> target of `chain_map_to_json`, checked to commute
+    with the differentials."""
     G = source.group
     comps = _json_components(
         obj, lambda q: (G.prime_l, target.rank_at(q), source.rank_at(q), G.order))
-    return ChainMap(source, target, {q: GroupRingMatrix(G, m) for q, m in comps.items()})
+    comps = {q: GroupRingMatrix(G, m) for q, m in comps.items()}
+    return ChainMap(source, target, comps).check_commutes()
 
 
 def json_field(obj, key: str):
@@ -388,6 +391,4 @@ def module_map_from_json(obj: dict, source: ChainComplex,
     gens = _json_components(
         obj, lambda q: (source.group.prime_l, target.dim_at(q), source.rank_at(q)))
     comps = {q: orbit_columns(target.module_at(q), V) for q, V in gens.items()}
-    f = ModuleComplexMap(source.expanded(), target, comps)
-    f.check_commutes()
-    return f
+    return ModuleComplexMap(source.expanded(), target, comps).check_commutes()

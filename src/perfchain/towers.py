@@ -2,7 +2,7 @@
 
 Every level has finite total dimension, so images of the bonding maps
 into a fixed level can only shrink and must eventually stabilize; the
-limit is realized as the stable-image subcomplex at the chosen level.
+limit is realized as the stable-image subcomplex at level 0.
 Non-stabilization within the supplied prefix is reported as an error,
 never extrapolated.
 
@@ -123,27 +123,26 @@ def stable_images(T: Tower, q: int, n: int, h: int, composites=None) -> StableIm
                         stable_at if stable_at < h else None)
 
 
-def limit_complex(T: Tower, horizon: int, level: int = 0,
-                  composites=None) -> ModuleComplex:
+def limit_complex(T: Tower, horizon: int, composites=None) -> ModuleComplex:
     """The levelwise inverse limit, realized as the stable-image
-    subcomplex at the given level.
+    subcomplex at level 0.
 
     Requires the images to have stabilized at every degree within the
     horizon; otherwise HorizonExhaustedError is raised.  A canonical basis
     V is I at its pivot rows `rows`, so a generator acts by (rho V)[rows]
     and d_q is d_q[rows_{q-1}] V.  The images, a pi-invariant subcomplex by
-    construction, are not validated again; certificate checkers recompute them.
+    construction, are not checked again; certificate checkers recompute them.
     `composites` maps a degree to the composite bonds already built for it
     (see `free_limit`); each is used once and dropped.
     """
     G = T.group
-    base = T.levels[level]
+    base = T.levels[0]
     E = base.expanded()
     composites = {} if composites is None else composites
     mods, diffs = [], []
     rows = None
     for q in range(base.bottom, base.top + 1):
-        si = stable_images(T, q, level, horizon, composites.pop(q, None))
+        si = stable_images(T, q, 0, horizon, composites.pop(q, None))
         if not si.stabilized:
             raise HorizonExhaustedError(
                 f"degree {q}: image not stabilized by horizon {horizon}"
@@ -224,8 +223,7 @@ def free_limit(T: Tower, horizon: int, composites=None) -> FreeLimit | None:
             dB = ga_compose(base.boundary_at(q).data[rows[q - 1]], bases[q].data, G)
             diffs.append(GroupRingMatrix(G, ga_compose(inverses[q - 1].data, dB, G)))
         ranks.append(bases[q].cols)
-    return FreeLimit(ChainComplex(G, base.bottom, ranks, diffs, validate=False),
-                     bases, rows, inverses)
+    return FreeLimit(ChainComplex(G, base.bottom, ranks, diffs), bases, rows, inverses)
 
 
 def decided_limit(T: Tower, horizon: int):

@@ -420,8 +420,7 @@ def check_module_map(f):
     for q, m in f.components.items():
         if not is_equivariant(f.source.module_at(q), f.target.module_at(q), m):
             raise DimensionMismatchError("map component not equivariant")
-    f.check_commutes()
-    return f
+    return f.check_commutes()
 
 
 def right_multiplication_matrix(G: GroupTable, rng) -> np.ndarray:
@@ -859,8 +858,8 @@ def radical_entry(G: GroupTable, rng, parity: int) -> np.ndarray:
 def random_minimal_complex(G: GroupTable, rng, max_degrees: int = 4,
                            max_rank: int = 3) -> ChainComplex:
     """A random minimal complex: diagonal boundary slots alternate between
-    the norm element and elements g - 1, so d o d = 0 and every entry has
-    augmentation zero."""
+    the norm element and elements g - 1, so d o d = 0 (checked) and every
+    entry has augmentation zero."""
     n_deg = rng.randint(1, max_degrees)
     bottom = rng.randint(-2, 2)
     ranks = [rng.randint(1, max_rank) for _ in range(n_deg)]
@@ -872,7 +871,7 @@ def random_minimal_complex(G: GroupTable, rng, max_degrees: int = 4,
                 if rng.random() < 0.7:
                     data[s, s] = radical_entry(G, rng, (bottom + i) % 2)
         boundaries.append(GroupRingMatrix(G, data))
-    return ChainComplex(G, bottom, ranks, boundaries)
+    return ChainComplex(G, bottom, ranks, boundaries).check_d_squared()
 
 
 def pad_with_identity_cones(C: ChainComplex, rng, count: int) -> ChainComplex:
@@ -925,7 +924,8 @@ def random_invertible(G: GroupTable, n: int, rng,
 
 
 def conjugate_complex(C: ChainComplex, rng) -> ChainComplex:
-    """A complex isomorphic to C via random basis changes in every degree."""
+    """A complex isomorphic to C via random basis changes in every degree,
+    checked for d o d = 0."""
     G = C.group
     Ws = {}
     for q in range(C.bottom, C.top + 1):
@@ -939,7 +939,7 @@ def conjugate_complex(C: ChainComplex, rng) -> ChainComplex:
         if Ws[q - 1] is not None:
             d = grm_compose(Ws[q - 1][1], d)
         boundaries.append(d)
-    return ChainComplex(G, C.bottom, C.ranks, boundaries)
+    return ChainComplex(G, C.bottom, C.ranks, boundaries).check_d_squared()
 
 
 def random_perfect_instance(G: GroupTable, rng):
@@ -953,7 +953,8 @@ def random_perfect_instance(G: GroupTable, rng):
 def cone_junk_with_map(core: ChainComplex, rng, q: int | None = None,
                        r: int | None = None):
     """An acyclic junk complex J = cone(identity) of rank r in degrees q and
-    q + 1 plus a chain map J -> core; q and r are drawn when not given."""
+    q + 1 plus a chain map J -> core, checked to commute; q and r are drawn
+    when not given."""
     G = core.group
     q = rng.randint(core.bottom - 1, core.top) if q is None else q
     r = rng.randint(1, 2) if r is None else r
@@ -969,7 +970,7 @@ def cone_junk_with_map(core: ChainComplex, rng, q: int | None = None,
         lower = grm_compose(core.boundary_at(q + 1), phi)
         if core.rank_at(q) and not lower.is_zero():
             comps[q] = lower
-    theta = ChainMap(J, core, comps)
+    theta = ChainMap(J, core, comps).check_commutes()
     return J, theta
 
 
@@ -984,7 +985,7 @@ def compose_chain_maps(second: ChainMap, first: ChainMap) -> ChainMap:
         m = grm_compose(second.component_at(q), first.component_at(q))
         if m.rows and m.cols and not m.is_zero():
             comps[q] = m
-    return ChainMap(first.source, second.target, comps, validate=False)
+    return ChainMap(first.source, second.target, comps)
 
 
 def induced_map_on_homology(f, q: int) -> PiModuleMap:
@@ -1019,7 +1020,7 @@ def constant_tower(C: ChainComplex, n_levels: int) -> Tower:
 
 def kill_tower(core: ChainComplex, junk: ChainComplex, n_levels: int) -> Tower:
     """Constant levels core (+) junk whose bonds are the identity on the
-    core and zero on the junk."""
+    core and zero on the junk (checked to commute)."""
     G = core.group
     level = direct_sum(core, junk)
     comps = {}
@@ -1029,14 +1030,15 @@ def kill_tower(core: ChainComplex, junk: ChainComplex, n_levels: int) -> Tower:
             data[:core.rank_at(q), :core.rank_at(q)] = GroupRingMatrix.identity(
                 G, core.rank_at(q)).data
             comps[q] = GroupRingMatrix(G, data)
-    bond = ChainMap(level, level, comps)
+    bond = ChainMap(level, level, comps).check_commutes()
     return Tower([level] * n_levels, [bond] * (n_levels - 1))
 
 
 def fold_tower(core: ChainComplex, junk: ChainComplex, theta: ChainMap,
                n_levels: int) -> Tower:
     """Constant levels core (+) junk whose bonds are the identity on the
-    core and fold the junk into it by the chain map theta: junk -> core."""
+    core and fold the junk into it by the chain map theta: junk -> core
+    (checked to commute)."""
     G = core.group
     level = direct_sum(core, junk)
     comps = {}
@@ -1051,7 +1053,7 @@ def fold_tower(core: ChainComplex, junk: ChainComplex, theta: ChainMap,
         if rc and rj:
             data[:rc, rc:] = th.data
         comps[q] = GroupRingMatrix(G, data)
-    bond = ChainMap(level, level, comps)
+    bond = ChainMap(level, level, comps).check_commutes()
     return Tower([level] * n_levels, [bond] * (n_levels - 1))
 
 
@@ -1063,7 +1065,7 @@ def random_stabilizing_tower(G: GroupTable, rng, n_levels: int = 5):
     if style == 0:
         # junk with homology, killed outright
         junk = random_minimal_complex(G, rng, max_degrees=2, max_rank=2)
-        junk = ChainComplex(G, core.bottom, junk.ranks, junk.boundaries)
+        junk = ChainComplex(G, core.bottom, junk.ranks, junk.boundaries).check_d_squared()
         return kill_tower(core, junk, n_levels), core
     if style == 1:
         # contractible junk folded into the core by a chain map

@@ -1,7 +1,10 @@
 """Integer Smith normal form, l-completion, and completed exactness."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +21,8 @@ from perfchain import (
     l_complete,
     smith_normal_form,
 )
-from perfchain.abelian import Lattice, _preimage, integer_kernel_columns, mat_mul
+import perfchain
+from perfchain.abelian import Lattice, _l_part, _preimage, integer_kernel_columns, mat_mul
 from perfchain.errors import LimitError, NotAnLGroupError
 from perfchain.groups import MAX_PRIME
 from perfchain.certificates import _check_snf_witness, _int_det
@@ -181,6 +185,34 @@ def test_l_adic_paths_refuse_an_l_that_is_not_prime():
     with pytest.raises(LimitError):
         l_complete(A, MAX_PRIME)
     assert L.contains([1, 0], 3) and str(l_complete(A, 2)) == "Z_2 + Z/8"
+
+
+@pytest.mark.parametrize("prime, rank, torsion, error", [
+    (0, 0, (2,), NotAnLGroupError), (4, 1, (4,), NotAnLGroupError),
+    (-2, 1, (), NotAnLGroupError), (MAX_PRIME, 0, (), LimitError)])
+def test_zl_module_refuses_a_prime_that_is_not_prime(prime, rank, torsion, error):
+    """FGZlModule checks its prime (`check_prime`) before its torsion:
+    prime 0 used to divide by zero, and prime 4 to print Z_4 + Z/4."""
+    with pytest.raises(error):
+        FGZlModule(prime, rank, torsion)
+
+
+def test_zl_module_with_prime_one_is_refused_not_a_hang():
+    """Prime 1 used to loop forever in the l-part of its torsion; it runs
+    in a fresh process with a timeout, so a hang fails."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(perfchain.__file__))}
+    code = "from perfchain import FGZlModule\nFGZlModule(1, 0, (2,))\n"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=False, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.rstrip().endswith("NotAnLGroupError: 1 is not prime"), done.stderr
+
+
+def test_l_part_of_zero_is_one():
+    """Every integer divides 0, so the loop needs its guard; the l-part of
+    d is the largest power of l dividing |d|."""
+    assert _l_part(0, 2) == 1
+    assert [_l_part(d, 3) for d in (1, -9, 18, 54, 7)] == [1, 9, 9, 27, 1]
 
 
 def test_l_complete_additive(rng):

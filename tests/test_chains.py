@@ -17,6 +17,7 @@ from perfchain import (
     ModuleComplexMap,
     PiModule,
     build_group,
+    decide_perfect,
     direct_sum,
     euler_characteristic,
     homology,
@@ -88,7 +89,7 @@ def test_d_squared_rejected():
         d2 = GroupRingMatrix(G, np.array([[[rng.randrange(2), rng.randrange(2)]
                                            for _ in range(2)] for _ in range(2)]))
         try:
-            ChainComplex(G, 0, [2, 2, 2], [d1, d2])
+            ChainComplex(G, 0, [2, 2, 2], [d1, d2]).check_d_squared()
         except BoundarySquareNonzeroError:
             rejected += 1
     assert rejected > 30  # random pairs overwhelmingly violate d*d = 0
@@ -247,18 +248,38 @@ def test_residue_field_acyclicity_matches_expanded_ranks():
     assert (len(verdicts), verdicts.count(False)) == (1152, 756)
 
 
-def test_cone_skips_the_d_squared_check():
-    """validate=False, which mapping_cone uses because the chain-map check
-    already makes the cone's d o d zero, skips the d o d check and no
-    other."""
+def test_cone_skips_the_d_squared_check(rng, monkeypatch):
+    """Constructors check shapes and not the mathematics, and what the
+    package builds is not checked again: with `check_d_squared` and
+    `ChainMap.check_commutes` made to raise, mapping_cone, minimalize,
+    direct_sum, identity_chain_map and decide_perfect on free complexes
+    all run.  A complex with d o d != 0 is refused by `check_d_squared`
+    alone, and a shape error still at construction."""
     G = SMALL_GROUPS["C3"]
     t = GroupRingMatrix.from_entries(G, [[[0, 1, 0]]])
-    with pytest.raises(BoundarySquareNonzeroError):
-        ChainComplex(G, 0, [1, 1, 1], [t, t])
-    C = ChainComplex(G, 0, [1, 1, 1], [t, t], validate=False)
+    C = ChainComplex(G, 0, [1, 1, 1], [t, t])
     assert C.ranks == [1, 1, 1]
+    with pytest.raises(BoundarySquareNonzeroError):
+        C.check_d_squared()
     with pytest.raises(DimensionMismatchError):
-        ChainComplex(G, 0, [1, 2], [t], validate=False)
+        ChainComplex(G, 0, [1, 2], [t])
+
+    inputs = [conjugate_complex(pad_with_identity_cones(random_minimal_complex(H, rng),
+                                                        rng, 2), rng)
+              for H in (SMALL_GROUPS["C4"], SMALL_GROUPS["C2xC2"], heisenberg_27())]
+
+    def refuse(self):
+        raise AssertionError("a construction checked its own output")
+
+    monkeypatch.setattr(ChainComplex, "check_d_squared", refuse)
+    monkeypatch.setattr(ChainMap, "check_commutes", refuse)
+    for D in inputs:
+        minimal, witness = minimalize(D)
+        assert is_quasi_iso(witness)
+        padded = direct_sum(D, mapping_cone(identity_chain_map(D)))
+        verdict = decide_perfect(padded)
+        assert verdict.perfect and verdict.replacement.ranks == minimal.ranks
+        assert is_quasi_iso(verdict.witness)
 
 
 def test_free_acyclicity_builds_no_module(rng, monkeypatch):
@@ -345,8 +366,8 @@ def test_chain_map_validation():
     G = SMALL_GROUPS["C2"]
     C = lens_like(G, 2)
     bad = {1: GroupRingMatrix.identity(G, 1), 0: GroupRingMatrix.zeros(G, 1, 1)}
-    with pytest.raises(Exception):
-        ChainMap(C, C, bad)
+    with pytest.raises(DimensionMismatchError, match="commute"):
+        ChainMap(C, C, bad).check_commutes()
 
 
 def test_compose_chain_maps_witnesses(rng):
@@ -391,7 +412,7 @@ def test_d_squared_check_matches_full_expansion():
             d2 = random_entries(G, rng, b, c, k2)
             full_zero = not ((d1.expand() @ d2.expand()) % G.prime_l).any()
             try:
-                ChainComplex(G, 0, [a, b, c], [d1, d2])
+                ChainComplex(G, 0, [a, b, c], [d1, d2]).check_d_squared()
                 accepted = True
             except BoundarySquareNonzeroError:
                 accepted = False
@@ -417,7 +438,7 @@ def test_chain_map_check_matches_full_expansion():
             rhs = f0.expand() @ S.boundary_at(1).expand()
             commutes = not ((lhs - rhs) % l).any()
             try:
-                ChainMap(S, T, {0: f0, 1: f1})
+                ChainMap(S, T, {0: f0, 1: f1}).check_commutes()
                 accepted = True
             except DimensionMismatchError:
                 accepted = False

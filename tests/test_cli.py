@@ -1127,3 +1127,52 @@ def test_mutated_certificate_never_crashes(certificates_to_mutate, index, data):
         code = main(["verify", str(cert_path)])
     assert code in (0, 1, 2)
     assert code != 2 or err.getvalue().startswith("error[E_")
+
+
+_SQUARE_NONZERO = "bottom 0\nranks 1 1 1\nboundary 1\n[1,0]\nboundary 2\n[1,0]\n"
+_LENS_BODY = "bottom 0\nranks 1 1 1\nboundary 1\n[1,1]\nboundary 2\n[1,1]\n"
+
+
+@pytest.mark.parametrize("command", ["perfect", "homology"])
+def test_text_complex_with_d_squared_nonzero_is_refused(capsys, tmp_path, command):
+    """A text complex whose d o d is not zero ends in E_D_SQUARED, exit 2."""
+    path = tmp_path / "square.cplx"
+    path.write_text("group cyclic:2\nprime 2\n" + _SQUARE_NONZERO)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error[E_D_SQUARED]: d_1 o d_2 != 0\n"
+
+
+def test_tower_level_with_d_squared_nonzero_is_refused(capsys, tmp_path):
+    """Level 1 of a tower whose d o d is not zero ends in E_D_SQUARED."""
+    path = tmp_path / "square.twr"
+    path.write_text("group cyclic:2\nprime 2\nlevels 2\nlevel 0\n" + _LENS_BODY
+                    + "level 1\n" + _SQUARE_NONZERO + "bond 0\n")
+    code, out, err = run(capsys, "tower-perfect", str(path), "--horizon", "1")
+    assert (code, out) == (2, "")
+    assert err == "error[E_D_SQUARED]: d_1 o d_2 != 0\n"
+
+
+def test_tower_bond_that_does_not_commute_is_refused(capsys, tmp_path):
+    """A bond that is the identity in degree 1 and zero elsewhere breaks
+    the square d f_1 = f_0 d, and ends in E_DIM_MISMATCH."""
+    path = tmp_path / "bond.twr"
+    path.write_text("group cyclic:2\nprime 2\nlevels 2\nlevel 0\n" + _LENS_BODY
+                    + "level 1\n" + _LENS_BODY + "bond 0\ndegree 1\n[1,0]\n")
+    code, out, err = run(capsys, "tower-perfect", str(path), "--horizon", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[E_DIM_MISMATCH]") and "commute" in err
+
+
+def test_forged_replacement_with_d_squared_nonzero_is_refused(capsys, lens_path, tmp_path):
+    """A perfectness certificate whose replacement has d o d != 0 is
+    refused as E_D_SQUARED when it is read, exit 2."""
+    cert_path = tmp_path / "lens.cert"
+    assert run(capsys, "perfect", lens_path, "--cert", str(cert_path))[0] == 0
+    cert = json.loads(cert_path.read_text())
+    assert cert["witness"]["replacement"]["ranks"] == [1, 1, 1]
+    cert["witness"]["replacement"]["boundaries"] = [[[[1, 0]]], [[[1, 0]]]]
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert (code, out) == (2, "")
+    assert err == "error[E_D_SQUARED]: d_1 o d_2 != 0\n"

@@ -60,3 +60,18 @@ def test_every_public_name_is_used_or_exported():
                     used[name] += 1
     unused = [d for d in defined if not used[d.rsplit(":", 1)[1]]]
     assert not unused, f"public names with no use outside their definition: {unused}"
+
+
+def test_no_function_takes_a_validate_argument():
+    """Constructors check shapes, and readers check the mathematics where
+    outside data enters, so no function or method in src/perfchain
+    chooses between the two by a `validate` parameter."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                if any(a.arg == "validate" for a in params):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"functions with a validate parameter: {found}"

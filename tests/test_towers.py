@@ -402,15 +402,16 @@ def test_limit_action_matches_per_element_solve(rng):
 def test_limit_complex_solves_and_re_checks_nothing(rng, monkeypatch):
     """Limit coordinates are read off the pivot rows of canonical bases,
     and the stable-image subcomplex, which holds by construction, is not
-    validated again: over the group zoo, with the solver, the d o d
-    check and the chain-map check made to raise, every limit is built
-    with the dims of the tower's core."""
+    checked again: over the group zoo, with the solver, the d o d check
+    and both chain-map checks made to raise, every limit is built with the
+    dims of the tower's core."""
     def refuse(*args):
         raise AssertionError("limit_complex solved or re-checked")
 
     zoo = [(name, G, random_stabilizing_tower(G, rng, n_levels=3), norm_tower(G, 3))
            for name, G in two_group_zoo() + three_group_zoo()]
-    for owner, attr in ((flinalg, "solve_matrix"), (chains, "_check_d_squared"),
+    for owner, attr in ((flinalg, "solve_matrix"), (chains.ChainComplex, "check_d_squared"),
+                        (chains.ChainMap, "check_commutes"),
                         (chains.ModuleComplexMap, "check_commutes")):
         monkeypatch.setattr(owner, attr, refuse)
     for name, G, (T, core), norm in zoo:
