@@ -11,19 +11,22 @@ the residue field F_l, from the ranks of its augmented boundaries
 (`ChainComplex.is_acyclic`).  A witness into a tower's limit is checked
 the same way when the limit is free, and on the expanded cone otherwise.
 
-Format `perfchain-cert-v4` writes only what the checker cannot
-recompute.  Maps out of free modules into a module (a witness into an
-expanded limit, an obstruction's cover) are written by the images of the
-free generators, whose orbit the checker rebuilds, equivariant by
-construction (`serialize.free_map_to_json`).  A tower-perfectness
-certificate records no limit and no obstruction, since the checker
-recomputes both from the tower: a free limit (`towers.free_limit`) comes
-with identities checked here by group-ring products, and the witness is
-a group-ring chain map into it; any other limit is expanded, and a
-negative verdict's cover and kernel vector are checked against the
-recomputed obstruction.  A limit certificate records the limit as the
-answer, and it must equal the recomputed one.  Missing keys, malformed
-witnesses and other formats are ParseError, before any arithmetic.
+Format `perfchain-cert-v5` writes only what the checker cannot
+recompute, and writes every array over F_l as one string of fixed-width
+decimal digits (`serialize.field_to_json`), which the reader checks and
+decodes in one pass before any arithmetic.  Maps out of free modules into
+a module (a witness into an expanded limit, an obstruction's cover) are
+written by the images of the free generators, whose orbit the checker
+rebuilds, equivariant by construction (`serialize.free_map_to_json`).  A
+tower-perfectness certificate records no limit and no obstruction, since
+the checker recomputes both from the tower: a free limit
+(`towers.free_limit`) comes with identities checked here by group-ring
+products, and the witness is a group-ring chain map into it; any other
+limit is expanded, and a negative verdict's cover and kernel vector are
+checked against the recomputed obstruction.  A limit certificate records
+the limit as the answer, and it must equal the recomputed one.  Missing
+keys, malformed witnesses and other formats are ParseError, before any
+arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .modules import PiModule, free_cover, minimal_generators, orbit_columns
 from .serialize import json_field, json_field_array, json_int_matrix
 from .towers import FreeLimit, Tower, decided_limit, limit_complex
 
-FORMAT = "perfchain-cert-v4"
+FORMAT = "perfchain-cert-v5"
 
 
 def dumps(cert: dict) -> str:
@@ -101,7 +104,7 @@ def _nonfree_witness(verdict: PerfectnessVerdict) -> dict:
         raise AssertionError("non-perfect verdict with free obstruction")
     return {
         "cover": serialize.free_map_to_json(cover.matrix, P.group),
-        "kernel_vector": kernel[:, 0].tolist(),
+        "kernel_vector": serialize.field_to_json(kernel[:, 0], P.group.prime_l),
     }
 
 

@@ -5,18 +5,26 @@ Text files are diff-able and hand-writable: headers (`group`, `prime`,
 entries as comma-separated coefficient lists in brackets.  Writers are
 canonical: parsing then re-writing any value reproduces the bytes.
 
-In JSON a module is `{"dim": d, "gens": [...]}`, one d x d matrix per
-element of the group's generating set; it is written as an answer (a
-tower limit) and never read back, since checkers recompute modules.  A
-map out of a free module F_l[pi]^r is written by its r generator columns
-(see `free_map_to_json`), and read back as their orbit, which is
-equivariant by construction.
+In JSON every array over F_l is one string (`field_to_json`): its
+entries in row-major order, each as exactly len(str(l - 1)) decimal
+digits, so an F_2 entry is one digit and an F_101 entry three.  The
+reader (`json_field_array`) knows the shape from the data around the
+array, and checks the string's type, length and alphabet before it
+builds anything.  A module is `{"dim": d, "gens": [...]}`, one entry per
+element of the group's generating set: a basis permutation as
+`{"perm": rows}`, its index array (rho @ V == V[rows]) written with the
+bound d in place of l, and any other action as `{"matrix": rho}`, the
+d x d matrix.  A module is written as an answer (a tower limit) and
+never read back, since checkers recompute modules.  A map out of a free
+module F_l[pi]^r is written by its r generator columns (see
+`free_map_to_json`), and read back as their orbit, which is equivariant
+by construction.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
+import math
 import re
 
 import numpy as np
@@ -33,10 +41,11 @@ def digest_text(text: str) -> str:
 
 
 def _format_matrix_lines(m: GroupRingMatrix) -> list[str]:
-    """One line per row, each entry its coefficients in brackets; formatted
-    from Python ints (`tolist`), about twice as fast as numpy scalars."""
-    return [" ".join("[" + ",".join(map(str, entry)) + "]" for entry in row)
-            for row in m.data.tolist()]
+    """One line per row, each entry its coefficients in brackets; each row
+    is one %-format of Python ints (`tolist`)."""
+    order = m.group.order
+    row = " ".join(["[" + ",".join(["%d"] * order) + "]"] * m.cols)
+    return [row % tuple(r) for r in m.data.reshape(m.rows, m.cols * order).tolist()]
 
 
 def _complex_lines(C: ChainComplex) -> list[str]:
@@ -122,7 +131,10 @@ def _parse_matrix(cur: _Cursor, G: GroupTable, rows: int, cols: int) -> GroupRin
         if len(toks) != cols:
             raise ParseError(f"matrix row has {len(toks)} entries, expected {cols}", lineno)
         for j, tok in enumerate(toks):
-            data[i, j] = _parse_entry(tok, G.order, lineno)
+            try:
+                data[i, j] = _parse_entry(tok, G.order, lineno)
+            except OverflowError:
+                raise ParseError(f"coefficient in {tok!r} does not fit in 64 bits", lineno)
     return GroupRingMatrix(G, data)
 
 
@@ -242,8 +254,18 @@ def read_int_matrix(text: str) -> list[list[int]]:
 # JSON encodings (used by certificates)
 
 
-def grm_to_json(m: GroupRingMatrix) -> list:
-    return m.data.tolist()
+def _place_values(bound: int) -> np.ndarray:
+    """The place values of the len(str(bound - 1)) decimal digits that
+    every entry in [0, bound) is written with."""
+    return 10 ** np.arange(len(str(bound - 1)) - 1, -1, -1, dtype=np.int64)
+
+
+def field_to_json(a, bound: int) -> str:
+    """The entries of a, each in [0, bound), in row-major order as one
+    string of len(str(bound - 1)) decimal digits per entry."""
+    place = _place_values(bound)
+    digits = np.asarray(a, dtype=np.int64).reshape(-1, 1) // place % 10 + 48
+    return digits.astype(np.uint8).tobytes().decode("ascii")
 
 
 def complex_to_json(C: ChainComplex) -> dict:
@@ -252,7 +274,7 @@ def complex_to_json(C: ChainComplex) -> dict:
         "prime": C.group.prime_l,
         "bottom": C.bottom,
         "ranks": list(C.ranks),
-        "boundaries": [grm_to_json(b) for b in C.boundaries],
+        "boundaries": [field_to_json(b.data, C.group.prime_l) for b in C.boundaries],
     }
 
 
@@ -280,7 +302,8 @@ def complex_from_json(obj: dict) -> ChainComplex:
 
 
 def chain_map_to_json(f: ChainMap) -> dict:
-    return {str(q): grm_to_json(m) for q, m in sorted(f.components.items())}
+    l = f.source.group.prime_l
+    return {str(q): field_to_json(m.data, l) for q, m in sorted(f.components.items())}
 
 
 def _json_components(obj, shape_at) -> dict:
@@ -331,28 +354,28 @@ def json_int_matrix(value, name: str, rows: int | None = None,
 
 
 def json_field_array(value, name: str, l: int, *shape: int) -> np.ndarray:
-    """value as nested lists of the given shape with integer entries in
-    [0, l), as an array over F_l, else ParseError.  The shape is checked
-    before any array is built, so a declared shape cannot drive an
-    allocation."""
-    level = [value]
-    for n in shape:
-        if not all(isinstance(v, list) and len(v) == n for v in level):
-            raise ParseError(f"{name} is not a {' x '.join(map(str, shape))} array")
-        level = list(itertools.chain.from_iterable(level))
-    if not set(map(type, level)) <= {int}:
-        raise ParseError(f"{name} has an entry that is not an integer")
-    try:
-        arr = np.array(level, dtype=np.int64).reshape(shape)
-    except OverflowError:
-        arr = None
-    if arr is None or ((arr < 0) | (arr >= l)).any():
+    """The int64 array of the given shape that `field_to_json` wrote as
+    value, with entries in [0, l), else ParseError.  The string's type,
+    length and alphabet are checked before any array is built, so a
+    declared shape cannot drive an allocation."""
+    place = _place_values(l)
+    if not (isinstance(value, str) and len(value) == math.prod(shape) * len(place)
+            and value.isascii() and (value.isdigit() or not value)):
+        raise ParseError(f"{name} is not a {' x '.join(map(str, shape))} array "
+                         f"of {len(place)}-digit entries")
+    digits = np.frombuffer(value.encode("ascii"), dtype=np.uint8).reshape(-1, len(place))
+    arr = (digits - 48) @ place
+    if (arr >= l).any():
         raise ParseError(f"{name} has an entry outside [0, {l})")
-    return arr
+    return arr.reshape(shape)
 
 
 def module_to_json(M: PiModule) -> dict:
-    return {"dim": M.dim, "gens": [M.matrix(i).tolist() for i in range(len(M.gens))]}
+    """M by its stored generators: a permutation by its row indices, with
+    the bound dim, and any other action by its matrix."""
+    return {"dim": M.dim, "gens": [
+        {"perm": field_to_json(rho[0], M.dim)} if isinstance(rho, tuple)
+        else {"matrix": field_to_json(rho, M.group.prime_l)} for rho in M.gens]}
 
 
 def module_complex_to_json(MC: ModuleComplex) -> dict:
@@ -361,17 +384,17 @@ def module_complex_to_json(MC: ModuleComplex) -> dict:
         "prime": MC.group.prime_l,
         "bottom": MC.bottom,
         "modules": [module_to_json(m) for m in MC.modules],
-        "diffs": [d.tolist() for d in MC.diffs],
+        "diffs": [field_to_json(d, MC.group.prime_l) for d in MC.diffs],
     }
 
 
-def free_map_to_json(matrix: np.ndarray, G: GroupTable) -> list:
+def free_map_to_json(matrix: np.ndarray, G: GroupTable) -> str:
     """A map F_l[pi]^r -> M, a dim M x r|pi| matrix in the coordinates
     (t, h) -> t*order + h of `regular_module`, as its dim M x r generator
     columns: column t is the image of basis vector (t, identity).  The
     map is equivariant, so the image of (t, g) is rho(g) times column t,
     and `orbit_columns` rebuilds the whole matrix."""
-    return matrix[:, G.identity::G.order].tolist()
+    return field_to_json(matrix[:, G.identity::G.order], G.prime_l)
 
 
 def module_map_to_json(f: ModuleComplexMap) -> dict:

@@ -35,6 +35,7 @@ from perfchain.finiteness import decide_perfect
 from perfchain.groups import MAX_FREE_DIM, grm_compose
 from perfchain.modules import PiModule, PiModuleMap, orbit
 from perfchain.serialize import json_field, json_field_array
+from perfchain.towers import FreeLimit, decided_limit
 
 
 def group_from_mul(elems, mul, identity_elem, l: int) -> GroupTable:
@@ -688,6 +689,14 @@ def expand_reference(A: GroupRingMatrix) -> np.ndarray:
     return A.data[:, :, A.group.ldiv].transpose(0, 3, 1, 2).reshape(A.rows * o, A.cols * o)
 
 
+def format_matrix_lines_reference(m: GroupRingMatrix) -> list[str]:
+    """The text lines of a group-ring matrix by a `str` and a join per
+    coefficient: one line per row, each entry its coefficients in
+    brackets."""
+    return [" ".join("[" + ",".join(map(str, entry)) + "]" for entry in row)
+            for row in m.data.tolist()]
+
+
 def from_expanded(group: GroupTable, E, rows: int, cols: int) -> GroupRingMatrix:
     """The group-ring matrix whose expansion is E, which must be
     pi-equivariant (checked by re-expanding)."""
@@ -736,6 +745,91 @@ def module_action(M) -> list[np.ndarray]:
     return dense_action(M.group, M.dim, [M.matrix(i) for i in range(len(M.gens))])
 
 
+# The perfchain-cert-v4 writers, which wrote every array over F_l as
+# nested lists of integers; the renderers below give old bytes with them.
+
+
+def v4_complex_to_json(C: ChainComplex) -> dict:
+    return {"group": C.group.descriptor, "prime": C.group.prime_l, "bottom": C.bottom,
+            "ranks": list(C.ranks), "boundaries": [b.data.tolist() for b in C.boundaries]}
+
+
+def v4_module_to_json(M: PiModule) -> dict:
+    return {"dim": M.dim, "gens": [M.matrix(i).tolist() for i in range(len(M.gens))]}
+
+
+def v4_module_complex_to_json(MC) -> dict:
+    return {"group": MC.group.descriptor, "prime": MC.group.prime_l, "bottom": MC.bottom,
+            "modules": [v4_module_to_json(m) for m in MC.modules],
+            "diffs": [d.tolist() for d in MC.diffs]}
+
+
+def v4_module_map_to_json(f) -> dict:
+    G = f.source.group
+    return {str(q): m[:, G.identity::G.order].tolist() for q, m in sorted(f.components.items())}
+
+
+def _v4_array(value: str, l: int, *shape: int) -> list:
+    return json_field_array(value, "array", l, *shape).tolist()
+
+
+def _v4_module_complex(obj: dict) -> dict:
+    """A limit's v5 JSON in v4, its modules read back by `module_from_json`."""
+    G = build_group(obj["group"], obj["prime"])
+    mods = [module_from_json(m, G) for m in obj["modules"]]
+    return {**obj, "modules": [v4_module_to_json(M) for M in mods],
+            "diffs": [_v4_array(d, G.prime_l, mods[i].dim, mods[i + 1].dim)
+                      for i, d in enumerate(obj["diffs"])]}
+
+
+def _json_rank_at(obj: dict, q: int) -> int:
+    i = q - obj["bottom"]
+    return obj["ranks"][i] if 0 <= i < len(obj["ranks"]) else 0
+
+
+def cert_as_v4(cert: dict) -> str:
+    """The bytes the perfchain-cert-v4 writer gave for this certificate:
+    every array over F_l as nested lists of integers, each v5 string
+    decoded in the shape the data around it gives.  A witness map into a
+    tower's limit takes its row counts from the limit, recomputed from the
+    embedded tower.  Smith-form certificates differ only in the format
+    name."""
+    inp, out = cert["input"], dict(cert)
+    if "limit" in cert:
+        out["limit"] = _v4_module_complex(cert["limit"])
+    if cert["kind"] in ("perfectness", "quasi-iso"):
+        witness = out["witness"] = dict(cert["witness"])
+        if "tower" in inp:
+            T = serialize.read_tower(inp["tower"])
+            G = T.group
+        else:
+            C = serialize.complex_from_json(inp)
+            G = C.group
+            out["input"] = v4_complex_to_json(C)
+        l = G.prime_l
+        if "cover" in witness:
+            width = len(str(l - 1))
+            n = len(witness["kernel_vector"]) // width
+            k = n // G.order
+            witness["kernel_vector"] = _v4_array(witness["kernel_vector"], l, n)
+            witness["cover"] = _v4_array(witness["cover"], l,
+                                         len(witness["cover"]) // (width * k), k)
+        else:
+            key = "minimal" if cert["kind"] == "quasi-iso" else "replacement"
+            R = witness[key]
+            witness[key] = v4_complex_to_json(serialize.complex_from_json(R))
+            if "tower" in inp:
+                lim = decided_limit(T, inp["horizon"])
+                free = isinstance(lim, FreeLimit)
+                rows_at = lim.complex.rank_at if free else lim.dim_at
+            else:
+                free, rows_at = True, C.rank_at
+            entry = (G.order,) if free else ()
+            witness["map"] = {q: _v4_array(m, l, rows_at(int(q)), _json_rank_at(R, int(q)), *entry)
+                              for q, m in witness["map"].items()}
+    return certificates.dumps({**out, "format": "perfchain-cert-v4"})
+
+
 def cert_as_v1(cert: dict, G: GroupTable) -> str:
     """The bytes the perfchain-cert-v1 writer gave for this certificate:
     each module {"dim", "gens"} written as {"dim", "action"}, one matrix
@@ -776,7 +870,7 @@ def cert_as_v2(cert: dict, G: GroupTable | None) -> str:
     inp = cert.get("input")
     if cert.get("kind") != "perfectness" or "tower" not in inp:
         return certificates.dumps({**cert, "format": "perfchain-cert-v2"})
-    limit = serialize.module_complex_to_json(
+    limit = v4_module_complex_to_json(
         limit_complex(serialize.read_tower(inp["tower"]), inp["horizon"]))
     witness = dict(cert["witness"])
     if "map" in witness:
@@ -797,36 +891,47 @@ def cert_as_v2(cert: dict, G: GroupTable | None) -> str:
 
 def module_from_json(obj: dict, G: GroupTable) -> PiModule:
     """The module of `serialize.module_to_json`.  Its shape and entries are
-    checked first (ParseError); then its action by `check_action`."""
+    checked first (ParseError), a permutation generator also to be one;
+    then its action by `check_action`."""
     d, gens = json_field(obj, "dim"), json_field(obj, "gens")
     if type(d) is not int or d < 0:
         raise ParseError("module dim is not an integer >= 0")
     if d > MAX_FREE_DIM:
         raise LimitError(f"module dim {d} exceeds {MAX_FREE_DIM}")
-    if not isinstance(gens, list) or len(gens) != len(G.generators):
-        raise ParseError(f"module needs {len(G.generators)} generator matrices")
-    return check_action(PiModule(
-        G, d, [json_field_array(a, "generator matrix", G.prime_l, d, d) for a in gens]))
+    if not isinstance(gens, list) or len(gens) != len(G.generators) or not all(
+            isinstance(g, dict) and len(g) == 1 for g in gens):
+        raise ParseError(f"module needs {len(G.generators)} generators")
+    mats = []
+    for g in gens:
+        if "perm" in g:
+            rows = json_field_array(g["perm"], "generator permutation", d, d)
+            if len(set(rows.tolist())) != d:
+                raise ParseError("generator permutation repeats an index")
+            mats.append(np.eye(d, dtype=np.int64)[rows])
+        else:
+            mats.append(json_field_array(json_field(g, "matrix"), "generator matrix",
+                                         G.prime_l, d, d))
+    return check_action(PiModule(G, d, mats))
 
 
 def cert_as_v3(cert: dict) -> str:
-    """The bytes the perfchain-cert-v3 writer gave for this certificate: a
-    tower-perfectness certificate carries the module-route verdict, Wall's
-    replacement and its witness into the expanded limit by generator
-    columns, recomputed from the embedded tower, and a negative one also
-    the obstruction module.  Other certificates differ only in the format
-    name."""
+    """The bytes the perfchain-cert-v3 writer gave for a certificate given
+    in v4 (`cert_as_v4`): a tower-perfectness certificate carries the
+    module-route verdict, Wall's replacement and its witness into the
+    expanded limit by generator columns, recomputed from the embedded
+    tower, and a negative one also the obstruction module.  Other
+    certificates differ only in the format name."""
     inp = cert.get("input")
     if cert.get("kind") != "perfectness" or "tower" not in inp:
         return certificates.dumps({**cert, "format": "perfchain-cert-v3"})
     T = serialize.read_tower(inp["tower"])
     verdict = decide_perfect(limit_complex(T, inp["horizon"]))
     if verdict.perfect:
-        witness = {"replacement": serialize.complex_to_json(verdict.replacement),
-                   "map": serialize.module_map_to_json(verdict.witness)}
+        witness = {"replacement": v4_complex_to_json(verdict.replacement),
+                   "map": v4_module_map_to_json(verdict.witness)}
     else:
         witness = {**cert["witness"],
-                   "obstruction": serialize.module_to_json(verdict.top_obstruction)}
+                   "obstruction": v4_module_to_json(verdict.top_obstruction)}
     return certificates.dumps({**cert, "witness": witness, "format": "perfchain-cert-v3"})
 
 

@@ -41,6 +41,7 @@ from conftest import (
     cert_as_v1,
     cert_as_v2,
     cert_as_v3,
+    cert_as_v4,
     conjugate_complex,
     heisenberg_27,
     pad_with_identity_cones,
@@ -99,7 +100,7 @@ def test_minimalize_subcommand(capsys, lens_path, tmp_path):
 def test_minimalize_json_bytes_pinned(capsys, tmp_path):
     """The minimal complex and witness of a scrambled Heis27 complex with
     four cancellations, pinned byte for byte through the certificate, in
-    the current format and rendered as v3, v2 and v1 certificates."""
+    the current format and rendered as v4, v3, v2 and v1 certificates."""
     rng = random.Random(0)
     G = heisenberg_27()
     core = random_minimal_complex(G, rng)
@@ -111,7 +112,8 @@ def test_minimalize_json_bytes_pinned(capsys, tmp_path):
     assert (C.ranks, core.ranks) == ([2, 4, 4, 4, 2], [1, 2, 3, 2])
     line, cert = out.split("\n", 1)
     assert line == "minimal ranks [1, 2, 3, 2]; bottom 1"
-    v3 = cert_as_v3(json.loads(cert))
+    v4 = cert_as_v4(json.loads(cert))
+    v3 = cert_as_v3(json.loads(v4))
     v2 = cert_as_v2(json.loads(v3), G)
     v1 = line + "\n" + cert_as_v1(json.loads(v2), G)
     assert hashlib.sha256(v1.encode()).hexdigest() == (
@@ -120,8 +122,10 @@ def test_minimalize_json_bytes_pinned(capsys, tmp_path):
         "d616eba9dd2abe72e7f032e0f3ab8b7f647fc82f77fb982ca4d5957289eb51b3")
     assert hashlib.sha256((line + "\n" + v3).encode()).hexdigest() == (
         "e5b6e2c828c05881019f8efc611178e9a0e93575d78082aec9903f7859044740")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    assert hashlib.sha256((line + "\n" + v4).encode()).hexdigest() == (
         "29798913ff37052b0f046c7bf3bb79a2400a727f7c2c8c73c849bf56f7d373e4")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "63a747eba0729e590108638c9db2d0219ea49784a7aaa429ee74aa016b3a0e97")
 
 
 def test_homology_of_a_free_complex_pinned_and_module_free(capsys, tmp_path, monkeypatch):
@@ -177,8 +181,9 @@ def test_free_verify_builds_no_expansion(capsys, tmp_path, lens_path, monkeypatc
     # the Heis27 replacement has one boundary, so d o d stays zero
     with open(f"{heis27_path}.perfect.cert") as fh:
         cert = json.load(fh)
-    entry = cert["witness"]["replacement"]["boundaries"][0][0][0]
-    entry[0] = (entry[0] + 1) % 3       # augmentation 1: a unit
+    boundaries = cert["witness"]["replacement"]["boundaries"]
+    c = int(boundaries[0][0])           # coefficient 0 of entry [0, 0], one digit at l = 3
+    boundaries[0] = str((c + 1) % 3) + boundaries[0][1:]     # augmentation 1: a unit
     forged.append((cert, "unit entry"))
     for cert, reason in forged:
         path = tmp_path / "forged.cert"
@@ -195,7 +200,7 @@ def test_negative_zero_degree_key_is_a_parse_error(capsys, lens_path, tmp_path):
     assert run(capsys, "perfect", lens_path, "--cert", str(cert_path))[0] == 0
     cert = json.loads(cert_path.read_text())
     genuine = cert["witness"]["map"]["0"]
-    cert["witness"]["map"]["0"] = [[[1, 1]]]
+    cert["witness"]["map"]["0"] = "11"
     cert["witness"]["map"]["-0"] = genuine
     cert_path.write_text(json.dumps(cert))
     code, out, err = run(capsys, "verify", str(cert_path))
@@ -210,7 +215,7 @@ def test_witness_breaking_a_square_is_rejected_before_any_cone(capsys, lens_path
     cert_path = tmp_path / "lens.cert"
     assert run(capsys, "perfect", lens_path, "--cert", str(cert_path))[0] == 0
     cert = json.loads(cert_path.read_text())
-    cert["witness"]["map"]["1"] = [[[0, 0]]]     # d f_1 = 0, f_0 d = 1 + t
+    cert["witness"]["map"]["1"] = "00"     # d f_1 = 0, f_0 d = 1 + t
     cert_path.write_text(json.dumps(cert))
 
     def refuse(f):
@@ -225,10 +230,11 @@ def test_witness_breaking_a_square_is_rejected_before_any_cone(capsys, lens_path
 def test_tower_certificate_bytes_pinned(capsys, tmp_path):
     """Tower certificates over C4^3, pinned byte for byte: the free limit's
     witness as group-ring data, and the norm tower's cover by its generator
-    columns with no obstruction; and through the v3 format (module-route
-    witness by generator columns, the obstruction by its generator
-    matrices), the v2 format (limit recorded, maps by every column) and the
-    per-element actions of the v1 format."""
+    columns with no obstruction; and through the v4 format (arrays as
+    nested lists), the v3 format (module-route witness by generator
+    columns, the obstruction by its generator matrices), the v2 format
+    (limit recorded, maps by every column) and the per-element actions of
+    the v1 format."""
     G = build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)
     stable, core = random_stabilizing_tower(G, random.Random(1), n_levels=3)
     L = ChainComplex(G, 0, [1], [])
@@ -238,11 +244,13 @@ def test_tower_certificate_bytes_pinned(capsys, tmp_path):
         "stable": (0, "495785b6c6d2960b537248613e1ea81e8fd1178bd288d0b7b0f61782eab6b296",
                    "3aa4f828ea2cea0ecc68c0eabe86f6bdcc8c384a79dadf97f567ff147d1c3c3f",
                    "2142021419baf93883161923419da41b0e013680178a573834467811a6edf7c6",
-                   "bc0409637f015ff4f87a5701c8ab576922e84dae471446bb583cca920d750254"),
+                   "bc0409637f015ff4f87a5701c8ab576922e84dae471446bb583cca920d750254",
+                   "5b0197385c947f21d0e0f665f0a043077692ef9555bcf158b9ac3bf75fca6a58"),
         "norm": (1, "3074a237b92d45b4488581d477e81e2248134e7c17cfb44a08a42bb56c8ef897",
                  "871cbe46400ac6442fabc33507bd116d5b4429bf2c2b92cac2ebbc73a51690d5",
                  "c5b9d80d67bf729884ea38a711fde05e50682090e34c2e3d145c30dd1ca28b7f",
-                 "405aed8227cbbddd01541e57aae5174c9cc7120c02ae9e765cc33951f4bc7123"),
+                 "405aed8227cbbddd01541e57aae5174c9cc7120c02ae9e765cc33951f4bc7123",
+                 "1ac8fd8fa94791c84a3aaca6431cf8f1167533f5e6a361b2e8731e46ac5af4d4"),
     }
     assert (stable.levels[0].ranks, core.ranks) == ([2, 3], [1])
     for name, T in (("stable", stable), ("norm", norm)):
@@ -252,10 +260,11 @@ def test_tower_certificate_bytes_pinned(capsys, tmp_path):
         code, _, _ = run(capsys, "tower-perfect", str(path), "--horizon", "2",
                          "--cert", str(cert_path))
         text = cert_path.read_text()
-        v3 = cert_as_v3(json.loads(text))
+        v4 = cert_as_v4(json.loads(text))
+        v3 = cert_as_v3(json.loads(v4))
         v2 = cert_as_v2(json.loads(v3), G)
         v1 = cert_as_v1(json.loads(v2), G)
-        digests = [hashlib.sha256(t.encode()).hexdigest() for t in (v1, v2, v3, text)]
+        digests = [hashlib.sha256(t.encode()).hexdigest() for t in (v1, v2, v3, v4, text)]
         assert (code, *digests) == expected[name], name
 
 
@@ -264,7 +273,8 @@ def test_tower_limit_certificate_bytes_pinned_at_an_odd_prime(capsys, tmp_path):
     fold junk into a core of ranks [2, 1] has a limit with a nonzero
     differential with entries 2; its `tower-limit` output and certificate,
     which records the limit, are pinned byte for byte, the certificate also
-    as rendered in the v3 format, which differs only in the format name."""
+    as rendered in the v4 format (arrays as nested lists) and in the v3
+    format, which differs from v4 only in the format name."""
     G = heisenberg_27()
     T, core = random_stabilizing_tower(G, random.Random(12), n_levels=3)
     assert (T.levels[0].ranks, core.ranks) == ([4, 3], [2, 1])
@@ -273,13 +283,15 @@ def test_tower_limit_certificate_bytes_pinned_at_an_odd_prime(capsys, tmp_path):
     code, out, _ = run(capsys, "tower-limit", str(path), "--horizon", "2",
                        "--cert", str(cert_path))
     text = cert_path.read_text()
-    v3 = cert_as_v3(json.loads(text))
-    assert text == v3.replace('"perfchain-cert-v3"', '"perfchain-cert-v4"')
-    digests = [hashlib.sha256(t.encode()).hexdigest() for t in (out, v3, text)]
+    v4 = cert_as_v4(json.loads(text))
+    v3 = cert_as_v3(json.loads(v4))
+    assert v4 == v3.replace('"perfchain-cert-v3"', '"perfchain-cert-v4"')
+    digests = [hashlib.sha256(t.encode()).hexdigest() for t in (out, v3, v4, text)]
     assert (code, *digests) == (
         0, "17ef636630a23c829c8d6a445d7c373ae14ef587f9594b470429439d5ab8f63b",
         "9e1892ee3764d63491fada08a96eda214d8f5b83372b9fbb0ac9bb43bc58dc57",
-        "5eea4f29dacef840f1c7da39a6d3251ba03d5b3dc58eaff6263174eb25915fe4")
+        "5eea4f29dacef840f1c7da39a6d3251ba03d5b3dc58eaff6263174eb25915fe4",
+        "fb8ccc2de939c20a6f4b734b7bcc467f57da8c6f6cdb2823aae838deaf605239")
 
 
 def test_wall_subcommand(capsys, lens_path):
@@ -510,7 +522,7 @@ def test_snf_certificate_of_dense_60x60_matrix(capsys, tmp_path):
 def test_snf_certificate_bytes_pinned(capsys, tmp_path):
     """The certificate of a seeded dense 40 x 40 matrix, pinned byte for
     byte: U, V and the diagonal depend on every step of the echelon
-    passes, not only on the invariant factors.  Rendered as a v3 or a v2
+    passes, not only on the invariant factors.  Rendered as a v4, v3 or v2
     certificate it keeps the bytes of that format."""
     rng = random.Random(40)
     path = tmp_path / "m40.txt"
@@ -518,14 +530,17 @@ def test_snf_certificate_bytes_pinned(capsys, tmp_path):
                             for _ in range(40)))
     cert_path = tmp_path / "m40.json"
     assert main(["snf", str(path), "--cert", str(cert_path)]) == 0
-    v3 = cert_as_v3(json.loads(cert_path.read_text()))
+    v4 = cert_as_v4(json.loads(cert_path.read_text()))
+    v3 = cert_as_v3(json.loads(v4))
     v2 = cert_as_v2(json.loads(v3), None)
     assert hashlib.sha256(v2.encode()).hexdigest() == (
         "847931b37fc4fc105da19066b31331319b5eba931bab537932fafa7f8e20f398")
     assert hashlib.sha256(v3.encode()).hexdigest() == (
         "ba3d0f27f5a4f772cf2466f91dc5fea4ae633958dac7656583abbd8a75f0d63c")
-    assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == (
+    assert hashlib.sha256(v4.encode()).hexdigest() == (
         "eab66264fb328eaed3514576ef98104b0f4ea64d48b48ac997f4e1a0a702b216")
+    assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == (
+        "645396ccf2575ec3a109297b4660564ad29590f3510a27b41340ead368a7e2fa")
 
 
 def _double_u_and_diag(w):
@@ -617,7 +632,7 @@ def test_completion_certificate_with_prime_one_is_a_parse_error(capsys, tmp_path
 
 
 def test_completion_certificate_with_a_composite_prime_is_refused(capsys, tmp_path):
-    """A v4 completion certificate of Z/8 with prime 4 and the verdict
+    """A v5 completion certificate of Z/8 with prime 4 and the verdict
     that counting factors of 4 gives (Z/4) is refused as E_NOT_L_GROUP,
     as `complete --l 4` is, and not found valid."""
     path = tmp_path / "m.txt"
@@ -625,7 +640,7 @@ def test_completion_certificate_with_a_composite_prime_is_refused(capsys, tmp_pa
     cert_path = tmp_path / "c.json"
     main(["complete", "--presentation", str(path), "--l", "2", "--cert", str(cert_path)])
     cert = json.loads(cert_path.read_text())
-    assert cert["format"] == "perfchain-cert-v4"
+    assert cert["format"] == "perfchain-cert-v5"
     cert["input"]["prime"] = 4
     cert["verdict"]["torsion"] = [4]
     cert_path.write_text(json.dumps(cert))
@@ -662,32 +677,39 @@ def test_completion_certificate_bound_to_its_input(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command, keys, value", [
+    # string forgeries keep the ids these cases had as nested-list forgeries
     ("tower-perfect", ("limit",), {}),
     ("tower-limit", ("limit",), None),
     ("tower-limit", ("input", "tower"), None),
     ("tower-perfect", ("witness", "cover"), None),
-    ("tower-perfect", ("witness", "kernel_vector"), [1, "0"]),
-    ("tower-perfect", ("witness", "kernel_vector"), [1, 0, 0]),
-    ("tower-perfect", ("witness", "cover"), [[10**30]]),
+    pytest.param("tower-perfect", ("witness", "kernel_vector"), "1x",
+                 id="tower-perfect-keys4-value4"),
+    pytest.param("tower-perfect", ("witness", "kernel_vector"), "100",
+                 id="tower-perfect-keys5-value5"),
+    pytest.param("tower-perfect", ("witness", "cover"), "9", id="tower-perfect-keys6-value6"),
     ("tower-perfect", ("input", "horizon"), "2"),
-    ("tower-perfect", ("witness", "kernel_vector", 0), -1),
-    ("tower-perfect", ("witness", "obstruction"), {"dim": 1, "gens": [[[1]]]}),
-    ("tower-perfect", ("witness", "cover", 0), [1, 0]),
-    ("tower-perfect", ("witness", "kernel_vector"), [[1], [0]]),
+    ("tower-perfect", ("witness", "kernel_vector"), "-1"),
+    ("tower-perfect", ("witness", "obstruction"), {"dim": 1, "gens": [{"perm": "0"}]}),
+    pytest.param("tower-perfect", ("witness", "cover"), "10", id="tower-perfect-keys10-value10"),
+    ("tower-perfect", ("witness", "kernel_vector"), ["10"]),
     ("perfect", ("witness", "map"), None),
     ("minimalize", ("witness", "minimal"), None),
     ("minimalize", ("witness", "map"), None),
     ("perfect", ("input",), 5),
     ("perfect", ("input", "ranks"), [1, "a"]),
-    ("perfect", ("witness", "map"), {"x": [[[1, 0]]]}),
+    ("perfect", ("witness", "map"), {"x": "10"}),
     ("perfect", ("verdict",), []),
     ("perfect", ("verdict", "euler_class"), "1"),
     ("perfect", ("input", "group"), 7),
-    ("perfect", ("input", "boundaries", 0, 0, 0, 0), 10**30),
+    pytest.param("perfect", ("input", "boundaries", 0), "21",
+                 id=f"perfect-keys21-{10**30}"),
     ("perfect", ("witness", "replacement", "ranks"), [10**9, 10**9]),
     ("perfect", ("witness", "replacement", "ranks"), [10**9] * 3),
-    ("minimalize", ("witness", "map", "0"), [[[1, 0, 0]]]),
-    ("tower-perfect", ("witness", "cover"), [[1, 1]]),
+    pytest.param("minimalize", ("witness", "map", "0"), "100", id="minimalize-keys24-value24"),
+    pytest.param("tower-perfect", ("witness", "cover"), "11", id="tower-perfect-keys25-value25"),
+    ("perfect", ("witness", "map", "0"), [[[1, 0]]]),
+    ("perfect", ("input", "boundaries", 0), [[[1, 1]]]),
+    ("tower-perfect", ("witness", "kernel_vector"), [1, 0]),
 ])
 def test_malformed_tower_certificate_is_a_parse_error(capsys, norm_tower_path, lens_path,
                                                       tmp_path, command, keys, value):
@@ -695,7 +717,9 @@ def test_malformed_tower_certificate_is_a_parse_error(capsys, norm_tower_path, l
     missing (value None), a malformed entry or a key it must not carry
     (a tower-perfectness certificate's limit or obstruction) is rejected
     with a coded error, not a traceback.  The norm tower's cover is 1 x 1, one
-    generator column; [[1, 1]] is its full v2 width."""
+    generator column written "1"; "11" is its full v2 width.  The v4 nested
+    lists of a valid witness map component, kernel vector or boundary are
+    malformed too."""
     cert_path = tmp_path / "c.json"
     if command.startswith("tower"):
         main([command, norm_tower_path, "--horizon", "2", "--cert", str(cert_path)])
@@ -717,15 +741,16 @@ def test_malformed_tower_certificate_is_a_parse_error(capsys, norm_tower_path, l
 
 
 def test_v1_certificate_is_a_parse_error(capsys, norm_tower_path, tmp_path):
-    """There is one certificate format; a v1, v2 or v3 certificate names
-    its format in a coded error."""
+    """There is one certificate format; a v1, v2, v3 or v4 certificate
+    names its format in a coded error."""
     cert_path = tmp_path / "c.json"
     main(["tower-perfect", norm_tower_path, "--horizon", "2", "--cert", str(cert_path)])
-    v4 = json.loads(cert_path.read_text())
-    assert v4["format"] == "perfchain-cert-v4"
-    v3 = cert_as_v3(v4)
+    v5 = json.loads(cert_path.read_text())
+    assert v5["format"] == "perfchain-cert-v5"
+    v4 = cert_as_v4(v5)
+    v3 = cert_as_v3(json.loads(v4))
     v2 = cert_as_v2(json.loads(v3), SMALL_GROUPS["C2"])
-    for old, text in (("v3", v3), ("v2", v2),
+    for old, text in (("v4", v4), ("v3", v3), ("v2", v2),
                       ("v1", cert_as_v1(json.loads(v2), SMALL_GROUPS["C2"]))):
         cert_path.write_text(text)
         capsys.readouterr()
@@ -746,28 +771,31 @@ def _lens_tower(tmp_path):
 
 def test_v2_shaped_tower_certificate_fields_are_parse_errors(capsys, norm_tower_path,
                                                              tmp_path):
-    """Each field the v2 or v3 writer gave a tower-perfectness certificate
-    and v4 does not, put into a v4 certificate, is E_PARSE: the recorded
-    limit, a witness map into the free limit by every column (v2) or by
-    generator columns (v3), a cover by every column, the obstruction."""
+    """Each field the v2, v3 or v4 writer gave a tower-perfectness
+    certificate and v5 does not, put into a v5 certificate, is E_PARSE: the
+    recorded limit, a witness map into the free limit by every column (v2),
+    by generator columns (v3) or as nested lists (v4), a cover by every
+    column or as nested lists, the obstruction."""
     G = SMALL_GROUPS["C2"]
     for path, key in ((_lens_tower(tmp_path), "map"), (norm_tower_path, "cover")):
         cert_path = tmp_path / "c.json"
         main(["tower-perfect", path, "--horizon", "2", "--cert", str(cert_path)])
-        v4 = json.loads(cert_path.read_text())
+        v5 = json.loads(cert_path.read_text())
+        v4 = json.loads(cert_as_v4(v5))
         v3 = json.loads(cert_as_v3(v4))
         v2 = json.loads(cert_as_v2(v3, G))
-        forged = [{**v4, "limit": v2["limit"]},
-                  {**v4, "witness": {**v4["witness"], key: v2["witness"][key]}}]
+        forged = [{**v5, "limit": v2["limit"]},
+                  {**v5, "witness": {**v5["witness"], key: v2["witness"][key]}},
+                  {**v5, "witness": {**v5["witness"], key: v4["witness"][key]}}]
         if key == "map":
-            for old in (v2, v3):
-                forged.append({**v4, "witness": {**v4["witness"], "map": {
-                    **v4["witness"]["map"], "1": old["witness"]["map"]["1"]}}})
-            forged.append({**v4, "witness": {**v4["witness"], "map": v3["witness"]["map"]}})
+            for old in (v2, v3, v4):
+                forged.append({**v5, "witness": {**v5["witness"], "map": {
+                    **v5["witness"]["map"], "1": old["witness"]["map"]["1"]}}})
+            forged.append({**v5, "witness": {**v5["witness"], "map": v3["witness"]["map"]}})
         else:
-            forged.append({**v4, "witness": v3["witness"]})
+            forged.append({**v5, "witness": v3["witness"]})
         for cert in forged:
-            assert cert != v4
+            assert cert != v5
             cert_path.write_text(json.dumps(cert))
             capsys.readouterr()
             code, out, err = run(capsys, "verify", str(cert_path))
@@ -784,8 +812,8 @@ def test_altered_generator_columns_are_refused(capsys, norm_tower_path, tmp_path
     cert_path = tmp_path / "c.json"
     main(["tower-perfect", norm_tower_path, "--horizon", "2", "--cert", str(cert_path)])
     cert = json.loads(cert_path.read_text())
-    assert cert["witness"]["cover"] == [[1]]
-    cert["witness"]["cover"] = [[0]]
+    assert cert["witness"]["cover"] == "1"
+    cert["witness"]["cover"] = "0"
     cert_path.write_text(json.dumps(cert))
     capsys.readouterr()
     code, out, _ = run(capsys, "verify", str(cert_path))
@@ -793,8 +821,8 @@ def test_altered_generator_columns_are_refused(capsys, norm_tower_path, tmp_path
 
     main(["tower-perfect", _lens_tower(tmp_path), "--horizon", "2", "--cert", str(cert_path)])
     cert = json.loads(cert_path.read_text())
-    assert cert["witness"]["map"] == {"0": [[[1, 0]]], "1": [[[1, 0]]]}
-    cert["witness"]["map"]["1"] = [[[0, 0]]]
+    assert cert["witness"]["map"] == {"0": "10", "1": "10"}
+    cert["witness"]["map"]["1"] = "00"
     cert_path.write_text(json.dumps(cert))
     capsys.readouterr()
 
@@ -809,11 +837,11 @@ def test_altered_generator_columns_are_refused(capsys, norm_tower_path, tmp_path
 
 
 def _forge_map(cert):
-    cert["witness"]["map"]["0"] = [[[1, 1]]]
+    cert["witness"]["map"]["0"] = "11"
 
 
 def _forge_replacement(cert):
-    cert["witness"]["replacement"]["boundaries"] = [[[[1, 0]]]]
+    cert["witness"]["replacement"]["boundaries"] = ["10"]
 
 
 def _forge_euler_class(cert):
@@ -920,6 +948,28 @@ def test_declared_ranks_are_checked_before_any_matrix_is_allocated(capsys, tmp_p
     got, out, err = run(capsys, *argv)
     assert got == 2 and out == ""
     assert err.startswith(f"error[{code}]") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["perfect", "homology", "tower-perfect"])
+@pytest.mark.parametrize("coefficient", [10**29, -10**29, 2**63])
+def test_coefficient_past_int64_is_a_parse_error(capsys, tmp_path, command, coefficient):
+    """A text coefficient that int64 cannot hold is E_PARSE naming its
+    line, exit 2, and not an OverflowError traceback with exit 1: in a
+    boundary of a complex, and in a bond of a tower."""
+    entry = f"[{coefficient},1]"
+    if command == "tower-perfect":
+        text = ("levels 2\nlevel 0\n" + _LENS_BODY + "level 1\n" + _LENS_BODY
+                + f"bond 0\ndegree 0\n{entry}\n")
+        line = 20
+    else:
+        text, line = f"bottom 0\nranks 1 1\nboundary 1\n{entry}\n", 6
+    path = tmp_path / "big.txt"
+    path.write_text("group cyclic:2\nprime 2\n" + text)
+    argv = [command, str(path)] + (["--horizon", "1"] if command == "tower-perfect" else [])
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (2, "")
+    assert err == (f"error[E_PARSE]: line {line}: coefficient in {entry!r} "
+                   "does not fit in 64 bits\n")
 
 
 def test_recorded_obstruction_is_a_parse_error(capsys, tmp_path):
@@ -1104,8 +1154,10 @@ _JUNK = st.one_of(st.just(_DELETE), st.none(), st.booleans(), st.integers(-3, 40
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mutated_certificate_never_crashes(certificates_to_mutate, index, data):
-    """Up to three random edits of a certificate: verify ends with exit
-    0, 1 or 2, a coded error on exit 2, and never an uncaught exception."""
+    """Up to three random edits of a certificate, each a value replaced or
+    deleted, or one character of a string (a digit of an F_l array, say)
+    changed: verify ends with exit 0, 1 or 2, a coded error on exit 2, and
+    never an uncaught exception."""
     workdir, certs = certificates_to_mutate
     cert = copy.deepcopy(certs[index])
     for _ in range(data.draw(st.integers(1, 3))):
@@ -1113,6 +1165,12 @@ def test_mutated_certificate_never_crashes(certificates_to_mutate, index, data):
         obj = cert
         for key in path[:-1]:
             obj = obj[key]
+        old = obj[path[-1]]
+        if isinstance(old, str) and old and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(old) - 1))
+            c = data.draw(st.sampled_from("0123456789- \u0663"))
+            obj[path[-1]] = old[:i] + c + old[i + 1:]
+            continue
         value = data.draw(_JUNK)
         if value is not _DELETE:
             obj[path[-1]] = value
@@ -1171,7 +1229,7 @@ def test_forged_replacement_with_d_squared_nonzero_is_refused(capsys, lens_path,
     assert run(capsys, "perfect", lens_path, "--cert", str(cert_path))[0] == 0
     cert = json.loads(cert_path.read_text())
     assert cert["witness"]["replacement"]["ranks"] == [1, 1, 1]
-    cert["witness"]["replacement"]["boundaries"] = [[[[1, 0]]], [[[1, 0]]]]
+    cert["witness"]["replacement"]["boundaries"] = ["10", "10"]
     cert_path.write_text(json.dumps(cert))
     code, out, err = run(capsys, "verify", str(cert_path))
     assert (code, out) == (2, "")

@@ -1,20 +1,30 @@
 """Text and JSON round-trips."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 
 from perfchain import (
     DimensionMismatchError,
     LimitError,
     ParseError,
+    PiModule,
     Tower,
     build_group,
     chains_of_cover,
     lens_complex,
 )
+from perfchain import serialize
+from perfchain.groups import MAX_PRIME, GroupRingMatrix
+from perfchain.modules import regular_module
 from perfchain.serialize import (
     complex_from_json,
     complex_to_json,
     digest_text,
+    field_to_json,
+    json_field_array,
     module_to_json,
     read_complex,
     read_int_matrix,
@@ -24,8 +34,8 @@ from perfchain.serialize import (
     write_tower,
 )
 
-from conftest import SMALL_GROUPS, module_from_json, random_minimal_complex, \
-    random_stabilizing_tower, pad_with_identity_cones, two_group_zoo
+from conftest import SMALL_GROUPS, format_matrix_lines_reference, module_from_json, \
+    random_minimal_complex, random_stabilizing_tower, pad_with_identity_cones, two_group_zoo
 
 
 def test_complex_roundtrip_bytes(rng):
@@ -111,19 +121,27 @@ def test_json_roundtrips(rng):
     assert complex_from_json(complex_to_json(C)) == C
     for M in C.expanded().modules:
         assert module_from_json(module_to_json(M), M.group) == M
+    # F_2[C2] as a permutation of its group basis, and in the basis (1, 1 + t)
+    C2 = SMALL_GROUPS["C2"]
+    for M, written in ((regular_module(C2, 1), {"dim": 2, "gens": [{"perm": "10"}]}),
+                       (PiModule(C2, 2, [np.array([[1, 1], [0, 1]])]),
+                        {"dim": 2, "gens": [{"matrix": "1101"}]})):
+        assert module_to_json(M) == written
+        assert module_from_json(written, C2) == M
 
 
 def test_module_reader_refuses_a_broken_group_relation():
     """The validating module reader, kept as a test oracle: the trivial
-    line over C4 is read back, with its generator flipped to 0 it breaks
-    s^4 = 1 and the group table check refuses it, and over the trivial
-    group, where no generator matrix bounds the dim, a dim past the free
-    dimension bound is E_LIMIT before any matrix is built."""
+    line over C4, whose generator is the identity permutation, is read
+    back, with its generator the matrix 0 it breaks s^4 = 1 and the group
+    table check refuses it, and over the trivial group, where no generator
+    matrix bounds the dim, a dim past the free dimension bound is E_LIMIT
+    before any matrix is built."""
     G = build_group("cyclic:4", 2)
-    line = {"dim": 1, "gens": [[[1]]]}
+    line = {"dim": 1, "gens": [{"perm": "0"}]}
     assert module_to_json(module_from_json(line, G)) == line
     with pytest.raises(DimensionMismatchError, match="homomorphism"):
-        module_from_json({"dim": 1, "gens": [[[0]]]}, G)
+        module_from_json({"dim": 1, "gens": [{"matrix": "0"}]}, G)
     with pytest.raises(LimitError):
         module_from_json({"dim": 10**9, "gens": []}, SMALL_GROUPS["C1"])
 
@@ -131,3 +149,82 @@ def test_module_reader_refuses_a_broken_group_relation():
 def test_digest_stability():
     C = chains_of_cover(lens_complex(2, 1, 2))
     assert digest_text(write_complex(C)) == digest_text(write_complex(read_complex(write_complex(C))))
+
+
+@pytest.mark.parametrize("group, l", [("cyclic:4", 2), ("product:cyclic:3,cyclic:3", 3),
+                                      ("cyclic:11", 11), ("cyclic:101", 101)])
+def test_text_writer_matches_the_per_entry_join(group, l):
+    """The one-format-per-row text writer gives the bytes of a `str` and a
+    join per coefficient, on random matrices with every coefficient in
+    [0, l) and on shapes with no rows or no columns."""
+    G = build_group(group, l)
+    rng = np.random.default_rng(l)
+    for rows, cols in ((1, 1), (3, 4), (5, 2), (2, 0), (0, 3)):
+        m = GroupRingMatrix(G, rng.integers(0, l, size=(rows, cols, G.order)))
+        assert serialize._format_matrix_lines(m) == format_matrix_lines_reference(m)
+
+
+def _largest_prime_below(n: int) -> int:
+    return next(p for p in range(n - 1, 1, -1)
+                if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
+@pytest.mark.parametrize("l", [2, 3, 7, 11, 97, 101, 997, 1009, _largest_prime_below(MAX_PRIME)])
+def test_field_strings_round_trip(l):
+    """An array over F_l is one string of len(str(l - 1)) digits per entry,
+    read back to the same int64 array, at primes on both sides of each
+    width and at the largest prime accepted; shapes with a zero dimension
+    are the empty string."""
+    rng = np.random.default_rng(l)
+    width = len(str(l - 1))
+    for shape in ((7,), (3, 4), (2, 3, 5), (0,), (3, 0), (0, 4, 2), (2, 0, 3)):
+        a = rng.integers(0, l, size=shape)
+        a.flat[:1] = l - 1
+        text = field_to_json(a, l)
+        assert len(text) == a.size * width and (text.isdigit() or not text)
+        back = json_field_array(text, "a", l, *shape)
+        assert back.dtype == np.int64 and np.array_equal(back, a)
+    assert field_to_json(np.array([0, 10, 3]), 11) == "001003"
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 101, 1000])
+def test_permutation_index_arrays_round_trip(n):
+    """A permutation of n points is written with the bound n, its indices
+    of len(str(n - 1)) digits, and read back; a regular module's
+    generators, stored as permutations, are written as {"perm": ...}."""
+    rows = np.random.default_rng(n).permutation(n)
+    text = field_to_json(rows, n)
+    assert len(text) == n * len(str(n - 1))
+    assert np.array_equal(json_field_array(text, "perm", n, n), rows)
+    G = SMALL_GROUPS["C4"]
+    M = regular_module(G, 2)
+    written = module_to_json(M)
+    assert [set(g) for g in written["gens"]] == [{"perm"}] * len(G.generators)
+    assert module_from_json(written, G) == M
+
+
+@pytest.mark.parametrize("value", [
+    [[1, 0]], [1, 0], "1", "101", "١0", "٣0", "３0", "+1", "-1", " 1", "1 ", 10, None,
+], ids=["v4-nested", "v4-flat", "short", "long", "arabic-one", "arabic-three", "fullwidth",
+        "plus", "minus", "space-before", "space-after", "int", "none"])
+def test_malformed_field_string_is_refused_before_any_array(value, monkeypatch):
+    """A value that is not a string of exactly shape x width ASCII digits
+    is ParseError before `np.frombuffer` builds anything, whatever shape is
+    declared."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(np, "frombuffer", refuse)
+    with pytest.raises(ParseError, match="is not a 1 x 2 array"):
+        json_field_array(value, "x", 2, 1, 2)
+    with pytest.raises(ParseError, match="is not a"):
+        json_field_array("11", "x", 2, 10**9, 10**9)
+
+
+@pytest.mark.parametrize("l, text", [(2, "12"), (3, "03"), (11, "0011"), (101, "000101"),
+                                     (1009, "10091008")])
+def test_field_entry_equal_to_l_is_refused(l, text):
+    """An entry with the right number of digits that equals l is outside
+    F_l, and ParseError."""
+    with pytest.raises(ParseError, match=rf"outside \[0, {l}\)"):
+        json_field_array(text, "x", l, 2)

@@ -28,7 +28,7 @@ from perfchain import certificates, chains, flinalg
 from perfchain.chains import direct_sum
 from perfchain.groups import grm_compose
 from perfchain.modules import free_cover, orbit_columns, regular_module
-from perfchain.serialize import module_complex_to_json
+from perfchain.serialize import json_field_array, module_complex_to_json
 from perfchain.towers import free_limit
 
 from conftest import (
@@ -94,7 +94,8 @@ def test_tower_certificate_maps_are_the_orbits_of_their_generator_columns(rng):
                 if isinstance(f, ChainMap):
                     assert sorted(witness["map"]) == sorted(map(str, f.components))
                     for q, m in f.components.items():
-                        written = GroupRingMatrix(G, witness["map"][str(q)])
+                        written = GroupRingMatrix(G, json_field_array(
+                            witness["map"][str(q)], "map", G.prime_l, m.rows, m.cols, G.order))
                         assert written == m, G.descriptor
                         E = written.expand()
                         cols = E[:, G.identity::G.order]
@@ -110,7 +111,8 @@ def test_tower_certificate_maps_are_the_orbits_of_their_generator_columns(rng):
                     held = [(P, free_cover(P).matrix, witness["cover"])]
                 counts[verdict.perfect] += len(held)
                 for M, full, cols in held:
-                    V = np.array(cols, dtype=np.int64).reshape(M.dim, full.shape[1] // G.order)
+                    V = json_field_array(cols, "columns", G.prime_l, M.dim,
+                                         full.shape[1] // G.order)
                     assert np.array_equal(orbit_columns(M, V), full), G.descriptor
     assert min(counts) > 0
 
