@@ -1,7 +1,8 @@
 """Perfectness of chain complexes over modular group algebras.
 
-Exact computation over F_l[pi] for finite l-groups pi: group-algebra
-arithmetic, module predicates (free == projective over this local ring),
+Exact computation over F_l[pi] for finite l-groups pi: group-ring
+matrices (an element of F_l[pi] is a 1 x 1 one) with their products and
+inverses, module predicates (free == projective over this local ring),
 bounded free chain complexes with minimalization, a perfectness decision
 procedure producing minimal free replacements with quasi-isomorphism
 witnesses, tower limits via stable images, and the integer-side toolkit
@@ -49,18 +50,12 @@ from .errors import (
 )
 from .finiteness import PerfectnessVerdict, decide_perfect, wall_class
 from .groups import (
-    GroupRingElement,
     GroupRingMatrix,
     GroupTable,
-    augmentation,
     build_group,
     cyclic_group,
     direct_product,
     ga_inverse,
-    ga_mul,
-    ga_one,
-    is_unit,
-    norm_element,
 )
 from .modules import (
     PiModule,

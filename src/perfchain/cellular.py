@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .chains import ChainComplex, ModuleComplex
-from .errors import DimensionMismatchError
-from .groups import GroupRingMatrix, GroupTable, cyclic_group
+from .errors import DimensionMismatchError, LimitError
+from .groups import MAX_FREE_DIM, GroupRingMatrix, GroupTable, check_prime, cyclic_group
 from .modules import trivial_module
 
 
@@ -58,7 +58,11 @@ def chains_of_cover(X: EquivariantCellComplex) -> ChainComplex:
 def lens_complex(l: int, k: int, n: int) -> EquivariantCellComplex:
     """The periodic free cell structure on a sphere for the cyclic group
     of order l^k: one orbit per dimension 0..n, boundaries alternating
-    between t - 1 and the norm element."""
+    between t - 1 and the norm element.  An order l^k past MAX_FREE_DIM is
+    refused before the power is computed, which at large k takes minutes."""
+    check_prime(l)
+    if k >= MAX_FREE_DIM.bit_length() or l ** k > MAX_FREE_DIM:
+        raise LimitError(f"group order {l}^{k} exceeds {MAX_FREE_DIM}")
     G = cyclic_group(l ** k, l)
     o = G.order
     t_minus_1 = np.zeros(o, dtype=np.int64)

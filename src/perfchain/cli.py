@@ -34,10 +34,13 @@ EXIT_ERROR = 2
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e}") from None
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -247,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_cert_flags(p)
     p.set_defaults(func=cmd_minimalize)
 
-    p = sub.add_parser("perfect", help="decide perfectness (exit 1 when negative)")
+    p = sub.add_parser("perfect",
+                       help="decide perfectness; a bounded free complex always is (exit 0)")
     p.add_argument("files", nargs="+")
     p.add_argument("--jobs", type=int, default=1,
                    help="evaluate batch inputs concurrently; output stays ordered")
@@ -305,7 +309,7 @@ def main(argv=None) -> int:
     except PerfchainError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error[E_IO]: {e}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as e:

@@ -26,7 +26,7 @@ class DimensionMismatchError(PerfchainError):
 
 
 class NotAUnitError(PerfchainError):
-    """Inversion requested for a non-unit group-algebra element."""
+    """Inversion of group-ring data whose augmentation is not invertible."""
 
     code = "E_NOT_UNIT"
 

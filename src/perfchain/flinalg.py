@@ -3,16 +3,16 @@
 Kernels take and return numpy int64 arrays with entries in [0, l); only
 `_eliminate`'s working copy is narrower.  They reduce nothing themselves:
 data is reduced once, with `asfield`, where it enters (group-ring
-matrices and elements, `quotient_module`, `HomologyData.chain_of_class`
-and the certificate and text readers).  All routines are deterministic:
-pivots are the first nonzero entry in column order, scanning top down.
+matrices, `quotient_module`, `HomologyData.chain_of_class` and the
+certificate and text readers).  All routines are deterministic: pivots
+are the first nonzero entry in column order, scanning top down.
 
 One Gaussian elimination loop serves every kernel; the only choice is
 which rows a pivot clears.  `pivot_columns` clears the rows below it,
-and `rank`, `complete_basis` and `QuotientSpace` read only the pivots that forward elimination finds; `rref` clears every
-other row, for the three kernels that read the reduced form,
-`kernel_basis`, `solve_matrix` and `canonical_columns`.  Products go
-through `matmul`.
+and `rank`, `complete_basis` and `QuotientSpace` read only the pivots
+that forward elimination finds; `rref` clears every other row, for the
+three kernels that read the reduced form, `kernel_basis`,
+`solve_matrix` and `canonical_columns`.  Products go through `matmul`.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ def matmul(A, B, l: int) -> np.ndarray:
     return C
 
 
-def identity(n: int, l: int) -> np.ndarray:
-    del l
+def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
@@ -165,9 +164,6 @@ def solve_matrix(A, B, l: int):
 
     Free variables are set to zero, so the solution is deterministic.
     """
-    if B.ndim == 1:
-        X = solve_matrix(A, B[:, None], l)
-        return None if X is None else X[:, 0]
     cols = A.shape[1]
     R, pivots = rref(np.hstack([A, B]), l)
     # a pivot falling in the B block marks an inconsistent column
@@ -216,11 +212,7 @@ class QuotientSpace:
 
     def project(self, vectors) -> np.ndarray:
         """Quotient coordinates of columns of `vectors` (must lie in U)."""
-        one_dim = vectors.ndim == 1
-        if one_dim:
-            vectors = vectors[:, None]
         X = solve_matrix(self._solve_block, vectors, self.l)
         if X is None:
             raise ValueError("vector lies outside the ambient subspace")
-        coords = X[self.sub.shape[1]:]
-        return coords[:, 0] if one_dim else coords
+        return X[self.sub.shape[1]:]

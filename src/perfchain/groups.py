@@ -1,8 +1,9 @@
 """Exact arithmetic in F_l[pi] for a finite l-group pi.
 
 Groups are explicit multiplication tables over element indices 0..order-1.
-Group-algebra elements are coefficient vectors in the table's element
-order; that order is the global coordinate convention for every module
+A group-ring value is (rows, cols, order) data, each entry a coefficient
+vector in the table's element order, and an element of F_l[pi] is 1 x 1
+data; that order is the global coordinate convention for every module
 and matrix in the package.
 """
 
@@ -238,10 +239,13 @@ def build_group(spec: str, l: int) -> GroupTable:
         return g
     m = _TABLE_RE.match(spec)
     if m:
-        order, identity, rows = int(m.group(1)), int(m.group(2)), m.group(3)
+        try:    # int() refuses more digits than Python's limit
+            order, identity = int(m.group(1)), int(m.group(2))
+        except ValueError:
+            raise ParseError("table order or identity has too many digits")
         _check_order(order)
         try:
-            mult = [[int(x) for x in row.split(",")] for row in rows.split("|")]
+            mult = [[int(x) for x in row.split(",")] for row in m.group(3).split("|")]
         except ValueError:
             raise ParseError("bad table row")
         if len(mult) != order or any(len(r) != order for r in mult):
@@ -251,61 +255,7 @@ def build_group(spec: str, l: int) -> GroupTable:
 
 
 # ----------------------------------------------------------------------
-# group-algebra elements
-
-
-class GroupRingElement:
-    """An element of F_l[pi] as a coefficient vector over group indices."""
-
-    __slots__ = ("coeffs", "prime")
-
-    def __init__(self, coeffs, prime: int):
-        arr = np.asarray(coeffs, dtype=np.int64) % prime
-        arr.flags.writeable = False
-        self.coeffs = arr
-        self.prime = int(prime)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingElement)
-            and self.prime == other.prime
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash((self.prime, self.coeffs.tobytes()))
-
-    def __add__(self, other):
-        return GroupRingElement(self.coeffs + other.coeffs, self.prime)
-
-    def __sub__(self, other):
-        return GroupRingElement(self.coeffs - other.coeffs, self.prime)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def __repr__(self):
-        return f"GroupRingElement({self.coeffs.tolist()}, l={self.prime})"
-
-
-def ga_one(G: GroupTable) -> GroupRingElement:
-    c = np.zeros(G.order, dtype=np.int64)
-    c[G.identity] = 1
-    return GroupRingElement(c, G.prime_l)
-
-
-def norm_element(G: GroupTable) -> GroupRingElement:
-    """The sum of all group elements."""
-    return GroupRingElement(np.ones(G.order, dtype=np.int64), G.prime_l)
-
-
-def _check_element(a: GroupRingElement, G: GroupTable):
-    if a.prime != G.prime_l:
-        raise GroupMismatchError("element prime differs from group prime")
-    if a.coeffs.shape[0] != G.order:
-        raise DimensionMismatchError(
-            f"coefficient length {a.coeffs.shape[0]} != group order {G.order}"
-        )
+# group-ring data
 
 
 def ga_compose(second: np.ndarray, first: np.ndarray, G: GroupTable) -> np.ndarray:
@@ -334,57 +284,29 @@ def ga_compose(second: np.ndarray, first: np.ndarray, G: GroupTable) -> np.ndarr
     return product if k <= j else product.transpose(1, 0, 2)
 
 
-def ga_mul(a: GroupRingElement, b: GroupRingElement, G: GroupTable) -> GroupRingElement:
-    """Product a * b in F_l[pi]."""
-    _check_element(a, G)
-    _check_element(b, G)
-    # the 1 x 1 composite of b after a
-    return GroupRingElement(ga_compose(b.coeffs[None, None], a.coeffs[None, None], G)[0, 0],
-                            G.prime_l)
-
-
-def augmentation(a: GroupRingElement) -> int:
-    """Coefficient sum mod l; the ring map onto F_l."""
-    return int(a.coeffs.sum() % a.prime)
-
-
-def is_unit(a: GroupRingElement, G: GroupTable) -> bool:
-    """Units of F_l[pi] are exactly the elements of nonzero augmentation.
-
-    F_l[pi] is local for an l-group pi: the augmentation ideal is the
-    Jacobson radical and is nilpotent.  Tests check this against an
-    exhaustive inverse search.
-    """
-    _check_element(a, G)
-    return augmentation(a) != 0
-
-
-def ga_inverse(a, G: GroupTable):
-    """Two-sided inverse of a unit element a, or of square (k, k, order)
-    group-ring data a whose augmentation is invertible over F_l (else
-    NotAUnitError); an element gives an element and data gives data.
+def ga_inverse(a: np.ndarray, G: GroupTable) -> np.ndarray:
+    """Two-sided inverse of square (k, k, order) group-ring data a whose
+    augmentation is invertible over F_l, else NotAUnitError.  An element
+    of F_l[pi] is 1 x 1 data, and a unit exactly when its augmentation is
+    nonzero: F_l[pi] is local, its radical the augmentation ideal.
 
     Newton's iteration X <- X (2I - a X) = X + X (I - a X) from the lift
     of the augmentation's inverse: the residual I - a X starts in the
     radical and each step squares it, so it vanishes once 2^steps reaches
     the radical's nilpotency index, which is at most |pi|.
     """
-    element = isinstance(a, GroupRingElement)
-    if element:
-        _check_element(a, G)
-    A = a.coeffs[None, None] if element else a
     l = G.prime_l
-    k = A.shape[0]
-    eps_inv = flinalg.solve_matrix(A.sum(axis=2) % l, flinalg.identity(k, l), l)
+    k = a.shape[0]
+    eps_inv = flinalg.solve_matrix(a.sum(axis=2) % l, flinalg.identity(k), l)
     if eps_inv is None:
         raise NotAUnitError("augmentation is not invertible")
     one = GroupRingMatrix.identity(G, k).data
     X = np.zeros_like(one)
     X[..., G.identity] = eps_inv
     for _ in range(G.order.bit_length() + 1):
-        residual = (one - ga_compose(A, X, G)) % l
+        residual = (one - ga_compose(a, X, G)) % l
         if not residual.any():
-            return GroupRingElement(X[0, 0], l) if element else X
+            return X
         X = (X + ga_compose(X, residual, G)) % l
     raise AssertionError("Newton's iteration failed to converge")
 
@@ -431,25 +353,6 @@ class GroupRingMatrix:
         data = np.zeros((n, n, group.order), dtype=np.int64)
         data[np.arange(n), np.arange(n), group.identity] = 1
         return GroupRingMatrix(group, data)
-
-    @staticmethod
-    def from_entries(group: GroupTable, entries) -> "GroupRingMatrix":
-        """entries: nested lists of GroupRingElement or coefficient lists."""
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        data = np.zeros((rows, cols, group.order), dtype=np.int64)
-        for i, row in enumerate(entries):
-            if len(row) != cols:
-                raise DimensionMismatchError("ragged entry rows")
-            for j, e in enumerate(row):
-                coeffs = e.coeffs if isinstance(e, GroupRingElement) else np.asarray(e)
-                if coeffs.shape[0] != group.order:
-                    raise DimensionMismatchError("entry length != group order")
-                data[i, j] = coeffs
-        return GroupRingMatrix(group, data)
-
-    def entry(self, i: int, j: int) -> GroupRingElement:
-        return GroupRingElement(self.data[i, j], self.group.prime_l)
 
     def expand(self) -> np.ndarray:
         """The (rows*order) x (cols*order) matrix over F_l of this map."""

@@ -72,7 +72,7 @@ class PiModule:
         """gens[i] as a dim x dim matrix; a pair is built into a new one."""
         rho = self.gens[i]
         if isinstance(rho, tuple):
-            return flinalg.identity(self.dim, self.group.prime_l)[rho[0]]
+            return flinalg.identity(self.dim)[rho[0]]
         return rho
 
     def is_zero(self) -> bool:
@@ -226,7 +226,7 @@ def _radical_span(M: PiModule) -> np.ndarray:
     The generators s suffice, since (gh - 1) m = (g - 1)(h m) + (h - 1) m.
     """
     l = M.group.prime_l
-    eye = flinalg.identity(M.dim, l)
+    eye = flinalg.identity(M.dim)
     blocks = [np.zeros((M.dim, 0), dtype=np.int64)]
     blocks += [(M.matrix(i) - eye) % l for i in range(len(M.gens))]
     return np.hstack(blocks)
@@ -242,7 +242,7 @@ def minimal_generator_lifts(M: PiModule) -> np.ndarray:
     chosen by one echelon completion of the span of rad*M against the
     standard basis."""
     l = M.group.prime_l
-    return flinalg.complete_basis(_radical_span(M), flinalg.identity(M.dim, l), l)
+    return flinalg.complete_basis(_radical_span(M), flinalg.identity(M.dim), l)
 
 
 def free_cover(M: PiModule) -> PiModuleMap:
@@ -291,7 +291,7 @@ def quotient_module(M: PiModule, sub_basis) -> tuple[PiModule, PiModuleMap]:
         for i in range(len(M.gens)):
             if flinalg.rank(np.hstack([W, M.act(i, W)]), l) != r:
                 raise DimensionMismatchError("subspace is not action-invariant")
-    quo = flinalg.QuotientSpace(flinalg.identity(M.dim, l), W, l)
+    quo = flinalg.QuotientSpace(flinalg.identity(M.dim), W, l)
     Q = induced_action(M, quo.reps, quo.project)
-    proj = PiModuleMap(M, Q, quo.project(flinalg.identity(M.dim, l)))
+    proj = PiModuleMap(M, Q, quo.project(flinalg.identity(M.dim)))
     return Q, proj

@@ -110,7 +110,7 @@ def stable_images(T: Tower, q: int, n: int, h: int, composites=None) -> StableIm
     dim_n = T.levels[n].rank_at(q) * T.group.order
     if h == 0:
         # the canonical form of I is I
-        return StableImages(q, n, h, [dim_n], flinalg.identity(dim_n, l), dim_n == 0,
+        return StableImages(q, n, h, [dim_n], flinalg.identity(dim_n), dim_n == 0,
                             None if dim_n else 0)
     Ms = _composites(T, q, n, h) if composites is None else composites
     dims = [dim_n]

@@ -21,7 +21,6 @@ from perfchain import (
     identity_chain_map,
     limit_complex,
     mapping_cone,
-    norm_element,
 )
 from perfchain import certificates, flinalg, serialize
 from perfchain.abelian import Lattice, SNFResult, integer_kernel_columns
@@ -32,7 +31,7 @@ from perfchain.errors import (
     ParseError,
 )
 from perfchain.finiteness import decide_perfect
-from perfchain.groups import MAX_FREE_DIM, grm_compose
+from perfchain.groups import MAX_FREE_DIM, ga_inverse, grm_compose
 from perfchain.modules import PiModule, PiModuleMap, orbit
 from perfchain.serialize import json_field, json_field_array
 from perfchain.towers import FreeLimit, decided_limit
@@ -366,7 +365,7 @@ def check_action(M: PiModule) -> PiModule:
     (s in S) this gives rho(g) rho(h) = rho(g) rho(h') rho(s) =
     rho(gh') rho(s) = rho(gh) for every pair, and so invertibility."""
     G = M.group
-    stacked = np.stack(orbit(M, flinalg.identity(M.dim, G.prime_l)))
+    stacked = np.stack(orbit(M, flinalg.identity(M.dim)))
     for i, s in enumerate(G.generators):
         if not np.array_equal(M.act(i, stacked, right=True), stacked[G.mult[:, s]]):
             raise DimensionMismatchError("action is not a homomorphism")
@@ -473,7 +472,7 @@ def radical_basis(M) -> np.ndarray:
     l = M.group.prime_l
     if M.dim == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    eye = flinalg.identity(M.dim, l)
+    eye = flinalg.identity(M.dim)
     blocks = [np.zeros((M.dim, 0), dtype=np.int64)]
     blocks += [(M.matrix(i) - eye) % l for i in range(len(M.gens))]
     return column_space_basis(np.hstack(blocks), l)
@@ -512,16 +511,16 @@ def has_equivariant_section(f) -> bool:
     sdim, tdim = f.source.dim, f.target.dim
     if tdim == 0:
         return True
-    eye_s = flinalg.identity(sdim, l)
-    eye_t = flinalg.identity(tdim, l)
+    eye_s = flinalg.identity(sdim)
+    eye_t = flinalg.identity(tdim)
     rows = [np.kron(eye_t, f.matrix)]
-    rhs = [flinalg.identity(tdim, l).T.reshape(-1)]
+    rhs = [flinalg.identity(tdim).T.reshape(-1)]
     for s, t in zip(module_action(f.source), module_action(f.target)):
         rows.append(np.kron(t.T, eye_s) - np.kron(eye_t, s))
         rhs.append(np.zeros(sdim * tdim, dtype=np.int64))
     A = np.vstack(rows) % l
     b = np.concatenate(rhs) % l
-    return flinalg.solve_matrix(A, b, l) is not None
+    return flinalg.solve_matrix(A, b[:, None], l) is not None
 
 
 def smith_normal_form_reference(M) -> SNFResult:
@@ -643,6 +642,11 @@ def stable_images_reference(T: Tower, q: int, n: int, h: int):
     while stable_at > 0 and np.array_equal(images[stable_at - 1], images[h]):
         stable_at -= 1
     return images, stable_at < h, stable_at if stable_at < h else None
+
+
+def norm_matrix(G: GroupTable) -> GroupRingMatrix:
+    """The norm element, the sum of all group elements, as 1 x 1 data."""
+    return GroupRingMatrix(G, np.ones((1, 1, G.order), dtype=np.int64))
 
 
 def ga_mul_reference(a, b, G: GroupTable) -> np.ndarray:
@@ -1017,8 +1021,7 @@ def random_invertible(G: GroupTable, n: int, rng,
         else:
             i = rng.randrange(n)
             u = random_unit(G, rng)
-            from perfchain import ga_inverse, GroupRingElement
-            uinv = ga_inverse(GroupRingElement(u, G.prime_l), G).coeffs
+            uinv = ga_inverse(u[None, None], G)[0, 0]
             E = GroupRingMatrix.identity(G, n).data.copy()
             E[i, i] = u
             Einv = GroupRingMatrix.identity(G, n).data.copy()

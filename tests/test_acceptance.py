@@ -20,7 +20,6 @@ import pytest
 from perfchain import (
     ChainComplex,
     ChainMap,
-    GroupRingMatrix,
     Tower,
     base_homology,
     chains_of_cover,
@@ -35,7 +34,6 @@ from perfchain import (
     is_quasi_iso,
     lens_complex,
     limit_complex,
-    norm_element,
     pro_decide_perfect,
     quotient_module,
     regular_module,
@@ -49,6 +47,7 @@ from conftest import (
     conjugate_complex,
     has_equivariant_section,
     homology_image_dims,
+    norm_matrix,
     pad_with_identity_cones,
     random_minimal_complex,
     random_stabilizing_tower,
@@ -158,11 +157,11 @@ def literal_scan_units(G, E: np.ndarray, rd: np.ndarray) -> np.ndarray:
 
 
 def test_acceptance_unit_criterion():
-    """is_unit (augmentation) agrees with exhaustive inverse search for all
-    l-groups of order <= 27, l in {2, 3}; elements enumerated exhaustively
-    wherever the algebra has at most 2^16 elements (everything except the
-    order-27 groups, where a dense seeded sample stands in for the
-    3^27-element algebra)."""
+    """The unit criterion (nonzero augmentation) agrees with exhaustive
+    inverse search for all l-groups of order <= 27, l in {2, 3}; elements
+    enumerated exhaustively wherever the algebra has at most 2^16 elements
+    (everything except the order-27 groups, where a dense seeded sample
+    stands in for the 3^27-element algebra)."""
     with criterion("unit criterion (order <= 27, l in {2,3})", budget=60.0):
         nprng = np.random.default_rng(20240811)
         for name, G in two_group_zoo() + three_group_zoo():
@@ -260,7 +259,7 @@ def test_acceptance_perfect_roundtrip():
 
 def norm_tower(G, n_levels=4):
     L = ChainComplex(G, 0, [1], [])
-    N = GroupRingMatrix.from_entries(G, [[norm_element(G)]])
+    N = norm_matrix(G)
     bonds = [ChainMap(L, L, {0: N})] + [identity_chain_map(L)] * (n_levels - 2)
     return Tower([L] * n_levels, bonds)
 

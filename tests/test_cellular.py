@@ -12,13 +12,12 @@ from perfchain import (
     chains_of_cover,
     cyclic_group,
     decide_perfect,
-    ga_mul,
-    GroupRingElement,
     homology,
     lens_complex,
 )
+from perfchain.groups import grm_compose
 
-from conftest import SMALL_GROUPS, module_action
+from conftest import SMALL_GROUPS, ga_mul_reference, module_action
 
 
 def bareiss_det(M):
@@ -83,20 +82,21 @@ def test_lens_2_1_2_boundaries():
     X = lens_complex(2, 1, 2)
     assert [b.data.tolist() for b in X.boundaries] == [[[[1, 1]]], [[[1, 1]]]]
     # (1+t)^2 = 0 in characteristic 2
-    G = X.group
-    opt = GroupRingElement([1, 1], 2)
-    assert ga_mul(opt, opt, G).is_zero()
+    assert grm_compose(*X.boundaries).is_zero()
+    assert not ga_mul_reference([1, 1], [1, 1], X.group).any()
 
 
 def test_lens_3_1_2_boundaries():
+    """The boundaries t - 1 and the norm compose to zero either way round,
+    by `grm_compose` and by the table product."""
     X = lens_complex(3, 1, 2)
     G = X.group
-    tm1 = GroupRingElement([-1, 1, 0], 3)
-    norm = GroupRingElement([1, 1, 1], 3)
-    assert X.boundaries[0].entry(0, 0) == tm1
-    assert X.boundaries[1].entry(0, 0) == norm
-    assert ga_mul(norm, tm1, G).is_zero()
-    assert ga_mul(tm1, norm, G).is_zero()
+    tm1, norm = [-1, 1, 0], [1, 1, 1]
+    assert X.boundaries == [GroupRingMatrix(G, [[tm1]]), GroupRingMatrix(G, [[norm]])]
+    d1, d2 = X.boundaries
+    assert grm_compose(d1, d2).is_zero() and grm_compose(d2, d1).is_zero()
+    assert not ga_mul_reference(np.mod(tm1, 3), norm, G).any()
+    assert not ga_mul_reference(norm, np.mod(tm1, 3), G).any()
 
 
 def test_lens_degree_zero():

@@ -31,7 +31,6 @@ from perfchain import (
     chains_of_cover,
     identity_chain_map,
     lens_complex,
-    norm_element,
 )
 from perfchain import chains
 from perfchain.serialize import digest_text, write_complex, write_tower
@@ -44,6 +43,7 @@ from conftest import (
     cert_as_v4,
     conjugate_complex,
     heisenberg_27,
+    norm_matrix,
     pad_with_identity_cones,
     random_minimal_complex,
     random_stabilizing_tower,
@@ -61,7 +61,7 @@ def lens_path(tmp_path):
 def norm_tower_path(tmp_path):
     G = SMALL_GROUPS["C2"]
     L = ChainComplex(G, 0, [1], [])
-    N = GroupRingMatrix.from_entries(G, [[norm_element(G)]])
+    N = norm_matrix(G)
     T = Tower([L] * 4, [ChainMap(L, L, {0: N})] + [identity_chain_map(L)] * 2)
     path = tmp_path / "norm.twr"
     path.write_text(write_tower(T))
@@ -238,7 +238,7 @@ def test_tower_certificate_bytes_pinned(capsys, tmp_path):
     G = build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)
     stable, core = random_stabilizing_tower(G, random.Random(1), n_levels=3)
     L = ChainComplex(G, 0, [1], [])
-    N = GroupRingMatrix.from_entries(G, [[norm_element(G)]])
+    N = norm_matrix(G)
     norm = Tower([L] * 3, [ChainMap(L, L, {0: N}), identity_chain_map(L)])
     expected = {
         "stable": (0, "495785b6c6d2960b537248613e1ea81e8fd1178bd288d0b7b0f61782eab6b296",
@@ -763,7 +763,7 @@ def _lens_tower(tmp_path):
     """A constant C2 tower of the lens complex F_2[C2] <-(1+t)- F_2[C2]:
     perfect, with a witness map in degrees 0 and 1."""
     G = SMALL_GROUPS["C2"]
-    L = ChainComplex(G, 0, [1, 1], [GroupRingMatrix.from_entries(G, [[[1, 1]]])])
+    L = ChainComplex(G, 0, [1, 1], [GroupRingMatrix(G, [[[1, 1]]])])
     path = tmp_path / "lens.twr"
     path.write_text(write_tower(Tower([L] * 3, [identity_chain_map(L)] * 2)))
     return str(path)
@@ -1011,6 +1011,64 @@ def test_one_certificate_file_for_several_inputs_is_refused(capsys, lens_path, t
     assert not cert_path.exists()
 
 
+_NOT_UTF8 = b"\xff\xfe group"
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["perfect", "{dir}"], "E_IO", id="perfect-dir"),
+    pytest.param(["perfect", "{lens}", "--cert", "{dir}"], "E_IO", id="cert-dir"),
+    pytest.param(["lens", "2", "1", "2", "-o", "{dir}"], "E_IO", id="lens-dir"),
+    pytest.param(["perfect", "{lens}", "{dir}", "--jobs", "2"], "E_IO", id="jobs-dir"),
+    pytest.param(["perfect", "{bad}"], "E_PARSE", id="perfect-bytes"),
+    pytest.param(["verify", "{bad}"], "E_PARSE", id="verify-bytes"),
+    pytest.param(["snf", "{bad}"], "E_PARSE", id="snf-bytes"),
+    pytest.param(["tower-perfect", "{bad}", "--horizon", "1"], "E_PARSE", id="tower-bytes"),
+    pytest.param(["perfect", "{lens}", "{bad}", "--jobs", "2"], "E_PARSE", id="jobs-bytes"),
+])
+def test_unreadable_input_is_a_coded_error(capsys, tmp_path, lens_path, argv, code):
+    """A directory where a file is read or written is E_IO, and bytes that
+    are not UTF-8 are E_PARSE naming the file, both exit 2 and not an
+    OSError or UnicodeDecodeError traceback with exit 1: serially and
+    through the `--jobs 2` worker pool."""
+    (tmp_path / "dir").mkdir()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(_NOT_UTF8)
+    names = {"dir": str(tmp_path / "dir"), "bad": str(bad), "lens": lens_path}
+    got, _, err = run(capsys, *(a.format(**names) for a in argv))
+    assert got == 2
+    if code == "E_IO":
+        assert err.startswith("error[E_IO]: ") and "Is a directory" in err, err
+    else:
+        assert err == (f"error[E_PARSE]: {bad} is not UTF-8 text: 'utf-8' codec can't decode "
+                       "byte 0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["lens", "2", "20000", "1"],
+                 "error[E_LIMIT]: group order 2^20000 exceeds 16384\n", id="lens-digits"),
+    pytest.param(["lens", "3", "100000000", "1"],
+                 "error[E_LIMIT]: group order 3^100000000 exceeds 16384\n", id="lens-power"),
+    pytest.param(["perfect", "order"], "error[E_PARSE]: table order or identity has too many "
+                 "digits\n", id="table-order"),
+    pytest.param(["perfect", "identity"], "error[E_PARSE]: table order or identity has too "
+                 "many digits\n", id="table-identity"),
+])
+def test_oversized_integer_is_refused_before_use(tmp_path, argv, expected):
+    """An order l^k past the free-dimension bound is refused before l^k is
+    computed, and a table descriptor whose order or identity has more
+    digits than `int` reads is E_PARSE: each a coded error with exit 2 in
+    a few seconds, not a traceback (the 6021-digit order does not print)
+    or a power that runs for minutes."""
+    digits = "1" * 5000
+    for name, order, identity in (("order", digits, "0"), ("identity", "1", digits)):
+        (tmp_path / name).write_text(f"group table:{{order:{order};identity:{identity};"
+                                     "mult:0}\nprime 2\nbottom 0\nranks 1\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(perfchain.__file__))}
+    done = subprocess.run([sys.executable, "-m", "perfchain.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=False, timeout=20)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", expected)
+
+
 def _run_in(workdir, argv, separate: bool):
     """(exit code, stdout, stderr) of one command run in `workdir`, in a
     fresh interpreter when `separate`, else through `main` here; an
@@ -1022,12 +1080,15 @@ def _run_in(workdir, argv, separate: bool):
                               env=env, capture_output=True, text=True, check=False)
         return done.returncode, done.stdout, done.stderr
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            contextlib.chdir(workdir):
-        try:
+    cwd = os.getcwd()   # not contextlib.chdir, which Python 3.10 lacks
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        except SystemExit as e:
-            code = e.code
+    except SystemExit as e:
+        code = e.code
+    finally:
+        os.chdir(cwd)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -1124,7 +1185,7 @@ def certificates_to_mutate(tmp_path_factory):
     d = tmp_path_factory.mktemp("certs")
     G = SMALL_GROUPS["C2"]
     L = ChainComplex(G, 0, [1], [])
-    N = GroupRingMatrix.from_entries(G, [[norm_element(G)]])
+    N = norm_matrix(G)
     inputs = {
         "lens.cplx": write_complex(chains_of_cover(lens_complex(2, 1, 2))),
         "norm.twr": write_tower(Tower([L] * 4, [ChainMap(L, L, {0: N})]

@@ -36,7 +36,7 @@ from conftest import SMALL_GROUPS, check_action, check_module_complex, check_mod
 
 
 def one_plus_t(G):
-    return GroupRingMatrix.from_entries(G, [[[1, 1]]])
+    return GroupRingMatrix(G, [[[1, 1]]])
 
 
 def test_decide_perfect_two_term_complex():
@@ -273,7 +273,7 @@ def test_module_route_witnesses_pass_the_oracles_across_the_zoo(rng):
     for name, G in two_group_zoo() + three_group_zoo():
         C, core = pad_and_scramble(G, rng)
         R = trivial_module(G, rng.randint(1, 2))
-        acyclic = ModuleComplex(G, 0, [R, R], [flinalg.identity(R.dim, G.prime_l)])
+        acyclic = ModuleComplex(G, 0, [R, R], [flinalg.identity(R.dim)])
         T, tower_core = random_stabilizing_tower(G, rng, n_levels=3)
         for MC, euler in ((C.expanded(), euler_characteristic(core)), (acyclic, 0),
                           (limit_complex(T, 2), euler_characteristic(tower_core))):

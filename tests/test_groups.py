@@ -9,7 +9,7 @@ import pytest
 
 from perfchain import (
     DimensionMismatchError,
-    GroupRingElement,
+    GroupMismatchError,
     GroupRingMatrix,
     GroupTable,
     LimitError,
@@ -17,15 +17,10 @@ from perfchain import (
     NotAnLGroupError,
     NotAUnitError,
     ParseError,
-    augmentation,
     build_group,
     cyclic_group,
     direct_product,
     ga_inverse,
-    ga_mul,
-    ga_one,
-    is_unit,
-    norm_element,
 )
 from perfchain.groups import ga_compose, grm_compose
 
@@ -41,6 +36,7 @@ from conftest import (
     ga_mul_reference,
     heisenberg_27,
     is_group_brute,
+    norm_matrix,
     random_unit,
     regular_action_matrices,
     three_group_zoo,
@@ -48,13 +44,24 @@ from conftest import (
 )
 
 
-def elt(coeffs, l):
-    return GroupRingElement(coeffs, l)
+def elt(G, coeffs) -> GroupRingMatrix:
+    """An element of F_l[pi]: 1 x 1 group-ring data."""
+    return GroupRingMatrix(G, [[coeffs]])
+
+
+def times(a, b) -> GroupRingMatrix:
+    """The product a b of 1 x 1 matrices: the map x -> x a b is the
+    right multiplication by b after that by a."""
+    return grm_compose(b, a)
+
+
+def augmentation(a) -> int:
+    return int(a.augmentation_matrix()[0, 0])
 
 
 def all_elements(G):
     for coeffs in itertools.product(range(G.prime_l), repeat=G.order):
-        yield GroupRingElement(coeffs, G.prime_l)
+        yield elt(G, coeffs)
 
 
 def test_build_cyclic2():
@@ -149,27 +156,28 @@ def test_group_check_matches_brute_force_on_perturbed_tables():
 
 
 def test_ga_mul_examples():
+    """Products in F_l[pi] of elements as 1 x 1 matrices."""
     C2 = SMALL_GROUPS["C2"]
-    one, t = ga_one(C2), elt([0, 1], 2)
-    assert ga_mul(one, t, C2) == t
-    assert ga_mul(elt([1, 1], 2), elt([1, 1], 2), C2).is_zero()
+    one, t = GroupRingMatrix.identity(C2, 1), elt(C2, [0, 1])
+    assert times(one, t) == t and times(t, one) == t
+    assert times(elt(C2, [1, 1]), elt(C2, [1, 1])).is_zero()
 
     C3 = SMALL_GROUPS["C3"]
-    prod = ga_mul(elt([1, 1, 0], 3), elt([1, 1, 1], 3), C3)
-    assert prod == elt([2, 2, 2], 3)
+    assert times(elt(C3, [1, 1, 0]), elt(C3, [1, 1, 1])) == elt(C3, [2, 2, 2])
 
 
 def test_ga_mul_matches_table_reference():
-    """The product read through G.ldiv equals the table scatter, on every
-    zoo group and Heis27 (nonabelian, l = 3)."""
+    """The product of 1 x 1 data read through G.ldiv or G.rdiv equals the
+    table scatter, on every zoo group and Heis27 (nonabelian, l = 3)."""
     rng = random.Random(17)
     for name, G in two_group_zoo() + [("Heis27", heisenberg_27())]:
         l = G.prime_l
         for _ in range(6):
-            a = [rng.randrange(l) for _ in range(G.order)]
-            b = [rng.randrange(l) for _ in range(G.order)]
-            prod = ga_mul(GroupRingElement(a, l), GroupRingElement(b, l), G)
-            assert np.array_equal(prod.coeffs, ga_mul_reference(a, b, G)), name
+            a = np.array([rng.randrange(l) for _ in range(G.order)])
+            b = np.array([rng.randrange(l) for _ in range(G.order)])
+            prod = ga_compose(b[None, None], a[None, None], G)[0, 0]
+            assert np.array_equal(prod, ga_mul_reference(a, b, G)), name
+            assert np.array_equal(times(elt(G, a), elt(G, b)).data[0, 0], prod), name
 
 
 def test_ga_compose_matches_the_one_sided_gather():
@@ -195,33 +203,43 @@ def test_ga_compose_matches_the_one_sided_gather():
 
 
 def test_ga_mul_dimension_mismatch():
-    C2 = SMALL_GROUPS["C2"]
+    """An entry of the wrong length is refused when the element is built,
+    and elements over different groups do not multiply."""
+    C2, C4 = SMALL_GROUPS["C2"], SMALL_GROUPS["C4"]
     with pytest.raises(DimensionMismatchError):
-        ga_mul(elt([1, 0, 0], 2), elt([1, 0], 2), C2)
+        elt(C2, [1, 0, 0])
+    with pytest.raises(GroupMismatchError):
+        times(elt(C2, [1, 0]), elt(C4, [1, 0, 0, 0]))
 
 
 def test_augmentation_examples():
     C2, C3 = SMALL_GROUPS["C2"], SMALL_GROUPS["C3"]
-    assert augmentation(ga_one(C2)) == 1
-    assert augmentation(elt([1, 1], 2)) == 0
-    assert augmentation(elt([2, 1, 2], 3)) == 2
+    assert augmentation(GroupRingMatrix.identity(C2, 1)) == 1
+    assert augmentation(elt(C2, [1, 1])) == 0
+    assert augmentation(elt(C3, [2, 1, 2])) == 2
 
 
 def test_is_unit_examples():
+    """A unit has nonzero augmentation, and only a unit is inverted."""
     C2, C3 = SMALL_GROUPS["C2"], SMALL_GROUPS["C3"]
-    assert is_unit(elt([0, 1], 2), C2)
-    assert not is_unit(elt([1, 1], 2), C2)
-    assert is_unit(elt([1, 1, 0], 3), C3)
+    for a, unit in ((elt(C2, [0, 1]), True), (elt(C2, [1, 1]), False),
+                    (elt(C3, [1, 1, 0]), True)):
+        assert (augmentation(a) != 0) == unit
+        if unit:
+            ga_inverse(a.data, a.group)
+        else:
+            with pytest.raises(NotAUnitError):
+                ga_inverse(a.data, a.group)
 
 
 def test_ga_inverse_examples():
     C3 = SMALL_GROUPS["C3"]
-    t = elt([0, 1, 0], 3)
-    assert ga_inverse(t, C3) == elt([0, 0, 1], 3)
-    assert ga_inverse(ga_one(C3), C3) == ga_one(C3)
-    assert ga_inverse(elt([1, 1, 0], 3), C3) == elt([2, 1, 2], 3)
+    one = GroupRingMatrix.identity(C3, 1)
+    assert np.array_equal(ga_inverse(elt(C3, [0, 1, 0]).data, C3), elt(C3, [0, 0, 1]).data)
+    assert np.array_equal(ga_inverse(one.data, C3), one.data)
+    assert np.array_equal(ga_inverse(elt(C3, [1, 1, 0]).data, C3), elt(C3, [2, 1, 2]).data)
     with pytest.raises(NotAUnitError):
-        ga_inverse(elt([1, 1], 2), SMALL_GROUPS["C2"])
+        ga_inverse(elt(SMALL_GROUPS["C2"], [1, 1]).data, SMALL_GROUPS["C2"])
     # [[1, 1], [1, 1]] over F_3[C_3]: the augmentation matrix is singular
     with pytest.raises(NotAUnitError):
         ga_inverse(np.ones((2, 2, 1), dtype=np.int64) * np.array([1, 0, 0]), C3)
@@ -230,50 +248,59 @@ def test_ga_inverse_examples():
 def test_ga_inverse_matches_geometric_series():
     """Newton's iteration gives the inverse that the geometric series
     gives, on random units and on generators g (where n = 1 - g has
-    nilpotency index the order of g), over the zoos and cyclic:729, for
-    an element and for the same unit as 1 x 1 group-ring data."""
+    nilpotency index the order of g), over the zoos and cyclic:729, as
+    1 x 1 group-ring data, and it is a two-sided inverse."""
     rng = random.Random(47)
     C729 = build_group("cyclic:729", 3)
     for name, G in two_group_zoo() + three_group_zoo() + [("C729", C729)]:
         units = [random_unit(G, rng) for _ in range(4 if G.order < 729 else 1)]
         for g in G.generators:
             units.append(np.eye(G.order, dtype=np.int64)[g] * rng.randrange(1, G.prime_l))
+        one = GroupRingMatrix.identity(G, 1)
         for u in units:
-            a = elt(u, G.prime_l)
             expected = ga_inverse_series_reference(u, G)
-            assert np.array_equal(ga_inverse(a, G).coeffs, expected), name
-            assert np.array_equal(ga_inverse(a.coeffs[None, None], G)[0, 0], expected), name
-            assert ga_mul(a, elt(expected, G.prime_l), G) == ga_one(G), name
+            inverse = ga_inverse(u[None, None], G)
+            assert inverse.shape == (1, 1, G.order), name
+            assert np.array_equal(inverse[0, 0], expected), name
+            a, b = elt(G, u), GroupRingMatrix(G, inverse)
+            assert times(a, b) == one and times(b, a) == one, name
 
 
 @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C2xC2", "D4"])
 def test_unit_criterion_against_scan(name):
-    """is_unit(a) iff some b satisfies ab = 1, by literal scan."""
+    """ga_inverse of 1 x 1 data succeeds iff some b satisfies ab = 1, by
+    literal scan with the table product, and then returns that b, which
+    is also a left inverse; exactly then the augmentation is nonzero."""
     G = SMALL_GROUPS[name]
-    for a in all_elements(G):
-        found = None
-        for b in all_elements(G):
-            if ga_mul(a, b, G) == ga_one(G):
-                found = b
-                break
-        assert is_unit(a, G) == (found is not None)
+    one = GroupRingMatrix.identity(G, 1).data[0, 0]
+    scan = [np.array(c) for c in itertools.product(range(G.prime_l), repeat=G.order)]
+    for a in scan:
+        found = next((b for b in scan if np.array_equal(ga_mul_reference(a, b, G), one)),
+                     None)
+        try:
+            inverse = ga_inverse(a[None, None], G)[0, 0]
+        except NotAUnitError:
+            inverse = None
+        assert (inverse is None) == (found is None)
+        assert (found is not None) == (augmentation(elt(G, a)) != 0)
         if found is not None:
-            assert ga_mul(found, a, G) == ga_one(G)  # two-sided
+            assert np.array_equal(inverse, found)
+            assert np.array_equal(ga_mul_reference(found, a, G), one)  # two-sided
 
 
 def test_inverse_roundtrip_on_units():
     for name in ["C2", "C3", "C4", "C2xC2", "Q8", "C9"]:
         G = SMALL_GROUPS[name]
+        one = GroupRingMatrix.identity(G, 1)
         rng = random.Random(hash(name) & 0xFFFF)
         count = 0
         while count < 25:
-            coeffs = [rng.randrange(G.prime_l) for _ in range(G.order)]
-            a = GroupRingElement(coeffs, G.prime_l)
-            if not is_unit(a, G):
+            a = elt(G, [rng.randrange(G.prime_l) for _ in range(G.order)])
+            if augmentation(a) == 0:
                 continue
-            b = ga_inverse(a, G)
-            assert ga_mul(a, b, G) == ga_one(G)
-            assert ga_mul(b, a, G) == ga_one(G)
+            b = GroupRingMatrix(G, ga_inverse(a.data, G))
+            assert times(a, b) == one
+            assert times(b, a) == one
             count += 1
 
 
@@ -282,7 +309,7 @@ def test_augmentation_multiplicative_exhaustive_small():
         G = SMALL_GROUPS[name]
         for a in all_elements(G):
             for b in all_elements(G):
-                assert augmentation(ga_mul(a, b, G)) == (
+                assert augmentation(times(a, b)) == (
                     augmentation(a) * augmentation(b)) % G.prime_l
 
 
@@ -290,13 +317,13 @@ def test_radical_is_an_ideal():
     G = SMALL_GROUPS["C2xC2"]
     rng = random.Random(7)
     for _ in range(200):
-        a = GroupRingElement([rng.randrange(2) for _ in range(4)], 2)
-        b = GroupRingElement([rng.randrange(2) for _ in range(4)], 2)
+        a = elt(G, [rng.randrange(2) for _ in range(4)])
+        b = elt(G, [rng.randrange(2) for _ in range(4)])
         if augmentation(a) == 0 and augmentation(b) == 0:
-            assert augmentation(a + b) == 0
+            assert augmentation(GroupRingMatrix(G, a.data + b.data)) == 0
         if augmentation(a) == 0:
-            assert augmentation(ga_mul(a, b, G)) == 0
-            assert augmentation(ga_mul(b, a, G)) == 0
+            assert augmentation(times(a, b)) == 0
+            assert augmentation(times(b, a)) == 0
 
 
 def test_radical_nilpotence_bound():
@@ -305,25 +332,22 @@ def test_radical_nilpotence_bound():
         N = G.order * (G.prime_l - 1) + 1
         rng = random.Random(11)
         for _ in range(20):
-            prod = ga_one(G)
+            prod = GroupRingMatrix.identity(G, 1)
             for _ in range(N):
-                coeffs = [rng.randrange(G.prime_l) for _ in range(G.order)]
-                a = GroupRingElement(coeffs, G.prime_l)
-                a = a - GroupRingElement(
-                    [augmentation(a) if i == G.identity else 0 for i in range(G.order)],
-                    G.prime_l)
-                prod = ga_mul(prod, a, G)
+                coeffs = np.array([rng.randrange(G.prime_l) for _ in range(G.order)])
+                coeffs[G.identity] -= coeffs.sum()      # into the radical
+                prod = times(prod, elt(G, coeffs))
             assert prod.is_zero()
 
 
 def test_norm_element_kills_radical():
     for name, G in [("C4", SMALL_GROUPS["C4"]), ("Q8", SMALL_GROUPS["Q8"])]:
-        N = norm_element(G)
+        N = norm_matrix(G)
         for g in range(G.order):
-            gm1 = GroupRingElement(
-                [1 if i == g else 0 for i in range(G.order)], G.prime_l) - ga_one(G)
-            assert ga_mul(gm1, N, G).is_zero()
-            assert ga_mul(N, gm1, G).is_zero()
+            gm1 = np.eye(G.order, dtype=np.int64)[g]
+            gm1[G.identity] -= 1
+            assert times(elt(G, gm1), N).is_zero()
+            assert times(N, elt(G, gm1)).is_zero()
 
 
 def test_direct_product_orders_and_descriptor():

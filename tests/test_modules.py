@@ -290,7 +290,7 @@ def test_induced_action_matches_per_element_solve_for_kernels_and_quotients():
 
         W = submodule_span(R2, K[:, :1]) if K.shape[1] else K
         Q, _ = quotient_module(R2, W)
-        quo = flinalg.QuotientSpace(flinalg.identity(R2.dim, l), W, l)
+        quo = flinalg.QuotientSpace(flinalg.identity(R2.dim), W, l)
         expected = per_element_action(R2, quo.reps, quo.project)
         assert _same(module_action(Q), expected), name
 
@@ -359,7 +359,7 @@ def test_induced_action_on_a_direct_sum_matches_per_element_solve():
 
         W = submodule_span(S, K[:, :1]) if K.shape[1] else K
         Q, _ = quotient_module(S, W)
-        quo = flinalg.QuotientSpace(flinalg.identity(S.dim, l), W, l)
+        quo = flinalg.QuotientSpace(flinalg.identity(S.dim), W, l)
         expected = [quo.project((a @ quo.reps) % l) for a in dense]
         assert _same(module_action(Q), expected), name
 
@@ -384,7 +384,7 @@ def test_free_cover_matches_per_element_loop():
         R = check_action(PiModule(G, 2 * o, [regular[s] for s in G.generators]))
         vec = np.array([[rng.randrange(l)] for _ in range(R.dim)])
         W = submodule_span(R, vec)
-        quo = flinalg.QuotientSpace(flinalg.identity(R.dim, l), W, l)
+        quo = flinalg.QuotientSpace(flinalg.identity(R.dim), W, l)
         dense = [quo.project((a @ quo.reps) % l) for a in regular]
         for Q in (check_action(PiModule(G, quo.dim, [dense[s] for s in G.generators])),
                   quotient_module(R, W)[0]):
@@ -527,7 +527,7 @@ def test_pivot_kernels_build_no_reduced_form(monkeypatch):
     monkeypatch.setattr(flinalg, "_eliminate", forward_only)
     for name, M, freeness in cases:
         l = M.group.prime_l
-        eye = flinalg.identity(M.dim, l)
+        eye = flinalg.identity(M.dim)
         spans = np.hstack([np.zeros((M.dim, 0), dtype=np.int64)]
                           + [(M.matrix(i) - eye) % l for i in range(len(M.gens))])
         pivots = rref_reference(spans, l)[1]

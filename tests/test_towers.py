@@ -15,12 +15,10 @@ from perfchain import (
     build_group,
     decide_perfect,
     euler_characteristic,
-    ga_one,
     identity_chain_map,
     is_free,
     is_quasi_iso,
     limit_complex,
-    norm_element,
     pro_decide_perfect,
     stable_images,
 )
@@ -44,6 +42,7 @@ from conftest import (
     per_element_action,
     radical_entry,
     random_invertible,
+    norm_matrix,
     random_minimal_complex,
     random_stabilizing_tower,
     stable_images_reference,
@@ -53,7 +52,7 @@ from conftest import (
 
 
 def one_plus_t(G):
-    return GroupRingMatrix.from_entries(G, [[[1, 1]]])
+    return GroupRingMatrix(G, [[[1, 1]]])
 
 
 def lens_like(G, n):
@@ -68,7 +67,7 @@ def norm_tower(G, n_levels=4):
     """Levels F_l[pi] in degree 0; first bond is the norm, the rest are
     identities, so the stable image at level 0 is the trivial line."""
     L = single_free(G)
-    N = GroupRingMatrix.from_entries(G, [[norm_element(G)]])
+    N = norm_matrix(G)
     bonds = [ChainMap(L, L, {0: N})] + [identity_chain_map(L)] * (n_levels - 2)
     return Tower([L] * n_levels, bonds)
 
@@ -177,11 +176,17 @@ def test_free_route_matches_the_module_route(rng):
 
 
 def _diagonal(G, entries):
-    """The diagonal group-ring matrix with the given elements."""
+    """The diagonal group-ring matrix with the given coefficient vectors."""
     data = np.zeros((len(entries), len(entries), G.order), dtype=np.int64)
     for i, a in enumerate(entries):
-        data[i, i] = a.coeffs
+        data[i, i] = a
     return GroupRingMatrix(G, data)
+
+
+def _one_norm_zero(G):
+    """The coefficients of 1, of the norm element and of 0."""
+    return (GroupRingMatrix.identity(G, 1).data[0, 0], np.ones(G.order, dtype=np.int64),
+            np.zeros(G.order, dtype=np.int64))
 
 
 def _free_plus_norm_tower(G):
@@ -190,8 +195,8 @@ def _free_plus_norm_tower(G):
     is C plus the trivial line, which is not perfect."""
     C = _core_of_ranks(G, random.Random(0), 0, [1, 1, 1])
     level = direct_sum(C, ChainComplex(G, 1, [1], []))
-    comps = {0: _diagonal(G, [ga_one(G)]), 1: _diagonal(G, [ga_one(G), norm_element(G)]),
-             2: _diagonal(G, [ga_one(G)])}
+    one, norm, _ = _one_norm_zero(G)
+    comps = {0: _diagonal(G, [one]), 1: _diagonal(G, [one, norm]), 2: _diagonal(G, [one])}
     bonds = [ChainMap(level, level, comps)] + [identity_chain_map(level)] * 2
     return Tower([level] * 4, bonds)
 
@@ -200,9 +205,9 @@ def _free_only_at_the_horizon(G):
     """F_l[pi]^2 in degree 0 with bonds diag(1, norm), then diag(1, 0): the
     image is free at horizon 2 but not at 1, so it is not stable."""
     L = ChainComplex(G, 0, [2], [])
-    zero = ga_one(G) - ga_one(G)
-    first = _diagonal(G, [ga_one(G), norm_element(G)])
-    second = _diagonal(G, [ga_one(G), zero])
+    one, norm, zero = _one_norm_zero(G)
+    first = _diagonal(G, [one, norm])
+    second = _diagonal(G, [one, zero])
     return Tower([L] * 3, [ChainMap(L, L, {0: first}), ChainMap(L, L, {0: second})])
 
 
@@ -315,7 +320,7 @@ def test_limit_of_padded_approximations_is_the_core(rng):
 def test_limit_requires_stabilization():
     G = SMALL_GROUPS["C4"]
     L = single_free(G)
-    u = GroupRingMatrix.from_entries(G, [[[-1, 1, 0, 0]]])  # t - 1, order 4
+    u = GroupRingMatrix(G, [[[-1, 1, 0, 0]]])  # t - 1, order 4
     bond = ChainMap(L, L, {0: u})
     T = Tower([L] * 3, [bond] * 2)
     # images shrink strictly through the whole prefix: 4, 3, 2
