@@ -473,6 +473,42 @@ class MinimalizeResult(NamedTuple):
     witness: ChainMap
 
 
+def _pivot_plan(aug: np.ndarray, l: int) -> tuple[list[int], list[int]]:
+    """The pivots (rows, columns) that cancelling unit entries one at a
+    time takes in a boundary with augmentation `aug`: the first nonzero
+    entry in row-major order, then the same in the Schur complement.
+
+    The augmentation is a ring map, so it carries the Schur complement of
+    the boundary to that of `aug`, and the plan is made over F_l.  The
+    complement is kept in place: its pivot row and column become zero,
+    which leaves the row-major order of the other entries as it was."""
+    a = aug.copy()
+    rows, cols = [], []
+    while True:
+        nz = np.flatnonzero(a)
+        if not nz.size:
+            return rows, cols
+        p, j = divmod(int(nz[0]), a.shape[1])
+        rows.append(p)
+        cols.append(j)
+        a = (a - np.outer(a[:, j], a[p] * pow(int(a[p, j]), l - 2, l) % l)) % l
+
+
+def _solve_pivots(B: np.ndarray, cols: list[int], G: GroupTable) -> np.ndarray:
+    """Gauss-Jordan on the pivot rows B of a boundary, row t pivoting at
+    column cols[t] in that order: u^-1 (the pivot's unit, inverted by
+    `ga_inverse`) times row t, cleared from every other row.  Returns
+    B[:, cols]^-1 B, whose columns cols form the identity."""
+    l = G.prime_l
+    B = B.copy()
+    for t, j in enumerate(cols):
+        B[t] = ga_compose(ga_inverse(B[t, j][None, None], G), B[t][None], G)[0]
+        factors = B[:, j, None].copy()
+        factors[t] = 0
+        B = (B - ga_compose(factors, B[t][None], G)) % l
+    return B
+
+
 def minimalize(C: ChainComplex) -> MinimalizeResult:
     """Cancel unit boundary entries until none remain.
 
@@ -481,42 +517,40 @@ def minimalize(C: ChainComplex) -> MinimalizeResult:
     (all entries of augmentation zero), whose ranks are invariants of
     the quasi-isomorphism class.  The witness is a quasi-isomorphism
     from the minimal complex back into C.
+
+    Units are cancelled boundary by boundary from the bottom, each at the
+    first unit in row-major order; a cancellation only deletes rows and
+    columns of the neighbouring boundaries, so those to the left never
+    regain a unit.  The pivots of one boundary A are planned over F_l
+    (`_pivot_plan`), and their cancellations together are one Schur
+    complement A[R', C'] - A[R', J] X with X = A[P, J]^-1 A[P, C'] over
+    the pivot rows P and columns J (`_solve_pivots`), applied to A and,
+    stacked below it, to the witness of its source degree.
     """
     G = C.group
     l = G.prime_l
     ranks = list(C.ranks)
     bnds = [b.data for b in C.boundaries]
-    # witness[i]: (original rank_i) x (current rank_i) group-ring data
+    # wit[i]: (original rank_i) x (current rank_i) group-ring data
     wit = [GroupRingMatrix.identity(G, r).data for r in ranks]
-
-    while True:
-        pivot = None
-        for i, A in enumerate(bnds):
-            aug = A.sum(axis=2) % l
-            nz = np.argwhere(aug != 0)
-            if nz.size:
-                pivot = (i, int(nz[0][0]), int(nz[0][1]))
-                break
-        if pivot is None:
-            break
-        i, p, j = pivot
+    for i in range(len(bnds)):
         A = bnds[i]
-        u_inv = ga_inverse(A[p, j][None, None], G)
-        rows = [r for r in range(A.shape[0]) if r != p]
-        cols = [c for c in range(A.shape[1]) if c != j]
-        # x_m = A[p, m] * u^{-1}; new[r, m] = A[r, m] - x_m * A[r, j]
-        x = ga_compose(u_inv, A[p, cols][None], G)
-        bnds[i] = (A[np.ix_(rows, cols)] - ga_compose(A[rows, j][:, None], x, G)) % l
+        pivot_rows, pivot_cols = _pivot_plan(A.sum(axis=2) % l, l)
+        if not pivot_rows:
+            continue
+        rows = np.delete(np.arange(A.shape[0]), pivot_rows)
+        cols = np.delete(np.arange(A.shape[1]), pivot_cols)
+        X = _solve_pivots(A[pivot_rows], pivot_cols, G)[:, cols]
+        S = np.concatenate([A[rows], wit[i + 1]])
+        S = (S[:, cols] - ga_compose(S[:, pivot_cols], X, G)) % l
+        bnds[i], wit[i + 1] = S[:rows.size], S[rows.size:]
         if i + 1 < len(bnds):
-            bnds[i + 1] = bnds[i + 1][cols, :, :]    # drop row j (source side)
-        if i - 1 >= 0:
-            bnds[i - 1] = bnds[i - 1][:, rows, :]    # drop column p (target side)
-        # the same column operation on the witness of the source degree
-        W = wit[i + 1]
-        wit[i + 1] = (W[:, cols] - ga_compose(W[:, j][:, None], x, G)) % l
+            bnds[i + 1] = bnds[i + 1][cols]      # drop the cancelled source rows
+        if i > 0:
+            bnds[i - 1] = bnds[i - 1][:, rows]   # and the cancelled target columns
         wit[i] = wit[i][:, rows]
-        ranks[i + 1] -= 1
-        ranks[i] -= 1
+        ranks[i] -= len(pivot_rows)
+        ranks[i + 1] -= len(pivot_rows)
 
     minimal = ChainComplex(G, C.bottom, ranks,
                            [GroupRingMatrix(G, b) for b in bnds])

@@ -14,7 +14,6 @@ joined with ``+``.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import functools
 import re
@@ -58,17 +57,17 @@ def _cert_text(args, cert: dict) -> str | None:
     return None
 
 
-def _write_cert(args, text: str | None) -> None:
-    if getattr(args, "json", False):
-        sys.stdout.write(text)
+def _answer(args, out: str, text: str | None) -> None:
+    """Write the certificate file, then `out` and, with --json, the
+    certificate to stdout: a certificate that cannot be written is E_IO
+    before anything is printed."""
     cert_path = getattr(args, "cert", None)
     if cert_path:
         with open(cert_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _emit_cert(args, cert: dict) -> None:
-    _write_cert(args, _cert_text(args, cert))
+    sys.stdout.write(out)
+    if getattr(args, "json", False):
+        sys.stdout.write(text)
 
 
 @contextlib.contextmanager
@@ -101,6 +100,7 @@ def cmd_perfect(args) -> int:
     if args.cert and len(paths) > 1:
         raise UsageError("--cert FILE takes one input; each input has its own certificate")
     if args.jobs > 1 and len(paths) > 1:
+        import concurrent.futures   # only here: it pulls in logging and threading
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(args.jobs, len(paths))) as pool:
             results = list(pool.map(_perfect_one, paths))
@@ -108,8 +108,8 @@ def cmd_perfect(args) -> int:
         results = [_perfect_one(p) for p in paths]
     for path, (C, verdict, line) in zip(paths, results):
         prefix = f"{path}: " if len(paths) > 1 else ""
-        print(prefix + line)
-        _emit_cert(args, certificates.perfectness_certificate(C, verdict))
+        _answer(args, prefix + line + "\n",
+                _cert_text(args, certificates.perfectness_certificate(C, verdict)))
     return EXIT_OK
 
 
@@ -125,10 +125,12 @@ def cmd_homology(args) -> int:
 def cmd_minimalize(args) -> int:
     C = serialize.read_complex(_read(args.file))
     minimal, witness = minimalize(C)
-    print(f"minimal ranks {minimal.ranks}; bottom {minimal.bottom}")
-    if args.output:
+    out = f"minimal ranks {minimal.ranks}; bottom {minimal.bottom}\n"
+    if args.output == "-":
+        out += serialize.write_complex(minimal)
+    elif args.output:
         _write_output(args.output, serialize.write_complex(minimal))
-    _emit_cert(args, certificates.quasi_iso_certificate(C, minimal, witness))
+    _answer(args, out, _cert_text(args, certificates.quasi_iso_certificate(C, minimal, witness)))
     return EXIT_OK
 
 
@@ -143,18 +145,18 @@ def cmd_tower_limit(args) -> int:
     T = serialize.read_tower(_read(args.file))
     limit = limit_complex(T, args.horizon)
     dims = [m.dim for m in limit.modules]
-    print(f"limit dims {dims}; bottom {limit.bottom}")
-    for q in range(limit.bottom, limit.bottom + len(limit.modules)):
-        print(f"H_{q}: dim={limit.homology_dim(q)}")
-    _emit_cert(args, certificates.limit_certificate(T, args.horizon, limit))
+    out = f"limit dims {dims}; bottom {limit.bottom}\n" + "".join(
+        f"H_{q}: dim={limit.homology_dim(q)}\n"
+        for q in range(limit.bottom, limit.bottom + len(limit.modules)))
+    _answer(args, out, _cert_text(args, certificates.limit_certificate(T, args.horizon, limit)))
     return EXIT_OK
 
 
 def cmd_tower_perfect(args) -> int:
     T = serialize.read_tower(_read(args.file))
     verdict = pro_decide_perfect(T, args.horizon)
-    print(_verdict_line(verdict))
-    _emit_cert(args, certificates.tower_perfectness_certificate(T, args.horizon, verdict))
+    _answer(args, _verdict_line(verdict) + "\n", _cert_text(
+        args, certificates.tower_perfectness_certificate(T, args.horizon, verdict)))
     return EXIT_OK if verdict.perfect else EXIT_NEGATIVE
 
 
@@ -188,8 +190,7 @@ def cmd_complete(args) -> int:
     with _printable():
         line = str(result)
         text = _cert_text(args, certificates.completion_certificate(A, args.l, result))
-    print(line)
-    _write_cert(args, text)
+    _answer(args, line + "\n", text)
     return EXIT_OK
 
 
@@ -199,8 +200,7 @@ def cmd_snf(args) -> int:
     with _printable():
         line = "invariant factors: " + " ".join(str(d) for d in result.diag)
         text = _cert_text(args, certificates.snf_certificate(M, result))
-    print(line)
-    _write_cert(args, text)
+    _answer(args, line + "\n", text)
     return EXIT_OK
 
 

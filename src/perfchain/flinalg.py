@@ -64,7 +64,13 @@ def matmul(A, B, l: int) -> np.ndarray:
     operand from a small one a second copy of it."""
     A = np.asarray(A)
     B = np.asarray(B)
-    if product_dtype(A.shape, B.shape, l) is np.float64:
+    return _matmul_in(A, B, product_dtype(A.shape, B.shape, l), l)
+
+
+def _matmul_in(A: np.ndarray, B: np.ndarray, dtype, l: int) -> np.ndarray:
+    """`matmul` in the dtype its caller has already chosen by
+    `product_dtype`."""
+    if dtype is np.float64:
         C = (A.astype(np.float64, copy=False) @ B.astype(np.float64, copy=False)).astype(np.int64)
     else:
         C = A @ B

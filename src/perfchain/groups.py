@@ -124,7 +124,9 @@ class GroupTable:
             arr.flags.writeable = False
 
     def __eq__(self, other):
-        return (
+        # `build_group` hands out one table per descriptor, so most
+        # comparisons are of a table with itself
+        return self is other or (
             isinstance(other, GroupTable)
             and self.prime_l == other.prime_l
             and self.identity == other.identity
@@ -277,10 +279,11 @@ def ga_compose(second: np.ndarray, first: np.ndarray, G: GroupTable) -> np.ndarr
         lhs = second.reshape(k, i * o)                    # [k, (i, h)]
         small, table = first.transpose(1, 0, 2), G.rdiv   # [j, (i, h), t]
     m = small.shape[0]
-    # converted before the gather, so the large operand is built only once
+    # converted before the gather, so the large operand is built only once,
+    # and the product is taken in the same dtype
     dtype = flinalg.product_dtype(lhs.shape, (m, i * o, o), G.prime_l)
     gathered = np.take(small.astype(dtype, copy=False), table, axis=2).reshape(m, i * o, o)
-    product = flinalg.matmul(lhs, gathered, G.prime_l)
+    product = flinalg._matmul_in(lhs, gathered, dtype, G.prime_l)
     return product if k <= j else product.transpose(1, 0, 2)
 
 

@@ -2,8 +2,14 @@
 
 Text files are diff-able and hand-writable: headers (`group`, `prime`,
 `bottom`, `ranks`), then one boundary matrix per degree, with group-ring
-entries as comma-separated coefficient lists in brackets.  Writers are
-canonical: parsing then re-writing any value reproduces the bytes.
+entries as comma-separated coefficient lists in brackets, one row per
+line, the entries of a row apart by whitespace.  Blank lines and lines
+that start with `#` are skipped.  A coefficient is `-?[0-9]+` in ASCII
+digits (no `+`, `_` or other digits) whose value fits in int64; it is
+read modulo l.  A matrix block is checked and converted in whole-array
+passes, and read entry by entry only to name the first error in it.
+Writers are canonical: parsing then re-writing any value reproduces the
+bytes.
 
 In JSON every array over F_l is one string (`field_to_json`): its
 entries in row-major order, each as exactly len(str(l - 1)) decimal
@@ -41,11 +47,24 @@ def digest_text(text: str) -> str:
 
 
 def _format_matrix_lines(m: GroupRingMatrix) -> list[str]:
-    """One line per row, each entry its coefficients in brackets; each row
-    is one %-format of Python ints (`tolist`)."""
-    order = m.group.order
-    row = " ".join(["[" + ",".join(["%d"] * order) + "]"] * m.cols)
-    return [row % tuple(r) for r in m.data.reshape(m.rows, m.cols * order).tolist()]
+    """One line per row, each entry its coefficients in brackets, from one
+    digit grid as in `field_to_json`: a coefficient's cell is an opening
+    bracket, its digits, a comma or closing bracket and the separator after
+    an entry, with 0 where nothing is written."""
+    order, cols = m.group.order, m.cols
+    if not m.data.size:
+        return [""] * m.rows
+    place = _place_values(m.group.prime_l)
+    a = m.data.reshape(-1, 1)
+    width = len(place)
+    grid = np.zeros((a.shape[0], width + 3), dtype=np.uint8)   # 0: not written
+    grid[::order, 0] = ord("[")
+    grid[:, 1:width + 1] = np.where(a >= place, a // place % 10 + 48, 0)
+    grid[:, width] = a[:, 0] % 10 + 48                          # "0" for 0
+    grid[:, width + 1] = ord(",")
+    grid[order - 1::order, width + 1:] = ord("]"), ord(" ")
+    grid[cols * order - 1::cols * order, width + 2] = ord("\n")
+    return grid[grid != 0].tobytes().decode("ascii").split("\n")[:-1]
 
 
 def _complex_lines(C: ChainComplex) -> list[str]:
@@ -108,34 +127,90 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
         raise ParseError(f"bad {what}: {text!r}", lineno)
 
 
-def _parse_entry(tok: str, order: int, lineno: int) -> list[int]:
-    if not (tok.startswith("[") and tok.endswith("]")):
-        raise ParseError(f"entry {tok!r} is not bracketed", lineno)
-    body = tok[1:-1]
-    parts = body.split(",") if body else []
-    if len(parts) != order:
-        raise ParseError(
-            f"entry has {len(parts)} coefficients, group order is {order}", lineno
-        )
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise ParseError(f"non-integer coefficient in {tok!r}", lineno)
+_COEFFICIENT = re.compile(r"-?[0-9]+")
+_DELIMITERS = str.maketrans("[],", "   ")
+
+
+def _entry_values(rows: list[list[str]], linenos: list[int], order: int) -> np.ndarray:
+    """The coefficients of rows of entries, read one entry at a time; the
+    first entry off the grammar or past int64 raises ParseError at its
+    line.  This names the error of a block that `_block_values` refused."""
+    values = []
+    for toks, lineno in zip(rows, linenos):
+        for tok in toks:
+            if not (tok.startswith("[") and tok.endswith("]")):
+                raise ParseError(f"entry {tok!r} is not bracketed", lineno)
+            body = tok[1:-1]
+            parts = body.split(",") if body else []
+            if len(parts) != order:
+                raise ParseError(
+                    f"entry has {len(parts)} coefficients, group order is {order}", lineno)
+            if not all(_COEFFICIENT.fullmatch(p) for p in parts):
+                raise ParseError(f"non-integer coefficient in {tok!r}", lineno)
+            try:
+                values.append(np.array([int(p) for p in parts], dtype=np.int64))
+            except (ValueError, OverflowError):    # past int's digit limit, or int64
+                raise ParseError(f"coefficient in {tok!r} does not fit in 64 bits", lineno)
+    return np.array(values, dtype=np.int64)
+
+
+# The entry grammar `[` F (`,` F)* `]`, F = -?[0-9]+, with entries joined
+# by single spaces, is fixed by which character may follow which: each
+# character has a class, its index in _CLASSES ("0" standing for every
+# digit, "x" for anything else), and _FOLLOWS holds the pairs allowed.
+_CLASSES = "x0- [,]"
+_CLASS = np.zeros(256, dtype=np.uint8)
+_CLASS[[ord(ch) for ch in _CLASSES[2:]]] = np.arange(2, len(_CLASSES))
+_CLASS[ord("0"):ord("9") + 1] = 1
+_FOLLOWS = np.zeros(64, dtype=bool)     # at 8 * class + class of the next
+_FOLLOWS[[8 * _CLASSES.index(a) + _CLASSES.index(b)
+          for a, b in ("[0", "[-", "-0", "00", "0,", "0]", ",0", ",-", "] ", " [")]] = True
+_OPEN, _COMMA, _CLOSE = (_CLASSES.index(ch) for ch in "[,]")
+
+
+def _block_values(text: str, order: int) -> np.ndarray | None:
+    """The coefficients of a block of entries joined by single spaces,
+    checked and converted in whole-array passes, or None when an entry is
+    off the grammar, has other than `order` coefficients, or has one of
+    more than 18 characters.  `np.fromstring` saturates past int64, so it
+    only reads coefficients below 10^18; longer ones are left to
+    `_entry_values`."""
+    if not text.isascii():
+        return None
+    c = _CLASS[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    if not (c.size and c[0] == _OPEN and c[-1] == _CLOSE
+            and _FOLLOWS[c[:-1] * 8 + c[1:]].all()):
+        return None
+    # the brackets and commas, one row of `order + 1` per entry
+    delimiters = np.flatnonzero(c >= _OPEN)
+    if delimiters.size % (order + 1):
+        return None
+    d = c[delimiters].reshape(-1, order + 1)
+    if not ((d[:, 1:-1] == _COMMA).all() and (d[:, -1] == _CLOSE).all()
+            and np.diff(delimiters).max() <= 19):
+        return None
+    return np.fromstring(text.translate(_DELIMITERS), dtype=np.int64, sep=" ")
 
 
 def _parse_matrix(cur: _Cursor, G: GroupTable, rows: int, cols: int) -> GroupRingMatrix:
-    data = np.zeros((rows, cols, G.order), dtype=np.int64)
-    for i in range(rows):
-        toks = cur.next().split()
-        lineno = cur.last
-        if len(toks) != cols:
-            raise ParseError(f"matrix row has {len(toks)} entries, expected {cols}", lineno)
-        for j, tok in enumerate(toks):
-            try:
-                data[i, j] = _parse_entry(tok, G.order, lineno)
-            except OverflowError:
-                raise ParseError(f"coefficient in {tok!r} does not fit in 64 bits", lineno)
-    return GroupRingMatrix(G, data)
+    """A rows x cols block: each row's entry count is checked as it is
+    read, then the whole block is read by `_block_values`.  An error is
+    the first in reading order, found entry by entry (`_entry_values`)."""
+    toks, linenos = [], []
+    try:
+        for _ in range(rows):
+            row = cur.next().split()
+            if len(row) != cols:
+                raise ParseError(f"matrix row has {len(row)} entries, expected {cols}", cur.last)
+            toks.append(row)
+            linenos.append(cur.last)
+    except ParseError:
+        _entry_values(toks, linenos, G.order)      # an earlier row's error comes first
+        raise
+    values = _block_values(" ".join(" ".join(row) for row in toks), G.order)
+    if values is None:
+        values = _entry_values(toks, linenos, G.order)
+    return GroupRingMatrix(G, values.reshape(rows, cols, G.order))
 
 
 def _parse_header(cur: _Cursor):

@@ -31,7 +31,7 @@ from perfchain.errors import (
     ParseError,
 )
 from perfchain.finiteness import decide_perfect
-from perfchain.groups import MAX_FREE_DIM, ga_inverse, grm_compose
+from perfchain.groups import MAX_FREE_DIM, ga_compose, ga_inverse, grm_compose
 from perfchain.modules import PiModule, PiModuleMap, orbit
 from perfchain.serialize import json_field, json_field_array
 from perfchain.towers import FreeLimit, decided_limit
@@ -701,6 +701,36 @@ def format_matrix_lines_reference(m: GroupRingMatrix) -> list[str]:
             for row in m.data.tolist()]
 
 
+def parse_matrix_reference(cur, G: GroupTable, rows: int, cols: int) -> GroupRingMatrix:
+    """A rows x cols text block read entry by entry from a
+    `serialize._Cursor`: each row's entry count, then each entry's
+    brackets, coefficient count and Python `int`s, assigned one entry at a
+    time; a coefficient past int64 is an OverflowError on assignment."""
+    data = np.zeros((rows, cols, G.order), dtype=np.int64)
+    for i in range(rows):
+        toks = cur.next().split()
+        lineno = cur.last
+        if len(toks) != cols:
+            raise ParseError(f"matrix row has {len(toks)} entries, expected {cols}", lineno)
+        for j, tok in enumerate(toks):
+            if not (tok.startswith("[") and tok.endswith("]")):
+                raise ParseError(f"entry {tok!r} is not bracketed", lineno)
+            body = tok[1:-1]
+            parts = body.split(",") if body else []
+            if len(parts) != G.order:
+                raise ParseError(
+                    f"entry has {len(parts)} coefficients, group order is {G.order}", lineno)
+            try:
+                entry = [int(p) for p in parts]
+            except ValueError:
+                raise ParseError(f"non-integer coefficient in {tok!r}", lineno)
+            try:
+                data[i, j] = entry
+            except OverflowError:
+                raise ParseError(f"coefficient in {tok!r} does not fit in 64 bits", lineno)
+    return GroupRingMatrix(G, data)
+
+
 def from_expanded(group: GroupTable, E, rows: int, cols: int) -> GroupRingMatrix:
     """The group-ring matrix whose expansion is E, which must be
     pi-equivariant (checked by re-expanding)."""
@@ -1080,6 +1110,49 @@ def cone_junk_with_map(core: ChainComplex, rng, q: int | None = None,
             comps[q] = lower
     theta = ChainMap(J, core, comps).check_commutes()
     return J, theta
+
+
+def minimalize_reference(C: ChainComplex):
+    """`minimalize` one cancellation at a time: rescan every boundary's
+    augmentation for the first unit of the lowest boundary in row-major
+    order, invert it, and take the Schur complement on its row and column,
+    deleting the matching row and column of the neighbouring boundaries;
+    the same column operation acts on the witness of the source degree.
+    Returns (complex, witness) as `minimalize` does."""
+    G = C.group
+    l = G.prime_l
+    ranks = list(C.ranks)
+    bnds = [b.data for b in C.boundaries]
+    wit = [GroupRingMatrix.identity(G, r).data for r in ranks]
+    while True:
+        pivot = None
+        for i, A in enumerate(bnds):
+            nz = np.argwhere(A.sum(axis=2) % l != 0)
+            if nz.size:
+                pivot = (i, int(nz[0][0]), int(nz[0][1]))
+                break
+        if pivot is None:
+            break
+        i, p, j = pivot
+        A = bnds[i]
+        u_inv = ga_inverse(A[p, j][None, None], G)
+        rows = [r for r in range(A.shape[0]) if r != p]
+        cols = [c for c in range(A.shape[1]) if c != j]
+        x = ga_compose(u_inv, A[p, cols][None], G)     # x_m = A[p, m] u^-1
+        bnds[i] = (A[np.ix_(rows, cols)] - ga_compose(A[rows, j][:, None], x, G)) % l
+        if i + 1 < len(bnds):
+            bnds[i + 1] = bnds[i + 1][cols, :, :]
+        if i - 1 >= 0:
+            bnds[i - 1] = bnds[i - 1][:, rows, :]
+        W = wit[i + 1]
+        wit[i + 1] = (W[:, cols] - ga_compose(W[:, j][:, None], x, G)) % l
+        wit[i] = wit[i][:, rows]
+        ranks[i + 1] -= 1
+        ranks[i] -= 1
+    minimal = ChainComplex(G, C.bottom, ranks, [GroupRingMatrix(G, b) for b in bnds])
+    comps = {C.bottom + idx: GroupRingMatrix(G, w) for idx, w in enumerate(wit)
+             if minimal.rank_at(C.bottom + idx) and C.rank_at(C.bottom + idx)}
+    return minimal, ChainMap(minimal, C, comps)
 
 
 def compose_chain_maps(second: ChainMap, first: ChainMap) -> ChainMap:

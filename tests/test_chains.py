@@ -28,7 +28,7 @@ from perfchain import (
     regular_module,
     zero_complex,
 )
-from perfchain import flinalg
+from perfchain import chains, flinalg
 from perfchain.chains import GradedComplex, module_mapping_cone
 
 from conftest import (
@@ -40,6 +40,7 @@ from conftest import (
     first_generator_projection,
     heisenberg_27,
     is_equivariant_brute,
+    minimalize_reference,
     module_action,
     pad_with_identity_cones,
     per_element_action,
@@ -336,6 +337,59 @@ def test_minimalize_idempotent_and_euler_invariant(rng):
             # homology dimensions are preserved degreewise
             for q in range(C.bottom, C.top + 1):
                 assert homology(C, q).dim == homology(m.complex, q).dim
+
+
+def _assert_minimalize_matches_reference(C):
+    minimal, witness = minimalize(C)
+    ref_minimal, ref_witness = minimalize_reference(C)
+    assert (minimal.bottom, minimal.ranks) == (ref_minimal.bottom, ref_minimal.ranks)
+    for got, want in zip(minimal.boundaries, ref_minimal.boundaries, strict=True):
+        assert np.array_equal(got.data, want.data)
+    assert witness.components.keys() == ref_witness.components.keys()
+    for q, m in witness.components.items():
+        assert np.array_equal(m.data, ref_witness.components[q].data), q
+
+
+def test_minimalize_matches_one_cancellation_at_a_time_on_both_zoos():
+    """The planned Schur complements give the complex and witness data of
+    cancelling one unit at a time, on padded conjugated complexes over
+    every group of both zoos."""
+    for name, G in two_group_zoo() + three_group_zoo():
+        rng = random.Random(name)
+        for _ in range(3):
+            core = random_minimal_complex(G, rng, 4, 3)
+            _assert_minimalize_matches_reference(
+                conjugate_complex(pad_with_identity_cones(core, rng, rng.randint(0, 6)), rng))
+
+
+@pytest.mark.parametrize("pads", [10, 40, 100])
+def test_minimalize_matches_one_cancellation_at_a_time_up_to_rank_300(pads):
+    """Heis27 complexes padded with up to 100 identity cones and
+    conjugated, up to total rank about 300: many pivots per boundary,
+    planned over F_l, give the reference's data exactly."""
+    G = heisenberg_27()
+    rng = random.Random(pads)
+    C = conjugate_complex(
+        pad_with_identity_cones(random_minimal_complex(G, rng, 4, 4), rng, pads), rng)
+    _assert_minimalize_matches_reference(C)
+
+
+def test_minimalize_inverts_each_cancelled_unit_once(monkeypatch):
+    """`ga_inverse` runs once per cancellation, on a 1 x 1 unit."""
+    G = heisenberg_27()
+    rng = random.Random(3)
+    C = conjugate_complex(pad_with_identity_cones(random_minimal_complex(G, rng), rng, 8), rng)
+    shapes = []
+    real = chains.ga_inverse
+
+    def counting(a, group):
+        shapes.append(a.shape[:2])
+        return real(a, group)
+
+    monkeypatch.setattr(chains, "ga_inverse", counting)
+    minimal = minimalize(C).complex
+    assert shapes == [(1, 1)] * ((sum(C.ranks) - sum(minimal.ranks)) // 2)
+    assert shapes
 
 
 def test_direct_sum_and_shift():

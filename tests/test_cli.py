@@ -1043,6 +1043,45 @@ def test_unreadable_input_is_a_coded_error(capsys, tmp_path, lens_path, argv, co
                        "byte 0xff in position 0: invalid start byte\n")
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["perfect", "{lens}", "--cert", "{dir}"], id="perfect"),
+    pytest.param(["perfect", "{lens}", "--cert", "{dir}", "--json"], id="perfect-json"),
+    pytest.param(["minimalize", "{lens}", "--cert", "{dir}", "--json"], id="minimalize"),
+    pytest.param(["minimalize", "{lens}", "-o", "{dir}"], id="minimalize-output"),
+    pytest.param(["tower-limit", "{tower}", "--horizon", "2", "--cert", "{dir}"],
+                 id="tower-limit"),
+    pytest.param(["tower-perfect", "{tower}", "--horizon", "2", "--cert", "{dir}"],
+                 id="tower-perfect"),
+    pytest.param(["snf", "{matrix}", "--cert", "{dir}"], id="snf"),
+    pytest.param(["complete", "--group", "Z+Z/12", "--l", "2", "--cert", "{dir}"],
+                 id="complete"),
+])
+def test_unwritable_output_file_is_an_error_before_any_output(capsys, tmp_path, lens_path,
+                                                              norm_tower_path, argv):
+    """A directory given as the certificate (or `minimalize -o`) FILE is
+    E_IO with exit 2 and nothing on stdout: the file is written before the
+    answer is printed, so no verdict appears without its certificate."""
+    (tmp_path / "dir").mkdir()
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2 4\n6 8\n")
+    names = {"dir": str(tmp_path / "dir"), "lens": lens_path, "tower": norm_tower_path,
+             "matrix": str(matrix)}
+    got, out, err = run(capsys, *(a.format(**names) for a in argv))
+    assert (got, out) == (2, "")
+    assert err.startswith("error[E_IO]: ") and "Is a directory" in err, err
+
+
+def test_cli_start_does_not_import_the_process_pool():
+    """`concurrent.futures`, which pulls in logging and threading, is
+    imported only by `perfect --jobs N` with N > 1 and several inputs."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(perfchain.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, perfchain.cli; "
+         "print('concurrent.futures' in sys.modules, 'logging' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "False False\n"
+
+
 @pytest.mark.parametrize("argv, expected", [
     pytest.param(["lens", "2", "20000", "1"],
                  "error[E_LIMIT]: group order 2^20000 exceeds 16384\n", id="lens-digits"),

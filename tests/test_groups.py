@@ -449,3 +449,48 @@ def test_from_expanded_matches_entrywise_reference():
             E[0, 1] ^= 1
             with pytest.raises(DimensionMismatchError):
                 from_expanded(G, E, 2, 2)
+
+
+def test_group_equality_and_hash_keep_their_meaning(monkeypatch):
+    """Equal tables built apart compare equal with one hash, tables that
+    differ in product, identity or prime do not, and a table compared
+    with itself is equal without reading its multiplication table."""
+    a, b = cyclic_group(9, 3), cyclic_group(9, 3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != direct_product(cyclic_group(3, 3), cyclic_group(3, 3))
+    assert a != cyclic_group(3, 3) and a != "cyclic:9"
+    assert SMALL_GROUPS["D4"] != SMALL_GROUPS["Q8"]
+    relabel = (np.arange(9) + 1) % 9                 # the same group, identity at 1
+    mult = np.empty_like(a.mult)
+    mult[np.ix_(relabel, relabel)] = relabel[a.mult]
+    assert GroupTable(mult, 1, 3) != a
+
+    def no_table_reads(*args, **kwargs):
+        raise AssertionError("compared the multiplication tables")
+
+    monkeypatch.setattr(np, "array_equal", no_table_reads)
+    assert a == a and SMALL_GROUPS["Q8"] == SMALL_GROUPS["Q8"]
+
+
+def test_each_group_ring_product_chooses_its_word_once(monkeypatch):
+    """`ga_compose` decides the product's dtype once, for the gather and
+    the product both, at each shape and on both sides of the float64
+    bound."""
+    from perfchain import flinalg
+    calls = []
+    real = flinalg.product_dtype
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(flinalg, "product_dtype", counting)
+    rng = np.random.default_rng(4)
+    for G in (SMALL_GROUPS["C4"], heisenberg_27(), build_group("cyclic:101", 101)):
+        for k, i, j in ((1, 1, 1), (5, 3, 2), (2, 4, 7), (8, 8, 8)):
+            second = rng.integers(0, G.prime_l, size=(k, i, G.order))
+            first = rng.integers(0, G.prime_l, size=(i, j, G.order))
+            calls.clear()
+            got = ga_compose(second, first, G)
+            assert len(calls) == 1
+            assert np.array_equal(got, ga_compose_reference(second, first, G))

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfchain import (
     DimensionMismatchError,
@@ -35,7 +37,8 @@ from perfchain.serialize import (
 )
 
 from conftest import SMALL_GROUPS, format_matrix_lines_reference, module_from_json, \
-    random_minimal_complex, random_stabilizing_tower, pad_with_identity_cones, two_group_zoo
+    parse_matrix_reference, random_minimal_complex, random_stabilizing_tower, \
+    pad_with_identity_cones, two_group_zoo
 
 
 def test_complex_roundtrip_bytes(rng):
@@ -162,6 +165,149 @@ def test_text_writer_matches_the_per_entry_join(group, l):
     for rows, cols in ((1, 1), (3, 4), (5, 2), (2, 0), (0, 3)):
         m = GroupRingMatrix(G, rng.integers(0, l, size=(rows, cols, G.order)))
         assert serialize._format_matrix_lines(m) == format_matrix_lines_reference(m)
+
+
+TEXT_GROUPS = [("cyclic:4", 2), ("cyclic:3", 3), ("cyclic:101", 101), ("cyclic:1", 1009)]
+
+
+def _read_block(reader, text: str, desc: str, l: int, rows: int, cols: int):
+    """("ok", data) or ("error", message, line) of a text block read by
+    `reader` (the block reader or its reference) from a cursor."""
+    try:
+        m = reader(serialize._Cursor(text), build_group(desc, l), rows, cols)
+    except ParseError as e:
+        return ("error", str(e), e.line)
+    return ("ok", m.data.tolist())
+
+
+def _random_block(rng: random.Random, order: int, l: int, rows: int, cols: int) -> str:
+    """Rows of bracketed entries with coefficients below 0 and past l,
+    some near the ends of int64, entries apart by runs of spaces and tabs,
+    and blank or comment lines between rows."""
+    def coefficient():
+        return rng.choice([rng.randrange(-3 * l, 3 * l), rng.randrange(-3 * l, 3 * l),
+                           rng.randrange(-2**63, 2**63), 2**63 - 1, -2**63,
+                           rng.randrange(10**17, 2**63)])
+    lines = []
+    for _ in range(rows):
+        entries = ["[" + ",".join(str(coefficient()) for _ in range(order)) + "]"
+                   for _ in range(cols)]
+        lines.append("".join(e + rng.choice([" ", "  ", "\t", " \t  "]) for e in entries))
+        lines.append(rng.choice(["", "", "# a comment", "   ", "\t# [1,2]"]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), which=st.sampled_from(TEXT_GROUPS),
+       rows=st.integers(1, 3), cols=st.integers(1, 3))
+def test_block_reader_matches_the_per_entry_reader(seed, which, rows, cols):
+    """A text block read in whole-array passes gives the data of the
+    per-entry reader, at l = 2, 3, 101 and 1009."""
+    desc, l = which
+    rng = random.Random(seed)
+    text = _random_block(rng, build_group(desc, l).order, l, rows, cols)
+    got = _read_block(serialize._parse_matrix, text, desc, l, rows, cols)
+    assert got[0] == "ok"
+    assert got == _read_block(parse_matrix_reference, text, desc, l, rows, cols)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32), which=st.sampled_from(TEXT_GROUPS[:3]),
+       edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(
+           ["", "[", "]", ",", "-", " ", "\n", "7", "x", "0.5", "--1", "[]",
+            "9223372036854775808", "-9223372036854775809", "00000000000000000000001"])),
+           min_size=1, max_size=3))
+def test_block_reader_errors_match_the_per_entry_reader(seed, which, edits):
+    """Random edits of a valid block (a character deleted, or a bracket,
+    comma, sign, space, line break, letter or long number inserted) give
+    the per-entry reader's answer: the same data, or the same ParseError
+    message at the same line."""
+    desc, l = which
+    rng = random.Random(seed)
+    text = _random_block(rng, build_group(desc, l).order, l, 2, 2)
+    for at, insert in edits:
+        at %= len(text)
+        text = text[:at] + insert + text[at + (not insert):]
+    assert (_read_block(serialize._parse_matrix, text, desc, l, 2, 2)
+            == _read_block(parse_matrix_reference, text, desc, l, 2, 2))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("[1,0] 1,0]", "entry '1,0]' is not bracketed"),
+    ("[1,0] [1]", "entry has 1 coefficients, group order is 2"),
+    ("[1,0] [1,0,1]", "entry has 3 coefficients, group order is 2"),
+    ("[1,0] [1,x]", "non-integer coefficient in '[1,x]'"),
+    ("[1,0] [1,2.0]", "non-integer coefficient in '[1,2.0]'"),
+    ("[1,0] [9223372036854775808,0]",
+     "coefficient in '[9223372036854775808,0]' does not fit in 64 bits"),
+    ("[1,0] [0,-9223372036854775809]",
+     "coefficient in '[0,-9223372036854775809]' does not fit in 64 bits"),
+    ("[1,0] [0,1" + "0" * 5000 + "]", None),
+    ("[1,0]", "matrix row has 1 entries, expected 2"),
+], ids=["unbracketed", "short", "long", "letter", "decimal", "past-int64", "below-int64",
+        "past-int-digit-limit", "short-row"])
+def test_block_errors_keep_their_kind_and_line(row, message):
+    """An unbracketed, short or long entry, a non-integer or past-int64
+    coefficient and a short row each fail at their own line with the
+    per-entry reader's message, after a good row, blank lines and a
+    comment; a 5001-digit coefficient is past int64 and E_PARSE too."""
+    text = "[1,0] [0,1]\n\n# two blank lines before\n\n" + row + "\n"
+    with pytest.raises(ParseError) as e:
+        serialize._parse_matrix(serialize._Cursor(text), build_group("cyclic:2", 2), 2, 2)
+    assert e.value.line == 5 and e.value.code == "E_PARSE"
+    if message is not None:
+        assert str(e.value) == f"line 5: {message}"
+    else:
+        assert "does not fit in 64 bits" in str(e.value)
+
+
+@pytest.mark.parametrize("row", ["[1] [0]", "[1,1,1,1,1,1,1] [2,1,1]"])
+def test_entries_of_the_wrong_length_are_refused_where_the_counts_add_up(row):
+    """Over C3 two one-coefficient entries have as many brackets and
+    commas as one entry of three, and a seven-coefficient entry as many
+    as two of three: each short or long entry is still refused, at its
+    line, with the per-entry reader's message."""
+    G = build_group("cyclic:3", 3)
+    cols = len(row.split())
+    text = " ".join(["[0,1,2]"] * cols) + "\n" + row + "\n"
+    want = _read_block(parse_matrix_reference, text, "cyclic:3", 3, 2, cols)
+    assert want[0] == "error" and want[2] == 2
+    assert _read_block(serialize._parse_matrix, text, "cyclic:3", 3, 2, cols) == want
+
+
+def test_an_earlier_entry_error_comes_before_a_later_row_error():
+    """Rows are counted as they are read, but an error in an earlier row's
+    entries is reported first, as when each row was read in full before
+    the next: before a later short row, and before the end of the input."""
+    G = build_group("cyclic:2", 2)
+    for later in ("[1,0]\n", ""):
+        with pytest.raises(ParseError) as e:
+            serialize._parse_matrix(serialize._Cursor("[1,0] [1,y]\n" + later), G, 2, 2)
+        assert (e.value.line, str(e.value)) == (1, "line 1: non-integer coefficient in '[1,y]'")
+
+
+@pytest.mark.parametrize("spelling", ["+1", "1_0", "\u0661", "\uff11", " 1"])
+def test_coefficient_spellings_outside_the_grammar_are_parse_errors(spelling):
+    """A coefficient is `-?[0-9]+`: a plus sign, an underscore and
+    non-ASCII digits, all of which Python's `int` reads, are E_PARSE at
+    their line."""
+    text = f"[0,0]\n[{spelling},0]\n"
+    with pytest.raises(ParseError) as e:
+        serialize._parse_matrix(serialize._Cursor(text), build_group("cyclic:2", 2), 2, 1)
+    assert e.value.line == 2
+
+
+@pytest.mark.parametrize("value", [2**63 - 1, -2**63, 10**18, -10**18, 10**18 - 1, 0,
+                                   -1, 1000000000000000007])
+def test_int64_boundary_coefficients_read_exactly(value):
+    """Coefficients at and near the ends of int64, and past 18 digits,
+    read exactly, alone and in a block of short ones: reduced mod 1009
+    they equal Python's reduction of the integer."""
+    G = build_group("cyclic:1", 1009)
+    text = f"[3] [{value}] [-5]\n[{value}] [0] [{value}]\n"
+    data = serialize._parse_matrix(serialize._Cursor(text), G, 2, 3).data
+    want = [[3, value, -5], [value, 0, value]]
+    assert data[..., 0].tolist() == [[x % 1009 for x in row] for row in want]
 
 
 def _largest_prime_below(n: int) -> int:
