@@ -2,7 +2,7 @@
 
 Exact computation over F_l[pi] for finite l-groups pi: group-ring
 matrices (an element of F_l[pi] is a 1 x 1 one) with their products and
-inverses, module predicates (free == projective over this local ring),
+inverses, minimal free covers of modules over this local ring,
 bounded free chain complexes with minimalization, a perfectness decision
 procedure producing minimal free replacements with quasi-isomorphism
 witnesses, tower limits via stable images, and the integer-side toolkit
@@ -14,11 +14,10 @@ from .abelian import (
     FGAbelianMap,
     FGZlModule,
     check_exactness,
-    invariant_factors,
     l_complete,
     smith_normal_form,
 )
-from .cellular import EquivariantCellComplex, base_homology, chains_of_cover, lens_complex
+from .cellular import EquivariantCellComplex, chains_of_cover, lens_complex
 from .chains import (
     ChainComplex,
     ChainMap,
@@ -26,7 +25,6 @@ from .chains import (
     ModuleComplexMap,
     direct_sum,
     euler_characteristic,
-    homology,
     identity_chain_map,
     is_quasi_iso,
     mapping_cone,
@@ -61,11 +59,7 @@ from .modules import (
     PiModule,
     PiModuleMap,
     free_cover,
-    is_free,
-    is_projective,
-    kernel_of_map,
     minimal_generators,
-    quotient_module,
     regular_module,
     trivial_module,
     zero_module,

@@ -210,10 +210,6 @@ def smith_normal_form(M) -> SNFResult:
     return SNFResult(diag, tuple(map(tuple, U)), tuple(zip(*V)))
 
 
-def invariant_factors(M) -> tuple:
-    return smith_normal_form(M).diag
-
-
 class Lattice:
     """The column lattice of an integer matrix, with exact membership tests
     over Z and over the l-adic integers Z_l."""

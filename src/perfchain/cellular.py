@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chains import ChainComplex, ModuleComplex
+from .chains import ChainComplex
 from .errors import DimensionMismatchError, LimitError
 from .groups import MAX_FREE_DIM, GroupRingMatrix, GroupTable, check_prime, cyclic_group
-from .modules import trivial_module
 
 
 class EquivariantCellComplex:
@@ -74,12 +73,3 @@ def lens_complex(l: int, k: int, n: int) -> EquivariantCellComplex:
         entry = t_minus_1 if q % 2 == 1 else norm
         boundaries.append(GroupRingMatrix(G, (entry % l).reshape(1, 1, o)))
     return EquivariantCellComplex(G, [1] * (n + 1), boundaries)
-
-
-def base_homology(X: EquivariantCellComplex, q: int) -> int:
-    """Mod-l homology dimension of the base space in degree q, computed
-    from the coinvariants complex (augmentation applied entrywise)."""
-    G = X.group
-    mods = [trivial_module(G, c) for c in X.orbit_counts]
-    diffs = [b.augmentation_matrix() for b in X.boundaries]
-    return ModuleComplex(G, 0, mods, diffs).homology_dim(q)

@@ -3,8 +3,8 @@
 Kernels take and return numpy int64 arrays with entries in [0, l); only
 `_eliminate`'s working copy is narrower.  They reduce nothing themselves:
 data is reduced once, with `asfield`, where it enters (group-ring
-matrices, `quotient_module`, `HomologyData.chain_of_class` and the
-certificate and text readers).  All routines are deterministic: pivots
+matrices, `HomologyData.chain_of_class` and the certificate and text
+readers).  All routines are deterministic: pivots
 are the first nonzero entry in column order, scanning top down.
 
 One Gaussian elimination loop serves every kernel; the only choice is

@@ -269,9 +269,12 @@ def ga_compose(second: np.ndarray, first: np.ndarray, G: GroupTable) -> np.ndarr
     The operand with fewer entries is gathered to the size of its
     expansion, in one `np.take` that lays it out as the product reads it:
     `second` through G.ldiv by the first sum when k <= j, else `first`
-    through G.rdiv by the second, and the (j, k, order) product transposed."""
+    through G.rdiv by the second, and the (j, k, order) product transposed.
+    An empty operand gathers nothing: the product is zeros at once."""
     k, i, o = second.shape
     j = first.shape[1]
+    if not (k and i and j):
+        return np.zeros((k, j, o), dtype=np.int64)
     if k <= j:
         lhs = first.transpose(1, 0, 2).reshape(j, i * o)  # [j, (i, g)]
         small, table = second, G.ldiv                     # [k, (i, g), t]
@@ -293,24 +296,26 @@ def ga_inverse(a: np.ndarray, G: GroupTable) -> np.ndarray:
     of F_l[pi] is 1 x 1 data, and a unit exactly when its augmentation is
     nonzero: F_l[pi] is local, its radical the augmentation ideal.
 
-    Newton's iteration X <- X (2I - a X) = X + X (I - a X) from the lift
-    of the augmentation's inverse: the residual I - a X starts in the
-    radical and each step squares it, so it vanishes once 2^steps reaches
-    the radical's nilpotency index, which is at most |pi|.
+    Newton's iteration X <- X + X r, r = I - a X, from the lift of the
+    augmentation's inverse: the first residual is a coefficientwise
+    product, and each step squares it (r <- r r), so it vanishes once
+    2^steps reaches the radical's nilpotency index, which is at most |pi|.
     """
     l = G.prime_l
     k = a.shape[0]
     eps_inv = flinalg.solve_matrix(a.sum(axis=2) % l, flinalg.identity(k), l)
     if eps_inv is None:
         raise NotAUnitError("augmentation is not invertible")
-    one = GroupRingMatrix.identity(G, k).data
-    X = np.zeros_like(one)
+    X = np.zeros(a.shape, dtype=np.int64)
     X[..., G.identity] = eps_inv
+    residual = -np.einsum("kig,ij->kjg", a, eps_inv)
+    residual[np.arange(k), np.arange(k), G.identity] += 1
+    residual %= l
     for _ in range(G.order.bit_length() + 1):
-        residual = (one - ga_compose(a, X, G)) % l
         if not residual.any():
             return X
         X = (X + ga_compose(X, residual, G)) % l
+        residual = ga_compose(residual, residual, G)
     raise AssertionError("Newton's iteration failed to converge")
 
 

@@ -8,10 +8,9 @@ kept.  The package's constructions give actions and equivariant maps by
 construction, so modules and maps are built with shape checks only; the
 Cayley-walk and equivariance checks are test oracles.
 
-Every predicate here reduces to exact finite linear algebra.  The freeness
-test uses the minimal-cover criterion, valid because F_l[pi] is local:
-a module is free iff the cover by lifted minimal generators has zero
-kernel.
+Every computation here reduces to exact finite linear algebra.  The
+free cover is minimal because F_l[pi] is local: lifts of a basis of
+M / rad M generate M (Nakayama).
 """
 
 from __future__ import annotations
@@ -249,49 +248,3 @@ def free_cover(M: PiModule) -> PiModuleMap:
     """The minimal surjection F_l[pi]^k -> M, k = minimal_generators(M)."""
     gens = minimal_generator_lifts(M)
     return PiModuleMap(regular_module(M.group, gens.shape[1]), M, orbit_columns(M, gens))
-
-
-def kernel_of_map(f: PiModuleMap) -> tuple[PiModule, PiModuleMap]:
-    """Kernel with its inclusion; the pi-action restricts exactly."""
-    l = f.source.group.prime_l
-    K = flinalg.kernel_basis(f.matrix, l)
-    ker = induced_action(f.source, K, lambda B: flinalg.solve_matrix(K, B, l))
-    incl = PiModuleMap(ker, f.source, K)
-    return ker, incl
-
-
-def is_free(M: PiModule) -> tuple[bool, int | None]:
-    """True iff M is a free module, with its rank when so.
-
-    Decided by the minimal free cover: over a local ring the cover is
-    onto, and M is free exactly when the cover has zero kernel.
-    """
-    lifts = minimal_generator_lifts(M)
-    k = lifts.shape[1]
-    if M.dim != k * M.group.order:
-        return False, None
-    if flinalg.rank(orbit_columns(M, lifts), M.group.prime_l) == M.dim:
-        return True, k
-    return False, None
-
-
-def is_projective(M: PiModule) -> bool:
-    """Projective == free over F_l[pi]; same verdict as is_free."""
-    return is_free(M)[0]
-
-
-def quotient_module(M: PiModule, sub_basis) -> tuple[PiModule, PiModuleMap]:
-    """Quotient of M by an action-invariant subspace, with the projection."""
-    G = M.group
-    l = G.prime_l
-    W = flinalg.asfield(sub_basis, l)
-    if W.size:
-        # col(W) lies in col([W img]), so the spans are equal iff the ranks are
-        r = flinalg.rank(W, l)
-        for i in range(len(M.gens)):
-            if flinalg.rank(np.hstack([W, M.act(i, W)]), l) != r:
-                raise DimensionMismatchError("subspace is not action-invariant")
-    quo = flinalg.QuotientSpace(flinalg.identity(M.dim), W, l)
-    Q = induced_action(M, quo.reps, quo.project)
-    proj = PiModuleMap(M, Q, quo.project(flinalg.identity(M.dim)))
-    return Q, proj

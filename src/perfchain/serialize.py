@@ -6,10 +6,16 @@ entries as comma-separated coefficient lists in brackets, one row per
 line, the entries of a row apart by whitespace.  Blank lines and lines
 that start with `#` are skipped.  A coefficient is `-?[0-9]+` in ASCII
 digits (no `+`, `_` or other digits) whose value fits in int64; it is
-read modulo l.  A matrix block is checked and converted in whole-array
-passes, and read entry by entry only to name the first error in it.
-Writers are canonical: parsing then re-writing any value reproduces the
-bytes.
+read modulo l.  A file is the unit of reading and writing.  A reader
+first walks the file's structure (headers, ranks, each row's entry
+count), then checks and converts every entry of the file in one
+whole-array pass, reading entry by entry only to name the first error,
+and only then builds levels and bonds and checks d o d = 0 and that
+bonds commute: a file's text is checked before its mathematics.  A
+writer renders every block of the file from one digit grid.  The
+transient arrays are a small multiple of the file's text, which is
+already resident.  Writers are canonical: parsing then re-writing any
+value reproduces the bytes.
 
 In JSON every array over F_l is one string (`field_to_json`): its
 entries in row-major order, each as exactly len(str(l - 1)) decimal
@@ -30,13 +36,14 @@ by construction.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
 
 import numpy as np
 
 from .chains import ChainComplex, ChainMap, ModuleComplex, ModuleComplexMap, check_ranks
-from .errors import ParseError
+from .errors import ParseError, PerfchainError
 from .groups import GroupRingMatrix, GroupTable, build_group
 from .modules import PiModule, orbit_columns
 from .towers import Tower
@@ -46,16 +53,18 @@ def digest_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _format_matrix_lines(m: GroupRingMatrix) -> list[str]:
-    """One line per row, each entry its coefficients in brackets, from one
-    digit grid as in `field_to_json`: a coefficient's cell is an opening
-    bracket, its digits, a comma or closing bracket and the separator after
-    an entry, with 0 where nothing is written."""
-    order, cols = m.group.order, m.cols
-    if not m.data.size:
-        return [""] * m.rows
-    place = _place_values(m.group.prime_l)
-    a = m.data.reshape(-1, 1)
+def _format_rows(blocks: list[np.ndarray], l: int) -> list[str]:
+    """The text rows of group-ring blocks, (rows, cols, order) data with
+    cols > 0, in order, from one digit grid as in `field_to_json`: a
+    coefficient's cell is an opening bracket, its digits, a comma or
+    closing bracket and the separator after an entry, with 0 where
+    nothing is written, in the narrowest dtype that holds l - 1.  A row
+    ends at the running sum of the row widths."""
+    if not blocks:
+        return []
+    order = blocks[0].shape[2]
+    place = _place_values(l).astype(np.min_scalar_type(l - 1))
+    a = np.concatenate([b.reshape(-1, 1) for b in blocks], dtype=place.dtype, casting="unsafe")
     width = len(place)
     grid = np.zeros((a.shape[0], width + 3), dtype=np.uint8)   # 0: not written
     grid[::order, 0] = ord("[")
@@ -63,25 +72,34 @@ def _format_matrix_lines(m: GroupRingMatrix) -> list[str]:
     grid[:, width] = a[:, 0] % 10 + 48                          # "0" for 0
     grid[:, width + 1] = ord(",")
     grid[order - 1::order, width + 1:] = ord("]"), ord(" ")
-    grid[cols * order - 1::cols * order, width + 2] = ord("\n")
+    row_widths = np.repeat([b.shape[1] for b in blocks], [b.shape[0] for b in blocks])
+    grid[np.cumsum(row_widths) * order - 1, width + 2] = ord("\n")
     return grid[grid != 0].tobytes().decode("ascii").split("\n")[:-1]
 
 
-def _complex_lines(C: ChainComplex) -> list[str]:
-    """The bottom, ranks and boundary lines of C, shared by complexes and
-    tower levels."""
-    lines = [f"bottom {C.bottom}", ("ranks " + " ".join(str(r) for r in C.ranks)).rstrip()]
+def _join_lines(parts: list, l: int) -> str:
+    """The text of `parts`, header lines and the group-ring data of the
+    blocks between them, every block's rows rendered by one `_format_rows`."""
+    rows = iter(_format_rows([p for p in parts if not isinstance(p, str)], l))
+    lines = []
+    for p in parts:
+        lines += [p] if isinstance(p, str) else itertools.islice(rows, len(p))
+    return "\n".join(lines) + "\n"
+
+
+def _complex_parts(C: ChainComplex) -> list:
+    """The bottom and ranks lines of C and its nonempty boundaries, each
+    after its header line, shared by complexes and tower levels."""
+    parts = [f"bottom {C.bottom}", ("ranks " + " ".join(str(r) for r in C.ranks)).rstrip()]
     for i, b in enumerate(C.boundaries):
-        if b.rows == 0 or b.cols == 0:
-            continue
-        lines.append(f"boundary {C.bottom + i + 1}")
-        lines.extend(_format_matrix_lines(b))
-    return lines
+        if b.rows and b.cols:
+            parts += [f"boundary {C.bottom + i + 1}", b.data]
+    return parts
 
 
 def write_complex(C: ChainComplex) -> str:
-    lines = [f"group {C.group.descriptor}", f"prime {C.group.prime_l}", *_complex_lines(C)]
-    return "\n".join(lines) + "\n"
+    parts = [f"group {C.group.descriptor}", f"prime {C.group.prime_l}", *_complex_parts(C)]
+    return _join_lines(parts, C.group.prime_l)
 
 
 class _Cursor:
@@ -134,7 +152,7 @@ _DELIMITERS = str.maketrans("[],", "   ")
 def _entry_values(rows: list[list[str]], linenos: list[int], order: int) -> np.ndarray:
     """The coefficients of rows of entries, read one entry at a time; the
     first entry off the grammar or past int64 raises ParseError at its
-    line.  This names the error of a block that `_block_values` refused."""
+    line.  This names the error of a text that `_block_values` refused."""
     values = []
     for toks, lineno in zip(rows, linenos):
         for tok in toks:
@@ -151,7 +169,7 @@ def _entry_values(rows: list[list[str]], linenos: list[int], order: int) -> np.n
                 values.append(np.array([int(p) for p in parts], dtype=np.int64))
             except (ValueError, OverflowError):    # past int's digit limit, or int64
                 raise ParseError(f"coefficient in {tok!r} does not fit in 64 bits", lineno)
-    return np.array(values, dtype=np.int64)
+    return np.array(values, dtype=np.int64).ravel()
 
 
 # The entry grammar `[` F (`,` F)* `]`, F = -?[0-9]+, with entries joined
@@ -165,16 +183,15 @@ _CLASS[ord("0"):ord("9") + 1] = 1
 _FOLLOWS = np.zeros(64, dtype=bool)     # at 8 * class + class of the next
 _FOLLOWS[[8 * _CLASSES.index(a) + _CLASSES.index(b)
           for a, b in ("[0", "[-", "-0", "00", "0,", "0]", ",0", ",-", "] ", " [")]] = True
-_OPEN, _COMMA, _CLOSE = (_CLASSES.index(ch) for ch in "[,]")
+_SPACE, _OPEN, _COMMA, _CLOSE = (_CLASSES.index(ch) for ch in " [,]")
 
 
 def _block_values(text: str, order: int) -> np.ndarray | None:
-    """The coefficients of a block of entries joined by single spaces,
-    checked and converted in whole-array passes, or None when an entry is
-    off the grammar, has other than `order` coefficients, or has one of
-    more than 18 characters.  `np.fromstring` saturates past int64, so it
-    only reads coefficients below 10^18; longer ones are left to
-    `_entry_values`."""
+    """The coefficients of entries joined by single spaces, checked and
+    converted in whole-array passes, or None when an entry is off the
+    grammar, has other than `order` coefficients, or has one of more than
+    18 characters.  `np.fromstring` saturates past int64, so it only reads
+    coefficients below 10^18; longer ones are left to `_entry_values`."""
     if not text.isascii():
         return None
     c = _CLASS[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
@@ -182,128 +199,174 @@ def _block_values(text: str, order: int) -> np.ndarray | None:
             and _FOLLOWS[c[:-1] * 8 + c[1:]].all()):
         return None
     # the brackets and commas, one row of `order + 1` per entry
-    delimiters = np.flatnonzero(c >= _OPEN)
-    if delimiters.size % (order + 1):
+    d = c[np.flatnonzero(c >= _OPEN)]
+    if d.size % (order + 1):
         return None
-    d = c[delimiters].reshape(-1, order + 1)
-    if not ((d[:, 1:-1] == _COMMA).all() and (d[:, -1] == _CLOSE).all()
-            and np.diff(delimiters).max() <= 19):
+    d = d.reshape(-1, order + 1)
+    if not ((d[:, 1:-1] == _COMMA).all() and (d[:, -1] == _CLOSE).all()):
+        return None
+    # run[i]: the 1, 2, 4, 8, 16 and then 19 characters from i are digits or signs
+    run = c < _SPACE
+    for step in (1, 2, 4, 8, 3):
+        run = run[:-step] & run[step:]
+    if run.any():
         return None
     return np.fromstring(text.translate(_DELIMITERS), dtype=np.int64, sep=" ")
 
 
-def _parse_matrix(cur: _Cursor, G: GroupTable, rows: int, cols: int) -> GroupRingMatrix:
-    """A rows x cols block: each row's entry count is checked as it is
-    read, then the whole block is read by `_block_values`.  An error is
-    the first in reading order, found entry by entry (`_entry_values`)."""
-    toks, linenos = [], []
-    try:
+class _Blocks:
+    """The matrix blocks of one text in reading order, read in two steps:
+    `read` takes a block's rows from the cursor, each row's entry count
+    checked as it is read, and `matrices` checks and converts the entries
+    of every block taken in one `_block_values` pass."""
+
+    def __init__(self, cur: _Cursor, order: int):
+        self.cur, self.order = cur, order
+        self.rows, self.linenos, self.shapes = [], [], []
+
+    def read(self, rows: int, cols: int) -> int:
+        """Takes a rows x cols block and returns its index."""
+        cur = self.cur
         for _ in range(rows):
             row = cur.next().split()
             if len(row) != cols:
                 raise ParseError(f"matrix row has {len(row)} entries, expected {cols}", cur.last)
-            toks.append(row)
-            linenos.append(cur.last)
-    except ParseError:
-        _entry_values(toks, linenos, G.order)      # an earlier row's error comes first
+            self.rows.append(row)
+            self.linenos.append(cur.last)
+        self.shapes.append((rows, cols))
+        return len(self.shapes) - 1
+
+    def values(self) -> np.ndarray:
+        """The coefficients of every entry taken; when `_block_values`
+        refuses them, read entry by entry, which raises the first error."""
+        values = _block_values(" ".join(itertools.chain.from_iterable(self.rows)), self.order)
+        return _entry_values(self.rows, self.linenos, self.order) if values is None else values
+
+    def matrices(self, G: GroupTable) -> list[GroupRingMatrix]:
+        """Each block as a matrix over G, in arrays of their own."""
+        values, order = self.values(), self.order
+        at = [0, *itertools.accumulate(rows * cols * order for rows, cols in self.shapes)]
+        return [GroupRingMatrix(G, values[start:end].reshape(rows, cols, order))
+                for start, end, (rows, cols) in zip(at, at[1:], self.shapes)]
+
+
+def _read_file(text: str, walk):
+    """A text file in three steps: the header; the rest of the structure,
+    read by `walk(cur, G, blocks)` to the end of the text; then every entry
+    of the file in one pass (`_Blocks.matrices`).  An error in the
+    structure comes after any error in an entry before it: the first error
+    in reading order is reported.  Returns G, what `walk` returned and the
+    blocks' matrices."""
+    cur = _Cursor(text)
+    G = build_group(cur.expect("group"), _parse_int(cur.expect("prime"), "prime", cur.last))
+    blocks = _Blocks(cur, G.order)
+    try:
+        structure = walk(cur, G, blocks)
+        if cur.peek() is not None:
+            raise ParseError(f"trailing content: {cur.peek()!r}", cur.lineno())
+    except PerfchainError:
+        blocks.values()
         raise
-    values = _block_values(" ".join(" ".join(row) for row in toks), G.order)
-    if values is None:
-        values = _entry_values(toks, linenos, G.order)
-    return GroupRingMatrix(G, values.reshape(rows, cols, G.order))
+    return G, structure, blocks.matrices(G)
 
 
-def _parse_header(cur: _Cursor):
-    desc = cur.expect("group")
-    prime = _parse_int(cur.expect("prime"), "prime", cur.last)
-    G = build_group(desc, prime)
-    return G
+def _headed_blocks(cur: _Cursor, keyword: str, what: str):
+    """(q, line, its number) for each `keyword q` line at the cursor, the
+    next read once the block after the last has been taken."""
+    while (line := cur.peek()) is not None and line.startswith(keyword + " "):
+        lineno = cur.lineno()
+        cur.next()
+        yield _parse_int(line[len(keyword) + 1:], what, lineno), line, lineno
 
 
-def _parse_complex_body(cur: _Cursor, G: GroupTable) -> ChainComplex:
+def _expect_index(cur: _Cursor, keyword: str, n: int) -> None:
+    got = _parse_int(cur.expect(keyword), f"{keyword} index", cur.last)
+    if got != n:
+        raise ParseError(f"expected {keyword} {n}, got {got}", cur.last)
+
+
+def _walk_complex(cur: _Cursor, G: GroupTable, blocks: _Blocks):
+    """The bottom, the ranks and {boundary index: block index} of the body
+    of a complex; the ranks are checked as they are read."""
     bottom = _parse_int(cur.expect("bottom"), "bottom", cur.last)
     rank_line = cur.expect("ranks")
     ranks = [_parse_int(t, "rank", cur.last) for t in rank_line.split()]
     check_ranks(G, ranks)
-    boundaries = {}
-    while True:
-        line = cur.peek()
-        if line is None or not line.startswith("boundary "):
-            break
-        lineno = cur.lineno()
-        cur.next()
-        q = _parse_int(line[len("boundary "):], "boundary degree", lineno)
+    found = {}
+    for q, line, lineno in _headed_blocks(cur, "boundary", "boundary degree"):
         i = q - bottom
         if not (1 <= i <= len(ranks) - 1):
             raise ParseError(f"boundary degree {q} outside rank range", lineno)
-        if i in boundaries:
+        if i in found:
             raise ParseError(f"repeated block {line!r}", lineno)
-        boundaries[i] = _parse_matrix(cur, G, ranks[i - 1], ranks[i])
-    mats = [boundaries[i] if i in boundaries else GroupRingMatrix.zeros(G, ranks[i - 1], ranks[i])
-            for i in range(1, len(ranks))]
-    return ChainComplex(G, bottom, ranks, mats).check_d_squared()
+        found[i] = blocks.read(ranks[i - 1], ranks[i])
+    return bottom, ranks, found
+
+
+def _build_complex(G: GroupTable, body, mats: list[GroupRingMatrix]) -> ChainComplex:
+    """The complex of a body from `_walk_complex`, checked for d o d = 0."""
+    bottom, ranks, found = body
+    boundaries = [mats[found[i]] if i in found
+                  else GroupRingMatrix.zeros(G, ranks[i - 1], ranks[i])
+                  for i in range(1, len(ranks))]
+    return ChainComplex(G, bottom, ranks, boundaries).check_d_squared()
 
 
 def read_complex(text: str) -> ChainComplex:
-    cur = _Cursor(text)
-    G = _parse_header(cur)
-    C = _parse_complex_body(cur, G)
-    if cur.peek() is not None:
-        raise ParseError(f"trailing content: {cur.peek()!r}", cur.lineno())
-    return C
+    """The complex of a text file, its text checked in whole (`_read_file`)
+    before d o d = 0 is."""
+    G, body, mats = _read_file(text, _walk_complex)
+    return _build_complex(G, body, mats)
 
 
 def write_tower(T: Tower) -> str:
-    lines = [
-        f"group {T.group.descriptor}",
-        f"prime {T.group.prime_l}",
-        f"levels {len(T.levels)}",
-    ]
+    parts = [f"group {T.group.descriptor}", f"prime {T.group.prime_l}", f"levels {len(T.levels)}"]
     for n, L in enumerate(T.levels):
-        lines.append(f"level {n}")
-        lines.extend(_complex_lines(L))
+        parts.append(f"level {n}")
+        parts += _complex_parts(L)
     for n, bond in enumerate(T.bonds):
-        lines.append(f"bond {n}")
+        parts.append(f"bond {n}")
         for q in sorted(bond.components):
             m = bond.components[q]
-            if m.is_zero():
-                continue
-            lines.append(f"degree {q}")
-            lines.extend(_format_matrix_lines(m))
-    return "\n".join(lines) + "\n"
+            if not m.is_zero():
+                parts += [f"degree {q}", m.data]
+    return _join_lines(parts, T.group.prime_l)
 
 
-def read_tower(text: str) -> Tower:
-    cur = _Cursor(text)
-    G = _parse_header(cur)
+def _rank_at(body, q: int) -> int:
+    """The rank in degree q of a body from `_walk_complex`."""
+    bottom, ranks, _ = body
+    return ranks[q - bottom] if 0 <= q - bottom < len(ranks) else 0
+
+
+def _walk_tower(cur: _Cursor, G: GroupTable, blocks: _Blocks):
+    """The bodies of a tower's levels (`_walk_complex`) and, for each bond,
+    {degree: block index}."""
     n_levels = _parse_int(cur.expect("levels"), "level count", cur.last)
     levels = []
     for n in range(n_levels):
-        got = _parse_int(cur.expect("level"), "level index", cur.last)
-        if got != n:
-            raise ParseError(f"expected level {n}, got {got}", cur.last)
-        levels.append(_parse_complex_body(cur, G))
+        _expect_index(cur, "level", n)
+        levels.append(_walk_complex(cur, G, blocks))
     bonds = []
     for n in range(n_levels - 1):
-        got = _parse_int(cur.expect("bond"), "bond index", cur.last)
-        if got != n:
-            raise ParseError(f"expected bond {n}, got {got}", cur.last)
-        src, tgt = levels[n + 1], levels[n]
+        _expect_index(cur, "bond", n)
         comps = {}
-        while True:
-            line = cur.peek()
-            if line is None or not line.startswith("degree "):
-                break
-            lineno = cur.lineno()
-            cur.next()
-            q = _parse_int(line[len("degree "):], "degree", lineno)
+        for q, line, lineno in _headed_blocks(cur, "degree", "degree"):
             if q in comps:
                 raise ParseError(f"repeated block {line!r}", lineno)
-            comps[q] = _parse_matrix(cur, G, tgt.rank_at(q), src.rank_at(q))
-        bonds.append(ChainMap(src, tgt, comps).check_commutes())
-    if cur.peek() is not None:
-        raise ParseError(f"trailing content: {cur.peek()!r}", cur.lineno())
-    return Tower(levels, bonds)
+            comps[q] = blocks.read(_rank_at(levels[n], q), _rank_at(levels[n + 1], q))
+        bonds.append(comps)
+    return levels, bonds
+
+
+def read_tower(text: str) -> Tower:
+    """The tower of a text file, its text checked in whole (`_read_file`)
+    before each level's d o d = 0 and then each bond's commuting."""
+    G, (bodies, bonds), mats = _read_file(text, _walk_tower)
+    levels = [_build_complex(G, body, mats) for body in bodies]
+    maps = [ChainMap(levels[n + 1], levels[n], {q: mats[b] for q, b in comps.items()})
+            .check_commutes() for n, comps in enumerate(bonds)]
+    return Tower(levels, maps)
 
 
 def write_int_matrix(M) -> str:

@@ -13,6 +13,7 @@ from perfchain import (
     ChainMap,
     GroupRingMatrix,
     GroupTable,
+    ModuleComplex,
     Tower,
     build_group,
     cyclic_group,
@@ -23,7 +24,8 @@ from perfchain import (
     mapping_cone,
 )
 from perfchain import certificates, flinalg, serialize
-from perfchain.abelian import Lattice, SNFResult, integer_kernel_columns
+from perfchain.abelian import Lattice, SNFResult, integer_kernel_columns, smith_normal_form
+from perfchain.chains import check_ranks
 from perfchain.errors import (
     BoundarySquareNonzeroError,
     DimensionMismatchError,
@@ -32,7 +34,15 @@ from perfchain.errors import (
 )
 from perfchain.finiteness import decide_perfect
 from perfchain.groups import MAX_FREE_DIM, ga_compose, ga_inverse, grm_compose
-from perfchain.modules import PiModule, PiModuleMap, orbit
+from perfchain.modules import (
+    PiModule,
+    PiModuleMap,
+    induced_action,
+    minimal_generator_lifts,
+    orbit,
+    orbit_columns,
+    trivial_module,
+)
 from perfchain.serialize import json_field, json_field_array
 from perfchain.towers import FreeLimit, decided_limit
 
@@ -523,6 +533,69 @@ def has_equivariant_section(f) -> bool:
     return flinalg.solve_matrix(A, b[:, None], l) is not None
 
 
+def kernel_of_map(f: PiModuleMap) -> tuple[PiModule, PiModuleMap]:
+    """Kernel with its inclusion; the pi-action restricts exactly."""
+    l = f.source.group.prime_l
+    K = flinalg.kernel_basis(f.matrix, l)
+    ker = induced_action(f.source, K, lambda B: flinalg.solve_matrix(K, B, l))
+    return ker, PiModuleMap(ker, f.source, K)
+
+
+def is_free(M: PiModule) -> tuple[bool, int | None]:
+    """True iff M is a free module, with its rank when so.
+
+    Decided by the minimal free cover: over a local ring the cover is
+    onto, and M is free exactly when the cover has zero kernel.
+    """
+    lifts = minimal_generator_lifts(M)
+    k = lifts.shape[1]
+    if M.dim != k * M.group.order:
+        return False, None
+    if flinalg.rank(orbit_columns(M, lifts), M.group.prime_l) == M.dim:
+        return True, k
+    return False, None
+
+
+def is_projective(M: PiModule) -> bool:
+    """Projective == free over F_l[pi]; same verdict as is_free."""
+    return is_free(M)[0]
+
+
+def quotient_module(M: PiModule, sub_basis) -> tuple[PiModule, PiModuleMap]:
+    """Quotient of M by an action-invariant subspace, with the projection."""
+    l = M.group.prime_l
+    W = flinalg.asfield(sub_basis, l)
+    if W.size:
+        # col(W) lies in col([W img]), so the spans are equal iff the ranks are
+        r = flinalg.rank(W, l)
+        for i in range(len(M.gens)):
+            if flinalg.rank(np.hstack([W, M.act(i, W)]), l) != r:
+                raise DimensionMismatchError("subspace is not action-invariant")
+    quo = flinalg.QuotientSpace(flinalg.identity(M.dim), W, l)
+    Q = induced_action(M, quo.reps, quo.project)
+    return Q, PiModuleMap(M, Q, quo.project(flinalg.identity(M.dim)))
+
+
+def homology(C: ChainComplex, q: int) -> PiModule:
+    """H_q = ker d_q / im d_{q+1} with its inherited pi-action."""
+    return C.expanded().homology_data(q).module
+
+
+def base_homology(X, q: int) -> int:
+    """Mod-l homology dimension of the base space of the cell complex X in
+    degree q, from the coinvariants complex (augmentation applied
+    entrywise)."""
+    G = X.group
+    mods = [trivial_module(G, c) for c in X.orbit_counts]
+    diffs = [b.augmentation_matrix() for b in X.boundaries]
+    return ModuleComplex(G, 0, mods, diffs).homology_dim(q)
+
+
+def invariant_factors(M) -> tuple:
+    """The diagonal of the Smith normal form of the integer matrix M."""
+    return smith_normal_form(M).diag
+
+
 def smith_normal_form_reference(M) -> SNFResult:
     """Smith normal form by the min-|a| pivot loop: pick the nonzero entry
     of least absolute value in the trailing block, clear its row and column
@@ -686,6 +759,24 @@ def ga_inverse_series_reference(a, G: GroupTable) -> np.ndarray:
     raise AssertionError("radical series failed to terminate")
 
 
+def ga_inverse_newton_reference(a, G: GroupTable) -> np.ndarray:
+    """The inverse of square (k, k, order) data a by Newton's iteration
+    with every residual I - a X recomputed from a, two products a step,
+    from the lift of the augmentation's inverse."""
+    l = G.prime_l
+    k = a.shape[0]
+    eps_inv = flinalg.solve_matrix(a.sum(axis=2) % l, flinalg.identity(k), l)
+    one = GroupRingMatrix.identity(G, k).data
+    X = np.zeros_like(one)
+    X[..., G.identity] = eps_inv
+    for _ in range(G.order.bit_length() + 1):
+        residual = (one - ga_compose_reference(a, X, G)) % l
+        if not residual.any():
+            return X
+        X = (X + ga_compose_reference(X, residual, G)) % l
+    raise AssertionError("Newton's iteration failed to converge")
+
+
 def expand_reference(A: GroupRingMatrix) -> np.ndarray:
     """`GroupRingMatrix.expand` by a fancy gather and a transposing copy:
     entry ((i, k), (j, s)) is data[i, j, ldiv[s, k]]."""
@@ -729,6 +820,139 @@ def parse_matrix_reference(cur, G: GroupTable, rows: int, cols: int) -> GroupRin
             except OverflowError:
                 raise ParseError(f"coefficient in {tok!r} does not fit in 64 bits", lineno)
     return GroupRingMatrix(G, data)
+
+
+def parse_block(cur, G: GroupTable, rows: int, cols: int) -> GroupRingMatrix:
+    """One rows x cols text block by the two steps of the file readers:
+    `_Blocks.read` takes its rows, each row's entry count checked as it is
+    read, and `_Blocks.matrices` converts them.  As in a file, an error in
+    an earlier row's entries comes before a later row's count error."""
+    blocks = serialize._Blocks(cur, G.order)
+    try:
+        blocks.read(rows, cols)
+    except ParseError:
+        blocks.values()
+        raise
+    return blocks.matrices(G)[0]
+
+
+def read_complex_reference(text: str, check: bool = True):
+    """A complex file read block by block (`parse_matrix_reference`), d o d
+    checked once the complex is read unless check is False."""
+    cur = serialize._Cursor(text)
+    G = _header_reference(cur)
+    C = _complex_body_reference(cur, G, check)
+    if cur.peek() is not None:
+        raise ParseError(f"trailing content: {cur.peek()!r}", cur.lineno())
+    return C
+
+
+def _header_reference(cur) -> GroupTable:
+    desc = cur.expect("group")
+    return build_group(desc, _int_reference(cur.expect("prime"), "prime", cur.last))
+
+
+def _int_reference(text: str, what: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {what}: {text!r}", lineno)
+
+
+def _complex_body_reference(cur, G: GroupTable, check: bool) -> ChainComplex:
+    bottom = _int_reference(cur.expect("bottom"), "bottom", cur.last)
+    rank_line = cur.expect("ranks")
+    ranks = [_int_reference(t, "rank", cur.last) for t in rank_line.split()]
+    check_ranks(G, ranks)
+    boundaries = {}
+    while True:
+        line = cur.peek()
+        if line is None or not line.startswith("boundary "):
+            break
+        lineno = cur.lineno()
+        cur.next()
+        q = _int_reference(line[len("boundary "):], "boundary degree", lineno)
+        i = q - bottom
+        if not (1 <= i <= len(ranks) - 1):
+            raise ParseError(f"boundary degree {q} outside rank range", lineno)
+        if i in boundaries:
+            raise ParseError(f"repeated block {line!r}", lineno)
+        boundaries[i] = parse_matrix_reference(cur, G, ranks[i - 1], ranks[i])
+    mats = [boundaries[i] if i in boundaries else GroupRingMatrix.zeros(G, ranks[i - 1], ranks[i])
+            for i in range(1, len(ranks))]
+    C = ChainComplex(G, bottom, ranks, mats)
+    return C.check_d_squared() if check else C
+
+
+def read_tower_reference(text: str, check: bool = True) -> Tower:
+    """A tower file read block by block (`parse_matrix_reference`), each
+    level checked for d o d = 0 as it is read and each bond for commuting
+    once it is read, unless check is False."""
+    cur = serialize._Cursor(text)
+    G = _header_reference(cur)
+    n_levels = _int_reference(cur.expect("levels"), "level count", cur.last)
+    levels = []
+    for n in range(n_levels):
+        got = _int_reference(cur.expect("level"), "level index", cur.last)
+        if got != n:
+            raise ParseError(f"expected level {n}, got {got}", cur.last)
+        levels.append(_complex_body_reference(cur, G, check))
+    bonds = []
+    for n in range(n_levels - 1):
+        got = _int_reference(cur.expect("bond"), "bond index", cur.last)
+        if got != n:
+            raise ParseError(f"expected bond {n}, got {got}", cur.last)
+        src, tgt = levels[n + 1], levels[n]
+        comps = {}
+        while True:
+            line = cur.peek()
+            if line is None or not line.startswith("degree "):
+                break
+            lineno = cur.lineno()
+            cur.next()
+            q = _int_reference(line[len("degree "):], "degree", lineno)
+            if q in comps:
+                raise ParseError(f"repeated block {line!r}", lineno)
+            comps[q] = parse_matrix_reference(cur, G, tgt.rank_at(q), src.rank_at(q))
+        f = ChainMap(src, tgt, comps)
+        bonds.append(f.check_commutes() if check else f)
+    if cur.peek() is not None:
+        raise ParseError(f"trailing content: {cur.peek()!r}", cur.lineno())
+    return Tower(levels, bonds)
+
+
+def _complex_lines_reference(C: ChainComplex) -> list[str]:
+    lines = [f"bottom {C.bottom}", ("ranks " + " ".join(str(r) for r in C.ranks)).rstrip()]
+    for i, b in enumerate(C.boundaries):
+        if b.rows and b.cols:
+            lines.append(f"boundary {C.bottom + i + 1}")
+            lines.extend(format_matrix_lines_reference(b))
+    return lines
+
+
+def write_complex_reference(C: ChainComplex) -> str:
+    """The text of a complex with each block rendered on its own
+    (`format_matrix_lines_reference`) and the lines joined."""
+    lines = [f"group {C.group.descriptor}", f"prime {C.group.prime_l}",
+             *_complex_lines_reference(C)]
+    return "\n".join(lines) + "\n"
+
+
+def write_tower_reference(T: Tower) -> str:
+    """The text of a tower with each block rendered on its own and the
+    lines joined; zero bond components are not written."""
+    lines = [f"group {T.group.descriptor}", f"prime {T.group.prime_l}",
+             f"levels {len(T.levels)}"]
+    for n, L in enumerate(T.levels):
+        lines.append(f"level {n}")
+        lines.extend(_complex_lines_reference(L))
+    for n, bond in enumerate(T.bonds):
+        lines.append(f"bond {n}")
+        for q in sorted(bond.components):
+            if not bond.components[q].is_zero():
+                lines.append(f"degree {q}")
+                lines.extend(format_matrix_lines_reference(bond.components[q]))
+    return "\n".join(lines) + "\n"
 
 
 def from_expanded(group: GroupTable, E, rows: int, cols: int) -> GroupRingMatrix:

@@ -17,7 +17,6 @@ from perfchain import (
     FGZlModule,
     NotExactIntegrallyError,
     check_exactness,
-    invariant_factors,
     l_complete,
     smith_normal_form,
 )
@@ -27,7 +26,7 @@ from perfchain.errors import LimitError, NotAnLGroupError
 from perfchain.groups import MAX_PRIME
 from perfchain.certificates import _check_snf_witness, _int_det
 
-from conftest import preimage_lattice_reference, smith_normal_form_reference
+from conftest import invariant_factors, preimage_lattice_reference, smith_normal_form_reference
 
 
 def minor_gcd_oracle(M):

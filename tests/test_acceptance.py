@@ -21,21 +21,16 @@ from perfchain import (
     ChainComplex,
     ChainMap,
     Tower,
-    base_homology,
     chains_of_cover,
     check_exactness,
     decide_perfect,
     euler_characteristic,
     free_cover,
-    homology,
     identity_chain_map,
-    is_free,
-    is_projective,
     is_quasi_iso,
     lens_complex,
     limit_complex,
     pro_decide_perfect,
-    quotient_module,
     regular_module,
 )
 from perfchain.cli import main
@@ -43,12 +38,17 @@ from perfchain.serialize import read_complex, read_tower, write_complex, write_t
 
 from conftest import (
     SMALL_GROUPS,
+    base_homology,
     batched_rank,
     conjugate_complex,
     has_equivariant_section,
+    homology,
     homology_image_dims,
+    is_free,
+    is_projective,
     norm_matrix,
     pad_with_identity_cones,
+    quotient_module,
     random_minimal_complex,
     random_stabilizing_tower,
     submodule_span,

@@ -8,16 +8,14 @@ from perfchain import (
     EquivariantCellComplex,
     GroupMismatchError,
     GroupRingMatrix,
-    base_homology,
     chains_of_cover,
     cyclic_group,
     decide_perfect,
-    homology,
     lens_complex,
 )
 from perfchain.groups import grm_compose
 
-from conftest import SMALL_GROUPS, ga_mul_reference, module_action
+from conftest import SMALL_GROUPS, base_homology, ga_mul_reference, homology, module_action
 
 
 def bareiss_det(M):

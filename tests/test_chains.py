@@ -20,7 +20,6 @@ from perfchain import (
     decide_perfect,
     direct_sum,
     euler_characteristic,
-    homology,
     identity_chain_map,
     is_quasi_iso,
     mapping_cone,
@@ -38,7 +37,9 @@ from conftest import (
     compose_chain_maps,
     conjugate_complex,
     first_generator_projection,
+    ga_compose_reference,
     heisenberg_27,
+    homology,
     is_equivariant_brute,
     minimalize_reference,
     module_action,
@@ -497,6 +498,78 @@ def test_chain_map_check_matches_full_expansion():
                 accepted = False
             assert accepted == commutes
             seen.add(commutes)
+    assert seen == {True, False}
+
+
+def test_commutation_is_checked_next_to_an_empty_degree():
+    """Degrees whose composites are empty are skipped, and a square that
+    fails in the degree next to them is still refused, as a free map and
+    as its expansion: over C2 with ranks [1, 0, 1, 1], f_2 = 1 and f_3 = 0
+    give d f_3 = 0 but f_2 d = 1 + t in degree 3; into the rank-1 complex
+    in degree 0, f_0 = 1 out of [F -> F] with d = 1 + t fails in degree 1,
+    where the target is 0."""
+    G = SMALL_GROUPS["C2"]
+    C = ChainComplex(G, 0, [1, 0, 1, 1], [GroupRingMatrix.zeros(G, 1, 0),
+                                          GroupRingMatrix.zeros(G, 0, 1), one_plus_t(G)])
+    f = ChainMap(C, C, {2: GroupRingMatrix.identity(G, 1), 3: GroupRingMatrix.zeros(G, 1, 1)})
+    g = ChainMap(lens_like(G, 1), ChainComplex(G, 0, [1], []),
+                 {0: GroupRingMatrix.identity(G, 1)})
+    for m, degree in ((f, 3), (g, 1)):
+        for check in (m.check_commutes, m.expanded().check_commutes):
+            with pytest.raises(DimensionMismatchError, match=f"at degree {degree}$"):
+                check()
+    identity_chain_map(C).check_commutes()
+    identity_chain_map(C).expanded().check_commutes()
+
+
+def _first_failing_degree(f) -> int | None:
+    """The lowest degree q with d f_q != f_{q-1} d, every degree computed
+    by `ga_compose_reference`, empty ones included."""
+    G = f.source.group
+    lo = min(f.source.bottom, f.target.bottom)
+    hi = max(f.source.top, f.target.top) + 1
+    for q in range(lo, hi + 1):
+        lhs = ga_compose_reference(f.target.boundary_at(q).data, f.component_at(q).data, G)
+        rhs = ga_compose_reference(f.component_at(q - 1).data, f.source.boundary_at(q).data, G)
+        if not np.array_equal(lhs, rhs):
+            return q
+    return None
+
+
+def test_chain_map_check_matches_every_degree_with_empty_ranks():
+    """On complexes with rank-0 degrees inside and at both ends, a map is
+    refused exactly when some degree's square fails, computed in every
+    degree, and at the first such degree: the identity with one
+    component replaced at random, and maps between two different
+    complexes with one random component."""
+    rng = np.random.default_rng(59)
+    seen = set()
+    for _, G in two_group_zoo()[:6]:
+        def data(rows, cols):
+            return GroupRingMatrix(G, rng.integers(0, G.prime_l, size=(rows, cols, G.order)))
+
+        def complex_():
+            ranks = [int(r) for r in rng.choice([0, 0, 1, 2], size=rng.integers(1, 6))]
+            return ChainComplex(G, int(rng.integers(-1, 2)), ranks,
+                                [data(a, b) for a, b in zip(ranks, ranks[1:])])
+
+        for _ in range(24):
+            S, T = complex_(), complex_()
+            comps = {}
+            if rng.random() < 0.5:
+                S = T
+                comps = dict(identity_chain_map(T).components)
+            q = int(rng.integers(min(S.bottom, T.bottom) - 1, max(S.top, T.top) + 2))
+            comps[q] = data(T.rank_at(q), S.rank_at(q))
+            f = ChainMap(S, T, comps)
+            want = _first_failing_degree(f)
+            for check in (f.check_commutes, f.expanded().check_commutes):
+                if want is None:
+                    check()
+                else:
+                    with pytest.raises(DimensionMismatchError, match=f"at degree {want}$"):
+                        check()
+            seen.add(want is None)
     assert seen == {True, False}
 
 

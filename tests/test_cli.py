@@ -935,7 +935,7 @@ def test_declared_ranks_are_checked_before_any_matrix_is_allocated(capsys, tmp_p
                                                                     code):
     """Ranks whose boundary (read, or zero when absent) has 2 * 10^18
     entries, and a negative rank, are refused as they are read, in a
-    complex and in a tower level, before `_parse_matrix` or
+    complex and in a tower level, before a block is read or
     `GroupRingMatrix.zeros` sizes an array by them."""
     body = f"bottom 0\nranks {ranks}\n{block}"
     if command == "tower-perfect":

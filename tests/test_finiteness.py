@@ -15,9 +15,7 @@ from perfchain import (
     decide_perfect,
     direct_sum,
     euler_characteristic,
-    homology,
     identity_chain_map,
-    is_free,
     is_quasi_iso,
     limit_complex,
     mapping_cone,
@@ -31,8 +29,9 @@ from perfchain.finiteness import _approximate
 from perfchain.modules import PiModule, direct_sum_modules
 
 from conftest import SMALL_GROUPS, check_action, check_module_complex, check_module_map, \
-    conjugate_complex, heisenberg_27, is_equivariant_brute, pad_with_identity_cones, \
-    random_minimal_complex, random_stabilizing_tower, three_group_zoo, two_group_zoo
+    conjugate_complex, heisenberg_27, homology, is_equivariant_brute, is_free, \
+    pad_with_identity_cones, random_minimal_complex, random_stabilizing_tower, \
+    three_group_zoo, two_group_zoo
 
 
 def one_plus_t(G):

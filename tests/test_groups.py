@@ -22,6 +22,7 @@ from perfchain import (
     direct_product,
     ga_inverse,
 )
+from perfchain import groups
 from perfchain.groups import ga_compose, grm_compose
 
 from conftest import (
@@ -32,11 +33,13 @@ from conftest import (
     from_expanded,
     from_expanded_reference,
     ga_compose_reference,
+    ga_inverse_newton_reference,
     ga_inverse_series_reference,
     ga_mul_reference,
     heisenberg_27,
     is_group_brute,
     norm_matrix,
+    random_invertible,
     random_unit,
     regular_action_matrices,
     three_group_zoo,
@@ -264,6 +267,49 @@ def test_ga_inverse_matches_geometric_series():
             assert np.array_equal(inverse[0, 0], expected), name
             a, b = elt(G, u), GroupRingMatrix(G, inverse)
             assert times(a, b) == one and times(b, a) == one, name
+
+
+@pytest.mark.parametrize("group, l", [("heis27", 3), ("cyclic:64", 2),
+                                      ("product:cyclic:4,cyclic:4,cyclic:4", 2),
+                                      ("cyclic:25", 5)])
+def test_ga_inverse_matches_newton_with_recomputed_residuals(group, l):
+    """Squaring the residual gives the iterates of recomputing I - a X
+    from a: on random invertible k x k data, k = 1..5, and on random 1 x 1
+    units, the inverse equals the recomputing reference and is two-sided
+    by `ga_compose_reference`."""
+    G = heisenberg_27() if group == "heis27" else build_group(group, l)
+    rng = random.Random(group)
+    cases = [random_invertible(G, k, rng, n_ops=6)[0].data for k in range(1, 6)]
+    cases += [random_unit(G, rng)[None, None] for _ in range(4)]
+    for a in cases:
+        one = GroupRingMatrix.identity(G, a.shape[0]).data
+        inverse = ga_inverse(a, G)
+        assert inverse.dtype == np.int64
+        assert np.array_equal(inverse, ga_inverse_newton_reference(a, G))
+        assert np.array_equal(ga_compose_reference(a, inverse, G), one)
+        assert np.array_equal(ga_compose_reference(inverse, a, G), one)
+
+
+@pytest.mark.parametrize("k, i, j", [(0, 2, 3), (2, 0, 3), (3, 2, 0), (0, 0, 0), (0, 3, 0),
+                                     (2, 0, 0)])
+def test_ga_compose_with_an_empty_operand_gathers_nothing(k, i, j, monkeypatch):
+    """A product with k, i or j = 0 equals the reference in shape, dtype
+    (int64) and data, and is made without a gather or a matmul."""
+    G = SMALL_GROUPS["D4"]
+    rng = np.random.default_rng(k * 100 + i * 10 + j)
+    second = rng.integers(0, G.prime_l, size=(k, i, G.order))
+    first = rng.integers(0, G.prime_l, size=(i, j, G.order))
+    want = ga_compose_reference(second, first, G)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty product gathered or multiplied")
+
+    monkeypatch.setattr(np, "take", refuse)
+    monkeypatch.setattr(groups.flinalg, "_matmul_in", refuse)
+    got = ga_compose(second, first, G)
+    assert got.shape == want.shape == (k, j, G.order)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C2xC2", "D4"])

@@ -12,11 +12,7 @@ from perfchain import (
     PiModule,
     build_group,
     free_cover,
-    is_free,
-    is_projective,
-    kernel_of_map,
     minimal_generators,
-    quotient_module,
     regular_module,
     trivial_module,
     zero_module,
@@ -38,9 +34,13 @@ from conftest import (
     has_equivariant_section,
     is_equivariant,
     is_equivariant_brute,
+    is_free,
+    is_projective,
     first_generator_projection,
+    kernel_of_map,
     module_action,
     per_element_action,
+    quotient_module,
     radical_basis,
     regular_action_matrices,
     right_multiplication_matrix,

@@ -1,5 +1,6 @@
 """Text and JSON round-trips."""
 
+import functools
 import math
 import random
 
@@ -9,9 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfchain import (
+    BoundarySquareNonzeroError,
+    ChainComplex,
+    ChainMap,
     DimensionMismatchError,
     LimitError,
     ParseError,
+    PerfchainError,
     PiModule,
     Tower,
     build_group,
@@ -37,8 +42,9 @@ from perfchain.serialize import (
 )
 
 from conftest import SMALL_GROUPS, format_matrix_lines_reference, module_from_json, \
-    parse_matrix_reference, random_minimal_complex, random_stabilizing_tower, \
-    pad_with_identity_cones, two_group_zoo
+    parse_block, parse_matrix_reference, random_minimal_complex, random_stabilizing_tower, \
+    pad_with_identity_cones, read_complex_reference, read_tower_reference, two_group_zoo, \
+    write_complex_reference, write_tower_reference
 
 
 def test_complex_roundtrip_bytes(rng):
@@ -157,14 +163,17 @@ def test_digest_stability():
 @pytest.mark.parametrize("group, l", [("cyclic:4", 2), ("product:cyclic:3,cyclic:3", 3),
                                       ("cyclic:11", 11), ("cyclic:101", 101)])
 def test_text_writer_matches_the_per_entry_join(group, l):
-    """The one-format-per-row text writer gives the bytes of a `str` and a
-    join per coefficient, on random matrices with every coefficient in
-    [0, l) and on shapes with no rows or no columns."""
+    """The one-grid text writer gives the bytes of a `str` and a join per
+    coefficient, on random matrices with every coefficient in [0, l) and
+    on a shape with no rows, alone and all rendered together."""
     G = build_group(group, l)
     rng = np.random.default_rng(l)
-    for rows, cols in ((1, 1), (3, 4), (5, 2), (2, 0), (0, 3)):
-        m = GroupRingMatrix(G, rng.integers(0, l, size=(rows, cols, G.order)))
-        assert serialize._format_matrix_lines(m) == format_matrix_lines_reference(m)
+    mats = [GroupRingMatrix(G, rng.integers(0, l, size=(rows, cols, G.order)))
+            for rows, cols in ((1, 1), (3, 4), (5, 2), (0, 3))]
+    for m in mats:
+        assert serialize._format_rows([m.data], l) == format_matrix_lines_reference(m)
+    assert (serialize._format_rows([m.data for m in mats], l)
+            == [line for m in mats for line in format_matrix_lines_reference(m)])
 
 
 TEXT_GROUPS = [("cyclic:4", 2), ("cyclic:3", 3), ("cyclic:101", 101), ("cyclic:1", 1009)]
@@ -206,7 +215,7 @@ def test_block_reader_matches_the_per_entry_reader(seed, which, rows, cols):
     desc, l = which
     rng = random.Random(seed)
     text = _random_block(rng, build_group(desc, l).order, l, rows, cols)
-    got = _read_block(serialize._parse_matrix, text, desc, l, rows, cols)
+    got = _read_block(parse_block, text, desc, l, rows, cols)
     assert got[0] == "ok"
     assert got == _read_block(parse_matrix_reference, text, desc, l, rows, cols)
 
@@ -228,7 +237,7 @@ def test_block_reader_errors_match_the_per_entry_reader(seed, which, edits):
     for at, insert in edits:
         at %= len(text)
         text = text[:at] + insert + text[at + (not insert):]
-    assert (_read_block(serialize._parse_matrix, text, desc, l, 2, 2)
+    assert (_read_block(parse_block, text, desc, l, 2, 2)
             == _read_block(parse_matrix_reference, text, desc, l, 2, 2))
 
 
@@ -253,7 +262,7 @@ def test_block_errors_keep_their_kind_and_line(row, message):
     comment; a 5001-digit coefficient is past int64 and E_PARSE too."""
     text = "[1,0] [0,1]\n\n# two blank lines before\n\n" + row + "\n"
     with pytest.raises(ParseError) as e:
-        serialize._parse_matrix(serialize._Cursor(text), build_group("cyclic:2", 2), 2, 2)
+        parse_block(serialize._Cursor(text), build_group("cyclic:2", 2), 2, 2)
     assert e.value.line == 5 and e.value.code == "E_PARSE"
     if message is not None:
         assert str(e.value) == f"line 5: {message}"
@@ -272,7 +281,7 @@ def test_entries_of_the_wrong_length_are_refused_where_the_counts_add_up(row):
     text = " ".join(["[0,1,2]"] * cols) + "\n" + row + "\n"
     want = _read_block(parse_matrix_reference, text, "cyclic:3", 3, 2, cols)
     assert want[0] == "error" and want[2] == 2
-    assert _read_block(serialize._parse_matrix, text, "cyclic:3", 3, 2, cols) == want
+    assert _read_block(parse_block, text, "cyclic:3", 3, 2, cols) == want
 
 
 def test_an_earlier_entry_error_comes_before_a_later_row_error():
@@ -282,8 +291,160 @@ def test_an_earlier_entry_error_comes_before_a_later_row_error():
     G = build_group("cyclic:2", 2)
     for later in ("[1,0]\n", ""):
         with pytest.raises(ParseError) as e:
-            serialize._parse_matrix(serialize._Cursor("[1,0] [1,y]\n" + later), G, 2, 2)
+            parse_block(serialize._Cursor("[1,0] [1,y]\n" + later), G, 2, 2)
         assert (e.value.line, str(e.value)) == (1, "line 1: non-integer coefficient in '[1,y]'")
+
+
+EDITS = ["", "[", "]", ",", "-", " ", "\n", "7", "x", "0.5", "--1", "[]",
+         "9223372036854775808", "-9223372036854775809", "00000000000000000000001"]
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_files() -> list:
+    """(kind, text) of random complexes and towers over C2, C3 and C4, and
+    over the trivial group at l = 101, as their writers give them."""
+    rng = random.Random(61)
+    files = []
+    for desc, l in [("cyclic:2", 2), ("cyclic:3", 3), ("cyclic:4", 2), ("cyclic:1", 101)]:
+        G = build_group(desc, l)
+        for _ in range(2):
+            C = pad_with_identity_cones(random_minimal_complex(G, rng), rng, 1)
+            files.append(("complex", write_complex(C)))
+            files.append(("tower", write_tower(random_stabilizing_tower(G, rng)[0])))
+    return files
+
+
+def _complex_data(C) -> tuple:
+    return C.group.descriptor, C.bottom, C.ranks, [b.data.tolist() for b in C.boundaries]
+
+
+def _read_file(reader, text: str):
+    """("ok", data) or ("error", kind, message, line) of a file read by
+    `reader`."""
+    try:
+        got = reader(text)
+    except PerfchainError as e:
+        return ("error", type(e).__name__, str(e), getattr(e, "line", None))
+    if isinstance(got, Tower):
+        return ("ok", [_complex_data(L) for L in got.levels],
+                [sorted((q, m.data.tolist()) for q, m in f.components.items())
+                 for f in got.bonds])
+    return ("ok", _complex_data(got))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 15), edits=st.lists(
+    st.tuples(st.integers(0, 10**6), st.sampled_from(EDITS)), min_size=1, max_size=3))
+def test_file_readers_match_the_block_by_block_reader(which, edits):
+    """Random edits of a valid complex or tower file, from the edit
+    alphabet of the block tests, read as the block-by-block reader that
+    checks each level as it is read does: the same data, or the same
+    error, kind, message and line.  The one exception is the order of
+    text and mathematics: a file's text is checked first, so where the
+    block-by-block reader would stop at d o d != 0 or a map that does not
+    commute before an error in the text, the error in the text is
+    reported, as the block-by-block reader reports it with its checks
+    off."""
+    kind, text = _valid_files()[which]
+    for at, insert in edits:
+        at %= len(text)
+        text = text[:at] + insert + text[at + (not insert):]
+    reader, reference = ((read_complex, read_complex_reference) if kind == "complex"
+                         else (read_tower, read_tower_reference))
+    text_only = _read_file(functools.partial(reference, check=False), text)
+    want = text_only if text_only[0] == "error" else _read_file(reference, text)
+    assert _read_file(reader, text) == want
+
+
+def test_unedited_files_read_back_as_written():
+    for kind, text in _valid_files():
+        reader, reference = ((read_complex, read_complex_reference) if kind == "complex"
+                             else (read_tower, read_tower_reference))
+        assert _read_file(reader, text) == _read_file(reference, text)
+        assert _read_file(reader, text)[0] == "ok"
+
+
+C2_SQUARE_NONZERO = "bottom 0\nranks 1 1 1\nboundary 1\n[1,0]\nboundary 2\n[1,0]\n"
+
+
+@pytest.mark.parametrize("reader, reference, text, line", [
+    (read_tower, read_tower_reference,
+     "levels 2\nlevel 0\n" + C2_SQUARE_NONZERO
+     + "level 1\nbottom 0\nranks 1 1\nboundary 1\n[1,x]\nbond 0\n", 15),
+    (read_tower, read_tower_reference,
+     "levels 2\nlevel 0\n" + C2_SQUARE_NONZERO + "level 1\nbottom 0\nranks 1 x\nbond 0\n", 13),
+    (read_tower, read_tower_reference,
+     "levels 3\nlevel 0\nbottom 0\nranks 1 1\nboundary 1\n[1,1]\n"
+     "level 1\nbottom 0\nranks 1 1\nboundary 1\n[1,1]\n"
+     "level 2\nbottom 0\nranks 1 1\nboundary 1\n[1,1]\n"
+     "bond 0\ndegree 0\n[1,0]\nbond 1\ndegree 0\n[1,0] [1,0]\n", 24),
+    (read_complex, read_complex_reference, C2_SQUARE_NONZERO + "trailing\n", 9),
+], ids=["entry-after-level", "ranks-after-level", "entry-after-bond", "trailing-content"])
+def test_text_is_checked_before_mathematics(reader, reference, text, line):
+    """The one order change of the whole-file readers: an error in the
+    text after a level with d o d != 0, or after a bond that does not
+    commute, is now the error reported, at its line, where the
+    block-by-block reader stops at the mathematics first."""
+    text = "group cyclic:2\nprime 2\n" + text
+    with pytest.raises(ParseError) as e:
+        reader(text)
+    assert e.value.line == line, str(e.value)
+    assert _read_file(functools.partial(reference, check=False), text)[1:] == (
+        "ParseError", str(e.value), line)
+    with pytest.raises((BoundarySquareNonzeroError, DimensionMismatchError)) as first:
+        reference(text)
+    assert not isinstance(first.value, ParseError)
+
+
+def test_mathematics_is_checked_in_reading_order():
+    """Once the text is read, d o d = 0 is checked level by level and then
+    each bond commutes, as the block-by-block reader checks them: with
+    d o d != 0 in levels 1 and 2 and a bond that does not commute, the
+    error names level 1's degrees; with the levels mended, bond 0's."""
+    levels = ["ranks 1 1\nboundary 1\n[1,1]\n",
+              "ranks 1 1 1\nboundary 1\n[1,0]\nboundary 2\n{}\n",
+              "ranks 1 1 1 1\nboundary 2\n[1,0]\nboundary 3\n{}\n"]
+    for d, want in (("[1,0]", "d_1 o d_2 != 0"),
+                    ("[0,0]", "map does not commute with d at degree 1")):
+        text = "group cyclic:2\nprime 2\nlevels 3\n" + "".join(
+            f"level {n}\nbottom 0\n{body.format(d)}" for n, body in enumerate(levels))
+        text += "bond 0\ndegree 0\n[1,0]\nbond 1\n"
+        assert _read_file(read_tower, text) == _read_file(read_tower_reference, text)
+        assert _read_file(read_tower, text)[2] == want
+
+
+@pytest.mark.parametrize("desc, l", [("cyclic:4", 2), ("product:cyclic:3,cyclic:3", 3),
+                                     ("cyclic:101", 101), ("cyclic:1", 1009)])
+def test_writers_match_the_per_block_rendering(desc, l):
+    """`write_complex` and `write_tower`, which render every block of a
+    file from one digit grid, give the bytes of each block rendered on
+    its own and the lines joined: on random data (d o d is not needed to
+    write) with rank-0 degrees inside and at the ends, and towers whose
+    bonds have zero, absent and empty components."""
+    G = build_group(desc, l)
+    rng = np.random.default_rng(l)
+
+    def data(rows, cols, zero=False):
+        a = rng.integers(0, l, size=(rows, cols, G.order))
+        return GroupRingMatrix(G, a * (not zero))
+
+    def complex_():
+        ranks = [int(r) for r in rng.choice([0, 0, 1, 2, 3], size=rng.integers(0, 6))]
+        return ChainComplex(G, int(rng.integers(-2, 3)), ranks,
+                            [data(a, b) for a, b in zip(ranks, ranks[1:])])
+
+    for _ in range(8):
+        C = complex_()
+        assert write_complex(C) == write_complex_reference(C)
+        levels = [complex_() for _ in range(rng.integers(1, 4))]
+        bonds = []
+        for T, S in zip(levels, levels[1:]):
+            degrees = range(min(S.bottom, T.bottom) - 1, max(S.top, T.top) + 2)
+            bonds.append(ChainMap(S, T, {
+                q: data(T.rank_at(q), S.rank_at(q), zero=rng.random() < 0.3)
+                for q in degrees if rng.random() < 0.8}))
+        T = Tower(levels, bonds)
+        assert write_tower(T) == write_tower_reference(T)
 
 
 @pytest.mark.parametrize("spelling", ["+1", "1_0", "\u0661", "\uff11", " 1"])
@@ -293,7 +454,7 @@ def test_coefficient_spellings_outside_the_grammar_are_parse_errors(spelling):
     their line."""
     text = f"[0,0]\n[{spelling},0]\n"
     with pytest.raises(ParseError) as e:
-        serialize._parse_matrix(serialize._Cursor(text), build_group("cyclic:2", 2), 2, 1)
+        parse_block(serialize._Cursor(text), build_group("cyclic:2", 2), 2, 1)
     assert e.value.line == 2
 
 
@@ -305,7 +466,7 @@ def test_int64_boundary_coefficients_read_exactly(value):
     they equal Python's reduction of the integer."""
     G = build_group("cyclic:1", 1009)
     text = f"[3] [{value}] [-5]\n[{value}] [0] [{value}]\n"
-    data = serialize._parse_matrix(serialize._Cursor(text), G, 2, 3).data
+    data = parse_block(serialize._Cursor(text), G, 2, 3).data
     want = [[3, value, -5], [value, 0, value]]
     assert data[..., 0].tolist() == [[x % 1009 for x in row] for row in want]
 

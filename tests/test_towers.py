@@ -16,7 +16,6 @@ from perfchain import (
     decide_perfect,
     euler_characteristic,
     identity_chain_map,
-    is_free,
     is_quasi_iso,
     limit_complex,
     pro_decide_perfect,
@@ -36,6 +35,7 @@ from conftest import (
     constant_tower,
     fold_tower,
     homology_image_dims,
+    is_free,
     kill_tower,
     module_action,
     pad_with_identity_cones,
