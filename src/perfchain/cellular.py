@@ -58,10 +58,14 @@ def lens_complex(l: int, k: int, n: int) -> EquivariantCellComplex:
     """The periodic free cell structure on a sphere for the cyclic group
     of order l^k: one orbit per dimension 0..n, boundaries alternating
     between t - 1 and the norm element.  An order l^k past MAX_FREE_DIM is
-    refused before the power is computed, which at large k takes minutes."""
+    refused before the power is computed, which at large k takes minutes,
+    and then a total dimension (n + 1) l^k past it before any cell is
+    built, which at large n runs without end."""
     check_prime(l)
     if k >= MAX_FREE_DIM.bit_length() or l ** k > MAX_FREE_DIM:
         raise LimitError(f"group order {l}^{k} exceeds {MAX_FREE_DIM}")
+    if (n + 1) * l ** k > MAX_FREE_DIM:
+        raise LimitError(f"lens complex dimension ({n} + 1) * {l}^{k} exceeds {MAX_FREE_DIM}")
     G = cyclic_group(l ** k, l)
     o = G.order
     t_minus_1 = np.zeros(o, dtype=np.int64)

@@ -15,16 +15,14 @@ generators bounding lifts of minimal generators of H_q of the cone built
 so far, so after step q the cone has no homology in degrees <= q, and
 after step m - 1 its homology is concentrated in degree m.  The
 obstruction P is H_m of the cone before the degree-m step.  The input is
-perfect exactly when P is free, and the verdict is read from the final
-cone: the degree-m step adjoins a free module F_m on lifts of minimal
-generators of P, and the short exact sequence
-0 -> cone_old -> cone_new -> F_m[m+1] -> 0 gives
-H_m(cone_new) = coker(F_m -> P) = 0 and H_{m+1}(cone_new) =
-ker(F_m -> P).  Over the local ring F_l[pi] that minimal cover is
-injective iff P is free, so the final cone is acyclic iff the input is
-perfect.  When it is, minimalizing F yields the canonical replacement
-together with a quasi-isomorphism witness.  Only this path can give a
-negative verdict.
+perfect exactly when P is free, and the verdict is read from the
+degree-m step itself: it adjoins one free generator per minimal
+generator of P, k of them, so the cover F_l[pi]^k -> P is onto, and over
+the local ring F_l[pi] it is injective iff P is free (Nakayama).  So P
+is free iff dim P = k |pi|, and no further elimination is needed; when
+the loop runs no step, P = 0 and the input is perfect.  When it is,
+minimalizing F yields the canonical replacement together with a
+quasi-isomorphism witness.  Only this path can give a negative verdict.
 """
 
 from __future__ import annotations
@@ -133,10 +131,9 @@ def decide_perfect(C) -> PerfectnessVerdict:
     A ChainComplex (levelwise free) is always perfect; its replacement and
     witness come from `minimalize`.  A ModuleComplex goes through the
     approximation up to its top homology degree m.  The obstruction P is
-    H_m of the cone before the degree-m step, and the verdict is negative
-    exactly when the final cone is not acyclic: its homology is the
-    kernel of the minimal cover of P, in degree m + 1, which is zero iff
-    P is free (see the module docstring).
+    H_m of the cone before the degree-m step, which adjoins k generators,
+    one per minimal generator of P; the verdict is negative exactly when
+    dim P != k |pi|, that is when P is not free (see the module docstring).
     """
     G = C.group
     if isinstance(C, ChainComplex):
@@ -145,17 +142,12 @@ def decide_perfect(C) -> PerfectnessVerdict:
         return PerfectnessVerdict(True, P, euler_characteristic(minimal), minimal, witness)
 
     approx, P = _approximate(C, max(C.homology_support(), default=C.bottom - 1))
-    if not approx.cone().is_acyclic():
+    if P.dim != (approx.ranks[-1] if approx.ranks else 0) * G.order:
         return PerfectnessVerdict(False, P)
 
     minimal, incl = minimalize(approx.free_complex())
-    l = G.prime_l
-    comps = {}
-    for q in range(minimal.bottom, minimal.top + 1):
-        blk = approx.blocks.get(q)
-        if blk is None or not minimal.rank_at(q):
-            continue
-        comps[q] = flinalg.matmul(blk, incl.component_at(q).expand(), l)
+    comps = {q: flinalg.matmul(blk, incl.component_at(q).expand(), G.prime_l)
+             for q, blk in approx.blocks.items() if minimal.rank_at(q)}
     witness = ModuleComplexMap(minimal.expanded(), C, comps)
     return PerfectnessVerdict(True, P, euler_characteristic(minimal), minimal, witness)
 

@@ -75,8 +75,8 @@ class GroupTable:
 
     The division tables drive `ga_compose` and `GroupRingMatrix.expand`:
     ldiv[s, t] is the index of g_s^-1 g_t and rdiv[h, t] that of
-    g_t g_h^-1.  Like mult and inv they are read-only, |pi|^2 int64 each
-    (4.25 MB at order 729).
+    g_t g_h^-1.  Like mult they are read-only, |pi|^2 int64 each (4.25 MB
+    at order 729); inv, read-only too, holds |pi| entries.
     """
 
     def __init__(self, mult, identity: int, prime_l: int, descriptor: str | None = None):
@@ -252,6 +252,8 @@ def build_group(spec: str, l: int) -> GroupTable:
             raise ParseError("bad table row")
         if len(mult) != order or any(len(r) != order for r in mult):
             raise ParseError("table shape does not match declared order")
+        if max(map(max, mult)) >= order:    # before int64 can overflow
+            raise NotAGroupError("table entries out of range")
         return GroupTable(mult, identity, l)
     raise ParseError(f"unrecognized group descriptor {spec!r}")
 

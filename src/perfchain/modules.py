@@ -1,8 +1,8 @@
 """Finitely generated F_l[pi]-modules as F_l spaces with pi-action.
 
 A module stores the action of each generator in S once, in the form
-chosen when it is built: a basis permutation as its index pair, applied
-by a gather, and any other action as its reduced matrix.  Radicals,
+chosen when it is built: a basis permutation as its row-index array,
+applied by a gather, and any other action as its reduced matrix.  Radicals,
 orbits and induced actions read only those; no per-element matrix is
 kept.  The package's constructions give actions and equivariant maps by
 construction, so modules and maps are built with shape checks only; the
@@ -26,13 +26,14 @@ class PiModule:
     """A finite-dimensional F_l space with a left pi-action.
 
     `gens[i]` is the action rho of `group.generators[i]` on column
-    vectors, stored once: a basis permutation as its index pair (rows,
-    cols), with rho @ V == V[rows] and V @ rho == V[..., cols], and any
-    other action as its dim x dim matrix.  `gens` gives matrices, and a
-    matrix that permutes the basis is stored as its pair; the package's
-    own builders give pairs directly.  The arrays are kept as given (made
-    read-only, not copied): the caller hands over reduced int64 arrays it
-    no longer writes, forming an action.  Only shapes are checked.
+    vectors, stored once: a basis permutation as its row-index array
+    `rows`, with rho @ V == V[rows], and any other action as its dim x dim
+    matrix, so a 1-D stored array is a permutation and a 2-D one a matrix.
+    `gens` gives matrices or row-index arrays, and a matrix that permutes
+    the basis is stored as its rows; the package's own builders give rows
+    directly.  The arrays are kept as given (made read-only, not copied):
+    the caller hands over reduced int64 arrays it no longer writes,
+    forming an action.  Only shapes are checked.
 
     Every product with a generator goes through `act`, and every reader
     that needs a generator's matrix gets it from `matrix`.
@@ -43,12 +44,11 @@ class PiModule:
     def __init__(self, group: GroupTable, dim: int, gens):
         stored = []
         for rho in gens:
-            if not isinstance(rho, tuple):
-                if rho.shape != (dim, dim):
-                    raise DimensionMismatchError("action matrix shape mismatch")
-                rho = _permutation(rho) or rho
-            for a in rho if isinstance(rho, tuple) else (rho,):
-                a.flags.writeable = False
+            if rho.shape not in ((dim,), (dim, dim)):
+                raise DimensionMismatchError("action shape mismatch")
+            if rho.ndim == 2 and (rows := _permutation(rho)) is not None:
+                rho = rows
+            rho.flags.writeable = False
             stored.append(rho)
         if len(stored) != len(group.generators):
             raise DimensionMismatchError("need one action per group generator")
@@ -56,23 +56,19 @@ class PiModule:
         self.dim = int(dim)
         self.gens = tuple(stored)
 
-    def act(self, i: int, V, right: bool = False) -> np.ndarray:
-        """gens[i] @ V, or V @ gens[i] with right=True, mod l, for V reduced
-        mod l (a matrix, or on the right a stack of matrices).  A
-        permutation is a row gather on the left and a column gather on the
-        right."""
+    def act(self, i: int, V) -> np.ndarray:
+        """gens[i] @ V mod l, for V reduced mod l; a permutation is a row
+        gather."""
         rho = self.gens[i]
-        if isinstance(rho, tuple):
-            return V[..., rho[1]] if right else V[rho[0]]
-        l = self.group.prime_l
-        return flinalg.matmul(V, rho, l) if right else flinalg.matmul(rho, V, l)
+        if rho.ndim == 1:
+            return V[rho]
+        return flinalg.matmul(rho, V, self.group.prime_l)
 
     def matrix(self, i: int) -> np.ndarray:
-        """gens[i] as a dim x dim matrix; a pair is built into a new one."""
+        """gens[i] as a dim x dim matrix; a permutation is built into a new
+        one."""
         rho = self.gens[i]
-        if isinstance(rho, tuple):
-            return flinalg.identity(self.dim)[rho[0]]
-        return rho
+        return flinalg.identity(self.dim)[rho] if rho.ndim == 1 else rho
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -91,22 +87,18 @@ class PiModule:
 
 
 def _permutation(rho: np.ndarray):
-    """(rows, cols) with rho @ V == V[rows] and V @ rho == V[:, cols] when
-    rho is a permutation matrix, else None."""
+    """rows with rho @ V == V[rows] when rho is a permutation matrix, else
+    None."""
     n = rho.shape[0]
     if np.count_nonzero(rho) != n:
         return None
     if not n:
-        return np.arange(0), np.arange(0)
+        return np.arange(0)
     rows = rho.argmax(axis=1)
     # n nonzero entries, one equal to 1 in each row, in distinct columns
-    if not (rho[np.arange(n), rows] == 1).all():
-        return None
-    cols = np.full(n, -1)
-    cols[rows] = np.arange(n)
-    if (cols < 0).any():
-        return None
-    return rows, cols
+    if (rho[np.arange(n), rows] == 1).all() and rho.any(axis=0).all():
+        return rows
+    return None
 
 
 def orbit(M: PiModule, V) -> list[np.ndarray]:
@@ -180,24 +172,21 @@ def zero_module(G: GroupTable) -> PiModule:
 
 
 def trivial_module(G: GroupTable, dim: int = 1) -> PiModule:
-    fixed = np.arange(dim)
-    return PiModule(G, dim, [(fixed, fixed)] * len(G.generators))
+    return PiModule(G, dim, [np.arange(dim)] * len(G.generators))
 
 
 def regular_module(G: GroupTable, rank: int) -> PiModule:
     """The free module F_l[pi]^rank with its left translation action:
     generator s sends basis vector (i, h) to (i, sh), coordinates
-    (i, h) -> i*order + h, so it gathers rows from (i, s^-1 h) and
-    columns from (i, sh)."""
+    (i, h) -> i*order + h, so it gathers rows from (i, s^-1 h)."""
     base = np.repeat(np.arange(rank) * G.order, G.order)
-    gens = [(base + np.tile(G.ldiv[s], rank), base + np.tile(G.mult[s], rank))
-            for s in G.generators]
+    gens = [base + np.tile(G.ldiv[s], rank) for s in G.generators]
     return PiModule(G, rank * G.order, gens)
 
 
 def direct_sum_modules(*mods: PiModule) -> PiModule:
-    """The block-diagonal sum: a generator is an index pair when it is one
-    in every summand, and otherwise one block matrix."""
+    """The block-diagonal sum: a generator is a row-index array when it is
+    one in every summand, and otherwise one block matrix."""
     if not mods:
         raise DimensionMismatchError("empty direct sum")
     G = mods[0].group
@@ -208,9 +197,8 @@ def direct_sum_modules(*mods: PiModule) -> PiModule:
     dim = int(offs[-1])
     gens = []
     for i in range(len(G.generators)):
-        if all(isinstance(m.gens[i], tuple) for m in mods):
-            rho = tuple(np.concatenate([m.gens[i][k] + off for m, off in zip(mods, offs)])
-                        for k in (0, 1))
+        if all(m.gens[i].ndim == 1 for m in mods):
+            rho = np.concatenate([m.gens[i] + off for m, off in zip(mods, offs)])
         else:
             rho = np.zeros((dim, dim), dtype=np.int64)
             for m, off in zip(mods, offs):

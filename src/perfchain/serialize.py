@@ -138,6 +138,16 @@ class _Cursor:
         return line[len(keyword):].strip()
 
 
+# A degree from bottom to top has at most 18 digits, as a chain map's key
+# in JSON does (`_json_components`), so what is read can be certified.
+MAX_DEGREE = 10 ** 18 - 1
+
+
+def _check_degrees(bottom: int, ranks: list, lineno: int | None = None) -> None:
+    if not -MAX_DEGREE <= bottom <= MAX_DEGREE - max(len(ranks) - 1, 0):
+        raise ParseError("degrees from bottom to top have more than 18 digits", lineno)
+
+
 def _parse_int(text: str, what: str, lineno: int) -> int:
     try:
         return int(text)
@@ -291,6 +301,7 @@ def _walk_complex(cur: _Cursor, G: GroupTable, blocks: _Blocks):
     bottom = _parse_int(cur.expect("bottom"), "bottom", cur.last)
     rank_line = cur.expect("ranks")
     ranks = [_parse_int(t, "rank", cur.last) for t in rank_line.split()]
+    _check_degrees(bottom, ranks, cur.last)
     check_ranks(G, ranks)
     found = {}
     for q, line, lineno in _headed_blocks(cur, "boundary", "boundary degree"):
@@ -431,6 +442,7 @@ def complex_from_json(obj: dict) -> ChainComplex:
     ranks, bnds = json_field(obj, "ranks"), json_field(obj, "boundaries")
     if not isinstance(ranks, list) or any(type(r) is not int or r < 0 for r in ranks):
         raise ParseError("ranks are not integers >= 0")
+    _check_degrees(bottom, ranks)
     if not isinstance(bnds, list) or len(bnds) != max(len(ranks) - 1, 0):
         raise ParseError("complex needs one boundary per adjacent pair of ranks")
     boundaries = [GroupRingMatrix(G, json_field_array(b, f"boundary {i}", G.prime_l,
@@ -512,7 +524,7 @@ def module_to_json(M: PiModule) -> dict:
     """M by its stored generators: a permutation by its row indices, with
     the bound dim, and any other action by its matrix."""
     return {"dim": M.dim, "gens": [
-        {"perm": field_to_json(rho[0], M.dim)} if isinstance(rho, tuple)
+        {"perm": field_to_json(rho, M.dim)} if rho.ndim == 1
         else {"matrix": field_to_json(rho, M.group.prime_l)} for rho in M.gens]}
 
 

@@ -367,6 +367,17 @@ def action_is_homomorphism_brute(M) -> bool:
                for g in range(G.order) for h in range(G.order))
 
 
+def right_act(M: PiModule, i: int, V) -> np.ndarray:
+    """V @ rho mod l, rho the action of the i-th generator, for V reduced
+    mod l (a matrix or a stack of matrices): a column gather by the
+    inverse of a permutation's row-index array, else a product with
+    M.matrix(i)."""
+    rho = M.gens[i]
+    if rho.ndim == 1:
+        return V[..., np.argsort(rho)]
+    return flinalg.matmul(V, M.matrix(i), M.group.prime_l)
+
+
 def check_action(M: PiModule) -> PiModule:
     """M, after checking that its generators give an action: the walk of
     the Cayley graph to rho(g) for every g, and rho(g) @ rho(s) ==
@@ -377,7 +388,7 @@ def check_action(M: PiModule) -> PiModule:
     G = M.group
     stacked = np.stack(orbit(M, flinalg.identity(M.dim)))
     for i, s in enumerate(G.generators):
-        if not np.array_equal(M.act(i, stacked, right=True), stacked[G.mult[:, s]]):
+        if not np.array_equal(right_act(M, i, stacked), stacked[G.mult[:, s]]):
             raise DimensionMismatchError("action is not a homomorphism")
     return M
 
@@ -388,7 +399,7 @@ def is_equivariant(source, target, matrix) -> bool:
     Checked on the generators only: commuting with rho(g) and rho(h)
     means commuting with rho(g) rho(h) = rho(gh).
     """
-    return all(np.array_equal(target.act(i, matrix), source.act(i, matrix, right=True))
+    return all(np.array_equal(target.act(i, matrix), right_act(source, i, matrix))
                for i in range(len(source.gens)))
 
 
@@ -863,6 +874,8 @@ def _complex_body_reference(cur, G: GroupTable, check: bool) -> ChainComplex:
     bottom = _int_reference(cur.expect("bottom"), "bottom", cur.last)
     rank_line = cur.expect("ranks")
     ranks = [_int_reference(t, "rank", cur.last) for t in rank_line.split()]
+    if any(len(str(abs(q))) > 18 for q in (bottom, bottom + max(len(ranks) - 1, 0))):
+        raise ParseError("degrees from bottom to top have more than 18 digits", cur.last)
     check_ranks(G, ranks)
     boundaries = {}
     while True:
@@ -1165,7 +1178,7 @@ def module_from_json(obj: dict, G: GroupTable) -> PiModule:
             rows = json_field_array(g["perm"], "generator permutation", d, d)
             if len(set(rows.tolist())) != d:
                 raise ParseError("generator permutation repeats an index")
-            mats.append(np.eye(d, dtype=np.int64)[rows])
+            mats.append(rows)
         else:
             mats.append(json_field_array(json_field(g, "matrix"), "generator matrix",
                                          G.prime_l, d, d))

@@ -1087,25 +1087,53 @@ def test_cli_start_does_not_import_the_process_pool():
                  "error[E_LIMIT]: group order 2^20000 exceeds 16384\n", id="lens-digits"),
     pytest.param(["lens", "3", "100000000", "1"],
                  "error[E_LIMIT]: group order 3^100000000 exceeds 16384\n", id="lens-power"),
+    pytest.param(["lens", "2", "1", "100000000", "-o", "lens.cplx"],
+                 "error[E_LIMIT]: lens complex dimension (100000000 + 1) * 2^1 exceeds 16384\n",
+                 id="lens-cells"),
     pytest.param(["perfect", "order"], "error[E_PARSE]: table order or identity has too many "
                  "digits\n", id="table-order"),
     pytest.param(["perfect", "identity"], "error[E_PARSE]: table order or identity has too "
                  "many digits\n", id="table-identity"),
+    pytest.param(["perfect", "entry"], "error[E_NOT_A_GROUP]: table entries out of range\n",
+                 id="table-entry"),
 ])
 def test_oversized_integer_is_refused_before_use(tmp_path, argv, expected):
     """An order l^k past the free-dimension bound is refused before l^k is
-    computed, and a table descriptor whose order or identity has more
-    digits than `int` reads is E_PARSE: each a coded error with exit 2 in
-    a few seconds, not a traceback (the 6021-digit order does not print)
-    or a power that runs for minutes."""
+    computed, a lens complex whose cells pass that bound before any cell
+    is built, a table descriptor whose order or identity has more digits
+    than `int` reads is E_PARSE, and a table entry past int64 is refused
+    before the table becomes an array: each a coded error with exit 2 in
+    a few seconds, not a traceback (the 6021-digit order does not print),
+    a power that runs for minutes or a cell loop that does not end."""
     digits = "1" * 5000
-    for name, order, identity in (("order", digits, "0"), ("identity", "1", digits)):
+    for name, order, identity, mult in (("order", digits, "0", "0"),
+                                        ("identity", "1", digits, "0"),
+                                        ("entry", "2", "0", "0,1|1,99999999999999999999")):
         (tmp_path / name).write_text(f"group table:{{order:{order};identity:{identity};"
-                                     "mult:0}\nprime 2\nbottom 0\nranks 1\n")
+                                     f"mult:{mult}}}\nprime 2\nbottom 0\nranks 1\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(perfchain.__file__))}
     done = subprocess.run([sys.executable, "-m", "perfchain.cli", *argv], cwd=tmp_path,
                           env=env, capture_output=True, text=True, check=False, timeout=20)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", expected)
+
+
+@pytest.mark.parametrize("command", ["perfect", "minimalize"])
+def test_certificates_verify_up_to_the_largest_degree(tmp_path, command):
+    """A complex whose top degree is 10^18 - 1 gives a certificate that
+    `verify` accepts; one degree more is refused at read, E_PARSE with
+    exit 2 and no output, so no certificate is written that `verify`
+    could not read back."""
+    top = 10 ** 18 - 1
+    for name, t in (("top", top), ("past", top + 1)):
+        (tmp_path / f"{name}.cplx").write_text(
+            f"group cyclic:2\nprime 2\nbottom {t - 1}\nranks 1 1\nboundary {t}\n[1,1]\n")
+    code, out, err = _run_in(tmp_path, [command, "top.cplx", "--cert", "top.cert"], False)
+    assert (code, err) == (0, "") and out
+    assert _run_in(tmp_path, ["verify", "top.cert"], False)[:2] == (
+        0, f"certificate valid (kind={json.loads((tmp_path / 'top.cert').read_text())['kind']})\n")
+    code, out, err = _run_in(tmp_path, [command, "past.cplx", "--cert", "past.cert"], False)
+    assert (code, out) == (2, "") and err.startswith("error[E_PARSE]: line 4: degrees")
+    assert not (tmp_path / "past.cert").exists()
 
 
 def _run_in(workdir, argv, separate: bool):

@@ -8,6 +8,7 @@ import pytest
 
 from perfchain import (
     ChainComplex,
+    ChainMap,
     GroupRingMatrix,
     ModuleComplex,
     NotPerfectError,
@@ -19,11 +20,12 @@ from perfchain import (
     is_quasi_iso,
     limit_complex,
     mapping_cone,
+    Tower,
     trivial_module,
     wall_class,
     zero_complex,
 )
-from perfchain import flinalg
+from perfchain import finiteness, flinalg
 from perfchain.chains import module_mapping_cone
 from perfchain.finiteness import _approximate
 from perfchain.modules import PiModule, direct_sum_modules
@@ -73,14 +75,29 @@ def test_decide_perfect_invariant_under_cone_padding(rng):
         assert v.euler_class == base.euler_class
 
 
+def norm_tower(G, rank, n_levels=4):
+    """F_l[pi]^rank in degree 0 at every level; the first bond is the norm
+    on the diagonal and the others identities, so the limit is the
+    trivial module of dimension rank (not free)."""
+    L = ChainComplex(G, 0, [rank], [])
+    N = np.zeros((rank, rank, G.order), dtype=np.int64)
+    N[np.arange(rank), np.arange(rank)] = 1
+    bonds = [ChainMap(L, L, {0: GroupRingMatrix(G, N)})]
+    return Tower([L] * n_levels, bonds + [identity_chain_map(L)] * (n_levels - 2))
+
+
 def test_approximation_concentrates_homology_in_the_top_degree(rng):
     """With m the top homology degree, the cone of the approximation
     through degree m - 1 has homology in degree m alone, and the module
     the degree-m step starts from is that homology.  After the degree-m
     step the cone is acyclic when the input is perfect; otherwise its
     homology sits in degree m + 1 alone, over the kernel of the cover of
-    the non-free obstruction."""
-    inputs = []
+    the non-free obstruction.  That final cone is the oracle for
+    `decide_perfect`, which reads the verdict off the degree-m step's
+    rank instead; the inputs include the limits of norm towers over C4^3
+    of ranks 1 and 2, shaped as the bench's."""
+    C4_3 = build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)
+    inputs = [(limit_complex(norm_tower(C4_3, r), 3), False) for r in (1, 2)]
     for _, G in two_group_zoo() + three_group_zoo():
         if G.order > 16:
             continue
@@ -103,7 +120,35 @@ def test_approximation_concentrates_homology_in_the_top_degree(rng):
         assert P.dim == cone.homology_dim(m)
         assert is_free(P)[0] == perfect == decide_perfect(MC).perfect
         assert approx.cone().homology_support() == ([] if perfect else [m + 1])
+        assert (P.dim == approx.ranks[-1] * MC.group.order) == perfect
     assert len(tops) > 1
+
+
+def test_module_route_builds_one_cone_per_loop_degree(rng, monkeypatch):
+    """A module-route `decide_perfect` builds the cone of its
+    approximation once per degree of Wall's loop, bottom to the top
+    homology degree, and no final cone: the verdict is read off the rank
+    adjoined in the top degree.  Checked on perfect and non-perfect
+    inputs, and on an acyclic one, where the loop runs no step."""
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return module_mapping_cone(f)
+
+    monkeypatch.setattr(finiteness, "module_mapping_cone", counted)
+    G = SMALL_GROUPS["C2xC2"]
+    C, _ = pad_and_scramble(G, rng)
+    R = trivial_module(G, 2)
+    acyclic = ModuleComplex(G, 0, [R, R], [flinalg.identity(R.dim)])
+    C4_3 = build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)
+    cases = [(C.expanded(), True), (with_trivial_summand_on_top(C.expanded()), False),
+             (limit_complex(norm_tower(C4_3, 2), 3), False), (acyclic, True)]
+    for MC, perfect in cases:
+        calls.clear()
+        assert decide_perfect(MC).perfect == perfect
+        top = max(MC.homology_support(), default=MC.bottom - 1)
+        assert len(calls) == top - MC.bottom + 1
 
 
 def test_approximation_zero_and_single():

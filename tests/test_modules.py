@@ -43,6 +43,7 @@ from conftest import (
     quotient_module,
     radical_basis,
     regular_action_matrices,
+    right_act,
     right_multiplication_matrix,
     rref_reference,
     submodule_span,
@@ -399,7 +400,7 @@ def test_free_cover_matches_per_element_loop():
 def test_internal_constructors_hand_over_reduced_read_only_generators():
     """PiModule keeps the generators it is given, with no reducing copy,
     so each constructor must hand over reduced, read-only int64 generator
-    matrices, or read-only int64 index pairs of a permutation."""
+    matrices, or read-only int64 row-index arrays of a permutation."""
     rng = random.Random(67)
     for name, G in ZOO:
         l = G.prime_l
@@ -414,23 +415,24 @@ def test_internal_constructors_hand_over_reduced_read_only_generators():
         for M in mods:
             assert len(M.gens) == len(G.generators), name
             for rho in M.gens:
-                for a in rho if isinstance(rho, tuple) else (rho,):
-                    assert isinstance(a, np.ndarray) and a.dtype == np.int64, name
-                    assert not a.flags.writeable, name
-                if isinstance(rho, tuple):
-                    rows, cols = rho
-                    assert rows.shape == cols.shape == (M.dim,), name
-                    assert np.array_equal(rows[cols], np.arange(M.dim)), name
+                assert isinstance(rho, np.ndarray) and rho.dtype == np.int64, name
+                assert not rho.flags.writeable, name
+                if rho.ndim == 1:
+                    assert rho.shape == (M.dim,), name
+                    assert np.array_equal(np.sort(rho), np.arange(M.dim)), name
                 else:
+                    assert rho.shape == (M.dim, M.dim), name
                     assert ((rho >= 0) & (rho < l)).all(), name
 
 
 def test_act_matches_dense_products_on_both_sides():
-    """Generators applied by `act` equal the dense products (rho @ V) % l
-    and (V @ rho) % l, on regular modules, direct sums, trivial modules,
-    permutation matrices given to PiModule and modules with generators
-    that only look like permutations; and every permutation generator is
-    stored as an index pair, applied by index."""
+    """Generators applied by `act`, and on the right by the oracle
+    `right_act`, equal the dense products (rho @ V) % l and (V @ rho) % l,
+    on regular modules, direct sums, trivial modules, permutation matrices
+    given to PiModule and modules with generators that only look like
+    permutations; and every permutation generator is stored as its 1-D
+    row-index array, applied by index, and every other one as a 2-D
+    matrix."""
     rng = np.random.default_rng(71)
     for name, G in ZOO:
         l = G.prime_l
@@ -454,17 +456,17 @@ def test_act_matches_dense_products_on_both_sides():
             for i in range(len(M.gens)):
                 rho = M.matrix(i)
                 assert np.array_equal(M.act(i, V), (rho @ V) % l), name
-                assert np.array_equal(M.act(i, W, right=True), (W @ rho) % l), name
-                assert np.array_equal(M.act(i, stack, right=True), (stack @ rho) % l), name
+                assert np.array_equal(right_act(M, i, W), (W @ rho) % l), name
+                assert np.array_equal(right_act(M, i, stack), (stack @ rho) % l), name
         for M in mods[:6]:
-            assert all(isinstance(rho, tuple) for rho in M.gens), name
+            assert all(rho.shape == (M.dim,) for rho in M.gens), name
         for M in mods[6:]:
-            assert not any(isinstance(rho, tuple) for rho in M.gens), name
+            assert all(rho.shape == (M.dim, M.dim) for rho in M.gens), name
 
 
 def test_regular_module_stores_no_dense_matrix():
     """F_2[C_8^3]^4 has dim 2048 and 3 generators: as dense int64 matrices
-    they would take 100 MB, as index pairs 98 kB."""
+    they would take 100 MB, as row-index arrays 49 kB."""
     G = build_group("product:cyclic:8,cyclic:8,cyclic:8", 2)
     tracemalloc.start()
     try:

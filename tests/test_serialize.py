@@ -125,6 +125,33 @@ def test_header_errors_name_the_header_line(reader, text, line):
     assert e.value.line == line, str(e.value)
 
 
+M = 10 ** 18 - 1
+
+
+@pytest.mark.parametrize("bottom, ranks, ok", [
+    (M - 1, [1, 1], True), (M, [1, 1], False), (M, [1], True), (M + 1, [], False),
+    (-M, [1, 1], True), (-M - 1, [1], False), (-M - 1, [], False),
+])
+def test_degrees_past_eighteen_digits_are_refused_at_read(bottom, ranks, ok):
+    """Every degree from bottom to top has at most 18 digits, as a chain
+    map's key in JSON does: a complex file, a tower level and a complex in
+    JSON that reach one degree further are E_PARSE, in a file at the
+    ranks line; those that reach 10^18 - 1 or -(10^18 - 1) are read."""
+    level = f"bottom {bottom}\nranks {' '.join(map(str, ranks))}\n"
+    obj = {"group": "cyclic:2", "prime": 2, "bottom": bottom, "ranks": ranks,
+           "boundaries": ["00"] * (len(ranks) - 1)}
+    for read, value, line in ((read_complex, "group cyclic:2\nprime 2\n" + level, 4),
+                              (read_tower, "group cyclic:2\nprime 2\nlevels 1\nlevel 0\n"
+                               + level, 6),
+                              (complex_from_json, obj, None)):
+        if ok:
+            assert read(value) is not None
+        else:
+            with pytest.raises(ParseError, match="degrees from bottom to top") as e:
+                read(value)
+            assert e.value.line == line
+
+
 def test_json_roundtrips(rng):
     C = pad_with_identity_cones(random_minimal_complex(SMALL_GROUPS["C4"], rng), rng, 1)
     assert complex_from_json(complex_to_json(C)) == C
