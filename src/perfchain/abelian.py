@@ -6,13 +6,14 @@ off the diagonal reduced modulo the diagonal, so the transforms U and V
 stay near the size of the determinant (see `smith_normal_form`).  The
 l-adic integers are handled symbolically: a completed module is a free
 rank plus a multiset of l-power torsion orders, and "over Z_l" questions
-reduce to l-valuations of integer Smith data.  With U R V = diag(d), v lies
-in the column lattice of R over Z iff each (U v)_i is divisible by d_i, and
-over Z_l iff it is divisible by the l-part of d_i; `_within` is that one
-test for both rings, on every column of a matrix at once (`Lattice.contains`
-is its one-vector case), and `check_exactness` runs the same lattice
-conditions once over Z and once over Z_l.  Each `FGAbelian` owns the
-lattice of its relations, so its Smith form is computed once.
+reduce to l-valuations of integer Smith data.  A group is Z^n modulo its
+relation lattice, spanned by the columns of its presentation matrix R, and
+one `FGAbelian` holds both.  With U R V = diag(d), v lies in that lattice
+over Z iff each (U v)_i is divisible by d_i, and over Z_l iff by the
+l-part of d_i; `_within` is that one test for both rings, on every column
+of a matrix at once (`FGAbelian.is_relation` is its one-vector case), and
+`check_exactness` runs it over Z and over Z_l on the relation lattices of
+A, B, C, coker f and coker g.  Each group computes its Smith form once.
 """
 
 from __future__ import annotations
@@ -210,49 +211,6 @@ def smith_normal_form(M) -> SNFResult:
     return SNFResult(diag, tuple(map(tuple, U)), tuple(zip(*V)))
 
 
-class Lattice:
-    """The column lattice of an integer matrix, with exact membership tests
-    over Z and over the l-adic integers Z_l."""
-
-    def __init__(self, matrix, ambient_dim: int | None = None):
-        matrix = [list(map(int, row)) for row in matrix]
-        if ambient_dim is None:
-            ambient_dim = len(matrix)
-        self.ambient_dim = ambient_dim
-        if not matrix:
-            matrix = [[] for _ in range(ambient_dim)]
-        if len(matrix) != ambient_dim:
-            raise DimensionMismatchError("lattice generators have wrong length")
-        self.matrix = matrix
-        self._snf = None
-
-    def snf(self) -> SNFResult:
-        if self._snf is None:
-            self._snf = smith_normal_form(self.matrix)
-        return self._snf
-
-    def _moduli(self, l: int | None) -> list[int]:
-        """What coordinate i of U v must be divisible by for v to lie in the
-        span, where U R V = diag(d): d_i over Z (l None), and over Z_l the
-        l-part of d_i, since the integers prime to l are units there.
-        Past the rank the modulus is 0, which asks for (U v)_i = 0."""
-        s = self.snf()
-        moduli = [d if l is None or not d else _l_part(d, l) for d in s.diag]
-        return moduli + [0] * (self.ambient_dim - len(moduli))
-
-    def contains(self, v, l: int | None = None) -> bool:
-        """Is v in the span of the columns over Z, or over Z_l when l is
-        given (a prime, else `check_prime`'s error)?  One Smith-form test
-        for both (see `_moduli`)."""
-        if l is not None:
-            check_prime(l)
-        v = list(map(int, v))
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"vector of length {len(v)}; the lattice lies in Z^{self.ambient_dim}")
-        return _within([[x] for x in v], self, l)
-
-
 def _l_part(d: int, l: int) -> int:
     d = abs(d)
     out = 1
@@ -274,13 +232,13 @@ def integer_kernel_columns(M) -> list[list[int]]:
     return [[s.V[i][j] for j in range(r, cols)] for i in range(cols)]
 
 
-def _preimage(M, tgt: Lattice, l: int | None, n: int) -> list[list[int]]:
+def _preimage(M, tgt: FGAbelian, l: int | None, n: int) -> list[list[int]]:
     """Generators, as the columns of an n-row matrix, of {x in Z^n : M x
-    lies in the span of tgt over Z (l None) or over Z_l}.
+    lies in the relation lattice of tgt over Z (l None) or over Z_l}.
 
-    With U R V = diag(d) for the matrix R of tgt, M x lies in the span iff
-    each coordinate of c = U M x is divisible by its modulus (see
-    `Lattice._moduli`); a modulus of 1 asks nothing.  So x is the first n
+    With U R V = diag(d) for the relations R of tgt, M x lies in their span
+    iff each coordinate of c = U M x is divisible by its modulus (see
+    `FGAbelian._moduli`); a modulus of 1 asks nothing.  So x is the first n
     coordinates of the integer kernel of [U M | D], where D holds one
     column per nonzero modulus m, with m in that modulus's row.
     """
@@ -303,25 +261,24 @@ def _preimage(M, tgt: Lattice, l: int | None, n: int) -> list[list[int]]:
 
 
 class FGAbelian:
-    """Z^n modulo the column lattice of a presentation matrix.
+    """Z^n modulo the relation lattice, the column span of the n-row
+    presentation matrix `relations` (`None` or `[]`: n empty rows, Z^n).
 
-    The group owns that relation `Lattice`, so its Smith form is computed
-    once and shared by `snf`, map validation and `check_exactness`.
+    Its Smith form is computed once and shared by `snf`, `is_relation`,
+    map validation and `check_exactness`.
     """
 
     def __init__(self, n_generators: int, relations=None):
         self.n = int(n_generators)
-        if relations is None:
-            relations = []
-        if len(relations) and len(relations) != self.n:
+        relations = [list(map(int, row)) for row in ([] if relations is None else relations)]
+        if not relations:
+            relations = [[] for _ in range(self.n)]
+        if len(relations) != self.n:
             raise DimensionMismatchError(
                 f"presentation has {len(relations)} rows for {self.n} generators"
             )
-        self.lattice = Lattice(relations, self.n)
-
-    @property
-    def relations(self) -> list[list[int]]:
-        return self.lattice.matrix
+        self.relations = relations
+        self._snf = None
 
     @staticmethod
     def from_invariants(free_rank: int, torsion=()) -> "FGAbelian":
@@ -334,7 +291,29 @@ class FGAbelian:
         return FGAbelian(n, rel)
 
     def snf(self) -> SNFResult:
-        return self.lattice.snf()
+        if self._snf is None:
+            self._snf = smith_normal_form(self.relations)
+        return self._snf
+
+    def _moduli(self, l: int | None) -> list[int]:
+        """What coordinate i of U v must be divisible by for v to lie in the
+        relation lattice, where U R V = diag(d): d_i over Z (l None), and
+        over Z_l the l-part of d_i, since the integers prime to l are units
+        there.  Past the rank the modulus is 0, which asks for (U v)_i = 0."""
+        moduli = [d if l is None or not d else _l_part(d, l) for d in self.snf().diag]
+        return moduli + [0] * (self.n - len(moduli))
+
+    def is_relation(self, v, l: int | None = None) -> bool:
+        """Is v in the relation lattice over Z, or over Z_l when l is given
+        (a prime, else `check_prime`'s error)?  One Smith-form test for
+        both (see `_moduli`)."""
+        if l is not None:
+            check_prime(l)
+        v = list(map(int, v))
+        if len(v) != self.n:
+            raise DimensionMismatchError(
+                f"vector of length {len(v)}; the relations lie in Z^{self.n}")
+        return _within([[x] for x in v], self, l)
 
     @property
     def free_rank(self) -> int:
@@ -376,7 +355,7 @@ class FGAbelianMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if not _within(mat_mul(matrix, source.relations), target.lattice, None):
+        if not _within(mat_mul(matrix, source.relations), target, None):
             raise DimensionMismatchError("matrix does not send relations into relations")
 
     def __repr__(self):
@@ -430,24 +409,24 @@ def l_complete(A: FGAbelian, l: int) -> FGZlModule:
     return FGZlModule(l, A.free_rank, tuple(sorted(torsion, reverse=True)))
 
 
-def _within(M, big: Lattice, l: int | None) -> bool:
-    """Does every column of M lie in `big`, over Z (l None) or over Z_l?
-    One product U M, then each of its rows against its modulus (see
-    `Lattice._moduli`)."""
+def _within(M, big: FGAbelian, l: int | None) -> bool:
+    """Does every column of M lie in the relation lattice of the group
+    `big`, over Z (l None) or over Z_l?  One product U M, then each of its
+    rows against its modulus (see `FGAbelian._moduli`)."""
     return all(all(c % m == 0 for c in row) if m else not any(row)
                for row, m in zip(mat_mul(big.snf().U, M), big._moduli(l)))
 
 
-def _short_exact(f: FGAbelianMap, g: FGAbelianMap, im_f: Lattice, im_g: Lattice,
+def _short_exact(f: FGAbelianMap, g: FGAbelianMap, coker_f: FGAbelian, coker_g: FGAbelian,
                  l: int | None) -> bool:
     """Exactness of 0 -> A -> B -> C -> 0 over Z (l None) or over Z_l,
-    given the lattices im f + rel B and im g + rel C: f^-1(rel B) lies in
-    rel A (injective), g^-1(rel C) in im f + rel B (exact at B), and every
-    generator of C in im g + rel C (surjective)."""
+    given coker f and coker g, with relations im f + rel B and im g + rel C:
+    f^-1(rel B) lies in rel A (injective), g^-1(rel C) in rel coker f
+    (exact at B), and every generator of C in rel coker g (surjective)."""
     A, B, C = f.source, f.target, g.target
-    return (_within(_preimage(f.matrix, B.lattice, l, A.n), A.lattice, l)
-            and _within(_preimage(g.matrix, C.lattice, l, B.n), im_f, l)
-            and _within(_identity(C.n), im_g, l))
+    return (_within(_preimage(f.matrix, B, l, A.n), A, l)
+            and _within(_preimage(g.matrix, C, l, B.n), coker_f, l)
+            and _within(_identity(C.n), coker_g, l))
 
 
 def check_exactness(f: FGAbelianMap, g: FGAbelianMap, l: int) -> bool:
@@ -455,20 +434,20 @@ def check_exactness(f: FGAbelianMap, g: FGAbelianMap, l: int) -> bool:
 
     Checks that g o f = 0 and that the integral sequence is short exact
     (NotExactIntegrallyError otherwise), then decides the completed
-    sequence by the same three lattice conditions over Z_l, on the same
-    five lattices: the relations of A, B and C, im f + rel B and
-    im g + rel C.  The l-local pass is an independent decision; it does
-    not appeal to the flatness of Z_l over Z.  An l that is not prime is
-    refused first (`check_prime`).
+    sequence by the same three lattice conditions over Z_l, on the
+    relation lattices of the same five groups: A, B, C, coker f (relations
+    im f + rel B) and coker g (im g + rel C).  The l-local pass is an
+    independent decision; it does not appeal to the flatness of Z_l over
+    Z.  An l that is not prime is refused first (`check_prime`).
     """
     check_prime(l)
     if f.target is not g.source and f.target.n != g.source.n:
         raise DimensionMismatchError("maps do not compose")
     B, C = f.target, g.target
-    if not _within(mat_mul(g.matrix, f.matrix), C.lattice, None):
+    if not _within(mat_mul(g.matrix, f.matrix), C, None):
         raise NotExactIntegrallyError("g o f is not zero")
-    im_f = Lattice([a + b for a, b in zip(f.matrix, B.relations)], B.n)
-    im_g = Lattice([a + b for a, b in zip(g.matrix, C.relations)], C.n)
-    if not _short_exact(f, g, im_f, im_g, None):
+    coker_f = FGAbelian(B.n, [a + b for a, b in zip(f.matrix, B.relations)])
+    coker_g = FGAbelian(C.n, [a + b for a, b in zip(g.matrix, C.relations)])
+    if not _short_exact(f, g, coker_f, coker_g, None):
         raise NotExactIntegrallyError("integral sequence is not short exact")
-    return _short_exact(f, g, im_f, im_g, l)
+    return _short_exact(f, g, coker_f, coker_g, l)

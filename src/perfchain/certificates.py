@@ -318,14 +318,15 @@ def _int_det(M) -> int:
     return sign * A[n - 1][n - 1]
 
 
+def _snf_witness_to_json(s: SNFResult) -> dict:
+    """The Smith data as the witness of an snf or completion certificate."""
+    return {"diag": list(s.diag), "U": [list(r) for r in s.U], "V": [list(r) for r in s.V]}
+
+
 def snf_certificate(M, result: SNFResult) -> dict:
     cert = _base("snf", serialize.write_int_matrix(M))
     cert["input"] = {"matrix": [list(map(int, r)) for r in M]}
-    cert["witness"] = {
-        "diag": list(result.diag),
-        "U": [list(r) for r in result.U],
-        "V": [list(r) for r in result.V],
-    }
+    cert["witness"] = _snf_witness_to_json(result)
     return cert
 
 
@@ -382,14 +383,9 @@ def check_snf(cert: dict) -> None:
 
 def completion_certificate(A: FGAbelian, l: int, result) -> dict:
     cert = _base("completion", serialize.write_int_matrix(A.relations))
-    snf = A.snf()
     cert["input"] = {"generators": A.n, "relations": [list(r) for r in A.relations],
                      "prime": l}
-    cert["witness"] = {
-        "diag": list(snf.diag),
-        "U": [list(r) for r in snf.U],
-        "V": [list(r) for r in snf.V],
-    }
+    cert["witness"] = _snf_witness_to_json(A.snf())
     cert["verdict"] = {"rank": result.rank, "torsion": list(result.torsion)}
     return cert
 

@@ -181,7 +181,7 @@ def parse_abelian_descriptor(text: str) -> abelian.FGAbelian:
 def cmd_complete(args) -> int:
     if args.presentation:
         M = serialize.read_int_matrix(_read(args.presentation))
-        A = abelian.FGAbelian(len(M), M) if M else abelian.FGAbelian(0)
+        A = abelian.FGAbelian(len(M), M)
     elif args.group:
         A = parse_abelian_descriptor(args.group)
     else:

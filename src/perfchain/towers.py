@@ -33,7 +33,7 @@ from .chains import ChainComplex, ModuleComplex
 from .errors import DimensionMismatchError, GroupMismatchError, HorizonExhaustedError
 from .finiteness import PerfectnessVerdict, decide_perfect
 from .groups import GroupRingMatrix, ga_compose, ga_inverse, grm_compose
-from .modules import induced_action
+from .modules import PiModule
 
 
 class Tower:
@@ -152,7 +152,8 @@ def limit_complex(T: Tower, horizon: int, composites=None) -> ModuleComplex:
             diffs.append(flinalg.matmul(E.diff_at(q)[rows], V, G.prime_l))
         # argmax refuses a 0 x 0 basis, which has no rows to read anyway
         rows = (V != 0).argmax(axis=0) if V.size else []
-        mods.append(induced_action(E.module_at(q), V, lambda B: B[rows]))
+        M = E.module_at(q)
+        mods.append(PiModule(G, V.shape[1], [M.act(i, V)[rows] for i in range(len(M.gens))]))
     return ModuleComplex(G, base.bottom, mods, diffs)
 
 

@@ -24,7 +24,7 @@ from perfchain import (
     mapping_cone,
 )
 from perfchain import certificates, flinalg, serialize
-from perfchain.abelian import Lattice, SNFResult, integer_kernel_columns, smith_normal_form
+from perfchain.abelian import FGAbelian, SNFResult, integer_kernel_columns, smith_normal_form
 from perfchain.chains import check_ranks
 from perfchain.errors import (
     BoundarySquareNonzeroError,
@@ -697,13 +697,14 @@ def smith_normal_form_reference(M) -> SNFResult:
     return SNFResult(diag, tuple(map(tuple, U)), tuple(map(tuple, V)))
 
 
-def preimage_lattice_reference(M, tgt: Lattice) -> list[list[int]]:
-    """Generators, as columns, of {x : M x lies in tgt} over Z: the first
-    n coordinates of the integer kernel of [M | -R], R the matrix of tgt.
+def preimage_lattice_reference(M, tgt: FGAbelian) -> list[list[int]]:
+    """Generators, as columns, of {x : M x lies in the relation lattice of
+    the group tgt} over Z: the first n coordinates of the integer kernel of
+    [M | -R], R the relations of tgt.
     A construction independent of tgt's Smith form, kept as the oracle for
     `abelian._preimage`."""
     n = len(M[0]) if M else 0
-    big = [list(a) + [-v for v in b] for a, b in zip(M, tgt.matrix)]
+    big = [list(a) + [-v for v in b] for a, b in zip(M, tgt.relations)]
     ker = integer_kernel_columns(big)
     if not ker or not ker[0]:
         return [[] for _ in range(n)]

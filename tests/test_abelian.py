@@ -21,7 +21,7 @@ from perfchain import (
     smith_normal_form,
 )
 import perfchain
-from perfchain.abelian import Lattice, _l_part, _preimage, integer_kernel_columns, mat_mul
+from perfchain.abelian import _l_part, _preimage, integer_kernel_columns, mat_mul
 from perfchain.errors import LimitError, NotAnLGroupError
 from perfchain.groups import MAX_PRIME
 from perfchain.certificates import _check_snf_witness, _int_det
@@ -163,7 +163,7 @@ def test_l_complete_examples():
 
 
 def test_l_adic_paths_refuse_an_l_that_is_not_prime():
-    """l_complete, check_exactness and Lattice.contains over Z_l refuse an
+    """l_complete, check_exactness and FGAbelian.is_relation over Z_l refuse an
     l that is not a prime below MAX_PRIME before any arithmetic, with the
     group side's errors in its order: l = 0 used to divide by zero and
     l = 4 to give Z/4 for Z/8.  l = 1, which looped forever in the
@@ -172,7 +172,7 @@ def test_l_adic_paths_refuse_an_l_that_is_not_prime():
     Z = FGAbelian.from_invariants(1)
     ident = FGAbelianMap(Z, Z, [[1]])
     to_zero = FGAbelianMap(Z, FGAbelian.from_invariants(0), [])
-    L = Lattice([[2, 0], [0, 3]])
+    L = FGAbelian(2, [[2, 0], [0, 3]])
     for l in (-2, 0, 4, 6, MAX_PRIME + 1):
         error = LimitError if l >= MAX_PRIME else NotAnLGroupError
         with pytest.raises(error):
@@ -180,10 +180,10 @@ def test_l_adic_paths_refuse_an_l_that_is_not_prime():
         with pytest.raises(error):
             check_exactness(ident, to_zero, l)
         with pytest.raises(error):
-            L.contains([1, 0], l)
+            L.is_relation([1, 0], l)
     with pytest.raises(LimitError):
         l_complete(A, MAX_PRIME)
-    assert L.contains([1, 0], 3) and str(l_complete(A, 2)) == "Z_2 + Z/8"
+    assert L.is_relation([1, 0], 3) and str(l_complete(A, 2)) == "Z_2 + Z/8"
 
 
 @pytest.mark.parametrize("prime, rank, torsion, error", [
@@ -304,20 +304,41 @@ def test_random_exact_sequences_stay_exact_after_completion(rng):
         assert check_exactness(f, g, l)
 
 
+def test_each_group_computes_its_smith_form_once(rng, monkeypatch):
+    """A group's relations go through `smith_normal_form` once, however
+    often they are read: A, B and C are each decomposed exactly once across
+    both `FGAbelianMap` validations and `check_exactness` at l = 2 and then
+    l = 3 on the same objects."""
+    seen = []
+
+    def counting(M):
+        seen.append(M)
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(perfchain.abelian, "smith_normal_form", counting)
+    for _ in range(10):
+        seen.clear()
+        f, g = random_ses(rng)
+        for l in (2, 3):
+            assert check_exactness(f, g, l)
+        for X in (f.source, f.target, g.target):
+            assert sum(M is X.relations for M in seen) == 1, X
+
+
 def test_lattice_membership():
-    L = Lattice([[2, 0], [0, 3]])
-    assert L.contains([4, 3])
-    assert not L.contains([1, 0])
-    assert L.contains([1, 0], 3)  # 2 is invertible in Z_3
-    assert not L.contains([0, 1], 3)
+    L = FGAbelian(2, [[2, 0], [0, 3]])
+    assert L.is_relation([4, 3])
+    assert not L.is_relation([1, 0])
+    assert L.is_relation([1, 0], 3)  # 2 is invertible in Z_3
+    assert not L.is_relation([0, 1], 3)
 
 
 def test_lattice_membership_needs_vectors_of_the_ambient_length():
-    L = Lattice([[2, 0], [0, 3]])
+    L = FGAbelian(2, [[2, 0], [0, 3]])
     for v in ([2], [2, 0, 5]):
         for l in (None, 2):
             with pytest.raises(DimensionMismatchError):
-                L.contains(v, l)
+                L.is_relation(v, l)
 
 
 def test_check_exactness_with_zero_groups():
@@ -345,15 +366,15 @@ def test_preimage_matches_kernel_reference():
     for _ in range(150):
         r, n, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 4)
         M = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(r)]
-        L = Lattice([[rng.randint(-6, 6) for _ in range(k)] for _ in range(r)], r)
+        L = FGAbelian(r, [[rng.randint(-6, 6) for _ in range(k)] for _ in range(r)])
         mine = _preimage(M, L, None, n)
         ref = preimage_lattice_reference(M, L)
-        assert all(Lattice(ref, n).contains(x) for x in zip(*mine))
-        assert all(Lattice(mine, n).contains(x) for x in zip(*ref))
+        assert all(FGAbelian(n, ref).is_relation(x) for x in zip(*mine))
+        assert all(FGAbelian(n, mine).is_relation(x) for x in zip(*ref))
         for l in (2, 3, 5):
             local = _preimage(M, L, l, n)
-            assert all(L.contains(v, l) for v in zip(*mat_mul(M, local)))
-            assert all(Lattice(local, n).contains(x) for x in zip(*mine))
+            assert all(L.is_relation(v, l) for v in zip(*mat_mul(M, local)))
+            assert all(FGAbelian(n, local).is_relation(x) for x in zip(*mine))
 
 
 def fraction_solve(R, v) -> list[Fraction]:
@@ -381,13 +402,13 @@ def test_lattice_contains_matches_fraction_oracle():
             R = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             if _int_det(R):
                 break
-        L = Lattice(R)
+        L = FGAbelian(n, R)
         for _ in range(4):
             v = [rng.randint(-12, 12) for _ in range(n)]
             dens = [x.denominator for x in fraction_solve(R, v)]
             expected = all(d == 1 for d in dens)
-            assert L.contains(v) == L.contains(v, None) == expected
+            assert L.is_relation(v) == L.is_relation(v, None) == expected
             seen[expected] += 1
             for l in (2, 3, 5):
-                assert L.contains(v, l) == all(d % l for d in dens)
+                assert L.is_relation(v, l) == all(d % l for d in dens)
     assert min(seen.values()) > 50

@@ -411,7 +411,8 @@ def test_limit_complex_solves_and_re_checks_nothing(rng, monkeypatch):
     and the stable-image subcomplex, which holds by construction, is not
     checked again: over the group zoo, with the solver, the d o d check
     and both chain-map checks made to raise, every limit is built with the
-    dims of the tower's core."""
+    dims of the tower's core.  Nor is a generator's action built over all
+    generators at once: `induced_action`, which stacks them, raises too."""
     def refuse(*args):
         raise AssertionError("limit_complex solved or re-checked")
 
@@ -421,6 +422,8 @@ def test_limit_complex_solves_and_re_checks_nothing(rng, monkeypatch):
                         (chains.ChainMap, "check_commutes"),
                         (chains.ModuleComplexMap, "check_commutes")):
         monkeypatch.setattr(owner, attr, refuse)
+    monkeypatch.setattr("perfchain.modules.induced_action", refuse)
+    monkeypatch.setattr("perfchain.towers.induced_action", refuse, raising=False)
     for name, G, (T, core), norm in zoo:
         lim = limit_complex(T, 2)
         assert [lim.dim_at(q) for q in range(core.bottom, core.top + 1)] == \
