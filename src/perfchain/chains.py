@@ -486,21 +486,23 @@ def _pivot_plan(aug: np.ndarray, l: int) -> tuple[list[int], list[int]]:
         p, j = divmod(int(nz[0]), a.shape[1])
         rows.append(p)
         cols.append(j)
-        a = (a - np.outer(a[:, j], a[p] * pow(int(a[p, j]), l - 2, l) % l)) % l
+        a -= a[:, j, None] * (a[p] * pow(int(a[p, j]), l - 2, l) % l)
+        a %= l
 
 
 def _solve_pivots(B: np.ndarray, cols: list[int], G: GroupTable) -> np.ndarray:
     """Gauss-Jordan on the pivot rows B of a boundary, row t pivoting at
-    column cols[t] in that order: u^-1 (the pivot's unit, inverted by
-    `ga_inverse`) times row t, cleared from every other row.  Returns
-    B[:, cols]^-1 B, whose columns cols form the identity."""
+    column cols[t] in that order.  Each pivot is one update product:
+    with u = B[t, j] inverted by `ga_inverse` and row = u^-1 B[t],
+    B -= (B[:, j] - e_t) row clears column j from every other row and,
+    as u^-1 u = 1, leaves row in row t.  Returns B[:, cols]^-1 B, whose
+    columns cols form the identity."""
     l = G.prime_l
-    B = B.copy()
     for t, j in enumerate(cols):
-        B[t] = ga_compose(ga_inverse(B[t, j][None, None], G), B[t][None], G)[0]
-        factors = B[:, j, None].copy()
-        factors[t] = 0
-        B = (B - ga_compose(factors, B[t][None], G)) % l
+        row = ga_compose(ga_inverse(B[t, j][None, None], G), B[t][None], G)
+        factors = B[:, [j]]
+        factors[t, 0, G.identity] = (factors[t, 0, G.identity] - 1) % l
+        B = (B - ga_compose(factors, row, G)) % l
     return B
 
 
@@ -519,8 +521,10 @@ def minimalize(C: ChainComplex) -> MinimalizeResult:
     regain a unit.  The pivots of one boundary A are planned over F_l
     (`_pivot_plan`), and their cancellations together are one Schur
     complement A[R', C'] - A[R', J] X with X = A[P, J]^-1 A[P, C'] over
-    the pivot rows P and columns J (`_solve_pivots`), applied to A and,
-    stacked below it, to the witness of its source degree.
+    the pivot rows P and columns J (`_solve_pivots`).  The same column
+    operation acts on the witness of A's source degree, which no earlier
+    boundary has touched: I[:, C'] - I[:, J] X is I[:, C'] with -X in
+    the rows J, so it needs no product.
     """
     G = C.group
     l = G.prime_l
@@ -536,9 +540,10 @@ def minimalize(C: ChainComplex) -> MinimalizeResult:
         rows = np.delete(np.arange(A.shape[0]), pivot_rows)
         cols = np.delete(np.arange(A.shape[1]), pivot_cols)
         X = _solve_pivots(A[pivot_rows], pivot_cols, G)[:, cols]
-        S = np.concatenate([A[rows], wit[i + 1]])
-        S = (S[:, cols] - ga_compose(S[:, pivot_cols], X, G)) % l
-        bnds[i], wit[i + 1] = S[:rows.size], S[rows.size:]
+        R = A[rows]
+        bnds[i] = (R[:, cols] - ga_compose(R[:, pivot_cols], X, G)) % l
+        wit[i + 1] = wit[i + 1][:, cols]        # still the identity
+        wit[i + 1][pivot_cols] = -X % l
         if i + 1 < len(bnds):
             bnds[i + 1] = bnds[i + 1][cols]      # drop the cancelled source rows
         if i > 0:

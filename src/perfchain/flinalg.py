@@ -26,8 +26,13 @@ import numpy as np
 _F64_EXACT = 1 << 53
 # Below this many multiply-adds, or with a single result row or fewer than
 # _F64_MIN_COLS result columns (vector products, which int64 loops read
-# contiguously), the conversions cost more than BLAS saves.
-_F64_MIN_WORK = 1 << 14
+# contiguously), the conversions cost more than BLAS saves.  Measured with
+# one OpenBLAS thread on a 2-vCPU x86-64 host: the two paths break even
+# near 2^12 multiply-adds, both for `ga_compose` shapes over Heis27
+# ((n, 27) by (m, 27, 27): 5.6 against 5.2 us at 2^12) and for 2-D
+# `matmul` at l = 2, 3 (16 x 16 x 16: 5.4 against 5.3 us); at 2^13 float64
+# is 1.3-1.5x faster and at 2^14 about 1.8-2x.
+_F64_MIN_WORK = 1 << 12
 _F64_MIN_COLS = 4
 
 

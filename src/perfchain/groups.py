@@ -38,6 +38,12 @@ MAX_PRIME = 1 << 20
 # bound, are refused before anything is allocated for them.
 MAX_FREE_DIM = 1 << 14
 
+# Building a GroupTable holds four |pi|^2 int64 arrays at once (mult,
+# ldiv, rdiv and the transposed copy rdiv is made from), so an order whose
+# four arrays pass this many bytes is refused before any is allocated:
+# order 8192 needs 2 GiB, order 16384 8 GiB.
+MAX_TABLE_BYTES = 1 << 32
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -167,6 +173,10 @@ def table_descriptor(mult, identity: int) -> str:
 def _check_order(n: int):
     if n > MAX_FREE_DIM:
         raise LimitError(f"group order {n} exceeds {MAX_FREE_DIM}")
+    table_bytes = 4 * 8 * n * n
+    if table_bytes > MAX_TABLE_BYTES:
+        raise LimitError(f"group order {n} needs {table_bytes} bytes of group tables, "
+                         f"more than {MAX_TABLE_BYTES}")
 
 
 def cyclic_group(n: int, l: int) -> GroupTable:
@@ -302,22 +312,30 @@ def ga_inverse(a: np.ndarray, G: GroupTable) -> np.ndarray:
     augmentation's inverse: the first residual is a coefficientwise
     product, and each step squares it (r <- r r), so it vanishes once
     2^steps reaches the radical's nilpotency index, which is at most |pi|.
+    X r and r r are one product of [X; r] by r, which gathers r once.
+    The augmentation's inverse is eps^(l-2) (Fermat) for an element and
+    solved over F_l for a k x k block.
     """
     l = G.prime_l
     k = a.shape[0]
-    eps_inv = flinalg.solve_matrix(a.sum(axis=2) % l, flinalg.identity(k), l)
+    if k == 1:
+        eps = int(a.sum()) % l
+        eps_inv = np.array([[pow(eps, l - 2, l)]]) if eps else None
+    else:
+        eps_inv = flinalg.solve_matrix(a.sum(axis=2) % l, flinalg.identity(k), l)
     if eps_inv is None:
         raise NotAUnitError("augmentation is not invertible")
     X = np.zeros(a.shape, dtype=np.int64)
     X[..., G.identity] = eps_inv
     residual = -np.einsum("kig,ij->kjg", a, eps_inv)
-    residual[np.arange(k), np.arange(k), G.identity] += 1
+    residual[..., G.identity] += flinalg.identity(k)
     residual %= l
     for _ in range(G.order.bit_length() + 1):
         if not residual.any():
             return X
-        X = (X + ga_compose(X, residual, G)) % l
-        residual = ga_compose(residual, residual, G)
+        step = ga_compose(np.concatenate([X, residual]), residual, G)
+        X = (X + step[:k]) % l
+        residual = step[k:]
     raise AssertionError("Newton's iteration failed to converge")
 
 

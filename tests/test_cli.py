@@ -908,6 +908,30 @@ def test_out_of_memory_is_a_limit_error(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["perfect", "big.cplx"], id="complex"),
+    pytest.param(["lens", "2", "14", "0", "-o", "lens.cplx"], id="lens"),
+])
+def test_order_past_the_table_bound_is_refused_before_its_tables(tmp_path, argv):
+    """cyclic:16384 is within MAX_FREE_DIM, but its four 16384^2 int64
+    tables would take 8 GiB.  It is refused by their byte count before
+    any is allocated: in a fresh process capped at 1 GiB of address space
+    the message names the bytes, not an out-of-memory error, and writes
+    no file."""
+    (tmp_path / "big.cplx").write_text("group cyclic:16384\nprime 2\nbottom 0\nranks 0\n")
+    cap = 1 << 30
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(perfchain.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-m", "perfchain.cli", *argv], cwd=tmp_path,
+        env=env, capture_output=True, text=True, check=False,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr == ("error[E_LIMIT]: group order 16384 needs 8589934592 bytes of "
+                           "group tables, more than 4294967296\n")
+    assert not (tmp_path / "lens.cplx").exists()
+
+
 @pytest.mark.parametrize("group, ranks", [
     pytest.param("cyclic:2", "1000000000", id="rank"),
     pytest.param("cyclic:1073741824", "0", id="cyclic-order"),

@@ -206,15 +206,24 @@ def exact_product(A, B, l: int) -> np.ndarray:
     return ((np.asarray(A).astype(object) @ np.asarray(B).astype(object)) % l).astype(np.int64)
 
 
-@pytest.mark.parametrize("l", (2, 3, 1048573))
+@pytest.mark.parametrize("l", (2, 3, 5, 1048573))
 def test_matmul_matches_the_exact_product(l):
-    """Square, skinny, matrix-vector and empty shapes, and the stacked
-    shapes of `ga_compose`: (j, i*o) by (k, i*o, o)."""
+    """Square, skinny, matrix-vector and empty shapes, the stacked
+    shapes of `ga_compose`: (j, i*o) by (k, i*o, o), and shapes one
+    multiply-add row below and at the float64 break-even _F64_MIN_WORK,
+    where `product_dtype` flips from int64 to float64."""
     gen = np.random.default_rng(l)
     shapes = [((1, 27), (27, 27)), ((8, 27), (27, 27)), ((40, 64), (64, 40)),
               ((3, 200), (200, 5)), ((64, 64), (64,)), ((64,), (64, 64)),
               ((0, 5), (5, 7)), ((5, 0), (0, 7)),
               ((2, 3 * 64), (4, 3 * 64, 64)), ((1, 27), (1, 27, 27)), ((5, 5 * 8), (5, 5 * 8, 8))]
+    # 3840 and 4096 = 2^12 multiply-adds
+    for below, at in ((((15, 16), (16, 16)), ((16, 16), (16, 16))),
+                      (((15, 16), (1, 16, 16)), ((16, 16), (1, 16, 16))),
+                      (((16, 16), (16, 15)), ((16, 16), (16, 16)))):
+        assert flinalg.product_dtype(*below, l) == np.int64, below
+        assert flinalg.product_dtype(*at, l) == np.float64, at
+        shapes += [below, at]
     for a, b in shapes:
         A, B = gen.integers(0, l, a), gen.integers(0, l, b)
         expected = exact_product(A, B, l)

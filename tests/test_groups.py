@@ -22,7 +22,7 @@ from perfchain import (
     direct_product,
     ga_inverse,
 )
-from perfchain import groups
+from perfchain import flinalg, groups
 from perfchain.groups import ga_compose, grm_compose
 
 from conftest import (
@@ -86,6 +86,18 @@ def test_primes_past_the_int64_bound_are_rejected():
     for l in (1 << 20, 4294967291):
         with pytest.raises(LimitError):
             build_group("cyclic:1", l)
+
+
+def test_order_is_bounded_by_its_table_bytes():
+    """An order passes while its four |pi|^2 int64 tables fit in
+    MAX_TABLE_BYTES (4 GiB): 8192 and 11585 do, 11586 and 16384, which
+    are within MAX_FREE_DIM, do not.  Checked without building a table."""
+    assert groups.MAX_TABLE_BYTES == 1 << 32
+    for n in (1, 8192, 11585):
+        groups._check_order(n)
+    for n in (11586, 16384):
+        with pytest.raises(LimitError, match=f"group order {n} needs {32 * n * n} bytes"):
+            groups._check_order(n)
 
 
 def test_build_klein_four():
@@ -203,6 +215,17 @@ def test_ga_compose_matches_the_one_sided_gather():
         full = np.full((3, 2, G.order), G.prime_l - 1)
         assert np.array_equal(ga_compose(full, full[:2, :1], G),
                               ga_compose_reference(full, full[:2, :1], G)), name
+        # (1, 1) by (1, j): j o^2 multiply-adds, one side of the float64
+        # break-even _F64_MIN_WORK and the other (o >= 4 result columns)
+        o = G.order
+        if o >= flinalg._F64_MIN_COLS:
+            j = -(-flinalg._F64_MIN_WORK // (o * o))
+            for width, dtype in ((j - 1, np.int64), (j, np.float64)):
+                assert flinalg.product_dtype((width, o), (1, o, o), G.prime_l) == dtype, name
+                second = rng.integers(0, G.prime_l, (1, 1, o))
+                first = rng.integers(0, G.prime_l, (1, width, o))
+                assert np.array_equal(ga_compose(second, first, G),
+                                      ga_compose_reference(second, first, G)), (name, width)
 
 
 def test_ga_mul_dimension_mismatch():
@@ -251,11 +274,14 @@ def test_ga_inverse_examples():
 def test_ga_inverse_matches_geometric_series():
     """Newton's iteration gives the inverse that the geometric series
     gives, on random units and on generators g (where n = 1 - g has
-    nilpotency index the order of g), over the zoos and cyclic:729, as
-    1 x 1 group-ring data, and it is a two-sided inverse."""
+    nilpotency index the order of g), over the zoos, cyclic:729 and the
+    trivial group at the largest admitted prime, 1048573 (where the
+    Fermat seed eps^(l-2) is the whole inverse), as 1 x 1 group-ring
+    data, and it is a two-sided inverse."""
     rng = random.Random(47)
     C729 = build_group("cyclic:729", 3)
-    for name, G in two_group_zoo() + three_group_zoo() + [("C729", C729)]:
+    C1 = build_group("cyclic:1", 1048573)
+    for name, G in two_group_zoo() + three_group_zoo() + [("C729", C729), ("C1", C1)]:
         units = [random_unit(G, rng) for _ in range(4 if G.order < 729 else 1)]
         for g in G.generators:
             units.append(np.eye(G.order, dtype=np.int64)[g] * rng.randrange(1, G.prime_l))
@@ -271,12 +297,15 @@ def test_ga_inverse_matches_geometric_series():
 
 @pytest.mark.parametrize("group, l", [("heis27", 3), ("cyclic:64", 2),
                                       ("product:cyclic:4,cyclic:4,cyclic:4", 2),
-                                      ("cyclic:25", 5)])
+                                      ("cyclic:25", 5), ("cyclic:2", 2),
+                                      ("cyclic:1", 1048573)])
 def test_ga_inverse_matches_newton_with_recomputed_residuals(group, l):
     """Squaring the residual gives the iterates of recomputing I - a X
     from a: on random invertible k x k data, k = 1..5, and on random 1 x 1
-    units, the inverse equals the recomputing reference and is two-sided
-    by `ga_compose_reference`."""
+    units, the inverse equals the recomputing reference (seeded by
+    `solve_matrix`, where `ga_inverse` seeds an element by Fermat) and is
+    two-sided by `ga_compose_reference`.  1 x 1 data of augmentation zero
+    is NotAUnitError."""
     G = heisenberg_27() if group == "heis27" else build_group(group, l)
     rng = random.Random(group)
     cases = [random_invertible(G, k, rng, n_ops=6)[0].data for k in range(1, 6)]
@@ -288,6 +317,11 @@ def test_ga_inverse_matches_newton_with_recomputed_residuals(group, l):
         assert np.array_equal(inverse, ga_inverse_newton_reference(a, G))
         assert np.array_equal(ga_compose_reference(a, inverse, G), one)
         assert np.array_equal(ga_compose_reference(inverse, a, G), one)
+    for _ in range(4):
+        a = random_unit(G, rng)
+        a[G.identity] = (a[G.identity] - a.sum()) % l     # augmentation zero
+        with pytest.raises(NotAUnitError):
+            ga_inverse(a[None, None], G)
 
 
 @pytest.mark.parametrize("k, i, j", [(0, 2, 3), (2, 0, 3), (3, 2, 0), (0, 0, 0), (0, 3, 0),
