@@ -24,7 +24,13 @@ from perfchain import (
     mapping_cone,
 )
 from perfchain import certificates, flinalg, serialize
-from perfchain.abelian import FGAbelian, SNFResult, integer_kernel_columns, smith_normal_form
+from perfchain.abelian import (
+    FGAbelian,
+    SNFResult,
+    integer_kernel_columns,
+    mat_mul,
+    smith_normal_form,
+)
 from perfchain.chains import check_ranks
 from perfchain.errors import (
     BoundarySquareNonzeroError,
@@ -695,6 +701,17 @@ def smith_normal_form_reference(M) -> SNFResult:
             row_negate(k)
     diag = tuple(A[k][k] for k in range(n))
     return SNFResult(diag, tuple(map(tuple, U)), tuple(map(tuple, V)))
+
+
+def snf_diagonal_reference(M, U, V, diag) -> bool:
+    """Whether U M V = diag(d) over Z, by multiplying out the product in
+    Python integers and comparing entrywise; the oracle of the checker's
+    decision modulo primes (`certificates._is_claimed_diagonal`)."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    D = mat_mul(mat_mul(U, M), V) if rows and cols else [[0] * cols for _ in range(rows)]
+    return all(D[i][j] == (diag[i] if i == j and i < len(diag) else 0)
+               for i in range(rows) for j in range(cols))
 
 
 def preimage_lattice_reference(M, tgt: FGAbelian) -> list[list[int]]:

@@ -543,18 +543,30 @@ def test_snf_certificate_bytes_pinned(capsys, tmp_path):
         "645396ccf2575ec3a109297b4660564ad29590f3510a27b41340ead368a7e2fa")
 
 
+_NOT_UNIMODULAR = "transformation matrices are not unimodular"
+
+
 def _double_u_and_diag(w):
     w["U"] = [[2 * x for x in row] for row in w["U"]]
     w["diag"] = [2 * d for d in w["diag"]]
+    return _NOT_UNIMODULAR
 
 
 def _double_last_column_of_v(w):
     for row in w["V"]:
         row[-1] *= 2
+    return _NOT_UNIMODULAR
 
 
 def _double_last_row_of_u(w):
     w["U"][-1] = [2 * x for x in w["U"][-1]]
+    return _NOT_UNIMODULAR
+
+
+def _negate_last_factor_and_row_of_u(w):
+    w["U"][-1] = [-x for x in w["U"][-1]]
+    w["diag"][-1] = -w["diag"][-1]
+    return "an invariant factor is negative"
 
 
 @pytest.mark.parametrize("command, matrix, forge", [
@@ -565,21 +577,50 @@ def _double_last_row_of_u(w):
     (["snf"], "2 4\n1 2\n", _double_last_column_of_v),
     # non-square presentation: U doubled on the row of the zero block
     (["complete", "--l", "3", "--presentation"], "2 0\n0 3\n0 0\n", _double_last_row_of_u),
+    # U M V = diag(1, -6) with det U = -1 and |det M| = 6 = |1 * -6|, and
+    # 1 divides -6: only the sign is wrong
+    (["snf"], "2 0\n0 3\n", _negate_last_factor_and_row_of_u),
+    (["complete", "--l", "3", "--presentation"], "2 0\n0 3\n",
+     _negate_last_factor_and_row_of_u),
 ])
 def test_forged_smith_transform_is_not_unimodular(capsys, tmp_path, command, matrix, forge):
     """A transform of determinant 2 or 4 that keeps U M V the claimed
     diagonal is refused, whether the check can go through det M or must
-    fall back to det U and det V."""
+    fall back to det U and det V; so is a unimodular transform that makes
+    U M V a diagonal with a negative factor.  Each forge returns the
+    reason the checker must give."""
     path = tmp_path / "m.txt"
     path.write_text(matrix)
     cert_path = tmp_path / "c.json"
     assert main([*command, str(path), "--cert", str(cert_path)]) == 0
     cert = json.loads(cert_path.read_text())
-    forge(cert["witness"])
+    reason = forge(cert["witness"])
     cert_path.write_text(json.dumps(cert))
     capsys.readouterr()
     code, out, _ = run(capsys, "verify", str(cert_path))
-    assert (code, out) == (1, "certificate INVALID: transformation matrices are not unimodular\n")
+    assert (code, out) == (1, f"certificate INVALID: {reason}\n")
+
+
+def test_smith_certificates_verify_without_the_solver(capsys, tmp_path, monkeypatch):
+    """The snf and completion checkers recompute every quantity from the
+    certificate and never call the solver that wrote it: both verify with
+    `abelian.smith_normal_form` made to raise."""
+    path = tmp_path / "m.txt"
+    path.write_text("2 4 4\n-6 6 12\n10 -4 -16\n")
+    certs = {}
+    for kind, command in (("snf", ["snf"]),
+                          ("completion", ["complete", "--l", "2", "--presentation"])):
+        certs[kind] = tmp_path / f"{kind}.json"
+        assert main([*command, str(path), "--cert", str(certs[kind])]) == 0
+
+    def solver(M):
+        raise AssertionError("the checker called smith_normal_form")
+
+    monkeypatch.setattr(perfchain.abelian, "smith_normal_form", solver)
+    capsys.readouterr()
+    for kind, cert_path in certs.items():
+        code, out, _ = run(capsys, "verify", str(cert_path))
+        assert (code, out) == (0, f"certificate valid (kind={kind})\n")
 
 
 def test_answer_too_long_to_print_is_a_limit_error(capsys, tmp_path):
@@ -1272,7 +1313,8 @@ def _json_paths(obj, prefix=()):
 @pytest.fixture(scope="module")
 def certificates_to_mutate(tmp_path_factory):
     """Perfectness, quasi-iso and tower-perfectness certificates, positive
-    and negative, over C2."""
+    and negative, over C2, and the snf and completion certificates of a
+    square and a non-square integer matrix."""
     d = tmp_path_factory.mktemp("certs")
     G = SMALL_GROUPS["C2"]
     L = ChainComplex(G, 0, [1], [])
@@ -1282,16 +1324,20 @@ def certificates_to_mutate(tmp_path_factory):
         "norm.twr": write_tower(Tower([L] * 4, [ChainMap(L, L, {0: N})]
                                       + [identity_chain_map(L)] * 2)),
         "const.twr": write_tower(Tower([L] * 3, [identity_chain_map(L)] * 2)),
+        "snf.txt": "2 4 4\n-6 6 12\n10 -4 -16\n",
+        "pres.txt": "3 0\n0 9\n6 3\n",
     }
     for name, text in inputs.items():
         (d / name).write_text(text)
     certs = []
     for argv in (["perfect", "lens.cplx"], ["minimalize", "lens.cplx"],
                  ["tower-perfect", "norm.twr", "--horizon", "2"],
-                 ["tower-perfect", "const.twr", "--horizon", "2"]):
+                 ["tower-perfect", "const.twr", "--horizon", "2"],
+                 ["snf", "snf.txt"], ["complete", "--presentation", "pres.txt", "--l", "3"]):
         cert_path = d / "cert.json"
         with contextlib.redirect_stdout(io.StringIO()):
-            main([argv[0], str(d / argv[1]), *argv[2:], "--cert", str(cert_path)])
+            main([str(d / a) if a in inputs else a for a in argv]
+                 + ["--cert", str(cert_path)])
         certs.append(json.loads(cert_path.read_text()))
     return d, certs
 
@@ -1302,7 +1348,7 @@ _JUNK = st.one_of(st.just(_DELETE), st.none(), st.booleans(), st.integers(-3, 40
                   st.lists(st.integers(-1, 3), max_size=3))
 
 
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", range(6))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mutated_certificate_never_crashes(certificates_to_mutate, index, data):
