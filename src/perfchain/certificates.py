@@ -496,8 +496,9 @@ def _check_snf_witness(M, witness: dict) -> None:
     factors are nonnegative, each dividing the next.
 
     U M V = diag(d) is decided modulo word-size primes whose product
-    exceeds twice a bound on every entry (`_is_claimed_diagonal`), so no
-    product of large integers is formed.  Once it holds, det U det M det V
+    exceeds twice a bound on every entry, by float64 products whose every
+    sum is an integer below 2^53 (`_is_claimed_diagonal`), so no product
+    of large integers is formed.  Once it holds, det U det M det V
     = prod d, so a square M with det M = +-prod d != 0 leaves det U det V =
     +-1, and both are units: one Bareiss determinant of M, whose entries
     are small, stands in for those of U and V, whose entries can be far

@@ -39,7 +39,8 @@ def witness_bound(M, U, V, diag) -> int:
 def snf_decision_zoo(rng):
     """Integer matrices with their genuine Smith witnesses: 0 x 0, n x 0,
     1 x 1, 1 x n, n x 1, non-square, singular, entries past 2^64 of both
-    signs, and dense 24 to 60 square ones."""
+    signs, and dense 24 to 60 square ones; and a matrix with no rows
+    against a 3 x 3 V."""
     big = lambda: rng.choice([-1, 1]) * rng.getrandbits(rng.randint(65, 90))
     small = lambda: rng.randint(-9, 9)
     shapes = [(0, 0, small), (3, 0, small), (1, 1, big), (1, 1, small), (1, 5, big),
@@ -54,6 +55,8 @@ def snf_decision_zoo(rng):
     for M in mats:
         s = smith_normal_form(M)
         yield M, [list(r) for r in s.U], [list(r) for r in s.V], list(s.diag)
+    # no rows, so no columns either: U M V is empty whatever V is
+    yield [], [], [[int(i == j) for j in range(3)] for i in range(3)], []
 
 
 def forgeries(rng, M, U, V, diag):
@@ -103,10 +106,27 @@ def test_residue_decision_matches_the_exact_product():
     assert seen[True] > 10 and seen[False] > 100
 
 
+@pytest.mark.parametrize("x", [2**63 - 1, -2**63 + 1, -2**63, 2**63, 2**64 - 1, -2**64])
+def test_entries_at_the_machine_word_boundary(x):
+    """Entries on either side of the int64 range, which the limbs read as
+    machine words below 2^63 and through `int.to_bytes` from there, in
+    each of M, U, V and diag."""
+    one, I = [[1]], [[1, 0], [0, 1]]
+    cases = [([[x]], one, one, [x]), ([[1]], [[x]], [[-1]], [-x]),
+             ([[x, 0], [0, 1]], I, [[1, 0], [0, x]], [x, x]),
+             ([[3, 0], [0, 0]], [[1, x], [0, 1]], I, [3, 0])]
+    for M, U, V, diag in cases:
+        assert _is_claimed_diagonal(M, U, V, diag)
+        for d in ([diag[0] + 1, *diag[1:]], [-diag[0], *diag[1:]]):
+            assert _is_claimed_diagonal(M, U, V, d) == snf_diagonal_reference(M, U, V, d)
+
+
 @pytest.mark.parametrize("n, b", [(1, 21), (48, 21), (2047, 21), (2048, 20), (8191, 20),
                                   (8192, 19), (10**6, 16)])
-@pytest.mark.parametrize("bound", [0, 1, 2**64 + 1, 10**300, 48 * 48 * 10**(3 * 4300)],
-                         ids=["0", "1", "2^64+1", "10^300", "cube_of_4300_digits"])
+@pytest.mark.parametrize("bound", [0, 1, 2**64 + 1, 2**999 - 1, 2**999, 10**300,
+                                   48 * 48 * 10**(3 * 4300)],
+                         ids=["0", "1", "2^64+1", "2^999-1", "2^999", "10^300",
+                              "cube_of_4300_digits"])
 def test_residue_primes_exceed_twice_the_bound(n, b, bound):
     """The primes are distinct, lie between 2^(b-1) and 2^b with
     n 2^(2b) <= 2^53, so every product of residues over inner dimension n
