@@ -353,8 +353,9 @@ def _snf_witness(M, cert: dict) -> dict:
 # sum has fewer than 2^16 terms, each a 16-bit limb by a weight below 2^21,
 # and a product over inner dimension n has terms below 2^(2b) with
 # n 2^(2b) <= 2^53.  Primes go through the products, and limbs are widened
-# to float64, a pass of about _PASS_ENTRIES entries at a time, so the
-# arrays live at once stay near the size of the certificate's integers.
+# to float64, about _PASS_ENTRIES entries at a time: widening every limb at
+# once read 2.6 MB more peak RSS than the exact product on the integer_snf
+# bench, passes of this size 0.8-1.0 MB.
 _RESIDUE_BITS = 21
 _PASS_ENTRIES = 1 << 13
 _SIEVE_BLOCK = 1 << 15
