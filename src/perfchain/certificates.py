@@ -8,7 +8,9 @@ of the minimal cover.  A Smith form's U M V = diag(d) is decided modulo
 word-size primes whose product exceeds twice a bound B on every entry of
 U M V and of d, so agreement modulo each prime is equality over Z; the
 residues are multiplied in float64, where every sum stays an integer
-below 2^53 and so is exact (`_is_claimed_diagonal`).  A free witness is
+below 2^53 and so is exact (`_is_claimed_diagonal`).  The determinant
+that shows U and V unimodular is found on such primes too, past twice a
+Hadamard bound, by float64 elimination (`_abs_det_is`).  A free witness is
 checked on group-ring data alone: d o d and the chain-map squares by
 group-ring products, and the cone's acyclicity over the residue field
 F_l, from the ranks of its augmented boundaries
@@ -300,30 +302,6 @@ def check_tower_perfectness(cert: dict) -> None:
 # Smith normal form / completion
 
 
-def _int_det(M) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    A = [list(map(int, row)) for row in M]
-    n = len(A)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
 def _snf_witness_to_json(s: SNFResult) -> dict:
     """The Smith data as the witness of an snf or completion certificate."""
     return {"diag": list(s.diag), "U": [list(r) for r in s.U], "V": [list(r) for r in s.V]}
@@ -355,9 +333,13 @@ def _snf_witness(M, cert: dict) -> dict:
 # n 2^(2b) <= 2^53.  Primes go through the products, and limbs are widened
 # to float64, about _PASS_ENTRIES entries at a time: widening every limb at
 # once read 2.6 MB more peak RSS than the exact product on the integer_snf
-# bench, passes of this size 0.8-1.0 MB.
+# bench, passes of this size 0.8-1.0 MB.  The determinant holds at most
+# _DET_ENTRIES residues, 256 KB (one prime's block when that is larger),
+# formed a prime at a time and eliminated in place: on 48 x 48 certificates
+# its traced peak was 0.30 MB, the product check's 0.44-0.63 MB.
 _RESIDUE_BITS = 21
 _PASS_ENTRIES = 1 << 13
+_DET_ENTRIES = 1 << 15
 _SIEVE_BLOCK = 1 << 15
 
 
@@ -394,7 +376,13 @@ def _residue_primes(n: int, bound: int) -> list[int]:
     largest at most _RESIDUE_BITS with n 2^(2b) <= 2^53, so that products
     of residues over inner dimension n are exact in float64 (the rule of
     `flinalg.product_dtype`).  Each prime exceeds 2^(b-1), so k of them
-    multiply past 2^((b-1) k) >= 2^bits(2 bound + 1)."""
+    multiply past 2^((b-1) k) >= 2^bits(2 bound + 1).
+
+    One window serves the products of `_is_claimed_diagonal` and the
+    elimination of `_det_mod` alike.  There an entry, before it is
+    reduced, is a residue less fewer than n products of residues, each
+    below p^2 < 2^(2b): an integer below n 2^(2b) <= 2^53 in magnitude,
+    exact in float64, so reduction can wait until the entry is used."""
     b = min(_RESIDUE_BITS, (53 - n.bit_length()) // 2)
     return _window_primes(b, -(-(2 * bound + 1).bit_length() // (b - 1)))
 
@@ -451,6 +439,87 @@ class _Limbs:
         return _mod(out, p)
 
 
+def _weights(primes: np.ndarray, count: int) -> np.ndarray:
+    """weights[:, j] = 2^(16 j) mod p for each prime p and limb j < count,
+    as `_Limbs.residues` takes them; 2^16 times a residue is below 2^37."""
+    weights = np.ones((len(primes), count))
+    for j in range(1, count):
+        weights[:, j] = _mod(weights[:, j - 1] * 65536, primes)
+    return weights
+
+
+def _det_mod(B: np.ndarray, p: np.ndarray) -> list[int]:
+    """det B[i] modulo p[i, 0] for each i, in [0, p), for a stack B of
+    float64 square matrices with entries in [0, p); B is overwritten.
+
+    Gaussian elimination in Crout's order with reduction delayed: step k
+    forms column k from the diagonal down, and row k right of it, from the
+    entry in B less the k products of residues that the earlier steps owe
+    it, then reduces them.  Each product is below p^2, so every sum is an
+    integer in (-(n - 1) p^2, p), exact in float64 and within `_mod`'s
+    range when n p^2 <= 2^53; and no step writes more than one row and one
+    column, so the elimination needs no block beside B.
+    The pivot is the first entry of its column that is nonzero modulo that
+    prime, its row swapped up; a column with none makes the determinant 0
+    modulo that prime, and the multipliers below it 0.
+    """
+    g, n, _ = B.shape
+    moduli = p[:, 0].astype(np.int64).tolist()
+    det = [1] * g
+    for k in range(n):
+        B[:, k:, k:k + 1] -= B[:, k:, :k] @ B[:, :k, k:k + 1]
+        column = _mod(B[:, k:, k], p)
+        if not column[:, 0].all():
+            r = k + np.argmax(column != 0, axis=1)
+            for i in np.flatnonzero(r != k).tolist():
+                B[i, [k, r[i]]] = B[i, [r[i], k]]
+                det[i] = -det[i]
+        pivots = B[:, k, k].astype(np.int64).tolist()
+        det = [d * x % m for d, x, m in zip(det, pivots, moduli)]
+        inverse = [pow(x, -1, m) if x else 0 for x, m in zip(pivots, moduli)]
+        B[:, k:k + 1, k + 1:] -= B[:, k:k + 1, :k] @ B[:, :k, k + 1:]
+        _mod(B[:, k, k + 1:], p)
+        B[:, k + 1:, k] *= np.array(inverse, dtype=np.float64)[:, None]
+        _mod(B[:, k + 1:, k], p)
+    return det
+
+
+def _abs_det_is(A, t: int) -> bool:
+    """Whether |det A| = |t| for a square integer matrix A, decided modulo
+    primes.
+
+    By Hadamard's inequality |det A| <= prod_i |row i| < H =
+    isqrt(prod_i sum_j a_ij^2) + 1.  The primes' product P exceeds
+    2 (H + |t|), so det A - s t, for a sign s, lies within P/2 of 0 and is
+    0 exactly when det A = s t modulo every prime, with the one s for all
+    of them.  det A modulo each prime comes from `_det_mod` over a stack of
+    at most _DET_ENTRIES entries, or one prime's n x n block when that is
+    larger, whose residues are formed a prime at a time; so the working
+    set is bounded whatever the number of primes.
+    """
+    n = len(A)
+    if not n:
+        return abs(t) == 1
+    bound = math.isqrt(math.prod(sum(x * x for x in row) for row in A)) + 1 + abs(t)
+    moduli = _residue_primes(n, bound)
+    primes = np.array(moduli, dtype=np.float64)
+    limbs = _Limbs(A, max(map(abs, chain.from_iterable(A))))
+    weights = _weights(primes, limbs.count)
+    step = max(1, _DET_ENTRIES // (n * n))
+    plus = minus = True
+    for s in range(0, len(primes), step):
+        p = primes[s:s + step, None]
+        B = np.empty((len(p), n, n))
+        for i in range(len(p)):
+            B[i] = limbs.residues(weights[s + i:s + i + 1], p[i:i + 1]).reshape(n, n)
+        det = _det_mod(B, p)
+        plus = plus and det == [t % m for m in moduli[s:s + step]]
+        minus = minus and det == [-t % m for m in moduli[s:s + step]]
+        if not (plus or minus):
+            return False
+    return True
+
+
 def _is_claimed_diagonal(M, U, V, diag) -> bool:
     """Whether U M V = diag(d) over Z, decided modulo primes.
 
@@ -473,10 +542,7 @@ def _is_claimed_diagonal(M, U, V, diag) -> bool:
     bound = max(rows * cols * top[0] * top[1] * top[2], top[3])
     n = max(rows, cols)
     primes = np.array(_residue_primes(n, bound), dtype=np.float64)
-    # weights[:, j] = 2^(16 j) mod p: 2^16 times a residue is below 2^37
-    weights = np.ones((len(primes), max(x.count for x in limbs)))
-    for j in range(1, weights.shape[1]):
-        weights[:, j] = _mod(weights[:, j - 1] * 65536, primes)
+    weights = _weights(primes, max(x.count for x in limbs))
     step = max(1, _PASS_ENTRIES // (n * n))
     k = len(diag)
     for s in range(0, len(primes), step):
@@ -500,11 +566,13 @@ def _check_snf_witness(M, witness: dict) -> None:
     exceeds twice a bound on every entry, by float64 products whose every
     sum is an integer below 2^53 (`_is_claimed_diagonal`), so no product
     of large integers is formed.  Once it holds, det U det M det V
-    = prod d, so a square M with det M = +-prod d != 0 leaves det U det V =
-    +-1, and both are units: one Bareiss determinant of M, whose entries
+    = prod d, so a square M with |det M| = |prod d| != 0 leaves det U
+    det V = +-1, and both are units: one determinant of M, whose entries
     are small, stands in for those of U and V, whose entries can be far
     larger.  A non-square or singular M, or a product that does not check,
-    falls back to det U and det V.  Every quantity is recomputed from the
+    falls back to |det U| = |det V| = 1.  Each determinant is decided on
+    primes of the same window as the product, past twice its Hadamard
+    bound (`_abs_det_is`).  Every quantity is recomputed from the
     certificate, so the checker stays independent of the solver that wrote
     it.
     """
@@ -513,8 +581,8 @@ def _check_snf_witness(M, witness: dict) -> None:
     cols = len(M[0]) if rows else 0
     diagonal = _is_claimed_diagonal(M, U, V, diag)
     prod = math.prod(diag)
-    if not (diagonal and rows == cols and prod and abs(_int_det(M)) == abs(prod)):
-        if abs(_int_det(U)) != 1 or abs(_int_det(V)) != 1:
+    if not (diagonal and rows == cols and prod and _abs_det_is(M, prod)):
+        if not (_abs_det_is(U, 1) and _abs_det_is(V, 1)):
             raise VerificationFailure("transformation matrices are not unimodular")
     if not diagonal:
         raise VerificationFailure("U M V is not the claimed diagonal")

@@ -714,6 +714,32 @@ def snf_diagonal_reference(M, U, V, diag) -> bool:
                for i in range(rows) for j in range(cols))
 
 
+def int_det_reference(M) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination in Python
+    integers; the oracle of the checker's determinant modulo primes
+    (`certificates._abs_det_is`)."""
+    A = [list(map(int, row)) for row in M]
+    n = len(A)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
 def preimage_lattice_reference(M, tgt: FGAbelian) -> list[list[int]]:
     """Generators, as columns, of {x : M x lies in the relation lattice of
     the group tgt} over Z: the first n coordinates of the integer kernel of

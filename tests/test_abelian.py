@@ -24,8 +24,9 @@ import perfchain
 from perfchain.abelian import _l_part, _preimage, integer_kernel_columns, mat_mul
 from perfchain.errors import LimitError, NotAnLGroupError
 from perfchain.groups import MAX_PRIME
-from perfchain.certificates import _check_snf_witness, _int_det
+from perfchain.certificates import _check_snf_witness
 
+from conftest import int_det_reference as _int_det
 from conftest import invariant_factors, preimage_lattice_reference, smith_normal_form_reference
 
 

@@ -1,8 +1,10 @@
-"""The Smith-form check modulo primes against the exact product over Z."""
+"""The Smith-form check modulo primes against the exact product and the
+exact determinant over Z."""
 
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ import pytest
 from perfchain.abelian import smith_normal_form
 from perfchain.errors import LimitError
 from perfchain.certificates import (
+    _DET_ENTRIES,
+    _abs_det_is,
     _check_snf_witness,
     _is_claimed_diagonal,
     _mod,
@@ -17,7 +21,7 @@ from perfchain.certificates import (
     _window_primes,
 )
 
-from conftest import snf_diagonal_reference
+from conftest import int_det_reference, snf_diagonal_reference
 
 
 @functools.cache
@@ -165,3 +169,92 @@ def test_floor_reduction_is_exact_on_its_range(p):
           -(-bottom // p) * p, -(-bottom // p) * p + 1]
     got = _mod(np.array(xs, dtype=np.float64), np.float64(p))
     assert got.tolist() == [x % p for x in xs]
+
+
+def determinant_zoo(rng):
+    """Square integer matrices: 0 x 0; 1 x 1; dense ones of entries up to
+    9, at +-2^63 and 10^30, and of 70 bits; singular over Z; singular
+    modulo the first window prime q alone; ones where only modulo q the
+    elimination must swap rows (a leading entry q); and each with its
+    first two rows swapped, which negates the determinant."""
+    q = _window_primes(21, 1)[0]        # used at every n below 2048
+    small = lambda: rng.randint(-9, 9)
+    big = lambda: rng.choice([-1, 1]) * rng.choice([2**63, 2**63 - 1, 10**30,
+                                                     rng.getrandbits(70)])
+    mats = [[], [[0]], [[7]], [[-2**63]], [[10**30]], [[0, 1], [1, 0]]]
+    for n in (2, 3, 5, 8):
+        mats += [[[f() for _ in range(n)] for _ in range(n)] for f in (small, big)]
+    for n, f in ((4, small), (5, big)):
+        M = [[f() for _ in range(n)] for _ in range(n - 1)]
+        mats.append(M + [[a - 2 * b for a, b in zip(M[0], M[1])]])
+    R = [[2, 1, 0, 0], [1, 3, 1, 0], [0, 1, 4, 1], [0, 0, 1, 5]]
+    mats.append([[q * x for x in R[0]], *R[1:]])
+    mats.append([[q, 1, 0], [1, 0, 0], [0, 0, q]])
+    for n in (2, 6):
+        M = [[small() or 1 for _ in range(n)] for _ in range(n)]
+        M[0][0] = q
+        mats.append(M)
+    for M in mats:
+        yield M
+        if len(M) >= 2:
+            yield [M[1], M[0], *M[2:]]
+
+
+def test_residue_determinant_matches_bareiss():
+    """|det A| = |t| decided modulo primes agrees with Bareiss over Z for
+    the targets d, -d, d +- 1, 2d and 0, d = det A, and for d plus the
+    product of the primes that the Hadamard bound alone would take, which
+    a bound without |t| would accept."""
+    rng = random.Random(2507)
+    seen = {True: 0, False: 0}
+    for A in determinant_zoo(rng):
+        d = int_det_reference(A)
+        n = len(A)
+        hadamard = math.isqrt(math.prod(sum(x * x for x in row) for row in A)) + 1
+        beyond = math.prod(_residue_primes(n, hadamard)) if n else 2
+        for t in (d, -d, d + 1, d - 1, 2 * d, 0, d + beyond):
+            expected = abs(d) == abs(t)
+            assert _abs_det_is(A, t) == expected, (A, t)
+            seen[expected] += 1
+    assert seen[True] > 40 and seen[False] > 100
+
+
+def traced_peak(f, *args) -> int:
+    """The most memory traced at once during f(*args), after one untraced
+    call has sieved the window primes."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_determinant_working_set():
+    """Verifying a 48 x 48 Smith certificate takes no more memory than its
+    product check alone: the determinant's stack of primes stays below it.
+    At n = 182, where one prime's n x n block passes _DET_ENTRIES, the
+    determinant holds a few blocks, not one per prime: a permuted
+    unimodular upper-triangular matrix takes 10 primes."""
+    rng = random.Random(48)
+    M = [[rng.randint(-9, 9) for _ in range(48)] for _ in range(48)]
+    s = smith_normal_form(M)
+    U, V, diag = [list(r) for r in s.U], [list(r) for r in s.V], list(s.diag)
+    product = traced_peak(_is_claimed_diagonal, M, U, V, diag)
+    assert traced_peak(_abs_det_is, M, math.prod(diag)) < product
+    assert traced_peak(_check_snf_witness, M, {"U": U, "V": V, "diag": diag}) <= product
+
+    n = 182
+    assert n * n > _DET_ENTRIES
+    A = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = rng.choice([-1, 1])
+        for j in rng.sample(range(i + 1, n), min(3, n - i - 1)):
+            row[j] = rng.choice([-1, 1])
+        A.append(row)
+    rng.shuffle(A)
+    hadamard = math.isqrt(math.prod(sum(x * x for x in row) for row in A)) + 1
+    assert len(_residue_primes(n, hadamard + 1)) == 10
+    assert traced_peak(_abs_det_is, A, -1) < 5 * 8 * n * n
