@@ -95,9 +95,7 @@ def _echelon(A, T, S) -> int:
     Each column is cleared in the pivot rows found so far by 2x2 Bezout
     column operations; a column that stays nonzero swaps a row up as the
     next pivot row.  Column operations are applied to the columns of T,
-    row swaps to the rows of S.  A pivot column is zero above its pivot
-    row, and so is the column being cleared when that row's turn comes,
-    so each operation on A starts at the pivot row; those on T are full.
+    row swaps to the rows of S.
     """
     m = len(A[0])
     r = 0
@@ -112,15 +110,14 @@ def _echelon(A, T, S) -> int:
             a = pk[k]
             q, rem = divmod(b, a)
             if not rem:
-                col[k:] = [y - q * x for x, y in zip(pk[k:], col[k:])]
+                A[j] = col = [y - q * x for x, y in zip(pk, col)]
                 T[j] = [y - q * x for x, y in zip(T[k], T[j])]
                 continue
             g, s, t = _xgcd(a, b)
             a //= g
             b //= g
-            xs, ys = pk[k:], col[k:]
-            pk[k:] = [s * x + t * y for x, y in zip(xs, ys)]
-            col[k:] = [a * y - b * x for x, y in zip(xs, ys)]
+            A[k] = [s * x + t * y for x, y in zip(pk, col)]
+            A[j] = col = [a * y - b * x for x, y in zip(pk, col)]
             tk, tj = T[k], T[j]
             T[k] = [s * x + t * y for x, y in zip(tk, tj)]
             T[j] = [a * y - b * x for x, y in zip(tk, tj)]
@@ -139,7 +136,7 @@ def _echelon(A, T, S) -> int:
                     c[r], c[p] = c[p], c[r]
                 S[r], S[p] = S[p], S[r]
             if col[r] < 0:
-                col[r:] = [-x for x in col[r:]]
+                A[r] = [-x for x in col]
                 T[r] = [-x for x in T[r]]
             r += 1
         elif first == r:
@@ -148,12 +145,11 @@ def _echelon(A, T, S) -> int:
         # (or the new pivot row alone): the rows above it, and the columns
         # their entries sit in, are as reduced as before
         for i in range(first, r):
-            ci, di, ti = A[i][i:], A[i][i], T[i]
+            ci, di, ti = A[i], A[i][i], T[i]
             for k in range(i):
-                ak = A[k]
-                q = ak[i] // di
+                q = A[k][i] // di
                 if q:
-                    ak[i:] = [x - q * y for x, y in zip(ak[i:], ci)]
+                    A[k] = [x - q * y for x, y in zip(A[k], ci)]
                     T[k] = [x - q * y for x, y in zip(T[k], ti)]
     return r
 
