@@ -333,10 +333,9 @@ def _snf_witness(M, cert: dict) -> dict:
 # n 2^(2b) <= 2^53.  Primes go through the products, and limbs are widened
 # to float64, about _PASS_ENTRIES entries at a time: widening every limb at
 # once read 2.6 MB more peak RSS than the exact product on the integer_snf
-# bench, passes of this size 0.8-1.0 MB.  The determinant holds at most
-# _DET_ENTRIES residues, 256 KB (one prime's block when that is larger),
-# formed a prime at a time and eliminated in place: on 48 x 48 certificates
-# its traced peak was 0.30 MB, the product check's 0.44-0.63 MB.
+# bench, passes of this size 0.8-1.0 MB.  The determinant's stacks of
+# _DET_ENTRIES residues peaked at 0.30 MB traced on 48 x 48 certificates,
+# under the product check's 0.44-0.63 MB.
 _RESIDUE_BITS = 21
 _PASS_ENTRIES = 1 << 13
 _DET_ENTRIES = 1 << 15
@@ -379,10 +378,10 @@ def _residue_primes(n: int, bound: int) -> list[int]:
     multiply past 2^((b-1) k) >= 2^bits(2 bound + 1).
 
     One window serves the products of `_is_claimed_diagonal` and the
-    elimination of `_det_mod` alike.  There an entry, before it is
-    reduced, is a residue less fewer than n products of residues, each
-    below p^2 < 2^(2b): an integer below n 2^(2b) <= 2^53 in magnitude,
-    exact in float64, so reduction can wait until the entry is used."""
+    elimination of `_det_mod` alike.  There an entry awaiting reduction is
+    a residue less fewer than n products of residues, each below p^2 <
+    2^(2b): an integer of magnitude below n 2^(2b) <= 2^53, so exact in
+    float64 and within `_mod`'s range however long reduction waits."""
     b = min(_RESIDUE_BITS, (53 - n.bit_length()) // 2)
     return _window_primes(b, -(-(2 * bound + 1).bit_length() // (b - 1)))
 
@@ -452,16 +451,12 @@ def _det_mod(B: np.ndarray, p: np.ndarray) -> list[int]:
     """det B[i] modulo p[i, 0] for each i, in [0, p), for a stack B of
     float64 square matrices with entries in [0, p); B is overwritten.
 
-    Gaussian elimination in Crout's order with reduction delayed: step k
-    forms column k from the diagonal down, and row k right of it, from the
-    entry in B less the k products of residues that the earlier steps owe
-    it, then reduces them.  Each product is below p^2, so every sum is an
-    integer in (-(n - 1) p^2, p), exact in float64 and within `_mod`'s
-    range when n p^2 <= 2^53; and no step writes more than one row and one
-    column, so the elimination needs no block beside B.
-    The pivot is the first entry of its column that is nonzero modulo that
-    prime, its row swapped up; a column with none makes the determinant 0
-    modulo that prime, and the multipliers below it 0.
+    Gaussian elimination in Crout's order: step k forms column k from the
+    diagonal down and row k right of it, each entry less the k products of
+    residues the earlier steps owe it, and only then reduces them (exact:
+    see `_residue_primes`); no other block is written.  The pivot is the
+    first entry of its column nonzero modulo that prime, its row swapped
+    up; a column with none makes the determinant 0 modulo that prime.
     """
     g, n, _ = B.shape
     moduli = p[:, 0].astype(np.int64).tolist()
@@ -492,10 +487,10 @@ def _abs_det_is(A, t: int) -> bool:
     isqrt(prod_i sum_j a_ij^2) + 1.  The primes' product P exceeds
     2 (H + |t|), so det A - s t, for a sign s, lies within P/2 of 0 and is
     0 exactly when det A = s t modulo every prime, with the one s for all
-    of them.  det A modulo each prime comes from `_det_mod` over a stack of
-    at most _DET_ENTRIES entries, or one prime's n x n block when that is
-    larger, whose residues are formed a prime at a time; so the working
-    set is bounded whatever the number of primes.
+    of them.  `_det_mod` takes the primes in stacks of at most
+    _DET_ENTRIES entries (one n x n block when that is larger), each
+    formed a prime at a time, so the working set does not grow with the
+    number of primes.
     """
     n = len(A)
     if not n:
