@@ -211,7 +211,7 @@ def test_residue_determinant_matches_bareiss():
         d = int_det_reference(A)
         n = len(A)
         hadamard = math.isqrt(math.prod(sum(x * x for x in row) for row in A)) + 1
-        beyond = math.prod(_residue_primes(n, hadamard)) if n else 2
+        beyond = math.prod(_residue_primes(n, hadamard))
         for t in (d, -d, d + 1, d - 1, 2 * d, 0, d + beyond):
             expected = abs(d) == abs(t)
             assert _abs_det_is(A, t) == expected, (A, t)
