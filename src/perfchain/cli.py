@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_cert_flags(p)
     p.set_defaults(func=cmd_tower_limit)
 
-    p = sub.add_parser("tower-perfect", help="perfectness of a tower limit")
+    p = sub.add_parser("tower-perfect", help="perfectness of the stable image at level 0, the image of the limit there")
     p.add_argument("file")
     p.add_argument("--horizon", type=int, required=True)
     add_cert_flags(p)

@@ -348,10 +348,12 @@ class GroupRingMatrix:
 
     Entry [i, j] is the coefficient of target basis vector e_i in the
     image of source basis vector e_j (column convention for left-module
-    maps).  `expand` gives the F_l matrix on coordinates (i, s) -> i*order+s.
+    maps).  `expand` builds the F_l matrix on coordinates (i, s) -> i*order+s
+    on every call; nothing is cached.
     """
 
-    __slots__ = ("group", "data", "_expanded")
+    __slots__ = ("group", "data")
+    _expanded = None  # read by the `groups.expand` hook of perfbench/tracing.py
 
     def __init__(self, group: GroupTable, data):
         data = np.asarray(data, dtype=np.int64) % group.prime_l
@@ -362,7 +364,6 @@ class GroupRingMatrix:
         data.flags.writeable = False
         self.group = group
         self.data = data
-        self._expanded = None
 
     @property
     def rows(self) -> int:
@@ -384,14 +385,12 @@ class GroupRingMatrix:
 
     def expand(self) -> np.ndarray:
         """The (rows*order) x (cols*order) matrix over F_l of this map."""
-        if self._expanded is None:
-            o, m, n = self.group.order, self.rows, self.cols
-            # E[(i, k), (j, s)] = data[i, j, ldiv[s, k]]: one take through C-ordered idx
-            idx = np.add(self.group.ldiv.T[:, None], o * np.arange(n)[:, None], order="C")
-            E = np.take(self.data.reshape(m, n * o), idx, axis=1).reshape(m * o, n * o)
-            E.flags.writeable = False
-            self._expanded = E
-        return self._expanded
+        o, m, n = self.group.order, self.rows, self.cols
+        # E[(i, k), (j, s)] = data[i, j, ldiv[s, k]]: one take through C-ordered idx
+        idx = np.add(self.group.ldiv.T[:, None], o * np.arange(n)[:, None], order="C")
+        E = np.take(self.data.reshape(m, n * o), idx, axis=1).reshape(m * o, n * o)
+        E.flags.writeable = False
+        return E
 
     def augmentation_matrix(self) -> np.ndarray:
         return self.data.sum(axis=2) % self.group.prime_l

@@ -1,8 +1,10 @@
 """Inverse systems of chain complexes indexed by the naturals.
 
 Every level has finite total dimension, so images of the bonding maps
-into a fixed level can only shrink and must eventually stabilize; the
-limit is realized as the stable-image subcomplex at level 0.
+into a fixed level can only shrink and must eventually stabilize.  What
+is computed is the stable image S_0 at level 0, the image of the limit
+there.  It equals the inverse limit only when the bonds carry the stable
+images S_(n+1) -> S_n isomorphically, and nothing here checks that.
 Non-stabilization within the supplied prefix is reported as an error,
 never extrapolated.
 
@@ -18,8 +20,9 @@ M = B A^-1 M[pr, :].  The limit is then a `ChainComplex`, and no array of
 |pi|-fold size is built.  Any other limit is read off canonical bases of
 the expanded images (`limit_complex`), not solved for or re-checked: a
 canonical basis V is the identity at its pivot rows, so B in col(V) has
-coordinates B at those rows; and bonds are equivariant chain maps, so the
-stable images form a pi-invariant subcomplex by construction.
+coordinates B at those rows, and each generator of the free level, a
+permutation, is gathered at those rows; and bonds are equivariant chain
+maps, so the stable images form a pi-invariant subcomplex by construction.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .chains import ChainComplex, ModuleComplex
 from .errors import DimensionMismatchError, GroupMismatchError, HorizonExhaustedError
 from .finiteness import PerfectnessVerdict, decide_perfect
 from .groups import GroupRingMatrix, ga_compose, ga_inverse, grm_compose
-from .modules import PiModule
+from .modules import PiModule, regular_module
 
 
 class Tower:
@@ -100,7 +103,7 @@ def stable_images(T: Tower, q: int, n: int, h: int, composites=None) -> StableIm
     im(M_k) = M_{k-1}(im B_{k-1}) lies in im(M_{k-1}).  So two of them are
     equal exactly when their dimensions are, and only the last one is
     put in canonical form.  `composites`, when given, are M_1, ..., M_h;
-    the list is consumed, so each expansion is dropped once it is read.
+    the list is consumed, so each composite is dropped once it is read.
     """
     if n < 0 or h < 0 or n + h >= len(T.levels):
         raise HorizonExhaustedError(
@@ -124,20 +127,22 @@ def stable_images(T: Tower, q: int, n: int, h: int, composites=None) -> StableIm
 
 
 def limit_complex(T: Tower, horizon: int, composites=None) -> ModuleComplex:
-    """The levelwise inverse limit, realized as the stable-image
-    subcomplex at level 0.
+    """The stable image S_0 at level 0, the image of the limit there, as a
+    subcomplex of level 0 (see the module docstring for when it is the
+    inverse limit).
 
     Requires the images to have stabilized at every degree within the
     horizon; otherwise HorizonExhaustedError is raised.  A canonical basis
-    V is I at its pivot rows `rows`, so a generator acts by (rho V)[rows]
-    and d_q is d_q[rows_{q-1}] V.  The images, a pi-invariant subcomplex by
-    construction, are not checked again; certificate checkers recompute them.
-    `composites` maps a degree to the composite bonds already built for it
-    (see `free_limit`); each is used once and dropped.
+    V is I at its pivot rows `rows`.  A level is free, so each generator
+    is a permutation rho of its basis and acts by V[rho[rows]]; d_q is
+    d_q[rows_{q-1}] V, with d_q expanded at degree q alone.  The images, a
+    pi-invariant subcomplex by construction, are not checked again;
+    certificate checkers recompute them.  `composites` maps a degree to the
+    composite bonds already built for it (see `free_limit`); each is used
+    once and dropped.
     """
     G = T.group
     base = T.levels[0]
-    E = base.expanded()
     composites = {} if composites is None else composites
     mods, diffs = [], []
     rows = None
@@ -149,17 +154,17 @@ def limit_complex(T: Tower, horizon: int, composites=None) -> ModuleComplex:
             )
         V = si.value
         if rows is not None:
-            diffs.append(flinalg.matmul(E.diff_at(q)[rows], V, G.prime_l))
+            diffs.append(flinalg.matmul(base.diff_at(q)[rows], V, G.prime_l))
         # argmax refuses a 0 x 0 basis, which has no rows to read anyway
         rows = (V != 0).argmax(axis=0) if V.size else []
-        M = E.module_at(q)
-        mods.append(PiModule(G, V.shape[1], [M.act(i, V)[rows] for i in range(len(M.gens))]))
+        gens = regular_module(G, base.rank_at(q)).gens
+        mods.append(PiModule(G, V.shape[1], [V[rho[rows]] for rho in gens]))
     return ModuleComplex(G, base.bottom, mods, diffs)
 
 
 @dataclass
 class FreeLimit:
-    """A levelwise-free tower limit on group-ring data.
+    """A levelwise-free stable image at level 0 on group-ring data.
 
     At degree q the stable image is free on `bases[q]`, the columns
     B_q = M[:, pc_q] of the composite bond M at the horizon;
@@ -197,8 +202,8 @@ def _free_image(prev: GroupRingMatrix, M: GroupRingMatrix):
 
 
 def free_limit(T: Tower, horizon: int, composites=None) -> FreeLimit | None:
-    """The limit at level 0 when every degree's image at the horizon is
-    free and equal to the image at horizon - 1, else None.
+    """The stable image at level 0 when every degree's image at the
+    horizon is free and equal to the image at horizon - 1, else None.
 
     Each degree is accepted by `_free_image` on the composite bonds M_h
     and M_{h-1} (the identity for h = 1), and the first degree refused
@@ -228,7 +233,7 @@ def free_limit(T: Tower, horizon: int, composites=None) -> FreeLimit | None:
 
 
 def decided_limit(T: Tower, horizon: int):
-    """The limit `pro_decide_perfect` decides: the FreeLimit when
+    """The stable image `pro_decide_perfect` decides: the FreeLimit when
     `free_limit` accepts every degree, else `limit_complex`, which takes
     over the composites the free route built."""
     composites = {}
@@ -237,7 +242,8 @@ def decided_limit(T: Tower, horizon: int):
 
 
 def pro_decide_perfect(T: Tower, horizon: int) -> PerfectnessVerdict:
-    """Perfectness of the tower limit: by `minimalize` on a free limit,
-    and otherwise by Wall's construction on the expanded one."""
+    """Perfectness of the stable image at level 0 (see `limit_complex`):
+    by `minimalize` when it is free, and otherwise by Wall's construction
+    on the expanded one."""
     lim = decided_limit(T, horizon)
     return decide_perfect(lim.complex if isinstance(lim, FreeLimit) else lim)

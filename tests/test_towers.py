@@ -348,6 +348,22 @@ def test_pro_decide_trivial_limit_is_not_perfect():
         assert not is_free(v.top_obstruction)[0]
 
 
+def test_stable_image_at_level_zero_is_decided_without_a_transition_check():
+    """On the C2 norm tower the stable image S_1 is free of dim 2 and the
+    norm carries it onto S_0, the trivial line of dim 1.  The decision
+    reads the stable image at level 0 and checks no transition from S_1
+    to S_0: the tower from level 1 is decided perfect, the whole tower not
+    perfect, and neither is refused with HorizonExhaustedError."""
+    T = norm_tower(SMALL_GROUPS["C2"])
+    upper = Tower(T.levels[1:], T.bonds[1:])
+    assert stable_images(T, 0, 1, 2).dims[-1] == 2
+    assert stable_images(T, 0, 0, 2).dims[-1] == 1
+    assert [m.dim for m in limit_complex(upper, 2).modules] == [2]
+    assert [m.dim for m in limit_complex(T, 2).modules] == [1]
+    assert pro_decide_perfect(upper, 2).perfect
+    assert not pro_decide_perfect(T, 2).perfect
+
+
 def test_pro_decide_tower_limiting_to_lens():
     G = SMALL_GROUPS["C2"]
     C = lens_like(G, 2)
@@ -469,17 +485,22 @@ def test_limit_complex_puts_one_image_per_degree_in_canonical_form(rng, monkeypa
         assert len(calls) == base.top - base.bottom + 1, name
 
 
-def test_module_path_at_scale_stays_within_memory():
+def scale_tower():
     """A scrambled C4^3 complex of level ranks [1, 6, 7, 5, 2, 4, 2] (total
-    F_2 dimension 1728) as a constant 3-level tower: the limit, Wall's
-    approximation and the witness check decide it perfect with the core's
-    ranks, with a traced peak below 48 MB."""
+    F_2 dimension 1728) as a constant 3-level tower, and its core."""
     G = build_group("product:cyclic:4,cyclic:4,cyclic:4", 2)
     rng = random.Random(5)
     core = random_minimal_complex(G, rng, 4, 3)
     C = conjugate_complex(pad_with_identity_cones(core, rng, 6), rng)
     assert C.ranks == [1, 6, 7, 5, 2, 4, 2]
-    T = constant_tower(C, 3)
+    return constant_tower(C, 3), core
+
+
+def test_module_path_at_scale_stays_within_memory():
+    """On the scale tower, the limit, Wall's approximation and the witness
+    check decide it perfect with the core's ranks, with a traced peak
+    below 32 MB."""
+    T, core = scale_tower()
     tracemalloc.start()
     try:
         v = decide_perfect(limit_complex(T, 2))
@@ -489,4 +510,20 @@ def test_module_path_at_scale_stays_within_memory():
         tracemalloc.stop()
     assert v.perfect and witnessed
     assert v.replacement.ranks == core.ranks == [3, 3, 3] and v.euler_class == 3
-    assert peak < 48_000_000
+    assert peak < 32_000_000
+
+
+def test_limit_complex_keeps_no_expansion():
+    """While the scale tower lives on, the memory still traced after
+    `limit_complex` returns is the limit's own arrays (its differentials
+    and generators) within 1 MB: no expansion of a bond or a differential
+    outlives its reader."""
+    T, _ = scale_tower()
+    tracemalloc.start()
+    try:
+        lim = limit_complex(T, 2)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    own = sum(d.nbytes for d in lim.diffs) + sum(g.nbytes for m in lim.modules for g in m.gens)
+    assert own <= current <= own + 1_000_000, (current, own)
