@@ -403,12 +403,13 @@ def _mod(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 class _Limbs:
-    """The entries of an integer matrix, each at most top in magnitude, as
-    16-bit two's-complement limbs, least significant first: an entry is
+    """The entries of an integer matrix, each at most `top` in magnitude,
+    as 16-bit two's-complement limbs, least significant first: an entry is
     sum_j limb_j 2^(16 j) with the top (sign) limb read signed.  Stored one
     row per limb, so that a pass widens contiguous rows."""
 
-    def __init__(self, A, top: int):
+    def __init__(self, A):
+        self.top = top = max(map(abs, chain.from_iterable(A)), default=0)
         self.count = (top.bit_length() + 16) // 16      # the sign bit included
         if self.count >= 1 << 16:
             raise LimitError("certificate entry too long to check")
@@ -438,13 +439,19 @@ class _Limbs:
         return _mod(out, p)
 
 
-def _weights(primes: np.ndarray, count: int) -> np.ndarray:
-    """weights[:, j] = 2^(16 j) mod p for each prime p and limb j < count,
-    as `_Limbs.residues` takes them; 2^16 times a residue is below 2^37."""
-    weights = np.ones((len(primes), count))
-    for j in range(1, count):
+def _residue_passes(limbs: list, n: int, bound: int, entries: int):
+    """Yield (p, residues) over the primes of `_residue_primes(n, bound)`,
+    max(1, entries // (n n)) primes a pass: p holds the pass's primes as a
+    float64 column, and residues[i] the entries of limbs[i] modulo each of
+    them, one row per prime."""
+    primes = np.array(_residue_primes(n, bound), dtype=np.float64)
+    weights = np.ones((len(primes), max(x.count for x in limbs)))
+    for j in range(1, weights.shape[1]):    # 2^16 times a residue is below 2^37
         weights[:, j] = _mod(weights[:, j - 1] * 65536, primes)
-    return weights
+    step = max(1, entries // (n * n))
+    for s in range(0, len(primes), step):
+        p, w = primes[s:s + step, None], weights[s:s + step]
+        yield p, [x.residues(w, p) for x in limbs]
 
 
 def _det_mod(B: np.ndarray, p: np.ndarray) -> list[int]:
@@ -489,27 +496,19 @@ def _abs_det_is(A, t: int) -> bool:
     0 exactly when det A = s t modulo every prime, with the one s for all
     of them.  `_det_mod` takes the primes in stacks of at most
     _DET_ENTRIES entries (one n x n block when that is larger), each
-    formed a prime at a time, so the working set does not grow with the
-    number of primes.
+    formed by one `_residue_passes` pass, so the working set does not grow
+    with the number of primes.
     """
     n = len(A)
     if not n:
         return abs(t) == 1
     bound = math.isqrt(math.prod(sum(x * x for x in row) for row in A)) + 1 + abs(t)
-    moduli = _residue_primes(n, bound)
-    primes = np.array(moduli, dtype=np.float64)
-    limbs = _Limbs(A, max(map(abs, chain.from_iterable(A))))
-    weights = _weights(primes, limbs.count)
-    step = max(1, _DET_ENTRIES // (n * n))
     plus = minus = True
-    for s in range(0, len(primes), step):
-        p = primes[s:s + step, None]
-        B = np.empty((len(p), n, n))
-        for i in range(len(p)):
-            B[i] = limbs.residues(weights[s + i:s + i + 1], p[i:i + 1]).reshape(n, n)
-        det = _det_mod(B, p)
-        plus = plus and det == [t % m for m in moduli[s:s + step]]
-        minus = minus and det == [-t % m for m in moduli[s:s + step]]
+    for p, (residues,) in _residue_passes([_Limbs(A)], n, bound, _DET_ENTRIES):
+        moduli = p[:, 0].astype(np.int64).tolist()
+        det = _det_mod(residues.reshape(-1, n, n), p)
+        plus = plus and det == [t % m for m in moduli]
+        minus = minus and det == [-t % m for m in moduli]
         if not (plus or minus):
             return False
     return True
@@ -530,24 +529,15 @@ def _is_claimed_diagonal(M, U, V, diag) -> bool:
     cols = len(M[0]) if rows else 0
     if not (rows and cols):
         return True                             # U M V is empty
-    mats = (U, M, V, [diag])
-    top = [max(map(abs, chain.from_iterable(A)), default=0) for A in mats]
-    limbs = [_Limbs(A, t) for A, t in zip(mats, top)]
+    limbs = [_Limbs(A) for A in (U, M, V, [diag])]
     LU, LM, LV, Ld = limbs
-    bound = max(rows * cols * top[0] * top[1] * top[2], top[3])
-    n = max(rows, cols)
-    primes = np.array(_residue_primes(n, bound), dtype=np.float64)
-    weights = _weights(primes, max(x.count for x in limbs))
-    step = max(1, _PASS_ENTRIES // (n * n))
+    bound = max(rows * cols * LU.top * LM.top * LV.top, Ld.top)
     k = len(diag)
-    for s in range(0, len(primes), step):
-        p = primes[s:s + step, None]
-        w = weights[s:s + step]
+    for p, (u, m, v, d) in _residue_passes(limbs, max(rows, cols), bound, _PASS_ENTRIES):
         P = p[:, :, None]
-        D = _mod(LU.residues(w, p).reshape(-1, rows, rows)
-                 @ LM.residues(w, p).reshape(-1, rows, cols), P)
-        D = _mod(D @ LV.residues(w, p).reshape(-1, cols, cols), P)
-        D[:, range(k), range(k)] -= Ld.residues(w, p)       # both in [0, p)
+        D = _mod(u.reshape(-1, rows, rows) @ m.reshape(-1, rows, cols), P)
+        D = _mod(D @ v.reshape(-1, cols, cols), P)
+        D[:, range(k), range(k)] -= d               # both in [0, p)
         if D.any():
             return False
     return True
