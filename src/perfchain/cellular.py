@@ -39,10 +39,6 @@ class EquivariantCellComplex:
         self.orbit_counts = orbit_counts
         self.boundaries = boundaries
 
-    @property
-    def dimension(self) -> int:
-        return len(self.orbit_counts) - 1
-
     def __repr__(self):
         return (f"EquivariantCellComplex(orbits={self.orbit_counts} "
                 f"over {self.group.descriptor})")

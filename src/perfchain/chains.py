@@ -393,10 +393,6 @@ class ChainMap:
                         lambda second, first: ga_compose(second, first, G))
         return self
 
-    def expanded(self) -> ModuleComplexMap:
-        comps = {q: m.expand() for q, m in self.components.items()}
-        return ModuleComplexMap(self.source.expanded(), self.target.expanded(), comps)
-
     def __repr__(self):
         return f"ChainMap({self.source!r} -> {self.target!r})"
 

@@ -10,8 +10,8 @@ are the first nonzero entry in column order, scanning top down.
 One Gaussian elimination loop serves every kernel; the only choice is
 which rows a pivot clears.  `pivot_columns` clears the rows below it,
 and `rank`, `complete_basis` and `QuotientSpace` read only the pivots
-that forward elimination finds; `rref` clears every other row, for the
-three kernels that read the reduced form, `kernel_basis`,
+that forward elimination finds; the reduced form (`rref`) clears every
+other row, for the three kernels that read it, `kernel_basis`,
 `solve_matrix` and `canonical_columns`.  Products go through `matmul`.
 """
 
@@ -165,9 +165,10 @@ def kernel_basis(A, l: int) -> np.ndarray:
 
 def canonical_columns(A, l: int) -> np.ndarray:
     """Canonical basis of the column space: two matrices span the same
-    subspace iff their canonical forms are equal arrays."""
-    R, pivots = rref(A.T, l)
-    return R[: len(pivots)].T.copy()
+    subspace iff their canonical forms are equal arrays.  Only the pivot
+    rows of the echelon form are widened to int64."""
+    R, pivots = _eliminate(A.T, l, reduced=True)
+    return R[: len(pivots)].T.astype(np.int64, order="C")
 
 
 def solve_matrix(A, B, l: int):

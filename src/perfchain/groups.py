@@ -1,6 +1,7 @@
 """Exact arithmetic in F_l[pi] for a finite l-group pi.
 
-Groups are explicit multiplication tables over element indices 0..order-1.
+Groups are given by explicit multiplication tables over element indices
+0..order-1, and a GroupTable keeps one |pi|^2 table, its left divisions.
 A group-ring value is (rows, cols, order) data, each entry a coefficient
 vector in the table's element order, and an element of F_l[pi] is 1 x 1
 data; that order is the global coordinate convention for every module
@@ -38,10 +39,11 @@ MAX_PRIME = 1 << 20
 # bound, are refused before anything is allocated for them.
 MAX_FREE_DIM = 1 << 14
 
-# Building a GroupTable holds four |pi|^2 int64 arrays at once (mult,
-# ldiv, rdiv and the transposed copy rdiv is made from), so an order whose
-# four arrays pass this many bytes is refused before any is allocated:
-# order 8192 needs 2 GiB, order 16384 8 GiB.
+# Building a GroupTable holds at most three |pi|^2 int64 arrays at once
+# (mult and the two rearrangements of it in Light's test), and one, ldiv,
+# stays; an order whose four such arrays would pass this many bytes is
+# refused before any is allocated: order 8192 needs 2 GiB, order 16384
+# 8 GiB.
 MAX_TABLE_BYTES = 1 << 32
 
 
@@ -74,15 +76,16 @@ def _is_power_of(n: int, p: int) -> bool:
 class GroupTable:
     """A finite l-group given by its full multiplication table.
 
-    mult[a, b] is the index of the product.  `generators` is a
-    deterministic generating set S (greedy in index order, so
-    |S| <= log_l |pi|; empty for the trivial group).  Associativity is
-    checked by Light's test on S, in O(|pi|^2 |S|).
-
-    The division tables drive `ga_compose` and `GroupRingMatrix.expand`:
-    ldiv[s, t] is the index of g_s^-1 g_t and rdiv[h, t] that of
-    g_t g_h^-1.  Like mult they are read-only, |pi|^2 int64 each (4.25 MB
-    at order 729); inv, read-only too, holds |pi| entries.
+    The table is checked (identity, two-sided inverses, associativity by
+    Light's test on S, in O(|pi|^2 |S|), and an order that is a power of
+    l) and then kept only as its left divisions: ldiv[s, t] is the index
+    of g_s^-1 g_t, which drives `ga_compose` and `GroupRingMatrix.expand`.
+    Nothing is lost: inv = ldiv[:, identity] and the product table is
+    ldiv[inv], since ldiv[inv[a], b] is the index of g_a g_b.  `generators`
+    is a deterministic generating set S (greedy in index order, so
+    |S| <= log_l |pi|; empty for the trivial group).  ldiv is read-only,
+    |pi|^2 int64 (4.25 MB at order 729); inv, read-only too, holds |pi|
+    entries.
     """
 
     def __init__(self, mult, identity: int, prime_l: int, descriptor: str | None = None):
@@ -119,28 +122,26 @@ class GroupTable:
         self.order = order
         self.identity = int(identity)
         self.prime_l = int(prime_l)
-        self.mult = mult
         self.inv = inv
         self.generators = generators
         self.ldiv = mult[inv, :]
-        # contiguous, so `np.take` reads it without a copy
-        self.rdiv = np.ascontiguousarray(mult[:, inv].T)
         self.descriptor = descriptor or table_descriptor(mult, identity)
-        for arr in (self.mult, self.inv, self.ldiv, self.rdiv):
+        for arr in (self.inv, self.ldiv):
             arr.flags.writeable = False
 
     def __eq__(self, other):
         # `build_group` hands out one table per descriptor, so most
-        # comparisons are of a table with itself
+        # comparisons are of a table with itself; equal ldiv and identity
+        # mean equal inv = ldiv[:, identity] and product tables ldiv[inv]
         return self is other or (
             isinstance(other, GroupTable)
             and self.prime_l == other.prime_l
             and self.identity == other.identity
-            and np.array_equal(self.mult, other.mult)
+            and np.array_equal(self.ldiv, other.ldiv)
         )
 
     def __hash__(self):
-        return hash((self.prime_l, self.identity, self.mult.tobytes()))
+        return hash((self.prime_l, self.identity, self.ldiv.tobytes()))
 
     def __repr__(self):
         return f"GroupTable({self.descriptor!r}, l={self.prime_l})"
@@ -196,7 +197,7 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     oh = h.order
     a = np.arange(g.order * h.order)
     a1, a2 = a // oh, a % oh
-    mult = g.mult[np.ix_(a1, a1)] * oh + h.mult[np.ix_(a2, a2)]
+    mult = g.ldiv[g.inv][np.ix_(a1, a1)] * oh + h.ldiv[h.inv][np.ix_(a2, a2)]
     desc = None
     parts = []
     for f in (g, h):
@@ -276,30 +277,34 @@ def ga_compose(second: np.ndarray, first: np.ndarray, G: GroupTable) -> np.ndarr
     """Group-ring data of the composite map (second after first), from
     (k, i, order) and (i, j, order) data.  An entry a is the map x -> x a
     (see GroupRingMatrix), so (second o first)[k, j] = sum_i first[i, j] *
-    second[k, i], where (a * b)[t] = sum_g a[g] b[g^-1 t] = sum_h a[t h^-1] b[h].
+    second[k, i], where (a * b)[t] = sum_g a[g] b[g^-1 t].
 
     The operand with fewer entries is gathered to the size of its
-    expansion, in one `np.take` that lays it out as the product reads it:
-    `second` through G.ldiv by the first sum when k <= j, else `first`
-    through G.rdiv by the second, and the (j, k, order) product transposed.
+    expansion, in one `np.take` through G.ldiv that lays it out as the
+    product reads it.  When k <= j that is `second`, by the sum above.
+    Otherwise it is `first`, through the anti-involution a*[g] = a[g^-1],
+    for which (a * b)* = b* * a* (Passman, The Algebraic Structure of
+    Group Rings, 1977): the product sums second*[k, i] * first*[i, j] with
+    first* gathered, and its star, transposed, is the composite.  Each
+    star is one |pi|-sized `np.take` through G.inv.
     An empty operand gathers nothing: the product is zeros at once."""
     k, i, o = second.shape
     j = first.shape[1]
     if not (k and i and j):
         return np.zeros((k, j, o), dtype=np.int64)
     if k <= j:
-        lhs = first.transpose(1, 0, 2).reshape(j, i * o)  # [j, (i, g)]
-        small, table = second, G.ldiv                     # [k, (i, g), t]
+        lhs = first.transpose(1, 0, 2).reshape(j, i * o)          # [j, (i, g)]
+        small = second                                            # [k, (i, g), t]
     else:
-        lhs = second.reshape(k, i * o)                    # [k, (i, h)]
-        small, table = first.transpose(1, 0, 2), G.rdiv   # [j, (i, h), t]
+        lhs = np.take(second, G.inv, axis=2).reshape(k, i * o)    # second* [k, (i, g)]
+        small = np.take(first, G.inv, axis=2).transpose(1, 0, 2)  # first* [j, (i, g), t]
     m = small.shape[0]
     # converted before the gather, so the large operand is built only once,
     # and the product is taken in the same dtype
     dtype = flinalg.product_dtype(lhs.shape, (m, i * o, o), G.prime_l)
-    gathered = np.take(small.astype(dtype, copy=False), table, axis=2).reshape(m, i * o, o)
+    gathered = np.take(small.astype(dtype, copy=False), G.ldiv, axis=2).reshape(m, i * o, o)
     product = flinalg._matmul_in(lhs, gathered, dtype, G.prime_l)
-    return product if k <= j else product.transpose(1, 0, 2)
+    return product if k <= j else np.take(product, G.inv, axis=2).transpose(1, 0, 2)
 
 
 def ga_inverse(a: np.ndarray, G: GroupTable) -> np.ndarray:
@@ -308,11 +313,11 @@ def ga_inverse(a: np.ndarray, G: GroupTable) -> np.ndarray:
     of F_l[pi] is 1 x 1 data, and a unit exactly when its augmentation is
     nonzero: F_l[pi] is local, its radical the augmentation ideal.
 
-    Newton's iteration X <- X + X r, r = I - a X, from the lift of the
+    Newton's iteration X <- X + r X, r = I - X a, from the lift of the
     augmentation's inverse: the first residual is a coefficientwise
     product, and each step squares it (r <- r r), so it vanishes once
     2^steps reaches the radical's nilpotency index, which is at most |pi|.
-    X r and r r are one product of [X; r] by r, which gathers r once.
+    r X and r r are one product of r by [X r], which gathers r once.
     The augmentation's inverse is eps^(l-2) (Fermat) for an element and
     solved over F_l for a k x k block.
     """
@@ -327,15 +332,15 @@ def ga_inverse(a: np.ndarray, G: GroupTable) -> np.ndarray:
         raise NotAUnitError("augmentation is not invertible")
     X = np.zeros(a.shape, dtype=np.int64)
     X[..., G.identity] = eps_inv
-    residual = -np.einsum("kig,ij->kjg", a, eps_inv)
+    residual = -np.einsum("ki,ijg->kjg", eps_inv, a)
     residual[..., G.identity] += flinalg.identity(k)
     residual %= l
     for _ in range(G.order.bit_length() + 1):
         if not residual.any():
             return X
-        step = ga_compose(np.concatenate([X, residual]), residual, G)
-        X = (X + step[:k]) % l
-        residual = step[k:]
+        step = ga_compose(residual, np.concatenate([X, residual], axis=1), G)
+        X = (X + step[:, :k]) % l
+        residual = step[:, k:]
     raise AssertionError("Newton's iteration failed to converge")
 
 

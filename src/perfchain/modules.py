@@ -111,7 +111,7 @@ def orbit(M: PiModule, V) -> list[np.ndarray]:
     queue = [G.identity]
     for g in queue:
         for i, s in enumerate(G.generators):
-            sg = int(G.mult[s, g])
+            sg = int(G.ldiv[G.inv[s], g])
             if out[sg] is None:
                 out[sg] = M.act(i, out[g])
                 queue.append(sg)

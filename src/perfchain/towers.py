@@ -62,9 +62,6 @@ class Tower:
         self.bonds = bonds
         self.group = G
 
-    def __len__(self):
-        return len(self.levels)
-
 
 @dataclass
 class StableImages:

@@ -14,6 +14,7 @@ from perfchain import (
     GroupRingMatrix,
     GroupTable,
     ModuleComplex,
+    ModuleComplexMap,
     Tower,
     build_group,
     cyclic_group,
@@ -355,7 +356,7 @@ def closure_brute(G: GroupTable, gens) -> set[int]:
     while frontier:
         g = frontier.pop()
         for s in gens:
-            gs = int(G.mult[g, s])
+            gs = int(G.ldiv[G.inv[g], s])
             if gs not in reached:
                 reached.add(gs)
                 frontier.append(gs)
@@ -369,7 +370,7 @@ def action_is_homomorphism_brute(M) -> bool:
     action = module_action(M)
     if not np.array_equal(action[G.identity], np.eye(M.dim, dtype=np.int64)):
         return False
-    return all(np.array_equal((action[g] @ action[h]) % l, action[G.mult[g, h]])
+    return all(np.array_equal((action[g] @ action[h]) % l, action[G.ldiv[G.inv[g], h]])
                for g in range(G.order) for h in range(G.order))
 
 
@@ -394,7 +395,7 @@ def check_action(M: PiModule) -> PiModule:
     G = M.group
     stacked = np.stack(orbit(M, flinalg.identity(M.dim)))
     for i, s in enumerate(G.generators):
-        if not np.array_equal(right_act(M, i, stacked), stacked[G.mult[:, s]]):
+        if not np.array_equal(right_act(M, i, stacked), stacked[G.ldiv[G.inv, s]]):
             raise DimensionMismatchError("action is not a homomorphism")
     return M
 
@@ -472,7 +473,7 @@ def regular_action_matrices(G: GroupTable, rank: int) -> list[np.ndarray]:
     mats = []
     for g in range(o):
         P = np.zeros((o, o), dtype=np.int64)
-        P[G.mult[g], np.arange(o)] = 1
+        P[G.ldiv[G.inv[g]], np.arange(o)] = 1
         if rank == 1:
             mats.append(P)
         else:
@@ -781,7 +782,7 @@ def ga_mul_reference(a, b, G: GroupTable) -> np.ndarray:
     """Coefficients of a * b by the multiplication table: the coefficient
     a[g] b[h] is added at g h."""
     out = np.zeros(G.order, dtype=np.int64)
-    np.add.at(out, G.mult.ravel(), np.outer(a, b).ravel())
+    np.add.at(out, G.ldiv[G.inv].ravel(), np.outer(a, b).ravel())
     return out % G.prime_l
 
 
@@ -1047,7 +1048,7 @@ def dense_action(G: GroupTable, dim: int, gens) -> list[np.ndarray]:
     queue = [G.identity]
     for g in queue:
         for s, rho in zip(G.generators, gens):
-            gs = int(G.mult[g, s])
+            gs = int(G.ldiv[G.inv[g], s])
             if gs not in out:
                 out[gs] = (out[g] @ np.asarray(rho, dtype=np.int64).reshape(dim, dim)) % l
                 queue.append(gs)
@@ -1436,6 +1437,13 @@ def minimalize_reference(C: ChainComplex):
     return minimal, ChainMap(minimal, C, comps)
 
 
+def expanded_map(f: ChainMap) -> ModuleComplexMap:
+    """The ChainMap f as a ModuleComplexMap between the expanded complexes,
+    each component its F_l matrix."""
+    comps = {q: m.expand() for q, m in f.components.items()}
+    return ModuleComplexMap(f.source.expanded(), f.target.expanded(), comps)
+
+
 def compose_chain_maps(second: ChainMap, first: ChainMap) -> ChainMap:
     """second o first, degree by degree on the group-ring data."""
     if first.target is not second.source and first.target != second.source:
@@ -1453,7 +1461,7 @@ def compose_chain_maps(second: ChainMap, first: ChainMap) -> ChainMap:
 def induced_map_on_homology(f, q: int) -> PiModuleMap:
     """H_q(f) for a ChainMap or ModuleComplexMap."""
     if isinstance(f, ChainMap):
-        f = f.expanded()
+        f = expanded_map(f)
     hs = f.source.homology_data(q)
     ht = f.target.homology_data(q)
     l = f.source.group.prime_l

@@ -90,8 +90,9 @@ def all_coefficient_vectors(l: int, order: int) -> np.ndarray:
 def left_mult_tables(G):
     """Index table RD with L_a[k, s] = a[RD[k, s]] (left multiplication)
     and its right-multiplication counterpart."""
-    rd = G.mult[:, G.inv].copy()      # RD[k, s] = k * s^-1
-    rr = G.mult[G.inv, :].T.copy()    # right mult: R_a[k, s] = a[s^-1 k]
+    mult = G.ldiv[G.inv]
+    rd = mult[:, G.inv].copy()        # RD[k, s] = k * s^-1
+    rr = mult[G.inv, :].T.copy()      # right mult: R_a[k, s] = a[s^-1 k]
     return rd, rr
 
 

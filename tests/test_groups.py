@@ -70,7 +70,7 @@ def all_elements(G):
 def test_build_cyclic2():
     G = build_group("cyclic:2", 2)
     assert G.order == 2
-    assert G.mult.tolist() == [[0, 1], [1, 0]]
+    assert G.ldiv[G.inv].tolist() == [[0, 1], [1, 0]]
 
 
 def test_build_rejects_non_l_group():
@@ -100,6 +100,22 @@ def test_order_is_bounded_by_its_table_bytes():
             groups._check_order(n)
 
 
+def test_a_group_table_keeps_one_table():
+    """A GroupTable keeps its left divisions and no other |pi|^2 array:
+    after cyclic_group(1024, 2) the memory still held is one 8 MB int64
+    table with 1 MB to spare, and neither a product table nor right
+    divisions are attributes."""
+    tracemalloc.start()
+    try:
+        G = cyclic_group(1024, 2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert G.ldiv.nbytes == 8 << 20
+    assert held <= (8 << 20) + (1 << 20), held
+    assert not hasattr(G, "mult") and not hasattr(G, "rdiv")
+
+
 def test_build_klein_four():
     G = build_group("product:cyclic:2,cyclic:2", 2)
     assert G.order == 4
@@ -107,7 +123,7 @@ def test_build_klein_four():
     for a in range(4):
         for b in range(4):
             expected = (((a // 2) ^ (b // 2)) * 2) + ((a % 2) ^ (b % 2))
-            assert G.mult[a, b] == expected
+            assert G.ldiv[G.inv][a, b] == expected
 
 
 def test_bad_tables_rejected():
@@ -151,14 +167,14 @@ def test_group_check_matches_brute_force_on_perturbed_tables():
     rng = random.Random(31)
     reasons = set()
     for name, G in two_group_zoo() + three_group_zoo():
-        assert is_group_brute(G.mult, G.identity), name
+        assert is_group_brute(G.ldiv[G.inv], G.identity), name
         others = [x for x in range(G.order) if x != G.identity]
         if len(others) < 2:
             continue
         for _ in range(4):
             a, b = rng.sample(others, 2)
             c = rng.choice(others)
-            mult = G.mult.copy()
+            mult = G.ldiv[G.inv]
             mult[[a, b], c] = mult[[b, a], c]
             try:
                 GroupTable(mult, G.identity, G.prime_l)
@@ -182,7 +198,7 @@ def test_ga_mul_examples():
 
 
 def test_ga_mul_matches_table_reference():
-    """The product of 1 x 1 data read through G.ldiv or G.rdiv equals the
+    """The product of 1 x 1 data read through G.ldiv equals the
     table scatter, on every zoo group and Heis27 (nonabelian, l = 3)."""
     rng = random.Random(17)
     for name, G in two_group_zoo() + [("Heis27", heisenberg_27())]:
@@ -199,13 +215,13 @@ def test_ga_compose_matches_the_one_sided_gather():
     """Gathering whichever operand is smaller gives the product that
     gathering `second` alone gives, for k < j, k = j and k > j and for
     empty shapes, on both zoos (nonabelian groups among them, such as
-    Heis27, where the side matters) and on entries all l - 1.  G.rdiv is
+    Heis27, where the side matters) and on entries all l - 1.  G.ldiv is
     read-only, as every table the product reads must be."""
     rng = np.random.default_rng(29)
     shapes = [(1, 1, 1), (2, 3, 5), (3, 2, 3), (5, 3, 2), (6, 1, 1), (1, 4, 7),
               (0, 2, 3), (3, 2, 0), (2, 0, 3), (3, 0, 2)]
     for name, G in two_group_zoo() + three_group_zoo():
-        assert not G.rdiv.flags.writeable, name
+        assert not G.ldiv.flags.writeable, name
         for k, i, j in shapes:
             second = rng.integers(0, G.prime_l, (k, i, G.order))
             first = rng.integers(0, G.prime_l, (i, j, G.order))
@@ -541,8 +557,8 @@ def test_group_equality_and_hash_keep_their_meaning(monkeypatch):
     assert a != cyclic_group(3, 3) and a != "cyclic:9"
     assert SMALL_GROUPS["D4"] != SMALL_GROUPS["Q8"]
     relabel = (np.arange(9) + 1) % 9                 # the same group, identity at 1
-    mult = np.empty_like(a.mult)
-    mult[np.ix_(relabel, relabel)] = relabel[a.mult]
+    mult = np.empty_like(a.ldiv)
+    mult[np.ix_(relabel, relabel)] = relabel[a.ldiv[a.inv]]
     assert GroupTable(mult, 1, 3) != a
 
     def no_table_reads(*args, **kwargs):
