@@ -64,7 +64,7 @@ def dumps(cert: dict) -> str:
 def loads(text: str) -> dict:
     try:
         cert = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:     # or nested too deep to read
         raise ParseError(f"bad certificate JSON: {e}")
     except ValueError as e:     # an integer past Python's digit limit
         raise LimitError(f"certificate integer too long: {e}") from None

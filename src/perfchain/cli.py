@@ -50,18 +50,15 @@ def _write_output(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _cert_text(args, cert: dict) -> str | None:
-    """The certificate as text, when --json or --cert asks for it."""
-    if getattr(args, "json", False) or getattr(args, "cert", None):
-        return certificates.dumps(cert)
-    return None
-
-
-def _answer(args, out: str, text: str | None) -> None:
+def _answer(args, out: str, certificate) -> None:
     """Write the certificate file, then `out` and, with --json, the
     certificate to stdout: a certificate that cannot be written is E_IO
-    before anything is printed."""
+    before anything is printed.  `certificate` builds the certificate and
+    is called only when --cert or --json asks for it."""
     cert_path = getattr(args, "cert", None)
+    text = None
+    if cert_path or getattr(args, "json", False):
+        text = certificates.dumps(certificate())
     if cert_path:
         with open(cert_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -72,9 +69,10 @@ def _answer(args, out: str, text: str | None) -> None:
 
 @contextlib.contextmanager
 def _printable():
-    """Format integer answers inside this block, before printing any of
-    them: str() of an integer past Python's digit limit raises ValueError,
-    which becomes an E_LIMIT error with nothing printed."""
+    """Format integer answers and their certificates inside this block;
+    `_answer` has both as text before it prints anything.  str() of an
+    integer past Python's digit limit raises ValueError, which becomes an
+    E_LIMIT error with nothing printed."""
     try:
         yield
     except ValueError as e:
@@ -109,7 +107,7 @@ def cmd_perfect(args) -> int:
     for path, (C, verdict, line) in zip(paths, results):
         prefix = f"{path}: " if len(paths) > 1 else ""
         _answer(args, prefix + line + "\n",
-                _cert_text(args, certificates.perfectness_certificate(C, verdict)))
+                functools.partial(certificates.perfectness_certificate, C, verdict))
     return EXIT_OK
 
 
@@ -130,7 +128,7 @@ def cmd_minimalize(args) -> int:
         out += serialize.write_complex(minimal)
     elif args.output:
         _write_output(args.output, serialize.write_complex(minimal))
-    _answer(args, out, _cert_text(args, certificates.quasi_iso_certificate(C, minimal, witness)))
+    _answer(args, out, functools.partial(certificates.quasi_iso_certificate, C, minimal, witness))
     return EXIT_OK
 
 
@@ -148,15 +146,15 @@ def cmd_tower_limit(args) -> int:
     out = f"limit dims {dims}; bottom {limit.bottom}\n" + "".join(
         f"H_{q}: dim={limit.homology_dim(q)}\n"
         for q in range(limit.bottom, limit.bottom + len(limit.modules)))
-    _answer(args, out, _cert_text(args, certificates.limit_certificate(T, args.horizon, limit)))
+    _answer(args, out, functools.partial(certificates.limit_certificate, T, args.horizon, limit))
     return EXIT_OK
 
 
 def cmd_tower_perfect(args) -> int:
     T = serialize.read_tower(_read(args.file))
     verdict = pro_decide_perfect(T, args.horizon)
-    _answer(args, _verdict_line(verdict) + "\n", _cert_text(
-        args, certificates.tower_perfectness_certificate(T, args.horizon, verdict)))
+    _answer(args, _verdict_line(verdict) + "\n", functools.partial(
+        certificates.tower_perfectness_certificate, T, args.horizon, verdict))
     return EXIT_OK if verdict.perfect else EXIT_NEGATIVE
 
 
@@ -188,9 +186,8 @@ def cmd_complete(args) -> int:
         raise ParseError("complete needs --group or --presentation")
     result = abelian.l_complete(A, args.l)
     with _printable():
-        line = str(result)
-        text = _cert_text(args, certificates.completion_certificate(A, args.l, result))
-    _answer(args, line + "\n", text)
+        _answer(args, f"{result}\n",
+                functools.partial(certificates.completion_certificate, A, args.l, result))
     return EXIT_OK
 
 
@@ -198,9 +195,8 @@ def cmd_snf(args) -> int:
     M = serialize.read_int_matrix(_read(args.file))
     result = abelian.smith_normal_form(M)
     with _printable():
-        line = "invariant factors: " + " ".join(str(d) for d in result.diag)
-        text = _cert_text(args, certificates.snf_certificate(M, result))
-    _answer(args, line + "\n", text)
+        _answer(args, "invariant factors: " + " ".join(str(d) for d in result.diag) + "\n",
+                functools.partial(certificates.snf_certificate, M, result))
     return EXIT_OK
 
 

@@ -33,10 +33,11 @@ from .errors import (
 # below this bound that holds for every n < 2^23.
 MAX_PRIME = 1 << 20
 
-# A free module of rank r is expanded to dense F_l matrices of side
-# r * |pi| (homology, cones, certificate checks), so a larger rank, and a
-# group of larger order, which carries no nonzero free module under the
-# bound, are refused before anything is allocated for them.
+# A free module of rank r is still expanded to dense F_l matrices of side
+# r * |pi| by `ChainComplex.diff_at`, for homology dimensions, and on the
+# module route, so a larger rank, and a group of larger order, which
+# carries no nonzero free module under the bound, are refused before
+# anything is allocated for them.
 MAX_FREE_DIM = 1 << 14
 
 # Building a GroupTable holds at most three |pi|^2 int64 arrays at once
@@ -238,8 +239,6 @@ def build_group(spec: str, l: int) -> GroupTable:
         return cyclic_group(n, l)
     if spec.startswith("product:"):
         factors = spec[len("product:"):].split(",")
-        if not factors:
-            raise ParseError("empty product descriptor")
         groups = []
         for f in factors:
             f = f.strip()

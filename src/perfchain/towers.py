@@ -23,6 +23,8 @@ canonical basis V is the identity at its pivot rows, so B in col(V) has
 coordinates B at those rows, and each generator of the free level, a
 permutation, is gathered at those rows; and bonds are equivariant chain
 maps, so the stable images form a pi-invariant subcomplex by construction.
+Both routes read the composite bonds the tower keeps (`_composites`), so
+a degree the free route refused is not composed again.
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ from .modules import PiModule, regular_module
 
 
 class Tower:
-    """Levels with bonding chain maps bonds[n] : levels[n+1] -> levels[n]."""
+    """Levels with bonding chain maps bonds[n] : levels[n+1] -> levels[n].
+
+    `composites` holds the composite bonds built so far, by (degree,
+    level), as group-ring data (see `_composites`)."""
 
     def __init__(self, levels, bonds):
         levels = list(levels)
@@ -61,46 +66,50 @@ class Tower:
         self.levels = levels
         self.bonds = bonds
         self.group = G
+        self.composites = {}
 
 
 @dataclass
 class StableImages:
-    """Images of far levels inside level `level` at one degree.
+    """Images of far levels inside one level at one degree, up to a horizon h.
 
-    `dims[h]` is the F_l dimension of the image of level (level+h), and
+    `dims[k]` is the F_l dimension of the image of the level k above, and
     `value` the canonical basis of the last image (its transpose is in
-    reduced echelon form: the identity at its pivot rows); `stabilized`
-    records whether the image was unchanged from horizon h-1 to h, and
-    `stable_at` is the first horizon from which all computed images
-    agree.
+    reduced echelon form: the identity at its pivot rows); `stable_at` is
+    the first horizon from which all computed images agree, None when the
+    image at h differs from the one at h - 1.
     """
 
-    degree: int
-    level: int
-    horizon: int
     dims: list
     value: np.ndarray = field(repr=False)
-    stabilized: bool = False
     stable_at: int | None = None
+
+    @property
+    def stabilized(self) -> bool:
+        """Whether the image was unchanged from horizon h - 1 to h."""
+        return self.stable_at is not None
 
 
 def _composites(T: Tower, q: int, n: int, h: int) -> list:
     """M_1, ..., M_h at degree q, with M_k the composite of the k bonds
-    from level n + k into level n."""
-    Ms = [T.bonds[n].component_at(q)]
-    for k in range(n + 1, n + h):
-        Ms.append(grm_compose(Ms[-1], T.bonds[k].component_at(q)))
-    return Ms
+    from level n + k into level n.  The tower keeps them under (q, n),
+    and a call extends that list as far as it needs, so each composite is
+    built once per tower."""
+    Ms = T.composites.setdefault((q, n), [])
+    while len(Ms) < h:
+        bond = T.bonds[n + len(Ms)].component_at(q)
+        Ms.append(grm_compose(Ms[-1], bond) if Ms else bond)
+    return Ms[:h]
 
 
-def stable_images(T: Tower, q: int, n: int, h: int, composites=None) -> StableImages:
+def stable_images(T: Tower, q: int, n: int, h: int) -> StableImages:
     """Image of level n+h in level n at degree q, for horizons 0..h.
 
     The images are nested: with M_k the composite of the first k bonds,
     im(M_k) = M_{k-1}(im B_{k-1}) lies in im(M_{k-1}).  So two of them are
     equal exactly when their dimensions are, and only the last one is
-    put in canonical form.  `composites`, when given, are M_1, ..., M_h;
-    the list is consumed, so each composite is dropped once it is read.
+    put in canonical form: M_1, ..., M_{h-1} give ranks and M_h the
+    canonical basis, each expanded only while it is read.
     """
     if n < 0 or h < 0 or n + h >= len(T.levels):
         raise HorizonExhaustedError(
@@ -110,20 +119,16 @@ def stable_images(T: Tower, q: int, n: int, h: int, composites=None) -> StableIm
     dim_n = T.levels[n].rank_at(q) * T.group.order
     if h == 0:
         # the canonical form of I is I
-        return StableImages(q, n, h, [dim_n], flinalg.identity(dim_n), dim_n == 0,
-                            None if dim_n else 0)
-    Ms = _composites(T, q, n, h) if composites is None else composites
-    dims = [dim_n]
-    while len(Ms) > 1:
-        dims.append(flinalg.rank(Ms.pop(0).expand(), l))
-    value = flinalg.canonical_columns(Ms.pop().expand(), l)
+        return StableImages([dim_n], flinalg.identity(dim_n), None if dim_n else 0)
+    *Ms, last = _composites(T, q, n, h)
+    dims = [dim_n] + [flinalg.rank(M.expand(), l) for M in Ms]
+    value = flinalg.canonical_columns(last.expand(), l)
     dims.append(value.shape[1])
     stable_at = dims.index(dims[-1])  # dims never grow, so equal ones are adjacent
-    return StableImages(q, n, h, dims, value, stable_at < h,
-                        stable_at if stable_at < h else None)
+    return StableImages(dims, value, stable_at if stable_at < h else None)
 
 
-def limit_complex(T: Tower, horizon: int, composites=None) -> ModuleComplex:
+def limit_complex(T: Tower, horizon: int) -> ModuleComplex:
     """The stable image S_0 at level 0, the image of the limit there, as a
     subcomplex of level 0 (see the module docstring for when it is the
     inverse limit).
@@ -134,17 +139,14 @@ def limit_complex(T: Tower, horizon: int, composites=None) -> ModuleComplex:
     is a permutation rho of its basis and acts by V[rho[rows]]; d_q is
     d_q[rows_{q-1}] V, with d_q expanded at degree q alone.  The images, a
     pi-invariant subcomplex by construction, are not checked again;
-    certificate checkers recompute them.  `composites` maps a degree to the
-    composite bonds already built for it (see `free_limit`); each is used
-    once and dropped.
+    certificate checkers recompute them.
     """
     G = T.group
     base = T.levels[0]
-    composites = {} if composites is None else composites
     mods, diffs = [], []
     rows = None
     for q in range(base.bottom, base.top + 1):
-        si = stable_images(T, q, 0, horizon, composites.pop(q, None))
+        si = stable_images(T, q, 0, horizon)
         if not si.stabilized:
             raise HorizonExhaustedError(
                 f"degree {q}: image not stabilized by horizon {horizon}"
@@ -198,15 +200,14 @@ def _free_image(prev: GroupRingMatrix, M: GroupRingMatrix):
     return GroupRingMatrix(G, B), pr, GroupRingMatrix(G, Ainv)
 
 
-def free_limit(T: Tower, horizon: int, composites=None) -> FreeLimit | None:
+def free_limit(T: Tower, horizon: int) -> FreeLimit | None:
     """The stable image at level 0 when every degree's image at the
     horizon is free and equal to the image at horizon - 1, else None.
 
     Each degree is accepted by `_free_image` on the composite bonds M_h
     and M_{h-1} (the identity for h = 1), and the first degree refused
-    ends the route.  The composites built are left in `composites`, by
-    degree, for `limit_complex`; a horizon outside the tower gives None,
-    and `limit_complex` raises the horizon error.
+    ends the route.  A horizon outside the tower gives None, and
+    `limit_complex` raises the horizon error.
     """
     G = T.group
     base = T.levels[0]
@@ -215,8 +216,6 @@ def free_limit(T: Tower, horizon: int, composites=None) -> FreeLimit | None:
     ranks, diffs, bases, rows, inverses = [], [], {}, {}, {}
     for q in range(base.bottom, base.top + 1):
         Ms = _composites(T, q, 0, horizon)
-        if composites is not None:
-            composites[q] = Ms
         prev = Ms[-2] if horizon > 1 else GroupRingMatrix.identity(G, base.rank_at(q))
         image = _free_image(prev, Ms[-1])
         if image is None:
@@ -231,11 +230,8 @@ def free_limit(T: Tower, horizon: int, composites=None) -> FreeLimit | None:
 
 def decided_limit(T: Tower, horizon: int):
     """The stable image `pro_decide_perfect` decides: the FreeLimit when
-    `free_limit` accepts every degree, else `limit_complex`, which takes
-    over the composites the free route built."""
-    composites = {}
-    free = free_limit(T, horizon, composites)
-    return free if free is not None else limit_complex(T, horizon, composites=composites)
+    `free_limit` accepts every degree, else `limit_complex`."""
+    return free_limit(T, horizon) or limit_complex(T, horizon)
 
 
 def pro_decide_perfect(T: Tower, horizon: int) -> PerfectnessVerdict:

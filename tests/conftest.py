@@ -1541,3 +1541,24 @@ def random_stabilizing_tower(G: GroupTable, rng, n_levels: int = 5):
         # contractible junk folded into the core by a chain map
         return fold_tower(core, *cone_junk_with_map(core, rng), n_levels), core
     return constant_tower(core, n_levels), core
+
+
+def norm_pair_tower(G: GroupTable, n_levels: int = 4):
+    """Constant levels core (+) (F_l[pi] --id--> F_l[pi]), the core a
+    minimal complex of ranks [1, 1, 1] in degrees 0..2 and the pair in
+    degrees 1 and 2; the first bond is the identity on the core and the
+    norm on the pair, the rest identities (checked to commute).  The free
+    route accepts degree 0 and refuses degree 1, where the image of the
+    pair is the trivial line; the limit is the core (+) (F_l --id--> F_l),
+    perfect on the module route with the core's ranks.  Returns the tower
+    and its core."""
+    rng = random.Random(0)
+    core = ChainComplex(G, 0, [1, 1, 1], [GroupRingMatrix(G, [[radical_entry(G, rng, p)]])
+                                          for p in (1, 0)])
+    level = direct_sum(core, ChainComplex(G, 1, [1, 1], [GroupRingMatrix.identity(G, 1)]))
+    pair = GroupRingMatrix.identity(G, 2).data.copy()
+    pair[1, 1] = 1      # the norm element
+    comps = {0: GroupRingMatrix.identity(G, 1), 1: GroupRingMatrix(G, pair),
+             2: GroupRingMatrix(G, pair)}
+    bonds = [ChainMap(level, level, comps).check_commutes()]
+    return Tower([level] * n_levels, bonds + [identity_chain_map(level)] * (n_levels - 2)), core

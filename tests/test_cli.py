@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -32,8 +33,9 @@ from perfchain import (
     identity_chain_map,
     lens_complex,
 )
-from perfchain import chains
+from perfchain import certificates, chains
 from perfchain.serialize import digest_text, write_complex, write_tower
+from perfchain.towers import decided_limit, free_limit
 
 from conftest import (
     SMALL_GROUPS,
@@ -44,6 +46,7 @@ from conftest import (
     conjugate_complex,
     heisenberg_27,
     norm_matrix,
+    norm_pair_tower,
     pad_with_identity_cones,
     random_minimal_complex,
     random_stabilizing_tower,
@@ -928,6 +931,135 @@ def test_forged_free_limit_certificate_is_invalid(capsys, tmp_path, tower, forge
     assert run(capsys, "verify", str(cert_path))[:2] == (1, f"certificate INVALID: {reason}\n")
 
 
+@pytest.mark.parametrize("name", ["C4", "C2xC2", "C9"])
+def test_positive_module_route_tower_certificate_verifies(capsys, tmp_path, name):
+    """The norm-pair tower's limit is not free, so `tower-perfect` decides
+    it perfect on the module route, and its certificate, whose witness is
+    written by generator columns into the expanded limit, verifies.  With
+    one witness digit changed the degree-0 component is zero and breaks
+    the square at degree 1, which is refused (E_DIM_MISMATCH); with every
+    component zero the map commutes but is not a quasi-isomorphism, and
+    the certificate is INVALID."""
+    T, _ = norm_pair_tower(SMALL_GROUPS[name])
+    assert free_limit(T, 3) is None
+    path, cert_path = tmp_path / "pair.twr", tmp_path / "pair.json"
+    path.write_text(write_tower(T))
+    assert run(capsys, "tower-perfect", str(path), "--horizon", "3",
+               "--cert", str(cert_path))[:2] == (
+        0, "perfect; euler_class=1; replacement ranks [1, 1, 1]\n")
+    assert run(capsys, "verify", str(cert_path))[:2] == (
+        0, "certificate valid (kind=perfectness)\n")
+    cert = json.loads(cert_path.read_text())
+    columns = cert["witness"]["map"]
+    assert columns["0"].startswith("1")
+    cert_path.write_text(json.dumps(
+        {**cert, "witness": {**cert["witness"], "map": {**columns, "0": "0" + columns["0"][1:]}}}))
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert (code, out) == (2, "")
+    assert "E_DIM_MISMATCH" in err and "commute" in err
+    cert["witness"]["map"] = {q: "0" * len(c) for q, c in columns.items()}
+    cert_path.write_text(json.dumps(cert))
+    assert run(capsys, "verify", str(cert_path))[:2] == (
+        1, "certificate INVALID: witness map is not a quasi-isomorphism\n")
+
+
+def test_limit_certificate_with_a_changed_digit_is_invalid(capsys, tmp_path):
+    """A `tower-limit` certificate of the norm-pair tower verifies; with
+    one digit of its recorded limit changed it is INVALID."""
+    T, _ = norm_pair_tower(SMALL_GROUPS["C4"])
+    path, cert_path = tmp_path / "pair.twr", tmp_path / "lim.json"
+    path.write_text(write_tower(T))
+    assert run(capsys, "tower-limit", str(path), "--horizon", "3", "--cert",
+               str(cert_path))[:2] == (0, "limit dims [4, 5, 5]; bottom 0\n"
+                                      "H_0: dim=2\nH_1: dim=1\nH_2: dim=3\n")
+    assert run(capsys, "verify", str(cert_path))[:2] == (0, "certificate valid (kind=limit)\n")
+    cert = json.loads(cert_path.read_text())
+    diffs = cert["limit"]["diffs"]
+    assert diffs[0].startswith("1")
+    diffs[0] = "0" + diffs[0][1:]
+    cert_path.write_text(json.dumps(cert))
+    assert run(capsys, "verify", str(cert_path))[:2] == (
+        1, "certificate INVALID: recorded limit does not match the stable images\n")
+
+
+def test_zero_kernel_vector_is_invalid(capsys, norm_tower_path, tmp_path):
+    """The norm tower's negative certificate with its kernel vector set to
+    zeros is INVALID."""
+    cert_path = tmp_path / "norm.json"
+    assert main(["tower-perfect", norm_tower_path, "--horizon", "2",
+                 "--cert", str(cert_path)]) == 1
+    cert = json.loads(cert_path.read_text())
+    vector = cert["witness"]["kernel_vector"]
+    assert vector.strip("0")
+    cert["witness"]["kernel_vector"] = "0" * len(vector)
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(capsys, "verify", str(cert_path))[:2] == (
+        1, "certificate INVALID: kernel vector is zero\n")
+
+
+def _change_first_inverse(lim):
+    q = min(lim.inverses)
+    data = lim.inverses[q].data.copy()
+    data[0, 0, 0] = (data[0, 0, 0] + 1) % lim.complex.group.prime_l
+    return dataclasses.replace(
+        lim, inverses={**lim.inverses, q: GroupRingMatrix(lim.complex.group, data)})
+
+
+def _change_first_differential(lim):
+    L = lim.complex
+    data = L.boundaries[0].data.copy()
+    data[0, 0, 0] = (data[0, 0, 0] + 1) % L.group.prime_l
+    return dataclasses.replace(lim, complex=ChainComplex(
+        L.group, L.bottom, L.ranks, [GroupRingMatrix(L.group, data)] + L.boundaries[1:]))
+
+
+@pytest.mark.parametrize("change, reason", [
+    (_change_first_inverse, "degree 0: the pivot block's inverse is wrong"),
+    (_change_first_differential, "degree 1: the limit differential is wrong"),
+], ids=["inverse", "differential"])
+def test_wrong_free_limit_is_refused(capsys, tmp_path, monkeypatch, change, reason):
+    """The checker's identities on a free limit hold for the limit
+    `free_limit` computes; were the recomputed limit wrong, with one entry
+    of a pivot block's inverse or of a differential changed, the lens
+    tower's certificate would be INVALID for the reason named."""
+    cert_path = tmp_path / "lens.json"
+    assert main(["tower-perfect", _lens_tower(tmp_path), "--horizon", "2",
+                 "--cert", str(cert_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(certificates, "decided_limit",
+                        lambda T, horizon: change(decided_limit(T, horizon)))
+    assert run(capsys, "verify", str(cert_path))[:2] == (1, f"certificate INVALID: {reason}\n")
+
+
+def test_certificates_are_built_only_when_asked(capsys, tmp_path, lens_path, norm_tower_path,
+                                                monkeypatch):
+    """Without --cert or --json no certificate is built: with every
+    certificate builder made to raise, `perfect`, `minimalize`,
+    `tower-limit`, a negative `tower-perfect`, `snf` and `complete` exit as
+    before and print the same stdout, and with --json the builder is
+    called."""
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("2 4\n6 8\n")
+    commands = [["perfect", lens_path], ["minimalize", lens_path],
+                ["tower-limit", norm_tower_path, "--horizon", "2"],
+                ["tower-perfect", norm_tower_path, "--horizon", "2"],
+                ["snf", str(matrix)], ["complete", "--group", "Z+Z/12", "--l", "2"]]
+    before = [run(capsys, *argv) for argv in commands]
+
+    def refuse(*args):
+        raise AssertionError("a certificate was built")
+
+    for name in ("perfectness_certificate", "quasi_iso_certificate", "limit_certificate",
+                 "tower_perfectness_certificate", "snf_certificate", "completion_certificate"):
+        monkeypatch.setattr(certificates, name, refuse)
+    assert [run(capsys, *argv) for argv in commands] == before
+    assert [code for code, _, _ in before] == [0, 0, 0, 1, 0, 0]
+    for argv in commands:
+        with pytest.raises(AssertionError, match="a certificate was built"):
+            main(argv + ["--json"])
+
+
 def test_out_of_memory_is_a_limit_error(tmp_path):
     """`tower-limit` expands its bonds; over C_2048 a rank-8 bond expands to
     a 2 GiB matrix, which a fresh process capped at 1 GiB of address space
@@ -1106,6 +1238,29 @@ def test_unreadable_input_is_a_coded_error(capsys, tmp_path, lens_path, argv, co
     else:
         assert err == (f"error[E_PARSE]: {bad} is not UTF-8 text: 'utf-8' codec can't decode "
                        "byte 0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("deep", "maximum recursion depth exceeded while decoding a JSON array"),
+    ("truncated", "Unterminated string"),
+])
+def test_certificate_json_that_does_not_parse_is_a_coded_error(capsys, tmp_path, name,
+                                                               message):
+    """`verify` on JSON nested past the interpreter's recursion limit (a
+    file of 200,000 `[`), or on a certificate cut off mid-string, is
+    E_PARSE with exit 2 and nothing on stdout, not a traceback with exit 1."""
+    (tmp_path / "m.txt").write_text("2 4\n6 8\n")
+    assert main(["snf", str(tmp_path / "m.txt"), "--cert", str(tmp_path / "snf.json")]) == 0
+    capsys.readouterr()
+    cert = (tmp_path / "snf.json").read_text()
+    (tmp_path / "truncated").write_text(cert[:cert.index('"digest":"') + 20])
+    (tmp_path / "deep").write_text("[" * 200_000)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(perfchain.__file__))}
+    done = subprocess.run([sys.executable, "-m", "perfchain.cli", "verify", name], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=False, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error[E_PARSE]: bad certificate JSON: ") and \
+        message in done.stderr and done.stderr.count("\n") == 1, done.stderr
 
 
 @pytest.mark.parametrize("argv", [

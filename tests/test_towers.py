@@ -21,7 +21,7 @@ from perfchain import (
     pro_decide_perfect,
     stable_images,
 )
-from perfchain import certificates, chains, flinalg
+from perfchain import certificates, chains, flinalg, towers
 from perfchain.chains import direct_sum
 from perfchain.groups import grm_compose
 from perfchain.modules import free_cover, orbit_columns, regular_module
@@ -43,6 +43,7 @@ from conftest import (
     radical_entry,
     random_invertible,
     norm_matrix,
+    norm_pair_tower,
     random_minimal_complex,
     random_stabilizing_tower,
     stable_images_reference,
@@ -527,3 +528,36 @@ def test_limit_complex_keeps_no_expansion():
         tracemalloc.stop()
     own = sum(d.nbytes for d in lim.diffs) + sum(g.nbytes for m in lim.modules for g in m.gens)
     assert own <= current <= own + 1_000_000, (current, own)
+
+
+def test_both_routes_read_the_composites_the_tower_keeps(monkeypatch):
+    """On the norm-pair tower over C4 at horizon 3, the free route builds
+    M_1, M_2, M_3 at degrees 0 and 1 and is refused at degree 1; the
+    module route reads those and builds degree 2's.  So
+    `pro_decide_perfect` composes two bonds per degree, 6 in all, where
+    building the refused route's composites again would take 10, and
+    reading the kept composites once more composes nothing and changes
+    none of them."""
+    calls = []
+
+    def counting(second, first):
+        calls.append(1)
+        return grm_compose(second, first)
+
+    monkeypatch.setattr(towers, "grm_compose", counting)
+    G = SMALL_GROUPS["C4"]
+    T, _ = norm_pair_tower(G)
+    assert free_limit(T, 3) is None
+    assert (sorted(T.composites), len(calls)) == ([(0, 0), (1, 0)], 4)
+    T, core = norm_pair_tower(G)
+    calls.clear()
+    v = pro_decide_perfect(T, 3)
+    assert len(calls) == 6
+    assert v.perfect and (v.replacement.ranks, v.euler_class) == (core.ranks, 1)
+    assert not isinstance(v.witness, ChainMap)
+    kept = {key: list(Ms) for key, Ms in T.composites.items()}
+    assert sorted(kept) == [(0, 0), (1, 0), (2, 0)] and all(len(Ms) == 3 for Ms in kept.values())
+    assert [stable_images(T, q, 0, 3).dims for q in range(3)] == \
+        [[4, 4, 4, 4], [8, 5, 5, 5], [8, 5, 5, 5]]
+    assert len(calls) == 6
+    assert all(T.composites[key][k] is M for key, Ms in kept.items() for k, M in enumerate(Ms))
