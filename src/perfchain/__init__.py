@@ -23,13 +23,10 @@ from .chains import (
     ChainMap,
     ModuleComplex,
     ModuleComplexMap,
-    direct_sum,
     euler_characteristic,
-    identity_chain_map,
     is_quasi_iso,
     mapping_cone,
     minimalize,
-    zero_complex,
 )
 from .errors import (
     BoundarySquareNonzeroError,
@@ -52,8 +49,8 @@ from .groups import (
     GroupTable,
     build_group,
     cyclic_group,
-    direct_product,
     ga_inverse,
+    group_from_table,
 )
 from .modules import (
     PiModule,

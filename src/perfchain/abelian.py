@@ -324,17 +324,6 @@ class FGAbelian:
         """Torsion orders > 1, in divisibility order."""
         return [d for d in self.snf().diag if d > 1]
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
-    def order(self) -> int | None:
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
-
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.invariant_factors]
         return " + ".join(parts) if parts else "0"
@@ -376,15 +365,6 @@ class FGZlModule:
         for t in self.torsion:
             if t <= 1 or _l_part(t, self.prime) != t:
                 raise DimensionMismatchError(f"torsion order {t} is not an l-power > 1")
-
-    def is_zero(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
-    def direct_sum(self, other: "FGZlModule") -> "FGZlModule":
-        if other.prime != self.prime:
-            raise DimensionMismatchError("direct sum over different primes")
-        tors = tuple(sorted(self.torsion + other.torsion, reverse=True))
-        return FGZlModule(self.prime, self.rank + other.rank, tors)
 
     def __str__(self):
         parts = []

@@ -351,10 +351,6 @@ class ChainComplex(GradedComplex):
                 f"over {self.group.descriptor})")
 
 
-def zero_complex(G: GroupTable) -> ChainComplex:
-    return ChainComplex(G, 0, [], [])
-
-
 class ChainMap:
     """A chain map of free complexes, one group-ring matrix per degree.
     The constructor checks groups and shapes; a reader of outside data
@@ -397,12 +393,6 @@ class ChainMap:
         return f"ChainMap({self.source!r} -> {self.target!r})"
 
 
-def identity_chain_map(C: ChainComplex) -> ChainMap:
-    comps = {C.bottom + i: GroupRingMatrix.identity(C.group, r)
-             for i, r in enumerate(C.ranks) if r}
-    return ChainMap(C, C, comps)
-
-
 # ----------------------------------------------------------------------
 # spec-level operations
 
@@ -410,28 +400,6 @@ def identity_chain_map(C: ChainComplex) -> ChainMap:
 def euler_characteristic(C: ChainComplex) -> int:
     """Alternating rank sum; the class of C in K_0 = Z."""
     return sum((-r if (C.bottom + i) % 2 else r) for i, r in enumerate(C.ranks))
-
-
-def direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
-    if C.group != D.group:
-        raise GroupMismatchError("direct sum over different groups")
-    if not C.ranks:
-        return D
-    if not D.ranks:
-        return C
-    G = C.group
-    bottom = min(C.bottom, D.bottom)
-    top = max(C.top, D.top)
-    ranks = [C.rank_at(q) + D.rank_at(q) for q in range(bottom, top + 1)]
-    boundaries = []
-    for q in range(bottom + 1, top + 1):
-        cb, db = C.boundary_at(q), D.boundary_at(q)
-        data = np.zeros((C.rank_at(q - 1) + D.rank_at(q - 1),
-                         C.rank_at(q) + D.rank_at(q), G.order), dtype=np.int64)
-        data[:cb.rows, :cb.cols] = cb.data
-        data[cb.rows:, cb.cols:] = db.data
-        boundaries.append(GroupRingMatrix(G, data))
-    return ChainComplex(G, bottom, ranks, boundaries)
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:

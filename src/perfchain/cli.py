@@ -7,6 +7,10 @@ deterministic: two runs on the same input produce byte-identical reports.
 
 Group descriptors: ``cyclic:N``, ``product:cyclic:N,cyclic:M[,...]``, or
 ``table:{order:N;identity:I;mult:r0|r1|...}`` (rows comma-separated).
+In a group descriptor an order, identity or table entry is ``[0-9]+``,
+and in a complex or tower file a header integer or coefficient is
+``-?[0-9]+``, in ASCII digits: a plus sign, an underscore or another
+script's digits is E_PARSE.
 Abelian group descriptors for ``complete``: ``Z``, ``Z^2``, ``Z/6``,
 joined with ``+``.
 """

@@ -1,7 +1,9 @@
 """Exact arithmetic in F_l[pi] for a finite l-group pi.
 
-Groups are given by explicit multiplication tables over element indices
-0..order-1, and a GroupTable keeps one |pi|^2 table, its left divisions.
+A group is built from its descriptor: `cyclic:` and `product:` groups by
+index arithmetic, and a `table:` group from an explicit multiplication
+table, checked by `group_from_table`.  A GroupTable keeps one |pi|^2
+table, its left divisions.
 A group-ring value is (rows, cols, order) data, each entry a coefficient
 vector in the table's element order, and an element of F_l[pi] is 1 x 1
 data; that order is the global coordinate convention for every module
@@ -11,9 +13,11 @@ and matrix in the package.
 from __future__ import annotations
 
 import functools
+import math
 import re
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import flinalg
 from .errors import (
@@ -40,11 +44,12 @@ MAX_PRIME = 1 << 20
 # anything is allocated for them.
 MAX_FREE_DIM = 1 << 14
 
-# Building a GroupTable holds at most three |pi|^2 int64 arrays at once
-# (mult and the two rearrangements of it in Light's test), and one, ldiv,
-# stays; an order whose four such arrays would pass this many bytes is
-# refused before any is allocated: order 8192 needs 2 GiB, order 16384
-# 8 GiB.
+# Reading a `table:` group holds at most four |pi|^2 int64 arrays at once
+# (the table, ldiv and the two rearrangements of Light's test), building a
+# `cyclic:` or `product:` group two (ldiv and a gather of the generator
+# closure), and one, ldiv, stays; an order whose four such arrays would
+# pass this many bytes is refused before any is allocated: order 8192
+# needs 2 GiB, order 16384 8 GiB.
 MAX_TABLE_BYTES = 1 << 32
 
 
@@ -75,58 +80,31 @@ def _is_power_of(n: int, p: int) -> bool:
 
 
 class GroupTable:
-    """A finite l-group given by its full multiplication table.
-
-    The table is checked (identity, two-sided inverses, associativity by
-    Light's test on S, in O(|pi|^2 |S|), and an order that is a power of
-    l) and then kept only as its left divisions: ldiv[s, t] is the index
+    """A finite l-group kept as its left divisions: ldiv[s, t] is the index
     of g_s^-1 g_t, which drives `ga_compose` and `GroupRingMatrix.expand`.
     Nothing is lost: inv = ldiv[:, identity] and the product table is
     ldiv[inv], since ldiv[inv[a], b] is the index of g_a g_b.  `generators`
     is a deterministic generating set S (greedy in index order, so
     |S| <= log_l |pi|; empty for the trivial group).  ldiv is read-only,
     |pi|^2 int64 (4.25 MB at order 729); inv, read-only too, holds |pi|
-    entries.
+    entries.  The constructor checks only the prime and that the order is
+    a power of it: `group_from_table` checks the group axioms of a table,
+    which holds four |pi|^2 arrays at its peak, and a `cyclic:` or
+    `product:` group is one by construction, built holding two.
     """
 
-    def __init__(self, mult, identity: int, prime_l: int, descriptor: str | None = None):
-        mult = np.asarray(mult, dtype=np.int64)
-        if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
-            raise NotAGroupError("multiplication table must be square")
-        order = mult.shape[0]
-        if order == 0:
-            raise NotAGroupError("empty multiplication table")
-        if mult.min() < 0 or mult.max() >= order:
-            raise NotAGroupError("table entries out of range")
-        if not (0 <= identity < order):
-            raise NotAGroupError("identity index out of range")
-        rng = np.arange(order)
-        if not (np.array_equal(mult[identity], rng) and np.array_equal(mult[:, identity], rng)):
-            raise NotAGroupError("identity element is not neutral")
-        # two-sided inverses
-        inv = np.full(order, -1, dtype=np.int64)
-        for a in range(order):
-            right = np.nonzero(mult[a] == identity)[0]
-            if right.size != 1 or mult[right[0], a] != identity:
-                raise NotAGroupError(f"element {a} has no two-sided inverse")
-            inv[a] = right[0]
-        generators = _greedy_generators(mult, identity)
-        # Light's test: the a with (xa)y == x(ay) for all x, y are closed
-        # under products, so checking a in S covers everything S generates
-        for s in generators:
-            if not np.array_equal(mult[mult[:, s], :], mult[:, mult[s, :]]):
-                raise NotAGroupError("multiplication table is not associative")
+    def __init__(self, ldiv: np.ndarray, identity: int, prime_l: int, descriptor: str):
+        order = ldiv.shape[0]
         check_prime(prime_l)
         if not _is_power_of(order, prime_l):
             raise NotAnLGroupError(f"order {order} is not a power of {prime_l}")
-
         self.order = order
         self.identity = int(identity)
         self.prime_l = int(prime_l)
-        self.inv = inv
-        self.generators = generators
-        self.ldiv = mult[inv, :]
-        self.descriptor = descriptor or table_descriptor(mult, identity)
+        self.inv = ldiv[:, self.identity].copy()
+        self.ldiv = ldiv
+        self.generators = _greedy_generators(ldiv, self.inv, self.identity)
+        self.descriptor = descriptor
         for arr in (self.inv, self.ldiv):
             arr.flags.writeable = False
 
@@ -148,28 +126,59 @@ class GroupTable:
         return f"GroupTable({self.descriptor!r}, l={self.prime_l})"
 
 
-def _greedy_generators(mult: np.ndarray, identity: int) -> tuple[int, ...]:
+def _greedy_generators(ldiv: np.ndarray, inv: np.ndarray, identity: int) -> tuple[int, ...]:
     """Adjoin each element not yet reached, in index order, and close the
-    reached set under the product after every adjunction."""
-    reached = np.zeros(mult.shape[0], dtype=bool)
+    reached set under the product g_a g_b = ldiv[inv[a], b] after every
+    adjunction; a set that reaches every element is closed."""
+    reached = np.zeros(ldiv.shape[0], dtype=bool)
     reached[identity] = True
     gens = []
-    for g in range(mult.shape[0]):
+    for g in range(ldiv.shape[0]):
         if reached[g]:
             continue
         gens.append(g)
         reached[g] = True
-        while True:
-            idx = np.flatnonzero(reached)
-            reached[mult[np.ix_(idx, idx)]] = True
-            if reached.sum() == idx.size:
+        while (idx := np.flatnonzero(reached)).size < reached.size:
+            reached[ldiv[np.ix_(inv[idx], idx)]] = True
+            if np.count_nonzero(reached) == idx.size:
                 break
     return tuple(gens)
 
 
-def table_descriptor(mult, identity: int) -> str:
-    rows = "|".join(",".join(str(int(x)) for x in row) for row in np.asarray(mult))
-    return f"table:{{order:{len(mult)};identity:{int(identity)};mult:{rows}}}"
+def group_from_table(mult, identity: int, prime_l: int) -> GroupTable:
+    """The group of a multiplication table over indices 0..order-1, checked:
+    square with entries in range, a neutral identity, two-sided inverses,
+    and associativity by Light's test on S (Clifford and Preston, The
+    Algebraic Theory of Semigroups, 1961), in O(|pi|^2 |S|): the a with
+    (xa)y == x(ay) for all x, y are closed under products, so checking a
+    in S covers everything S generates.  The constructor then checks the
+    prime and the order."""
+    mult = np.asarray(mult, dtype=np.int64)
+    if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
+        raise NotAGroupError("multiplication table must be square")
+    order = mult.shape[0]
+    if order == 0:
+        raise NotAGroupError("empty multiplication table")
+    if mult.min() < 0 or mult.max() >= order:
+        raise NotAGroupError("table entries out of range")
+    if not (0 <= identity < order):
+        raise NotAGroupError("identity index out of range")
+    rng = np.arange(order)
+    if not (np.array_equal(mult[identity], rng) and np.array_equal(mult[:, identity], rng)):
+        raise NotAGroupError("identity element is not neutral")
+    inv = np.full(order, -1, dtype=np.int64)
+    for a in range(order):
+        right = np.nonzero(mult[a] == identity)[0]
+        if right.size != 1 or mult[right[0], a] != identity:
+            raise NotAGroupError(f"element {a} has no two-sided inverse")
+        inv[a] = right[0]
+    ldiv = mult[inv, :]
+    for s in _greedy_generators(ldiv, inv, identity):
+        if not np.array_equal(mult[mult[:, s], :], mult[:, mult[s, :]]):
+            raise NotAGroupError("multiplication table is not associative")
+    rows = "|".join(",".join(str(int(x)) for x in row) for row in mult)
+    return GroupTable(ldiv, identity, prime_l,
+                      f"table:{{order:{order};identity:{int(identity)};mult:{rows}}}")
 
 
 def _check_order(n: int):
@@ -181,41 +190,35 @@ def _check_order(n: int):
                          f"more than {MAX_TABLE_BYTES}")
 
 
-def cyclic_group(n: int, l: int) -> GroupTable:
-    if n < 1:
+def _abelian_group(orders: list[int], l: int) -> GroupTable:
+    """C_{n_1} x ... x C_{n_k}, its elements indexed by the mixed-radix
+    numbers of their exponent vectors, the last factor least significant
+    (a |H| + b for a pair), identity 0.  ldiv[s, t] is t - s componentwise
+    mod n_i, added into ldiv one factor at a time: row s of a factor's
+    differences, times its place value, is the window of 0..n_i-1 twice
+    over that starts at n_i - s, a strided view of 2 n_i entries."""
+    if min(orders) < 1:
         raise NotAGroupError("cyclic order must be positive")
-    _check_order(n)
-    idx = np.arange(n)
-    mult = (idx[:, None] + idx[None, :]) % n
-    return GroupTable(mult, 0, l, descriptor=f"cyclic:{n}")
+    order, k = math.prod(orders), len(orders)
+    _check_order(order)
+    ldiv = np.zeros(orders + orders, dtype=np.int64)    # axes s_1..s_k, t_1..t_k
+    weight = order
+    for i, n in enumerate(orders):
+        weight //= n
+        shape = [1] * (2 * k)
+        shape[i] = shape[k + i] = n
+        twice = np.tile(np.arange(n) * weight, 2)
+        ldiv += sliding_window_view(twice, n)[n:0:-1].reshape(shape)
+    desc = ",".join(f"cyclic:{n}" for n in orders)
+    return GroupTable(ldiv.reshape(order, order), 0, l, f"product:{desc}" if k > 1 else desc)
 
 
-def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
-    """Direct product with indices packed as a*|H| + b."""
-    if g.prime_l != h.prime_l:
-        raise GroupMismatchError("factors have different primes")
-    _check_order(g.order * h.order)
-    oh = h.order
-    a = np.arange(g.order * h.order)
-    a1, a2 = a // oh, a % oh
-    mult = g.ldiv[g.inv][np.ix_(a1, a1)] * oh + h.ldiv[h.inv][np.ix_(a2, a2)]
-    desc = None
-    parts = []
-    for f in (g, h):
-        d = f.descriptor
-        if d.startswith("cyclic:"):
-            parts.append(d)
-        elif d.startswith("product:"):
-            parts.extend(d[len("product:"):].split(","))
-        else:
-            parts = None
-            break
-    if parts is not None:
-        desc = "product:" + ",".join(parts)
-    return GroupTable(mult, g.identity * oh + h.identity, g.prime_l, descriptor=desc)
+def cyclic_group(n: int, l: int) -> GroupTable:
+    return _abelian_group([n], l)
 
 
-_TABLE_RE = re.compile(r"^table:\{order:(\d+);identity:(\d+);mult:([0-9,|]+)\}$")
+_CYCLIC_RE = re.compile(r"cyclic:\s*([0-9]+)")
+_TABLE_RE = re.compile(r"^table:\{order:([0-9]+);identity:([0-9]+);mult:([0-9,|]+)\}$")
 
 
 @functools.lru_cache(maxsize=8)
@@ -223,7 +226,8 @@ def build_group(spec: str, l: int) -> GroupTable:
     """Build a validated group from a descriptor string.
 
     Grammar: ``cyclic:N`` | ``product:cyclic:N,cyclic:M[,...]`` |
-    ``table:{order:N;identity:I;mult:r0|r1|...}`` with comma-separated rows.
+    ``table:{order:N;identity:I;mult:r0|r1|...}`` with comma-separated
+    rows, every N, I and entry ``[0-9]+`` in ASCII digits.
 
     The last few groups built are kept and returned again for the same
     descriptor and prime, so a certificate's input and replacement share
@@ -231,24 +235,19 @@ def build_group(spec: str, l: int) -> GroupTable:
     read-only; a refused descriptor raises, and nothing is kept for it.
     """
     spec = spec.strip()
-    if spec.startswith("cyclic:"):
-        try:
-            n = int(spec[len("cyclic:"):])
-        except ValueError:
-            raise ParseError(f"bad cyclic descriptor {spec!r}")
-        return cyclic_group(n, l)
-    if spec.startswith("product:"):
-        factors = spec[len("product:"):].split(",")
-        groups = []
-        for f in factors:
+    if spec.startswith(("cyclic:", "product:")):
+        orders = []
+        product = spec.startswith("product:")
+        for f in spec[len("product:"):].split(",") if product else [spec]:
             f = f.strip()
             if not f.startswith("cyclic:"):
                 raise ParseError(f"product factors must be cyclic, got {f!r}")
-            groups.append(build_group(f, l))
-        g = groups[0]
-        for h in groups[1:]:
-            g = direct_product(g, h)
-        return g
+            m = _CYCLIC_RE.fullmatch(f)
+            try:    # int() refuses "" and more digits than Python's limit
+                orders.append(int(m.group(1) if m else ""))
+            except ValueError:
+                raise ParseError(f"bad cyclic descriptor {f!r}")
+        return _abelian_group(orders, l)
     m = _TABLE_RE.match(spec)
     if m:
         try:    # int() refuses more digits than Python's limit
@@ -264,7 +263,7 @@ def build_group(spec: str, l: int) -> GroupTable:
             raise ParseError("table shape does not match declared order")
         if max(map(max, mult)) >= order:    # before int64 can overflow
             raise NotAGroupError("table entries out of range")
-        return GroupTable(mult, identity, l)
+        return group_from_table(mult, identity, l)
     raise ParseError(f"unrecognized group descriptor {spec!r}")
 
 

@@ -70,9 +70,6 @@ class PiModule:
         rho = self.gens[i]
         return flinalg.identity(self.dim)[rho] if rho.ndim == 1 else rho
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def __eq__(self, other):
         return (
             isinstance(other, PiModule)

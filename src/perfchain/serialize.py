@@ -6,14 +6,16 @@ entries as comma-separated coefficient lists in brackets, one row per
 line, the entries of a row apart by whitespace.  Blank lines and lines
 that start with `#` are skipped.  A coefficient is `-?[0-9]+` in ASCII
 digits (no `+`, `_` or other digits) whose value fits in int64; it is
-read modulo l.  A file is the unit of reading and writing.  A reader
-first walks the file's structure (headers, ranks, each row's entry
-count), then checks and converts every entry of the file in one
-whole-array pass, reading entry by entry only to name the first error,
-and only then builds levels and bonds and checks d o d = 0 and that
-bonds commute: a file's text is checked before its mathematics.  A
-writer renders every block of the file from one digit grid.  The
-transient arrays are a small multiple of the file's text, which is
+read modulo l.  A header integer (the prime, bottom, ranks, level count
+and block indices) is `-?[0-9]+` too, with whitespace around it, and the
+orders and identity of a group descriptor are `[0-9]+`.  A file is the
+unit of reading and writing.  A reader first walks the file's structure
+(headers, ranks, each row's entry count), then checks and converts every
+entry of the file in one whole-array pass, reading entry by entry only
+to name the first error, and only then builds levels and bonds and
+checks d o d = 0 and that bonds commute: a file's text is checked before
+its mathematics.  A writer renders every block of the file from one
+digit grid.  The transient arrays are a small multiple of the file's text, which is
 already resident.  Writers are canonical: parsing then re-writing any
 value reproduces the bytes.
 
@@ -149,8 +151,10 @@ def _check_degrees(bottom: int, ranks: list, lineno: int | None = None) -> None:
 
 
 def _parse_int(text: str, what: str, lineno: int) -> int:
-    try:
-        return int(text)
+    """A header integer: `-?[0-9]+` in ASCII digits, as a coefficient is,
+    with whitespace around it."""
+    try:    # int() refuses "" and more digits than Python's limit
+        return int(text if _COEFFICIENT.fullmatch(text.strip()) else "")
     except ValueError:
         raise ParseError(f"bad {what}: {text!r}", lineno)
 

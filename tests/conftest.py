@@ -18,15 +18,14 @@ from perfchain import (
     Tower,
     build_group,
     cyclic_group,
-    direct_product,
-    direct_sum,
-    identity_chain_map,
+    group_from_table,
     limit_complex,
     mapping_cone,
 )
 from perfchain import certificates, flinalg, serialize
 from perfchain.abelian import (
     FGAbelian,
+    FGZlModule,
     SNFResult,
     integer_kernel_columns,
     mat_mul,
@@ -36,6 +35,7 @@ from perfchain.chains import check_ranks
 from perfchain.errors import (
     BoundarySquareNonzeroError,
     DimensionMismatchError,
+    GroupMismatchError,
     LimitError,
     ParseError,
 )
@@ -58,7 +58,93 @@ def group_from_mul(elems, mul, identity_elem, l: int) -> GroupTable:
     """Build a validated table from an element list and a product function."""
     idx = {e: i for i, e in enumerate(elems)}
     mult = [[idx[mul(a, b)] for b in elems] for a in elems]
-    return GroupTable(mult, idx[identity_elem], l)
+    return group_from_table(mult, idx[identity_elem], l)
+
+
+def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
+    """Direct product with indices packed as a*|H| + b: the `product:`
+    group of the cyclic factors of abelian g and h, and otherwise the
+    checked reading of the product table."""
+    if g.prime_l != h.prime_l:
+        raise GroupMismatchError("factors have different primes")
+    parts = []
+    for f in (g, h):
+        d = f.descriptor
+        if d.startswith("cyclic:"):
+            parts.append(d)
+        elif d.startswith("product:"):
+            parts.extend(d[len("product:"):].split(","))
+        else:
+            break
+    else:
+        return build_group("product:" + ",".join(parts), g.prime_l)
+    oh = h.order
+    a = np.arange(g.order * h.order)
+    a1, a2 = a // oh, a % oh
+    mult = g.ldiv[g.inv][np.ix_(a1, a1)] * oh + h.ldiv[h.inv][np.ix_(a2, a2)]
+    return group_from_table(mult, g.identity * oh + h.identity, g.prime_l)
+
+
+def zero_complex(G: GroupTable) -> ChainComplex:
+    return ChainComplex(G, 0, [], [])
+
+
+def identity_chain_map(C: ChainComplex) -> ChainMap:
+    comps = {C.bottom + i: GroupRingMatrix.identity(C.group, r)
+             for i, r in enumerate(C.ranks) if r}
+    return ChainMap(C, C, comps)
+
+
+def direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
+    """The complex C (+) D, block-diagonal in every degree."""
+    if C.group != D.group:
+        raise GroupMismatchError("direct sum over different groups")
+    if not C.ranks:
+        return D
+    if not D.ranks:
+        return C
+    G = C.group
+    bottom = min(C.bottom, D.bottom)
+    top = max(C.top, D.top)
+    ranks = [C.rank_at(q) + D.rank_at(q) for q in range(bottom, top + 1)]
+    boundaries = []
+    for q in range(bottom + 1, top + 1):
+        cb, db = C.boundary_at(q), D.boundary_at(q)
+        data = np.zeros((C.rank_at(q - 1) + D.rank_at(q - 1),
+                         C.rank_at(q) + D.rank_at(q), G.order), dtype=np.int64)
+        data[:cb.rows, :cb.cols] = cb.data
+        data[cb.rows:, cb.cols:] = db.data
+        boundaries.append(GroupRingMatrix(G, data))
+    return ChainComplex(G, bottom, ranks, boundaries)
+
+
+def module_is_zero(M: PiModule) -> bool:
+    return M.dim == 0
+
+
+def is_trivial(A: FGAbelian) -> bool:
+    return A.free_rank == 0 and not A.invariant_factors
+
+
+def abelian_order(A: FGAbelian) -> int | None:
+    """|A|, or None when A is infinite."""
+    if A.free_rank:
+        return None
+    out = 1
+    for d in A.invariant_factors:
+        out *= d
+    return out
+
+
+def zl_is_zero(M: FGZlModule) -> bool:
+    return M.rank == 0 and not M.torsion
+
+
+def zl_direct_sum(M: FGZlModule, N: FGZlModule) -> FGZlModule:
+    if N.prime != M.prime:
+        raise DimensionMismatchError("direct sum over different primes")
+    tors = tuple(sorted(M.torsion + N.torsion, reverse=True))
+    return FGZlModule(M.prime, M.rank + N.rank, tors)
 
 
 def dihedral(m: int) -> GroupTable:

@@ -28,6 +28,7 @@ from perfchain.certificates import _check_snf_witness
 
 from conftest import int_det_reference as _int_det
 from conftest import invariant_factors, preimage_lattice_reference, smith_normal_form_reference
+from conftest import abelian_order, is_trivial, zl_direct_sum, zl_is_zero
 
 
 def minor_gcd_oracle(M):
@@ -153,14 +154,14 @@ def test_fg_abelian_canonical_form():
     assert A.free_rank == 1
     assert A.invariant_factors == [2, 6]
     assert str(A) == "Z + Z/2 + Z/6"
-    assert FGAbelian(0).is_trivial()
-    assert FGAbelian.from_invariants(0, [4]).order() == 4
+    assert is_trivial(FGAbelian(0))
+    assert abelian_order(FGAbelian.from_invariants(0, [4])) == 4
 
 
 def test_l_complete_examples():
     assert l_complete(FGAbelian.from_invariants(1), 3) == FGZlModule(3, 1, ())
     assert l_complete(FGAbelian.from_invariants(0, [6]), 3) == FGZlModule(3, 0, (3,))
-    assert l_complete(FGAbelian.from_invariants(0, [4]), 3).is_zero()
+    assert zl_is_zero(l_complete(FGAbelian.from_invariants(0, [4]), 3))
 
 
 def test_l_adic_paths_refuse_an_l_that_is_not_prime():
@@ -224,7 +225,7 @@ def test_l_complete_additive(rng):
         A = FGAbelian.from_invariants(r1, t1)
         B = FGAbelian.from_invariants(r2, t2)
         AB = FGAbelian.from_invariants(r1 + r2, t1 + t2)
-        assert l_complete(AB, l) == l_complete(A, l).direct_sum(l_complete(B, l))
+        assert l_complete(AB, l) == zl_direct_sum(l_complete(A, l), l_complete(B, l))
 
 
 def test_l_complete_of_finite_group_is_sylow_data():

@@ -26,7 +26,6 @@ from perfchain import (
     decide_perfect,
     euler_characteristic,
     free_cover,
-    identity_chain_map,
     is_quasi_iso,
     lens_complex,
     limit_complex,
@@ -43,6 +42,7 @@ from conftest import (
     conjugate_complex,
     has_equivariant_section,
     homology,
+    identity_chain_map,
     homology_image_dims,
     is_free,
     is_projective,

@@ -10,11 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from perfchain import (ChainComplex, ChainMap, Tower, chains_of_cover, identity_chain_map,
-                       lens_complex)
+from perfchain import ChainComplex, ChainMap, Tower, chains_of_cover, lens_complex
 from perfchain.serialize import write_complex, write_tower
 
-from conftest import SMALL_GROUPS, norm_matrix
+from conftest import SMALL_GROUPS, identity_chain_map, norm_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 

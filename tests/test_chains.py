@@ -18,14 +18,11 @@ from perfchain import (
     PiModule,
     build_group,
     decide_perfect,
-    direct_sum,
     euler_characteristic,
-    identity_chain_map,
     is_quasi_iso,
     mapping_cone,
     minimalize,
     regular_module,
-    zero_complex,
 )
 from perfchain import chains, flinalg
 from perfchain.chains import GradedComplex, module_mapping_cone
@@ -36,11 +33,13 @@ from conftest import (
     check_module_map,
     compose_chain_maps,
     conjugate_complex,
+    direct_sum,
     expanded_map,
     first_generator_projection,
     ga_compose_reference,
     heisenberg_27,
     homology,
+    identity_chain_map,
     is_equivariant_brute,
     minimalize_reference,
     module_action,
@@ -48,6 +47,7 @@ from conftest import (
     per_element_action,
     random_minimal_complex,
     right_multiplication_matrix,
+    zero_complex,
     three_group_zoo,
     two_group_zoo,
 )

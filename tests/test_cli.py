@@ -30,7 +30,6 @@ from perfchain import (
     Tower,
     build_group,
     chains_of_cover,
-    identity_chain_map,
     lens_complex,
 )
 from perfchain import certificates, chains
@@ -45,6 +44,7 @@ from conftest import (
     cert_as_v4,
     conjugate_complex,
     heisenberg_27,
+    identity_chain_map,
     norm_matrix,
     norm_pair_tower,
     pad_with_identity_cones,
@@ -1209,6 +1209,52 @@ def test_one_certificate_file_for_several_inputs_is_refused(capsys, lens_path, t
 
 
 _NOT_UTF8 = b"\xff\xfe group"
+
+_LENS_HEADERS = "group cyclic:2\nprime 2\nbottom 0\nranks 1\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("perfect", "group cyclic:+2\nprime \uff12\nbottom +0\nranks 1_0 \u0661\n",
+                 id="all-four"),
+    pytest.param("perfect", _LENS_HEADERS.replace("cyclic:2", "cyclic:+2"), id="cyclic-plus"),
+    pytest.param("perfect", _LENS_HEADERS.replace("cyclic:2", "cyclic:0_8"),
+                 id="cyclic-underscore"),
+    pytest.param("perfect", _LENS_HEADERS.replace("cyclic:2", "cyclic:\uff18"),
+                 id="cyclic-fullwidth"),
+    pytest.param("perfect", _LENS_HEADERS.replace("cyclic:2", "product:cyclic:2,cyclic:+2"),
+                 id="product-factor"),
+    pytest.param("perfect", _LENS_HEADERS.replace(
+        "cyclic:2", "table:{order:\u0662;identity:0;mult:0,1|1,0}"), id="table-order"),
+    pytest.param("perfect", _LENS_HEADERS.replace(
+        "cyclic:2", "table:{order:2;identity:\u0660;mult:0,1|1,0}"), id="table-identity"),
+    pytest.param("perfect", _LENS_HEADERS.replace("prime 2", "prime \uff12"), id="prime"),
+    pytest.param("perfect", _LENS_HEADERS.replace("prime 2", "prime +2"), id="prime-plus"),
+    pytest.param("perfect", _LENS_HEADERS.replace("bottom 0", "bottom +0"), id="bottom"),
+    pytest.param("perfect", _LENS_HEADERS.replace("ranks 1", "ranks 1_0"), id="rank"),
+    pytest.param("perfect", _LENS_HEADERS.replace("ranks 1", "ranks \u0661"),
+                 id="rank-arabic-indic"),
+    pytest.param("tower-perfect", "group cyclic:2\nprime 2\nlevels \u0662\n" + "\n".join(
+        f"level {n}\nbottom 0\nranks 1" for n in range(2)) + "\nbond 0\n", id="levels"),
+])
+def test_integer_spelling_outside_the_grammar_is_a_coded_error(capsys, tmp_path, command,
+                                                               text):
+    """An order or a table identity is `[0-9]+` and a header integer
+    `-?[0-9]+`, in ASCII digits, as a coefficient is: a plus sign, an
+    underscore and non-ASCII digits, all of which Python's `int` reads,
+    are E_PARSE with exit 2, not a group or complex read from them."""
+    path = tmp_path / "spelling.txt"
+    path.write_text(text, encoding="utf-8")
+    horizon = ["--horizon", "1"] if command == "tower-perfect" else []
+    code, out, err = run(capsys, command, str(path), *horizon)
+    assert (code, out) == (2, "") and err.startswith("error[E_PARSE]"), err
+
+
+def test_integers_keep_their_surrounding_whitespace(capsys, tmp_path):
+    """Whitespace around a header integer or an order is still read, and
+    leading zeros of an order still name the same group."""
+    path = tmp_path / "spaced.cplx"
+    path.write_text("group product:cyclic: 2 , cyclic:02\nprime  2 \nbottom  0\nranks  1 \n")
+    assert run(capsys, "homology", str(path)) == (0, "H_0: dim=4\n", "")
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -14,16 +14,13 @@ from perfchain import (
     NotPerfectError,
     build_group,
     decide_perfect,
-    direct_sum,
     euler_characteristic,
-    identity_chain_map,
     is_quasi_iso,
     limit_complex,
     mapping_cone,
     Tower,
     trivial_module,
     wall_class,
-    zero_complex,
 )
 from perfchain import finiteness, flinalg
 from perfchain.chains import module_mapping_cone
@@ -31,9 +28,9 @@ from perfchain.finiteness import _approximate
 from perfchain.modules import PiModule, direct_sum_modules
 
 from conftest import SMALL_GROUPS, check_action, check_module_complex, check_module_map, \
-    conjugate_complex, heisenberg_27, homology, is_equivariant_brute, is_free, \
-    pad_with_identity_cones, random_minimal_complex, random_stabilizing_tower, \
-    three_group_zoo, two_group_zoo
+    conjugate_complex, direct_sum, heisenberg_27, homology, identity_chain_map, \
+    is_equivariant_brute, is_free, pad_with_identity_cones, random_minimal_complex, \
+    random_stabilizing_tower, three_group_zoo, two_group_zoo, zero_complex
 
 
 def one_plus_t(G):

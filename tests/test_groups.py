@@ -11,7 +11,6 @@ from perfchain import (
     DimensionMismatchError,
     GroupMismatchError,
     GroupRingMatrix,
-    GroupTable,
     LimitError,
     NotAGroupError,
     NotAnLGroupError,
@@ -19,8 +18,8 @@ from perfchain import (
     ParseError,
     build_group,
     cyclic_group,
-    direct_product,
     ga_inverse,
+    group_from_table,
 )
 from perfchain import flinalg, groups
 from perfchain.groups import ga_compose, grm_compose
@@ -29,6 +28,7 @@ from conftest import (
     SMALL_GROUPS,
     closure_brute,
     dihedral,
+    direct_product,
     expand_reference,
     from_expanded,
     from_expanded_reference,
@@ -103,17 +103,63 @@ def test_order_is_bounded_by_its_table_bytes():
 def test_a_group_table_keeps_one_table():
     """A GroupTable keeps its left divisions and no other |pi|^2 array:
     after cyclic_group(1024, 2) the memory still held is one 8 MB int64
-    table with 1 MB to spare, and neither a product table nor right
-    divisions are attributes."""
+    table with 1 MB to spare, the build peaks within two such tables and
+    1 MB, and neither a product table nor right divisions are
+    attributes."""
     tracemalloc.start()
     try:
         G = cyclic_group(1024, 2)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert G.ldiv.nbytes == 8 << 20
     assert held <= (8 << 20) + (1 << 20), held
+    assert peak <= 2 * (8 << 20) + (1 << 20), peak
     assert not hasattr(G, "mult") and not hasattr(G, "rdiv")
+
+
+def _abelian_descriptors() -> list[tuple[str, int]]:
+    """(descriptor, l) of every `cyclic:` and `product:` group of both zoos,
+    and of two groups of order 1024."""
+    found = [(G.descriptor, G.prime_l) for _, G in two_group_zoo() + three_group_zoo()
+             if G.descriptor.startswith(("cyclic:", "product:"))]
+    return found + [("cyclic:1024", 2), ("product:cyclic:8,cyclic:8,cyclic:16", 2)]
+
+
+def test_abelian_groups_equal_the_checked_reading_of_their_tables():
+    """A `cyclic:` or `product:` group, built by index arithmetic, equals
+    the checked reading of its own product table ldiv[inv] in ldiv, inv,
+    generators and identity, and that table is the componentwise sum of
+    exponent vectors indexed in mixed radix, the last factor least
+    significant."""
+    found = _abelian_descriptors()
+    assert len(found) == 21
+    for desc, l in found:
+        G = build_group(desc, l)
+        assert G.descriptor == desc
+        mult = G.ldiv[G.inv]
+        H = group_from_table(mult, G.identity, l)
+        assert H.descriptor.startswith("table:"), desc
+        assert np.array_equal(G.ldiv, H.ldiv) and np.array_equal(G.inv, H.inv), desc
+        assert (G.generators, G.identity) == (H.generators, H.identity), desc
+        orders = [int(f[len("cyclic:"):]) for f in desc.removeprefix("product:").split(",")]
+        digits = np.array(np.unravel_index(np.arange(G.order), orders))
+        total = (digits[:, :, None] + digits[:, None, :]) % np.array(orders)[:, None, None]
+        assert np.array_equal(mult, np.ravel_multi_index(tuple(total), orders)), desc
+
+
+def test_building_an_abelian_group_compares_no_arrays(monkeypatch):
+    """`cyclic:` and `product:` groups are groups by construction: building
+    them, past the descriptor cache, runs no check that compares arrays."""
+    found = _abelian_descriptors()
+
+    def no_array_checks(*args, **kwargs):
+        raise AssertionError("compared arrays while building a group")
+
+    monkeypatch.setattr(np, "array_equal", no_array_checks)
+    for desc, l in found:
+        assert build_group.__wrapped__(desc, l).descriptor == desc
+    assert cyclic_group(27, 3).order == 27
 
 
 def test_build_klein_four():
@@ -149,7 +195,7 @@ def test_non_associative_loop_rejected():
     product = [[2 * loop[x // 2][y // 2] + (x ^ y) % 2 for y in range(10)] for x in range(10)]
     assert not is_group_brute(product, 0)
     with pytest.raises(NotAGroupError, match="associative"):
-        GroupTable(product, 0, 2)
+        group_from_table(product, 0, 2)
 
 
 def test_generators_generate_within_log_bound():
@@ -177,7 +223,7 @@ def test_group_check_matches_brute_force_on_perturbed_tables():
             mult = G.ldiv[G.inv]
             mult[[a, b], c] = mult[[b, a], c]
             try:
-                GroupTable(mult, G.identity, G.prime_l)
+                group_from_table(mult, G.identity, G.prime_l)
                 accepted = True
             except NotAGroupError as e:
                 accepted = False
@@ -559,7 +605,7 @@ def test_group_equality_and_hash_keep_their_meaning(monkeypatch):
     relabel = (np.arange(9) + 1) % 9                 # the same group, identity at 1
     mult = np.empty_like(a.ldiv)
     mult[np.ix_(relabel, relabel)] = relabel[a.ldiv[a.inv]]
-    assert GroupTable(mult, 1, 3) != a
+    assert group_from_table(mult, 1, 3) != a
 
     def no_table_reads(*args, **kwargs):
         raise AssertionError("compared the multiplication tables")

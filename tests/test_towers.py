@@ -15,14 +15,12 @@ from perfchain import (
     build_group,
     decide_perfect,
     euler_characteristic,
-    identity_chain_map,
     is_quasi_iso,
     limit_complex,
     pro_decide_perfect,
     stable_images,
 )
 from perfchain import certificates, chains, flinalg, towers
-from perfchain.chains import direct_sum
 from perfchain.groups import grm_compose
 from perfchain.modules import free_cover, orbit_columns, regular_module
 from perfchain.serialize import json_field_array, module_complex_to_json
@@ -33,8 +31,10 @@ from conftest import (
     cone_junk_with_map,
     conjugate_complex,
     constant_tower,
+    direct_sum,
     fold_tower,
     homology_image_dims,
+    identity_chain_map,
     is_free,
     kill_tower,
     module_action,
@@ -264,7 +264,7 @@ def test_stable_images_radical_bond_tower():
 
 
 def test_stable_images_eventually_constant():
-    from perfchain import direct_sum, mapping_cone
+    from perfchain import mapping_cone
     G = SMALL_GROUPS["C2"]
     C = lens_like(G, 1)
     junk = mapping_cone(identity_chain_map(ChainComplex(G, 5, [1], [])))
