@@ -162,7 +162,7 @@ def cmd_tower_perfect(args) -> int:
     return EXIT_OK if verdict.perfect else EXIT_NEGATIVE
 
 
-_ABELIAN_TERM = re.compile(r"^(Z(\^(\d+))?|Z/(\d+))$")
+_ABELIAN_TERM = re.compile(r"^(Z(\^([0-9]+))?|Z/([0-9]+))$")
 
 
 def parse_abelian_descriptor(text: str) -> abelian.FGAbelian:

@@ -389,13 +389,14 @@ def write_int_matrix(M) -> str:
 
 
 def read_int_matrix(text: str) -> list[list[int]]:
+    """Rows of integers `-?[0-9]+` in ASCII digits, as a coefficient is."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            rows.append([int(t) for t in line.split()])
+        try:    # int() refuses "" and more digits than Python's limit
+            rows.append([int(t if _COEFFICIENT.fullmatch(t) else "") for t in line.split()])
         except ValueError:
             raise ParseError(f"non-integer matrix entry in {line!r}", lineno)
     if rows and any(len(r) != len(rows[0]) for r in rows):

@@ -27,6 +27,8 @@ from perfchain.abelian import (
     FGAbelian,
     FGZlModule,
     SNFResult,
+    _echelon,
+    _xgcd,
     integer_kernel_columns,
     mat_mul,
     smith_normal_form,
@@ -788,6 +790,41 @@ def smith_normal_form_reference(M) -> SNFResult:
             row_negate(k)
     diag = tuple(A[k][k] for k in range(n))
     return SNFResult(diag, tuple(map(tuple, U)), tuple(map(tuple, V)))
+
+
+def smith_normal_form_carried(M) -> SNFResult:
+    """`smith_normal_form` with V carried through every echelon pass, the
+    first included, as it was before the first pass solved for V; the
+    oracle that the solved V is the carried one, entry for entry."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    A = [list(map(int, c)) for c in zip(*M)]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    r = 0
+    on_rows = False
+    while n:
+        r = _echelon(A, U, V) if on_rows else _echelon(A, V, U)
+        if all(not x for i, c in enumerate(A[:r]) for k, x in enumerate(c) if k != i):
+            break
+        A = list(map(list, zip(*A)))
+        on_rows = not on_rows
+    d = [A[i][i] for i in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            a, b = d[i], d[j]
+            if b % a:
+                g, s, t = _xgcd(a, b)
+                a1, b1 = a // g, b // g
+                ui, uj = U[i], U[j]
+                U[i] = [s * x + t * y for x, y in zip(ui, uj)]
+                U[j] = [a1 * y - b1 * x for x, y in zip(ui, uj)]
+                vi, vj = V[i], V[j]
+                V[i] = [x + y for x, y in zip(vi, vj)]
+                V[j] = [s * a1 * y - t * b1 * x for x, y in zip(vi, vj)]
+                d[i], d[j] = g, a * b1
+    diag = tuple(d) + (0,) * (min(m, n) - r)
+    return SNFResult(diag, tuple(map(tuple, U)), tuple(zip(*V)))
 
 
 def snf_diagonal_reference(M, U, V, diag) -> bool:

@@ -28,6 +28,7 @@ from perfchain.certificates import _check_snf_witness
 
 from conftest import int_det_reference as _int_det
 from conftest import invariant_factors, preimage_lattice_reference, smith_normal_form_reference
+from conftest import smith_normal_form_carried
 from conftest import abelian_order, is_trivial, zl_direct_sum, zl_is_zero
 
 
@@ -126,6 +127,8 @@ def test_snf_matches_reference_on_shape_zoo():
         K = integer_kernel_columns(M)
         assert len(K) == cols and all(len(row) == cols - s.rank for row in K)
         assert mat_mul(M, K) == [[0] * (cols - s.rank) for _ in range(rows)]
+        # a basis of the kernel, not a sublattice: K's invariant factors are 1
+        assert set(smith_normal_form(K).diag) <= {1}
 
 
 def hadamard_digits(M) -> int:
@@ -147,6 +150,86 @@ def test_snf_transforms_stay_within_hadamard_digits():
         s = smith_normal_form(M)
         digits = max(len(str(abs(x))) for T in (s.U, s.V) for row in T for x in row)
         assert digits <= 3 * hadamard_digits(M)
+
+
+# The first lifting prime, the largest below 2^20, and the largest entry
+# that `abelian._liftable` admits in a 24-column input: n max|M| 2^20 < 2^53.
+_FIRST_LIFTING_PRIME = 1048573
+_GUARD_24 = ((1 << 33) - 1) // 24
+
+
+def lifting_zoo(rng):
+    """Seeded inputs with 16 to 64 columns for the lifted first pass:
+    dense square and tall, planted factors, rank-deficient, sparse,
+    unimodular, entries just under and just past the guard, and a tall
+    input whose pivot block has the first lifting prime on its diagonal."""
+    def dense(m, n, e=9):
+        return [[rng.randint(-e, e) for _ in range(n)] for _ in range(m)]
+
+    def planted(m, n, factors):
+        D = [[factors[i] if i == j else 0 for j in range(n)] for i in range(m)]
+        P, Q = dense(m, m, 2), dense(n, n, 2)
+        for i in range(m):
+            P[i][i] = 1
+        return mat_mul(mat_mul(P, D), Q)
+
+    mats = [dense(n, n) for n in (16, 24, 33, 48, 64)]
+    mats += [dense(n + 7, n) for n in (30, 40)]
+    mats += [planted(24, 24, [1] * 20 + [2, 6, 12, 36]),
+             planted(40, 36, [1] * 30 + [3, 3, 9, 45, 90, 0])]
+    mats += [mat_mul(dense(n, n - 1, 3), dense(n - 1, n, 3)) for n in (30, 40)]
+    mats += [[[rng.randint(-9, 9) if rng.random() < 0.2 else 0 for _ in range(n)]
+              for _ in range(n)] for n in (28, 45)]
+    # unimodular: every h_ii is 1, so no row of the pivot block is big
+    L = [[rng.randint(-3, 3) if j < i else int(i == j) for j in range(30)] for i in range(30)]
+    mats.append(mat_mul(L, [list(reversed(row)) for row in reversed(L)]))
+    for e in (_GUARD_24, _GUARD_24 + 1):
+        M = dense(24, 24, e)
+        M[5][7] = -e
+        mats.append(M)
+    q = _FIRST_LIFTING_PRIME
+    mats.append([[q] + [0] * 21] + [[q + rng.randint(1, 9)] + row for row in dense(22, 21)])
+    return mats
+
+
+def test_lifted_first_pass_matches_the_carried_transform():
+    """Solving for the first pass's V gives the V that carrying it through
+    the pass gives, entry for entry, and the same U and diagonal, on every
+    input of the lifting zoo, lifted or not."""
+    for M in lifting_zoo(random.Random(2506)):
+        s, t = smith_normal_form(M), smith_normal_form_carried(M)
+        assert (s.diag, s.U, s.V) == (t.diag, t.U, t.V)
+
+
+def test_lifted_first_pass_runs_where_it_pays(monkeypatch):
+    """The lifted solve runs for a dense 48 x 48 input, a unimodular one
+    and one whose first pass ends on the first lifting prime (it takes the
+    next prime);
+    it does not run for 12 x 12, for rank-deficient inputs of 20 x 20 and
+    40 x 40, or past the entry guard."""
+    calls = []
+
+    def counting(C, A, U):
+        calls.append([A[i][i] for i in range(len(A))])
+        return lifted(C, A, U)
+
+    lifted = perfchain.abelian._lifted_transform
+    monkeypatch.setattr(perfchain.abelian, "_lifted_transform", counting)
+    rng = random.Random(37)
+    zoo = lifting_zoo(random.Random(2506))
+    deficient = [mat_mul([[rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(n)],
+                         [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)])
+                 for n in (20, 40)]
+    for M, runs in [(zoo[3], True), (zoo[-1], True),
+                    ([[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)], False),
+                    (deficient[0], False), (deficient[1], False),
+                    (zoo[-4], True), (zoo[-3], True), (zoo[-2], False)]:
+        calls.clear()
+        smith_normal_form(M)
+        assert len(calls) == runs, (len(M), len(M[0]))
+    calls.clear()
+    smith_normal_form(zoo[-1])
+    assert _FIRST_LIFTING_PRIME in calls[0]
 
 
 def test_fg_abelian_canonical_form():

@@ -607,21 +607,28 @@ def test_forged_smith_transform_is_not_unimodular(capsys, tmp_path, command, mat
 def test_smith_certificates_verify_without_the_solver(capsys, tmp_path, monkeypatch):
     """The snf and completion checkers recompute every quantity from the
     certificate and never call the solver that wrote it: both verify with
-    `abelian.smith_normal_form` made to raise."""
-    path = tmp_path / "m.txt"
-    path.write_text("2 4 4\n-6 6 12\n10 -4 -16\n")
-    certs = {}
-    for kind, command in (("snf", ["snf"]),
-                          ("completion", ["complete", "--l", "2", "--presentation"])):
-        certs[kind] = tmp_path / f"{kind}.json"
-        assert main([*command, str(path), "--cert", str(certs[kind])]) == 0
+    `abelian.smith_normal_form` and the lifted first pass's solve
+    (`abelian._lifted_transform`, which writes the dense 24 x 24 input's
+    certificates) made to raise."""
+    rng = random.Random(24)
+    dense = "".join(" ".join(str(rng.randint(-9, 9)) for _ in range(24)) + "\n"
+                    for _ in range(24))
+    certs = []
+    for name, matrix in (("small", "2 4 4\n-6 6 12\n10 -4 -16\n"), ("dense", dense)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(matrix)
+        for kind, command in (("snf", ["snf"]),
+                              ("completion", ["complete", "--l", "2", "--presentation"])):
+            certs.append((kind, tmp_path / f"{name}-{kind}.json"))
+            assert main([*command, str(path), "--cert", str(certs[-1][1])]) == 0
 
-    def solver(M):
-        raise AssertionError("the checker called smith_normal_form")
+    def solver(*args):
+        raise AssertionError("the checker called the Smith-form solver")
 
     monkeypatch.setattr(perfchain.abelian, "smith_normal_form", solver)
+    monkeypatch.setattr(perfchain.abelian, "_lifted_transform", solver)
     capsys.readouterr()
-    for kind, cert_path in certs.items():
+    for kind, cert_path in certs:
         code, out, _ = run(capsys, "verify", str(cert_path))
         assert (code, out) == (0, f"certificate valid (kind={kind})\n")
 
@@ -1235,18 +1242,31 @@ _LENS_HEADERS = "group cyclic:2\nprime 2\nbottom 0\nranks 1\n"
                  id="rank-arabic-indic"),
     pytest.param("tower-perfect", "group cyclic:2\nprime 2\nlevels \u0662\n" + "\n".join(
         f"level {n}\nbottom 0\nranks 1" for n in range(2)) + "\nbond 0\n", id="levels"),
+    pytest.param("snf", "1 2\n+2 1\n", id="snf-plus"),
+    pytest.param("snf", "1 2\n2 1_0\n", id="snf-underscore"),
+    pytest.param("snf", "1 2\n\u0663 1\n", id="snf-arabic-indic"),
+    pytest.param("complete", "1 2\n\uff12 1\n", id="presentation-fullwidth"),
+    pytest.param("complete", "1 2\n2 1_0\n", id="presentation-underscore"),
+    pytest.param("complete-group", "Z/\u0661\u0662", id="group-arabic-indic"),
+    pytest.param("complete-group", "Z^\uff12+Z/4", id="group-fullwidth-rank"),
 ])
 def test_integer_spelling_outside_the_grammar_is_a_coded_error(capsys, tmp_path, command,
                                                                text):
-    """An order or a table identity is `[0-9]+` and a header integer
-    `-?[0-9]+`, in ASCII digits, as a coefficient is: a plus sign, an
-    underscore and non-ASCII digits, all of which Python's `int` reads,
-    are E_PARSE with exit 2, not a group or complex read from them."""
+    """An order, a table identity and an abelian group's rank or order are
+    `[0-9]+`, and a header integer and an integer matrix entry `-?[0-9]+`,
+    in ASCII digits, as a coefficient is: a plus sign, an underscore and
+    non-ASCII digits, all of which Python's `int` reads, are E_PARSE with
+    exit 2, not a group, complex or matrix read from them.  A matrix entry
+    is refused at its line."""
     path = tmp_path / "spelling.txt"
     path.write_text(text, encoding="utf-8")
-    horizon = ["--horizon", "1"] if command == "tower-perfect" else []
-    code, out, err = run(capsys, command, str(path), *horizon)
+    argv = {"tower-perfect": [command, str(path), "--horizon", "1"],
+            "complete": ["complete", "--l", "2", "--presentation", str(path)],
+            "complete-group": ["complete", "--group", text, "--l", "2"]}
+    code, out, err = run(capsys, *argv.get(command, [command, str(path)]))
     assert (code, out) == (2, "") and err.startswith("error[E_PARSE]"), err
+    if command in ("snf", "complete"):
+        assert err.startswith("error[E_PARSE]: line 2: non-integer matrix entry"), err
 
 
 def test_integers_keep_their_surrounding_whitespace(capsys, tmp_path):
