@@ -3,26 +3,24 @@
 All integer arithmetic uses Python ints (arbitrary precision), and numpy
 words only for residues.  Smith normal forms come from Kannan-Bachem
 echelon passes that keep the entries off the diagonal reduced modulo the
-diagonal, so the transforms U and V stay near the size of the determinant
-(see `smith_normal_form`).  When the first pass reaches full column rank
-n, its V is the unique solution of B V_1 = H (B the n rows of M it moved
-up, H its pivot block), so it is solved for, not carried, by Dixon's
-p-adic lifting (Numer. Math. 40, 1982) to p^k > 2 n prod_i |B_i|, twice a
-bound on its entries.  The
-l-adic integers are handled symbolically: a completed module is a free
-rank plus a multiset of l-power torsion orders, and "over Z_l" questions
-reduce to l-valuations of integer Smith data.  A group is Z^n modulo its
-relation lattice, spanned by the columns of its presentation matrix R, and
-one `FGAbelian` holds both.  With U R V = diag(d), v lies in that lattice
-over Z iff each (U v)_i is divisible by d_i, and over Z_l iff by the
-l-part of d_i; `_within` is that one test for both rings, on every column
-of a matrix at once (`FGAbelian.is_relation` is its one-vector case), and
-`check_exactness` runs it over Z and over Z_l on the relation lattices of
-A, B, C, coker f and coker g.  Each group computes its Smith form once.
+diagonal, so the transforms U and V stay near the size of the determinant;
+a first pass of full column rank solves for its V by Dixon's p-adic
+lifting instead (see `smith_normal_form`).  The l-adic integers are
+handled symbolically: a completed module is a free rank plus a multiset of
+l-power torsion orders, and "over Z_l" questions reduce to l-valuations of
+integer Smith data.  A group is Z^n modulo its relation lattice, spanned
+by the columns of its presentation matrix R, and one `FGAbelian` holds
+both.  With U R V = diag(d), v lies in that lattice over Z iff each
+(U v)_i is divisible by d_i, and over Z_l iff by the l-part of d_i;
+`_within` is that one test for both rings, on every column of a matrix at
+once (`FGAbelian.is_relation` is its one-vector case).  `check_exactness`
+runs it for injectivity and reads the other two conditions off the moduli
+of coker f, coker g and C.  Each group computes its Smith form once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -169,11 +167,12 @@ def _echelon(A, T, S) -> int:
 # at n = 16, 0.97x at 20, 0.93x at 22 and 0.63x at 48; 2n x n, 1.5n x n and
 # entries up to 10^6 break even near 21 and take 0.89-0.98x at 22.
 _LIFT_MIN_COLS = 22
+_is_lifting_prime = functools.cache(_is_prime)      # asked by every lifted pass
 
 
 def _lifting_primes():
     """The primes below MAX_PRIME = 2^20, as every l is, largest first."""
-    return (q for q in range(MAX_PRIME - 1, 2, -2) if _is_prime(q))
+    return (q for q in range(MAX_PRIME - 1, 2, -2) if _is_lifting_prime(q))
 
 
 def _liftable(A, m: int):
@@ -345,14 +344,8 @@ def _preimage(M, tgt: FGAbelian, l: int | None, n: int) -> list[list[int]]:
     rows = [(row, m) for row, m in zip(mat_mul(tgt.snf().U, M), tgt._moduli(l)) if m != 1]
     if not rows:
         return _identity(n)
-    k = sum(1 for _, m in rows if m)
-    mat, j = [], n
-    for row, m in rows:
-        row = row + [0] * k
-        if m:
-            row[j] = m
-            j += 1
-        mat.append(row)
+    D = [i for i, (_, m) in enumerate(rows) if m]
+    mat = [row + [m if i == t else 0 for t in D] for i, (row, m) in enumerate(rows)]
     return integer_kernel_columns(mat)[:n]
 
 
@@ -481,12 +474,8 @@ def l_complete(A: FGAbelian, l: int) -> FGZlModule:
     error): keep the free rank (now of l-adic summands) and the l-parts
     of the torsion."""
     check_prime(l)
-    torsion = []
-    for d in A.invariant_factors:
-        p = _l_part(d, l)
-        if p > 1:
-            torsion.append(p)
-    return FGZlModule(l, A.free_rank, tuple(sorted(torsion, reverse=True)))
+    torsion = sorted((m for m in A._moduli(l) if m > 1), reverse=True)
+    return FGZlModule(l, A.free_rank, tuple(torsion))
 
 
 def _within(M, big: FGAbelian, l: int | None) -> bool:
@@ -500,30 +489,37 @@ def _within(M, big: FGAbelian, l: int | None) -> bool:
 def _short_exact(f: FGAbelianMap, g: FGAbelianMap, coker_f: FGAbelian, coker_g: FGAbelian,
                  l: int | None) -> bool:
     """Exactness of 0 -> A -> B -> C -> 0 over Z (l None) or over Z_l,
-    given coker f and coker g, with relations im f + rel B and im g + rel C:
-    f^-1(rel B) lies in rel A (injective), g^-1(rel C) in rel coker f
-    (exact at B), and every generator of C in rel coker g (surjective)."""
-    A, B, C = f.source, f.target, g.target
-    return (_within(_preimage(f.matrix, B, l, A.n), A, l)
-            and _within(_preimage(g.matrix, C, l, B.n), coker_f, l)
-            and _within(_identity(C.n), coker_g, l))
+    given coker f and coker g (relations im f + rel B and im g + rel C),
+    for a g that sends im f + rel B into rel C.  A group's moduli other than
+    1 (`FGAbelian._moduli`), in order, name it up to isomorphism: ta, tg, tf
+    and tc for A, coker g, coker f and C.  g is onto iff tg is empty (a row
+    of U is primitive); then g induces a surjection coker f -> C, injective
+    iff tf == tc, since a surjective endomorphism of a finitely generated
+    module over a commutative ring is injective (Vasconcelos, Proc. AMS 25,
+    1970; Matsumura, Commutative Ring Theory, Thm 2.4).  f is injective iff
+    A is 0 or f^-1(rel B), a kernel, lies in rel A."""
+    ta, tg, tf, tc = ([m for m in G._moduli(l) if m != 1]
+                      for G in (f.source, coker_g, coker_f, g.target))
+    return not tg and tf == tc and (not ta or _within(
+        _preimage(f.matrix, f.target, l, f.source.n), f.source, l))
 
 
 def check_exactness(f: FGAbelianMap, g: FGAbelianMap, l: int) -> bool:
     """Does 0 -> A_l -> B_l -> C_l -> 0 stay exact after l-completion?
 
-    Checks that g o f = 0 and that the integral sequence is short exact
-    (NotExactIntegrallyError otherwise), then decides the completed
-    sequence by the same three lattice conditions over Z_l, on the
-    relation lattices of the same five groups: A, B, C, coker f (relations
-    im f + rel B) and coker g (im g + rel C).  The l-local pass is an
-    independent decision; it does not appeal to the flatness of Z_l over
-    Z.  An l that is not prime is refused first (`check_prime`).
+    B is f.target: a g on another group must send B's relations into C's,
+    else the maps do not compose (DimensionMismatchError).  Checks g o f = 0
+    and the integral sequence (NotExactIntegrallyError), then the completed
+    one on its own, by `_short_exact`: g onto iff coker g is 0, exact at B
+    iff coker f and C have the same (l-parts of) invariant factors and free
+    rank, as g induces a surjection coker f -> C (Vasconcelos 1970), and f
+    injective by a kernel.  An l that is not prime is refused first.
     """
     check_prime(l)
-    if f.target is not g.source and f.target.n != g.source.n:
-        raise DimensionMismatchError("maps do not compose")
     B, C = f.target, g.target
+    if g.source is not B and (g.source.n != B.n
+                              or not _within(mat_mul(g.matrix, B.relations), C, None)):
+        raise DimensionMismatchError("maps do not compose")
     if not _within(mat_mul(g.matrix, f.matrix), C, None):
         raise NotExactIntegrallyError("g o f is not zero")
     coker_f = FGAbelian(B.n, [a + b for a, b in zip(f.matrix, B.relations)])

@@ -160,6 +160,8 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
 
 
 _COEFFICIENT = re.compile(r"-?[0-9]+")
+# `\s` and str.split() separate on the same code points
+_INT_ROW = re.compile(rf"{_COEFFICIENT.pattern}(?:\s+{_COEFFICIENT.pattern})*")
 _DELIMITERS = str.maketrans("[],", "   ")
 
 
@@ -396,7 +398,7 @@ def read_int_matrix(text: str) -> list[list[int]]:
         if not line or line.startswith("#"):
             continue
         try:    # int() refuses "" and more digits than Python's limit
-            rows.append([int(t if _COEFFICIENT.fullmatch(t) else "") for t in line.split()])
+            rows.append(list(map(int, line.split() if _INT_ROW.fullmatch(line) else [""])))
         except ValueError:
             raise ParseError(f"non-integer matrix entry in {line!r}", lineno)
     if rows and any(len(r) != len(rows[0]) for r in rows):

@@ -28,6 +28,9 @@ from perfchain.abelian import (
     FGZlModule,
     SNFResult,
     _echelon,
+    _identity,
+    _preimage,
+    _within,
     _xgcd,
     integer_kernel_columns,
     mat_mul,
@@ -39,10 +42,11 @@ from perfchain.errors import (
     DimensionMismatchError,
     GroupMismatchError,
     LimitError,
+    NotExactIntegrallyError,
     ParseError,
 )
 from perfchain.finiteness import decide_perfect
-from perfchain.groups import MAX_FREE_DIM, ga_compose, ga_inverse, grm_compose
+from perfchain.groups import MAX_FREE_DIM, check_prime, ga_compose, ga_inverse, grm_compose
 from perfchain.modules import (
     PiModule,
     PiModuleMap,
@@ -876,6 +880,36 @@ def preimage_lattice_reference(M, tgt: FGAbelian) -> list[list[int]]:
     if not ker or not ker[0]:
         return [[] for _ in range(n)]
     return [ker[i] for i in range(n)]
+
+
+def short_exact_lattice_reference(f, g, coker_f: FGAbelian, coker_g: FGAbelian,
+                                  l: int | None) -> bool:
+    """Exactness of 0 -> A -> B -> C -> 0 over Z (l None) or over Z_l by
+    three lattice inclusions: f^-1(rel B) in rel A (injective), g^-1(rel C)
+    in rel coker f (exact at B), and every generator of C in rel coker g
+    (surjective).  The decision `abelian._short_exact` made before it read
+    the last two off the moduli of coker f, coker g and C; kept as its
+    oracle."""
+    A, B, C = f.source, f.target, g.target
+    return (_within(_preimage(f.matrix, B, l, A.n), A, l)
+            and _within(_preimage(g.matrix, C, l, B.n), coker_f, l)
+            and _within(_identity(C.n), coker_g, l))
+
+
+def check_exactness_reference(f, g, l: int) -> bool:
+    """`abelian.check_exactness` on `short_exact_lattice_reference`, for
+    maps whose middle groups are one object: the same checks in the same
+    order, with the same errors."""
+    check_prime(l)
+    assert f.target is g.source
+    B, C = f.target, g.target
+    if not _within(mat_mul(g.matrix, f.matrix), C, None):
+        raise NotExactIntegrallyError("g o f is not zero")
+    coker_f = FGAbelian(B.n, [a + b for a, b in zip(f.matrix, B.relations)])
+    coker_g = FGAbelian(C.n, [a + b for a, b in zip(g.matrix, C.relations)])
+    if not short_exact_lattice_reference(f, g, coker_f, coker_g, None):
+        raise NotExactIntegrallyError("integral sequence is not short exact")
+    return short_exact_lattice_reference(f, g, coker_f, coker_g, l)
 
 
 def stable_images_reference(T: Tower, q: int, n: int, h: int):

@@ -21,11 +21,13 @@ from perfchain import (
     smith_normal_form,
 )
 import perfchain
-from perfchain.abelian import _l_part, _preimage, integer_kernel_columns, mat_mul
+from perfchain.abelian import (_identity, _l_part, _preimage, _within, integer_kernel_columns,
+                               mat_mul)
 from perfchain.errors import LimitError, NotAnLGroupError
 from perfchain.groups import MAX_PRIME
 from perfchain.certificates import _check_snf_witness
 
+from conftest import check_exactness_reference
 from conftest import int_det_reference as _int_det
 from conftest import invariant_factors, preimage_lattice_reference, smith_normal_form_reference
 from conftest import smith_normal_form_carried
@@ -408,6 +410,151 @@ def test_each_group_computes_its_smith_form_once(rng, monkeypatch):
             assert check_exactness(f, g, l)
         for X in (f.source, f.target, g.target):
             assert sum(M is X.relations for M in seen) == 1, X
+
+
+def exactness_outcome(check, f, g, l):
+    """What `check` returns for (f, g, l), or the type and text it raises."""
+    try:
+        return check(f, g, l)
+    except (NotExactIntegrallyError, DimensionMismatchError) as e:
+        return type(e), str(e)
+
+
+def perturbed_ses(rng, f, g):
+    """(f, g) with a row of g scaled or one relation entry of B or C
+    changed (a relation added where there is none), or None where a map
+    is no longer valid."""
+    A, B, C = f.source, f.target, g.target
+    kind = rng.randrange(3)
+    try:
+        if kind == 0:
+            rows = [row[:] for row in g.matrix]
+            i = rng.randrange(C.n)
+            rows[i] = [x * rng.choice((-1, 0, 2, 3, 5)) for x in rows[i]]
+            return f, FGAbelianMap(B, C, rows)
+        X = B if kind == 1 else C
+        rel = [row[:] for row in X.relations]
+        if not rel[0]:
+            rel = [[0] for _ in rel]
+        rel[rng.randrange(X.n)][rng.randrange(len(rel[0]))] = rng.randint(-6, 6)
+        X = FGAbelian(X.n, rel)
+        if kind == 1:
+            return FGAbelianMap(A, X, f.matrix), FGAbelianMap(X, C, g.matrix)
+        return f, FGAbelianMap(B, X, g.matrix)
+    except DimensionMismatchError:
+        return None
+
+
+def only_exactness_at_b_fails(f, g):
+    """Is f injective and g onto over Z, and g o f = 0, but the sequence not
+    exact at B?  By the lattice inclusions, independent of the moduli."""
+    A, B, C = f.source, f.target, g.target
+    coker_f = FGAbelian(B.n, [a + b for a, b in zip(f.matrix, B.relations)])
+    coker_g = FGAbelian(C.n, [a + b for a, b in zip(g.matrix, C.relations)])
+    return (_within(mat_mul(g.matrix, f.matrix), C, None)
+            and _within(_preimage(f.matrix, B, None, A.n), A, None)
+            and _within(_identity(C.n), coker_g, None)
+            and not _within(_preimage(g.matrix, C, None, B.n), coker_f, None))
+
+
+def hand_sequences():
+    """(f, g) pairs where one condition alone fails (g o f = 0 in the
+    fifth), or none does (the last two)."""
+    Z, zero = FGAbelian(1), FGAbelian(0)
+    Z2 = FGAbelian.from_invariants(0, [2])
+    Z2Z2 = FGAbelian.from_invariants(0, [2, 2])
+    Z4 = FGAbelian.from_invariants(0, [4])
+    ZZ = FGAbelian(2)
+    Z_Z2 = FGAbelian.from_invariants(1, [2])
+    return [
+        (FGAbelianMap(zero, Z2Z2, [[], []]), FGAbelianMap(Z2Z2, Z2, [[1, 0]])),    # at B
+        (FGAbelianMap(Z, ZZ, [[2], [0]]), FGAbelianMap(ZZ, Z, [[0, 1]])),          # at B
+        (FGAbelianMap(zero, Z_Z2, [[], []]), FGAbelianMap(Z_Z2, Z, [[1, 0]])),     # at B
+        (FGAbelianMap(Z, Z_Z2, [[2], [1]]), FGAbelianMap(Z_Z2, Z2, [[1, 0]])),      # at B
+        (FGAbelianMap(Z, Z_Z2, [[2], [0]]), FGAbelianMap(Z_Z2, Z_Z2, [[1, 0], [0, 1]])),
+        (FGAbelianMap(zero, Z, [[]]), FGAbelianMap(Z, Z, [[2]])),                  # onto
+        (FGAbelianMap(Z2, Z, [[0]]), FGAbelianMap(Z, Z, [[1]])),                   # injective
+        (FGAbelianMap(Z, ZZ, [[1], [0]]), FGAbelianMap(ZZ, Z, [[0, 1]])),          # exact
+        (FGAbelianMap(Z, Z_Z2, [[2], [1]]), FGAbelianMap(Z_Z2, Z4, [[1, 2]])),      # exact
+    ]
+
+
+def test_check_exactness_matches_the_lattice_decision():
+    """`check_exactness` reads surjectivity off the moduli of coker g and
+    exactness at B off those of coker f and C.  It returns or raises as
+    the three lattice inclusions do (`check_exactness_reference`) at l = 2,
+    3 and 5, on random short exact sequences, on perturbed ones in which
+    one condition or more fails, and on hand cases where exactness at B
+    fails alone."""
+    rng = random.Random(3807914)
+    cases, at_b = list(hand_sequences()), 0
+    for _ in range(120):
+        f, g = random_ses(rng)
+        cases.append((f, g))
+        for _ in range(2):
+            pair = perturbed_ses(rng, f, g)
+            if pair is not None:
+                cases.append(pair)
+    outcomes = []
+    for f, g in cases:
+        at_b += only_exactness_at_b_fails(f, g)
+        for l in (2, 3, 5):
+            mine = exactness_outcome(check_exactness, f, g, l)
+            assert mine == exactness_outcome(check_exactness_reference, f, g, l), (f, g, l)
+            outcomes.append(mine)
+    assert outcomes.count(True) > 300 and len(outcomes) - outcomes.count(True) > 150
+    assert at_b >= 10
+
+
+def test_check_exactness_needs_two_kernels_and_no_identity_product(rng, monkeypatch):
+    """One `check_exactness` call computes at most two integer kernels, for
+    injectivity over Z and over Z_l, and multiplies no matrix by an
+    identity that it built: surjectivity and exactness at B are read off
+    moduli, and a group that is 0 needs no test of injectivity."""
+    kernels, built, products = [], [], []
+
+    def kernel(M):
+        kernels.append(M)
+        return integer_kernel_columns(M)
+
+    def identity(n):
+        built.append(_identity(n))
+        return built[-1]
+
+    def product(A, B):
+        products.append(any(X is Y for X in (A, B) for Y in built))
+        return mat_mul(A, B)
+
+    monkeypatch.setattr(perfchain.abelian, "integer_kernel_columns", kernel)
+    monkeypatch.setattr(perfchain.abelian, "_identity", identity)
+    monkeypatch.setattr(perfchain.abelian, "mat_mul", product)
+    exact = hand_sequences()[-2:] + [random_ses(rng) for _ in range(60)]
+    for i, (f, g) in enumerate(exact):
+        kernels.clear()
+        assert check_exactness(f, g, (2, 3, 5)[i % 3])
+        assert len(kernels) <= 2
+    assert products and not any(products)
+
+
+@pytest.mark.parametrize("middle, target, g_matrix, exact", [
+    pytest.param(FGAbelian(2), FGAbelian(1), [[1, 0]], None, id="generator-count"),
+    pytest.param(FGAbelian(1), FGAbelian(1), [[1]], None, id="relations-not-sent"),
+    pytest.param(FGAbelian.from_invariants(0, [4]), FGAbelian.from_invariants(0, [2]), [[1]],
+                 True, id="relations-sent"),
+    pytest.param(FGAbelian.from_invariants(0, [2]), FGAbelian.from_invariants(0, [2]), [[1]],
+                 True, id="equal-groups"),
+])
+def test_check_exactness_sends_b_relations_through_g(middle, target, g_matrix, exact):
+    """B is f.target = Z/2.  A g on another group must send B's relations
+    into C's, or the maps do not compose: 0 -> Z/2 -[1]-> Z -> 0 used to
+    be called exact, though [1] is no homomorphism Z/2 -> Z."""
+    f = FGAbelianMap(FGAbelian(0), FGAbelian.from_invariants(0, [2]), [[]])
+    g = FGAbelianMap(middle, target, g_matrix)
+    if exact is None:
+        with pytest.raises(DimensionMismatchError, match="maps do not compose"):
+            check_exactness(f, g, 2)
+    else:
+        assert check_exactness(f, g, 2) is exact
 
 
 def test_lattice_membership():
