@@ -5,17 +5,20 @@ words only for residues.  Smith normal forms come from Kannan-Bachem
 echelon passes that keep the entries off the diagonal reduced modulo the
 diagonal, so the transforms U and V stay near the size of the determinant;
 a first pass of full column rank solves for its V by Dixon's p-adic
-lifting instead (see `smith_normal_form`).  The l-adic integers are
-handled symbolically: a completed module is a free rank plus a multiset of
-l-power torsion orders, and "over Z_l" questions reduce to l-valuations of
-integer Smith data.  A group is Z^n modulo its relation lattice, spanned
-by the columns of its presentation matrix R, and one `FGAbelian` holds
-both.  With U R V = diag(d), v lies in that lattice over Z iff each
-(U v)_i is divisible by d_i, and over Z_l iff by the l-part of d_i;
-`_within` is that one test for both rings, on every column of a matrix at
-once (`FGAbelian.is_relation` is its one-vector case).  `check_exactness`
-runs it for injectivity and reads the other two conditions off the moduli
-of coker f, coker g and C.  Each group computes its Smith form once.
+lifting instead, reduces from each pivot row down, and for a square input
+takes B^-1 from the inversion mod p that decided its rank (see
+`smith_normal_form`).  The l-adic integers are handled symbolically: a
+completed module is a free rank plus a multiset of l-power torsion orders,
+and "over Z_l" questions reduce to l-valuations of integer Smith data.  A
+group is Z^n modulo its relation lattice, spanned by the columns of its
+presentation matrix R, and one `FGAbelian` holds both.  With U R V =
+diag(d), v lies in that lattice over Z iff each (U v)_i is divisible by
+d_i, and over Z_l iff by the l-part of d_i; `_within` is that one test for
+both rings, on every column of a matrix at once (`FGAbelian.is_relation`
+is its one-vector case).  `check_exactness` runs it for injectivity and
+reads the other two conditions off the moduli of coker f, coker g and C,
+over Z alone, as Z_l is flat over Z.  Each group computes its Smith form
+once.
 """
 
 from __future__ import annotations
@@ -103,8 +106,16 @@ def _echelon(A, T, S) -> int:
     column operations; a column that stays nonzero swaps a row up as the
     next pivot row.  Column operations are applied to the columns of T,
     row swaps to the rows of S.
+
+    T None carries no transform (the lifted first pass of
+    `smith_normal_form`): then a reduction by pivot column i, which is zero
+    above row i, updates rows i.. alone.  Passes with a transform update
+    whole columns, which costs less on the small inputs that carry one.
     """
     m = len(A[0])
+    lean = T is None
+    if lean:
+        T = [[]] * len(A)       # empty columns, which the steps below copy at no cost
     r = 0
     for j in range(len(A)):
         col = A[j]
@@ -151,13 +162,22 @@ def _echelon(A, T, S) -> int:
         # reduce left of the diagonal from the first changed pivot row on
         # (or the new pivot row alone): the rows above it, and the columns
         # their entries sit in, are as reduced as before
-        for i in range(first, r):
-            ci, di, ti = A[i], A[i][i], T[i]
-            for k in range(i):
-                q = A[k][i] // di
-                if q:
-                    A[k] = [x - q * y for x, y in zip(A[k], ci)]
-                    T[k] = [x - q * y for x, y in zip(T[k], ti)]
+        if lean:
+            for i in range(first, r):
+                ci, di = A[i][i:], A[i][i]
+                for k in range(i):
+                    ck = A[k]
+                    q = ck[i] // di
+                    if q:
+                        ck[i:] = [x - q * y for x, y in zip(ck[i:], ci)]
+        else:
+            for i in range(first, r):
+                ci, di, ti = A[i], A[i][i], T[i]
+                for k in range(i):
+                    q = A[k][i] // di
+                    if q:
+                        A[k] = [x - q * y for x, y in zip(A[k], ci)]
+                        T[k] = [x - q * y for x, y in zip(T[k], ti)]
     return r
 
 
@@ -176,11 +196,13 @@ def _lifting_primes():
 
 
 def _liftable(A, m: int):
-    """The columns A of an m-row matrix M as an int64 array, when the first
-    pass of `smith_normal_form` can leave V to `_lifted_transform`: at
-    least _LIFT_MIN_COLS and at most m columns, entries under the float64
-    guard, and full column rank modulo the first lifting prime, which
-    implies it over Q.  None otherwise."""
+    """(C, M_inv) when the first pass of `smith_normal_form` on an m-row
+    matrix M with columns A can leave V to `_lifted_transform`: at least
+    _LIFT_MIN_COLS and at most m columns, entries under the float64 guard,
+    and full column rank modulo the first lifting prime, which implies it
+    over Q.  None otherwise.  C holds the columns A as an int64 array.  A
+    square M is inverted modulo that prime, which decides its rank, and
+    M_inv is that inverse; for a tall M it is None."""
     n = len(A)
     if not _LIFT_MIN_COLS <= n <= m:
         return None
@@ -189,27 +211,37 @@ def _liftable(A, m: int):
         return None
     C = np.array(A, dtype=np.int64)
     p = next(_lifting_primes())
-    return C if flinalg.rank(C % p, p) == n else None
+    if n < m:
+        return (C, None) if flinalg.rank(C % p, p) == n else None
+    M_inv = flinalg.solve_matrix(C.T % p, flinalg.identity(n), p)     # None iff singular
+    return None if M_inv is None else (C, M_inv)
 
 
-def _lifted_transform(C, A, U) -> list[list[int]]:
+def _lifted_transform(lift, A, U) -> list[list[int]]:
     """The columns of V_1 = B^-1 H, the column transform of a first pass
     that reached full column rank n (see `smith_normal_form`).
 
-    C holds the columns of M, A the columns the pass left (H on top), and
-    U the rows it swapped, whose top n pick B.  The prime p divides no
-    h_ii, so not det B.  From R_0 = H each step takes the digit X_t =
-    B^-1 R_t mod p in (-p/2, p/2) and R_{t+1} = (R_t - B X_t) / p, an exact
-    division; the sum of the X_t p^t is the symmetric residue of V_1 mod
-    p^k.  A row of H with h_ii = 1 is e_i (its entries left of the diagonal
-    lie in [0, 1)), and its rows of R stay below n max|M| in int64; the
-    other rows are Python ints.
+    lift is `_liftable`'s (C, M_inv): C the columns of M.  A holds the
+    columns the pass left (H on top), and U the rows it swapped, whose top
+    n pick B.  The prime p is the first lifting prime that divides no
+    h_ii, so not det B.  For a tall M, B^-1 mod p is solved for.  For a
+    square M, det M = +-det B = +-prod h_ii, so p is the first lifting
+    prime, at which `_liftable` inverted M, and B^-1 is M_inv with its
+    columns picked as B's rows are.  From R_0 = H each step takes the digit
+    X_t = B^-1 R_t mod p in (-p/2, p/2) and R_{t+1} = (R_t - B X_t) / p, an
+    exact division; the sum of the X_t p^t is the symmetric residue of V_1
+    mod p^k.  A row of H with h_ii = 1 is e_i (its entries left of the
+    diagonal lie in [0, 1)), and its rows of R stay below n max|M| in
+    int64; the other rows are Python ints.
     """
     n = len(A)
-    B = C[:, [u.index(1) for u in U[:n]]].T
+    C, M_inv = lift
+    rows = [u.index(1) for u in U[:n]]
+    B = C[:, rows].T
     h = [A[i][i] for i in range(n)]
     p = next(q for q in _lifting_primes() if all(x % q for x in h))
-    B_inv = flinalg.solve_matrix(B % p, flinalg.identity(n), p)
+    B_inv = (flinalg.solve_matrix(B % p, flinalg.identity(n), p) if M_inv is None
+             else M_inv[:, rows])
     B_f = B.astype(np.float64)
     big = [i for i in range(n) if h[i] > 1]
     R = np.eye(n, dtype=np.int64)
@@ -268,8 +300,8 @@ def smith_normal_form(M) -> SNFResult:
         raise DimensionMismatchError("integer matrix rows differ in length")
     A = [list(map(int, c)) for c in zip(*M)]    # columns
     U = _identity(m)        # rows of U
-    C = _liftable(A, m)
-    V = _identity(n) if C is None else [[] for _ in range(n)]      # columns of V
+    lift = _liftable(A, m)
+    V = _identity(n) if lift is None else None      # columns of V
     r = 0
     if n:
         on_rows = False
@@ -278,8 +310,8 @@ def smith_normal_form(M) -> SNFResult:
                 r = _echelon(A, U, V)
             else:
                 r = _echelon(A, V, U)
-                if C is not None:
-                    V, C = _lifted_transform(C, A, U), None
+                if lift is not None:
+                    V, lift = _lifted_transform(lift, A, U), None
             # diagonal: no pivot column has a nonzero entry off its pivot
             if sum(map(list.count, A[:r], repeat(0, r))) == r * (len(A[0]) - 1):
                 break
@@ -331,9 +363,9 @@ def integer_kernel_columns(M) -> list[list[int]]:
     return [list(row) for row in zip(*T[r:])] if r < cols else [[] for _ in range(cols)]
 
 
-def _preimage(M, tgt: FGAbelian, l: int | None, n: int) -> list[list[int]]:
+def _preimage(M, tgt: FGAbelian, n: int) -> list[list[int]]:
     """Generators, as the columns of an n-row matrix, of {x in Z^n : M x
-    lies in the relation lattice of tgt over Z (l None) or over Z_l}.
+    lies in the relation lattice of tgt}.
 
     With U R V = diag(d) for the relations R of tgt, M x lies in their span
     iff each coordinate of c = U M x is divisible by its modulus (see
@@ -341,7 +373,7 @@ def _preimage(M, tgt: FGAbelian, l: int | None, n: int) -> list[list[int]]:
     coordinates of the integer kernel of [U M | D], where D holds one
     column per nonzero modulus m, with m in that modulus's row.
     """
-    rows = [(row, m) for row, m in zip(mat_mul(tgt.snf().U, M), tgt._moduli(l)) if m != 1]
+    rows = [(row, m) for row, m in zip(mat_mul(tgt.snf().U, M), tgt._moduli(None)) if m != 1]
     if not rows:
         return _identity(n)
     D = [i for i, (_, m) in enumerate(rows) if m]
@@ -486,22 +518,22 @@ def _within(M, big: FGAbelian, l: int | None) -> bool:
                for row, m in zip(mat_mul(big.snf().U, M), big._moduli(l)))
 
 
-def _short_exact(f: FGAbelianMap, g: FGAbelianMap, coker_f: FGAbelian, coker_g: FGAbelian,
-                 l: int | None) -> bool:
-    """Exactness of 0 -> A -> B -> C -> 0 over Z (l None) or over Z_l,
-    given coker f and coker g (relations im f + rel B and im g + rel C),
-    for a g that sends im f + rel B into rel C.  A group's moduli other than
-    1 (`FGAbelian._moduli`), in order, name it up to isomorphism: ta, tg, tf
-    and tc for A, coker g, coker f and C.  g is onto iff tg is empty (a row
-    of U is primitive); then g induces a surjection coker f -> C, injective
-    iff tf == tc, since a surjective endomorphism of a finitely generated
-    module over a commutative ring is injective (Vasconcelos, Proc. AMS 25,
-    1970; Matsumura, Commutative Ring Theory, Thm 2.4).  f is injective iff
-    A is 0 or f^-1(rel B), a kernel, lies in rel A."""
-    ta, tg, tf, tc = ([m for m in G._moduli(l) if m != 1]
+def _short_exact(f: FGAbelianMap, g: FGAbelianMap, coker_f: FGAbelian,
+                 coker_g: FGAbelian) -> bool:
+    """Exactness of 0 -> A -> B -> C -> 0 over Z, given coker f and coker g
+    (relations im f + rel B and im g + rel C), for a g that sends im f +
+    rel B into rel C.  A group's moduli other than 1 (`FGAbelian._moduli`),
+    in order, name it up to isomorphism: ta, tg, tf and tc for A, coker g,
+    coker f and C.  g is onto iff tg is empty (a row of U is primitive);
+    then g induces a surjection coker f -> C, injective iff tf == tc, since
+    a surjective endomorphism of a finitely generated module over a
+    commutative ring is injective (Vasconcelos, Proc. AMS 25, 1970;
+    Matsumura, Commutative Ring Theory, Thm 2.4).  f is injective iff A is
+    0 or f^-1(rel B), a kernel, lies in rel A."""
+    ta, tg, tf, tc = ([m for m in G._moduli(None) if m != 1]
                       for G in (f.source, coker_g, coker_f, g.target))
     return not tg and tf == tc and (not ta or _within(
-        _preimage(f.matrix, f.target, l, f.source.n), f.source, l))
+        _preimage(f.matrix, f.target, f.source.n), f.source, None))
 
 
 def check_exactness(f: FGAbelianMap, g: FGAbelianMap, l: int) -> bool:
@@ -509,11 +541,14 @@ def check_exactness(f: FGAbelianMap, g: FGAbelianMap, l: int) -> bool:
 
     B is f.target: a g on another group must send B's relations into C's,
     else the maps do not compose (DimensionMismatchError).  Checks g o f = 0
-    and the integral sequence (NotExactIntegrallyError), then the completed
-    one on its own, by `_short_exact`: g onto iff coker g is 0, exact at B
-    iff coker f and C have the same (l-parts of) invariant factors and free
-    rank, as g induces a surjection coker f -> C (Vasconcelos 1970), and f
-    injective by a kernel.  An l that is not prime is refused first.
+    and the integral sequence (NotExactIntegrallyError) by `_short_exact`:
+    g onto iff coker g is 0, exact at B iff coker f and C have the same
+    invariant factors and free rank, as g induces a surjection coker f -> C
+    (Vasconcelos 1970), and f injective by a kernel.  Then the answer is
+    True: l-completion of finitely generated groups is the tensor product
+    with Z_l, which is flat over Z (Atiyah & Macdonald, Introduction to
+    Commutative Algebra, Props. 10.13-10.14).  An l that is not prime is
+    refused first.
     """
     check_prime(l)
     B, C = f.target, g.target
@@ -524,6 +559,6 @@ def check_exactness(f: FGAbelianMap, g: FGAbelianMap, l: int) -> bool:
         raise NotExactIntegrallyError("g o f is not zero")
     coker_f = FGAbelian(B.n, [a + b for a, b in zip(f.matrix, B.relations)])
     coker_g = FGAbelian(C.n, [a + b for a, b in zip(g.matrix, C.relations)])
-    if not _short_exact(f, g, coker_f, coker_g, None):
+    if not _short_exact(f, g, coker_f, coker_g):
         raise NotExactIntegrallyError("integral sequence is not short exact")
-    return _short_exact(f, g, coker_f, coker_g, l)
+    return True

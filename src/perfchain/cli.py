@@ -12,7 +12,7 @@ and in a complex or tower file a header integer or coefficient is
 ``-?[0-9]+``, in ASCII digits: a plus sign, an underscore or another
 script's digits is E_PARSE.
 Abelian group descriptors for ``complete``: ``Z``, ``Z^2``, ``Z/6``,
-joined with ``+``.
+joined with ``+``; ``0`` is the trivial group, as it is printed.
 """
 
 from __future__ import annotations
@@ -162,11 +162,11 @@ def cmd_tower_perfect(args) -> int:
     return EXIT_OK if verdict.perfect else EXIT_NEGATIVE
 
 
-_ABELIAN_TERM = re.compile(r"^(Z(\^([0-9]+))?|Z/([0-9]+))$")
+_ABELIAN_TERM = re.compile(r"^(Z(\^([0-9]+))?|Z/([0-9]+)|0)$")
 
 
 def parse_abelian_descriptor(text: str) -> abelian.FGAbelian:
-    """`Z`, `Z^2`, `Z/6`, combined with `+`."""
+    """`Z`, `Z^2`, `Z/6` and `0`, combined with `+`."""
     free = 0
     torsion = []
     for term in text.replace(" ", "").split("+"):
@@ -175,16 +175,16 @@ def parse_abelian_descriptor(text: str) -> abelian.FGAbelian:
             raise ParseError(f"bad abelian group term {term!r}")
         if m.group(4):
             torsion.append(int(m.group(4)))
-        else:
+        elif term != "0":
             free += int(m.group(3)) if m.group(3) else 1
     return abelian.FGAbelian.from_invariants(free, torsion)
 
 
 def cmd_complete(args) -> int:
-    if args.presentation:
+    if args.presentation is not None:
         M = serialize.read_int_matrix(_read(args.presentation))
         A = abelian.FGAbelian(len(M), M)
-    elif args.group:
+    elif args.group is not None:
         A = parse_abelian_descriptor(args.group)
     else:
         raise ParseError("complete needs --group or --presentation")

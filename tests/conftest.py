@@ -29,7 +29,6 @@ from perfchain.abelian import (
     SNFResult,
     _echelon,
     _identity,
-    _preimage,
     _within,
     _xgcd,
     integer_kernel_columns,
@@ -882,6 +881,35 @@ def preimage_lattice_reference(M, tgt: FGAbelian) -> list[list[int]]:
     return [ker[i] for i in range(n)]
 
 
+def preimage_reference(M, tgt: FGAbelian, l: int | None, n: int) -> list[list[int]]:
+    """`abelian._preimage` over Z (l None) or over Z_l: generators, as
+    columns, of {x in Z^n : M x lies in the relation lattice of tgt}, the
+    first n coordinates of the integer kernel of [U M | D] for tgt's moduli
+    (`FGAbelian._moduli(l)`).  The production code asks only over Z; the
+    Z_l case is kept for the oracles below."""
+    rows = [(row, m) for row, m in zip(mat_mul(tgt.snf().U, M), tgt._moduli(l)) if m != 1]
+    if not rows:
+        return _identity(n)
+    D = [i for i, (_, m) in enumerate(rows) if m]
+    mat = [row + [m if i == t else 0 for t in D] for i, (row, m) in enumerate(rows)]
+    return integer_kernel_columns(mat)[:n]
+
+
+def short_exact_moduli_reference(f, g, coker_f: FGAbelian, coker_g: FGAbelian,
+                                 l: int | None) -> bool:
+    """Exactness of 0 -> A -> B -> C -> 0 over Z (l None) or over Z_l, as
+    `abelian._short_exact` decides it over Z: g onto iff coker g has no
+    modulus other than 1, exact at B iff coker f and C have the same ones,
+    and f injective iff A is 0 or f^-1(rel B) lies in rel A.  Over Z_l the
+    moduli are l-parts.  `check_exactness` answered the Z_l question with
+    this second pass until it read the answer off the flatness of Z_l over
+    Z; kept as the oracle that the second pass never says False."""
+    ta, tg, tf, tc = ([m for m in G._moduli(l) if m != 1]
+                      for G in (f.source, coker_g, coker_f, g.target))
+    return not tg and tf == tc and (not ta or _within(
+        preimage_reference(f.matrix, f.target, l, f.source.n), f.source, l))
+
+
 def short_exact_lattice_reference(f, g, coker_f: FGAbelian, coker_g: FGAbelian,
                                   l: int | None) -> bool:
     """Exactness of 0 -> A -> B -> C -> 0 over Z (l None) or over Z_l by
@@ -891,8 +919,8 @@ def short_exact_lattice_reference(f, g, coker_f: FGAbelian, coker_g: FGAbelian,
     the last two off the moduli of coker f, coker g and C; kept as its
     oracle."""
     A, B, C = f.source, f.target, g.target
-    return (_within(_preimage(f.matrix, B, l, A.n), A, l)
-            and _within(_preimage(g.matrix, C, l, B.n), coker_f, l)
+    return (_within(preimage_reference(f.matrix, B, l, A.n), A, l)
+            and _within(preimage_reference(g.matrix, C, l, B.n), coker_f, l)
             and _within(_identity(C.n), coker_g, l))
 
 

@@ -30,6 +30,7 @@ from perfchain.certificates import _check_snf_witness
 from conftest import check_exactness_reference
 from conftest import int_det_reference as _int_det
 from conftest import invariant_factors, preimage_lattice_reference, smith_normal_form_reference
+from conftest import preimage_reference, short_exact_moduli_reference
 from conftest import smith_normal_form_carried
 from conftest import abelian_order, is_trivial, zl_direct_sum, zl_is_zero
 
@@ -232,6 +233,49 @@ def test_lifted_first_pass_runs_where_it_pays(monkeypatch):
     calls.clear()
     smith_normal_form(zoo[-1])
     assert _FIRST_LIFTING_PRIME in calls[0]
+
+
+def test_echelon_without_a_transform_matches_the_carried_pass():
+    """`_echelon` with no column transform (T None), which reduces from the
+    pivot row down, leaves the same columns, row swaps and rank as with a
+    transform, on inputs called directly: the lifting zoo (dense square
+    and tall, planted factors, rank-deficient, sparse, unimodular, entries
+    on both sides of the guard) and inputs of one row or one column."""
+    rng = random.Random(3907914)
+    mats = lifting_zoo(random.Random(2506))
+    mats += [[[rng.randint(-9, 9) for _ in range(30)]], [[rng.randint(-9, 9)] for _ in range(30)],
+             [[0] * 24 for _ in range(24)]]
+    for M in mats:
+        m, n = len(M), len(M[0])
+        A, S = [list(c) for c in zip(*M)], list(range(m))
+        A_t, S_t = [list(c) for c in A], list(S)
+        r = perfchain.abelian._echelon(A, None, S)
+        assert r == perfchain.abelian._echelon(A_t, _identity(n), S_t), (m, n)
+        assert (A, S) == (A_t, S_t), (m, n)
+
+
+def test_lifted_square_input_eliminates_once_mod_p(monkeypatch):
+    """A lifted square input runs one elimination modulo the first lifting
+    prime, its inversion, which decides its rank and gives B^-1.  A lifted
+    tall input runs a rank and then a solve for B^-1, at the first prime,
+    or at the next one where its pivot block has the first on its
+    diagonal."""
+    calls = []
+
+    def counting(A, l, reduced):
+        calls.append((reduced, l))
+        return eliminate(A, l, reduced)
+
+    eliminate = perfchain.flinalg._eliminate
+    monkeypatch.setattr(perfchain.flinalg, "_eliminate", counting)
+    zoo = lifting_zoo(random.Random(2506))
+    q, next_q = _FIRST_LIFTING_PRIME, 1048571
+    for M, expected in [(zoo[3], [(True, q)]), (zoo[-4], [(True, q)]),
+                        (zoo[5], [(False, q), (True, q)]),
+                        (zoo[-1], [(False, q), (True, next_q)])]:
+        calls.clear()
+        assert smith_normal_form(M) == smith_normal_form_carried(M)
+        assert calls == expected, (len(M), len(M[0]))
 
 
 def test_fg_abelian_canonical_form():
@@ -452,9 +496,9 @@ def only_exactness_at_b_fails(f, g):
     coker_f = FGAbelian(B.n, [a + b for a, b in zip(f.matrix, B.relations)])
     coker_g = FGAbelian(C.n, [a + b for a, b in zip(g.matrix, C.relations)])
     return (_within(mat_mul(g.matrix, f.matrix), C, None)
-            and _within(_preimage(f.matrix, B, None, A.n), A, None)
+            and _within(_preimage(f.matrix, B, A.n), A, None)
             and _within(_identity(C.n), coker_g, None)
-            and not _within(_preimage(g.matrix, C, None, B.n), coker_f, None))
+            and not _within(_preimage(g.matrix, C, B.n), coker_f, None))
 
 
 def hand_sequences():
@@ -506,11 +550,40 @@ def test_check_exactness_matches_the_lattice_decision():
     assert at_b >= 10
 
 
-def test_check_exactness_needs_two_kernels_and_no_identity_product(rng, monkeypatch):
-    """One `check_exactness` call computes at most two integer kernels, for
-    injectivity over Z and over Z_l, and multiplies no matrix by an
-    identity that it built: surjectivity and exactness at B are read off
-    moduli, and a group that is 0 needs no test of injectivity."""
+def test_integrally_exact_sequences_stay_exact_over_z_l():
+    """Z_l is flat over Z, so the Z_l pass that `check_exactness` no longer
+    runs (`short_exact_moduli_reference` at l) answers True on every
+    sequence that is exact over Z: random short exact sequences and those
+    of their perturbations that stay exact, at l = 2, 3 and 5.  Where it
+    fails over Z, `check_exactness` raises rather than answer."""
+    rng = random.Random(25060791)
+    exact = inexact = 0
+    for _ in range(150):
+        f, g = random_ses(rng)
+        pairs = [(f, g)] + [perturbed_ses(rng, f, g) for _ in range(2)]
+        for f, g in filter(None, pairs):
+            B, C = f.target, g.target
+            coker_f = FGAbelian(B.n, [a + b for a, b in zip(f.matrix, B.relations)])
+            coker_g = FGAbelian(C.n, [a + b for a, b in zip(g.matrix, C.relations)])
+            if not (_within(mat_mul(g.matrix, f.matrix), C, None)
+                    and short_exact_moduli_reference(f, g, coker_f, coker_g, None)):
+                inexact += 1
+                with pytest.raises(NotExactIntegrallyError):
+                    check_exactness(f, g, 2)
+                continue
+            exact += 1
+            for l in (2, 3, 5):
+                assert short_exact_moduli_reference(f, g, coker_f, coker_g, l), (f, g, l)
+                assert check_exactness(f, g, l) is True
+    assert exact > 150 and inexact > 50
+
+
+def test_check_exactness_needs_one_kernel_and_no_identity_product(rng, monkeypatch):
+    """One `check_exactness` call computes at most one integer kernel, for
+    injectivity over Z, and multiplies no matrix by an identity that it
+    built: surjectivity and exactness at B are read off moduli, a group
+    that is 0 needs no test of injectivity, and the Z_l answer follows
+    from the integral one."""
     kernels, built, products = [], [], []
 
     def kernel(M):
@@ -532,7 +605,7 @@ def test_check_exactness_needs_two_kernels_and_no_identity_product(rng, monkeypa
     for i, (f, g) in enumerate(exact):
         kernels.clear()
         assert check_exactness(f, g, (2, 3, 5)[i % 3])
-        assert len(kernels) <= 2
+        assert len(kernels) <= 1
     assert products and not any(products)
 
 
@@ -592,19 +665,20 @@ def test_check_exactness_with_zero_groups():
 
 def test_preimage_matches_kernel_reference():
     """Over Z, the Smith-form preimage and the kernel of [M | -R] span the
-    same lattice, and over Z_l the preimage contains the integral one and
-    is sent into the Z_l-span."""
+    same lattice, and over Z_l the oracles' preimage (`preimage_reference`)
+    contains the integral one and is sent into the Z_l-span."""
     rng = random.Random(2506079)
     for _ in range(150):
         r, n, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 4)
         M = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(r)]
         L = FGAbelian(r, [[rng.randint(-6, 6) for _ in range(k)] for _ in range(r)])
-        mine = _preimage(M, L, None, n)
+        mine = _preimage(M, L, n)
+        assert preimage_reference(M, L, None, n) == mine
         ref = preimage_lattice_reference(M, L)
         assert all(FGAbelian(n, ref).is_relation(x) for x in zip(*mine))
         assert all(FGAbelian(n, mine).is_relation(x) for x in zip(*ref))
         for l in (2, 3, 5):
-            local = _preimage(M, L, l, n)
+            local = preimage_reference(M, L, l, n)
             assert all(L.is_relation(v, l) for v in zip(*mat_mul(M, local)))
             assert all(FGAbelian(n, local).is_relation(x) for x in zip(*mine))
 

@@ -316,6 +316,24 @@ def test_complete_subcommand(capsys):
     assert code == 0 and out == "Z_2^2 + Z/4\n"
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    pytest.param(["--presentation", ""], 2, "", "error[E_IO]: ", id="empty-path"),
+    pytest.param(["--group", ""], 2, "", "error[E_PARSE]: bad abelian group term ''",
+                 id="empty-group"),
+    pytest.param(["--group", "0"], 0, "0\n", "", id="trivial-group"),
+    pytest.param(["--group", "0+Z/12"], 0, "Z/4\n", "", id="trivial-summand"),
+    pytest.param([], 2, "", "error[E_PARSE]: complete needs --group or --presentation",
+                 id="neither"),
+])
+def test_complete_reads_an_empty_argument_as_given(capsys, argv, code, out, err):
+    """An empty --presentation path is a file that cannot be read and an
+    empty --group a descriptor with a bad term, not a missing argument;
+    the term `0`, which `complete` prints for the trivial group, reads
+    back as it."""
+    got = run(capsys, "complete", *argv, "--l", "2")
+    assert got[:2] == (code, out) and got[2].startswith(err), got
+
+
 def test_complete_from_presentation(capsys, tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("2 0\n0 6\n")  # Z/2 + Z/6
