@@ -108,9 +108,11 @@ def _echelon(A, T, S) -> int:
     row swaps to the rows of S.
 
     T None carries no transform (the lifted first pass of
-    `smith_normal_form`): then a reduction by pivot column i, which is zero
-    above row i, updates rows i.. alone.  Passes with a transform update
-    whole columns, which costs less on the small inputs that carry one.
+    `smith_normal_form`): then a clear or reduction by pivot column i,
+    which is zero above row i, updates rows i.. alone, in place.  Passes
+    with a transform update whole columns, which costs less on the small
+    inputs that carry one; the clear loop is written once for each kind of
+    pass, so neither tests which it is per clear.
     """
     m = len(A[0])
     lean = T is None
@@ -120,26 +122,46 @@ def _echelon(A, T, S) -> int:
     for j in range(len(A)):
         col = A[j]
         first = r       # the first pivot column a Bezout step changes
-        for k in range(r):
-            b = col[k]
-            if not b:
-                continue
-            pk = A[k]
-            a = pk[k]
-            q, rem = divmod(b, a)
-            if not rem:
-                A[j] = col = [y - q * x for x, y in zip(pk, col)]
-                T[j] = [y - q * x for x, y in zip(T[k], T[j])]
-                continue
-            g, s, t = _xgcd(a, b)
-            a //= g
-            b //= g
-            A[k] = [s * x + t * y for x, y in zip(pk, col)]
-            A[j] = col = [a * y - b * x for x, y in zip(pk, col)]
-            tk, tj = T[k], T[j]
-            T[k] = [s * x + t * y for x, y in zip(tk, tj)]
-            T[j] = [a * y - b * x for x, y in zip(tk, tj)]
-            first = min(first, k)
+        if lean:
+            # cleared by pivot columns 0..k-1, col is zero above row k too
+            for k in range(r):
+                b = col[k]
+                if not b:
+                    continue
+                pk = A[k]
+                a = pk[k]
+                q, rem = divmod(b, a)
+                if not rem:
+                    col[k:] = [y - q * x for x, y in zip(pk[k:], col[k:])]
+                    continue
+                g, s, t = _xgcd(a, b)
+                a //= g
+                b //= g
+                tk, tj = pk[k:], col[k:]
+                pk[k:] = [s * x + t * y for x, y in zip(tk, tj)]
+                col[k:] = [a * y - b * x for x, y in zip(tk, tj)]
+                first = min(first, k)
+        else:
+            for k in range(r):
+                b = col[k]
+                if not b:
+                    continue
+                pk = A[k]
+                a = pk[k]
+                q, rem = divmod(b, a)
+                if not rem:
+                    A[j] = col = [y - q * x for x, y in zip(pk, col)]
+                    T[j] = [y - q * x for x, y in zip(T[k], T[j])]
+                    continue
+                g, s, t = _xgcd(a, b)
+                a //= g
+                b //= g
+                A[k] = [s * x + t * y for x, y in zip(pk, col)]
+                A[j] = col = [a * y - b * x for x, y in zip(pk, col)]
+                tk, tj = T[k], T[j]
+                T[k] = [s * x + t * y for x, y in zip(tk, tj)]
+                T[j] = [a * y - b * x for x, y in zip(tk, tj)]
+                first = min(first, k)
         p = -1
         for i in range(r, m):
             v = col[i]

@@ -9,8 +9,8 @@ word-size primes whose product exceeds twice a bound B on every entry of
 U M V and of d, so agreement modulo each prime is equality over Z; the
 residues are multiplied in float64, where every sum stays an integer
 below 2^53 and so is exact (`_is_claimed_diagonal`).  The determinant
-that shows U and V unimodular is found on such primes too, past twice a
-Hadamard bound, by float64 elimination (`_abs_det_is`).  A free witness is
+that shows U and V unimodular is found on such primes too, by float64
+elimination, and exactly for small matrices (`_abs_det_is`).  A free witness is
 checked on group-ring data alone: d o d and the chain-map squares by
 group-ring products, and the cone's acyclicity over the residue field
 F_l, from the ranks of its augmented boundaries
@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from itertools import chain, count
+from itertools import count
 
 import numpy as np
 
@@ -330,15 +330,19 @@ def _snf_witness(M, cert: dict) -> dict:
 # The residue check's float64 sums stay below 2^53 (see `_mod`): a limb
 # sum has fewer than 2^16 terms, each a 16-bit limb by a weight below 2^21,
 # and a product over inner dimension n has terms below 2^(2b) with
-# n 2^(2b) <= 2^53.  Primes go through the products, and limbs are widened
-# to float64, about _PASS_ENTRIES entries at a time: widening every limb at
-# once read 2.6 MB more peak RSS than the exact product on the integer_snf
-# bench, passes of this size 0.8-1.0 MB.  The determinant's stacks of
-# _DET_ENTRIES residues peaked at 0.30 MB traced on 48 x 48 certificates,
-# under the product check's 0.44-0.63 MB.
+# n 2^(2b) <= 2^53.  Each matrix's limbs are widened to float64 once, and
+# primes go through the products about _PASS_ENTRIES residues at a time:
+# on the 48 x 48 integer_snf certificates half that pass size took 1.2x
+# the time, and twice it 1.6x the traced peak.  The determinant's stacks
+# of _DET_ENTRIES residues peak under the product check's.  Dense n x n
+# determinants of entries up to 9 took as long exactly as on residues
+# (dividing prod d) at n = 24, 0.7x at 20 and 1.2x at 26 (in-process,
+# one BLAS thread, 2-vCPU x86-64), so below _EXACT_DET_ROWS rows they are
+# exact.
 _RESIDUE_BITS = 21
 _PASS_ENTRIES = 1 << 13
 _DET_ENTRIES = 1 << 15
+_EXACT_DET_ROWS = 24
 _SIEVE_BLOCK = 1 << 15
 
 
@@ -405,38 +409,46 @@ def _mod(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 class _Limbs:
     """The entries of an integer matrix, each at most `top` in magnitude,
     as 16-bit two's-complement limbs, least significant first: an entry is
-    sum_j limb_j 2^(16 j) with the top (sign) limb read signed.  Stored one
-    row per limb, so that a pass widens contiguous rows."""
+    sum_j limb_j 2^(16 j) with the top (sign) limb read signed.  `wide`
+    holds them widened to float64 once, one row per limb: the top row
+    signed, the others unsigned.  A row of entries below 2^63 is read as
+    machine words, whose low limbs these are, and any other through
+    `int.to_bytes`, about _PASS_ENTRIES limbs at a time."""
 
     def __init__(self, A):
-        self.top = top = max(map(abs, chain.from_iterable(A)), default=0)
-        self.count = (top.bit_length() + 16) // 16      # the sign bit included
-        if self.count >= 1 << 16:
+        tops = [max(map(abs, row), default=0) for row in A]
+        self.top = top = max(tops, default=0)
+        self.count = count = (top.bit_length() + 16) // 16      # the sign bit included
+        if count >= 1 << 16:
             raise LimitError("certificate entry too long to check")
-        if top < 1 << 63:       # read as machine words, whose low limbs these are
-            words = np.array(A, dtype="<i8").view("<i2").reshape(-1, 4)
-            self.signed = words[:, :self.count].T.copy()
-        else:
-            nbytes, cols = 2 * self.count, len(A[0])
-            self.signed = np.empty((self.count, len(A) * cols), dtype="<i2")
-            for i, row in enumerate(A):
-                self.signed[:, i * cols:(i + 1) * cols] = np.frombuffer(
-                    b"".join(x.to_bytes(nbytes, "little", signed=True) for x in row),
-                    dtype="<i2").reshape(cols, self.count).T
-        self.unsigned = self.signed.view("<u2")
+        cols = len(A[0]) if A else 0
+        wide = np.empty((count, len(A), cols))
+
+        def put(rows, limbs):       # limbs[j] holds limb j of these rows
+            wide[:-1, rows] = limbs[:-1].view("<u2")
+            wide[-1, rows] = limbs[-1]
+
+        words = [i for i, x in enumerate(tops) if x < 1 << 63]
+        big = [i for i, x in enumerate(tops) if x >= 1 << 63]
+        if words:
+            w = np.array([A[i] for i in words], dtype="<i8").view("<i2")
+            w = w.reshape(len(words), cols, 4).transpose(2, 0, 1)
+            if count > 4:       # the sign, extended
+                w = np.concatenate([w, np.broadcast_to(w[3:] >> 15,
+                                                       (count - 4, *w.shape[1:]))])
+            put(words, w[:count])
+        step = max(1, _PASS_ENTRIES // (count * cols or 1))
+        for b in range(0, len(big), step):
+            rows = big[b:b + step]
+            put(rows, np.frombuffer(b"".join(
+                x.to_bytes(2 * count, "little", signed=True) for i in rows for x in A[i]),
+                dtype="<i2").reshape(len(rows), cols, count).transpose(2, 0, 1))
+        self.wide = wide.reshape(count, -1)
 
     def residues(self, weights: np.ndarray, p: np.ndarray) -> np.ndarray:
         """The entries modulo each prime of p, one row per prime, from
         weights[:, j] = 2^(16 j) mod p."""
-        size = self.signed.shape[1]
-        step = max(1, _PASS_ENTRIES // size)
-        out = np.zeros((len(p), size))
-        for j in range(0, self.count, step):
-            part = self.unsigned[j:j + step].astype(np.float64)
-            if j + step >= self.count:
-                part[-1] = self.signed[-1]
-            out += weights[:, j:j + len(part)] @ part
-        return _mod(out, p)
+        return _mod(weights[:, :self.count] @ self.wide, p)
 
 
 def _residue_passes(limbs: list, n: int, bound: int, entries: int):
@@ -486,25 +498,55 @@ def _det_mod(B: np.ndarray, p: np.ndarray) -> list[int]:
     return det
 
 
-def _abs_det_is(A, t: int) -> bool:
-    """Whether |det A| = |t| for a square integer matrix A, decided modulo
-    primes.
+def _int_det(A) -> int:
+    """det A over Z for a square integer matrix A, by fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968): after step k every entry
+    left is a (k+1) x (k+1) minor of A, so each division by the previous
+    pivot is exact.  Each step drops the pivot row and column; the pivot is
+    the first nonzero entry of its column, its row swapped up."""
+    rows = [list(row) for row in A]
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            return 0
+        if i:
+            rows[0], rows[i] = rows[i], rows[0]
+            sign = -sign
+        top = rows[0]
+        pivot, tail = top[0], top[1:]
+        rows = [[(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+                for row in rows[1:]]
+        prev = pivot
+    return sign * rows[0][0] if rows else 1
 
-    By Hadamard's inequality |det A| <= prod_i |row i| < H =
-    isqrt(prod_i sum_j a_ij^2) + 1.  The primes' product P exceeds
-    2 (H + |t|), so det A - s t, for a sign s, lies within P/2 of 0 and is
-    0 exactly when det A = s t modulo every prime, with the one s for all
-    of them.  `_det_mod` takes the primes in stacks of at most
-    _DET_ENTRIES entries (one n x n block when that is larger), each
-    formed by one `_residue_passes` pass, so the working set does not grow
-    with the number of primes.
+
+def _abs_det_is(A, t: int, top: int | None = None) -> bool:
+    """Whether |det A| = |t| for a square integer matrix A.
+
+    Below _EXACT_DET_ROWS rows `_int_det` decides it exactly: there its
+    Python integers cost less than the residue path's numpy calls, of
+    which each elimination step makes about 15 whatever the size.
+
+    From there it is decided modulo primes, given that |det A| <= top
+    unless |det A| = |t|.  By default top is Hadamard's bound
+    isqrt(prod_i sum_j a_ij^2), which holds for any A and t;
+    `_check_snf_witness` passes a smaller one where det A divides t.  The
+    primes' product P exceeds 2 (top + |t|), so where |det A| != |t|,
+    det A - s t is, for either sign s, a nonzero integer within P/2 of 0,
+    and some prime sees it; where they are equal, det A = s t modulo every
+    prime, with the one s for all of them.  `_det_mod` takes the primes in
+    stacks of at most _DET_ENTRIES entries (one n x n block when that is
+    larger), each formed by one `_residue_passes` pass, so the working set
+    does not grow with the number of primes.
     """
     n = len(A)
-    if not n:
-        return abs(t) == 1
-    bound = math.isqrt(math.prod(sum(x * x for x in row) for row in A)) + 1 + abs(t)
+    if n < _EXACT_DET_ROWS:
+        return abs(_int_det(A)) == abs(t)
+    if top is None:
+        top = math.isqrt(math.prod(sum(x * x for x in row) for row in A))
     plus = minus = True
-    for p, (residues,) in _residue_passes([_Limbs(A)], n, bound, _DET_ENTRIES):
+    for p, (residues,) in _residue_passes([_Limbs(A)], n, top + 1 + abs(t), _DET_ENTRIES):
         moduli = p[:, 0].astype(np.int64).tolist()
         det = _det_mod(residues.reshape(-1, n, n), p)
         plus = plus and det == [t % m for m in moduli]
@@ -550,14 +592,17 @@ def _check_snf_witness(M, witness: dict) -> None:
     U M V = diag(d) is decided modulo word-size primes whose product
     exceeds twice a bound on every entry, by float64 products whose every
     sum is an integer below 2^53 (`_is_claimed_diagonal`), so no product
-    of large integers is formed.  Once it holds, det U det M det V
-    = prod d, so a square M with |det M| = |prod d| != 0 leaves det U
-    det V = +-1, and both are units: one determinant of M, whose entries
-    are small, stands in for those of U and V, whose entries can be far
-    larger.  A non-square or singular M, or a product that does not check,
-    falls back to |det U| = |det V| = 1.  Each determinant is decided on
-    primes of the same window as the product, past twice its Hadamard
-    bound (`_abs_det_is`).  Every quantity is recomputed from the
+    of large integers is formed.  Once it holds, det U det M det V = t =
+    prod d over Z, so for a square M and t != 0 det M divides t: |det M|
+    is |t| or at most |t|/2.  Primes whose product exceeds 3 |t| then
+    decide |det M| = |t| (`_abs_det_is` with top |t|/2), in place of
+    primes past twice Hadamard's bound on det M and |t|, and where it
+    holds det U det V = +-1, so both are units: one determinant of M, whose
+    entries are small, stands in for those of U and V, whose entries can
+    be far larger.  A non-square or singular M, or a product that does not
+    check, falls back to |det U| = |det V| = 1, where only Hadamard's
+    bound limits det U and det V.  Below _EXACT_DET_ROWS rows any of these
+    determinants is exact.  Every quantity is recomputed from the
     certificate, so the checker stays independent of the solver that wrote
     it.
     """
@@ -566,7 +611,7 @@ def _check_snf_witness(M, witness: dict) -> None:
     cols = len(M[0]) if rows else 0
     diagonal = _is_claimed_diagonal(M, U, V, diag)
     prod = math.prod(diag)
-    if not (diagonal and rows == cols and prod and _abs_det_is(M, prod)):
+    if not (diagonal and rows == cols and prod and _abs_det_is(M, prod, abs(prod) // 2)):
         if not (_abs_det_is(U, 1) and _abs_det_is(V, 1)):
             raise VerificationFailure("transformation matrices are not unimodular")
     if not diagonal:

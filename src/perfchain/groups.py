@@ -382,9 +382,14 @@ class GroupRingMatrix:
 
     @staticmethod
     def identity(group: GroupTable, n: int) -> "GroupRingMatrix":
+        """I_n, whose 0/1 data is built reduced and read-only, so it skips
+        the constructor's `% l` pass."""
         data = np.zeros((n, n, group.order), dtype=np.int64)
         data[np.arange(n), np.arange(n), group.identity] = 1
-        return GroupRingMatrix(group, data)
+        data.flags.writeable = False
+        I = object.__new__(GroupRingMatrix)
+        I.group, I.data = group, data
+        return I
 
     def expand(self) -> np.ndarray:
         """The (rows*order) x (cols*order) matrix over F_l of this map."""

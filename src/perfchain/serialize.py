@@ -504,8 +504,8 @@ def json_int_matrix(value, name: str, rows: int | None = None,
         raise ParseError(f"{name} has {len(value)} rows, expected {rows}")
     if cols is None:
         cols = len(value[0]) if value else 0
-    for row in value:
-        if len(row) != cols or any(type(x) is not int for x in row):
+    for row in value:      # a bool, a subclass of int, is refused with the rest
+        if len(row) != cols or not {int}.issuperset(map(type, row)):
             raise ParseError(f"{name} is not an integer matrix with {cols} columns")
     return value
 

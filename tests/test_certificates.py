@@ -5,18 +5,24 @@ import functools
 import math
 import random
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
 
+from perfchain import certificates
 from perfchain.abelian import smith_normal_form
 from perfchain.errors import LimitError
 from perfchain.certificates import (
     _DET_ENTRIES,
+    _EXACT_DET_ROWS,
+    VerificationFailure,
+    _Limbs,
     _abs_det_is,
     _check_snf_witness,
     _is_claimed_diagonal,
     _mod,
+    _residue_passes,
     _residue_primes,
     _window_primes,
 )
@@ -123,6 +129,16 @@ def test_entries_at_the_machine_word_boundary(x):
         assert _is_claimed_diagonal(M, U, V, diag)
         for d in ([diag[0] + 1, *diag[1:]], [-diag[0], *diag[1:]]):
             assert _is_claimed_diagonal(M, U, V, d) == snf_diagonal_reference(M, U, V, d)
+    # one matrix whose rows are read both ways: row 1 always as words,
+    # row 2 always through bytes, rows 0 and 3 as x falls
+    A = [[x, -1, 0], [2**63 - 1, -2**63 + 1, 5], [2**70 + 3, -2**65, 1], [-x, 0, 7]]
+    entries = list(chain.from_iterable(A))
+    limbs = _Limbs(A)
+    assert limbs.top == max(map(abs, entries))
+    assert [sum(int(w) << 16 * j for j, w in enumerate(column))
+            for column in limbs.wide.T] == entries
+    for p, (residues,) in _residue_passes([limbs], 3, limbs.top, 1 << 13):
+        assert residues.tolist() == [[a % q for a in entries] for q in p[:, 0].astype(int).tolist()]
 
 
 @pytest.mark.parametrize("n, b", [(1, 21), (48, 21), (2047, 21), (2048, 20), (8191, 20),
@@ -258,3 +274,83 @@ def test_determinant_working_set():
     hadamard = math.isqrt(math.prod(sum(x * x for x in row) for row in A)) + 1
     assert len(_residue_primes(n, hadamard + 1)) == 10
     assert traced_peak(_abs_det_is, A, -1) < 5 * 8 * n * n
+
+
+def test_small_determinants_on_the_residue_path(monkeypatch):
+    """The determinant zoo, whose matrices lie below _EXACT_DET_ROWS and so
+    are decided exactly, decided on residue primes instead, all but the
+    0 x 0 one."""
+    monkeypatch.setattr(certificates, "_EXACT_DET_ROWS", 1)
+    test_residue_determinant_matches_bareiss()
+
+
+def crossover_zoo(rng, n):
+    """n x n matrices: dense ones of entries up to 9, one of them with its
+    first rows swapped so that one of the two determinants is negative; a
+    singular one; and the U and V of the Smith form of diag(first n
+    primes), whose fix-ups give V entries of hundreds of digits, as the
+    transforms of a non-square presentation are checked."""
+    A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    yield A
+    yield [A[1], A[0], *A[2:]]
+    yield A[:-1] + [[a + 3 * b for a, b in zip(A[0], A[1])]]
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:n]
+    s = smith_normal_form([[primes[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    yield [list(r) for r in s.U]
+    yield [list(r) for r in s.V]
+
+
+@pytest.mark.parametrize("n", [_EXACT_DET_ROWS - 1, _EXACT_DET_ROWS, _EXACT_DET_ROWS + 1])
+def test_exact_and_residue_determinants_agree_at_the_crossover(n, monkeypatch):
+    """On either side of _EXACT_DET_ROWS and at it, |det A| = |t| decided
+    exactly, on residue primes and by the default choice agree with
+    Bareiss over Z, for t = det A, -det A, det A + 1, 2 det A and 0."""
+    rng = random.Random(n)
+    for A in crossover_zoo(rng, n):
+        d = int_det_reference(A)
+        targets = (d, -d, d + 1, 2 * d, 0)
+        expected = [abs(d) == abs(t) for t in targets]
+        got = [[_abs_det_is(A, t) for t in targets]]
+        for rows in (1, n + 1):
+            monkeypatch.setattr(certificates, "_EXACT_DET_ROWS", rows)
+            got.append([_abs_det_is(A, t) for t in targets])
+        monkeypatch.undo()
+        assert got == [expected] * 3, (n, d)
+
+
+def unimodularity_forgeries(rng, M, U, V, diag):
+    """Witnesses that keep U M V = diag(d) but whose U or V is not
+    unimodular: a row of U doubled with its factor, a column of V doubled
+    with its factor."""
+    i = rng.randrange(len(diag))
+    U2 = [[2 * x for x in row] if k == i else row for k, row in enumerate(U)]
+    yield U2, V, [2 * d if k == i else d for k, d in enumerate(diag)]
+    j = rng.randrange(len(diag))
+    V2 = [[2 * x if k == j else x for k, x in enumerate(row)] for row in V]
+    yield U, V2, [2 * d if k == j else d for k, d in enumerate(diag)]
+
+
+@pytest.mark.parametrize("n", [6, _EXACT_DET_ROWS + 4, 40])
+def test_determinant_dividing_the_product_is_decided_past_three_times_it(n):
+    """Once U M V = diag(d), det M divides t = prod d, and the bound
+    |t| / 2 on every other |det M| decides |det M| = |t| as Bareiss does,
+    for t = +-prod d and prod d +- 1, on the genuine witness and on
+    forgeries whose doubled U row or V column doubles prod d.  The
+    forgeries are refused by the fallback on U and V."""
+    rng = random.Random(n)
+    M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    det = int_det_reference(M)
+    s = smith_normal_form(M)
+    U, V, diag = [list(r) for r in s.U], [list(r) for r in s.V], list(s.diag)
+    witnesses = [(U, V, diag), *unimodularity_forgeries(rng, M, U, V, diag)]
+    for k, (U1, V1, d1) in enumerate(witnesses):
+        assert _is_claimed_diagonal(M, U1, V1, d1)
+        t = math.prod(d1)
+        assert t % det == 0
+        for target in (t, -t, t + 1, t - 1):
+            assert _abs_det_is(M, target, abs(target) // 2) == (abs(det) == abs(target))
+        if k:
+            with pytest.raises(VerificationFailure, match="not unimodular"):
+                _check_snf_witness(M, {"U": U1, "V": V1, "diag": d1})
+        else:
+            _check_snf_witness(M, {"U": U1, "V": V1, "diag": d1})

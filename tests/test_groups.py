@@ -290,6 +290,25 @@ def test_ga_compose_matches_the_one_sided_gather():
                                       ga_compose_reference(second, first, G)), (name, width)
 
 
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_identity_is_the_constructors_reduced_unit(name):
+    """GroupRingMatrix.identity, built without the constructor, equals the
+    constructor's reading of its 0/1 data, is read-only, and fixes a
+    random matrix under ga_compose on either side; n = 0 gives no rows."""
+    G = SMALL_GROUPS[name]
+    rng = np.random.default_rng(len(name))
+    for n in (0, 1, 3):
+        I = GroupRingMatrix.identity(G, n)
+        data = np.zeros((n, n, G.order), dtype=np.int64)
+        data[range(n), range(n), G.identity] = 1
+        assert I == GroupRingMatrix(G, data) and I.data.dtype == np.int64, (name, n)
+        assert not I.data.flags.writeable, (name, n)
+        A = rng.integers(0, G.prime_l, (n, 2, G.order))
+        assert np.array_equal(ga_compose(I.data, A, G), A), (name, n)
+        assert np.array_equal(ga_compose(A.transpose(1, 0, 2), I.data, G),
+                              A.transpose(1, 0, 2)), (name, n)
+
+
 def test_ga_mul_dimension_mismatch():
     """An entry of the wrong length is refused when the element is built,
     and elements over different groups do not multiply."""

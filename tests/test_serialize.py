@@ -32,6 +32,7 @@ from perfchain.serialize import (
     digest_text,
     field_to_json,
     json_field_array,
+    json_int_matrix,
     module_to_json,
     read_complex,
     read_int_matrix,
@@ -562,3 +563,27 @@ def test_field_entry_equal_to_l_is_refused(l, text):
     F_l, and ParseError."""
     with pytest.raises(ParseError, match=rf"outside \[0, {l}\)"):
         json_field_array(text, "x", l, 2)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, "1", None, [1]],
+                         ids=["true", "false", "float-integral", "float", "str", "none", "list"])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_int_matrix_entries_must_be_ints(bad, where):
+    """An entry of any type but int, bool among them, in the first, a
+    middle or the last row is the same ParseError as a ragged row; a
+    matrix of ints, of either sign and past 2^64, comes back as given."""
+    M = [[1, -2, 3], [2**70, 0, -(2**64)], [4, 5, 6]]
+    assert json_int_matrix(M, "U", 3, 3) is M
+    M[where] = M[where][:1] + [bad] + M[where][2:]
+    with pytest.raises(ParseError, match=r"^U is not an integer matrix with 3 columns$"):
+        json_int_matrix(M, "U")
+
+
+@pytest.mark.parametrize("rows, cols", [([[1, 2], [3]], None), ([[1, 2], [3, 4, 5]], None),
+                                        ([[1], []], None), ([[1, 2], [3, 4]], 3)])
+def test_int_matrix_rows_must_have_one_length(rows, cols):
+    """A row longer or shorter than the first, or rows of another length
+    than the columns asked for, is ParseError naming that column count."""
+    expected = len(rows[0]) if cols is None else cols
+    with pytest.raises(ParseError, match=rf"^M is not an integer matrix with {expected} columns$"):
+        json_int_matrix(rows, "M", cols=cols)
